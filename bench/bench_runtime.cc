@@ -1,13 +1,12 @@
 // Throughput of the concurrent runtime (src/runtime) in free-running mode:
-// N site threads push synthetic updates through the mailbox transport while
-// the coordinator serves alarms and poll rounds. Reports aggregate
+// site worker threads push synthetic updates through the mailbox transport
+// while the coordinator serves alarms and poll rounds. Reports aggregate
 // updates/sec per (site count, shard count) — the scaling story for the
 // threaded runtime vs. the single-threaded lockstep simulator, and for the
 // two-level coordinator tree (--shards) vs. the flat coordinator.
 //
 // Usage: bench_runtime [--updates U] [--sites 2,4,8,16] [--shards 1]
 //                      [--seed 42] [--alarm-fraction 0.02] [--workers 0]
-//                      [--engine multiplexed|actor]
 //                      [--transport thread|socket] [--json out.json]
 //                      [--chaos none|kill-shard] [--chaos-seed 3]
 //                      [--heartbeat-timeout-ms 500]
@@ -17,10 +16,6 @@
 // count derived from a fixed total budget (~2e8 updates, clamped to
 // [50, 200000] per site), so a single sweep can span 2 sites to a million
 // sites without either finishing in microseconds or running for hours.
-// --engine picks the site-side data plane: "multiplexed" (default) packs
-// every worker's sites into one flat SoA loop; "actor" is the
-// one-object-per-site baseline the EXPERIMENTS comparison row measures
-// against.
 //
 // --trace switches from the synthetic sweep to free-running replay of a
 // recorded trace (CSV or the dcvb binary format — sniffed by magic bytes):
@@ -75,7 +70,6 @@ struct BenchConfig {
   uint64_t seed = 42;
   double alarm_fraction = 0.02;  ///< Fraction of updates breaching T_i.
   int workers = 0;               ///< 0 = auto (RuntimeOptions::num_workers).
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
   bool socket = false;           ///< Loopback TCP instead of mailboxes.
   std::string json_path;         ///< Empty = no JSON artifact.
   ChaosSpec chaos;               ///< One injected failure per config.
@@ -129,8 +123,8 @@ int64_t UpdatesPerSite(const BenchConfig& config, int sites) {
 Result<BenchConfig> ParseArgs(int argc, char** argv) {
   FlagSet flags;
   flags.Value("updates").Value("sites").Value("shards").Value("seed")
-      .Value("alarm-fraction").Value("workers").Value("engine")
-      .Value("transport").Value("json").Value("chaos").Value("chaos-seed")
+      .Value("alarm-fraction").Value("workers").Value("transport")
+      .Value("json").Value("chaos").Value("chaos-seed")
       .Value("heartbeat-timeout-ms").Value("trace").Value("train-epochs")
       .Value("threshold");
   DCV_ASSIGN_OR_RETURN(ParsedFlags parsed, flags.Parse(argc, argv, 1));
@@ -155,12 +149,6 @@ Result<BenchConfig> ParseArgs(int argc, char** argv) {
                                 std::to_string(workers));
   }
   config.workers = static_cast<int>(workers);
-  const std::string engine = parsed.GetString("engine", "multiplexed");
-  if (engine == "actor") {
-    config.engine = SiteEngineKind::kActorPerSite;
-  } else if (engine != "multiplexed") {
-    return InvalidArgumentError("--engine must be multiplexed or actor");
-  }
   if (parsed.Has("sites")) {
     DCV_ASSIGN_OR_RETURN(
         config.site_counts,
@@ -260,7 +248,6 @@ Status RunTraceBench(const BenchConfig& config) {
     obs::MetricsRegistry run_metrics;
     RuntimeOptions options;
     options.virtual_time = false;
-    options.engine = config.engine;
     options.num_workers =
         config.workers == 0 ? 0 : std::min(config.workers, eval.num_sites());
     options.num_shards = shards;
@@ -305,18 +292,13 @@ int RunBench(const BenchConfig& config) {
 
   if (config.updates > 0) {
     std::printf("# free-running runtime throughput (updates/site: %" PRId64
-                ", alarm fraction: %.3f, engine: %s, transport: %s)\n",
+                ", alarm fraction: %.3f, transport: %s)\n",
                 config.updates, config.alarm_fraction,
-                config.engine == SiteEngineKind::kMultiplexed ? "multiplexed"
-                                                              : "actor",
                 config.socket ? "socket" : "thread");
   } else {
     std::printf("# free-running runtime throughput (updates/site: auto "
-                "budget, alarm fraction: %.3f, engine: %s, transport: %s)\n",
-                config.alarm_fraction,
-                config.engine == SiteEngineKind::kMultiplexed ? "multiplexed"
-                                                              : "actor",
-                config.socket ? "socket" : "thread");
+                "budget, alarm fraction: %.3f, transport: %s)\n",
+                config.alarm_fraction, config.socket ? "socket" : "thread");
   }
   std::printf("%8s %8s %8s %14s %12s %14s %10s %10s %14s\n", "sites",
               "threads", "shards", "updates", "seconds", "updates/sec",
@@ -334,7 +316,6 @@ int RunBench(const BenchConfig& config) {
       obs::MetricsRegistry run_metrics;
       RuntimeOptions options;
       options.virtual_time = false;
-      options.engine = config.engine;
       options.num_workers =
           config.workers == 0 ? 0 : std::min(config.workers, sites);
       options.num_shards = shards;
@@ -376,7 +357,6 @@ int RunBench(const BenchConfig& config) {
               wo.worker = w;
               wo.num_workers = num_workers;
               wo.num_sites = sites;
-              wo.engine = config.engine;
               wo.synthetic_updates = updates;
               wo.seed = config.seed;
               wo.synthetic_max = 1'000'000;
@@ -408,14 +388,11 @@ int RunBench(const BenchConfig& config) {
           run_metrics.histogram("runtime/detection_lag_epochs",
                                 obs::Histogram::ExponentialBounds(1.0, 2.0, 16))
               ->Snapshot();
-      // Mirror Launch's auto-resolution: the multiplexed engine defaults to
-      // one thread per core, the actor engine to one thread per site.
+      // Mirror Launch's auto-resolution: one worker thread per core.
       const int hw = std::max(
           1, static_cast<int>(std::thread::hardware_concurrency()));
-      const int threads =
-          options.num_workers != 0 ? options.num_workers
-          : config.engine == SiteEngineKind::kMultiplexed ? std::min(sites, hw)
-                                                          : sites;
+      const int threads = options.num_workers != 0 ? options.num_workers
+                                                   : std::min(sites, hw);
       std::printf("%8d %8d %8d %14" PRId64 " %12.3f %14.0f %10" PRId64
                   " %10" PRId64 " %14.1f\n",
                   sites, threads, shards, result->total_updates,

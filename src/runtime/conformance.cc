@@ -99,7 +99,6 @@ Result<ConformanceReport> RunConformance(const Trace& training,
   rt_options.global_threshold = spec.global_threshold;
   rt_options.poll_period = spec.poll_period;
   rt_options.num_workers = spec.num_workers;
-  rt_options.engine = spec.engine;
   rt_options.num_shards = spec.num_shards;
   rt_options.virtual_time = true;
   rt_options.solver = spec.solver;
@@ -139,7 +138,6 @@ Result<ConformanceReport> RunConformance(const Trace& training,
           wo.worker = w;
           wo.num_workers = workers;
           wo.num_sites = n;
-          wo.engine = spec.engine;
           wo.socket.allow_reconnect = reconnect;
           auto r = RunSiteWorker(&eval, wo);
           if (!r.ok()) {

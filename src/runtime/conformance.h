@@ -24,12 +24,6 @@ struct ConformanceSpec {
   FaultSpec faults;
   int num_workers = 0;  ///< 0 = auto (see RuntimeOptions::num_workers).
 
-  /// Site-side engine for the runtime runs: the multiplexed SoA loop
-  /// (default) or the actor-per-site baseline. Conformance must hold for
-  /// both — the engine-conformance tests diff them against each other AND
-  /// the lockstep reference.
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
-
   /// Coordinator shard count for the runtime runs (two-level coordinator
   /// tree; 1 = flat). Virtual-time results must be bit-identical for every
   /// legal value — sharded conformance IS the determinism proof.

@@ -76,7 +76,7 @@ class CoordinatorActor {
   Status Init();
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
-  /// site actors (epoch barrier via kEpochStart / kEpochReport), then shuts
+  /// sites (epoch barrier via kEpochStart / kEpochReport), then shuts
   /// the sites down. Fills `out`'s detections, messages, and reliability.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);

@@ -8,18 +8,16 @@
 #include <utility>
 
 #include "runtime/plan.h"
-#include "runtime/site_actor.h"
 #include "runtime/site_engine.h"
 #include "runtime/transport.h"
 
 namespace dcv {
 namespace {
 
-/// Hard ceiling on in-process worker threads. The actor engine's
-/// historical thread-per-site default is fine at conformance scale but a
-/// 100k-site run would ask the OS for 100k threads and die inside the
-/// std::thread constructor; large fabrics belong to the multiplexed
-/// engine, which never needs more threads than cores.
+/// Hard ceiling on in-process worker threads. The auto default never
+/// exceeds the core count, but an explicit num_workers is outside input:
+/// asking the OS for, say, 100k threads would abort inside the
+/// std::thread constructor mid-spawn, so larger requests are refused.
 constexpr int kMaxWorkerThreads = 10'000;
 
 struct LaunchPlan {
@@ -106,7 +104,7 @@ CoordinatorActor::Config MakeCoordinatorConfig(int n, const LaunchPlan& plan,
 }
 
 /// Socket-transport launch: this process runs only the coordinator; the
-/// site actors live in site-worker processes (site_worker.h) that connect
+/// site engines live in site-worker processes (site_worker.h) that connect
 /// over TCP. The protocol state machines are untouched — the coordinator
 /// sees the same Transport interface — so virtual-time runs stay
 /// bit-identical to the in-process and lockstep paths.
@@ -152,7 +150,7 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   DCV_RETURN_IF_ERROR(coordinator.Init());
 
   // Initial threshold sync: in-process runs bake the thresholds into the
-  // SiteActor configs; remote workers get them as the connection's first
+  // SiteEngine configs; remote workers get them as the connection's first
   // envelopes instead. Control plane (uncharged — provisioning, not
   // protocol traffic), and per-connection FIFO means every site installs
   // its threshold before it evaluates anything.
@@ -228,7 +226,7 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   return result;
 }
 
-/// Builds actors and threads, runs the coordinator on the calling thread,
+/// Builds engines and threads, runs the coordinator on the calling thread,
 /// joins, and fills the throughput/capture fields. `eval` is null for
 /// synthetic runs.
 Result<RuntimeResult> Launch(int n, const Trace* eval,
@@ -238,17 +236,12 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
   }
-  const bool multiplexed = options.engine == SiteEngineKind::kMultiplexed;
   int workers = options.num_workers;
   if (workers == 0) {
-    // Actor engine: thread-per-site, the historical default. Multiplexed
-    // engine: one shard loop per core — a million sites must not mean a
-    // million threads.
-    workers = multiplexed
-                  ? std::min(n, std::max(1, static_cast<int>(
-                                                std::thread::
-                                                    hardware_concurrency())))
-                  : n;
+    // One engine loop per core: a million sites must not mean a million
+    // threads.
+    workers = std::min(
+        n, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
   }
   if (workers < 1 || workers > n) {
     return InvalidArgumentError("num_workers must be in [1, num_sites]");
@@ -259,7 +252,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
     return InvalidArgumentError(
         "run would spawn " + std::to_string(workers) +
         " worker threads (max " + std::to_string(kMaxWorkerThreads) +
-        "); pass an explicit thread count or use the multiplexed engine");
+        "); pass a smaller thread count");
   }
   DCV_RETURN_IF_ERROR(MakeShardLayout(n, options.num_shards).status());
   DCV_ASSIGN_OR_RETURN(std::unique_ptr<ThreadTransport> transport,
@@ -275,58 +268,30 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   // contact. The provisioned thresholds still ship so WhatIf-style reuse of
   // the plan is possible, but the site constraint is disabled.
   const bool local = options.protocol == RuntimeProtocol::kLocalThreshold;
-  std::vector<std::unique_ptr<SiteActor>> sites;
-  std::vector<std::vector<SiteActor*>> owned;
+  // One SoA engine per worker; per-site config lands in slot order (slot s
+  // of worker w is site s * workers + w).
   std::vector<std::unique_ptr<SiteEngine>> engines;
-  if (multiplexed) {
-    // One SoA engine per worker; per-site config lands in slot order
-    // (slot s of worker w is site s * workers + w).
-    engines.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      SiteEngine::Config ecfg;
-      ecfg.worker = w;
-      ecfg.num_workers = workers;
-      ecfg.num_sites = n;
-      for (int site = w; site < n; site += workers) {
-        ecfg.thresholds.push_back(
-            local ? plan.thresholds[static_cast<size_t>(site)]
-                  : std::numeric_limits<int64_t>::max());
-        if (eval != nullptr) {
-          ecfg.series.push_back(eval->SiteSeries(site));
-        }
-      }
-      ecfg.synthetic_updates = eval == nullptr ? updates_per_site : 0;
-      ecfg.seed = options.seed;
-      ecfg.synthetic_max = options.synthetic_max;
-      ecfg.capture_updates = options.capture_updates;
-      ecfg.metrics = options.metrics;
-      ecfg.recorder = options.recorder;
-      engines.push_back(std::make_unique<SiteEngine>(std::move(ecfg)));
-    }
-  } else {
-    sites.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      SiteActor::Config cfg;
-      cfg.site = i;
-      cfg.threshold = local ? plan.thresholds[static_cast<size_t>(i)]
-                            : std::numeric_limits<int64_t>::max();
+  engines.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    SiteEngine::Config ecfg;
+    ecfg.worker = w;
+    ecfg.num_workers = workers;
+    ecfg.num_sites = n;
+    for (int site = w; site < n; site += workers) {
+      ecfg.thresholds.push_back(local
+                                    ? plan.thresholds[static_cast<size_t>(site)]
+                                    : std::numeric_limits<int64_t>::max());
       if (eval != nullptr) {
-        cfg.series = eval->SiteSeries(i);
-      } else {
-        cfg.synthetic_updates = updates_per_site;
+        ecfg.series.push_back(eval->SiteSeries(site));
       }
-      cfg.seed = options.seed;
-      cfg.synthetic_max = options.synthetic_max;
-      cfg.capture_updates = options.capture_updates;
-      cfg.metrics = options.metrics;
-      cfg.recorder = options.recorder;
-      sites.push_back(std::make_unique<SiteActor>(cfg));
     }
-    owned.resize(static_cast<size_t>(workers));
-    for (int i = 0; i < n; ++i) {
-      owned[static_cast<size_t>(transport->WorkerOf(i))].push_back(
-          sites[static_cast<size_t>(i)].get());
-    }
+    ecfg.synthetic_updates = eval == nullptr ? updates_per_site : 0;
+    ecfg.seed = options.seed;
+    ecfg.synthetic_max = options.synthetic_max;
+    ecfg.capture_updates = options.capture_updates;
+    ecfg.metrics = options.metrics;
+    ecfg.recorder = options.recorder;
+    engines.push_back(std::make_unique<SiteEngine>(std::move(ecfg)));
   }
 
   CoordinatorActor coordinator(MakeCoordinatorConfig(n, plan, options));
@@ -337,21 +302,11 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   threads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     Transport* t = transport.get();
-    if (multiplexed) {
-      SiteEngine* engine = engines[static_cast<size_t>(w)].get();
-      if (options.virtual_time) {
-        threads.emplace_back([t, engine] { engine->RunVirtual(t); });
-      } else {
-        threads.emplace_back([t, engine] { engine->RunFree(t); });
-      }
+    SiteEngine* engine = engines[static_cast<size_t>(w)].get();
+    if (options.virtual_time) {
+      threads.emplace_back([t, engine] { engine->RunVirtual(t); });
     } else {
-      const std::vector<SiteActor*>& mine = owned[static_cast<size_t>(w)];
-      if (options.virtual_time) {
-        threads.emplace_back(
-            [t, w, &mine] { RunSiteWorkerVirtual(t, w, mine); });
-      } else {
-        threads.emplace_back([t, w, &mine] { RunSiteWorkerFree(t, w, mine); });
-      }
+      threads.emplace_back([t, engine] { engine->RunFree(t); });
     }
   }
 
@@ -374,18 +329,14 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
 
   result.site_updates.clear();
   result.total_updates = 0;
-  if (multiplexed) {
-    for (int i = 0; i < n; ++i) {
-      const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
-      const int64_t processed =
-          engine.updates_processed()[static_cast<size_t>(i / workers)];
-      result.site_updates.push_back(processed);
-      result.total_updates += processed;
-    }
-  } else {
-    for (const auto& s : sites) {
-      result.site_updates.push_back(s->updates_processed());
-      result.total_updates += s->updates_processed();
+  for (int i = 0; i < n; ++i) {
+    const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
+    const size_t slot = static_cast<size_t>(i / workers);
+    const int64_t processed = engine.updates_processed()[slot];
+    result.site_updates.push_back(processed);
+    result.total_updates += processed;
+    if (options.capture_updates) {
+      result.captured_updates.push_back(engine.captured_updates()[slot]);
     }
   }
   result.elapsed_seconds =
@@ -394,19 +345,6 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
       result.elapsed_seconds > 0.0
           ? static_cast<double>(result.total_updates) / result.elapsed_seconds
           : 0.0;
-  if (options.capture_updates) {
-    if (multiplexed) {
-      for (int i = 0; i < n; ++i) {
-        const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
-        result.captured_updates.push_back(
-            engine.captured_updates()[static_cast<size_t>(i / workers)]);
-      }
-    } else {
-      for (const auto& s : sites) {
-        result.captured_updates.push_back(s->captured_updates());
-      }
-    }
-  }
   if (options.metrics != nullptr) {
     // Single shared registry: the "merged" document is just its snapshot,
     // keeping the output shape identical to a socket-transport run.

@@ -9,7 +9,6 @@
 #include "obs/obs.h"
 #include "runtime/coordinator.h"
 #include "runtime/runtime_result.h"
-#include "runtime/site_engine.h"
 #include "runtime/socket_transport.h"
 #include "sim/channel.h"
 #include "threshold/solver.h"
@@ -35,19 +34,11 @@ struct RuntimeOptions {
   int64_t poll_period = 5;  ///< kPolling only.
 
   /// Site-to-worker multiplexing: k in [1, num_sites] packs the sites onto
-  /// k threads (site s -> s % k). 0 = auto: one worker thread per site
-  /// with the actor-per-site engine (the historical default), or
-  /// min(num_sites, hardware_concurrency) with the multiplexed engine
-  /// (a million sites must not mean a million threads).
+  /// k worker threads (site s -> s % k), each driving one SiteEngine over
+  /// its sites. 0 = auto: min(num_sites, hardware_concurrency) on the
+  /// thread transport (a million sites must not mean a million threads);
+  /// one worker connection per site on the socket transport.
   int num_workers = 0;
-
-  /// Site-side execution engine. kMultiplexed (default) drives every
-  /// worker's sites over flat structure-of-arrays state with batched
-  /// transport drains; kActorPerSite is the original one-object-per-site
-  /// runtime, kept as the conformance baseline. Virtual-time detections
-  /// are bit-identical between the two (the conformance harness asserts
-  /// it).
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
 
   /// Coordinator-side sharding: partition the sites across this many shard
   /// coordinator threads feeding a root aggregator (two-level tree). Must

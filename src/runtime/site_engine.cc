@@ -4,16 +4,13 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/site_actor.h"
-
 namespace dcv {
 namespace {
 
 /// Pending-outbox high-water mark: past this many unsent envelopes the
 /// free-running loop stops producing updates and spins on drain+flush
-/// until the coordinator catches up — the non-blocking replacement for
-/// the actor path's blocking alarm Send (bounded memory, same
-/// backpressure).
+/// until the coordinator catches up — backpressure with bounded memory,
+/// without ever blocking on a send.
 constexpr size_t kOutboxCap = 8192;
 
 /// Compact the pending outbox (erase the sent prefix) once the dead
@@ -22,6 +19,15 @@ constexpr size_t kOutboxCap = 8192;
 constexpr size_t kCompactThreshold = 4096;
 
 }  // namespace
+
+Rng MakeSiteRng(uint64_t seed, int site) {
+  // Mix the site id in with an odd multiplier (SplitMix64's increment) so
+  // site k's stream is unrelated to site k+1's even for adjacent seeds; the
+  // Rng constructor then SplitMix-expands the mixed seed into full state.
+  uint64_t mixed =
+      seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(site) + 1));
+  return Rng(mixed);
+}
 
 SiteEngine::SiteEngine(Config config) : config_(std::move(config)) {
   const size_t slots = config_.thresholds.size();
@@ -65,8 +71,8 @@ int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
     return config_.series[slot][static_cast<size_t>(index)];
   }
   // Synthetic stream: one draw per update, in stream order, from the
-  // (seed, site)-derived RNG owned by this slot — identical to the
-  // SiteActor stream no matter how slots interleave within a batch.
+  // (seed, site)-derived RNG owned by this slot — the same stream no
+  // matter how slots interleave within a batch or across workers.
   return rngs_[slot].UniformInt(0, config_.synthetic_max);
 }
 
@@ -279,8 +285,8 @@ void SiteEngine::RunFree(Transport* transport) {
       if (shutdowns_pending == 0) {
         break;
       }
-      // Nothing owed to the coordinator: block for control traffic, the
-      // engine mirror of the actor loop's post-drain poll service.
+      // Nothing owed to the coordinator: block for control traffic (polls
+      // of in-flight rounds, then the kShutdown broadcast).
       inbox.clear();
       if (transport->RecvWorkerAll(config_.worker, &inbox) == 0) {
         break;  // Closed and drained.

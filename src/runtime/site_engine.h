@@ -12,23 +12,17 @@
 
 namespace dcv {
 
-/// Which site-side execution engine a runtime launch drives its sites with.
-enum class SiteEngineKind {
-  /// One SiteEngine per worker thread multiplexes every owned site over
-  /// flat structure-of-arrays state (the million-site data plane). The
-  /// default: bit-identical to the actor path by construction, with the
-  /// per-site object and scheduling overhead gone.
-  kMultiplexed,
-  /// One heap-allocated SiteActor per site, one site per message dispatch
-  /// (the original runtime). Retained as the conformance baseline and for
-  /// the seed-determinism harness at small N.
-  kActorPerSite,
-};
+/// Per-site RNG stream derived from (seed, site): the same seed always
+/// yields the same per-site update sequence, independent of how site
+/// workers interleave on threads. Derivation mixes the site id into the
+/// seed with a SplitMix64-style odd multiplier before Rng's own SplitMix
+/// expansion, so streams of neighboring sites are unrelated.
+Rng MakeSiteRng(uint64_t seed, int site);
 
-/// The multiplexed site data plane: one engine instance owns every site a
-/// worker is responsible for and keeps their state in parallel flat arrays
-/// indexed by dense slot. The slot mapping mirrors the transport's
-/// round-robin ownership (`WorkerOf(site) == site % num_workers`):
+/// The site data plane: one engine instance owns every site a worker is
+/// responsible for and keeps their state in parallel flat arrays indexed
+/// by dense slot. The slot mapping mirrors the transport's round-robin
+/// ownership (`WorkerOf(site) == site % num_workers`):
 ///
 ///   slot = site / num_workers        site = slot * num_workers + worker
 ///
@@ -37,21 +31,22 @@ enum class SiteEngineKind {
 /// `updates_[slot]` are contiguous and the per-message dispatch is an
 /// integer divide instead of a pointer chase through a per-site object.
 ///
-/// Determinism contract (why this is bit-identical to actor-per-site):
+/// Determinism contract (why virtual-time runs are bit-identical to the
+/// lockstep simulator, which the conformance harness asserts):
 ///  * every per-site RNG stream is derived from (seed, site) alone
 ///    (MakeSiteRng), and each slot owns its Rng — the order sites are
 ///    processed within a batch never touches another site's stream;
-///  * the state transition per message is copied verbatim from SiteActor
-///    (OnEpochStart / NextUpdate / OnPollRequest semantics, including the
-///    observability side effects), so the same message sequence produces
-///    the same reports;
+///  * each epoch, a site observes its value, checks L_i : X_i <= T_i (a
+///    down site observes but never alarms), and answers a poll with its
+///    most recent value — the lockstep simulator's site step, one
+///    message at a time;
 ///  * the coordinator replays alarms in ascending site order after
 ///    collecting every report, and the fault-injecting Channel lives on
 ///    the root thread only — transport arrival order (and therefore
 ///    batching) cannot perturb fates, charges, or detections.
 ///
-/// Thread ownership is the same as the actor path: exactly one worker
-/// thread drives an engine; no engine state is ever touched by two threads.
+/// Exactly one worker thread drives an engine; no engine state is ever
+/// touched by two threads.
 class SiteEngine {
  public:
   struct Config {
@@ -121,17 +116,20 @@ class SiteEngine {
 
  private:
   /// Dense slot of a site-addressed envelope; -1 when the site is out of
-  /// range or not owned by this worker (dropped, same as the actor loop).
+  /// range or not owned by this worker (such envelopes are dropped).
   int SlotOf(int32_t site) const;
 
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 
-  /// Verbatim SiteActor::OnEpochStart over slot state.
+  /// Virtual time: observes epoch `epoch`'s value and returns the
+  /// kEpochReport. A down site (up == false) observes the value but never
+  /// alarms — the lockstep simulator's crash semantics.
   ActorMessage OnEpochStart(size_t slot, int64_t epoch, bool up);
-  /// Verbatim SiteActor::NextUpdate over slot state.
+  /// Free running: consumes the slot's next update; false when its
+  /// workload is exhausted. `*alarmed` says whether L_i fired.
   bool NextUpdate(size_t slot, int64_t* value, bool* alarmed);
-  /// Verbatim SiteActor::OnPollRequest over slot state.
+  /// kPollResponse carrying the slot's most recently observed value.
   ActorMessage OnPollRequest(size_t slot, int64_t epoch) const;
 
   Config config_;

@@ -9,7 +9,7 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/site_actor.h"
+#include "runtime/site_engine.h"
 
 namespace dcv {
 namespace {
@@ -91,59 +91,31 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   // Owned sites start unconstrained; the real thresholds arrive as the
   // coordinator's first envelopes (per-connection FIFO guarantees they
   // install before any epoch start or poll reaches the site).
-  const bool multiplexed = options.engine == SiteEngineKind::kMultiplexed;
-  std::vector<int> owned_sites;
+  SiteWorkerReport report;
+  SiteEngine::Config ecfg;
+  ecfg.worker = options.worker;
+  ecfg.num_workers = options.num_workers;
+  ecfg.num_sites = options.num_sites;
   for (int i = options.worker; i < options.num_sites;
        i += options.num_workers) {
-    owned_sites.push_back(i);
-  }
-  std::vector<std::unique_ptr<SiteActor>> actors;
-  std::vector<SiteActor*> owned;
-  std::unique_ptr<SiteEngine> engine;
-  if (multiplexed) {
-    SiteEngine::Config ecfg;
-    ecfg.worker = options.worker;
-    ecfg.num_workers = options.num_workers;
-    ecfg.num_sites = options.num_sites;
-    for (int i : owned_sites) {
-      ecfg.thresholds.push_back(std::numeric_limits<int64_t>::max());
-      if (eval != nullptr) {
-        ecfg.series.push_back(eval->SiteSeries(i));
-      }
-    }
-    ecfg.synthetic_updates = eval == nullptr ? options.synthetic_updates : 0;
-    ecfg.seed = options.seed;
-    ecfg.synthetic_max = options.synthetic_max;
-    ecfg.metrics = options.metrics;
-    ecfg.recorder = options.recorder;
-    engine = std::make_unique<SiteEngine>(std::move(ecfg));
-  } else {
-    for (int i : owned_sites) {
-      SiteActor::Config cfg;
-      cfg.site = i;
-      cfg.threshold = std::numeric_limits<int64_t>::max();
-      if (eval != nullptr) {
-        cfg.series = eval->SiteSeries(i);
-      } else {
-        cfg.synthetic_updates = options.synthetic_updates;
-      }
-      cfg.seed = options.seed;
-      cfg.synthetic_max = options.synthetic_max;
-      cfg.metrics = options.metrics;
-      cfg.recorder = options.recorder;
-      actors.push_back(std::make_unique<SiteActor>(cfg));
-      owned.push_back(actors.back().get());
+    report.sites.push_back(i);
+    ecfg.thresholds.push_back(std::numeric_limits<int64_t>::max());
+    if (eval != nullptr) {
+      ecfg.series.push_back(eval->SiteSeries(i));
     }
   }
-
-  SiteWorkerReport report;
-  report.sites = owned_sites;
+  ecfg.synthetic_updates = eval == nullptr ? options.synthetic_updates : 0;
+  ecfg.seed = options.seed;
+  ecfg.synthetic_max = options.synthetic_max;
+  ecfg.metrics = options.metrics;
+  ecfg.recorder = options.recorder;
+  SiteEngine engine(std::move(ecfg));
   report.virtual_time = transport->virtual_time();
 
   // Initial threshold sync: exactly one kThresholdUpdate per owned site
   // before the run proper. A kShutdown here means the coordinator aborted
   // during startup; exit cleanly instead of erroring.
-  size_t pending = owned_sites.size();
+  size_t pending = engine.num_slots();
   bool aborted = false;
   Envelope e;
   while (pending > 0 && !aborted) {
@@ -153,27 +125,14 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
           "connection closed before initial threshold sync completed");
     }
     switch (e.msg.kind) {
-      case ActorMsgKind::kThresholdUpdate: {
-        bool found = false;
-        if (multiplexed) {
-          found = engine->ApplyThresholdUpdate(e.to, e.msg.value);
-        } else {
-          for (SiteActor* s : owned) {
-            if (s->site() == e.to) {
-              s->OnThresholdUpdate(e.msg.value);
-              found = true;
-              break;
-            }
-          }
-        }
-        if (!found) {
+      case ActorMsgKind::kThresholdUpdate:
+        if (!engine.ApplyThresholdUpdate(e.to, e.msg.value)) {
           transport->Shutdown();
           return InternalError("threshold sync addressed to unowned site " +
                                std::to_string(e.to));
         }
         --pending;
         break;
-      }
       case ActorMsgKind::kShutdown:
         aborted = true;
         break;
@@ -208,16 +167,10 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   }
 
   if (!aborted) {
-    if (multiplexed) {
-      if (report.virtual_time) {
-        engine->RunVirtual(transport.get());
-      } else {
-        engine->RunFree(transport.get());
-      }
-    } else if (report.virtual_time) {
-      RunSiteWorkerVirtual(transport.get(), options.worker, owned);
+    if (report.virtual_time) {
+      engine.RunVirtual(transport.get());
     } else {
-      RunSiteWorkerFree(transport.get(), options.worker, owned);
+      engine.RunFree(transport.get());
     }
   }
 
@@ -235,14 +188,8 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
       BuildTelemetryFrame(options, transport.get(), /*final_flush=*/true));
   transport->Shutdown();
 
-  if (multiplexed) {
-    for (int64_t u : engine->updates_processed()) {
-      report.total_updates += u;
-    }
-  } else {
-    for (const SiteActor* s : owned) {
-      report.total_updates += s->updates_processed();
-    }
+  for (int64_t u : engine.updates_processed()) {
+    report.total_updates += u;
   }
   report.socket = transport->stats();
   return report;

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "obs/obs.h"
-#include "runtime/site_engine.h"
 #include "runtime/socket_transport.h"
 #include "trace/trace.h"
 
@@ -30,11 +29,6 @@ struct SiteWorkerOptions {
   uint64_t seed = 42;
   int64_t synthetic_max = 1000000;
 
-  /// Site-side execution engine; must not affect results (virtual-time
-  /// conformance asserts bit-identity), only how the owned sites are
-  /// driven: one SoA engine loop (default) vs one SiteActor per site.
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
-
   SocketTransport::Options socket;
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
@@ -53,10 +47,11 @@ struct SiteWorkerReport {
   SocketStats socket;
 };
 
-/// Connects to the coordinator, builds the owned SiteActors (site s is owned
-/// iff s % num_workers == worker), installs the initial thresholds the
-/// coordinator pushes before epoch zero, then runs the standard worker loop
-/// in whichever mode the coordinator's handshake advertised. Returns after
+/// Connects to the coordinator, builds one SiteEngine over the owned sites
+/// (site s is owned iff s % num_workers == worker), installs the initial
+/// thresholds the coordinator pushes before epoch zero, then runs the
+/// engine loop in whichever mode the coordinator's handshake advertised.
+/// Returns after
 /// the coordinator's kShutdown broadcast. `eval` supplies trace-driven
 /// workloads (owned sites replay their columns); null means synthetic.
 Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,

@@ -910,7 +910,7 @@ bool SocketTransport::AwaitResume(size_t index, uint32_t seen_gen,
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.reconnect_window_ms);
   if (role_ == Role::kWorker) {
-    // Grace period: on a graceful shutdown the site actors are already
+    // Grace period: on a graceful shutdown the site engine is already
     // holding their kShutdown envelopes, so shutting_down_ flips almost
     // immediately — don't redial a coordinator that is simply done.
     {

@@ -13,24 +13,22 @@
 
 namespace dcv {
 
-/// Message fabric between the coordinator tree and the site workers. The
-/// interface is deliberately socket-shaped — opaque routed envelopes, a
-/// blocking receive per endpoint, an explicit shutdown — so a future
-/// `SocketTransport` (TCP, one connection per worker) can slot in without
-/// touching the actors. The first implementation is in-process
-/// (`ThreadTransport` below): one bounded Mailbox per worker thread plus
-/// one per shard coordinator.
+/// Message fabric between the coordinator tree and the site workers:
+/// opaque routed envelopes, a blocking receive per endpoint, an explicit
+/// shutdown. Two implementations exist, and the coordinator and site
+/// engines cannot tell them apart: `ThreadTransport` below (in-process,
+/// one bounded Mailbox per worker thread plus one per shard coordinator)
+/// and `SocketTransport` (TCP, one connection per worker process; see
+/// socket_transport.h).
 ///
-/// Sites are multiplexed onto workers: `WorkerOf(site)` names the worker
-/// inbox a site-addressed envelope lands in. With num_workers == num_sites
-/// every site has its own thread; with fewer, workers round-robin their
-/// sites (how `dcvtool run --threads` maps N sites onto K threads).
+/// Sites are multiplexed onto workers round-robin: `WorkerOf(site)` names
+/// the worker inbox a site-addressed envelope lands in (how `dcvtool run
+/// --threads` maps N sites onto K threads).
 ///
 /// Coordinator-bound traffic is fanned across `num_shards` shard inboxes:
 /// a site-to-coordinator envelope lands in shard `ShardOf(e.from)`'s inbox
 /// (contiguous balanced ranges; see shard_layout.h). With num_shards == 1
-/// — the default — there is a single coordinator inbox and
-/// RecvCoordinator behaves exactly as before the coordinator tree existed.
+/// — the default — shard 0's inbox is the single coordinator inbox.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -68,7 +66,7 @@ class Transport {
 
   /// Non-blocking SendBatch: consumes the longest routable prefix of
   /// batch[begin..] that fits right now and returns its length. The
-  /// multiplexed site engine uses this for data-plane pushes so a worker
+  /// site engine uses this for data-plane pushes so a worker
   /// never blocks on a full coordinator inbox while the coordinator blocks
   /// fanning out to that worker — the classic A/B full-mailbox deadlock;
   /// the engine keeps the unsent suffix and retries after draining its own
@@ -186,12 +184,6 @@ class Transport {
     (void)worker;
     return UnimplementedError("transport has no severable worker links");
   }
-
-  /// Unsharded receive, kept for the num_shards == 1 paths (the flat
-  /// coordinator and every pre-sharding caller): shard 0 IS the
-  /// coordinator inbox when there is only one shard.
-  bool RecvCoordinator(Envelope* out) { return RecvShard(0, out); }
-  bool TryRecvCoordinator(Envelope* out) { return TryRecvShard(0, out); }
 };
 
 /// In-process transport over bounded mailboxes, one per worker plus one per

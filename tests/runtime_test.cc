@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/site_actor.h"
+#include "runtime/site_engine.h"
 #include "runtime/transport.h"
 #include "trace/trace.h"
 
@@ -87,8 +87,7 @@ TEST(ThreadTransportTest, SendToShardAndBatchDrain) {
 }
 
 TEST(ThreadTransportTest, SingleShardIsTheFlatCoordinatorInbox) {
-  // RecvCoordinator is shard 0's inbox: the flat coordinator and every
-  // pre-sharding caller keep working unchanged.
+  // With one shard, shard 0's inbox receives all coordinator-bound traffic.
   auto transport = ThreadTransport::Create(3, 1);
   ASSERT_TRUE(transport.ok());
   Transport& t = **transport;
@@ -97,7 +96,7 @@ TEST(ThreadTransportTest, SingleShardIsTheFlatCoordinatorInbox) {
   msg.kind = ActorMsgKind::kAlarm;
   ASSERT_TRUE(t.Send(Envelope{2, kCoordinatorId, msg}));
   Envelope e;
-  ASSERT_TRUE(t.TryRecvCoordinator(&e));
+  ASSERT_TRUE(t.TryRecvShard(0, &e));
   EXPECT_EQ(e.from, 2);
 }
 
@@ -123,11 +122,11 @@ TEST(ThreadTransportTest, RoutesBySiteAndMultiplexesWorkers) {
   EXPECT_EQ(e.msg.kind, ActorMsgKind::kPollRequest);
   EXPECT_EQ(e.msg.epoch, 7);
   EXPECT_FALSE(t.TryRecvWorker(1, &e));
-  ASSERT_TRUE(t.TryRecvCoordinator(&e));
+  ASSERT_TRUE(t.TryRecvShard(0, &e));
   EXPECT_EQ(e.from, 3);
 
   t.Shutdown();
-  EXPECT_FALSE(t.RecvCoordinator(&e));
+  EXPECT_FALSE(t.RecvShard(0, &e));
   EXPECT_FALSE(t.RecvWorker(0, &e));
   EXPECT_FALSE(t.Send(Envelope{kCoordinatorId, 0, msg}));
 }

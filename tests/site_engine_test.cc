@@ -14,13 +14,12 @@
 namespace dcv {
 namespace {
 
-// The multiplexed SoA engine's contract: driving a worker's sites from one
-// flat loop (batched sends, coalesced drains) is OBSERVATIONALLY IDENTICAL
-// to one SiteActor per site — same per-epoch detections, same per-type
-// message counts, same wire-level reliability stats — and both match the
-// lockstep simulator. These tests run every scenario through all three and
-// diff the two runtime engines against each other on top of the lockstep
-// diff RunConformance already performs.
+// The SoA engine's contract: driving a worker's sites from one flat loop
+// (batched sends, coalesced drains) is OBSERVATIONALLY IDENTICAL to the
+// lockstep simulator — same per-epoch detections, same per-type message
+// counts, same wire-level reliability stats. These tests run every
+// scenario through RunConformance, which diffs the runtime against the
+// lockstep reference on all three.
 
 struct Workload {
   Trace training{0};
@@ -52,40 +51,13 @@ int64_t PickThreshold(const Workload& w, double overflow_fraction) {
   return *t;
 }
 
-/// Runs the spec once per engine and asserts (a) each engine is
-/// bit-identical to the lockstep reference and (b) the two engines'
-/// runtime reports agree with each other on detections, per-type message
-/// counts, and channel reliability stats.
-void ExpectEnginesAgree(const Workload& w, ConformanceSpec spec) {
-  spec.engine = SiteEngineKind::kMultiplexed;
-  auto multiplexed = RunConformance(w.training, w.eval, spec);
-  ASSERT_TRUE(multiplexed.ok()) << multiplexed.status().message();
-  EXPECT_TRUE(multiplexed->identical)
-      << "multiplexed: " << multiplexed->mismatch;
-
-  spec.engine = SiteEngineKind::kActorPerSite;
-  auto actor = RunConformance(w.training, w.eval, spec);
-  ASSERT_TRUE(actor.ok()) << actor.status().message();
-  EXPECT_TRUE(actor->identical) << "actor: " << actor->mismatch;
-
-  // Direct engine-vs-engine diff (both matching lockstep implies this, but
-  // a direct diff localizes a failure to the engines instead of the ref).
-  ASSERT_EQ(multiplexed->runtime.detections.size(),
-            actor->runtime.detections.size());
-  for (size_t t = 0; t < actor->runtime.detections.size(); ++t) {
-    EXPECT_TRUE(multiplexed->runtime.detections[t] ==
-                actor->runtime.detections[t])
-        << "detections diverge at epoch " << t;
-  }
-  for (int m = 0; m < kNumMessageTypes; ++m) {
-    MessageType type = static_cast<MessageType>(m);
-    EXPECT_EQ(multiplexed->runtime.messages.of(type),
-              actor->runtime.messages.of(type))
-        << "message count diverges for " << MessageTypeName(type);
-  }
-  EXPECT_EQ(multiplexed->runtime.reliability.ToJson(),
-            actor->runtime.reliability.ToJson());
-  EXPECT_EQ(multiplexed->runtime.total_updates, actor->runtime.total_updates);
+/// Runs the spec through RunConformance and asserts the runtime (and the
+/// socket run, when the spec asks for one) is bit-identical to lockstep.
+void ExpectMatchesLockstep(const Workload& w, const ConformanceSpec& spec) {
+  auto report = RunConformance(w.training, w.eval, spec);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->identical) << report->mismatch;
+  EXPECT_EQ(report->ran_socket, spec.transport == TransportKind::kSocket);
 }
 
 TEST(SiteEngineConformanceTest, EnginesAgreeAcrossShardCounts) {
@@ -98,15 +70,14 @@ TEST(SiteEngineConformanceTest, EnginesAgreeAcrossShardCounts) {
     spec.global_threshold = PickThreshold(w, 0.02);
     spec.num_workers = 2;
     spec.num_shards = shards;
-    ExpectEnginesAgree(w, spec);
+    ExpectMatchesLockstep(w, spec);
   }
 }
 
 TEST(SiteEngineConformanceTest, EnginesAgreeUnderChannelFaults) {
   // Loss, duplication, delay, and ack retries: the channel RNG draws must
-  // land identically whichever engine produced the reports, because the
-  // root replays them in ascending site order regardless of transport
-  // batching.
+  // land exactly as in lockstep, because the root replays the reports in
+  // ascending site order regardless of transport batching.
   Workload w = MakeWorkload(223, /*num_sites=*/5);
   FptasSolver solver(0.1);
   for (int shards : {1, 2}) {
@@ -123,7 +94,7 @@ TEST(SiteEngineConformanceTest, EnginesAgreeUnderChannelFaults) {
     spec.faults.retry.enable_acks = true;
     spec.faults.retry.max_attempts = 3;
     spec.faults.seed = 0xbeefULL;
-    ExpectEnginesAgree(w, spec);
+    ExpectMatchesLockstep(w, spec);
   }
 }
 
@@ -134,13 +105,13 @@ TEST(SiteEngineConformanceTest, EnginesAgreePollingProtocol) {
   spec.poll_period = 3;
   spec.global_threshold = PickThreshold(w, 0.05);
   spec.num_workers = 2;
-  ExpectEnginesAgree(w, spec);
+  ExpectMatchesLockstep(w, spec);
 }
 
 TEST(SiteEngineConformanceTest, EnginesAgreeOverSocketTransport) {
   // The coalesced kEnvelopeBatch wire path: a worker process's engine
   // drains and sends through real loopback TCP frames and must still be
-  // indistinguishable from the actor baseline and the lockstep reference.
+  // indistinguishable from the lockstep reference.
   Workload w = MakeWorkload(229, /*num_sites=*/4, /*train_epochs=*/300,
                             /*eval_epochs=*/300);
   FptasSolver solver(0.05);
@@ -151,7 +122,7 @@ TEST(SiteEngineConformanceTest, EnginesAgreeOverSocketTransport) {
   spec.num_workers = 2;
   spec.num_shards = 2;
   spec.transport = TransportKind::kSocket;
-  ExpectEnginesAgree(w, spec);
+  ExpectMatchesLockstep(w, spec);
 }
 
 TEST(SiteEngineConformanceTest, EnginesAgreeOverSocketUnderLoss) {
@@ -168,59 +139,56 @@ TEST(SiteEngineConformanceTest, EnginesAgreeOverSocketUnderLoss) {
   spec.faults.retry.enable_acks = true;
   spec.faults.retry.max_attempts = 3;
   spec.faults.seed = 0xabcULL;
-  ExpectEnginesAgree(w, spec);
+  ExpectMatchesLockstep(w, spec);
 }
 
-// Free-running mode claims no bit-identity, but both engines must drain
-// the identical workload: every site processes every update exactly once.
-TEST(SiteEngineFreeTest, BothEnginesDrainFullWorkload) {
-  for (SiteEngineKind engine :
-       {SiteEngineKind::kMultiplexed, SiteEngineKind::kActorPerSite}) {
-    RuntimeOptions options;
-    options.virtual_time = false;
-    options.engine = engine;
-    options.num_workers = 2;
-    options.seed = 9;
-    options.synthetic_max = 1000;
-    options.global_threshold = 6 * 1000;
-    options.thresholds.assign(6, 900);  // Alarm-heavy.
-    options.domain_max.assign(6, 1000);
-    auto result = RunSyntheticRuntime(6, 400, options);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(result->total_updates, 6 * 400);
-    ASSERT_EQ(result->site_updates.size(), 6u);
-    for (int64_t u : result->site_updates) {
-      EXPECT_EQ(u, 400);
-    }
-    EXPECT_GT(result->total_alarms, 0);
+// Free-running mode claims no bit-identity, but the engine must drain the
+// whole workload: every site processes every update exactly once.
+TEST(SiteEngineFreeTest, EngineDrainsFullWorkload) {
+  RuntimeOptions options;
+  options.virtual_time = false;
+  options.num_workers = 2;
+  options.seed = 9;
+  options.synthetic_max = 1000;
+  options.global_threshold = 6 * 1000;
+  options.thresholds.assign(6, 900);  // Alarm-heavy.
+  options.domain_max.assign(6, 1000);
+  auto result = RunSyntheticRuntime(6, 400, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->total_updates, 6 * 400);
+  ASSERT_EQ(result->site_updates.size(), 6u);
+  for (int64_t u : result->site_updates) {
+    EXPECT_EQ(u, 400);
   }
+  EXPECT_GT(result->total_alarms, 0);
 }
 
-// Identical synthetic value streams regardless of engine: per-site RNG
-// streams are keyed by (seed, site), never by slot or processing order.
-TEST(SiteEngineFreeTest, CapturedUpdateStreamsMatchActorBaseline) {
+// Site s's synthetic values are exactly the draws of MakeSiteRng(seed, s),
+// in order: streams are keyed by (seed, site), never by slot, worker, or
+// processing order.
+TEST(SiteEngineFreeTest, CapturedUpdateStreamsMatchSiteRng) {
+  constexpr int kSites = 5;
+  constexpr int64_t kUpdates = 64;
   RuntimeOptions options;
   options.virtual_time = false;
   options.num_workers = 2;
   options.seed = 77;
   options.synthetic_max = 5000;
-  options.global_threshold = 5 * 5000;
-  options.thresholds.assign(5, 4500);
-  options.domain_max.assign(5, 5000);
+  options.global_threshold = kSites * 5000;
+  options.thresholds.assign(kSites, 4500);
+  options.domain_max.assign(kSites, 5000);
   options.capture_updates = true;
+  auto result = RunSyntheticRuntime(kSites, kUpdates, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
 
-  options.engine = SiteEngineKind::kMultiplexed;
-  auto multiplexed = RunSyntheticRuntime(5, 64, options);
-  ASSERT_TRUE(multiplexed.ok()) << multiplexed.status().message();
-
-  options.engine = SiteEngineKind::kActorPerSite;
-  auto actor = RunSyntheticRuntime(5, 64, options);
-  ASSERT_TRUE(actor.ok()) << actor.status().message();
-
-  ASSERT_EQ(multiplexed->captured_updates.size(),
-            actor->captured_updates.size());
-  for (size_t s = 0; s < actor->captured_updates.size(); ++s) {
-    EXPECT_EQ(multiplexed->captured_updates[s], actor->captured_updates[s])
+  ASSERT_EQ(result->captured_updates.size(), static_cast<size_t>(kSites));
+  for (int s = 0; s < kSites; ++s) {
+    Rng rng = MakeSiteRng(77, s);
+    std::vector<int64_t> expected;
+    for (int64_t i = 0; i < kUpdates; ++i) {
+      expected.push_back(rng.UniformInt(0, 5000));
+    }
+    EXPECT_EQ(result->captured_updates[static_cast<size_t>(s)], expected)
         << "value stream diverges for site " << s;
   }
 }
@@ -251,14 +219,13 @@ TEST(SiteEngineScaleTest, HundredThousandSitesShutdownCleanly) {
   }
 }
 
-// The actor engine's implicit thread-per-site default at 100k sites would
-// ask the OS for 100k threads and abort inside the std::thread
-// constructor; it must be refused with a clear error before any spawn.
-TEST(SiteEngineScaleTest, ActorThreadPerSiteAtScaleIsRejectedCleanly) {
+// An explicit worker count of 100k would ask the OS for 100k threads and
+// abort inside the std::thread constructor; it must be refused with a
+// clear error before any spawn.
+TEST(SiteEngineScaleTest, ExplicitWorkerCountAboveCeilingIsRejected) {
   RuntimeOptions options;
   options.virtual_time = false;
-  options.engine = SiteEngineKind::kActorPerSite;
-  options.num_workers = 0;  // Resolves to one thread per site.
+  options.num_workers = 100'000;
   auto result = RunSyntheticRuntime(100'000, 1, options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("worker threads"),

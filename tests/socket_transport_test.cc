@@ -101,7 +101,7 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
   std::set<int> froms;
   Envelope e;
   for (int k = 0; k < 2; ++k) {
-    ASSERT_TRUE(coordinator->RecvCoordinator(&e));
+    ASSERT_TRUE(coordinator->RecvShard(0, &e));
     EXPECT_EQ(e.msg.kind, ActorMsgKind::kAlarm);
     froms.insert(e.from);
   }
@@ -111,7 +111,10 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
   workers[1]->Shutdown();
   coordinator->Shutdown();
   SocketStats stats = coordinator->stats();
-  EXPECT_EQ(stats.frames_sent, 4);
+  // Four envelopes over two connections: the writer coalesces whatever is
+  // queued into one kEnvelopeBatch frame, so 2..4 frames depending on timing.
+  EXPECT_GE(stats.frames_sent, 2);
+  EXPECT_LE(stats.frames_sent, 4);
   EXPECT_EQ(stats.frames_received, 2);
   EXPECT_GT(stats.bytes_sent, 0);
   EXPECT_EQ(stats.decode_errors, 0);
@@ -320,7 +323,7 @@ TEST(SocketTransportTest, ReconnectsAndReplaysAfterSeveredLink) {
     EXPECT_EQ(e.msg.value, 10 + i);
   }
   for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(coordinator->RecvCoordinator(&e)) << "frame " << i;
+    ASSERT_TRUE(coordinator->RecvShard(0, &e)) << "frame " << i;
     EXPECT_EQ(e.msg.epoch, i);
     EXPECT_EQ(e.msg.value, 20 + i);
   }

@@ -50,7 +50,6 @@
 //           [--sites 4] [--updates 100000] [--seed 42] [--synthetic-max M]
 //           [--scheme local|polling] [--solver fptas|...] [--eps 0.05]
 //           [--poll-period 5] [--threads K] [--shards S] [--virtual-time]
-//           [--engine multiplexed|actor]
 //           [--conformance] [--transport thread|socket] [--listen-port P]
 //           [--chaos none|kill-shard|kill-worker|reshard] [--chaos-seed S]
 //           [--heartbeat-timeout-ms T] [--allow-reconnect]
@@ -67,13 +66,9 @@
 //       the lockstep simulator AND the virtual-time runtime and verifies
 //       they agree epoch by epoch (with --transport socket a third run
 //       over loopback TCP is verified as well). --threads packs the sites
-//       onto K worker threads (default: one per core with the multiplexed
-//       engine, one per site with --engine actor). --engine picks the
-//       site-side data plane: "multiplexed" (default) drives all of a
-//       worker's sites from one flat structure-of-arrays loop with batched
-//       transport drains — the only way a million sites fit on one box —
-//       while "actor" keeps the original one-object-per-site runtime
-//       (conformance baseline). Results are bit-identical. --shards S
+//       onto K worker threads (default: one per core), each driving all
+//       of its sites from one flat structure-of-arrays loop with batched
+//       transport drains — how a million sites fit on one box. --shards S
 //       partitions the sites across S shard coordinator threads feeding a
 //       root aggregator (two-level coordinator tree; S in [1, sites],
 //       default 1 = flat coordinator); virtual-time results are identical
@@ -103,7 +98,6 @@
 //   dcvtool site-worker --port P --worker W --workers K
 //           [--host 127.0.0.1] [--trace trace.csv --train-epochs N]
 //           [--sites N --updates U --seed 42 --synthetic-max M]
-//           [--engine multiplexed|actor]
 //           [--connect-attempts A] [--connect-timeout-ms T]
 //           [--allow-reconnect] [--reconnect-window-ms T] [--quiet]
 //       The worker half of a socket-transport run: connects to the
@@ -271,17 +265,6 @@ Status ValidateWorkload(int64_t sites, int64_t updates) {
         std::to_string(sites) + " * " + std::to_string(updates) + ")");
   }
   return OkStatus();
-}
-
-Result<SiteEngineKind> ParseEngineKind(const std::string& name) {
-  if (name == "multiplexed") {
-    return SiteEngineKind::kMultiplexed;
-  }
-  if (name == "actor") {
-    return SiteEngineKind::kActorPerSite;
-  }
-  return InvalidArgumentError(
-      "--engine must be multiplexed or actor, got '" + name + "'");
 }
 
 // ----------------------------------------------------------------------
@@ -773,9 +756,6 @@ Status RunRuntime(const ParsedFlags& flags) {
   DCV_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 0));
   DCV_RETURN_IF_ERROR(ValidateCount(threads, 0, "--threads"));
   options.num_workers = static_cast<int>(threads);
-  DCV_ASSIGN_OR_RETURN(options.engine,
-                       ParseEngineKind(flags.GetString("engine",
-                                                       "multiplexed")));
   DCV_ASSIGN_OR_RETURN(int64_t shards, flags.GetInt("shards", 1));
   if (shards < 1) {
     return InvalidArgumentError(
@@ -951,7 +931,6 @@ Status RunRuntime(const ParsedFlags& flags) {
     spec.global_threshold = threshold;
     spec.faults = options.faults;
     spec.num_workers = options.num_workers;
-    spec.engine = options.engine;
     spec.num_shards = options.num_shards;
     spec.transport = options.transport;
     spec.chaos = options.chaos;
@@ -1017,9 +996,6 @@ Status RunSiteWorkerCommand(const ParsedFlags& flags) {
   }
   options.worker = static_cast<int>(worker);
   options.num_workers = static_cast<int>(workers);
-  DCV_ASSIGN_OR_RETURN(
-      options.engine,
-      ParseEngineKind(flags.GetString("engine", "multiplexed")));
   DCV_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
   options.seed = static_cast<uint64_t>(seed);
   DCV_ASSIGN_OR_RETURN(options.synthetic_max,
@@ -1193,7 +1169,7 @@ FlagSet RunFlags() {
       .Value("synthetic-max").Value("metrics-json").Value("transport")
       .Value("listen-port").Value("chaos").Value("chaos-seed")
       .Value("heartbeat-timeout-ms").Value("trace-out").Value("trace-format")
-      .Value("stats-interval-ms").Value("engine");
+      .Value("stats-interval-ms");
   flags.Boolean("virtual-time").Boolean("quiet").Boolean("conformance")
       .Boolean("allow-reconnect");
   DeclareFaultFlags(&flags);
@@ -1205,8 +1181,7 @@ FlagSet SiteWorkerFlags() {
   flags.Value("host").Value("port").Value("worker").Value("workers")
       .Value("trace").Value("train-epochs").Value("sites").Value("updates")
       .Value("seed").Value("synthetic-max").Value("connect-attempts")
-      .Value("connect-timeout-ms").Value("reconnect-window-ms")
-      .Value("engine");
+      .Value("connect-timeout-ms").Value("reconnect-window-ms");
   flags.Boolean("quiet").Boolean("allow-reconnect");
   return flags;
 }
