@@ -3,7 +3,8 @@
 // while the coordinator serves alarms and poll rounds. Reports aggregate
 // updates/sec per (site count, shard count) — the scaling story for the
 // threaded runtime vs. the single-threaded lockstep simulator, and for the
-// two-level coordinator tree (--shards) vs. the flat coordinator.
+// two-level coordinator tree across shard counts (--shards; 1 = one leg
+// inline on the coordinator's thread).
 //
 // Usage: bench_runtime [--updates U] [--sites 2,4,8,16] [--shards 1]
 //                      [--seed 42] [--alarm-fraction 0.02] [--workers 0]
@@ -36,7 +37,7 @@
 // the framing + kernel socket overhead against the mailbox baseline.
 // --chaos kill-shard injects one seed-resolved shard crash into every
 // configuration and reports the measured recovery time; shards=1 configs
-// run healthy (a flat coordinator has no shard to lose). Recovery gauges
+// run healthy (a 1-shard tree has no shard thread to lose). Recovery gauges
 // (shard_recoveries, recovery_ms) are always emitted so the JSON schema
 // is stable with and without chaos.
 
@@ -329,7 +330,7 @@ int RunBench(const BenchConfig& config) {
       options.chaos = config.chaos;
       options.heartbeat_timeout_ms = config.heartbeat_timeout_ms;
       if (config.chaos.kind == ChaosKind::kKillShard && shards < 2) {
-        // A flat coordinator has no shard to lose; run this config healthy
+        // A 1-shard tree has no shard thread to lose; run this config healthy
         // so the sweep still covers it.
         std::printf("# shards=1 for sites=%d runs healthy (kill-shard needs "
                     "a sharded tree)\n",

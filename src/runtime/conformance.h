@@ -25,7 +25,8 @@ struct ConformanceSpec {
   int num_workers = 0;  ///< 0 = auto (see RuntimeOptions::num_workers).
 
   /// Coordinator shard count for the runtime runs (two-level coordinator
-  /// tree; 1 = flat). Virtual-time results must be bit-identical for every
+  /// tree; 1 = one leg, run inline on the root's thread). Virtual-time
+  /// results must be bit-identical for every
   /// legal value — sharded conformance IS the determinism proof.
   int num_shards = 1;
 

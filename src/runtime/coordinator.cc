@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +23,21 @@ int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - since)
       .count();
+}
+
+/// Records one coordinator-tree lifecycle event (shard death or respawn,
+/// layout rotation) on the shard's trace lane; shard -1 = the root.
+void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
+                     int64_t epoch, int shard, int64_t value) {
+  if (recorder == nullptr) {
+    return;
+  }
+  obs::TraceEvent ev;
+  ev.kind = kind;
+  ev.epoch = epoch;
+  ev.shard = shard;
+  ev.value = value;
+  recorder->Record(ev);
 }
 
 }  // namespace
@@ -84,357 +100,8 @@ Status CoordinatorActor::Init() {
   return OkStatus();
 }
 
-Status CoordinatorActor::PollRound(Transport* transport, int64_t epoch,
-                                   std::vector<int64_t>* values) {
-  DCV_OBS_COUNT(polls_, 1);
-  ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = epoch;
-  std::vector<Envelope> requests;
-  requests.reserve(static_cast<size_t>(config_.num_sites));
-  for (int i = 0; i < config_.num_sites; ++i) {
-    requests.push_back(Envelope{kCoordinatorId, i, request});
-  }
-  if (!transport->SendBatch(requests)) {
-    return InternalError("transport closed during poll round");
-  }
-  values->assign(static_cast<size_t>(config_.num_sites), 0);
-  int pending = config_.num_sites;
-  std::vector<Envelope> batch;
-  while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(0, &batch) == 0) {
-      return InternalError("transport closed while collecting poll responses");
-    }
-    for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kPollResponse) {
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " during poll round");
-      }
-      (*values)[static_cast<size_t>(e.from)] = e.msg.value;
-      --pending;
-    }
-  }
-  return OkStatus();
-}
-
 Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
                                     RuntimeResult* out) {
-  if (config_.num_shards > 1) {
-    return RunVirtualSharded(transport, num_epochs, out);
-  }
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "virtual";
-  out->epochs = num_epochs;
-  out->detections.clear();
-  out->detections.reserve(static_cast<size_t>(num_epochs));
-
-  const int n = config_.num_sites;
-  std::vector<char> alarmed(static_cast<size_t>(n), 0);
-  std::vector<int64_t> alarm_value(static_cast<size_t>(n), 0);
-  std::vector<int64_t> poll_values;
-  std::vector<Envelope> starts;   ///< Reused per-epoch fan-out batch.
-  std::vector<Envelope> reports;  ///< Reused per-epoch drain batch.
-  starts.reserve(static_cast<size_t>(n));
-  const ResolvedChaos chaos =
-      ResolveChaos(config_.chaos, num_epochs, transport->num_workers());
-
-  for (int64_t t = 0; t < num_epochs; ++t) {
-    obs::ScopedTimer epoch_timer(epoch_us_);
-    if (config_.chaos.kind == ChaosKind::kKillWorker &&
-        t == chaos.fire_epoch) {
-      // Sever one worker link mid-run. On the socket transport the worker
-      // redials and the seq replay heals the stream, so the run (and the
-      // Channel's RNG stream) is unaffected; transports without severable
-      // links report Unimplemented, which is fine to ignore.
-      Status severed = transport->InjectPeerFailure(chaos.target);
-      (void)severed;
-    }
-    // Same call order as the lockstep runner + scheme, so the channel's RNG
-    // stream (and thus every fault fate) is bit-identical.
-    channel_.BeginEpoch(t);
-
-    // Recovered sites missed threshold pushes while down: re-sync. The wire
-    // send goes through the channel (charged + can itself be lost); the
-    // transport push carries the ground truth only when the wire said the
-    // update got through. It is sent before this epoch's kEpochStart, and
-    // the mailbox is per-producer FIFO, so the site installs the threshold
-    // before it evaluates — exactly the lockstep scheme, which re-syncs at
-    // the top of OnEpoch.
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold &&
-        !channel_.newly_recovered().empty()) {
-      const std::vector<int> recovered = channel_.newly_recovered();
-      for (int i : recovered) {
-        SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
-                                           /*reliable=*/true);
-        if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-          ActorMessage update;
-          update.kind = ActorMsgKind::kThresholdUpdate;
-          update.epoch = t;
-          update.value = config_.thresholds[static_cast<size_t>(i)];
-          if (!transport->Send(Envelope{kCoordinatorId, i, update})) {
-            return InternalError("transport closed during threshold re-sync");
-          }
-          DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
-                        t, i, config_.thresholds[static_cast<size_t>(i)]);
-        }
-      }
-      channel_.CountResync(static_cast<int64_t>(recovered.size()));
-    }
-
-    // Epoch barrier: every site observes its value and reports back whether
-    // its local constraint fired. These are synchronization messages (they
-    // model the passage of simulated time), not protocol traffic — the
-    // protocol's alarms are replayed through the channel below. One
-    // SendBatch per epoch fans the starts out; reports drain back in
-    // bursts. Batching cannot perturb detections: alarms are replayed in
-    // ascending site order after every report is in, so arrival order
-    // never reaches the channel.
-    starts.clear();
-    for (int i = 0; i < n; ++i) {
-      ActorMessage start;
-      start.kind = ActorMsgKind::kEpochStart;
-      start.epoch = t;
-      start.flag = channel_.SiteUp(i);
-      starts.push_back(Envelope{kCoordinatorId, i, start});
-    }
-    if (!transport->SendBatch(starts)) {
-      return InternalError("transport closed during epoch start");
-    }
-    std::fill(alarmed.begin(), alarmed.end(), 0);
-    int reports_pending = n;
-    while (reports_pending > 0) {
-      reports.clear();
-      if (transport->RecvShardAll(0, &reports) == 0) {
-        return InternalError("transport closed while collecting reports");
-      }
-      for (const Envelope& e : reports) {
-        if (e.msg.kind != ActorMsgKind::kEpochReport || e.msg.epoch != t) {
-          return InternalError("out-of-order message at epoch barrier");
-        }
-        alarmed[static_cast<size_t>(e.from)] = e.msg.flag ? 1 : 0;
-        alarm_value[static_cast<size_t>(e.from)] = e.msg.value;
-        --reports_pending;
-      }
-    }
-
-    EpochDetection det;
-    det.epoch = t;
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
-      // Delayed alarms arriving now still trigger a poll; late reports of
-      // other kinds are consumed and ignored (mirrors the lockstep scheme).
-      std::vector<Channel::Arrival> stale_alarms =
-          channel_.TakeArrivals(MessageType::kAlarm);
-      channel_.TakeArrivals(MessageType::kFilterReport);
-
-      int delivered_alarms = 0;
-      for (int i = 0; i < n; ++i) {
-        if (!alarmed[static_cast<size_t>(i)]) {
-          continue;
-        }
-        ++det.num_alarms;
-        DCV_OBS_COUNT(alarms_rx_, 1);
-        SendStatus s =
-            channel_.SendFromSite(i, MessageType::kAlarm, /*reliable=*/true,
-                                  alarm_value[static_cast<size_t>(i)]);
-        if (s == SendStatus::kDelivered) {
-          ++delivered_alarms;
-        }
-      }
-      if (delivered_alarms > 0 || !stale_alarms.empty()) {
-        DCV_RETURN_IF_ERROR(PollRound(transport, t, &poll_values));
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              config_.domain_max);
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
-      }
-    } else {  // kPolling
-      if (t % config_.poll_period == 0) {
-        DCV_RETURN_IF_ERROR(PollRound(transport, t, &poll_values));
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              /*pessimistic=*/{});
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
-      }
-    }
-    out->detections.push_back(det);
-  }
-
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> shutdowns;
-  shutdowns.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
-  }
-  transport->SendBatch(shutdowns);
-  out->messages = counter_;
-  out->reliability = channel_.stats();
-  return OkStatus();
-}
-
-Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
-  if (config_.num_shards > 1) {
-    return RunFreeSharded(transport, out);
-  }
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "free-running";
-
-  const int n = config_.num_sites;
-  out->site_updates.assign(static_cast<size_t>(n), 0);
-
-  // Simulated time degrades to a watermark: the highest site-local update
-  // index seen on any alarm. The channel only ever moves forward (crash and
-  // partition windows still engage), never re-runs an epoch transition.
-  int64_t watermark = -1;
-  bool poll_outstanding = false;
-  bool poll_dirty = false;  ///< Alarm arrived mid-round: re-poll after.
-  int poll_pending = 0;
-  std::vector<int64_t> poll_values(static_cast<size_t>(n), 0);
-  int sites_done = 0;
-
-  auto advance_watermark = [&](int64_t epoch) {
-    if (epoch > watermark) {
-      channel_.BeginEpoch(epoch);
-      watermark = epoch;
-    }
-  };
-  std::chrono::steady_clock::time_point round_start;
-  int64_t poll_trigger_epoch = 0;  ///< Watermark when the round started.
-  std::vector<Envelope> requests;  ///< Reused poll fan-out batch.
-  requests.reserve(static_cast<size_t>(n));
-  auto start_poll = [&]() -> Status {
-    ActorMessage request;
-    request.kind = ActorMsgKind::kPollRequest;
-    request.epoch = std::max<int64_t>(watermark, 0);
-    poll_trigger_epoch = request.epoch;
-    requests.clear();
-    for (int i = 0; i < n; ++i) {
-      requests.push_back(Envelope{kCoordinatorId, i, request});
-    }
-    if (!transport->SendBatch(requests)) {
-      return InternalError("transport closed during poll round");
-    }
-    std::fill(poll_values.begin(), poll_values.end(), 0);
-    poll_pending = n;
-    poll_outstanding = true;
-    DCV_OBS_COUNT(polls_, 1);
-    if (poll_round_us_ != nullptr) {
-      round_start = std::chrono::steady_clock::now();
-    }
-    return OkStatus();
-  };
-
-  // Batch-drain the inbox: at scale the alarm stream arrives thousands per
-  // wakeup; one PopAll per burst replaces one mutex round trip per alarm.
-  std::vector<Envelope> burst;
-  size_t burst_next = 0;
-  auto next_envelope = [&](Envelope* out_env) {
-    if (burst_next >= burst.size()) {
-      burst.clear();
-      burst_next = 0;
-      if (transport->RecvShardAll(0, &burst) == 0) {
-        return false;
-      }
-    }
-    *out_env = burst[burst_next++];
-    return true;
-  };
-
-  Envelope e;
-  while (sites_done < n || poll_outstanding) {
-    if (!next_envelope(&e)) {
-      return InternalError("transport closed while sites were live");
-    }
-    switch (e.msg.kind) {
-      case ActorMsgKind::kAlarm: {
-        advance_watermark(e.msg.epoch);
-        DCV_OBS_COUNT(alarms_rx_, 1);
-        ++out->total_alarms;
-        SendStatus s = channel_.SendFromSite(e.from, MessageType::kAlarm,
-                                             /*reliable=*/true, e.msg.value);
-        std::vector<Channel::Arrival> stale =
-            channel_.TakeArrivals(MessageType::kAlarm);
-        if (s == SendStatus::kDelivered || !stale.empty()) {
-          // At most one outstanding round: a burst of alarms collapses into
-          // one poll now plus one catch-up poll after it resolves.
-          if (poll_outstanding) {
-            poll_dirty = true;
-          } else {
-            DCV_RETURN_IF_ERROR(start_poll());
-          }
-        }
-        break;
-      }
-      case ActorMsgKind::kPollResponse: {
-        if (!poll_outstanding) {
-          break;  // Response to a round we already resolved; ignore.
-        }
-        poll_values[static_cast<size_t>(e.from)] = e.msg.value;
-        if (--poll_pending == 0) {
-          PollOutcome poll = channel_.PollSites(
-              poll_values, config_.weights,
-              config_.protocol == RuntimeProtocol::kLocalThreshold
-                  ? config_.domain_max
-                  : std::vector<int64_t>{});
-          ++out->polled_epochs;
-          if (poll.weighted_sum > config_.global_threshold) {
-            ++out->violations_flagged;
-          }
-          poll_outstanding = false;
-          if (poll_round_us_ != nullptr) {
-            poll_round_us_->Observe(static_cast<double>(ElapsedUs(round_start)));
-          }
-          if (detection_lag_ != nullptr) {
-            // Lag in watermark epochs between the triggering alarm and the
-            // round resolving (the lockstep ground truth detects at the
-            // trigger epoch itself).
-            detection_lag_->Observe(static_cast<double>(std::max<int64_t>(
-                0, std::max<int64_t>(watermark, 0) - poll_trigger_epoch)));
-          }
-          if (poll_dirty) {
-            poll_dirty = false;
-            DCV_RETURN_IF_ERROR(start_poll());
-          }
-        }
-        break;
-      }
-      case ActorMsgKind::kSiteDone: {
-        out->site_updates[static_cast<size_t>(e.from)] = e.msg.value;
-        ++sites_done;
-        break;
-      }
-      default:
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " in free-running mode");
-    }
-  }
-
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> shutdowns;
-  shutdowns.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
-  }
-  transport->SendBatch(shutdowns);
-  out->messages = counter_;
-  out->reliability = channel_.stats();
-  for (int64_t u : out->site_updates) {
-    out->total_updates += u;
-  }
-  return OkStatus();
-}
-
-Status CoordinatorActor::RunVirtualSharded(Transport* transport,
-                                           int64_t num_epochs,
-                                           RuntimeResult* out) {
   out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
                       ? "local-threshold"
                       : "polling";
@@ -455,28 +122,47 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       config_.chaos.kind == ChaosKind::kKillWorker ? transport->num_workers()
                                                    : k);
 
-  // Spawn the shard coordinators. Virtual-time shards are channel-free
-  // relays: they run the epoch barrier and poll fan-out for their site
-  // range and feed ground truth back; every Channel call stays on this
-  // thread in flat-coordinator order, so the run is bit-identical to the
-  // lockstep simulator for any k.
+  // Virtual-time shard legs are channel-free relays: they run the epoch
+  // barrier and poll fan-out for their site range and feed ground truth
+  // back; every Channel call stays on this thread in ascending site order,
+  // so the run is bit-identical to the lockstep simulator for any k.
+  //
+  // A leg runs on its own shard thread or inline on this one. Shard 0 of a
+  // 1-shard tree is inline from the start: no shard thread, no command
+  // box, no root-mailbox hop. A shard thread that dies turns inline too
+  // (direct attachment): the root re-executes the shard's pending command
+  // from its own copy and runs every later command for that range itself.
+  // Both run the exact shard-leg code, so the sites see one producer and
+  // identical traffic, and the Channel call sequence never changes.
+  std::vector<char> inline_leg(static_cast<size_t>(k), 0);
+  inline_leg[0] = k == 1;
   const LocalPlan plan{config_.thresholds, config_.domain_max};
+  // Per-shard plan slices, cut once per layout.
+  std::vector<LocalPlan> slices;
+  auto slice_plan = [&]() {
+    slices.clear();
+    for (int s = 0; s < k; ++s) {
+      slices.push_back(SliceForShard(plan, layout, s));
+    }
+  };
+  slice_plan();
+
   Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
-  std::vector<std::unique_ptr<Mailbox<ShardCmd>>> cmd_boxes;
+  std::vector<std::unique_ptr<Mailbox<ShardCmd>>> cmd_boxes(
+      static_cast<size_t>(k));
   std::vector<std::thread> shards;
-  cmd_boxes.reserve(static_cast<size_t>(k));
-  shards.reserve(static_cast<size_t>(k));
   for (int s = 0; s < k; ++s) {
-    cmd_boxes.push_back(std::make_unique<Mailbox<ShardCmd>>(4));
-  }
-  for (int s = 0; s < k; ++s) {
+    if (inline_leg[static_cast<size_t>(s)]) {
+      continue;
+    }
+    cmd_boxes[static_cast<size_t>(s)] = std::make_unique<Mailbox<ShardCmd>>(4);
     ShardContext ctx;
     ctx.shard = s;
     ctx.layout = layout;
     ctx.transport = transport;
     ctx.cmds = cmd_boxes[static_cast<size_t>(s)].get();
     ctx.to_root = &root_box;
-    ctx.plan = SliceForShard(plan, layout, s);
+    ctx.plan = slices[static_cast<size_t>(s)];
     ctx.protocol = config_.protocol;
     if (config_.chaos.kind == ChaosKind::kKillShard && s == chaos.target) {
       ctx.die_at_epoch = chaos.fire_epoch;
@@ -485,11 +171,13 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   }
 
   // Abort path: close the transport and the command boxes so every shard
-  // (blocked on either) wakes and exits, then join before returning.
+  // thread (blocked on either) wakes and exits, then join before returning.
   auto abort_run = [&](Status status) {
     transport->Shutdown();
     for (auto& box : cmd_boxes) {
-      box->Close();
+      if (box != nullptr) {
+        box->Close();
+      }
     }
     for (std::thread& th : shards) {
       th.join();
@@ -497,49 +185,49 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     return status;
   };
 
-  // Recovery state: a dead shard's sites are re-adopted by this thread
-  // (direct attachment) — the root re-executes the shard's pending command
-  // from its own copy and runs every later command for that range inline.
-  // The shard legs are the exact code the shard thread runs, and the plan
-  // re-slices from the root's full copy, so the sites see one producer and
-  // identical traffic; the Channel call sequence never changes.
-  std::vector<char> dead(static_cast<size_t>(k), 0);
+  // The root keeps every shard's pending command: an inline leg runs it
+  // from here, and a shard thread that dies holding it gets it re-executed
+  // from here.
   std::vector<ShardCmd> pending_cmds(static_cast<size_t>(k));
 
-  // Collects one partial per live shard for the current round; arrival
+  // Collects one partial per thread leg for the current round; arrival
   // order across shards is free, content is not. A heartbeat timeout with
   // nothing delivered marks the still-missing shards dead and re-executes
   // their pending command inline.
   std::vector<std::vector<std::pair<int, int64_t>>> partials(
       static_cast<size_t>(k));
   std::vector<RootMsg> root_batch;
+  // Runs shard s's pending command on this thread.
+  auto run_inline = [&](int s, RootMsg::Kind want) -> Status {
+    return want == RootMsg::Kind::kEpochPartial
+               ? ShardEpochLeg(transport, layout, s,
+                               slices[static_cast<size_t>(s)],
+                               pending_cmds[static_cast<size_t>(s)],
+                               &partials[static_cast<size_t>(s)])
+               : ShardPollLeg(transport, layout, s,
+                              pending_cmds[static_cast<size_t>(s)].epoch,
+                              &partials[static_cast<size_t>(s)]);
+  };
   auto recover = [&](int s, RootMsg::Kind want) -> Status {
     const auto t0 = std::chrono::steady_clock::now();
-    dead[static_cast<size_t>(s)] = 1;
-    Status st =
-        want == RootMsg::Kind::kEpochPartial
-            ? ShardEpochLeg(transport, layout, s,
-                            SliceForShard(plan, layout, s),
-                            pending_cmds[static_cast<size_t>(s)],
-                            &partials[static_cast<size_t>(s)])
-            : ShardPollLeg(transport, layout, s,
-                           pending_cmds[static_cast<size_t>(s)].epoch,
-                           &partials[static_cast<size_t>(s)]);
+    inline_leg[static_cast<size_t>(s)] = 1;
+    Status st = run_inline(s, want);
     ++out->shard_recoveries;
     out->recovery_ms = std::max(
         out->recovery_ms, static_cast<double>(ElapsedUs(t0)) / 1000.0);
     return st;
   };
+  // Called once every thread leg has its command: runs the inline legs
+  // here, then waits for the thread legs' partials.
   auto collect = [&](RootMsg::Kind want, int64_t epoch) -> Status {
-    std::vector<char> got(static_cast<size_t>(k), 0);
-    int expected = 0;
     for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        got[static_cast<size_t>(s)] = 1;  // Already executed inline.
-      } else {
-        ++expected;
+      if (inline_leg[static_cast<size_t>(s)]) {
+        DCV_RETURN_IF_ERROR(run_inline(s, want));
       }
     }
+    std::vector<char> got(inline_leg);
+    int expected = static_cast<int>(
+        std::count(inline_leg.begin(), inline_leg.end(), 0));
     int received = 0;
     while (received < expected) {
       root_batch.clear();
@@ -561,14 +249,8 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
           if (got[static_cast<size_t>(s)]) {
             continue;
           }
-          if (config_.recorder != nullptr) {
-            obs::TraceEvent ev;
-            ev.kind = obs::TraceEventKind::kShardDeath;
-            ev.epoch = epoch;
-            ev.shard = s;
-            ev.value = s;
-            config_.recorder->Record(ev);
-          }
+          RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
+                          epoch, s, s);
           DCV_RETURN_IF_ERROR(recover(s, want));
           got[static_cast<size_t>(s)] = 1;
           --expected;
@@ -595,22 +277,17 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   auto poll_shards = [&](int64_t t) -> Status {
     DCV_OBS_COUNT(polls_, 1);
     for (int s = 0; s < k; ++s) {
+      ShardCmd& pending = pending_cmds[static_cast<size_t>(s)];
+      pending.kind = ShardCmd::Kind::kPoll;
+      pending.epoch = t;
+      if (inline_leg[static_cast<size_t>(s)]) {
+        continue;
+      }
       ShardCmd cmd;
       cmd.kind = ShardCmd::Kind::kPoll;
       cmd.epoch = t;
-      pending_cmds[static_cast<size_t>(s)] = cmd;
-      if (dead[static_cast<size_t>(s)]) {
-        continue;  // Run inline below, after the live shards are going.
-      }
       if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
         return InternalError("shard command box closed");
-      }
-    }
-    for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        DCV_RETURN_IF_ERROR(
-            ShardPollLeg(transport, layout, s, t,
-                         &partials[static_cast<size_t>(s)]));
       }
     }
     DCV_RETURN_IF_ERROR(collect(RootMsg::Kind::kPollPartial, t));
@@ -642,33 +319,31 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         return abort_run(st);
       }
       layout = next;
+      slice_plan();
       ++out->reshards;
-      if (config_.recorder != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEventKind::kLayoutRotation;
-        ev.epoch = t;
-        ev.value = static_cast<int64_t>(next.version);
-        config_.recorder->Record(ev);
-      }
+      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kLayoutRotation,
+                      t, /*shard=*/-1, static_cast<int64_t>(next.version));
       for (int s = 0; s < k; ++s) {
-        if (dead[static_cast<size_t>(s)]) {
+        if (inline_leg[static_cast<size_t>(s)]) {
           continue;  // Inline legs read the root's `layout` directly.
         }
         ShardCmd cmd;
         cmd.kind = ShardCmd::Kind::kLayout;
         cmd.layout = layout;
-        cmd.plan = SliceForShard(plan, layout, s);
+        cmd.plan = slices[static_cast<size_t>(s)];
         if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
           return abort_run(InternalError("shard command box closed"));
         }
       }
     }
-    // The root replays the flat coordinator's channel-call sequence
-    // verbatim: BeginEpoch, re-sync sends, (barrier), stale arrivals,
-    // alarm replays in ascending site order, then the poll. Shards only
-    // move ground truth, so the RNG stream never diverges.
+    // Same call order as the lockstep runner + scheme, so the channel's RNG
+    // stream (and thus every fault fate) is bit-identical: BeginEpoch,
+    // re-sync sends, (barrier), stale arrivals, alarm replays in ascending
+    // site order, then the poll. Shards only move ground truth.
     channel_.BeginEpoch(t);
 
+    // Recovered sites missed threshold pushes while down: re-sync, at the
+    // top of the epoch like the lockstep scheme.
     for (auto& r : resync) {
       r.clear();
     }
@@ -679,7 +354,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
                                            /*reliable=*/true);
         if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-          // The owning shard pushes the transport message (before its
+          // The owning leg pushes the transport message (before its
           // kEpochStart, preserving the per-site FIFO); the wire charge
           // already happened here.
           resync[static_cast<size_t>(layout.ShardOf(i))].push_back(i);
@@ -690,8 +365,12 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       channel_.CountResync(static_cast<int64_t>(recovered.size()));
     }
 
+    // Epoch barrier: every site observes its value and reports back whether
+    // its local constraint fired. These are synchronization messages (they
+    // model the passage of simulated time), not protocol traffic — the
+    // protocol's alarms are replayed through the channel below.
     for (int s = 0; s < k; ++s) {
-      ShardCmd cmd;
+      ShardCmd& cmd = pending_cmds[static_cast<size_t>(s)];
       cmd.kind = ShardCmd::Kind::kEpoch;
       cmd.epoch = t;
       const int start = layout.ShardStart(s);
@@ -700,26 +379,10 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       for (int i = 0; i < size; ++i) {
         cmd.up[static_cast<size_t>(i)] = channel_.SiteUp(start + i) ? 1 : 0;
       }
-      cmd.resync_sites = std::move(resync[static_cast<size_t>(s)]);
-      // Keep a copy: if the shard dies holding this command, the root
-      // re-executes it from here.
-      pending_cmds[static_cast<size_t>(s)] = cmd;
-      if (dead[static_cast<size_t>(s)]) {
-        continue;  // Run inline below, once the live shards are going.
-      }
-      if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
+      cmd.resync_sites.swap(resync[static_cast<size_t>(s)]);
+      if (!inline_leg[static_cast<size_t>(s)] &&
+          !cmd_boxes[static_cast<size_t>(s)]->Push(ShardCmd(cmd))) {
         return abort_run(InternalError("shard command box closed"));
-      }
-    }
-    for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        if (Status st = ShardEpochLeg(transport, layout, s,
-                                      SliceForShard(plan, layout, s),
-                                      pending_cmds[static_cast<size_t>(s)],
-                                      &partials[static_cast<size_t>(s)]);
-            !st.ok()) {
-          return abort_run(st);
-        }
       }
     }
     if (Status st = collect(RootMsg::Kind::kEpochPartial, t); !st.ok()) {
@@ -729,6 +392,8 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     EpochDetection det;
     det.epoch = t;
     if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
+      // Delayed alarms arriving now still trigger a poll; late reports of
+      // other kinds are consumed and ignored (mirrors the lockstep scheme).
       std::vector<Channel::Arrival> stale_alarms =
           channel_.TakeArrivals(MessageType::kAlarm);
       channel_.TakeArrivals(MessageType::kFilterReport);
@@ -736,7 +401,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       int delivered_alarms = 0;
       // Shards are contiguous and entries ascend within a shard, so this
       // double loop visits alarmed sites in ascending global order — the
-      // flat coordinator's (and the lockstep scheme's) replay order.
+      // lockstep scheme's replay order.
       for (int s = 0; s < k; ++s) {
         for (const auto& [site, value] : partials[static_cast<size_t>(s)]) {
           ++det.num_alarms;
@@ -772,8 +437,8 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   }
 
   for (int s = 0; s < k; ++s) {
-    if (dead[static_cast<size_t>(s)]) {
-      // Re-adopted sites get their shutdown from the root directly.
+    if (inline_leg[static_cast<size_t>(s)]) {
+      // Inline legs' sites get their shutdown from the root directly.
       ShardShutdownLeg(transport, layout, s);
       continue;
     }
@@ -782,7 +447,9 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd));
   }
   for (auto& box : cmd_boxes) {
-    box->Close();
+    if (box != nullptr) {
+      box->Close();
+    }
   }
   for (std::thread& th : shards) {
     th.join();
@@ -792,8 +459,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   return OkStatus();
 }
 
-Status CoordinatorActor::RunFreeSharded(Transport* transport,
-                                        RuntimeResult* out) {
+Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
                       ? "local-threshold"
                       : "polling";
@@ -809,12 +475,18 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   out->site_updates.assign(static_cast<size_t>(n), 0);
   const ResolvedChaos chaos = ResolveChaos(config_.chaos, /*num_epochs=*/0, k);
 
-  // Free-running shards own the data plane for their slice: alarm intake,
-  // a private channel over shard-local ids (SliceFaultSpec), and the
-  // per-shard leg of every poll round, aggregated down to one partial
+  // Free-running shard legs own the data plane for their slice: alarm
+  // intake, a private channel over shard-local ids (SliceFaultSpec), and
+  // the per-shard leg of every poll round, aggregated down to one partial
   // SUM/MIN/MAX message. The root only routes round lifecycles — O(k)
   // messages per round — and merges the per-shard accounting at exit.
-  const LocalPlan plan{config_.thresholds, config_.domain_max};
+  // Simulated time degrades to a watermark: the highest site-local update
+  // index seen on any alarm, so fault windows still engage.
+  //
+  // With k >= 2 every leg runs on a shard thread and talks to the root
+  // through `root_box`. A 1-shard tree steps its leg inline on this thread
+  // instead: the root drains shard 0's inbox itself and serves what the
+  // leg emits through the same handler.
   Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
   std::vector<std::thread> shards;
   shards.reserve(static_cast<size_t>(k));
@@ -824,13 +496,18 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
     ctx.layout = layout;
     ctx.transport = transport;
     ctx.to_root = &root_box;
-    ctx.plan = SliceForShard(plan, layout, s);
     ctx.protocol = config_.protocol;
     const int start = layout.ShardStart(s);
     const int size = layout.ShardSize(s);
     ctx.weights.assign(
         config_.weights.begin() + start,
         config_.weights.begin() + start + size);
+    // A free leg never re-syncs thresholds; it needs only the pessimistic
+    // poll fallbacks, and only under the local-threshold protocol.
+    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
+      ctx.plan.domain_max.assign(config_.domain_max.begin() + start,
+                                 config_.domain_max.begin() + start + size);
+    }
     ctx.faults = SliceFaultSpec(config_.faults, layout, s);
     ctx.metrics = config_.metrics;
     ctx.recorder = config_.recorder;
@@ -838,13 +515,9 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
     ctx.die_after_batches = die_after_batches;
     return ctx;
   };
-  for (int s = 0; s < k; ++s) {
-    shards.emplace_back(
-        RunShardFree,
-        make_ctx(s, config_.chaos.kind == ChaosKind::kKillShard &&
-                            s == chaos.target
-                        ? chaos.fire_after_batches
-                        : -1));
+  std::optional<ShardFreeLeg> inline_leg;
+  if (k == 1) {
+    inline_leg.emplace(make_ctx(0, /*die_after_batches=*/-1));
   }
 
   obs::Gauge* poll_min_gauge =
@@ -857,7 +530,7 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
           : nullptr;
 
   bool poll_outstanding = false;
-  bool poll_dirty = false;
+  bool poll_dirty = false;  ///< Notice arrived mid-round: re-poll after.
   int partials_pending = 0;
   // Max shard watermark seen on alarm notices / poll partials; the lag
   // histogram measures how far it moved between a round's trigger and its
@@ -877,6 +550,7 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   int probe_beats_seen = 0;
   Status run_error = OkStatus();
   std::chrono::steady_clock::time_point round_start;
+  std::vector<RootMsg> leg_out;  ///< Inline leg output not yet served.
 
   // With failure detection on, the root must never block pushing into a
   // shard inbox: a dead shard's inbox stays full of blocked site updates,
@@ -885,11 +559,18 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   // here (per-shard FIFO, so command order is preserved) and retried on
   // every loop iteration; a replacement shard drains the inbox and the
   // backlog follows. Without detection the historical blocking send is
-  // kept: every shard is assumed to stay in its receive loop.
-  const bool detect = config_.heartbeat_timeout_ms > 0;
+  // kept: every shard is assumed to stay in its receive loop. Detection
+  // covers shard threads only; an inline leg cannot die on its own.
+  const bool detect = config_.heartbeat_timeout_ms > 0 && !inline_leg;
   std::vector<std::deque<ActorMessage>> cmd_backlog(static_cast<size_t>(k));
   auto send_cmd = [&](int s, const ActorMessage& m) {
     const Envelope env{kCoordinatorId, kCoordinatorId, m};
+    if (inline_leg) {
+      // Straight into the inline leg, before it steps another envelope, so
+      // a round starts at the point of the stream where it was triggered.
+      inline_leg->Step(env, &leg_out);
+      return;
+    }
     if (!detect) {
       if (!transport->SendToShard(s, env) && run_error.ok()) {
         run_error = InternalError("transport closed during a shard command");
@@ -918,9 +599,10 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   };
 
   auto start_round = [&]() {
-    // Kick every shard's poll leg. The command is an envelope from
-    // kCoordinatorId injected straight into the shard inbox (SendToShard
-    // never crosses a wire), so each shard still blocks on one source.
+    // Kick every shard's poll leg. For a shard thread the command is an
+    // envelope from kCoordinatorId injected straight into the shard inbox
+    // (SendToShard never crosses a wire), so each shard still blocks on one
+    // source.
     ActorMessage kick;
     kick.kind = ActorMsgKind::kPollRequest;
     for (int s = 0; s < k; ++s) {
@@ -976,8 +658,8 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
         if (draining) {
           break;
         }
-        // At most one outstanding global round, exactly like the flat
-        // coordinator: notices during a round collapse into one catch-up.
+        // At most one outstanding global round: notices during a round
+        // collapse into one catch-up round after it resolves.
         if (poll_outstanding) {
           poll_dirty = true;
         } else {
@@ -1004,6 +686,9 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
                 static_cast<double>(ElapsedUs(round_start)));
           }
           if (detection_lag_ != nullptr) {
+            // Lag in watermark epochs between the triggering alarm and the
+            // round resolving (the lockstep ground truth detects at the
+            // trigger epoch itself).
             detection_lag_->Observe(static_cast<double>(
                 std::max<int64_t>(0, watermark - round_trigger_epoch)));
           }
@@ -1048,8 +733,29 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
         break;  // Virtual-mode partials cannot appear here.
     }
   };
+  // Serves the inline leg's output in order. A command the handler answers
+  // with (kick, stop) steps the leg at once and appends to `leg_out`, so
+  // it is served in this same call, before the leg sees another envelope.
+  std::vector<RootMsg> serving;
+  auto serve_leg_out = [&]() {
+    while (!leg_out.empty()) {
+      serving.swap(leg_out);
+      for (RootMsg& msg : serving) {
+        handle(msg);
+      }
+      serving.clear();
+    }
+  };
 
   std::vector<RootMsg> batch;
+  // One drain of the root box into `batch`; with detection on, waits at
+  // most one heartbeat window.
+  auto pop_root = [&](bool* timed_out) {
+    batch.clear();
+    return detect ? root_box.PopAllFor(&batch, config_.heartbeat_timeout_ms,
+                                       timed_out)
+                  : root_box.PopAll(&batch);
+  };
   // Liveness probe after a silent stretch: ping every shard; the silent
   // ones are dead — respawn a replacement that drains the SAME shard
   // inbox, so every queued alarm / response / site-done survives the
@@ -1105,23 +811,11 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
         break;
       }
       respawned[static_cast<size_t>(s)] = 1;
-      if (config_.recorder != nullptr) {
-        obs::TraceEvent death;
-        death.kind = obs::TraceEventKind::kShardDeath;
-        death.epoch = watermark;
-        death.shard = s;
-        death.value = s;
-        config_.recorder->Record(death);
-      }
+      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
+                      watermark, s, s);
       shards.emplace_back(RunShardFree, make_ctx(s, /*die_after_batches=*/-1));
-      if (config_.recorder != nullptr) {
-        obs::TraceEvent respawn;
-        respawn.kind = obs::TraceEventKind::kShardRespawn;
-        respawn.epoch = watermark;
-        respawn.shard = s;
-        respawn.value = s;
-        config_.recorder->Record(respawn);
-      }
+      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
+                      watermark, s, s);
       ++out->shard_recoveries;
       out->recovery_ms =
           std::max(out->recovery_ms,
@@ -1137,15 +831,37 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
     }
   };
 
+  if (inline_leg) {
+    inline_leg->Start(&leg_out);
+    serve_leg_out();
+  } else {
+    for (int s = 0; s < k; ++s) {
+      shards.emplace_back(
+          RunShardFree,
+          make_ctx(s, config_.chaos.kind == ChaosKind::kKillShard &&
+                              s == chaos.target
+                          ? chaos.fire_after_batches
+                          : -1));
+    }
+  }
+
+  std::vector<Envelope> burst;  ///< Inline leg: one shard-inbox drain.
   while ((sites_done < n || poll_outstanding) && run_error.ok()) {
+    if (inline_leg) {
+      burst.clear();
+      if (transport->RecvShardAll(0, &burst) == 0) {
+        run_error = InternalError("transport closed while sites were live");
+        break;
+      }
+      for (size_t next = 0; next < burst.size();) {
+        next = inline_leg->StepBatch(burst, next, &leg_out);
+        serve_leg_out();
+      }
+      continue;
+    }
     flush_cmds();
-    batch.clear();
     bool timed_out = false;
-    const size_t got =
-        detect ? root_box.PopAllFor(&batch, config_.heartbeat_timeout_ms,
-                                    &timed_out)
-               : root_box.PopAll(&batch);
-    if (got == 0) {
+    if (pop_root(&timed_out) == 0) {
       if (timed_out) {
         probe_and_respawn();
         continue;
@@ -1162,10 +878,11 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   }
 
   // Shutdown: command every shard to stop; each forwards kShutdown to its
-  // sites and reports final accounting. Exits are counted (not joined-for)
-  // so a shard blocked pushing to the root box can always drain. A shard
-  // that died between the main loop and its kShutdown still gets one
-  // respawn (the replacement finds the queued kShutdown and exits).
+  // sites and reports final accounting (an inline leg does so at once).
+  // Exits are counted (not joined-for) so a shard blocked pushing to the
+  // root box can always drain. A shard thread that died between the main
+  // loop and its kShutdown still gets one respawn (the replacement finds
+  // the queued kShutdown and exits).
   draining = true;
   ActorMessage stop;
   stop.kind = ActorMsgKind::kShutdown;
@@ -1178,15 +895,11 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
       send_cmd(s, stop);
     }
   }
+  serve_leg_out();
   while (shard_exits < k) {
     flush_cmds();
-    batch.clear();
     bool timed_out = false;
-    const size_t got =
-        detect ? root_box.PopAllFor(&batch, config_.heartbeat_timeout_ms,
-                                    &timed_out)
-               : root_box.PopAll(&batch);
-    if (got == 0) {
+    if (pop_root(&timed_out) == 0) {
       if (!timed_out) {
         break;
       }

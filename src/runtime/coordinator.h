@@ -23,17 +23,23 @@ enum class RuntimeProtocol {
   kPolling,
 };
 
-/// The coordinator actor. Runs on its own thread (the caller's); sites talk
-/// to it only through the Transport.
+/// The coordinator actor: the root of a two-level coordinator tree over
+/// `num_shards` shard legs (shard.h). Each time mode has one loop over a
+/// shard layout of any k >= 1. With k >= 2 every leg runs on its own shard
+/// thread; with k == 1 the single leg runs inline on the caller's thread,
+/// with no shard thread and no root-mailbox hop. Sites talk to the tree
+/// only through the Transport.
 ///
 /// Concurrency contract that makes virtual-time runs bit-identical to the
 /// lockstep simulator: the fault-injecting `Channel` — the single source of
 /// message fates, RNG draws, and MessageCounter charges — is owned by the
-/// coordinator and touched by no other thread. The transport delivers
-/// ground truth (sites' observed values); the coordinator then replays the
-/// protocol's sends through the Channel in ascending site order, which is
-/// exactly the order the single-threaded schemes use. Thread interleaving
-/// can reorder transport deliveries, but never the Channel's RNG stream.
+/// root and touched by no other thread. The legs deliver ground truth
+/// (sites' observed values); the root then replays the protocol's sends
+/// through the Channel in ascending site order, which is exactly the order
+/// the single-threaded schemes use. Thread interleaving can reorder
+/// transport deliveries, but never the Channel's RNG stream. In
+/// free-running mode each leg owns a channel over its slice instead, and
+/// the root merges their stats at shutdown.
 class CoordinatorActor {
  public:
   struct Config {
@@ -41,10 +47,10 @@ class CoordinatorActor {
     std::vector<int64_t> weights;  ///< Size num_sites.
     int64_t global_threshold = 0;
     /// Two-level coordinator tree: partition the sites across this many
-    /// shard coordinator threads feeding a root aggregator. 1 (the
-    /// default) keeps the flat single-thread coordinator. Must satisfy
-    /// 1 <= num_shards <= num_sites, and the transport must be built with
-    /// the same shard count.
+    /// shard legs feeding the root aggregator. 1 (the default) runs the
+    /// single leg inline on the caller's thread; k >= 2 runs one shard
+    /// thread per leg. Must satisfy 1 <= num_shards <= num_sites, and the
+    /// transport must be built with the same shard count.
     int num_shards = 1;
     RuntimeProtocol protocol = RuntimeProtocol::kLocalThreshold;
     int64_t poll_period = 5;  ///< kPolling only.
@@ -59,8 +65,8 @@ class CoordinatorActor {
     /// Chaos injection (chaos.h): kill a shard / sever a worker link /
     /// push a reshard at a seed-resolved point. kNone = healthy run.
     ChaosSpec chaos;
-    /// Sharded runs: how long the root waits for shard traffic before it
-    /// suspects a dead shard coordinator and starts recovery (virtual
+    /// Shard threads (k >= 2): how long the root waits for shard traffic
+    /// before it suspects a dead shard coordinator and starts recovery (virtual
     /// mode: re-execute the pending command itself; free mode: kPing probe
     /// and respawn the silent shards). 0 = detection off — the root waits
     /// forever, the pre-recovery behavior.
@@ -88,27 +94,7 @@ class CoordinatorActor {
   /// claimed.
   Status RunFree(Transport* transport, RuntimeResult* out);
 
-  const MessageCounter& messages() const { return counter_; }
-  const Channel& channel() const { return channel_; }
-
  private:
-  /// One epoch-batched poll round over the transport: all kPollRequests go
-  /// out, then all kPollResponses are collected (sites respond with ground
-  /// truth; Channel::PollSites afterwards decides what actually got
-  /// through and charges the wire).
-  Status PollRound(Transport* transport, int64_t epoch,
-                   std::vector<int64_t>* values);
-
-  /// Two-level paths (num_shards >= 2): the root thread drives k shard
-  /// coordinator threads (shard.h) and aggregates their partials. In
-  /// virtual mode the root still owns the only Channel and issues every
-  /// channel call in flat-coordinator order, so results stay bit-identical
-  /// to the lockstep simulator; in free-running mode each shard owns a
-  /// channel over its slice and the root merges stats at shutdown.
-  Status RunVirtualSharded(Transport* transport, int64_t num_epochs,
-                           RuntimeResult* out);
-  Status RunFreeSharded(Transport* transport, RuntimeResult* out);
-
   Config config_;
   MessageCounter counter_;
   Channel channel_;

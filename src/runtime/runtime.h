@@ -41,8 +41,9 @@ struct RuntimeOptions {
   int num_workers = 0;
 
   /// Coordinator-side sharding: partition the sites across this many shard
-  /// coordinator threads feeding a root aggregator (two-level tree). Must
-  /// be in [1, num_sites]; 1 = the flat single-thread coordinator.
+  /// legs feeding a root aggregator (two-level tree). Must be in
+  /// [1, num_sites]; 1 runs the single leg inline on the coordinator's
+  /// thread, k >= 2 runs one shard thread per leg.
   /// Virtual-time results are bit-identical for every legal value (the
   /// conformance harness asserts shards in {1, 2, 4}).
   int num_shards = 1;

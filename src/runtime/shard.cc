@@ -19,6 +19,17 @@ void ReportError(const ShardContext& ctx, Status status) {
   ctx.to_root->Push(std::move(err));
 }
 
+/// Pushes everything in `out` to the root, in order, and empties it; false
+/// once the root's box is closed.
+bool Forward(Mailbox<RootMsg>* to_root, std::vector<RootMsg>* out) {
+  bool ok = true;
+  for (RootMsg& msg : *out) {
+    ok = ok && to_root->Push(std::move(msg));
+  }
+  out->clear();
+  return ok;
+}
+
 }  // namespace
 
 FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
@@ -44,9 +55,9 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
     }
   }
   // Splitmix64 increment times (shard + 1): distinct, seed-deterministic
-  // streams per shard; shard 0 of a k=1 layout still differs from the flat
-  // coordinator's stream, which is fine — free-running mode claims no
-  // cross-configuration determinism.
+  // streams per shard, including the single leg of a k = 1 tree, whose
+  // stream therefore differs from the unsliced spec's. Free-running mode
+  // claims no cross-configuration determinism, so that is fine.
   out.seed = faults.seed ^ (0x9e3779b97f4a7c15ULL *
                             static_cast<uint64_t>(shard + 1));
   return out;
@@ -59,9 +70,9 @@ Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
   const int size = layout.ShardSize(shard);
   // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
   // is per-producer FIFO and one thread at a time produces for these sites
-  // (the shard, or the root after re-adoption), so the site installs the
-  // threshold before it evaluates — same ordering the flat coordinator
-  // guarantees.
+  // (the shard thread, or the root for an inline leg), so the site
+  // installs the threshold before it evaluates — the lockstep scheme's
+  // order, which re-syncs at the top of OnEpoch.
   // One batched fan-out per epoch leg: re-syncs first, then every start.
   // SendBatch preserves batch order per destination inbox, so a site's
   // re-sync still lands before its kEpochStart.
@@ -232,69 +243,195 @@ void RunShardVirtual(ShardContext ctx) {
   }
 }
 
-void RunShardFree(ShardContext ctx) {
-  const int start = ctx.layout.ShardStart(ctx.shard);
-  const int size = ctx.layout.ShardSize(ctx.shard);
+ShardFreeLeg::ShardFreeLeg(ShardContext ctx)
+    : ctx_(std::move(ctx)),
+      start_(ctx_.layout.ShardStart(ctx_.shard)),
+      size_(ctx_.layout.ShardSize(ctx_.shard)),
+      channel_(ctx_.faults),
+      poll_values_(static_cast<size_t>(size_), 0) {
+  poll_fanout_.reserve(static_cast<size_t>(size_));
+}
 
-  // Free-running shards own their slice of the data plane: a private
-  // channel over shard-local site ids charges a private counter, and the
-  // root merges the k (counter, stats, alarms) triples at kShardExit.
-  MessageCounter counter;
-  Channel channel(ctx.faults);
-  {
-    // A free-running shard always terminates via kShardExit — even on init
-    // failure — so the root can count k exits before joining.
-    Status init = channel.Init(size, &counter);
-    if (!init.ok()) {
-      RootMsg exit;
-      exit.kind = RootMsg::Kind::kShardExit;
-      exit.shard = ctx.shard;
-      exit.status = init;
-      ctx.to_root->Push(std::move(exit));
-      return;
+void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
+  if (Status init = channel_.Init(size_, &counter_); !init.ok()) {
+    Stop(std::move(init), out);
+    return;
+  }
+  channel_.SetObserver(ctx_.metrics, ctx_.recorder);
+}
+
+bool ShardFreeLeg::StartPoll() {
+  ActorMessage request;
+  request.kind = ActorMsgKind::kPollRequest;
+  request.epoch = std::max<int64_t>(watermark_, 0);
+  poll_fanout_.clear();
+  for (int i = 0; i < size_; ++i) {
+    poll_fanout_.push_back(Envelope{kCoordinatorId, start_ + i, request});
+  }
+  if (!ctx_.transport->SendBatch(poll_fanout_)) {
+    return false;
+  }
+  std::fill(poll_values_.begin(), poll_values_.end(), 0);
+  poll_pending_ = size_;
+  poll_outstanding_ = true;
+  return true;
+}
+
+size_t ShardFreeLeg::StepBatch(const std::vector<Envelope>& batch,
+                               size_t begin, std::vector<RootMsg>* out) {
+  const size_t emitted = out->size();
+  while (begin < batch.size() && out->size() == emitted) {
+    Step(batch[begin++], out);
+  }
+  return begin;
+}
+
+void ShardFreeLeg::Stop(Status status, std::vector<RootMsg>* out) {
+  if (!running_) {
+    return;
+  }
+  running_ = false;
+  ShardShutdownLeg(ctx_.transport, ctx_.layout, ctx_.shard);
+  RootMsg& exit = out->emplace_back();
+  exit.kind = RootMsg::Kind::kShardExit;
+  exit.shard = ctx_.shard;
+  exit.alarms = alarms_;
+  exit.messages = counter_;
+  exit.reliability = channel_.stats();
+  exit.status = std::move(status);
+}
+
+void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
+  if (!running_) {
+    return;
+  }
+  if (e.from == kCoordinatorId) {
+    OnCommand(e.msg, out);
+    return;
+  }
+  // A large round is mostly poll responses: that path stays small enough
+  // to inline into StepBatch; every other path is a call.
+  switch (e.msg.kind) {
+    case ActorMsgKind::kAlarm:
+      OnAlarm(e, out);
+      break;
+    case ActorMsgKind::kPollResponse:
+      if (!poll_outstanding_) {
+        break;  // Response to a round we already resolved; ignore.
+      }
+      poll_values_[static_cast<size_t>(e.from - start_)] = e.msg.value;
+      if (--poll_pending_ == 0) {
+        FinishPoll(out);
+      }
+      break;
+    case ActorMsgKind::kSiteDone:
+      OnSiteDone(e, out);
+      break;
+    default:
+      OnUnexpected(e.msg.kind, out);
+      break;
+  }
+}
+
+void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
+                             std::vector<RootMsg>* out) {
+  // Over the transport's shard inbox for a shard thread (SendToShard, never
+  // the wire), or handed over directly to an inline leg.
+  if (cmd.kind == ActorMsgKind::kShutdown) {
+    Stop(OkStatus(), out);
+  } else if (cmd.kind == ActorMsgKind::kPing) {
+    RootMsg& beat = out->emplace_back();
+    beat.kind = RootMsg::Kind::kHeartbeat;
+    beat.shard = ctx_.shard;
+    beat.epoch = cmd.epoch;  // Echo the probe id.
+  } else if (cmd.kind == ActorMsgKind::kPollRequest && !poll_outstanding_) {
+    notice_sent_ = false;
+    if (!StartPoll()) {
+      Stop(InternalError("transport closed during poll round"), out);
     }
   }
-  channel.SetObserver(ctx.metrics, ctx.recorder);
+}
 
-  int64_t watermark = -1;
-  bool poll_outstanding = false;
-  int poll_pending = 0;
-  bool notice_sent = false;  ///< Collapse alarms into one notice per round.
-  std::vector<int64_t> poll_values(static_cast<size_t>(size), 0);
-  int64_t alarms = 0;
-  int64_t batches_survived = 0;
+void ShardFreeLeg::OnSiteDone(const Envelope& e, std::vector<RootMsg>* out) {
+  // Per-site relay (not batched per shard): the root counts sites, not
+  // shards, so its done-tracking survives a shard death and respawn
+  // mid-drain.
+  RootMsg& done = out->emplace_back();
+  done.kind = RootMsg::Kind::kSiteDone;
+  done.shard = ctx_.shard;
+  done.entries.emplace_back(e.from, e.msg.value);
+}
+
+void ShardFreeLeg::OnUnexpected(ActorMsgKind kind,
+                                std::vector<RootMsg>* out) {
+  Stop(InternalError(std::string("unexpected ") +
+                     std::string(ActorMsgKindName(kind)) +
+                     " in free-running mode"),
+       out);
+}
+
+void ShardFreeLeg::OnAlarm(const Envelope& e, std::vector<RootMsg>* out) {
+  if (e.msg.epoch > watermark_) {
+    channel_.BeginEpoch(e.msg.epoch);
+    watermark_ = e.msg.epoch;
+  }
+  DCV_OBS_COUNT(ctx_.alarms_rx, 1);
+  ++alarms_;
+  SendStatus s = channel_.SendFromSite(e.from - start_, MessageType::kAlarm,
+                                       /*reliable=*/true, e.msg.value);
+  std::vector<Channel::Arrival> stale =
+      channel_.TakeArrivals(MessageType::kAlarm);
+  if ((s == SendStatus::kDelivered || !stale.empty()) && !notice_sent_) {
+    // One notice per round: the root collapses notices from k legs into
+    // at most one outstanding global round plus one catch-up, so alarm
+    // fan-in costs O(k) root messages per round no matter how many sites
+    // fire.
+    RootMsg& notice = out->emplace_back();
+    notice.kind = RootMsg::Kind::kAlarmNotice;
+    notice.shard = ctx_.shard;
+    notice.epoch = watermark_;
+    notice_sent_ = true;
+  }
+}
+
+void ShardFreeLeg::FinishPoll(std::vector<RootMsg>* out) {
+  // The root provisions domain_max only under the local-threshold
+  // protocol, so polling legs pass an empty (optimistic) fallback.
+  PollOutcome poll =
+      channel_.PollSites(poll_values_, ctx_.weights, ctx_.plan.domain_max);
+  poll_outstanding_ = false;
+  RootMsg& partial = out->emplace_back();
+  partial.kind = RootMsg::Kind::kPollPartial;
+  partial.shard = ctx_.shard;
+  partial.epoch = watermark_;
+  partial.partial_sum = poll.weighted_sum;
+  if (!poll.values.empty()) {
+    // A plain reduction vectorizes; std::minmax_element does not.
+    int64_t lo = poll.values[0];
+    int64_t hi = lo;
+    for (int64_t v : poll.values) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    partial.partial_min = lo;
+    partial.partial_max = hi;
+  }
+}
+
+void RunShardFree(ShardContext ctx) {
+  Transport* const transport = ctx.transport;
+  Mailbox<RootMsg>* const to_root = ctx.to_root;
+  const int shard = ctx.shard;
+  const int64_t die_after_batches = ctx.die_after_batches;
+  // A free-running shard always terminates via kShardExit — even on init
+  // failure — so the root can count k exits before joining.
+  ShardFreeLeg leg(std::move(ctx));
+  std::vector<RootMsg> out;
+  leg.Start(&out);
   std::vector<Envelope> batch;
-  bool running = true;
-  Status exit_status = OkStatus();
-
-  auto advance_watermark = [&](int64_t epoch) {
-    if (epoch > watermark) {
-      channel.BeginEpoch(epoch);
-      watermark = epoch;
-    }
-  };
-  std::vector<Envelope> poll_fanout;
-  poll_fanout.reserve(static_cast<size_t>(size));
-  auto start_local_poll = [&]() -> bool {
-    ActorMessage request;
-    request.kind = ActorMsgKind::kPollRequest;
-    request.epoch = std::max<int64_t>(watermark, 0);
-    poll_fanout.clear();
-    for (int i = 0; i < size; ++i) {
-      poll_fanout.push_back(Envelope{kCoordinatorId, start + i, request});
-    }
-    if (!ctx.transport->SendBatch(poll_fanout)) {
-      return false;
-    }
-    std::fill(poll_values.begin(), poll_values.end(), 0);
-    poll_pending = size;
-    poll_outstanding = true;
-    return true;
-  };
-
-  while (running) {
-    if (ctx.die_after_batches >= 0 &&
-        batches_survived >= ctx.die_after_batches) {
+  int64_t batches_survived = 0;
+  while (leg.running()) {
+    if (die_after_batches >= 0 && batches_survived >= die_after_batches) {
       // Chaos: crash at a batch boundary — every consumed message was
       // fully handled (notices pushed, done reports relayed) and every
       // unconsumed one is still queued in the shard inbox, which the
@@ -303,131 +440,19 @@ void RunShardFree(ShardContext ctx) {
       return;
     }
     batch.clear();
-    if (ctx.transport->RecvShardAll(ctx.shard, &batch) == 0) {
-      exit_status = InternalError("transport closed while sites were live");
+    if (transport->RecvShardAll(shard, &batch) == 0) {
+      leg.Stop(InternalError("transport closed while sites were live"), &out);
       break;
     }
     ++batches_survived;
-    for (const Envelope& e : batch) {
-      if (!running) {
-        break;
-      }
-      if (e.from == kCoordinatorId) {
-        // Root command, injected shard-locally via SendToShard (never the
-        // wire): kPollRequest opens a poll leg, kPing asks for a liveness
-        // heartbeat, kShutdown ends the run.
-        if (e.msg.kind == ActorMsgKind::kShutdown) {
-          running = false;
-        } else if (e.msg.kind == ActorMsgKind::kPing) {
-          RootMsg beat;
-          beat.kind = RootMsg::Kind::kHeartbeat;
-          beat.shard = ctx.shard;
-          beat.epoch = e.msg.epoch;  // Echo the probe id.
-          if (!ctx.to_root->Push(std::move(beat))) {
-            running = false;
-          }
-        } else if (e.msg.kind == ActorMsgKind::kPollRequest &&
-                   !poll_outstanding) {
-          notice_sent = false;
-          if (!start_local_poll()) {
-            exit_status = InternalError("transport closed during poll round");
-            running = false;
-          }
-        }
-        continue;
-      }
-      switch (e.msg.kind) {
-        case ActorMsgKind::kAlarm: {
-          advance_watermark(e.msg.epoch);
-          DCV_OBS_COUNT(ctx.alarms_rx, 1);
-          ++alarms;
-          SendStatus s =
-              channel.SendFromSite(e.from - start, MessageType::kAlarm,
-                                   /*reliable=*/true, e.msg.value);
-          std::vector<Channel::Arrival> stale =
-              channel.TakeArrivals(MessageType::kAlarm);
-          if ((s == SendStatus::kDelivered || !stale.empty()) &&
-              !notice_sent) {
-            // One notice per round: the root collapses notices from k
-            // shards into at most one outstanding global round plus one
-            // catch-up, so alarm fan-in costs O(k) root messages per round
-            // no matter how many sites fire.
-            RootMsg notice;
-            notice.kind = RootMsg::Kind::kAlarmNotice;
-            notice.shard = ctx.shard;
-            notice.epoch = watermark;
-            if (!ctx.to_root->Push(std::move(notice))) {
-              running = false;
-              break;
-            }
-            notice_sent = true;
-          }
-          break;
-        }
-        case ActorMsgKind::kPollResponse: {
-          if (!poll_outstanding) {
-            break;  // Response to a round we already resolved; ignore.
-          }
-          poll_values[static_cast<size_t>(e.from - start)] = e.msg.value;
-          if (--poll_pending == 0) {
-            PollOutcome poll = channel.PollSites(
-                poll_values, ctx.weights,
-                ctx.protocol == RuntimeProtocol::kLocalThreshold
-                    ? ctx.plan.domain_max
-                    : std::vector<int64_t>{});
-            poll_outstanding = false;
-            RootMsg partial;
-            partial.kind = RootMsg::Kind::kPollPartial;
-            partial.shard = ctx.shard;
-            partial.epoch = watermark;
-            partial.partial_sum = poll.weighted_sum;
-            partial.partial_min = poll.values.empty() ? 0 : poll.values[0];
-            partial.partial_max = partial.partial_min;
-            for (int64_t v : poll.values) {
-              partial.partial_min = std::min(partial.partial_min, v);
-              partial.partial_max = std::max(partial.partial_max, v);
-            }
-            partial.responses = poll.responses;
-            partial.timeouts = poll.timeouts;
-            if (!ctx.to_root->Push(std::move(partial))) {
-              running = false;
-            }
-          }
-          break;
-        }
-        case ActorMsgKind::kSiteDone: {
-          // Per-site relay (not batched per shard): the root counts sites,
-          // not shards, so its done-tracking survives a shard death and
-          // respawn mid-drain.
-          RootMsg done;
-          done.kind = RootMsg::Kind::kSiteDone;
-          done.shard = ctx.shard;
-          done.entries.emplace_back(e.from, e.msg.value);
-          if (!ctx.to_root->Push(std::move(done))) {
-            running = false;
-          }
-          break;
-        }
-        default:
-          exit_status = InternalError(
-              std::string("unexpected ") +
-              std::string(ActorMsgKindName(e.msg.kind)) +
-              " in free-running mode");
-          running = false;
-          break;
+    for (size_t next = 0; next < batch.size();) {
+      next = leg.StepBatch(batch, next, &out);
+      if (!Forward(to_root, &out)) {
+        leg.Stop(OkStatus(), &out);  // The root is gone; so is its box.
       }
     }
   }
-
-  ShardShutdownLeg(ctx.transport, ctx.layout, ctx.shard);
-  RootMsg exit;
-  exit.kind = RootMsg::Kind::kShardExit;
-  exit.shard = ctx.shard;
-  exit.alarms = alarms;
-  exit.messages = counter;
-  exit.reliability = channel.stats();
-  exit.status = exit_status;
-  ctx.to_root->Push(std::move(exit));
+  Forward(to_root, &out);
 }
 
 }  // namespace dcv

@@ -20,8 +20,8 @@ namespace dcv {
 /// Contiguity is what keeps the sharded virtual-time runs bit-identical to
 /// the lockstep simulator — iterating shards 0..k-1 and each shard's sites
 /// in ascending order visits the global site ids in ascending order, which
-/// is exactly the order the flat coordinator (and the single-threaded
-/// schemes) replay their channel sends in. Every layout, balanced or
+/// is exactly the order the single-threaded schemes replay their channel
+/// sends in. Every layout, balanced or
 /// explicit, preserves that invariant.
 struct ShardLayout {
   int num_sites = 0;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "runtime/coordinator.h"
 #include "runtime/plan.h"
+#include "runtime/transport.h"
 #include "sim/local_scheme.h"
 #include "threshold/fptas.h"
 #include "threshold/heuristics.h"
@@ -54,9 +58,13 @@ int64_t PickThreshold(const Workload& w, double overflow_fraction,
   return *t;
 }
 
-void ExpectConformant(const Workload& w, const ConformanceSpec& spec) {
+void ExpectConformant(const Workload& w, const ConformanceSpec& spec,
+                      ConformanceReport* report_out = nullptr) {
   auto report = RunConformance(w.training, w.eval, spec);
   ASSERT_TRUE(report.ok()) << report.status().message();
+  if (report_out != nullptr) {
+    *report_out = *report;
+  }
   EXPECT_TRUE(report->identical) << report->mismatch;
   // The run must be non-trivial: something happened worth comparing.
   EXPECT_GT(report->lockstep.messages.total(), 0);
@@ -212,7 +220,7 @@ TEST(RuntimeConformanceTest, SocketPollingBaseline) {
 // Sharded coordinator tree (the two-level refactor): for every legal shard
 // count, virtual-time runs must stay bit-identical to the lockstep
 // simulator — the shards are channel-free relays, and the root issues every
-// channel call in flat-coordinator order. These tests are the determinism
+// channel call in the lockstep scheme's order. These tests are the determinism
 // proof for the topology, not just a smoke test.
 
 TEST(ShardedConformanceTest, LocalFptasShards2And4) {
@@ -243,14 +251,18 @@ TEST(ShardedConformanceTest, LocalFptasUnderChannelFaultsShards2And4) {
   // and a coordinator partition, re-run at 2 and 4 shards. Identical
   // reliability stats prove the root (not the shards) owns every channel
   // RNG draw.
+  // k = 1 runs its single leg inline, so its heartbeat has no shard
+  // thread to watch and must never fire a recovery.
   Workload w = MakeSyntheticWorkload(55, /*num_sites=*/5);
   FptasSolver solver(0.1);
-  for (int shards : {2, 4}) {
+  for (auto [shards, heartbeat_ms] :
+       {std::pair{1, 200}, std::pair{2, 0}, std::pair{4, 0}}) {
     ConformanceSpec spec;
     spec.protocol = RuntimeProtocol::kLocalThreshold;
     spec.solver = &solver;
     spec.global_threshold = PickThreshold(w, 0.02);
     spec.num_shards = shards;
+    spec.heartbeat_timeout_ms = heartbeat_ms;
     spec.faults.loss = 0.1;
     spec.faults.duplicate = 0.05;
     spec.faults.delay = 0.1;
@@ -262,7 +274,9 @@ TEST(ShardedConformanceTest, LocalFptasUnderChannelFaultsShards2And4) {
     spec.faults.partitions = {{/*from=*/300, /*to=*/320}};
     spec.faults.degrade = DegradeMode::kAssumeBreach;
     spec.faults.seed = 0xfeedULL;
-    ExpectConformant(w, spec);
+    ConformanceReport report;
+    ExpectConformant(w, spec, &report);
+    EXPECT_EQ(report.runtime.shard_recoveries, 0) << "shards=" << shards;
   }
 }
 
@@ -326,28 +340,147 @@ TEST(ShardedConformanceTest, SocketTransportUnderFaultsShards3) {
   ExpectConformant(w, spec);
 }
 
-// Free-running sharded mode has no determinism claim, but it must drain the
-// whole workload and account for every update exactly once.
+// Free-running mode has no determinism claim, but it must drain the whole
+// workload and account for every update exactly once — with the single
+// leg inline (k = 1) or on shard threads, and with failure detection off
+// or on. A healthy run never recovers anything.
 TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
   for (int shards : {1, 2, 3}) {
-    RuntimeOptions options;
-    options.virtual_time = false;
-    options.num_shards = shards;
-    options.seed = 9;
-    options.synthetic_max = 1000;
-    options.global_threshold = 7 * 1000;
-    options.thresholds.assign(7, 900);  // Alarm-heavy.
-    options.domain_max.assign(7, 1000);
-    auto result = RunSyntheticRuntime(7, 500, options);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(result->total_updates, 7 * 500);
-    ASSERT_EQ(result->site_updates.size(), 7u);
-    for (int64_t u : result->site_updates) {
-      EXPECT_EQ(u, 500);
+    for (int heartbeat_ms : {0, 50}) {
+      RuntimeOptions options;
+      options.virtual_time = false;
+      options.num_shards = shards;
+      options.heartbeat_timeout_ms = heartbeat_ms;
+      options.seed = 9;
+      options.synthetic_max = 1000;
+      options.global_threshold = 7 * 1000;
+      options.thresholds.assign(7, 900);  // Alarm-heavy.
+      options.domain_max.assign(7, 1000);
+      auto result = RunSyntheticRuntime(7, 500, options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      EXPECT_EQ(result->total_updates, 7 * 500);
+      ASSERT_EQ(result->site_updates.size(), 7u);
+      for (int64_t u : result->site_updates) {
+        EXPECT_EQ(u, 500);
+      }
+      EXPECT_GT(result->total_alarms, 0);
+      EXPECT_GT(result->polled_epochs, 0);
+      EXPECT_EQ(result->shard_recoveries, 0)
+          << "shards=" << shards << " heartbeat_ms=" << heartbeat_ms;
     }
-    EXPECT_GT(result->total_alarms, 0);
-    EXPECT_GT(result->polled_epochs, 0);
   }
+}
+
+// A scripted fabric for one coordinator inbox: it raises one alarm, answers
+// each poll round at once (site i reports i + 1) and raises the next alarm,
+// and after `rounds` rounds reports every site done. Its shard-command path
+// is dead — SendToShard and TrySendToShard refuse everything — so the
+// coordinator can only get through if it hands its commands to the leg
+// directly.
+class InlinePollScript : public Transport {
+ public:
+  InlinePollScript(int sites, int rounds) : sites_(sites), rounds_(rounds) {
+    inbox_.push_back(Alarm(0));
+  }
+  int num_sites() const override { return sites_; }
+  int num_workers() const override { return 1; }
+  int WorkerOf(int) const override { return 0; }
+  int num_shards() const override { return 1; }
+  int ShardOf(int) const override { return 0; }
+  ShardLayout layout() const override { return *MakeShardLayout(sites_, 1); }
+  bool Send(const Envelope& e) override { return SendBatch({e}); }
+  bool SendBatch(const std::vector<Envelope>& batch) override {
+    for (const Envelope& e : batch) {
+      if (e.msg.kind == ActorMsgKind::kShutdown) {
+        ++shutdowns_;
+      }
+    }
+    if (batch.empty() || batch[0].msg.kind != ActorMsgKind::kPollRequest) {
+      return true;
+    }
+    for (const Envelope& e : batch) {
+      ActorMessage m;
+      m.kind = ActorMsgKind::kPollResponse;
+      m.epoch = e.msg.epoch;
+      m.value = e.to + 1;
+      inbox_.push_back(Envelope{e.to, kCoordinatorId, m});
+    }
+    if (++round_ < rounds_) {
+      inbox_.push_back(Alarm(round_ % sites_));
+    } else {
+      for (int site = 0; site < sites_; ++site) {
+        ActorMessage done;
+        done.kind = ActorMsgKind::kSiteDone;
+        done.value = 7;
+        inbox_.push_back(Envelope{site, kCoordinatorId, done});
+      }
+    }
+    return true;
+  }
+  bool SendToShard(int, const Envelope&) override { return false; }
+  bool TrySendToShard(int, const Envelope&) override { return false; }
+  bool RecvShard(int, Envelope*) override { return false; }
+  bool TryRecvShard(int, Envelope*) override { return false; }
+  size_t RecvShardAll(int, std::vector<Envelope>* out) override {
+    const size_t n = inbox_.size();
+    out->insert(out->end(), inbox_.begin(), inbox_.end());
+    inbox_.clear();
+    return n;
+  }
+  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out, int64_t,
+                         bool* timed_out) override {
+    *timed_out = false;
+    return RecvShardAll(shard, out);
+  }
+  bool RecvWorker(int, Envelope*) override { return false; }
+  bool TryRecvWorker(int, Envelope*) override { return false; }
+  void Shutdown() override {}
+
+  int shutdowns() const { return shutdowns_; }
+
+ private:
+  Envelope Alarm(int site) const {
+    ActorMessage m;
+    m.kind = ActorMsgKind::kAlarm;
+    m.epoch = round_;
+    m.value = 1;
+    return Envelope{site, kCoordinatorId, m};
+  }
+
+  const int sites_;
+  const int rounds_;
+  int round_ = 0;
+  int shutdowns_ = 0;
+  std::vector<Envelope> inbox_;
+};
+
+TEST(ShardedRuntimeFreeTest, SingleShardLegRunsInline) {
+  constexpr int kSites = 4;
+  constexpr int kRounds = 16;
+  obs::MetricsRegistry registry;
+  CoordinatorActor::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.weights.assign(kSites, 1);
+  cfg.global_threshold = 1'000;
+  cfg.thresholds.assign(kSites, 900);
+  cfg.domain_max.assign(kSites, 1'000);
+  cfg.heartbeat_timeout_ms = 50;  // Detection watches shard threads only.
+  cfg.metrics = &registry;
+  CoordinatorActor coordinator(cfg);
+  ASSERT_TRUE(coordinator.Init().ok());
+  InlinePollScript script(kSites, kRounds);
+  RuntimeResult result;
+  const Status status = coordinator.RunFree(&script, &result);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(result.polled_epochs, kRounds);
+  EXPECT_EQ(result.total_alarms, kRounds);
+  EXPECT_EQ(result.total_updates, kSites * 7);
+  EXPECT_EQ(result.shard_recoveries, 0);
+  EXPECT_EQ(script.shutdowns(), kSites);
+  // A 1-shard tree reports the same per-round gauges as any other.
+  EXPECT_EQ(registry.gauge("runtime/coordinator/poll_min")->value(), 1.0);
+  EXPECT_EQ(registry.gauge("runtime/coordinator/poll_max")->value(),
+            static_cast<double>(kSites));
 }
 
 // The runtime rejects shard counts outside [1, num_sites] up front.
@@ -519,7 +652,8 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
 }
 
 // Chaos needs a detectable configuration: kill-shard without a heartbeat
-// window or with a flat coordinator is rejected up front.
+// window or with a 1-shard tree (no shard thread to kill) is rejected up
+// front.
 TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   RuntimeOptions options;
   options.virtual_time = false;

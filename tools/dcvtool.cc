@@ -69,10 +69,10 @@
 //       onto K worker threads (default: one per core), each driving all
 //       of its sites from one flat structure-of-arrays loop with batched
 //       transport drains — how a million sites fit on one box. --shards S
-//       partitions the sites across S shard coordinator threads feeding a
-//       root aggregator (two-level coordinator tree; S in [1, sites],
-//       default 1 = flat coordinator); virtual-time results are identical
-//       for every legal S.
+//       partitions the sites across S shard legs feeding a root
+//       aggregator (two-level coordinator tree; S in [1, sites], default
+//       1 = one leg run inline on the coordinator's thread); virtual-time
+//       results are identical for every legal S.
 //       --transport socket makes this process the coordinator: it listens
 //       on --listen-port (0 = ephemeral; the bound port is printed as
 //       "listening-port: P"), waits for one `dcvtool site-worker` process
