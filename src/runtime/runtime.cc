@@ -115,10 +115,8 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
     return InvalidArgumentError(
         "capture_updates is not supported over the socket transport");
   }
-  int workers = options.num_workers == 0 ? n : options.num_workers;
-  if (workers < 1 || workers > n) {
-    return InvalidArgumentError("num_workers must be in [1, num_sites]");
-  }
+  // Listen checks the worker count.
+  const int workers = options.num_workers == 0 ? n : options.num_workers;
   DCV_RETURN_IF_ERROR(MakeShardLayout(n, options.num_shards).status());
   SocketTransport::Options sopts = options.socket;
   sopts.virtual_time = options.virtual_time;

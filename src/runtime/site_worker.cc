@@ -18,19 +18,13 @@ namespace {
 /// kMaxTelemetryPayload (each encoded event is ~40 bytes).
 constexpr size_t kMaxTelemetryEvents = 8192;
 
-int64_t WallUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 TelemetryFrame BuildTelemetryFrame(const SiteWorkerOptions& options,
                                    SocketTransport* transport,
                                    bool final_flush) {
   TelemetryFrame t;
   t.worker = options.worker;
   t.final_flush = final_flush ? 1 : 0;
-  t.wall_time_us = WallUs();
+  t.wall_time_us = WallClockUs();
   t.clock_offset_us = transport->clock_offset_us();
   if (options.metrics != nullptr) {
     t.metrics = options.metrics->Snapshot();
@@ -59,13 +53,7 @@ TelemetryFrame BuildTelemetryFrame(const SiteWorkerOptions& options,
 
 Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
                                        const SiteWorkerOptions& options) {
-  if (options.num_sites < 1 || options.num_workers < 1 ||
-      options.num_workers > options.num_sites) {
-    return InvalidArgumentError("bad fabric shape");
-  }
-  if (options.worker < 0 || options.worker >= options.num_workers) {
-    return InvalidArgumentError("worker index out of range");
-  }
+  // The fabric shape and worker index are checked once, by Connect.
   if (eval != nullptr && eval->num_sites() != options.num_sites) {
     return InvalidArgumentError("eval trace site count does not match fabric");
   }

@@ -21,18 +21,17 @@ Status ErrnoError(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
 }
 
-void SetNoDelay(int fd) {
+/// Every connected socket, on both sides: no Nagle delay for small frames,
+/// and a bounded send so a stalled peer cannot wedge a writer forever.
+void ConfigureSocket(int fd, int send_timeout_ms) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void SetSendTimeout(int fd, int timeout_ms) {
-  if (timeout_ms <= 0) {
+  if (send_timeout_ms <= 0) {
     return;
   }
   timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
+  tv.tv_sec = send_timeout_ms / 1000;
+  tv.tv_usec = (send_timeout_ms % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
@@ -129,23 +128,32 @@ Result<int> ConnectOnce(const sockaddr_in& addr, int timeout_ms) {
   return fd;
 }
 
-/// Wall-clock microseconds (system_clock): the clock-offset handshake and
-/// merged-trace timestamps compare across processes, so steady_clock (an
-/// arbitrary per-process epoch) would be meaningless here.
-int64_t WallUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-size_t AutoWorkerCapacity(int num_sites, int num_workers) {
-  size_t per_worker =
-      (static_cast<size_t>(num_sites) + static_cast<size_t>(num_workers) - 1) /
-      static_cast<size_t>(num_workers);
-  return 4 * per_worker + 8;
-}
-
 }  // namespace
+
+using Self = SocketTransport;
+using Stats = SocketStats;
+
+// Registry twins are named "runtime/socket/<name>".
+const SocketTransport::LedgerEntry SocketTransport::kLedger[] = {
+    {&Self::frames_sent_, &Stats::frames_sent, "frames_tx"},
+    {&Self::frames_received_, &Stats::frames_received, "frames_rx"},
+    {&Self::bytes_sent_, &Stats::bytes_sent, "bytes_tx"},
+    {&Self::bytes_received_, &Stats::bytes_received, "bytes_rx"},
+    {&Self::connect_attempts_, &Stats::connect_attempts, "connect_attempts"},
+    {&Self::connect_retries_, &Stats::connect_retries, "connect_retries"},
+    {&Self::accept_timeouts_, &Stats::accept_timeouts, "accept_timeouts"},
+    {&Self::decode_errors_, &Stats::decode_errors, "decode_errors"},
+    {&Self::disconnects_, &Stats::disconnects, "disconnects"},
+    {&Self::truncated_frames_, &Stats::truncated_frames, "truncated_frames"},
+    {&Self::reconnects_, &Stats::reconnects, "reconnects"},
+    {&Self::replayed_frames_, &Stats::replayed_frames, "replayed_frames"},
+    {&Self::duplicate_frames_, &Stats::duplicate_frames, "duplicate_frames"},
+};
+
+void SocketTransport::StatCounter::Add(int64_t n) {
+  value.fetch_add(n, std::memory_order_relaxed);
+  DCV_OBS_COUNT(twin, n);
+}
 
 SocketTransport::SocketTransport(Role role, int num_sites, int num_workers,
                                  int worker, const Options& options)
@@ -161,25 +169,21 @@ SocketTransport::SocketTransport(Role role, int num_sites, int num_workers,
                        : 1;  // Workers never see the shard split.
   layouts_.push_back(std::make_unique<ShardLayout>(lay));
   layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
-  // Worker-role send queues size for the WHOLE coordinator fan-in (a
-  // worker's sites can span several shards); coordinator-role shard
-  // inboxes size for their own shard's fan-in only.
-  const size_t coordinator_capacity =
-      options_.coordinator_capacity != 0
-          ? options_.coordinator_capacity
-          : 2 * static_cast<size_t>(num_sites) + 16;
-  const size_t shard_capacity =
-      options_.coordinator_capacity != 0
-          ? options_.coordinator_capacity
-          : 2 * static_cast<size_t>(lay.MaxShardSites()) + 16;
   const size_t worker_capacity =
       options_.worker_capacity != 0
           ? options_.worker_capacity
-          : AutoWorkerCapacity(num_sites, num_workers);
+          : WorkerInboxCapacity(num_sites, num_workers);
+  auto coordinator_capacity = [&](int sites) {
+    return options_.coordinator_capacity != 0
+               ? options_.coordinator_capacity
+               : CoordinatorInboxCapacity(sites);
+  };
   if (role_ == Role::kCoordinator) {
+    // Shard inboxes size for their own shard's fan-in only.
     inboxes_.reserve(static_cast<size_t>(lay.num_shards));
     for (int s = 0; s < lay.num_shards; ++s) {
-      inboxes_.push_back(std::make_unique<Mailbox<Envelope>>(shard_capacity));
+      inboxes_.push_back(std::make_unique<Mailbox<Envelope>>(
+          coordinator_capacity(lay.MaxShardSites())));
     }
     layout_acked_.assign(static_cast<size_t>(num_workers), 0);
     for (int w = 0; w < num_workers; ++w) {
@@ -189,43 +193,26 @@ SocketTransport::SocketTransport(Role role, int num_sites, int num_workers,
       conns_.back()->send_box =
           std::make_unique<Mailbox<Envelope>>(worker_capacity);
     }
+    worker_telemetry_.resize(static_cast<size_t>(num_workers));
+    worker_telemetry_valid_.assign(static_cast<size_t>(num_workers), 0);
+    worker_telemetry_final_.assign(static_cast<size_t>(num_workers), 0);
   } else {
     inboxes_.push_back(std::make_unique<Mailbox<Envelope>>(worker_capacity));
     conns_.push_back(std::make_unique<Connection>());
     // The worker's queue toward the coordinator mirrors the coordinator
-    // inbox: sites block here under backpressure, exactly as they block on
-    // the shared inbox in ThreadTransport.
+    // inbox for the WHOLE fan-in (a worker's sites can span several
+    // shards): sites block here under backpressure, exactly as they block
+    // on the shared inbox in ThreadTransport.
     conns_.back()->send_box =
-        std::make_unique<Mailbox<Envelope>>(coordinator_capacity);
-  }
-  if (role_ == Role::kCoordinator) {
-    worker_telemetry_.resize(static_cast<size_t>(num_workers));
-    worker_telemetry_valid_.assign(static_cast<size_t>(num_workers), 0);
-    worker_telemetry_final_.assign(static_cast<size_t>(num_workers), 0);
+        std::make_unique<Mailbox<Envelope>>(coordinator_capacity(num_sites));
   }
   if (options_.metrics != nullptr) {
     // Every SocketStats field has a registry twin so --metrics-json covers
     // the wire layer without the "socket:" side channel.
-    c_frames_tx_ = options_.metrics->counter("runtime/socket/frames_tx");
-    c_frames_rx_ = options_.metrics->counter("runtime/socket/frames_rx");
-    c_bytes_tx_ = options_.metrics->counter("runtime/socket/bytes_tx");
-    c_bytes_rx_ = options_.metrics->counter("runtime/socket/bytes_rx");
-    c_connect_attempts_ =
-        options_.metrics->counter("runtime/socket/connect_attempts");
-    c_connect_retries_ =
-        options_.metrics->counter("runtime/socket/connect_retries");
-    c_accept_timeouts_ =
-        options_.metrics->counter("runtime/socket/accept_timeouts");
-    c_decode_errors_ =
-        options_.metrics->counter("runtime/socket/decode_errors");
-    c_disconnects_ = options_.metrics->counter("runtime/socket/disconnects");
-    c_truncated_frames_ =
-        options_.metrics->counter("runtime/socket/truncated_frames");
-    c_reconnects_ = options_.metrics->counter("runtime/socket/reconnects");
-    c_replayed_frames_ =
-        options_.metrics->counter("runtime/socket/replayed_frames");
-    c_duplicate_frames_ =
-        options_.metrics->counter("runtime/socket/duplicate_frames");
+    for (const LedgerEntry& entry : kLedger) {
+      (this->*entry.counter).twin = options_.metrics->counter(
+          std::string("runtime/socket/") + entry.name);
+    }
   }
 }
 
@@ -249,6 +236,11 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Listen(
   if (fd < 0) {
     return ErrnoError("socket");
   }
+  auto fail = [fd](const std::string& what) {
+    Status s = ErrnoError(what);
+    ::close(fd);
+    return s;
+  };
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
@@ -257,21 +249,15 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Listen(
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    Status s = ErrnoError("bind to port " + std::to_string(port));
-    ::close(fd);
-    return s;
+    return fail("bind to port " + std::to_string(port));
   }
   if (::listen(fd, num_workers) != 0) {
-    Status s = ErrnoError("listen");
-    ::close(fd);
-    return s;
+    return fail("listen");
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    Status s = ErrnoError("getsockname");
-    ::close(fd);
-    return s;
+    return fail("getsockname");
   }
   auto transport = std::unique_ptr<SocketTransport>(new SocketTransport(
       Role::kCoordinator, num_sites, num_workers, /*worker=*/-1, options));
@@ -285,15 +271,23 @@ Status SocketTransport::AcceptWorkers() {
   if (role_ != Role::kCoordinator || listen_fd_ < 0) {
     return FailedPreconditionError("AcceptWorkers needs a listening transport");
   }
-  std::vector<int> fds(static_cast<size_t>(num_workers_), -1);
-  std::vector<std::string> residuals(static_cast<size_t>(num_workers_));
-  auto reject_all = [&fds](Status s) {
-    for (int fd : fds) {
-      if (fd >= 0) {
-        ::close(fd);
+  // Accepted links wait in conns_ (no threads yet) until every worker has
+  // handshaken; any failure closes them all.
+  auto reject_all = [this](Status s) {
+    for (auto& c : conns_) {
+      if (c->fd >= 0) {
+        ::close(c->fd);
+        c->fd = -1;
       }
     }
     return s;
+  };
+  auto not_twice = [this](const HelloFrame& hello, HelloAckFrame*) {
+    if (conns_[static_cast<size_t>(hello.worker)]->fd >= 0) {
+      return InvalidArgumentError("worker " + std::to_string(hello.worker) +
+                                  " connected twice");
+    }
+    return OkStatus();
   };
   for (int pending = num_workers_; pending > 0; --pending) {
     pollfd p{listen_fd_, POLLIN, 0};
@@ -302,8 +296,7 @@ Status SocketTransport::AcceptWorkers() {
       return reject_all(ErrnoError("poll on listen socket"));
     }
     if (rc <= 0) {
-      accept_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_accept_timeouts_, 1);
+      accept_timeouts_.Add(1);
       return reject_all(ResourceExhaustedError(
           "timed out waiting for worker connections (" +
           std::to_string(num_workers_ - pending) + " of " +
@@ -313,64 +306,73 @@ Status SocketTransport::AcceptWorkers() {
     if (fd < 0) {
       return reject_all(ErrnoError("accept"));
     }
-    SetNoDelay(fd);
-    SetSendTimeout(fd, options_.io_timeout_ms);
-
-    FrameReader reader;
-    auto frame = ReadFrame(fd, options_.io_timeout_ms, &reader);
-    const int64_t t2 = WallUs();  // Hello receive time (clock-offset t2).
-    std::string reply;
-    HelloAckFrame ack;
-    ack.num_sites = num_sites_;
-    ack.num_workers = num_workers_;
-    ack.virtual_time = virtual_time_ ? 1 : 0;
-    Status verdict = OkStatus();
-    int worker = -1;
-    if (!frame.ok()) {
-      verdict = InternalError("worker handshake failed: " +
-                              std::string(frame.status().message()));
-    } else if (frame->type != FrameType::kHello) {
-      verdict = InternalError("expected hello frame, got another type");
-    } else {
-      const HelloFrame& hello = frame->hello;
-      worker = hello.worker;
-      if (hello.num_sites != num_sites_ || hello.num_workers != num_workers_) {
-        verdict = InvalidArgumentError(
-            "worker fabric shape mismatch: worker says " +
-            std::to_string(hello.num_sites) + " sites / " +
-            std::to_string(hello.num_workers) + " workers, coordinator has " +
-            std::to_string(num_sites_) + " / " + std::to_string(num_workers_));
-      } else if (worker < 0 || worker >= num_workers_) {
-        verdict = InvalidArgumentError("worker index " +
-                                       std::to_string(worker) +
-                                       " out of range");
-      } else if (fds[static_cast<size_t>(worker)] >= 0) {
-        verdict = InvalidArgumentError("worker " + std::to_string(worker) +
-                                       " connected twice");
-      }
-    }
-    ack.ok = verdict.ok() ? 1 : 0;
-    if (frame.ok() && frame->type == FrameType::kHello) {
-      ack.t1_us = frame->hello.t1_us;
-    }
-    ack.t2_us = t2;
-    ack.t3_us = WallUs();
-    AppendHelloAckFrame(ack, &reply);
-    WriteAll(fd, reply.data(), reply.size());
-    if (!verdict.ok()) {
+    std::string residual;
+    auto hello = AnswerHello(fd, options_.io_timeout_ms, not_twice, &residual);
+    if (!hello.ok()) {
       ::close(fd);
-      return reject_all(verdict);
+      return reject_all(hello.status());
     }
-    fds[static_cast<size_t>(worker)] = fd;
-    residuals[static_cast<size_t>(worker)] = reader.TakeBuffered();
+    Connection& c = *conns_[static_cast<size_t>(hello->worker)];
+    c.fd = fd;
+    c.residual = std::move(residual);
   }
-  for (size_t w = 0; w < fds.size(); ++w) {
-    StartConnection(w, fds[w], std::move(residuals[w]));
+  for (size_t w = 0; w < conns_.size(); ++w) {
+    StartConnection(w);
   }
   if (options_.allow_reconnect) {
     acceptor_ = std::thread([this] { AcceptorLoop(); });
   }
   return OkStatus();
+}
+
+Result<HelloFrame> SocketTransport::AnswerHello(
+    int fd, int timeout_ms,
+    const std::function<Status(const HelloFrame&, HelloAckFrame*)>& verdict,
+    std::string* residual) {
+  ConfigureSocket(fd, options_.io_timeout_ms);
+  FrameReader reader;
+  auto frame = ReadFrame(fd, timeout_ms, &reader);
+  const int64_t t2 = WallClockUs();  // Hello receive time (clock-offset t2).
+  HelloAckFrame ack;
+  ack.num_sites = num_sites_;
+  ack.num_workers = num_workers_;
+  ack.virtual_time = virtual_time_ ? 1 : 0;
+  Status refusal = OkStatus();
+  if (!frame.ok()) {
+    refusal = InternalError("worker handshake failed: " +
+                            std::string(frame.status().message()));
+  } else if (frame->type != FrameType::kHello) {
+    refusal = InternalError("expected hello frame, got another type");
+  } else {
+    const HelloFrame& hello = frame->hello;
+    ack.t1_us = hello.t1_us;
+    if (hello.num_sites != num_sites_ || hello.num_workers != num_workers_) {
+      refusal = InvalidArgumentError(
+          "worker fabric shape mismatch: worker says " +
+          std::to_string(hello.num_sites) + " sites / " +
+          std::to_string(hello.num_workers) + " workers, coordinator has " +
+          std::to_string(num_sites_) + " / " + std::to_string(num_workers_));
+    } else if (hello.worker < 0 || hello.worker >= num_workers_) {
+      refusal = InvalidArgumentError("worker index " +
+                                     std::to_string(hello.worker) +
+                                     " out of range");
+    } else {
+      refusal = verdict(hello, &ack);
+    }
+  }
+  ack.ok = refusal.ok() ? 1 : 0;
+  ack.t2_us = t2;
+  ack.t3_us = WallClockUs();
+  std::string reply;
+  AppendHelloAckFrame(ack, &reply);
+  if (!WriteAll(fd, reply.data(), reply.size()) && refusal.ok()) {
+    refusal = ErrnoError("sending hello-ack");
+  }
+  if (!refusal.ok()) {
+    return refusal;
+  }
+  *residual = reader.TakeBuffered();
+  return frame->hello;
 }
 
 Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
@@ -382,98 +384,116 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
   if (worker < 0 || worker >= num_workers) {
     return InvalidArgumentError("worker index out of range");
   }
-  sockaddr_in addr{};
+  auto transport = std::unique_ptr<SocketTransport>(new SocketTransport(
+      Role::kWorker, num_sites, num_workers, worker, options));
+  // Parsed once: every redial reuses it.
+  sockaddr_in& addr = transport->peer_;
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     return InvalidArgumentError("cannot parse host address '" + host +
                                 "' (dotted IPv4 expected)");
   }
-
-  auto transport = std::unique_ptr<SocketTransport>(new SocketTransport(
-      Role::kWorker, num_sites, num_workers, worker, options));
-  transport->peer_host_ = host;
-  transport->peer_port_ = port;
-  int fd = -1;
-  int backoff = std::max(1, options.connect_backoff_ms);
-  Status last = OkStatus();
-  for (int attempt = 0; attempt < std::max(1, options.connect_attempts);
-       ++attempt) {
-    if (attempt > 0) {
-      transport->connect_retries_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(transport->c_connect_retries_, 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff = std::min(backoff * 2, 2000);
-    }
-    transport->connect_attempts_.fetch_add(1, std::memory_order_relaxed);
-    DCV_OBS_COUNT(transport->c_connect_attempts_, 1);
-    auto attempt_fd = ConnectOnce(addr, options.connect_timeout_ms);
-    if (attempt_fd.ok()) {
-      fd = *attempt_fd;
-      break;
-    }
-    last = attempt_fd.status();
-  }
-  if (fd < 0) {
+  const int attempts = std::max(1, options.connect_attempts);
+  Result<int> fd = InternalError("no connect attempt made");
+  HelloAckFrame ack;
+  std::string residual;
+  bool dialed = false;
+  transport->Redial([attempts](int attempt) { return attempt < attempts; },
+                    [&] {
+                      fd = transport->Handshake(/*generation=*/0, &ack,
+                                                &residual, &dialed);
+                      return dialed;
+                    });
+  if (!dialed) {
     return InternalError("could not connect to " + host + ":" +
                          std::to_string(port) + " after " +
-                         std::to_string(std::max(1, options.connect_attempts)) +
-                         " attempts: " + std::string(last.message()));
+                         std::to_string(attempts) +
+                         " attempts: " + std::string(fd.status().message()));
   }
-  SetNoDelay(fd);
-  SetSendTimeout(fd, options.io_timeout_ms);
-
-  HelloFrame hello;
-  hello.worker = worker;
-  hello.num_workers = num_workers;
-  hello.num_sites = num_sites;
-  hello.t1_us = WallUs();
-  std::string out;
-  AppendHelloFrame(hello, &out);
-  if (!WriteAll(fd, out.data(), out.size())) {
-    ::close(fd);
-    return ErrnoError("sending hello");
+  if (!fd.ok()) {
+    return fd.status();
   }
-  FrameReader reader;
-  auto ack = ReadFrame(fd, options.io_timeout_ms, &reader);
-  const int64_t t4 = WallUs();  // Ack receive time (clock-offset t4).
-  if (!ack.ok()) {
-    ::close(fd);
-    return ack.status();
-  }
-  if (ack->type != FrameType::kHelloAck) {
-    ::close(fd);
-    return InternalError("expected hello-ack frame");
-  }
-  if (ack->hello_ack.ok == 0) {
-    ::close(fd);
-    return InvalidArgumentError(
-        "coordinator rejected the handshake (shape mismatch or duplicate "
-        "worker)");
-  }
-  transport->virtual_time_ = ack->hello_ack.virtual_time != 0;
-  if (ack->hello_ack.t2_us != 0) {
-    // NTP-style offset: assuming symmetric one-way delays, the coordinator
-    // clock reads (t2 - t1 + t3 - t4) / 2 ahead of the worker clock.
-    const HelloAckFrame& a = ack->hello_ack;
-    transport->clock_offset_us_.store(
-        ((a.t2_us - hello.t1_us) + (a.t3_us - t4)) / 2,
-        std::memory_order_relaxed);
-  }
+  transport->virtual_time_ = ack.virtual_time != 0;
   // TCP can coalesce the ack with the coordinator's first data frames
   // (e.g. the initial threshold sync); hand the tail to the reader thread.
-  transport->StartConnection(0, fd, reader.TakeBuffered());
+  transport->conns_[0]->fd = *fd;
+  transport->conns_[0]->residual = std::move(residual);
+  transport->StartConnection(0);
   return transport;
 }
 
-void SocketTransport::StartConnection(size_t index, int fd,
-                                      std::string residual) {
-  Connection& c = *conns_[index];
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    c.fd = fd;
-    c.residual = std::move(residual);
+Result<int> SocketTransport::Handshake(uint32_t generation,
+                                       HelloAckFrame* ack,
+                                       std::string* residual, bool* dialed) {
+  Result<int> fd = ConnectOnce(peer_, options_.connect_timeout_ms);
+  *dialed = fd.ok();
+  if (!fd.ok()) {
+    return fd;
   }
+  ConfigureSocket(*fd, options_.io_timeout_ms);
+  HelloFrame hello;
+  hello.worker = worker_;
+  hello.num_workers = num_workers_;
+  hello.num_sites = num_sites_;
+  hello.generation = generation;
+  hello.last_seq_received =
+      conns_[0]->last_seq_received.load(std::memory_order_relaxed);
+  hello.t1_us = WallClockUs();
+  std::string out;
+  AppendHelloFrame(hello, &out);
+  FrameReader reader;
+  Status failure = OkStatus();
+  if (!WriteAll(*fd, out.data(), out.size())) {
+    failure = ErrnoError("sending hello");
+  } else if (auto reply = ReadFrame(*fd, options_.io_timeout_ms, &reader);
+             !reply.ok()) {
+    failure = reply.status();
+  } else if (reply->type != FrameType::kHelloAck) {
+    failure = InternalError("expected hello-ack frame");
+  } else if (reply->hello_ack.ok == 0) {
+    failure = InvalidArgumentError(
+        "coordinator rejected the handshake (shape mismatch or duplicate "
+        "worker)");
+  } else {
+    *ack = reply->hello_ack;
+    if (ack->t2_us != 0) {
+      // NTP-style offset, refreshed on every handshake: assuming symmetric
+      // one-way delays, the coordinator clock reads (t2 - t1 + t3 - t4) / 2
+      // ahead of the worker clock.
+      const int64_t t4 = WallClockUs();
+      clock_offset_us_.store(
+          ((ack->t2_us - hello.t1_us) + (ack->t3_us - t4)) / 2,
+          std::memory_order_relaxed);
+    }
+  }
+  if (!failure.ok()) {
+    ::close(*fd);
+    return failure;
+  }
+  *residual = reader.TakeBuffered();
+  return fd;
+}
+
+bool SocketTransport::Redial(const std::function<bool(int)>& more,
+                             const std::function<bool()>& dial) {
+  int backoff = std::max(1, options_.connect_backoff_ms);
+  for (int attempt = 0; more(attempt); ++attempt) {
+    if (attempt > 0) {
+      connect_retries_.Add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+      backoff = std::min(backoff * 2, 2000);  // Capped at 2 s.
+    }
+    connect_attempts_.Add(1);
+    if (dial()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void SocketTransport::StartConnection(size_t index) {
+  Connection& c = *conns_[index];
   c.reader = std::thread([this, index] { ReaderLoop(index); });
   c.writer = std::thread([this, index] { WriterLoop(index); });
 }
@@ -481,32 +501,33 @@ void SocketTransport::StartConnection(size_t index, int fd,
 void SocketTransport::ReaderLoop(size_t index) {
   Connection& c = *conns_[index];
   uint8_t buf[65536];
-  std::string residual;
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    residual = std::move(c.residual);
-    c.residual.clear();
-  }
+  // Per-inbox routing scratch, reused across frames like `frame` below.
+  std::vector<std::vector<Envelope>> routed(inboxes_.size());
 
   // Decodes everything buffered in `reader`; false = drop the connection.
+  WireFrame frame;  // Reused: a small frame decodes without allocating.
   auto drain_frames = [&](FrameReader& reader) {
     for (;;) {
-      WireFrame frame;
       auto r = reader.Next(&frame);
       if (!r.ok()) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_decode_errors_, 1);
+        decode_errors_.Add(1);
         return false;
       }
       if (!*r) {
         return true;
       }
+      // Handshake frames never arrive mid-run and each control frame flows
+      // one way only: a frame this role cannot receive is malformed input.
+      const Role receiver = frame.type == FrameType::kLayoutUpdate
+                                ? Role::kWorker
+                                : Role::kCoordinator;
+      if (frame.type == FrameType::kHello ||
+          frame.type == FrameType::kHelloAck ||
+          (frame.type != FrameType::kEnvelopeBatch && receiver != role_)) {
+        decode_errors_.Add(1);
+        continue;
+      }
       if (frame.type == FrameType::kLayoutUpdate) {
-        if (role_ != Role::kWorker) {
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          DCV_OBS_COUNT(c_decode_errors_, 1);
-          continue;
-        }
         // Adopt the pushed layout version and ack it (the coordinator's
         // fence waits for every worker's ack before switching routing).
         adopted_layout_version_.store(frame.layout.version,
@@ -515,18 +536,10 @@ void SocketTransport::ReaderLoop(size_t index) {
         la.version = frame.layout.version;
         std::string ack_bytes;
         AppendLayoutAckFrame(la, &ack_bytes);
-        std::lock_guard<std::mutex> wl(c.write_mu);
-        if (c.fd >= 0) {
-          WriteAll(c.fd, ack_bytes.data(), ack_bytes.size());
-        }
+        WriteDirect(&c, ack_bytes);
         continue;
       }
       if (frame.type == FrameType::kLayoutAck) {
-        if (role_ != Role::kCoordinator) {
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          DCV_OBS_COUNT(c_decode_errors_, 1);
-          continue;
-        }
         {
           std::lock_guard<std::mutex> lock(layout_mu_);
           layout_acked_[index] = frame.layout_ack.version;
@@ -535,14 +548,12 @@ void SocketTransport::ReaderLoop(size_t index) {
         continue;
       }
       if (frame.type == FrameType::kTelemetry) {
-        if (role_ != Role::kCoordinator || frame.telemetry.worker < 0 ||
+        if (frame.telemetry.worker < 0 ||
             frame.telemetry.worker >= num_workers_) {
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          DCV_OBS_COUNT(c_decode_errors_, 1);
+          decode_errors_.Add(1);
           continue;
         }
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_frames_rx_, 1);
+        frames_received_.Add(1);
         // Snapshots are cumulative, so latest-wins per worker: overwrite
         // the slot and remember whether the worker's shutdown flush landed.
         const size_t slot = static_cast<size_t>(frame.telemetry.worker);
@@ -557,66 +568,43 @@ void SocketTransport::ReaderLoop(size_t index) {
         telemetry_cv_.notify_all();
         continue;
       }
-      if (frame.type != FrameType::kEnvelope &&
-          frame.type != FrameType::kEnvelopeBatch) {
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_decode_errors_, 1);
-        continue;  // Stray handshake frame mid-run; drop it.
-      }
       // Sequence dedup: a resume replays the suffix the peer thinks we
       // missed; anything at or below our high-water mark already arrived
       // on the previous incarnation. A batch frame carries one seq for all
       // its envelopes, so the burst is accepted or dropped whole.
       if (frame.seq != 0) {
         if (frame.seq <= c.last_seq_received.load(std::memory_order_relaxed)) {
-          duplicate_frames_.fetch_add(1, std::memory_order_relaxed);
-          DCV_OBS_COUNT(c_duplicate_frames_, 1);
+          duplicate_frames_.Add(1);
           continue;
         }
         c.last_seq_received.store(frame.seq, std::memory_order_relaxed);
       }
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_frames_rx_, 1);
-      if (frame.type == FrameType::kEnvelopeBatch) {
-        // Route the batch with one PushAll per destination inbox (one
-        // mutex round trip per burst, same as the thread transport).
-        if (role_ != Role::kCoordinator) {
-          if (!inboxes_[0]->PushAll(std::move(frame.batch))) {
-            return false;  // Inbox closed: we are shutting down.
-          }
-          continue;
-        }
-        std::vector<std::vector<Envelope>> per_shard(inboxes_.size());
-        for (Envelope& env : frame.batch) {
+      frames_received_.Add(1);
+      // Route the batch with one PushAll per destination inbox (one mutex
+      // round trip per burst, same as the thread transport).
+      for (const Envelope& env : frame.batch) {
+        size_t inbox = 0;
+        if (role_ == Role::kCoordinator) {
+          // Coordinator-bound traffic fans across the shard inboxes by
+          // sender. An envelope with an out-of-range sender has no shard;
+          // treat it like any other malformed input.
           if (env.from < 0 || env.from >= num_sites_) {
-            decode_errors_.fetch_add(1, std::memory_order_relaxed);
-            DCV_OBS_COUNT(c_decode_errors_, 1);
+            decode_errors_.Add(1);
             continue;
           }
-          per_shard[static_cast<size_t>(ShardOf(env.from))].push_back(env);
+          inbox = static_cast<size_t>(ShardOf(env.from));
         }
-        for (size_t s = 0; s < per_shard.size(); ++s) {
-          if (!per_shard[s].empty() &&
-              !inboxes_[s]->PushAll(std::move(per_shard[s]))) {
-            return false;
-          }
-        }
-        continue;
+        routed[inbox].push_back(env);
       }
-      size_t inbox = 0;
-      if (role_ == Role::kCoordinator) {
-        // Coordinator-bound traffic fans across the shard inboxes by
-        // sender. A frame with an out-of-range sender has no shard; treat
-        // it like any other malformed frame.
-        if (frame.envelope.from < 0 || frame.envelope.from >= num_sites_) {
-          decode_errors_.fetch_add(1, std::memory_order_relaxed);
-          DCV_OBS_COUNT(c_decode_errors_, 1);
+      for (size_t i = 0; i < routed.size(); ++i) {
+        if (routed[i].empty()) {
           continue;
         }
-        inbox = static_cast<size_t>(ShardOf(frame.envelope.from));
-      }
-      if (!inboxes_[inbox]->Push(frame.envelope)) {
-        return false;  // Inbox closed: we are shutting down.
+        const bool pushed = inboxes_[i]->PushAll(std::move(routed[i]));
+        routed[i].clear();
+        if (!pushed) {
+          return false;  // Inbox closed: we are shutting down.
+        }
       }
     }
   };
@@ -626,22 +614,19 @@ void SocketTransport::ReaderLoop(size_t index) {
   for (;;) {
     int fd = -1;
     uint32_t gen = 0;
+    FrameReader reader;
     {
       std::lock_guard<std::mutex> lock(c.mu);
       fd = c.fd;
       gen = c.generation;
+      // Bytes the handshake read past its own frame come first: they are
+      // earlier in the stream than anything recv() will return.
+      reader.Append(reinterpret_cast<const uint8_t*>(c.residual.data()),
+                    c.residual.size());
+      c.residual.clear();
     }
-    FrameReader reader;
     bool clean = false;
-    bool stream_ok = true;
-    // Bytes the handshake read past its own frame come first: they are
-    // earlier in the stream than anything recv() will return.
-    if (!residual.empty()) {
-      reader.Append(reinterpret_cast<const uint8_t*>(residual.data()),
-                    residual.size());
-      residual.clear();
-      stream_ok = drain_frames(reader);
-    }
+    bool stream_ok = drain_frames(reader);
     while (stream_ok) {
       ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
       if (n == 0) {
@@ -654,8 +639,7 @@ void SocketTransport::ReaderLoop(size_t index) {
         }
         break;  // Reset/abort — or our own Shutdown closed the socket.
       }
-      bytes_received_.fetch_add(n, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_bytes_rx_, n);
+      bytes_received_.Add(n);
       reader.Append(buf, static_cast<size_t>(n));
       stream_ok = drain_frames(reader);
     }
@@ -663,19 +647,17 @@ void SocketTransport::ReaderLoop(size_t index) {
       // The connection dropped inside a length-prefixed frame: a distinct
       // failure mode from both a clean end and a decode error. The partial
       // bytes are discarded; a resume replays the full frame.
-      truncated_frames_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_truncated_frames_, 1);
+      truncated_frames_.Add(1);
       clean = false;
     }
     const bool down = shutting_down_.load(std::memory_order_relaxed);
     if (!clean && !down) {
-      disconnects_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_disconnects_, 1);
+      disconnects_.Add(1);
     }
     if (down || !options_.allow_reconnect) {
       break;
     }
-    if (!AwaitResume(index, gen, &residual)) {
+    if (!AwaitResume(index, gen)) {
       break;  // Window expired or shutdown: fail like a real crash.
     }
   }
@@ -686,28 +668,35 @@ void SocketTransport::ReaderLoop(size_t index) {
   c.send_box->Close();
 }
 
+void SocketTransport::RecordLifecycle(obs::TraceEventKind kind,
+                                      int64_t value) {
+  if (options_.recorder == nullptr) {
+    return;
+  }
+  obs::TraceEvent ev;
+  ev.kind = kind;
+  ev.value = value;
+  ev.ts_us = WallClockUs();
+  options_.recorder->Record(ev);
+}
+
+bool SocketTransport::WriteDirect(Connection* c, const std::string& bytes) {
+  std::lock_guard<std::mutex> wl(c->write_mu);
+  return c->fd >= 0 && WriteAll(c->fd, bytes.data(), bytes.size());
+}
+
 void SocketTransport::CloseInboxes() {
   for (auto& box : inboxes_) {
     box->Close();
   }
 }
 
-void SocketTransport::RetireFd(int fd) {
-  ::shutdown(fd, SHUT_RDWR);
-  std::lock_guard<std::mutex> lock(retired_mu_);
-  retired_fds_.push_back(fd);
-}
-
 void SocketTransport::WriterLoop(size_t index) {
   Connection& c = *conns_[index];
-  std::string buf;
   std::string frame;
   std::vector<Envelope> batch;
   Envelope e;
-  for (;;) {
-    if (!c.send_box->Pop(&e)) {
-      break;  // Closed and drained: our side is done sending.
-    }
+  while (c.send_box->Pop(&e)) {
     batch.clear();
     batch.push_back(e);
     // Coalesce whatever is already queued into one write (epoch barriers
@@ -717,40 +706,28 @@ void SocketTransport::WriterLoop(size_t index) {
     }
     bool wrote = false;
     uint32_t gen = 0;
-    int64_t wire_frames = 0;
     {
       std::lock_guard<std::mutex> wl(c.write_mu);
       {
         std::lock_guard<std::mutex> lock(c.mu);
         gen = c.generation;  // Incarnation this write lands on.
       }
-      buf.clear();
-      // A multi-envelope burst becomes ONE kEnvelopeBatch frame under one
-      // sequence number; the whole frame is one sent-ring entry, so resume
-      // replay and the peer's high-water-mark dedup treat the burst
-      // atomically (never half-applied). A lone envelope keeps the v3
-      // kEnvelope framing.
+      // The burst becomes ONE kEnvelopeBatch frame under one sequence
+      // number (a lone envelope is a batch of one); the whole frame is one
+      // sent-ring entry, so resume replay and the peer's high-water-mark
+      // dedup treat the burst atomically (never half-applied).
       frame.clear();
-      if (batch.size() == 1) {
-        AppendEnvelopeFrame(batch[0], &frame, c.next_send_seq);
-      } else {
-        AppendEnvelopeBatchFrame(batch.data(), batch.size(), &frame,
-                                 c.next_send_seq);
-      }
+      AppendEnvelopeBatchFrame(batch.data(), batch.size(), &frame,
+                               c.next_send_seq);
       c.sent_ring.emplace_back(c.next_send_seq, frame);
       while (c.sent_ring.size() > options_.replay_capacity) {
         c.sent_ring.pop_front();
       }
       ++c.next_send_seq;
-      buf += frame;
-      wire_frames = 1;
-      wrote = c.fd >= 0 && WriteAll(c.fd, buf.data(), buf.size());
+      wrote = c.fd >= 0 && WriteAll(c.fd, frame.data(), frame.size());
       if (wrote) {
-        frames_sent_.fetch_add(wire_frames, std::memory_order_relaxed);
-        bytes_sent_.fetch_add(static_cast<int64_t>(buf.size()),
-                              std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_frames_tx_, wire_frames);
-        DCV_OBS_COUNT(c_bytes_tx_, static_cast<int64_t>(buf.size()));
+        frames_sent_.Add(1);
+        bytes_sent_.Add(static_cast<int64_t>(frame.size()));
       }
     }
     if (wrote) {
@@ -759,24 +736,14 @@ void SocketTransport::WriterLoop(size_t index) {
     // Write failed. The frames are already in the sent ring, so a resume
     // replays them — park for the new incarnation instead of giving up.
     if (!shutting_down_.load(std::memory_order_relaxed)) {
-      disconnects_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_disconnects_, 1);
+      disconnects_.Add(1);
     }
-    bool resumed = false;
     if (options_.allow_reconnect &&
-        !shutting_down_.load(std::memory_order_relaxed)) {
-      std::unique_lock<std::mutex> lock(c.mu);
-      c.cv.wait_for(lock,
-                    std::chrono::milliseconds(options_.reconnect_window_ms +
-                                              options_.reconnect_grace_ms),
-                    [&] {
-                      return shutting_down_.load(std::memory_order_relaxed) ||
-                             c.generation != gen;
-                    });
-      resumed = !shutting_down_.load(std::memory_order_relaxed) &&
-                c.generation != gen;
-    }
-    if (resumed) {
+        AwaitGeneration(&c, gen,
+                        std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(
+                                options_.reconnect_window_ms +
+                                options_.reconnect_grace_ms))) {
       continue;  // The installer replayed the failed frames already.
     }
     if (!shutting_down_.load(std::memory_order_relaxed)) {
@@ -788,8 +755,8 @@ void SocketTransport::WriterLoop(size_t index) {
     }
     return;
   }
-  // Send queue closed and drained. Half-close so the peer's reader sees a
-  // clean end of stream once it drains.
+  // Send queue closed and drained: our side is done sending. Half-close so
+  // the peer's reader sees a clean end of stream once it drains.
   std::lock_guard<std::mutex> wl(c.write_mu);
   if (c.fd >= 0) {
     ::shutdown(c.fd, SHUT_WR);
@@ -821,21 +788,20 @@ bool SocketTransport::InstallResumedFd(Connection* c, int fd,
   if (!replay.empty() && !WriteAll(fd, replay.data(), replay.size())) {
     return false;
   }
-  replayed_frames_.fetch_add(replayed, std::memory_order_relaxed);
-  DCV_OBS_COUNT(c_replayed_frames_, replayed);
-  bytes_sent_.fetch_add(static_cast<int64_t>(replay.size()),
-                        std::memory_order_relaxed);
-  if (replayed > 0 && options_.recorder != nullptr) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEventKind::kFrameReplay;
-    ev.value = replayed;
-    ev.ts_us = WallUs();
-    options_.recorder->Record(ev);
+  replayed_frames_.Add(replayed);
+  bytes_sent_.Add(static_cast<int64_t>(replay.size()));
+  if (replayed > 0) {
+    RecordLifecycle(obs::TraceEventKind::kFrameReplay, replayed);
   }
   {
     std::lock_guard<std::mutex> lock(c->mu);
     if (c->fd >= 0 && c->fd != fd) {
-      RetireFd(c->fd);  // Fence the stale incarnation.
+      // Fence the stale incarnation: sever it now, but close it only at
+      // Shutdown (closing immediately could race a thread still blocked in
+      // a syscall on it).
+      ::shutdown(c->fd, SHUT_RDWR);
+      std::lock_guard<std::mutex> retired_lock(retired_mu_);
+      retired_fds_.push_back(c->fd);
     }
     c->fd = fd;
     c->generation = generation;
@@ -845,121 +811,81 @@ bool SocketTransport::InstallResumedFd(Connection* c, int fd,
   return true;
 }
 
-bool SocketTransport::TryWorkerResume(Connection* c, std::string* residual) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(peer_port_));
-  if (::inet_pton(AF_INET, peer_host_.c_str(), &addr.sin_addr) != 1) {
-    return false;
-  }
-  connect_attempts_.fetch_add(1, std::memory_order_relaxed);
-  DCV_OBS_COUNT(c_connect_attempts_, 1);
-  auto fd = ConnectOnce(addr, options_.connect_timeout_ms);
-  if (!fd.ok()) {
-    return false;
-  }
-  SetNoDelay(*fd);
-  SetSendTimeout(*fd, options_.io_timeout_ms);
-  HelloFrame hello;
-  hello.worker = worker_;
-  hello.num_workers = num_workers_;
-  hello.num_sites = num_sites_;
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    hello.generation = c->generation + 1;
-  }
-  hello.last_seq_received = c->last_seq_received.load(std::memory_order_relaxed);
-  hello.t1_us = WallUs();
-  std::string out;
-  AppendHelloFrame(hello, &out);
-  if (!WriteAll(*fd, out.data(), out.size())) {
-    ::close(*fd);
-    return false;
-  }
-  FrameReader hs;
-  auto ack = ReadFrame(*fd, options_.io_timeout_ms, &hs);
-  const int64_t t4 = WallUs();
-  if (!ack.ok() || ack->type != FrameType::kHelloAck ||
-      ack->hello_ack.ok == 0) {
-    ::close(*fd);
-    return false;
-  }
-  if (ack->hello_ack.t2_us != 0) {
-    // Refresh the clock-offset estimate on every resume handshake.
-    const HelloAckFrame& a = ack->hello_ack;
-    clock_offset_us_.store(((a.t2_us - hello.t1_us) + (a.t3_us - t4)) / 2,
-                           std::memory_order_relaxed);
-  }
-  if (!InstallResumedFd(c, *fd, hello.generation,
-                        ack->hello_ack.last_seq_received, hs.TakeBuffered())) {
-    ::close(*fd);
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    *residual = std::move(c->residual);
-    c->residual.clear();
-  }
-  return true;
-}
-
-bool SocketTransport::AwaitResume(size_t index, uint32_t seen_gen,
-                                  std::string* residual) {
+bool SocketTransport::AwaitResume(size_t index, uint32_t seen_gen) {
   Connection& c = *conns_[index];
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.reconnect_window_ms);
   if (role_ == Role::kWorker) {
-    // Grace period: on a graceful shutdown the site engine is already
-    // holding their kShutdown envelopes, so shutting_down_ flips almost
-    // immediately — don't redial a coordinator that is simply done.
-    {
-      std::unique_lock<std::mutex> lock(c.mu);
-      c.cv.wait_for(lock,
-                    std::chrono::milliseconds(options_.reconnect_grace_ms),
-                    [&] {
-                      return shutting_down_.load(std::memory_order_relaxed);
-                    });
+    // Only this thread installs a worker-side resume, so the generation
+    // stays at `seen_gen` until the redial below succeeds.
+    const uint32_t generation = seen_gen + 1;
+    // Grace period (ends early on shutdown): on a graceful shutdown the
+    // site engine is already holding their kShutdown envelopes, so
+    // shutting_down_ flips almost immediately — don't redial a coordinator
+    // that is simply done.
+    AwaitGeneration(&c, seen_gen,
+                    std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.reconnect_grace_ms));
+    const bool resumed = Redial(
+        [&](int) {
+          return !shutting_down_.load(std::memory_order_relaxed) &&
+                 std::chrono::steady_clock::now() < deadline;
+        },
+        [&] {
+          if (shutting_down_.load(std::memory_order_relaxed)) {
+            return false;  // Shutdown landed during the backoff sleep.
+          }
+          HelloAckFrame ack;
+          std::string tail;
+          bool dialed = false;
+          auto fd = Handshake(generation, &ack, &tail, &dialed);
+          if (fd.ok() && !InstallResumedFd(&c, *fd, generation,
+                                           ack.last_seq_received,
+                                           std::move(tail))) {
+            ::close(*fd);
+            return false;
+          }
+          return fd.ok();
+        });
+    if (!resumed) {
+      return false;
     }
-    int backoff = std::max(1, options_.connect_backoff_ms);
-    while (!shutting_down_.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < deadline) {
-      if (TryWorkerResume(&c, residual)) {
-        reconnects_.fetch_add(1, std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_reconnects_, 1);
-        if (options_.recorder != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEventKind::kWorkerReconnect;
-          ev.value = worker_;
-          ev.ts_us = WallUs();
-          options_.recorder->Record(ev);
-        }
-        return true;
-      }
-      connect_retries_.fetch_add(1, std::memory_order_relaxed);
-      DCV_OBS_COUNT(c_connect_retries_, 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff = std::min(backoff * 2, 2000);
-    }
-    return false;
+    reconnects_.Add(1);
+    RecordLifecycle(obs::TraceEventKind::kWorkerReconnect, worker_);
   }
-  // Coordinator role: the acceptor thread installs the resumed fd; park
-  // until the generation moves past the incarnation we just lost.
-  std::unique_lock<std::mutex> lock(c.mu);
-  c.cv.wait_until(lock, deadline, [&] {
+  // The coordinator's acceptor thread installs the resumed fd; a worker's
+  // redial above already has.
+  return AwaitGeneration(&c, seen_gen, deadline);
+}
+
+bool SocketTransport::AwaitGeneration(
+    Connection* c, uint32_t seen_gen,
+    std::chrono::steady_clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(c->mu);
+  c->cv.wait_until(lock, deadline, [&] {
     return shutting_down_.load(std::memory_order_relaxed) ||
-           c.generation != seen_gen;
+           c->generation != seen_gen;
   });
-  if (shutting_down_.load(std::memory_order_relaxed) ||
-      c.generation == seen_gen) {
-    return false;
-  }
-  *residual = std::move(c.residual);
-  c.residual.clear();
-  return true;
+  return !shutting_down_.load(std::memory_order_relaxed) &&
+         c->generation != seen_gen;
 }
 
 void SocketTransport::AcceptorLoop() {
+  // Generation fence: only a strictly newer incarnation may replace the
+  // connection; a stale or duplicate dial is rejected. The ack tells the
+  // worker where to resume.
+  auto fence = [this](const HelloFrame& hello, HelloAckFrame* ack) {
+    Connection& c = *conns_[static_cast<size_t>(hello.worker)];
+    std::lock_guard<std::mutex> lock(c.mu);
+    if (hello.generation <= c.generation) {
+      return FailedPreconditionError("stale worker generation");
+    }
+    ack->generation = hello.generation;
+    ack->last_seq_received =
+        c.last_seq_received.load(std::memory_order_relaxed);
+    return OkStatus();
+  };
   while (!shutting_down_.load(std::memory_order_relaxed)) {
     pollfd p{listen_fd_, POLLIN, 0};
     int rc = ::poll(&p, 1, 100);
@@ -970,105 +896,74 @@ void SocketTransport::AcceptorLoop() {
     if (fd < 0) {
       continue;
     }
-    SetNoDelay(fd);
-    SetSendTimeout(fd, options_.io_timeout_ms);
-    FrameReader hs;
-    const int handshake_ms =
-        std::min(options_.io_timeout_ms, options_.reconnect_window_ms);
-    auto frame = ReadFrame(fd, handshake_ms, &hs);
-    const int64_t t2 = WallUs();
-    HelloAckFrame ack;
-    ack.num_sites = num_sites_;
-    ack.num_workers = num_workers_;
-    ack.virtual_time = virtual_time_ ? 1 : 0;
-    Connection* c = nullptr;
-    bool ok = frame.ok() && frame->type == FrameType::kHello;
-    if (ok) {
-      const HelloFrame& hello = frame->hello;
-      ok = hello.num_sites == num_sites_ &&
-           hello.num_workers == num_workers_ && hello.worker >= 0 &&
-           hello.worker < num_workers_;
-      if (ok) {
-        c = conns_[static_cast<size_t>(hello.worker)].get();
-        std::lock_guard<std::mutex> lock(c->mu);
-        // Generation fence: only a strictly newer incarnation may replace
-        // the connection; a stale or duplicate dial is rejected.
-        ok = hello.generation > c->generation;
-        ack.generation = hello.generation;
-      }
-    }
-    if (ok) {
-      ack.last_seq_received =
-          c->last_seq_received.load(std::memory_order_relaxed);
-    }
-    ack.ok = ok ? 1 : 0;
-    if (frame.ok() && frame->type == FrameType::kHello) {
-      ack.t1_us = frame->hello.t1_us;
-    }
-    ack.t2_us = t2;
-    ack.t3_us = WallUs();
-    std::string reply;
-    AppendHelloAckFrame(ack, &reply);
-    if (!WriteAll(fd, reply.data(), reply.size()) || !ok) {
+    std::string residual;
+    auto hello = AnswerHello(
+        fd, std::min(options_.io_timeout_ms, options_.reconnect_window_ms),
+        fence, &residual);
+    if (!hello.ok() ||
+        !InstallResumedFd(conns_[static_cast<size_t>(hello->worker)].get(),
+                          fd, hello->generation, hello->last_seq_received,
+                          std::move(residual))) {
       ::close(fd);
       continue;
     }
-    if (!InstallResumedFd(c, fd, frame->hello.generation,
-                          frame->hello.last_seq_received,
-                          hs.TakeBuffered())) {
-      ::close(fd);
-      continue;
-    }
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
-    DCV_OBS_COUNT(c_reconnects_, 1);
-    if (options_.recorder != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::TraceEventKind::kWorkerReconnect;
-      ev.value = frame->hello.worker;
-      ev.ts_us = WallUs();
-      options_.recorder->Record(ev);
-    }
+    reconnects_.Add(1);
+    RecordLifecycle(obs::TraceEventKind::kWorkerReconnect, hello->worker);
   }
+}
+
+Mailbox<Envelope>* SocketTransport::ShardInbox(int shard) const {
+  if (role_ != Role::kCoordinator || shard < 0 ||
+      shard >= static_cast<int>(inboxes_.size())) {
+    return nullptr;
+  }
+  return inboxes_[static_cast<size_t>(shard)].get();
+}
+
+Mailbox<Envelope>* SocketTransport::WorkerInbox(int worker) const {
+  return role_ == Role::kWorker && worker == worker_ ? inboxes_[0].get()
+                                                     : nullptr;
+}
+
+Mailbox<Envelope>* SocketTransport::SendBoxFor(const Envelope& e,
+                                               size_t* conn) const {
+  // Coordinator role: one connection per worker, picked by destination
+  // site. Worker role: everything rides the one coordinator connection.
+  size_t index = 0;
+  if (role_ == Role::kCoordinator) {
+    if (e.to < 0 || e.to >= num_sites_) {
+      return nullptr;
+    }
+    index = static_cast<size_t>(WorkerOf(e.to));
+  } else if (e.to != kCoordinatorId) {
+    return nullptr;
+  }
+  if (conn != nullptr) {
+    *conn = index;
+  }
+  return conns_[index]->send_box.get();
 }
 
 bool SocketTransport::Send(const Envelope& e) {
-  if (role_ == Role::kCoordinator) {
-    if (e.to < 0 || e.to >= num_sites_) {
-      return false;
-    }
-    return conns_[static_cast<size_t>(WorkerOf(e.to))]->send_box->Push(e);
-  }
-  if (e.to != kCoordinatorId) {
-    return false;
-  }
-  return conns_[0]->send_box->Push(e);
+  Mailbox<Envelope>* box = SendBoxFor(e);
+  return box != nullptr && box->Push(e);
 }
 
 bool SocketTransport::SendBatch(const std::vector<Envelope>& batch) {
-  if (role_ != Role::kCoordinator) {
-    // Worker role: every envelope rides the one coordinator connection.
-    std::vector<Envelope> items;
-    items.reserve(batch.size());
-    for (const Envelope& e : batch) {
-      if (e.to != kCoordinatorId) {
-        return false;
-      }
-      items.push_back(e);
-    }
-    return conns_[0]->send_box->PushAll(std::move(items));
-  }
-  // Coordinator role: group per worker connection; each writer drains its
-  // send box into one coalesced kEnvelopeBatch wire frame per burst.
+  // Group per connection, checking every envelope before queuing any; each
+  // writer drains its send box into one coalesced kEnvelopeBatch wire
+  // frame per burst.
   std::vector<std::vector<Envelope>> per_conn(conns_.size());
   for (const Envelope& e : batch) {
-    if (e.to < 0 || e.to >= num_sites_) {
+    size_t conn = 0;
+    if (SendBoxFor(e, &conn) == nullptr) {
       return false;
     }
-    per_conn[static_cast<size_t>(WorkerOf(e.to))].push_back(e);
+    per_conn[conn].push_back(e);
   }
-  for (size_t w = 0; w < per_conn.size(); ++w) {
-    if (!per_conn[w].empty() &&
-        !conns_[w]->send_box->PushAll(std::move(per_conn[w]))) {
+  for (size_t i = 0; i < per_conn.size(); ++i) {
+    if (!per_conn[i].empty() &&
+        !conns_[i]->send_box->PushAll(std::move(per_conn[i]))) {
       return false;
     }
   }
@@ -1085,25 +980,9 @@ size_t SocketTransport::TrySendBatch(const std::vector<Envelope>& batch,
   size_t sent = 0;
   while (begin + sent < batch.size()) {
     const Envelope& e = batch[begin + sent];
-    Mailbox<Envelope>* box = nullptr;
-    if (role_ == Role::kCoordinator) {
-      if (e.to < 0 || e.to >= num_sites_) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = conns_[static_cast<size_t>(WorkerOf(e.to))]->send_box.get();
-    } else {
-      if (e.to != kCoordinatorId) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = conns_[0]->send_box.get();
-    }
-    const MailboxPush push = box->TryPush(e);
+    Mailbox<Envelope>* box = SendBoxFor(e);
+    const MailboxPush push =
+        box != nullptr ? box->TryPush(e) : MailboxPush::kClosed;
     if (push != MailboxPush::kOk) {
       if (push == MailboxPush::kClosed && closed != nullptr) {
         *closed = true;
@@ -1115,79 +994,64 @@ size_t SocketTransport::TrySendBatch(const std::vector<Envelope>& batch,
   return sent;
 }
 
+// Root-to-shard commands are coordinator-process-local: straight into the
+// shard inbox, no frame, no socket.
 bool SocketTransport::SendToShard(int shard, const Envelope& e) {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
-    return false;
-  }
-  // Root-to-shard commands are coordinator-process-local: straight into
-  // the shard inbox, no frame, no socket.
-  return inboxes_[static_cast<size_t>(shard)]->Push(e);
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  return box != nullptr && box->Push(e);
 }
 
 bool SocketTransport::TrySendToShard(int shard, const Envelope& e) {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
-    return false;
-  }
-  return inboxes_[static_cast<size_t>(shard)]->TryPush(e) == MailboxPush::kOk;
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  return box != nullptr && box->TryPush(e) == MailboxPush::kOk;
 }
 
 bool SocketTransport::RecvShard(int shard, Envelope* out) {
-  return role_ == Role::kCoordinator && shard >= 0 &&
-         shard < static_cast<int>(inboxes_.size()) &&
-         inboxes_[static_cast<size_t>(shard)]->Pop(out);
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  return box != nullptr && box->Pop(out);
 }
 
 bool SocketTransport::TryRecvShard(int shard, Envelope* out) {
-  return role_ == Role::kCoordinator && shard >= 0 &&
-         shard < static_cast<int>(inboxes_.size()) &&
-         inboxes_[static_cast<size_t>(shard)]->TryPop(out);
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  return box != nullptr && box->TryPop(out);
 }
 
 size_t SocketTransport::RecvShardAll(int shard, std::vector<Envelope>* out) {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
-    return 0;
-  }
-  return inboxes_[static_cast<size_t>(shard)]->PopAll(out);
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  return box != nullptr ? box->PopAll(out) : 0;
 }
 
 size_t SocketTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
                                         int64_t timeout_ms, bool* timed_out) {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
+  Mailbox<Envelope>* box = ShardInbox(shard);
+  if (box == nullptr) {
     if (timed_out != nullptr) {
       *timed_out = false;
     }
     return 0;
   }
-  return inboxes_[static_cast<size_t>(shard)]->PopAllFor(out, timeout_ms,
-                                                         timed_out);
+  return box->PopAllFor(out, timeout_ms, timed_out);
 }
 
 bool SocketTransport::RecvWorker(int worker, Envelope* out) {
-  return role_ == Role::kWorker && worker == worker_ && inboxes_[0]->Pop(out);
+  Mailbox<Envelope>* box = WorkerInbox(worker);
+  return box != nullptr && box->Pop(out);
 }
 
 bool SocketTransport::TryRecvWorker(int worker, Envelope* out) {
-  return role_ == Role::kWorker && worker == worker_ &&
-         inboxes_[0]->TryPop(out);
+  Mailbox<Envelope>* box = WorkerInbox(worker);
+  return box != nullptr && box->TryPop(out);
 }
 
 size_t SocketTransport::RecvWorkerAll(int worker, std::vector<Envelope>* out) {
-  if (role_ != Role::kWorker || worker != worker_) {
-    return 0;
-  }
-  return inboxes_[0]->PopAll(out);
+  Mailbox<Envelope>* box = WorkerInbox(worker);
+  return box != nullptr ? box->PopAll(out) : 0;
 }
 
 size_t SocketTransport::TryRecvWorkerAll(int worker,
                                          std::vector<Envelope>* out) {
-  if (role_ != Role::kWorker || worker != worker_) {
-    return 0;
-  }
-  return inboxes_[0]->TryPopAll(out);
+  Mailbox<Envelope>* box = WorkerInbox(worker);
+  return box != nullptr ? box->TryPopAll(out) : 0;
 }
 
 Status SocketTransport::UpdateLayout(const ShardLayout& next) {
@@ -1217,8 +1081,7 @@ Status SocketTransport::UpdateLayout(const ShardLayout& next) {
   std::string bytes;
   AppendLayoutFrame(lf, &bytes);
   for (auto& c : conns_) {
-    std::lock_guard<std::mutex> wl(c->write_mu);
-    if (c->fd < 0 || !WriteAll(c->fd, bytes.data(), bytes.size())) {
+    if (!WriteDirect(c.get(), bytes)) {
       return InternalError("layout push failed on a worker connection");
     }
   }
@@ -1227,15 +1090,9 @@ Status SocketTransport::UpdateLayout(const ShardLayout& next) {
   std::unique_lock<std::mutex> lock(layout_mu_);
   bool acked = layout_cv_.wait_for(
       lock, std::chrono::milliseconds(options_.io_timeout_ms), [&] {
-        if (shutting_down_.load(std::memory_order_relaxed)) {
-          return true;
-        }
-        for (uint32_t v : layout_acked_) {
-          if (v < next.version) {
-            return false;
-          }
-        }
-        return true;
+        return shutting_down_.load(std::memory_order_relaxed) ||
+               std::all_of(layout_acked_.begin(), layout_acked_.end(),
+                           [&](uint32_t v) { return v >= next.version; });
       });
   if (!acked || shutting_down_.load(std::memory_order_relaxed)) {
     return ResourceExhaustedError(
@@ -1274,16 +1131,11 @@ Status SocketTransport::SendTelemetry(const TelemetryFrame& t) {
   // direct-write path UpdateLayout uses): frames are unsequenced cumulative
   // snapshots, so a resume never needs to replay them and dedup can never
   // double-count them.
-  Connection& c = *conns_[0];
-  std::lock_guard<std::mutex> wl(c.write_mu);
-  if (c.fd < 0 || !WriteAll(c.fd, bytes.data(), bytes.size())) {
+  if (!WriteDirect(conns_[0].get(), bytes)) {
     return InternalError("telemetry push failed (connection down)");
   }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(static_cast<int64_t>(bytes.size()),
-                        std::memory_order_relaxed);
-  DCV_OBS_COUNT(c_frames_tx_, 1);
-  DCV_OBS_COUNT(c_bytes_tx_, static_cast<int64_t>(bytes.size()));
+  frames_sent_.Add(1);
+  bytes_sent_.Add(static_cast<int64_t>(bytes.size()));
   return OkStatus();
 }
 
@@ -1307,15 +1159,10 @@ bool SocketTransport::WaitForFinalTelemetry(int timeout_ms) {
   std::unique_lock<std::mutex> lock(telemetry_mu_);
   return telemetry_cv_.wait_for(
       lock, std::chrono::milliseconds(std::max(0, timeout_ms)), [&] {
-        if (shutting_down_.load(std::memory_order_relaxed)) {
-          return true;
-        }
-        for (uint8_t f : worker_telemetry_final_) {
-          if (f == 0) {
-            return false;
-          }
-        }
-        return true;
+        return shutting_down_.load(std::memory_order_relaxed) ||
+               std::all_of(worker_telemetry_final_.begin(),
+                           worker_telemetry_final_.end(),
+                           [](uint8_t f) { return f != 0; });
       });
 }
 
@@ -1339,9 +1186,7 @@ void SocketTransport::Shutdown() {
   // writers push every queued frame (including a final kShutdown
   // broadcast) before half-closing their sockets.
   for (auto& c : conns_) {
-    if (c->send_box != nullptr) {
-      c->send_box->Close();
-    }
+    c->send_box->Close();
   }
   for (auto& c : conns_) {
     if (c->writer.joinable()) {
@@ -1380,19 +1225,10 @@ void SocketTransport::Shutdown() {
 
 SocketStats SocketTransport::stats() const {
   SocketStats s;
-  s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  s.connect_attempts = connect_attempts_.load(std::memory_order_relaxed);
-  s.connect_retries = connect_retries_.load(std::memory_order_relaxed);
-  s.accept_timeouts = accept_timeouts_.load(std::memory_order_relaxed);
-  s.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  s.disconnects = disconnects_.load(std::memory_order_relaxed);
-  s.truncated_frames = truncated_frames_.load(std::memory_order_relaxed);
-  s.reconnects = reconnects_.load(std::memory_order_relaxed);
-  s.replayed_frames = replayed_frames_.load(std::memory_order_relaxed);
-  s.duplicate_frames = duplicate_frames_.load(std::memory_order_relaxed);
+  for (const LedgerEntry& entry : kLedger) {
+    s.*entry.field =
+        (this->*entry.counter).value.load(std::memory_order_relaxed);
+  }
   return s;
 }
 

@@ -1,10 +1,14 @@
 #ifndef DCV_RUNTIME_SOCKET_TRANSPORT_H_
 #define DCV_RUNTIME_SOCKET_TRANSPORT_H_
 
+#include <netinet/in.h>
+
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,7 +27,8 @@ namespace dcv {
 /// TCP implementation of the Transport interface: the coordinator process
 /// listens and accepts exactly one connection per worker process; site
 /// workers connect, identify themselves with a versioned handshake
-/// (wire.h), and then exchange length-prefixed Envelope frames.
+/// (wire.h), and then exchange length-prefixed kEnvelopeBatch frames (a
+/// lone envelope travels as a batch of one).
 ///
 /// Backpressure mirrors ThreadTransport: every connection owns a bounded
 /// send-queue Mailbox with the same capacity formula as the in-process
@@ -52,8 +57,9 @@ namespace dcv {
 /// side replays exactly the suffix the peer missed, deduplicating replays
 /// by sequence number. The coordinator keeps an acceptor thread running so
 /// the resume handshake can land at any time; the worker side actively
-/// redials. Senders simply block on the bounded send queues during the
-/// outage, so no envelope is ever lost — the run resumes bit-identically.
+/// redials, through the same hello exchange as the first connect. Senders
+/// simply block on the bounded send queues during the outage, so no
+/// envelope is ever lost — the run resumes bit-identically.
 class SocketTransport : public Transport {
  public:
   struct Options {
@@ -187,6 +193,22 @@ class SocketTransport : public Transport {
  private:
   enum class Role { kCoordinator, kWorker };
 
+  /// One SocketStats field plus its "runtime/socket/*" registry twin. Add
+  /// bumps both (the field even with observability compiled out).
+  struct StatCounter {
+    void Add(int64_t n);
+    std::atomic<int64_t> value{0};
+    obs::Counter* twin = nullptr;
+  };
+
+  /// The ledger: each counter, the SocketStats field it fills, its twin.
+  struct LedgerEntry {
+    StatCounter SocketTransport::*counter;
+    int64_t SocketStats::*field;
+    const char* name;
+  };
+  static const LedgerEntry kLedger[];
+
   /// One TCP connection: the socket, its bounded send queue, and the two
   /// threads that pump it. Coordinator role has one per worker; worker
   /// role has exactly one (index 0). Reconnection state lives here too:
@@ -225,10 +247,44 @@ class SocketTransport : public Transport {
     return layout_ptr_.load(std::memory_order_acquire);
   }
 
-  void StartConnection(size_t index, int fd, std::string residual);
+  /// Routing lookups: the mailbox a call addresses, or null when the role
+  /// or index does not match. SendBoxFor also yields the connection index.
+  Mailbox<Envelope>* ShardInbox(int shard) const;
+  Mailbox<Envelope>* WorkerInbox(int worker) const;
+  Mailbox<Envelope>* SendBoxFor(const Envelope& e,
+                                size_t* conn = nullptr) const;
+
+  /// Worker role: one dial plus the whole hello exchange as incarnation
+  /// `generation` (socket options, hello out, ack in and checked, clock
+  /// offset refreshed). Returns the fd, with the ack and the bytes read past
+  /// it. `*dialed` is false when the TCP connect itself failed, the only
+  /// failure Connect retries.
+  Result<int> Handshake(uint32_t generation, HelloAckFrame* ack,
+                        std::string* residual, bool* dialed);
+
+  /// Coordinator role: the ack side of one hello exchange on an accepted
+  /// `fd`. Checks shape and worker range, then asks `verdict` (which may
+  /// fill the ack's resume fields), and always writes a stamped ack.
+  /// Returns the accepted hello or why it was refused; the caller owns fd.
+  Result<HelloFrame> AnswerHello(
+      int fd, int timeout_ms,
+      const std::function<Status(const HelloFrame&, HelloAckFrame*)>& verdict,
+      std::string* residual);
+
+  /// Calls `dial` while `more(attempt)` allows (attempt is 0-based) until
+  /// it succeeds, sleeping a backoff between tries that doubles from
+  /// connect_backoff_ms up to 2 s. Counts connect attempts and retries.
+  bool Redial(const std::function<bool(int)>& more,
+              const std::function<bool()>& dial);
+
+  /// Starts the threads of a connection whose fd and handshake tail are set.
+  void StartConnection(size_t index);
   void ReaderLoop(size_t index);
   void WriterLoop(size_t index);
   void AcceptorLoop();
+
+  /// Records a wall-stamped reconnect/replay event, if a recorder is set.
+  void RecordLifecycle(obs::TraceEventKind kind, int64_t value);
 
   /// Replays the sent-ring suffix the peer missed onto `fd`, then installs
   /// it as the connection's live socket (bumping the generation and waking
@@ -239,22 +295,23 @@ class SocketTransport : public Transport {
 
   /// Parks until the connection has a newer incarnation than `seen_gen`.
   /// Worker role actively redials the coordinator while parked. True once
-  /// resumed (with `*residual` holding the resume handshake's tail); false
-  /// on shutdown or window expiry.
-  bool AwaitResume(size_t index, uint32_t seen_gen, std::string* residual);
+  /// resumed (the new fd and its handshake tail are in the Connection);
+  /// false on shutdown or window expiry.
+  bool AwaitResume(size_t index, uint32_t seen_gen);
 
-  /// Worker role: one redial + resume-handshake attempt. On success the
-  /// new fd is installed and `*residual` receives the handshake tail.
-  bool TryWorkerResume(Connection* c, std::string* residual);
+  /// True once `c` has a newer incarnation than `seen_gen`; false on
+  /// shutdown or at `deadline`.
+  bool AwaitGeneration(Connection* c, uint32_t seen_gen,
+                       std::chrono::steady_clock::time_point deadline);
+
+  /// Writes unsequenced control bytes straight onto `c`'s live socket,
+  /// outside the send queue and the replay ring. False if the link is down.
+  static bool WriteDirect(Connection* c, const std::string& bytes);
 
   /// End-of-stream on any connection (or a fatal write error) closes every
   /// shard inbox: no shard can make progress once a worker is gone, and
   /// blocked receivers must drain out exactly as in ThreadTransport.
   void CloseInboxes();
-
-  /// Severs `fd` and queues it for close at Shutdown (closing immediately
-  /// could race a thread still blocked in a syscall on it).
-  void RetireFd(int fd);
 
   const Role role_;
   const int num_sites_;
@@ -274,8 +331,7 @@ class SocketTransport : public Transport {
   int listen_fd_ = -1;
   int port_ = 0;
   bool virtual_time_ = true;
-  std::string peer_host_;  ///< Worker role: coordinator address for redial.
-  int peer_port_ = 0;
+  sockaddr_in peer_{};  ///< Worker role: coordinator address for redial.
 
   /// Coordinator role: one inbox per shard coordinator, fed by the reader
   /// threads routing on ShardOf(e.from). Worker role: exactly one — this
@@ -285,7 +341,7 @@ class SocketTransport : public Transport {
   std::thread acceptor_;  ///< Resume acceptor (coordinator, reconnect on).
 
   std::mutex retired_mu_;
-  std::vector<int> retired_fds_;
+  std::vector<int> retired_fds_;  ///< Fenced stale fds, closed at Shutdown.
 
   std::atomic<bool> shutting_down_{false};
   std::mutex shutdown_mu_;
@@ -301,33 +357,20 @@ class SocketTransport : public Transport {
   /// Worker role: handshake-estimated clock offset (coordinator - worker).
   std::atomic<int64_t> clock_offset_us_{0};
 
-  // Wire-level counters (stats() snapshot + optional obs mirror).
-  std::atomic<int64_t> frames_sent_{0};
-  std::atomic<int64_t> frames_received_{0};
-  std::atomic<int64_t> bytes_sent_{0};
-  std::atomic<int64_t> bytes_received_{0};
-  std::atomic<int64_t> connect_attempts_{0};
-  std::atomic<int64_t> connect_retries_{0};
-  std::atomic<int64_t> accept_timeouts_{0};
-  std::atomic<int64_t> decode_errors_{0};
-  std::atomic<int64_t> disconnects_{0};
-  std::atomic<int64_t> truncated_frames_{0};
-  std::atomic<int64_t> reconnects_{0};
-  std::atomic<int64_t> replayed_frames_{0};
-  std::atomic<int64_t> duplicate_frames_{0};
-  obs::Counter* c_frames_tx_ = nullptr;
-  obs::Counter* c_frames_rx_ = nullptr;
-  obs::Counter* c_bytes_tx_ = nullptr;
-  obs::Counter* c_bytes_rx_ = nullptr;
-  obs::Counter* c_connect_attempts_ = nullptr;
-  obs::Counter* c_connect_retries_ = nullptr;
-  obs::Counter* c_accept_timeouts_ = nullptr;
-  obs::Counter* c_decode_errors_ = nullptr;
-  obs::Counter* c_disconnects_ = nullptr;
-  obs::Counter* c_truncated_frames_ = nullptr;
-  obs::Counter* c_reconnects_ = nullptr;
-  obs::Counter* c_replayed_frames_ = nullptr;
-  obs::Counter* c_duplicate_frames_ = nullptr;
+  // Wire-level counters, one per SocketStats field (see kLedger).
+  StatCounter frames_sent_;
+  StatCounter frames_received_;
+  StatCounter bytes_sent_;
+  StatCounter bytes_received_;
+  StatCounter connect_attempts_;
+  StatCounter connect_retries_;
+  StatCounter accept_timeouts_;
+  StatCounter decode_errors_;
+  StatCounter disconnects_;
+  StatCounter truncated_frames_;
+  StatCounter reconnects_;
+  StatCounter replayed_frames_;
+  StatCounter duplicate_frames_;
 };
 
 }  // namespace dcv

@@ -39,20 +39,11 @@ Result<std::unique_ptr<ThreadTransport>> ThreadTransport::Create(
   DCV_ASSIGN_OR_RETURN(ShardLayout layout,
                        MakeShardLayout(num_sites, num_shards));
   if (coordinator_capacity == 0) {
-    // Per-shard fan-in: an epoch can put at most 2 messages per owned site
-    // in flight toward a shard (report + poll response), and the root's
-    // commands ride in the headroom. One shard degenerates to the
-    // historical 2 * num_sites + 16 whole-coordinator formula.
-    coordinator_capacity =
-        2 * static_cast<size_t>(layout.MaxShardSites()) + 16;
+    // Per-shard fan-in; one shard is the whole-coordinator 2N+16 formula.
+    coordinator_capacity = CoordinatorInboxCapacity(layout.MaxShardSites());
   }
   if (worker_capacity == 0) {
-    // Ceil(sites / workers) sites share a worker inbox.
-    size_t per_worker =
-        (static_cast<size_t>(num_sites) + static_cast<size_t>(num_workers) -
-         1) /
-        static_cast<size_t>(num_workers);
-    worker_capacity = 4 * per_worker + 8;
+    worker_capacity = WorkerInboxCapacity(num_sites, num_workers);
   }
   return std::unique_ptr<ThreadTransport>(new ThreadTransport(
       layout, num_workers, coordinator_capacity, worker_capacity));

@@ -186,6 +186,22 @@ class Transport {
   }
 };
 
+/// Auto mailbox capacities, the DESIGN §8 deadlock-freedom invariant. A
+/// coordinator (shard) inbox fed by `sites` sites holds an epoch's at most
+/// 2 messages per site (report + poll response) plus root commands.
+inline size_t CoordinatorInboxCapacity(int sites) {
+  return 2 * static_cast<size_t>(sites) + 16;
+}
+
+/// A worker inbox serves ceil(sites / workers) sites, each with at most one
+/// epoch start, poll request, threshold update and shutdown in flight.
+inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
+  const size_t per_worker =
+      (static_cast<size_t>(num_sites) + static_cast<size_t>(num_workers) - 1) /
+      static_cast<size_t>(num_workers);
+  return 4 * per_worker + 8;
+}
+
 /// In-process transport over bounded mailboxes, one per worker plus one per
 /// shard coordinator. Capacity invariants the runtime relies on to stay
 /// deadlock-free with blocking sends:

@@ -1,5 +1,6 @@
 #include "runtime/wire.h"
 
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -104,10 +105,13 @@ struct Cursor {
   }
 };
 
-/// Reserves the 4-byte length prefix, returns its offset for patching.
-size_t BeginFrame(std::string* out) {
+/// Writes the frame header (a 4-byte length prefix to patch, the wire
+/// version, the frame type); returns the prefix's offset for EndFrame.
+size_t BeginFrame(FrameType type, std::string* out) {
   size_t at = out->size();
   PutU32(0, out);
+  PutU8(kWireVersion, out);
+  PutU8(static_cast<uint8_t>(type), out);
   return at;
 }
 
@@ -121,25 +125,9 @@ void EndFrame(size_t prefix_at, std::string* out) {
 
 }  // namespace
 
-void AppendEnvelopeFrame(const Envelope& e, std::string* out, uint64_t seq) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kEnvelope), out);
-  PutI32(e.from, out);
-  PutI32(e.to, out);
-  PutU8(static_cast<uint8_t>(e.msg.kind), out);
-  PutU8(e.msg.flag ? 1 : 0, out);
-  PutI64(e.msg.epoch, out);
-  PutI64(e.msg.value, out);
-  PutU64(seq, out);
-  EndFrame(at, out);
-}
-
 void AppendEnvelopeBatchFrame(const Envelope* envs, size_t count,
                               std::string* out, uint64_t seq) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kEnvelopeBatch), out);
+  size_t at = BeginFrame(FrameType::kEnvelopeBatch, out);
   PutU32(static_cast<uint32_t>(count), out);
   for (size_t i = 0; i < count; ++i) {
     PutI32(envs[i].from, out);
@@ -154,9 +142,7 @@ void AppendEnvelopeBatchFrame(const Envelope* envs, size_t count,
 }
 
 void AppendHelloFrame(const HelloFrame& h, std::string* out) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kHello), out);
+  size_t at = BeginFrame(FrameType::kHello, out);
   PutU32(h.magic, out);
   PutI32(h.worker, out);
   PutI32(h.num_workers, out);
@@ -168,9 +154,7 @@ void AppendHelloFrame(const HelloFrame& h, std::string* out) {
 }
 
 void AppendHelloAckFrame(const HelloAckFrame& a, std::string* out) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kHelloAck), out);
+  size_t at = BeginFrame(FrameType::kHelloAck, out);
   PutU32(a.magic, out);
   PutU8(a.ok, out);
   PutU8(a.virtual_time, out);
@@ -185,9 +169,7 @@ void AppendHelloAckFrame(const HelloAckFrame& a, std::string* out) {
 }
 
 void AppendLayoutFrame(const LayoutFrame& l, std::string* out) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kLayoutUpdate), out);
+  size_t at = BeginFrame(FrameType::kLayoutUpdate, out);
   PutU32(l.version, out);
   PutI32(l.num_sites, out);
   PutI32(l.num_shards, out);
@@ -198,18 +180,14 @@ void AppendLayoutFrame(const LayoutFrame& l, std::string* out) {
 }
 
 void AppendLayoutAckFrame(const LayoutAckFrame& a, std::string* out) {
-  size_t at = BeginFrame(out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(FrameType::kLayoutAck), out);
+  size_t at = BeginFrame(FrameType::kLayoutAck, out);
   PutU32(a.version, out);
   EndFrame(at, out);
 }
 
 Status AppendTelemetryFrame(const TelemetryFrame& t, std::string* out) {
   std::string frame;
-  size_t at = BeginFrame(&frame);
-  PutU8(kWireVersion, &frame);
-  PutU8(static_cast<uint8_t>(FrameType::kTelemetry), &frame);
+  size_t at = BeginFrame(FrameType::kTelemetry, &frame);
   PutI32(t.worker, &frame);
   PutU8(t.final_flush, &frame);
   PutI64(t.wall_time_us, &frame);
@@ -262,7 +240,11 @@ Status AppendTelemetryFrame(const TelemetryFrame& t, std::string* out) {
   return OkStatus();
 }
 
-Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
+namespace {
+
+/// DecodeFramePayload into `frame`, reusing its envelope buffer so a reader
+/// keeping one WireFrame does not allocate per frame. Partial on failure.
+Status DecodeInto(const uint8_t* data, size_t len, WireFrame& frame) {
   Cursor c{data, len};
   uint8_t version = c.U8();
   uint8_t type = c.U8();
@@ -274,29 +256,10 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
                                 std::to_string(version) + ", want " +
                                 std::to_string(kWireVersion));
   }
-  WireFrame frame;
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::kEnvelope: {
-      frame.type = FrameType::kEnvelope;
-      frame.envelope.from = c.I32();
-      frame.envelope.to = c.I32();
-      uint8_t kind = c.U8();
-      frame.envelope.msg.flag = c.U8() != 0;
-      frame.envelope.msg.epoch = c.I64();
-      frame.envelope.msg.value = c.I64();
-      frame.seq = c.U64();
-      if (!c.ok || c.pos != len) {
-        return InvalidArgumentError("malformed envelope frame body");
-      }
-      if (kind > static_cast<uint8_t>(ActorMsgKind::kThresholdUpdate)) {
-        return InvalidArgumentError("invalid actor message kind " +
-                                    std::to_string(kind));
-      }
-      frame.envelope.msg.kind = static_cast<ActorMsgKind>(kind);
-      return frame;
-    }
+  frame.type = static_cast<FrameType>(type);  // Unknown types fail below.
+  frame.seq = 0;
+  switch (frame.type) {
     case FrameType::kEnvelopeBatch: {
-      frame.type = FrameType::kEnvelopeBatch;
       uint32_t count = c.U32();
       // Each envelope body is 26 bytes; validating the count against the
       // bytes actually present bounds the allocation before resize.
@@ -324,10 +287,9 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
       if (!c.ok || c.pos != len) {
         return InvalidArgumentError("malformed envelope batch body");
       }
-      return frame;
+      return OkStatus();
     }
     case FrameType::kHello: {
-      frame.type = FrameType::kHello;
       frame.hello.magic = c.U32();
       frame.hello.worker = c.I32();
       frame.hello.num_workers = c.I32();
@@ -341,10 +303,9 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
       if (frame.hello.magic != kWireMagic) {
         return InvalidArgumentError("hello magic mismatch (not a dcv peer?)");
       }
-      return frame;
+      return OkStatus();
     }
     case FrameType::kHelloAck: {
-      frame.type = FrameType::kHelloAck;
       frame.hello_ack.magic = c.U32();
       frame.hello_ack.ok = c.U8();
       frame.hello_ack.virtual_time = c.U8();
@@ -361,10 +322,9 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
       if (frame.hello_ack.magic != kWireMagic) {
         return InvalidArgumentError("hello-ack magic mismatch");
       }
-      return frame;
+      return OkStatus();
     }
     case FrameType::kLayoutUpdate: {
-      frame.type = FrameType::kLayoutUpdate;
       frame.layout.version = c.U32();
       frame.layout.num_sites = c.I32();
       frame.layout.num_shards = c.I32();
@@ -392,19 +352,18 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
           return InvalidArgumentError("layout frame boundaries descend");
         }
       }
-      return frame;
+      return OkStatus();
     }
     case FrameType::kLayoutAck: {
-      frame.type = FrameType::kLayoutAck;
       frame.layout_ack.version = c.U32();
       if (!c.ok || c.pos != len) {
         return InvalidArgumentError("malformed layout-ack frame body");
       }
-      return frame;
+      return OkStatus();
     }
     case FrameType::kTelemetry: {
-      frame.type = FrameType::kTelemetry;
       TelemetryFrame& t = frame.telemetry;
+      t = TelemetryFrame{};  // The tables below fill by name.
       t.worker = c.I32();
       t.final_flush = c.U8();
       t.wall_time_us = c.I64();
@@ -477,10 +436,18 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
       if (!c.ok || c.pos != len) {
         return InvalidArgumentError("malformed telemetry frame body");
       }
-      return frame;
+      return OkStatus();
     }
   }
   return InvalidArgumentError("unknown frame type " + std::to_string(type));
+}
+
+}  // namespace
+
+Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
+  WireFrame frame;
+  DCV_RETURN_IF_ERROR(DecodeInto(data, len, frame));
+  return frame;
 }
 
 void FrameReader::Append(const uint8_t* data, size_t n) {
@@ -522,8 +489,7 @@ Result<bool> FrameReader::Next(WireFrame* out) {
   if (buffer_.size() - pos_ < 4 + static_cast<size_t>(payload)) {
     return false;
   }
-  DCV_ASSIGN_OR_RETURN(WireFrame frame, DecodeFramePayload(base + 4, payload));
-  *out = frame;
+  DCV_RETURN_IF_ERROR(DecodeInto(base + 4, payload, *out));
   pos_ += 4 + static_cast<size_t>(payload);
   // Compact once the consumed prefix dominates, keeping amortized O(1).
   if (pos_ > 4096 && pos_ * 2 > buffer_.size()) {
@@ -548,6 +514,12 @@ std::string FrameReader::TakeBuffered() {
   buffer_.clear();
   pos_ = 0;
   return rest;
+}
+
+int64_t WallClockUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
 }
 
 std::string SocketStats::ToString() const {

@@ -43,16 +43,20 @@ namespace dcv {
 //
 // Version 4 adds kEnvelopeBatch: one length-prefixed frame carrying K
 // routed envelopes (a worker's coalesced per-epoch update burst) instead
-// of K separate kEnvelope frames — count(u32), then K fixed-layout
+// of K separate single-envelope frames — count(u32), then K fixed-layout
 // envelope bodies, then ONE sequence number for the whole frame. Batches
-// share the kEnvelope replay machinery wholesale: the frame is one
+// share the single-envelope replay machinery wholesale: the frame is one
 // sent-ring entry under one seq, so reconnect replay retransmits it
 // atomically and the receiver's high-water-mark dedup accepts or drops
 // all K envelopes together — a batch can never be half-applied after a
 // resume. Batch frames may exceed kMaxFramePayload (up to
 // kMaxBatchPayload, type-peeked like telemetry).
+//
+// Version 5 removes the single-envelope frame (type 0, now an unknown
+// type): a lone envelope travels as a kEnvelopeBatch of one, 4 bytes more.
+// A v4 peer fails at the hello on the version byte.
 
-inline constexpr uint8_t kWireVersion = 4;
+inline constexpr uint8_t kWireVersion = 5;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.
@@ -83,8 +87,9 @@ inline constexpr uint32_t kMaxBatchEnvelopes = 4096;
 /// frame type is peeked before accepting an over-kMaxFramePayload length.
 inline constexpr uint32_t kMaxBatchPayload = 1u << 18;
 
+/// Type 0 (the single-envelope frame before v5) stays unassigned, so an old
+/// peer's envelope decodes as an unknown frame type.
 enum class FrameType : uint8_t {
-  kEnvelope = 0,      ///< A routed ActorMessage (the steady-state frame).
   kHello = 1,         ///< Worker -> coordinator, first frame after connect.
   kHelloAck = 2,      ///< Coordinator -> worker, handshake verdict + mode.
   kLayoutUpdate = 3,  ///< Coordinator -> worker, versioned shard layout.
@@ -168,8 +173,7 @@ struct TelemetryFrame {
 
 /// One decoded frame; `type` selects which member is meaningful.
 struct WireFrame {
-  FrameType type = FrameType::kEnvelope;
-  Envelope envelope;
+  FrameType type = FrameType::kEnvelopeBatch;
   uint64_t seq = 0;  ///< Envelope sequence number; 0 = unsequenced.
   /// kEnvelopeBatch: the K envelopes, in send order, all under `seq`.
   std::vector<Envelope> batch;
@@ -180,15 +184,13 @@ struct WireFrame {
   TelemetryFrame telemetry;
 };
 
-/// Append the length-prefixed encoding of a frame to `out`. `seq` is the
+/// Append the length-prefixed encoding of a frame to `out`.
+///
+/// AppendEnvelopeBatchFrame serializes `count` envelopes from `envs` as one
+/// kEnvelopeBatch frame under a single sequence number `seq`, the
 /// per-connection-direction sequence number (0 for unsequenced frames,
-/// e.g. unit tests or pre-handshake traffic).
-void AppendEnvelopeFrame(const Envelope& e, std::string* out,
-                         uint64_t seq = 0);
-
-/// Serializes `count` envelopes from `envs` as one kEnvelopeBatch frame
-/// under a single sequence number. Requires 1 <= count <=
-/// kMaxBatchEnvelopes (callers chunk larger bursts).
+/// e.g. unit tests). Requires 1 <= count <= kMaxBatchEnvelopes (callers
+/// chunk larger bursts).
 void AppendEnvelopeBatchFrame(const Envelope* envs, size_t count,
                               std::string* out, uint64_t seq = 0);
 void AppendHelloFrame(const HelloFrame& h, std::string* out);
@@ -214,10 +216,10 @@ class FrameReader {
   /// Appends raw bytes from the stream.
   void Append(const uint8_t* data, size_t n);
 
-  /// Pops the next complete frame into `*out`. Returns true when a frame
-  /// was produced, false when more bytes are needed; a non-OK status means
-  /// the stream is corrupt (oversized length, bad version/type) and the
-  /// connection must be dropped.
+  /// Pops the next complete frame into `*out`, reusing its envelope
+  /// buffer. Returns true when a frame was produced, false when more bytes
+  /// are needed; a non-OK status means the stream is corrupt (oversized
+  /// length, bad version/type) and the connection must be dropped.
   Result<bool> Next(WireFrame* out);
 
   /// Call when the stream has ended (EOF). OK if the stream ended on a
@@ -239,6 +241,10 @@ class FrameReader {
   std::string buffer_;
   size_t pos_ = 0;  ///< Consumed prefix of buffer_; compacted lazily.
 };
+
+/// Wall-clock microseconds (system_clock) for wire timestamps: they compare
+/// across processes, where a steady_clock epoch means nothing.
+int64_t WallClockUs();
 
 /// Wire-level reliability counters for one SocketTransport, the
 /// ChannelStats analogue for the TCP fabric. Mirrored into obs metrics

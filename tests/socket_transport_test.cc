@@ -1,6 +1,11 @@
 #include "runtime/socket_transport.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -65,6 +70,57 @@ std::vector<std::unique_ptr<SocketTransport>> ConnectWorkers(
     t.join();
   }
   return workers;
+}
+
+/// Dials the coordinator on loopback over a raw socket and sends `hello`
+/// as hand-built wire bytes; returns the fd (-1 on failure).
+int DialRawHello(int port, const HelloFrame& hello) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string bytes;
+  AppendHelloFrame(hello, &bytes);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(bytes.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads the coordinator's hello-ack off a raw socket (5 s budget).
+Result<HelloAckFrame> ReadRawAck(int fd) {
+  FrameReader reader;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    WireFrame frame;
+    DCV_ASSIGN_OR_RETURN(bool ready, reader.Next(&frame));
+    if (ready) {
+      if (frame.type != FrameType::kHelloAck) {
+        return InternalError("expected a hello-ack");
+      }
+      return frame.hello_ack;
+    }
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) {
+      continue;
+    }
+    uint8_t buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      return InternalError("stream ended before the hello-ack");
+    }
+    reader.Append(buf, static_cast<size_t>(n));
+  }
+  return ResourceExhaustedError("no hello-ack within 5 s");
 }
 
 TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
@@ -348,6 +404,174 @@ TEST(SocketTransportTest, ValidatesArguments) {
       SocketTransport::Connect("not-an-ip", 80, 0, 1, 1, FastOptions()).ok());
   EXPECT_FALSE(
       SocketTransport::Connect("127.0.0.1", 80, 5, 4, 2, FastOptions()).ok());
+}
+
+TEST(SocketTransportTest, StatsMatchRegistryAfterReplay) {
+#ifdef DCV_OBS_DISABLE
+  GTEST_SKIP() << "registry twins compile out under DCV_OBS_DISABLE";
+#endif
+  // stats() and the "runtime/socket/*" registry counters are one ledger:
+  // after a severed link resumes and replays, every field still agrees on
+  // both sides (replay bytes included).
+  obs::MetricsRegistry coordinator_metrics;
+  obs::MetricsRegistry worker_metrics;
+  SocketTransport::Options options = FastOptions();
+  options.allow_reconnect = true;
+  options.reconnect_window_ms = 5000;
+  options.reconnect_grace_ms = 20;
+  SocketTransport::Options coordinator_options = options;
+  coordinator_options.metrics = &coordinator_metrics;
+  SocketTransport::Options worker_options = options;
+  worker_options.metrics = &worker_metrics;
+  auto listen = SocketTransport::Listen(/*num_sites=*/1, /*num_workers=*/1,
+                                        /*port=*/0, coordinator_options);
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  std::unique_ptr<SocketTransport> worker;
+  std::thread dial([&] {
+    auto t = SocketTransport::Connect("127.0.0.1", coordinator->port(),
+                                      /*worker=*/0, /*num_sites=*/1,
+                                      /*num_workers=*/1, worker_options);
+    if (t.ok()) {
+      worker = std::move(*t);
+    }
+  });
+  ASSERT_TRUE(coordinator->AcceptWorkers().ok());
+  dial.join();
+  ASSERT_TRUE(worker != nullptr);
+
+  ASSERT_TRUE(coordinator->InjectPeerFailure(0).ok());
+  constexpr int kFrames = 20;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(
+        coordinator->Send(ToSite(0, ActorMsgKind::kPollRequest, i, i)));
+    ASSERT_TRUE(worker->Send(ToCoordinator(0, ActorMsgKind::kAlarm, i, i)));
+  }
+  Envelope e;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(worker->RecvWorker(0, &e)) << "frame " << i;
+    ASSERT_TRUE(coordinator->RecvShard(0, &e)) << "frame " << i;
+  }
+  worker->Shutdown();
+  coordinator->Shutdown();
+
+  const SocketStats cstats = coordinator->stats();
+  EXPECT_EQ(cstats.reconnects, 1);
+  EXPECT_GT(cstats.replayed_frames, 0);
+  struct Field {
+    const char* name;
+    int64_t SocketStats::*field;
+  };
+  const Field fields[] = {
+      {"frames_tx", &SocketStats::frames_sent},
+      {"frames_rx", &SocketStats::frames_received},
+      {"bytes_tx", &SocketStats::bytes_sent},
+      {"bytes_rx", &SocketStats::bytes_received},
+      {"connect_attempts", &SocketStats::connect_attempts},
+      {"connect_retries", &SocketStats::connect_retries},
+      {"accept_timeouts", &SocketStats::accept_timeouts},
+      {"decode_errors", &SocketStats::decode_errors},
+      {"disconnects", &SocketStats::disconnects},
+      {"truncated_frames", &SocketStats::truncated_frames},
+      {"reconnects", &SocketStats::reconnects},
+      {"replayed_frames", &SocketStats::replayed_frames},
+      {"duplicate_frames", &SocketStats::duplicate_frames},
+  };
+  const std::pair<const char*, std::pair<SocketStats, obs::MetricsRegistry*>>
+      sides[] = {{"coordinator", {cstats, &coordinator_metrics}},
+                 {"worker", {worker->stats(), &worker_metrics}}};
+  for (const auto& [side, ledgers] : sides) {
+    const obs::MetricsSnapshot snap = ledgers.second->Snapshot();
+    for (const Field& f : fields) {
+      const std::string name = std::string("runtime/socket/") + f.name;
+      ASSERT_EQ(snap.counters.count(name), 1u) << side << " " << name;
+      EXPECT_EQ(snap.counters.at(name), ledgers.first.*f.field)
+          << side << " " << name;
+    }
+  }
+}
+
+TEST(SocketTransportTest, InitialAcceptRejectsDuplicateWorker) {
+  // Two hand-built hellos claiming the same worker index: the first is
+  // accepted, the second gets ok == 0 and fails the whole accept.
+  auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/2,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  Status accept = OkStatus();
+  std::thread acceptor([&] { accept = coordinator->AcceptWorkers(); });
+  HelloFrame hello;
+  hello.worker = 0;
+  hello.num_workers = 2;
+  hello.num_sites = 2;
+  const int first = DialRawHello(coordinator->port(), hello);
+  ASSERT_GE(first, 0);
+  auto first_ack = ReadRawAck(first);
+  const int second = DialRawHello(coordinator->port(), hello);
+  auto second_ack = second >= 0 ? ReadRawAck(second)
+                                : Result<HelloAckFrame>(
+                                      InternalError("second dial failed"));
+  acceptor.join();
+  ::close(first);
+  if (second >= 0) {
+    ::close(second);
+  }
+  ASSERT_TRUE(first_ack.ok()) << first_ack.status().message();
+  EXPECT_EQ(first_ack->ok, 1);
+  ASSERT_TRUE(second_ack.ok()) << second_ack.status().message();
+  EXPECT_EQ(second_ack->ok, 0);
+  ASSERT_FALSE(accept.ok());
+  EXPECT_NE(accept.message().find("connected twice"), std::string::npos)
+      << accept.message();
+  coordinator->Shutdown();
+}
+
+TEST(SocketTransportTest, ResumeRejectsStaleGeneration) {
+  // A resume hello whose generation is not newer than the live link's is
+  // fenced off: ok == 0, and the live link keeps working untouched.
+  SocketTransport::Options options = FastOptions();
+  options.allow_reconnect = true;
+  auto listen = SocketTransport::Listen(/*num_sites=*/1, /*num_workers=*/1,
+                                        /*port=*/0, options);
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  std::unique_ptr<SocketTransport> worker;
+  std::thread dial([&] {
+    auto t = SocketTransport::Connect("127.0.0.1", coordinator->port(),
+                                      /*worker=*/0, /*num_sites=*/1,
+                                      /*num_workers=*/1, options);
+    if (t.ok()) {
+      worker = std::move(*t);
+    }
+  });
+  ASSERT_TRUE(coordinator->AcceptWorkers().ok());
+  dial.join();
+  ASSERT_TRUE(worker != nullptr);
+
+  HelloFrame stale;
+  stale.worker = 0;
+  stale.num_workers = 1;
+  stale.num_sites = 1;
+  stale.generation = 0;  // The live link's own generation: not newer.
+  const int fd = DialRawHello(coordinator->port(), stale);
+  ASSERT_GE(fd, 0);
+  auto ack = ReadRawAck(fd);
+  ::close(fd);
+  ASSERT_TRUE(ack.ok()) << ack.status().message();
+  EXPECT_EQ(ack->ok, 0);
+
+  ASSERT_TRUE(
+      coordinator->Send(ToSite(0, ActorMsgKind::kThresholdUpdate, 0, 7)));
+  ASSERT_TRUE(worker->Send(ToCoordinator(0, ActorMsgKind::kAlarm, 1, 8)));
+  Envelope e;
+  ASSERT_TRUE(worker->RecvWorker(0, &e));
+  EXPECT_EQ(e.msg.value, 7);
+  ASSERT_TRUE(coordinator->RecvShard(0, &e));
+  EXPECT_EQ(e.msg.value, 8);
+  worker->Shutdown();
+  coordinator->Shutdown();
+  EXPECT_EQ(coordinator->stats().reconnects, 0);
+  EXPECT_EQ(worker->stats().reconnects, 0);
 }
 
 }  // namespace

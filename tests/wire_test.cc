@@ -24,6 +24,18 @@ Envelope MakeEnvelope(int32_t from, int32_t to, ActorMsgKind kind,
   return e;
 }
 
+/// A lone envelope as the writer sends it: a kEnvelopeBatch of one.
+void AppendSingle(const Envelope& e, std::string* out, uint64_t seq = 0) {
+  AppendEnvelopeBatchFrame(&e, 1, out, seq);
+}
+
+/// The one envelope of a batch-of-one frame.
+const Envelope& OnlyEnvelope(const WireFrame& frame) {
+  EXPECT_EQ(frame.type, FrameType::kEnvelopeBatch);
+  EXPECT_EQ(frame.batch.size(), 1u);
+  return frame.batch.at(0);
+}
+
 void ExpectEnvelopeEq(const Envelope& want, const Envelope& got) {
   EXPECT_EQ(want.from, got.from);
   EXPECT_EQ(want.to, got.to);
@@ -40,12 +52,11 @@ TEST(WireTest, EnvelopeRoundTripAllKinds) {
         /*from=*/kCoordinatorId, /*to=*/7, static_cast<ActorMsgKind>(k),
         /*epoch=*/-1, /*value=*/INT64_MIN, /*flag=*/k % 2 == 0);
     std::string buf;
-    AppendEnvelopeFrame(e, &buf);
+    AppendSingle(e, &buf);
     auto frame = DecodeFramePayload(
         reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
     ASSERT_TRUE(frame.ok()) << frame.status().message();
-    ASSERT_EQ(frame->type, FrameType::kEnvelope);
-    ExpectEnvelopeEq(e, frame->envelope);
+    ExpectEnvelopeEq(e, OnlyEnvelope(*frame));
   }
 }
 
@@ -103,8 +114,10 @@ TEST(WireTest, RejectsBadMagicAndBadKind) {
                    .ok());
 
   std::string env;
-  AppendEnvelopeFrame(Envelope{}, &env);
-  env[14] = 50;  // ActorMsgKind byte, way out of enum range.
+  AppendSingle(Envelope{}, &env);
+  // ActorMsgKind byte (prefix 4, version, type, count 4, from 4, to 4), way
+  // out of enum range.
+  env[18] = 50;
   auto frame = DecodeFramePayload(
       reinterpret_cast<const uint8_t*>(env.data()) + 4, env.size() - 4);
   ASSERT_FALSE(frame.ok());
@@ -113,7 +126,7 @@ TEST(WireTest, RejectsBadMagicAndBadKind) {
 
 TEST(WireTest, RejectsShortAndOverlongBodies) {
   std::string buf;
-  AppendEnvelopeFrame(Envelope{}, &buf);
+  AppendSingle(Envelope{}, &buf);
   const uint8_t* payload = reinterpret_cast<const uint8_t*>(buf.data()) + 4;
   // Every truncation of the payload fails rather than decoding garbage.
   for (size_t len = 0; len < buf.size() - 4; ++len) {
@@ -134,7 +147,7 @@ TEST(WireTest, ReaderReassemblesByteAtATime) {
     Envelope e = MakeEnvelope(i, kCoordinatorId, ActorMsgKind::kAlarm,
                               1000 + i, -i * 7, i % 3 == 0);
     sent.push_back(e);
-    AppendEnvelopeFrame(e, &stream);
+    AppendSingle(e, &stream);
   }
   FrameReader reader;
   std::vector<Envelope> got;
@@ -147,7 +160,7 @@ TEST(WireTest, ReaderReassemblesByteAtATime) {
       if (!*r) {
         break;
       }
-      got.push_back(frame.envelope);
+      got.push_back(OnlyEnvelope(frame));
     }
   }
   ASSERT_EQ(got.size(), sent.size());
@@ -166,7 +179,7 @@ TEST(WireTest, ReaderHandlesRandomChunkingAndMixedTypes) {
   for (int i = 0; i < 200; ++i) {
     switch (rng.UniformInt(0, 2)) {
       case 0: {
-        AppendEnvelopeFrame(
+        AppendSingle(
             MakeEnvelope(rng.UniformInt(0, 100), kCoordinatorId,
                          ActorMsgKind::kPollResponse,
                          rng.UniformInt(0, 1 << 20),
@@ -200,7 +213,7 @@ TEST(WireTest, ReaderHandlesRandomChunkingAndMixedTypes) {
         break;
       }
       ++got_total;
-      if (frame.type == FrameType::kEnvelope) {
+      if (frame.type == FrameType::kEnvelopeBatch) {
         ++got_envelopes;
       }
     }
@@ -228,7 +241,7 @@ TEST(WireTest, ReaderTakeBufferedReturnsUnconsumedTail) {
   AppendHelloAckFrame(HelloAckFrame{}, &stream);
   Envelope e = MakeEnvelope(kCoordinatorId, 2, ActorMsgKind::kThresholdUpdate,
                             -1, 424242, false);
-  AppendEnvelopeFrame(e, &stream);
+  AppendSingle(e, &stream);
 
   FrameReader handshake;
   handshake.Append(reinterpret_cast<const uint8_t*>(stream.data()),
@@ -246,19 +259,18 @@ TEST(WireTest, ReaderTakeBufferedReturnsUnconsumedTail) {
   r = steady.Next(&frame);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(*r);
-  ASSERT_EQ(frame.type, FrameType::kEnvelope);
-  ExpectEnvelopeEq(e, frame.envelope);
+  ExpectEnvelopeEq(e, OnlyEnvelope(frame));
 }
 
 TEST(WireTest, EnvelopeSequenceNumberRoundTrips) {
   Envelope e = MakeEnvelope(3, kCoordinatorId, ActorMsgKind::kAlarm, 12, 99,
                             true);
   std::string buf;
-  AppendEnvelopeFrame(e, &buf, /*seq=*/0xdeadbeefcafe1234ULL);
+  AppendSingle(e, &buf, /*seq=*/0xdeadbeefcafe1234ULL);
   auto frame = DecodeFramePayload(
       reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
   ASSERT_TRUE(frame.ok()) << frame.status().message();
-  ExpectEnvelopeEq(e, frame->envelope);
+  ExpectEnvelopeEq(e, OnlyEnvelope(*frame));
   EXPECT_EQ(frame->seq, 0xdeadbeefcafe1234ULL);
 }
 
@@ -336,7 +348,7 @@ TEST(WireTest, LayoutFrameRejectsMalformedBoundaries) {
 
 TEST(WireTest, FinishDistinguishesCleanEofFromTruncation) {
   std::string stream;
-  AppendEnvelopeFrame(Envelope{}, &stream);
+  AppendSingle(Envelope{}, &stream);
 
   // Clean EOF: every appended byte was consumed as a whole frame.
   FrameReader clean;
@@ -514,8 +526,8 @@ TEST(WireTest, TelemetryTruncationsNeverDecodeGarbage) {
 }
 
 // kEnvelopeBatch (wire v4): K routed envelopes under one length prefix and
-// one sequence number — the coalesced per-epoch update frame the writer
-// emits when its send queue bursts.
+// one sequence number — the only envelope frame since v5 (a lone envelope
+// is a batch of one).
 
 TEST(WireTest, EnvelopeBatchRoundTrip) {
   std::vector<Envelope> sent;
@@ -536,22 +548,9 @@ TEST(WireTest, EnvelopeBatchRoundTrip) {
   }
 }
 
-TEST(WireTest, EnvelopeBatchSingletonMatchesLooseEnvelope) {
-  Envelope e = MakeEnvelope(4, kCoordinatorId, ActorMsgKind::kAlarm, 17, 23,
-                            true);
-  std::string buf;
-  AppendEnvelopeBatchFrame(&e, 1, &buf, /*seq=*/7);
-  auto frame = DecodeFramePayload(
-      reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
-  ASSERT_TRUE(frame.ok()) << frame.status().message();
-  ASSERT_EQ(frame->type, FrameType::kEnvelopeBatch);
-  ASSERT_EQ(frame->batch.size(), 1u);
-  ExpectEnvelopeEq(e, frame->batch[0]);
-}
-
 TEST(WireTest, EnvelopeBatchMaxSizeRoundTripsThroughReader) {
   // The largest legal batch must survive the FrameReader's oversized-frame
-  // peek (it is bigger than a loose envelope but under kMaxBatchPayload).
+  // peek (it is bigger than kMaxFramePayload but under kMaxBatchPayload).
   std::vector<Envelope> sent;
   for (uint32_t i = 0; i < kMaxBatchEnvelopes; ++i) {
     sent.push_back(MakeEnvelope(static_cast<int32_t>(i), kCoordinatorId,
@@ -606,6 +605,108 @@ TEST(WireTest, EnvelopeBatchRejectsLyingCount) {
                    reinterpret_cast<const uint8_t*>(buf.data()) + 4,
                    buf.size() - 4)
                    .ok());
+}
+
+TEST(WireTest, RejectsRetiredSingleEnvelopeType) {
+  // Type 0 was the v4 single-envelope frame. A v5 payload carrying it, with
+  // that frame's old body, is an unknown type both to the decoder and to
+  // the stream reader.
+  std::string payload;
+  payload.push_back(static_cast<char>(kWireVersion));
+  payload.push_back(0);                   // Frame type 0.
+  payload.append(26 + 8, '\0');           // Envelope body + seq.
+  auto frame = DecodeFramePayload(
+      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.status().message().find("unknown frame type 0"),
+            std::string::npos)
+      << frame.status().message();
+
+  std::string stream(4, '\0');
+  stream[0] = static_cast<char>(payload.size());
+  stream += payload;
+  FrameReader reader;
+  reader.Append(reinterpret_cast<const uint8_t*>(stream.data()),
+                stream.size());
+  WireFrame out;
+  auto r = reader.Next(&out);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("unknown frame type"),
+            std::string::npos);
+}
+
+TEST(WireTest, FlipEveryByteOfMixedStreamFailsNamed) {
+  // One frame of every type, then every byte flipped in turn: the reader
+  // must yield frames or a named error, never crash, hang or over-read
+  // (the sanitizer build checks the last). A flipped version byte is
+  // always caught.
+  std::string stream;
+  std::vector<size_t> version_at;
+  auto mark = [&] { version_at.push_back(stream.size() + 4); };
+  HelloFrame hello;
+  hello.worker = 1;
+  hello.num_workers = 2;
+  hello.num_sites = 8;
+  mark();
+  AppendHelloFrame(hello, &stream);
+  HelloAckFrame ack;
+  ack.ok = 1;
+  mark();
+  AppendHelloAckFrame(ack, &stream);
+  LayoutFrame layout;
+  layout.version = 2;
+  layout.num_sites = 8;
+  layout.num_shards = 2;
+  layout.starts = {0, 4, 8};
+  mark();
+  AppendLayoutFrame(layout, &stream);
+  LayoutAckFrame layout_ack;
+  layout_ack.version = 2;
+  mark();
+  AppendLayoutAckFrame(layout_ack, &stream);
+  std::vector<Envelope> envs;
+  for (int i = 0; i < 64; ++i) {
+    envs.push_back(MakeEnvelope(i, kCoordinatorId, ActorMsgKind::kAlarm, i,
+                                i * 5, i % 2 == 0));
+  }
+  mark();
+  AppendEnvelopeBatchFrame(envs.data(), 1, &stream, /*seq=*/1);
+  mark();
+  AppendEnvelopeBatchFrame(envs.data(), envs.size(), &stream, /*seq=*/2);
+  mark();
+  ASSERT_TRUE(AppendTelemetryFrame(MakeTelemetryFrame(), &stream).ok());
+
+  for (size_t i = 0; i < stream.size(); ++i) {
+    std::string corrupt = stream;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
+    FrameReader reader;
+    reader.Append(reinterpret_cast<const uint8_t*>(corrupt.data()),
+                  corrupt.size());
+    Status status = OkStatus();
+    size_t frames = 0;
+    for (;;) {
+      WireFrame frame;
+      auto r = reader.Next(&frame);
+      if (!r.ok()) {
+        status = r.status();
+        break;
+      }
+      if (!*r) {
+        status = reader.Finish();
+        break;
+      }
+      ASSERT_LE(++frames, version_at.size()) << "flip at byte " << i;
+    }
+    if (!status.ok()) {
+      EXPECT_FALSE(status.message().empty()) << "flip at byte " << i;
+    }
+    if (std::find(version_at.begin(), version_at.end(), i) !=
+        version_at.end()) {
+      ASSERT_FALSE(status.ok()) << "version flip at byte " << i;
+      EXPECT_NE(status.message().find("wire version"), std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 }  // namespace

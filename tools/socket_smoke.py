@@ -11,9 +11,10 @@ socket stats are excluded (they legitimately differ between transports).
 With --metrics-json the coordinator's merged telemetry document (its own
 registry folded with every worker's final kTelemetry push) is written,
 schema-validated via validate_metrics.py, and checked for worker-side
-counters. With --trace-out the merged Chrome trace is written and checked
-for one lane per process (and, under --chaos kill-worker, for the
-worker_reconnect recovery instant event).
+counters (and, under --chaos kill-worker, for a counted
+runtime/socket/reconnects). With --trace-out the merged Chrome trace is
+written and checked for one lane per process (and, under --chaos
+kill-worker, for the worker_reconnect recovery instant event).
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -213,6 +214,12 @@ def main():
         if counters.get("runtime/site/updates", 0) <= 0:
             sys.exit("merged document has no worker-side counters: %r"
                      % {k: v for k, v in counters.items() if "site" in k})
+        # The registry side of the socket ledger must count the severed
+        # link's resume too, not just the "socket:" stats line.
+        if (args.chaos == "kill-worker"
+                and counters.get("runtime/socket/reconnects", 0) < 1):
+            sys.exit("kill-worker merged document counts no reconnect: %r"
+                     % {k: v for k, v in counters.items() if "socket" in k})
 
     if args.trace_out:
         with open(args.trace_out, encoding="utf-8") as f:
