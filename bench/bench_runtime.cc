@@ -178,15 +178,6 @@ Result<BenchConfig> ParseArgs(int argc, char** argv) {
     DCV_ASSIGN_OR_RETURN(config.chaos.kind,
                          ParseChaosKind(parsed.GetString("chaos", "none")));
   }
-  if (config.chaos.kind == ChaosKind::kKillWorker ||
-      config.chaos.kind == ChaosKind::kReshard) {
-    // kill-worker and reshard only exist for the virtual-time/socket
-    // conformance runs; the free-running throughput sweep measures
-    // shard-loss recovery.
-    return InvalidArgumentError(
-        "bench_runtime only supports --chaos kill-shard (the free-running "
-        "sweep measures shard-loss recovery)");
-  }
   DCV_ASSIGN_OR_RETURN(int64_t chaos_seed, parsed.GetInt("chaos-seed", 3));
   config.chaos.seed = static_cast<uint64_t>(chaos_seed);
   DCV_ASSIGN_OR_RETURN(

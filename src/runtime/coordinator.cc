@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "runtime/mailbox.h"
-#include "runtime/plan.h"
 #include "runtime/shard.h"
 #include "runtime/shard_layout.h"
 
@@ -19,25 +18,65 @@ namespace dcv {
 
 namespace {
 
-int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
+using Clock = std::chrono::steady_clock;
 
 /// Records one coordinator-tree lifecycle event (shard death or respawn,
 /// layout rotation) on the shard's trace lane; shard -1 = the root.
 void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
                      int64_t epoch, int shard, int64_t value) {
-  if (recorder == nullptr) {
-    return;
+  if (recorder != nullptr) {
+    recorder->Record(obs::TraceEvent{
+        .kind = kind, .epoch = epoch, .value = value, .shard = shard});
   }
-  obs::TraceEvent ev;
-  ev.kind = kind;
-  ev.epoch = epoch;
-  ev.shard = shard;
-  ev.value = value;
-  recorder->Record(ev);
+}
+
+void CountRecovery(Clock::time_point since, RuntimeResult* out) {
+  const std::chrono::duration<double, std::milli> took = Clock::now() - since;
+  ++out->shard_recoveries;
+  out->recovery_ms = std::max(out->recovery_ms, took.count());
+}
+
+const char* ProtocolName(RuntimeProtocol protocol) {
+  return protocol == RuntimeProtocol::kLocalThreshold ? "local-threshold"
+                                                      : "polling";
+}
+
+/// The run's starting layout; the transport must route as many shards.
+Result<ShardLayout> TreeLayout(const CoordinatorActor::Config& config,
+                               const Transport& transport) {
+  if (transport.num_shards() != config.num_shards) {
+    return InvalidArgumentError(
+        "transport shard count does not match coordinator num_shards");
+  }
+  return MakeShardLayout(config.num_sites, config.num_shards);
+}
+
+struct ShardSlot {
+  int shard = 0;
+  // Virtual mode.
+  /// The leg runs on the root's thread: shard 0 of a 1-shard tree from the
+  /// start, or a dead shard's range after the root took it over.
+  bool inline_leg = false;
+  std::unique_ptr<Mailbox<ShardCmd>> cmds;  ///< Shard thread only.
+  /// The shard's current command. An inline leg runs it from here, and a
+  /// shard thread that dies holding it gets it re-executed from here.
+  ShardCmd pending;
+  std::vector<std::pair<int, int64_t>> partial;  ///< This round's entries.
+  bool reported = false;  ///< This round's partial is in (both modes).
+  // Free-running mode.
+  bool exited = false;      ///< Its kShardExit arrived (counted once).
+  bool respawned = false;   ///< Replaced once; a second silence is fatal.
+  bool heard = false;       ///< Sent anything inside the probe window.
+  /// Commands that did not fit the shard inbox (detection on only).
+  std::deque<ActorMessage> backlog;
+};
+
+std::vector<ShardSlot> MakeSlots(int num_shards) {
+  std::vector<ShardSlot> slots(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    slots[static_cast<size_t>(s)].shard = s;
+  }
+  return slots;
 }
 
 }  // namespace
@@ -58,13 +97,12 @@ Status CoordinatorActor::Init() {
   }
   DCV_RETURN_IF_ERROR(
       MakeShardLayout(config_.num_sites, config_.num_shards).status());
-  if (config_.chaos.kind == ChaosKind::kKillShard ||
-      config_.chaos.kind == ChaosKind::kReshard) {
-    if (config_.num_shards < 2) {
-      return InvalidArgumentError(
-          std::string(ChaosKindName(config_.chaos.kind)) +
-          " chaos needs a sharded coordinator (num_shards >= 2)");
-    }
+  if ((config_.chaos.kind == ChaosKind::kKillShard ||
+       config_.chaos.kind == ChaosKind::kReshard) &&
+      config_.num_shards < 2) {
+    return InvalidArgumentError(
+        std::string(ChaosKindName(config_.chaos.kind)) +
+        " chaos needs a sharded coordinator (num_shards >= 2)");
   }
   if (config_.chaos.kind == ChaosKind::kKillShard &&
       config_.heartbeat_timeout_ms <= 0) {
@@ -100,848 +138,700 @@ Status CoordinatorActor::Init() {
   return OkStatus();
 }
 
-Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
-                                    RuntimeResult* out) {
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "virtual";
-  out->epochs = num_epochs;
-  out->detections.clear();
-  out->detections.reserve(static_cast<size_t>(num_epochs));
+// A virtual-time run: the root owns the Channel and the legs relay ground
+// truth (see the concurrency contract in coordinator.h).
+class CoordinatorActor::VirtualRun {
+ public:
+  VirtualRun(CoordinatorActor* actor, Transport* transport,
+             int64_t num_epochs, RuntimeResult* out)
+      : actor_(*actor),
+        transport_(transport),
+        out_(out),
+        num_epochs_(num_epochs) {}
 
-  const int n = config_.num_sites;
-  const int k = config_.num_shards;
-  DCV_ASSIGN_OR_RETURN(ShardLayout layout, MakeShardLayout(n, k));
-  if (transport->num_shards() != k) {
-    return InvalidArgumentError(
-        "transport shard count does not match coordinator num_shards");
-  }
-  const ResolvedChaos chaos = ResolveChaos(
-      config_.chaos, num_epochs,
-      config_.chaos.kind == ChaosKind::kKillWorker ? transport->num_workers()
-                                                   : k);
-
-  // Virtual-time shard legs are channel-free relays: they run the epoch
-  // barrier and poll fan-out for their site range and feed ground truth
-  // back; every Channel call stays on this thread in ascending site order,
-  // so the run is bit-identical to the lockstep simulator for any k.
-  //
-  // A leg runs on its own shard thread or inline on this one. Shard 0 of a
-  // 1-shard tree is inline from the start: no shard thread, no command
-  // box, no root-mailbox hop. A shard thread that dies turns inline too
-  // (direct attachment): the root re-executes the shard's pending command
-  // from its own copy and runs every later command for that range itself.
-  // Both run the exact shard-leg code, so the sites see one producer and
-  // identical traffic, and the Channel call sequence never changes.
-  std::vector<char> inline_leg(static_cast<size_t>(k), 0);
-  inline_leg[0] = k == 1;
-  const LocalPlan plan{config_.thresholds, config_.domain_max};
-  // Per-shard plan slices, cut once per layout.
-  std::vector<LocalPlan> slices;
-  auto slice_plan = [&]() {
-    slices.clear();
-    for (int s = 0; s < k; ++s) {
-      slices.push_back(SliceForShard(plan, layout, s));
+  Status Run() {
+    DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
+    slots_[0].inline_leg = slots_.size() == 1;
+    for (ShardSlot& slot : slots_) {
+      if (!slot.inline_leg) {
+        slot.cmds = std::make_unique<Mailbox<ShardCmd>>(4);
+        const bool doomed = config_.chaos.kind == ChaosKind::kKillShard &&
+                            slot.shard == chaos_.target;
+        threads_.emplace_back(RunShardVirtual, slot.shard, transport_,
+                              slot.cmds.get(), &root_box_,
+                              doomed ? chaos_.fire_epoch : -1);
+      }
     }
-  };
-  slice_plan();
-
-  Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
-  std::vector<std::unique_ptr<Mailbox<ShardCmd>>> cmd_boxes(
-      static_cast<size_t>(k));
-  std::vector<std::thread> shards;
-  for (int s = 0; s < k; ++s) {
-    if (inline_leg[static_cast<size_t>(s)]) {
-      continue;
+    Status status = OkStatus();
+    for (int64_t t = 0; t < num_epochs_ && status.ok(); ++t) {
+      status = Epoch(t);
     }
-    cmd_boxes[static_cast<size_t>(s)] = std::make_unique<Mailbox<ShardCmd>>(4);
-    ShardContext ctx;
-    ctx.shard = s;
-    ctx.layout = layout;
-    ctx.transport = transport;
-    ctx.cmds = cmd_boxes[static_cast<size_t>(s)].get();
-    ctx.to_root = &root_box;
-    ctx.plan = slices[static_cast<size_t>(s)];
-    ctx.protocol = config_.protocol;
-    if (config_.chaos.kind == ChaosKind::kKillShard && s == chaos.target) {
-      ctx.die_at_epoch = chaos.fire_epoch;
-    }
-    shards.emplace_back(RunShardVirtual, std::move(ctx));
+    return Finish(std::move(status));
   }
 
-  // Abort path: close the transport and the command boxes so every shard
-  // thread (blocked on either) wakes and exits, then join before returning.
-  auto abort_run = [&](Status status) {
-    transport->Shutdown();
-    for (auto& box : cmd_boxes) {
-      if (box != nullptr) {
-        box->Close();
-      }
-    }
-    for (std::thread& th : shards) {
-      th.join();
-    }
-    return status;
-  };
-
-  // The root keeps every shard's pending command: an inline leg runs it
-  // from here, and a shard thread that dies holding it gets it re-executed
-  // from here.
-  std::vector<ShardCmd> pending_cmds(static_cast<size_t>(k));
-
-  // Collects one partial per thread leg for the current round; arrival
-  // order across shards is free, content is not. A heartbeat timeout with
-  // nothing delivered marks the still-missing shards dead and re-executes
-  // their pending command inline.
-  std::vector<std::vector<std::pair<int, int64_t>>> partials(
-      static_cast<size_t>(k));
-  std::vector<RootMsg> root_batch;
-  // Runs shard s's pending command on this thread.
-  auto run_inline = [&](int s, RootMsg::Kind want) -> Status {
-    return want == RootMsg::Kind::kEpochPartial
-               ? ShardEpochLeg(transport, layout, s,
-                               slices[static_cast<size_t>(s)],
-                               pending_cmds[static_cast<size_t>(s)],
-                               &partials[static_cast<size_t>(s)])
-               : ShardPollLeg(transport, layout, s,
-                              pending_cmds[static_cast<size_t>(s)].epoch,
-                              &partials[static_cast<size_t>(s)]);
-  };
-  auto recover = [&](int s, RootMsg::Kind want) -> Status {
-    const auto t0 = std::chrono::steady_clock::now();
-    inline_leg[static_cast<size_t>(s)] = 1;
-    Status st = run_inline(s, want);
-    ++out->shard_recoveries;
-    out->recovery_ms = std::max(
-        out->recovery_ms, static_cast<double>(ElapsedUs(t0)) / 1000.0);
-    return st;
-  };
-  // Called once every thread leg has its command: runs the inline legs
-  // here, then waits for the thread legs' partials.
-  auto collect = [&](RootMsg::Kind want, int64_t epoch) -> Status {
-    for (int s = 0; s < k; ++s) {
-      if (inline_leg[static_cast<size_t>(s)]) {
-        DCV_RETURN_IF_ERROR(run_inline(s, want));
-      }
-    }
-    std::vector<char> got(inline_leg);
-    int expected = static_cast<int>(
-        std::count(inline_leg.begin(), inline_leg.end(), 0));
-    int received = 0;
-    while (received < expected) {
-      root_batch.clear();
-      bool timed_out = false;
-      const size_t got_msgs =
-          config_.heartbeat_timeout_ms > 0
-              ? root_box.PopAllFor(&root_batch, config_.heartbeat_timeout_ms,
-                                   &timed_out)
-              : root_box.PopAll(&root_batch);
-      if (got_msgs == 0) {
-        if (!timed_out) {
-          return InternalError(
-              "root mailbox closed while collecting partials");
-        }
-        // Heartbeat timeout: every live shard still missing its partial is
-        // presumed dead (a live shard's barrier completes well inside the
-        // timeout); re-adopt its sites and run the leg here.
-        for (int s = 0; s < k; ++s) {
-          if (got[static_cast<size_t>(s)]) {
-            continue;
-          }
-          RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
-                          epoch, s, s);
-          DCV_RETURN_IF_ERROR(recover(s, want));
-          got[static_cast<size_t>(s)] = 1;
-          --expected;
-        }
-        continue;
-      }
-      for (RootMsg& msg : root_batch) {
-        if (msg.kind == RootMsg::Kind::kError) {
-          return msg.status;
-        }
-        if (msg.kind != want || msg.epoch != epoch) {
-          return InternalError("out-of-order shard partial");
-        }
-        partials[static_cast<size_t>(msg.shard)] = std::move(msg.entries);
-        got[static_cast<size_t>(msg.shard)] = 1;
-        ++received;
-      }
-    }
-    return OkStatus();
-  };
-
-  std::vector<int64_t> poll_values(static_cast<size_t>(n), 0);
-  std::vector<std::vector<int>> resync(static_cast<size_t>(k));
-  auto poll_shards = [&](int64_t t) -> Status {
-    DCV_OBS_COUNT(polls_, 1);
-    for (int s = 0; s < k; ++s) {
-      ShardCmd& pending = pending_cmds[static_cast<size_t>(s)];
-      pending.kind = ShardCmd::Kind::kPoll;
-      pending.epoch = t;
-      if (inline_leg[static_cast<size_t>(s)]) {
-        continue;
-      }
-      ShardCmd cmd;
-      cmd.kind = ShardCmd::Kind::kPoll;
-      cmd.epoch = t;
-      if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
-        return InternalError("shard command box closed");
-      }
-    }
-    DCV_RETURN_IF_ERROR(collect(RootMsg::Kind::kPollPartial, t));
-    for (int s = 0; s < k; ++s) {
-      for (const auto& [site, value] : partials[static_cast<size_t>(s)]) {
-        poll_values[static_cast<size_t>(site)] = value;
-      }
-    }
-    return OkStatus();
-  };
-
-  for (int64_t t = 0; t < num_epochs; ++t) {
-    obs::ScopedTimer epoch_timer(epoch_us_);
+ private:
+  Status Epoch(int64_t t) {
+    obs::ScopedTimer epoch_timer(actor_.epoch_us_);
     if (config_.chaos.kind == ChaosKind::kKillWorker &&
-        t == chaos.fire_epoch) {
-      Status severed = transport->InjectPeerFailure(chaos.target);
-      (void)severed;  // Unimplemented on link-free transports; fine.
+        t == chaos_.fire_epoch) {
+      // Unimplemented on link-free transports; fine.
+      (void)transport_->InjectPeerFailure(chaos_.target);
     }
-    if (config_.chaos.kind == ChaosKind::kReshard && t == chaos.fire_epoch) {
-      // Reshard at the epoch boundary: no data-plane message is in flight
-      // (last epoch's barrier closed, this one has not started), so the
-      // routing swap cannot strand anything. UpdateLayout fences on every
-      // worker's ack; the FIFO command boxes make each shard adopt the new
-      // range strictly before its next epoch command. Poll values, partial
-      // order, and Channel calls are range-independent, so detections stay
-      // bit-identical.
-      ShardLayout next = RotateLayout(layout);
-      if (Status st = transport->UpdateLayout(next); !st.ok()) {
-        return abort_run(st);
-      }
-      layout = next;
-      slice_plan();
-      ++out->reshards;
-      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kLayoutRotation,
-                      t, /*shard=*/-1, static_cast<int64_t>(next.version));
-      for (int s = 0; s < k; ++s) {
-        if (inline_leg[static_cast<size_t>(s)]) {
-          continue;  // Inline legs read the root's `layout` directly.
-        }
-        ShardCmd cmd;
-        cmd.kind = ShardCmd::Kind::kLayout;
-        cmd.layout = layout;
-        cmd.plan = slices[static_cast<size_t>(s)];
-        if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
-          return abort_run(InternalError("shard command box closed"));
-        }
-      }
+    if (config_.chaos.kind == ChaosKind::kReshard && t == chaos_.fire_epoch) {
+      DCV_RETURN_IF_ERROR(Reshard(t));
     }
     // Same call order as the lockstep runner + scheme, so the channel's RNG
     // stream (and thus every fault fate) is bit-identical: BeginEpoch,
     // re-sync sends, (barrier), stale arrivals, alarm replays in ascending
     // site order, then the poll. Shards only move ground truth.
     channel_.BeginEpoch(t);
-
-    // Recovered sites missed threshold pushes while down: re-sync, at the
-    // top of the epoch like the lockstep scheme.
-    for (auto& r : resync) {
-      r.clear();
-    }
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold &&
-        !channel_.newly_recovered().empty()) {
-      const std::vector<int> recovered = channel_.newly_recovered();
-      for (int i : recovered) {
-        SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
-                                           /*reliable=*/true);
-        if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-          // The owning leg pushes the transport message (before its
-          // kEpochStart, preserving the per-site FIFO); the wire charge
-          // already happened here.
-          resync[static_cast<size_t>(layout.ShardOf(i))].push_back(i);
-          DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
-                        t, i, config_.thresholds[static_cast<size_t>(i)]);
-        }
-      }
-      channel_.CountResync(static_cast<int64_t>(recovered.size()));
-    }
-
-    // Epoch barrier: every site observes its value and reports back whether
-    // its local constraint fired. These are synchronization messages (they
-    // model the passage of simulated time), not protocol traffic — the
-    // protocol's alarms are replayed through the channel below.
-    for (int s = 0; s < k; ++s) {
-      ShardCmd& cmd = pending_cmds[static_cast<size_t>(s)];
-      cmd.kind = ShardCmd::Kind::kEpoch;
-      cmd.epoch = t;
-      const int start = layout.ShardStart(s);
-      const int size = layout.ShardSize(s);
-      cmd.up.resize(static_cast<size_t>(size));
-      for (int i = 0; i < size; ++i) {
-        cmd.up[static_cast<size_t>(i)] = channel_.SiteUp(start + i) ? 1 : 0;
-      }
-      cmd.resync_sites.swap(resync[static_cast<size_t>(s)]);
-      if (!inline_leg[static_cast<size_t>(s)] &&
-          !cmd_boxes[static_cast<size_t>(s)]->Push(ShardCmd(cmd))) {
-        return abort_run(InternalError("shard command box closed"));
-      }
-    }
-    if (Status st = collect(RootMsg::Kind::kEpochPartial, t); !st.ok()) {
-      return abort_run(st);
-    }
-
+    Resync(t);
+    DCV_RETURN_IF_ERROR(Barrier(t));
     EpochDetection det;
     det.epoch = t;
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
+    bool poll = !local_ && t % config_.poll_period == 0;
+    if (local_) {
       // Delayed alarms arriving now still trigger a poll; late reports of
       // other kinds are consumed and ignored (mirrors the lockstep scheme).
-      std::vector<Channel::Arrival> stale_alarms =
-          channel_.TakeArrivals(MessageType::kAlarm);
+      poll = !channel_.TakeArrivals(MessageType::kAlarm).empty();
       channel_.TakeArrivals(MessageType::kFilterReport);
-
-      int delivered_alarms = 0;
       // Shards are contiguous and entries ascend within a shard, so this
       // double loop visits alarmed sites in ascending global order — the
       // lockstep scheme's replay order.
-      for (int s = 0; s < k; ++s) {
-        for (const auto& [site, value] : partials[static_cast<size_t>(s)]) {
+      for (const ShardSlot& slot : slots_) {
+        for (const auto& [site, value] : slot.partial) {
           ++det.num_alarms;
-          DCV_OBS_COUNT(alarms_rx_, 1);
-          SendStatus st = channel_.SendFromSite(site, MessageType::kAlarm,
-                                                /*reliable=*/true, value);
-          if (st == SendStatus::kDelivered) {
-            ++delivered_alarms;
-          }
+          DCV_OBS_COUNT(actor_.alarms_rx_, 1);
+          poll |= channel_.SendFromSite(site, MessageType::kAlarm,
+                                        /*reliable=*/true, value) ==
+                  SendStatus::kDelivered;
         }
-      }
-      if (delivered_alarms > 0 || !stale_alarms.empty()) {
-        if (Status st = poll_shards(t); !st.ok()) {
-          return abort_run(st);
-        }
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              config_.domain_max);
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
-      }
-    } else {  // kPolling
-      if (t % config_.poll_period == 0) {
-        if (Status st = poll_shards(t); !st.ok()) {
-          return abort_run(st);
-        }
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              /*pessimistic=*/{});
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
       }
     }
-    out->detections.push_back(det);
+    if (poll) {
+      DCV_RETURN_IF_ERROR(Poll(t));
+      // Only the local-threshold protocol provisions pessimistic fallbacks.
+      PollOutcome outcome =
+          channel_.PollSites(poll_values_, config_.weights,
+                             local_ ? config_.domain_max : no_fallbacks_);
+      det.polled = true;
+      det.violation_reported = outcome.weighted_sum > config_.global_threshold;
+    }
+    out_->detections.push_back(det);
+    return OkStatus();
   }
 
-  for (int s = 0; s < k; ++s) {
-    if (inline_leg[static_cast<size_t>(s)]) {
-      // Inline legs' sites get their shutdown from the root directly.
-      ShardShutdownLeg(transport, layout, s);
-      continue;
+  /// At an epoch boundary no data-plane message is in flight, so the
+  /// routing swap cannot strand anything; UpdateLayout fences on every
+  /// worker's ack. Each later command carries its shard's new range, so a
+  /// leg switches ranges with the epoch command the switch applies to. Poll
+  /// values, partial order, and Channel calls are range-independent, so
+  /// detections stay bit-identical.
+  Status Reshard(int64_t t) {
+    ShardLayout next = RotateLayout(layout_);
+    DCV_RETURN_IF_ERROR(transport_->UpdateLayout(next));
+    layout_ = std::move(next);
+    ++out_->reshards;
+    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kLayoutRotation, t,
+                    /*shard=*/-1, static_cast<int64_t>(layout_.version));
+    return OkStatus();
+  }
+
+  /// Recovered sites missed threshold pushes while down: re-sync, at the top
+  /// of the epoch like the lockstep scheme. The wire charge happens here;
+  /// the owning leg pushes the transport message before its kEpochStart,
+  /// preserving the per-site FIFO.
+  void Resync(int64_t t) {
+    for (ShardSlot& slot : slots_) {
+      slot.pending.resync.clear();
     }
-    ShardCmd cmd;
-    cmd.kind = ShardCmd::Kind::kShutdown;
-    cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd));
-  }
-  for (auto& box : cmd_boxes) {
-    if (box != nullptr) {
-      box->Close();
+    if (!local_ || channel_.newly_recovered().empty()) {
+      return;
     }
+    const std::vector<int>& recovered = channel_.newly_recovered();
+    for (int i : recovered) {
+      SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
+                                         /*reliable=*/true);
+      if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
+        const int64_t threshold = config_.thresholds[static_cast<size_t>(i)];
+        slots_[static_cast<size_t>(layout_.ShardOf(i))]
+            .pending.resync.emplace_back(i, threshold);
+        DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
+                      t, i, threshold);
+      }
+    }
+    channel_.CountResync(static_cast<int64_t>(recovered.size()));
   }
-  for (std::thread& th : shards) {
-    th.join();
+
+  /// Every site observes its value and reports whether its local constraint
+  /// fired. These synchronization messages model the passage of simulated
+  /// time; they are not protocol traffic, which Epoch replays through the
+  /// channel afterwards.
+  Status Barrier(int64_t t) {
+    for (ShardSlot& slot : slots_) {
+      std::vector<char>& up = slot.pending.up;
+      const int start = layout_.ShardStart(slot.shard);
+      up.resize(static_cast<size_t>(layout_.ShardSize(slot.shard)));
+      for (size_t i = 0; i < up.size(); ++i) {
+        up[i] = channel_.SiteUp(start + static_cast<int>(i)) ? 1 : 0;
+      }
+      DCV_RETURN_IF_ERROR(Dispatch(slot, ShardCmd::Kind::kEpoch, t));
+    }
+    return Collect(RootMsg::Kind::kEpochPartial, t);
   }
-  out->messages = counter_;
-  out->reliability = channel_.stats();
-  return OkStatus();
+
+  Status Poll(int64_t t) {
+    DCV_OBS_COUNT(actor_.polls_, 1);
+    for (ShardSlot& slot : slots_) {
+      DCV_RETURN_IF_ERROR(Dispatch(slot, ShardCmd::Kind::kPoll, t));
+    }
+    DCV_RETURN_IF_ERROR(Collect(RootMsg::Kind::kPollPartial, t));
+    for (const ShardSlot& slot : slots_) {
+      for (const auto& [site, value] : slot.partial) {
+        poll_values_[static_cast<size_t>(site)] = value;
+      }
+    }
+    return OkStatus();
+  }
+
+  /// Makes `kind` at epoch `t`, over the shard's current range, the slot's
+  /// pending command and hands a copy to the shard thread (an inline leg
+  /// runs it from the slot at collect time). Only kEpoch needs the vectors.
+  Status Dispatch(ShardSlot& slot, ShardCmd::Kind kind, int64_t t) {
+    ShardCmd& cmd = slot.pending;
+    cmd.kind = kind;
+    cmd.epoch = t;
+    cmd.first_site = layout_.ShardStart(slot.shard);
+    cmd.num_sites = layout_.ShardSize(slot.shard);
+    if (!slot.inline_leg &&
+        !slot.cmds->Push(kind == ShardCmd::Kind::kEpoch
+                             ? cmd
+                             : ShardCmd{kind, t, cmd.first_site,
+                                        cmd.num_sites, {}, {}})) {
+      return InternalError("shard command box closed");
+    }
+    return OkStatus();
+  }
+
+  Status RunLeg(ShardSlot& slot) {
+    return RunShardLeg(transport_, slot.shard, slot.pending, &slot.partial);
+  }
+
+  /// Runs the inline legs here, then collects one partial per thread leg.
+  /// Arrival order across shards is free, content is not.
+  Status Collect(RootMsg::Kind want, int64_t epoch) {
+    int missing = 0;
+    for (ShardSlot& slot : slots_) {
+      slot.reported = slot.inline_leg;
+      if (slot.inline_leg) {
+        DCV_RETURN_IF_ERROR(RunLeg(slot));
+      } else {
+        ++missing;
+      }
+    }
+    while (missing > 0) {
+      batch_.clear();
+      bool timed_out = false;
+      const size_t got =
+          config_.heartbeat_timeout_ms > 0
+              ? root_box_.PopAllFor(&batch_, config_.heartbeat_timeout_ms,
+                                    &timed_out)
+              : root_box_.PopAll(&batch_);
+      if (got == 0) {
+        return timed_out ? Recover(epoch)
+                         : InternalError(
+                               "root mailbox closed while collecting partials");
+      }
+      for (RootMsg& msg : batch_) {
+        if (msg.kind == RootMsg::Kind::kShardExit) {
+          return msg.report->status;  // Sent only by a failed leg.
+        }
+        if (msg.kind != want || msg.epoch != epoch) {
+          return InternalError("out-of-order shard partial");
+        }
+        ShardSlot& slot = slots_[static_cast<size_t>(msg.shard)];
+        slot.partial = std::move(msg.entries);
+        slot.reported = true;
+        --missing;
+      }
+    }
+    return OkStatus();
+  }
+
+  /// A heartbeat window with nothing delivered: every shard still missing
+  /// its partial is presumed dead (a live shard's leg completes well inside
+  /// the window). The root takes over its sites and runs the leg here, now
+  /// and for the rest of the run.
+  Status Recover(int64_t epoch) {
+    for (ShardSlot& slot : slots_) {
+      if (!slot.reported) {
+        RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
+                        epoch, slot.shard, slot.shard);
+        const Clock::time_point since = Clock::now();
+        slot.inline_leg = true;
+        slot.reported = true;
+        Status status = RunLeg(slot);
+        CountRecovery(since, out_);
+        DCV_RETURN_IF_ERROR(status);
+      }
+    }
+    return OkStatus();
+  }
+
+  /// On success every site gets its shutdown (an inline leg's straight from
+  /// the root); on failure the transport closes instead. Either way the
+  /// command boxes close, so every shard thread wakes, exits and is joined.
+  Status Finish(Status status) {
+    if (!status.ok()) {
+      transport_->Shutdown();
+    }
+    for (ShardSlot& slot : slots_) {
+      // A closed box only means that shard thread is already gone, and a
+      // shutdown fan-out reports nothing.
+      if (status.ok() &&
+          Dispatch(slot, ShardCmd::Kind::kShutdown, num_epochs_).ok() &&
+          slot.inline_leg) {
+        (void)RunLeg(slot);
+      }
+      if (slot.cmds != nullptr) {
+        slot.cmds->Close();
+      }
+    }
+    for (std::thread& th : threads_) {
+      th.join();
+    }
+    out_->messages = actor_.counter_;
+    out_->reliability = channel_.stats();
+    return status;
+  }
+
+  CoordinatorActor& actor_;
+  Transport* const transport_;
+  RuntimeResult* const out_;
+  const int64_t num_epochs_;
+  const Config& config_ = actor_.config_;
+  Channel& channel_ = actor_.channel_;
+  const bool local_ = config_.protocol == RuntimeProtocol::kLocalThreshold;
+  const std::vector<int64_t> no_fallbacks_;
+  const ResolvedChaos chaos_ = ResolveChaos(
+      config_.chaos, num_epochs_,
+      config_.chaos.kind == ChaosKind::kKillWorker ? transport_->num_workers()
+                                                   : config_.num_shards);
+  ShardLayout layout_;
+  Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * config_.num_shards + 16)};
+  std::vector<ShardSlot> slots_ = MakeSlots(config_.num_shards);
+  std::vector<std::thread> threads_;
+  std::vector<RootMsg> batch_;
+  std::vector<int64_t> poll_values_ =
+      std::vector<int64_t>(static_cast<size_t>(config_.num_sites), 0);
+};
+
+Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
+                                    RuntimeResult* out) {
+  out->protocol = ProtocolName(config_.protocol);
+  out->mode = "virtual";
+  out->epochs = num_epochs;
+  out->detections.clear();
+  out->detections.reserve(static_cast<size_t>(num_epochs));
+  VirtualRun run(this, transport, num_epochs, out);
+  return run.Run();
 }
 
-Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "free-running";
+// A free-running run: the legs own the data plane for their slice (shard.h)
+// and the root only routes round lifecycles, O(k) messages per round.
+class CoordinatorActor::FreeRun {
+ public:
+  FreeRun(CoordinatorActor* actor, Transport* transport, RuntimeResult* out)
+      : actor_(*actor), transport_(transport), out_(out) {}
 
-  const int n = config_.num_sites;
-  const int k = config_.num_shards;
-  DCV_ASSIGN_OR_RETURN(ShardLayout layout, MakeShardLayout(n, k));
-  if (transport->num_shards() != k) {
-    return InvalidArgumentError(
-        "transport shard count does not match coordinator num_shards");
-  }
-  out->site_updates.assign(static_cast<size_t>(n), 0);
-  const ResolvedChaos chaos = ResolveChaos(config_.chaos, /*num_epochs=*/0, k);
-
-  // Free-running shard legs own the data plane for their slice: alarm
-  // intake, a private channel over shard-local ids (SliceFaultSpec), and
-  // the per-shard leg of every poll round, aggregated down to one partial
-  // SUM/MIN/MAX message. The root only routes round lifecycles — O(k)
-  // messages per round — and merges the per-shard accounting at exit.
-  // Simulated time degrades to a watermark: the highest site-local update
-  // index seen on any alarm, so fault windows still engage.
-  //
-  // With k >= 2 every leg runs on a shard thread and talks to the root
-  // through `root_box`. A 1-shard tree steps its leg inline on this thread
-  // instead: the root drains shard 0's inbox itself and serves what the
-  // leg emits through the same handler.
-  Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
-  std::vector<std::thread> shards;
-  shards.reserve(static_cast<size_t>(k));
-  auto make_ctx = [&](int s, int64_t die_after_batches) {
-    ShardContext ctx;
-    ctx.shard = s;
-    ctx.layout = layout;
-    ctx.transport = transport;
-    ctx.to_root = &root_box;
-    ctx.protocol = config_.protocol;
-    const int start = layout.ShardStart(s);
-    const int size = layout.ShardSize(s);
-    ctx.weights.assign(
-        config_.weights.begin() + start,
-        config_.weights.begin() + start + size);
-    // A free leg never re-syncs thresholds; it needs only the pessimistic
-    // poll fallbacks, and only under the local-threshold protocol.
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
-      ctx.plan.domain_max.assign(config_.domain_max.begin() + start,
-                                 config_.domain_max.begin() + start + size);
-    }
-    ctx.faults = SliceFaultSpec(config_.faults, layout, s);
-    ctx.metrics = config_.metrics;
-    ctx.recorder = config_.recorder;
-    ctx.alarms_rx = alarms_rx_;
-    ctx.die_after_batches = die_after_batches;
-    return ctx;
-  };
-  std::optional<ShardFreeLeg> inline_leg;
-  if (k == 1) {
-    inline_leg.emplace(make_ctx(0, /*die_after_batches=*/-1));
-  }
-
-  obs::Gauge* poll_min_gauge =
-      config_.metrics != nullptr
-          ? config_.metrics->gauge("runtime/coordinator/poll_min")
-          : nullptr;
-  obs::Gauge* poll_max_gauge =
-      config_.metrics != nullptr
-          ? config_.metrics->gauge("runtime/coordinator/poll_max")
-          : nullptr;
-
-  bool poll_outstanding = false;
-  bool poll_dirty = false;  ///< Notice arrived mid-round: re-poll after.
-  int partials_pending = 0;
-  // Max shard watermark seen on alarm notices / poll partials; the lag
-  // histogram measures how far it moved between a round's trigger and its
-  // resolution.
-  int64_t watermark = 0;
-  int64_t round_trigger_epoch = 0;
-  int64_t round_sum = 0;
-  int64_t round_min = 0;
-  int64_t round_max = 0;
-  int sites_done = 0;
-  int shard_exits = 0;
-  std::vector<char> partial_from(static_cast<size_t>(k), 0);
-  std::vector<char> exited(static_cast<size_t>(k), 0);
-  std::vector<char> respawned(static_cast<size_t>(k), 0);
-  int64_t probe_seq = 0;
-  std::vector<char>* probe_beats = nullptr;
-  int probe_beats_seen = 0;
-  Status run_error = OkStatus();
-  std::chrono::steady_clock::time_point round_start;
-  std::vector<RootMsg> leg_out;  ///< Inline leg output not yet served.
-
-  // With failure detection on, the root must never block pushing into a
-  // shard inbox: a dead shard's inbox stays full of blocked site updates,
-  // and a blocking push there would wedge the root — and with it the
-  // probe/respawn machinery — forever. Commands that do not fit are kept
-  // here (per-shard FIFO, so command order is preserved) and retried on
-  // every loop iteration; a replacement shard drains the inbox and the
-  // backlog follows. Without detection the historical blocking send is
-  // kept: every shard is assumed to stay in its receive loop. Detection
-  // covers shard threads only; an inline leg cannot die on its own.
-  const bool detect = config_.heartbeat_timeout_ms > 0 && !inline_leg;
-  std::vector<std::deque<ActorMessage>> cmd_backlog(static_cast<size_t>(k));
-  auto send_cmd = [&](int s, const ActorMessage& m) {
-    const Envelope env{kCoordinatorId, kCoordinatorId, m};
-    if (inline_leg) {
-      // Straight into the inline leg, before it steps another envelope, so
-      // a round starts at the point of the stream where it was triggered.
-      inline_leg->Step(env, &leg_out);
-      return;
-    }
-    if (!detect) {
-      if (!transport->SendToShard(s, env) && run_error.ok()) {
-        run_error = InternalError("transport closed during a shard command");
-      }
-      return;
-    }
-    auto& backlog = cmd_backlog[static_cast<size_t>(s)];
-    if (backlog.empty() && transport->TrySendToShard(s, env)) {
-      return;
-    }
-    backlog.push_back(m);
-  };
-  auto flush_cmds = [&]() {
-    if (!detect) {
-      return;
-    }
-    for (int s = 0; s < k; ++s) {
-      auto& backlog = cmd_backlog[static_cast<size_t>(s)];
-      while (!backlog.empty() &&
-             transport->TrySendToShard(
-                 s, Envelope{kCoordinatorId, kCoordinatorId,
-                             backlog.front()})) {
-        backlog.pop_front();
+  Status Run() {
+    DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
+    out_->site_updates.assign(static_cast<size_t>(config_.num_sites), 0);
+    if (k_ == 1) {
+      inline_leg_.emplace(MakeContext(0, /*die_after_batches=*/-1));
+      inline_leg_->Start(&leg_out_);
+      ServeLegOut();
+    } else {
+      for (const ShardSlot& slot : slots_) {
+        const bool doomed = config_.chaos.kind == ChaosKind::kKillShard &&
+                            slot.shard == chaos_.target;
+        threads_.emplace_back(
+            RunShardFree,
+            MakeContext(slot.shard, doomed ? chaos_.fire_after_batches : -1));
       }
     }
-  };
+    while ((sites_done_ < config_.num_sites || partials_pending_ > 0) &&
+           run_error_.ok()) {
+      bool timed_out = false;
+      if (inline_leg_) {
+        StepInline();
+      } else if (Pump(window_ms_, &timed_out)) {
+        continue;
+      } else if (timed_out) {
+        Probe();
+      } else {
+        Fail(InternalError("root mailbox closed while shards were live"));
+      }
+    }
+    Drain();
+    out_->messages = actor_.counter_;
+    for (int64_t u : out_->site_updates) {
+      out_->total_updates += u;
+    }
+    return run_error_;
+  }
 
-  auto start_round = [&]() {
-    // Kick every shard's poll leg. For a shard thread the command is an
-    // envelope from kCoordinatorId injected straight into the shard inbox
-    // (SendToShard never crosses a wire), so each shard still blocks on one
-    // source.
-    ActorMessage kick;
-    kick.kind = ActorMsgKind::kPollRequest;
-    for (int s = 0; s < k; ++s) {
-      send_cmd(s, kick);
+ private:
+  ShardContext MakeContext(int s, int64_t die_after_batches) {
+    return ShardContext{s,          layout_,           &config_,
+                        transport_, &root_box_,        actor_.alarms_rx_,
+                        die_after_batches};
+  }
+
+  void Fail(Status status) {
+    if (run_error_.ok()) {
+      run_error_ = std::move(status);
     }
-    partials_pending = k;
-    round_trigger_epoch = watermark;
-    round_sum = 0;
-    round_min = std::numeric_limits<int64_t>::max();
-    round_max = std::numeric_limits<int64_t>::min();
-    std::fill(partial_from.begin(), partial_from.end(), 0);
-    poll_outstanding = true;
-    DCV_OBS_COUNT(polls_, 1);
-    if (poll_round_us_ != nullptr) {
-      round_start = std::chrono::steady_clock::now();
+  }
+
+  /// The single handler for shard output: root box or inline leg.
+  void Handle(RootMsg& msg) {
+    ShardSlot& slot = slots_[static_cast<size_t>(msg.shard)];
+    // Probe clears these marks, so during a probe ANY traffic proves a shard
+    // alive: the root box was empty when the silence was declared, so this
+    // was pushed inside the window. A live shard grinding through a full
+    // inbox, with the ping stuck in the backlog behind it, must not get a
+    // twin respawned.
+    if (!slot.heard) {
+      slot.heard = true;
+      ++probe_heard_;
     }
-  };
-  auto merge_exit = [&](RootMsg& msg) {
-    // A respawn that raced a live-but-slow shard leaves two threads
-    // serving the same shard id; both report kShardExit. Their stats are
-    // disjoint halves of the shard's work — merge both — but the shard
-    // counts as exited once.
-    if (!exited[static_cast<size_t>(msg.shard)]) {
-      ++shard_exits;
-      exited[static_cast<size_t>(msg.shard)] = 1;
-    }
-    out->total_alarms += msg.alarms;
-    counter_.Merge(msg.messages);
-    out->reliability = out->reliability + msg.reliability;
-    if (!msg.status.ok() && run_error.ok()) {
-      run_error = msg.status;
-    }
-  };
-  bool draining = false;  ///< Post-kShutdown: late messages are expected.
-  auto handle = [&](RootMsg& msg) {
-    // During a probe, ANY traffic from a shard proves it alive — the root
-    // box was empty when the silence was declared, so whatever arrives now
-    // was pushed inside the probe window. This matters when the ping
-    // itself is stuck in the command backlog behind a full inbox: a live
-    // shard grinding through that backlog must not get a twin respawned.
-    if (probe_beats != nullptr && msg.shard >= 0 && msg.shard < k &&
-        !(*probe_beats)[static_cast<size_t>(msg.shard)]) {
-      (*probe_beats)[static_cast<size_t>(msg.shard)] = 1;
-      ++probe_beats_seen;
-    }
-    if ((msg.kind == RootMsg::Kind::kAlarmNotice ||
-         msg.kind == RootMsg::Kind::kPollPartial) &&
-        msg.epoch > watermark) {
-      watermark = msg.epoch;
-    }
+    // Only notices and partials carry an epoch; the other kinds leave it 0.
+    watermark_ = std::max(watermark_, msg.epoch);
     switch (msg.kind) {
-      case RootMsg::Kind::kAlarmNotice: {
-        if (draining) {
-          break;
-        }
+      case RootMsg::Kind::kAlarmNotice:
         // At most one outstanding global round: notices during a round
         // collapse into one catch-up round after it resolves.
-        if (poll_outstanding) {
-          poll_dirty = true;
-        } else {
-          start_round();
+        if (partials_pending_ > 0) {
+          poll_dirty_ = true;
+        } else if (!draining_) {
+          StartRound();
         }
         break;
-      }
-      case RootMsg::Kind::kPollPartial: {
-        if (draining || !poll_outstanding) {
+      case RootMsg::Kind::kPollPartial:
+        if (draining_ || partials_pending_ == 0) {
           break;
         }
-        partial_from[static_cast<size_t>(msg.shard)] = 1;
-        round_sum += msg.partial_sum;
-        round_min = std::min(round_min, msg.partial_min);
-        round_max = std::max(round_max, msg.partial_max);
-        if (--partials_pending == 0) {
-          ++out->polled_epochs;
-          if (round_sum > config_.global_threshold) {
-            ++out->violations_flagged;
-          }
-          poll_outstanding = false;
-          if (poll_round_us_ != nullptr) {
-            poll_round_us_->Observe(
-                static_cast<double>(ElapsedUs(round_start)));
-          }
-          if (detection_lag_ != nullptr) {
-            // Lag in watermark epochs between the triggering alarm and the
-            // round resolving (the lockstep ground truth detects at the
-            // trigger epoch itself).
-            detection_lag_->Observe(static_cast<double>(
-                std::max<int64_t>(0, watermark - round_trigger_epoch)));
-          }
-          if (poll_min_gauge != nullptr) {
-            poll_min_gauge->Set(static_cast<double>(round_min));
-            poll_max_gauge->Set(static_cast<double>(round_max));
-          }
-          if (poll_dirty) {
-            poll_dirty = false;
-            start_round();
-          }
+        slot.reported = true;
+        round_sum_ += msg.partial_sum;
+        round_min_ = std::min(round_min_, msg.partial_min);
+        round_max_ = std::max(round_max_, msg.partial_max);
+        if (--partials_pending_ == 0) {
+          FinishRound();
         }
         break;
-      }
-      case RootMsg::Kind::kSiteDone: {
-        // Relayed per site, so a shard death between relays loses nothing:
-        // the already-relayed sites stay counted and the replacement shard
-        // relays the rest from the same inbox.
+      case RootMsg::Kind::kSiteDone:
         for (const auto& [site, updates] : msg.entries) {
-          out->site_updates[static_cast<size_t>(site)] = updates;
-          ++sites_done;
+          out_->site_updates[static_cast<size_t>(site)] = updates;
+          ++sites_done_;
         }
         break;
-      }
-      case RootMsg::Kind::kHeartbeat: {
-        break;  // Liveness was credited by the any-traffic marking above.
-      }
       case RootMsg::Kind::kShardExit: {
-        // Shards only exit unprompted when the transport died under
-        // them; surface that as the run error but keep their stats.
-        merge_exit(msg);
-        if (!draining && run_error.ok()) {
-          run_error = InternalError("shard exited while sites were live");
+        // A respawn that raced a live-but-slow shard leaves two threads on
+        // one shard id, each reporting a disjoint half of its work: merge
+        // both, count one exit.
+        if (!slot.exited) {
+          ++shard_exits_;
+          slot.exited = true;
         }
-        break;
-      }
-      case RootMsg::Kind::kError: {
-        run_error = msg.status;
+        const ShardReport& report = *msg.report;
+        out_->total_alarms += report.alarms;
+        actor_.counter_.Merge(report.messages);
+        out_->reliability = out_->reliability + report.reliability;
+        if (!report.status.ok()) {
+          Fail(report.status);
+        }
+        // Shards only exit unprompted when the transport died under them.
+        if (!draining_) {
+          Fail(InternalError("shard exited while sites were live"));
+        }
         break;
       }
       default:
-        break;  // Virtual-mode partials cannot appear here.
+        break;  // kHeartbeat was credited above; virtual partials never come.
     }
-  };
-  // Serves the inline leg's output in order. A command the handler answers
-  // with (kick, stop) steps the leg at once and appends to `leg_out`, so
-  // it is served in this same call, before the leg sees another envelope.
-  std::vector<RootMsg> serving;
-  auto serve_leg_out = [&]() {
-    while (!leg_out.empty()) {
-      serving.swap(leg_out);
-      for (RootMsg& msg : serving) {
-        handle(msg);
-      }
-      serving.clear();
-    }
-  };
+  }
 
-  std::vector<RootMsg> batch;
-  // One drain of the root box into `batch`; with detection on, waits at
-  // most one heartbeat window.
-  auto pop_root = [&](bool* timed_out) {
-    batch.clear();
-    return detect ? root_box.PopAllFor(&batch, config_.heartbeat_timeout_ms,
-                                       timed_out)
-                  : root_box.PopAll(&batch);
-  };
-  // Liveness probe after a silent stretch: ping every shard; the silent
-  // ones are dead — respawn a replacement that drains the SAME shard
-  // inbox, so every queued alarm / response / site-done survives the
-  // crash (bounded mailboxes mean nothing was dropped, senders just
-  // blocked). Replacement channels restart from the plan's fault slice.
-  auto probe_and_respawn = [&]() {
-    ++probe_seq;
-    std::vector<char> beats(static_cast<size_t>(k), 0);
-    probe_beats = &beats;
-    probe_beats_seen = 0;
-    const auto probe_start = std::chrono::steady_clock::now();
-    ActorMessage ping;
-    ping.kind = ActorMsgKind::kPing;
-    ping.epoch = probe_seq;
-    for (int s = 0; s < k; ++s) {
-      send_cmd(s, ping);
+  /// Kicks every shard's poll leg. A shard thread gets an envelope from
+  /// kCoordinatorId straight in its inbox (SendToShard never crosses a
+  /// wire), so each shard still blocks on one source.
+  void StartRound() {
+    for (ShardSlot& slot : slots_) {
+      slot.reported = false;
+      SendCommand(slot, ActorMsgKind::kPollRequest);
     }
-    const auto deadline =
-        probe_start + std::chrono::milliseconds(config_.heartbeat_timeout_ms);
-    while (probe_beats_seen < k && run_error.ok()) {
-      flush_cmds();
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        break;
+    partials_pending_ = k_;
+    round_trigger_epoch_ = watermark_;
+    round_sum_ = 0;
+    round_min_ = std::numeric_limits<int64_t>::max();
+    round_max_ = std::numeric_limits<int64_t>::min();
+    DCV_OBS_COUNT(actor_.polls_, 1);
+    round_timer_.emplace(actor_.poll_round_us_);
+  }
+
+  void FinishRound() {
+    ++out_->polled_epochs;
+    if (round_sum_ > config_.global_threshold) {
+      ++out_->violations_flagged;
+    }
+    round_timer_.reset();  // Observes the round's latency.
+    if (actor_.detection_lag_ != nullptr) {
+      // Watermark epochs from the trigger to the decision; the lockstep
+      // ground truth decides in the trigger epoch itself.
+      actor_.detection_lag_->Observe(static_cast<double>(
+          std::max<int64_t>(0, watermark_ - round_trigger_epoch_)));
+    }
+    if (poll_min_gauge_ != nullptr) {
+      poll_min_gauge_->Set(static_cast<double>(round_min_));
+      poll_max_gauge_->Set(static_cast<double>(round_max_));
+    }
+    if (poll_dirty_) {
+      poll_dirty_ = false;
+      StartRound();
+    }
+  }
+
+  /// With detection on, the root never blocks pushing into a shard inbox: a
+  /// dead shard's inbox stays full of blocked site updates, and a blocking
+  /// push would wedge the root and its probe/respawn machinery forever. A
+  /// command that does not fit waits in the slot's FIFO backlog, retried on
+  /// every pump, and follows once a replacement drains the inbox. Without
+  /// detection the root waits on its box with no timeout, so a backlogged
+  /// command could wait until the sites finish: the send blocks instead,
+  /// every shard being assumed to stay in its receive loop.
+  void SendCommand(ShardSlot& slot, ActorMsgKind kind) {
+    ActorMessage cmd;
+    cmd.kind = kind;
+    const Envelope env{kCoordinatorId, kCoordinatorId, cmd};
+    if (inline_leg_) {
+      // Straight into the inline leg, before it steps another envelope, so
+      // a round starts at the point of the stream where it was triggered.
+      inline_leg_->Step(env, &leg_out_);
+    } else if (window_ms_ < 0) {
+      if (!transport_->SendToShard(slot.shard, env)) {
+        Fail(InternalError("transport closed during a shard command"));
       }
+    } else if (!slot.backlog.empty() ||
+               !transport_->TrySendToShard(slot.shard, env)) {
+      slot.backlog.push_back(cmd);
+    }
+  }
+
+  void FlushCommands() {
+    for (ShardSlot& slot : slots_) {
+      while (!slot.backlog.empty() &&
+             transport_->TrySendToShard(
+                 slot.shard, Envelope{kCoordinatorId, kCoordinatorId,
+                                      slot.backlog.front()})) {
+        slot.backlog.pop_front();
+      }
+    }
+  }
+
+  /// Serves the inline leg's output in order. A command the handler answers
+  /// with (kick, stop) steps the leg at once and appends to `leg_out_`, so
+  /// it is served in this same call, before the leg sees another envelope.
+  void ServeLegOut() {
+    for (size_t i = 0; i < leg_out_.size(); ++i) {
+      RootMsg msg = std::move(leg_out_[i]);  // Handle may grow `leg_out_`.
+      Handle(msg);
+    }
+    leg_out_.clear();
+  }
+
+  /// The inline leg's turn of the main loop: one drain of shard 0's inbox.
+  void StepInline() {
+    burst_.clear();
+    if (transport_->RecvShardAll(0, &burst_) == 0) {
+      Fail(InternalError("transport closed while sites were live"));
+    }
+    for (size_t next = 0; next < burst_.size();) {
+      next = inline_leg_->StepBatch(burst_, next, &leg_out_);
+      ServeLegOut();
+    }
+  }
+
+  /// Flushes the backlogs, then drains the root box once, every message
+  /// through Handle. Waits at most `wait_ms` (< 0: forever). False when
+  /// nothing arrived: a timeout (`*timed_out`) or a closed box.
+  bool Pump(int64_t wait_ms, bool* timed_out) {
+    FlushCommands();
+    batch_.clear();
+    *timed_out = false;
+    const size_t got = wait_ms >= 0
+                           ? root_box_.PopAllFor(&batch_, wait_ms, timed_out)
+                           : root_box_.PopAll(&batch_);
+    for (RootMsg& msg : batch_) {
+      Handle(msg);
+    }
+    return got > 0;
+  }
+
+  /// Pings every shard after a silent stretch; the ones that stay
+  /// completely silent for one more window are dead and get respawned.
+  void Probe() {
+    const Clock::time_point since = Clock::now();
+    const Clock::time_point deadline =
+        since + std::chrono::milliseconds(config_.heartbeat_timeout_ms);
+    probe_heard_ = 0;
+    for (ShardSlot& slot : slots_) {
+      slot.heard = false;
+      SendCommand(slot, ActorMsgKind::kPing);
+    }
+    bool timed_out = false;
+    while (probe_heard_ < k_ && run_error_.ok() && !timed_out) {
       const int64_t remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                now)
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - Clock::now())
               .count();
-      batch.clear();
+      if (!Pump(std::max<int64_t>(0, remaining_ms), &timed_out) &&
+          !timed_out) {
+        Fail(InternalError("root mailbox closed during probe"));
+      }
+    }
+    for (ShardSlot& slot : slots_) {
+      if (!run_error_.ok() || slot.heard || slot.exited) {
+        continue;
+      } else if (slot.respawned) {
+        Fail(InternalError("shard " + std::to_string(slot.shard) +
+                           " went silent again after a respawn; giving up"));
+      } else {
+        Respawn(slot, since);
+      }
+    }
+  }
+
+  /// Replaces a silent shard with a thread on the SAME shard inbox, so every
+  /// queued alarm, response and site-done survives the crash (bounded
+  /// mailboxes drop nothing; senders just block). The replacement's channel
+  /// restarts from the plan's fault slice. `since` is when the silence
+  /// began. If the "dead" shard was merely slow, two threads now serve the
+  /// shard id, and each will need a stop.
+  void Respawn(ShardSlot& slot, Clock::time_point since) {
+    slot.respawned = true;
+    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
+                    watermark_, slot.shard, slot.shard);
+    threads_.emplace_back(RunShardFree, MakeContext(slot.shard, -1));
+    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
+                    watermark_, slot.shard, slot.shard);
+    CountRecovery(since, out_);
+    // Re-send what the shard still owed: while draining, a stop for the
+    // twin (the original's is already queued or backlogged); otherwise a
+    // kick for a round it had not answered, which would hang forever (the
+    // replacement ignores stale queued responses).
+    if (draining_) {
+      SendCommand(slot, ActorMsgKind::kShutdown);
+    } else if (partials_pending_ > 0 && !slot.reported) {
+      SendCommand(slot, ActorMsgKind::kPollRequest);
+    }
+  }
+
+  /// Stops every shard — one stop per live thread, so two for a respawned
+  /// shard id; a surplus stop just sits unconsumed in the inbox — and counts
+  /// exits instead of joining, so a shard blocked pushing to the root box
+  /// can always drain. A shard thread that died before its stop still gets
+  /// one respawn: the replacement finds the queued stop and exits.
+  void Drain() {
+    draining_ = true;
+    for (ShardSlot& slot : slots_) {
+      SendCommand(slot, ActorMsgKind::kShutdown);
+      if (slot.respawned) {
+        SendCommand(slot, ActorMsgKind::kShutdown);
+      }
+    }
+    ServeLegOut();
+    while (shard_exits_ < k_) {
+      const Clock::time_point since = Clock::now();
       bool timed_out = false;
-      if (root_box.PopAllFor(&batch, std::max<int64_t>(1, remaining_ms),
-                             &timed_out) == 0) {
-        if (timed_out) {
-          break;
-        }
-        run_error = InternalError("root mailbox closed during probe");
-        break;
-      }
-      for (RootMsg& msg : batch) {
-        handle(msg);
-      }
-    }
-    probe_beats = nullptr;
-    for (int s = 0; s < k && run_error.ok(); ++s) {
-      if (beats[static_cast<size_t>(s)] || exited[static_cast<size_t>(s)]) {
+      if (Pump(window_ms_, &timed_out)) {
         continue;
-      }
-      if (respawned[static_cast<size_t>(s)]) {
-        run_error = InternalError(
-            "shard " + std::to_string(s) +
-            " went silent again after a respawn; giving up");
-        break;
-      }
-      respawned[static_cast<size_t>(s)] = 1;
-      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
-                      watermark, s, s);
-      shards.emplace_back(RunShardFree, make_ctx(s, /*die_after_batches=*/-1));
-      RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
-                      watermark, s, s);
-      ++out->shard_recoveries;
-      out->recovery_ms =
-          std::max(out->recovery_ms,
-                   static_cast<double>(ElapsedUs(probe_start)) / 1000.0);
-      if (poll_outstanding && !partial_from[static_cast<size_t>(s)]) {
-        // The round the dead shard was serving would hang forever;
-        // re-kick the replacement's leg (fresh kPollRequest — stale
-        // responses already queued are ignored by the replacement).
-        ActorMessage kick;
-        kick.kind = ActorMsgKind::kPollRequest;
-        send_cmd(s, kick);
-      }
-    }
-  };
-
-  if (inline_leg) {
-    inline_leg->Start(&leg_out);
-    serve_leg_out();
-  } else {
-    for (int s = 0; s < k; ++s) {
-      shards.emplace_back(
-          RunShardFree,
-          make_ctx(s, config_.chaos.kind == ChaosKind::kKillShard &&
-                              s == chaos.target
-                          ? chaos.fire_after_batches
-                          : -1));
-    }
-  }
-
-  std::vector<Envelope> burst;  ///< Inline leg: one shard-inbox drain.
-  while ((sites_done < n || poll_outstanding) && run_error.ok()) {
-    if (inline_leg) {
-      burst.clear();
-      if (transport->RecvShardAll(0, &burst) == 0) {
-        run_error = InternalError("transport closed while sites were live");
-        break;
-      }
-      for (size_t next = 0; next < burst.size();) {
-        next = inline_leg->StepBatch(burst, next, &leg_out);
-        serve_leg_out();
-      }
-      continue;
-    }
-    flush_cmds();
-    bool timed_out = false;
-    if (pop_root(&timed_out) == 0) {
-      if (timed_out) {
-        probe_and_respawn();
-        continue;
-      }
-      run_error = InternalError("root mailbox closed while shards were live");
-      break;
-    }
-    for (RootMsg& msg : batch) {
-      if (!run_error.ok()) {
-        break;
-      }
-      handle(msg);
-    }
-  }
-
-  // Shutdown: command every shard to stop; each forwards kShutdown to its
-  // sites and reports final accounting (an inline leg does so at once).
-  // Exits are counted (not joined-for) so a shard blocked pushing to the
-  // root box can always drain. A shard thread that died between the main
-  // loop and its kShutdown still gets one respawn (the replacement finds
-  // the queued kShutdown and exits).
-  draining = true;
-  ActorMessage stop;
-  stop.kind = ActorMsgKind::kShutdown;
-  for (int s = 0; s < k; ++s) {
-    send_cmd(s, stop);
-    if (respawned[static_cast<size_t>(s)]) {
-      // If the respawn raced a live-but-slow original, two threads serve
-      // this shard id and each needs a stop; a surplus stop to a single
-      // survivor just sits unconsumed in the inbox.
-      send_cmd(s, stop);
-    }
-  }
-  serve_leg_out();
-  while (shard_exits < k) {
-    flush_cmds();
-    bool timed_out = false;
-    if (pop_root(&timed_out) == 0) {
-      if (!timed_out) {
+      } else if (!timed_out) {
         break;
       }
       bool acted = false;
-      for (int s = 0; s < k; ++s) {
-        if (!exited[static_cast<size_t>(s)] &&
-            !respawned[static_cast<size_t>(s)]) {
-          respawned[static_cast<size_t>(s)] = 1;
-          shards.emplace_back(RunShardFree,
-                              make_ctx(s, /*die_after_batches=*/-1));
-          ++out->shard_recoveries;
-          // The original's stop is already queued or backlogged; one more
-          // covers the twin in case the original was merely slow.
-          send_cmd(s, stop);
+      for (ShardSlot& slot : slots_) {
+        if (!slot.exited && !slot.respawned) {
+          Respawn(slot, since);
           acted = true;
         }
       }
       if (!acted) {
-        if (run_error.ok()) {
-          run_error =
-              InternalError("timed out waiting for shard exits at shutdown");
-        }
+        Fail(InternalError("timed out waiting for shard exits at shutdown"));
         break;
       }
-      continue;
     }
-    for (RootMsg& msg : batch) {
-      if (msg.kind == RootMsg::Kind::kShardExit) {
-        merge_exit(msg);
-      }
-      // Notices/partials that raced with shutdown are dropped.
+    for (std::thread& th : threads_) {
+      th.join();
     }
-  }
-  for (std::thread& th : shards) {
-    th.join();
   }
 
-  out->messages = counter_;
-  for (int64_t u : out->site_updates) {
-    out->total_updates += u;
+  obs::Gauge* GaugeOrNull(const char* name) const {
+    return config_.metrics == nullptr ? nullptr : config_.metrics->gauge(name);
   }
-  return run_error;
+
+  CoordinatorActor& actor_;
+  Transport* const transport_;
+  RuntimeResult* const out_;
+  const Config& config_ = actor_.config_;
+  const int k_ = config_.num_shards;
+  const ResolvedChaos chaos_ =
+      ResolveChaos(config_.chaos, /*num_epochs=*/0, k_);
+  /// Root-box wait per pump: the heartbeat window with detection on, -1
+  /// (block) without. Detection covers shard threads only; an inline leg
+  /// cannot die on its own.
+  const int64_t window_ms_ =
+      config_.heartbeat_timeout_ms > 0 && k_ > 1 ? config_.heartbeat_timeout_ms
+                                                 : -1;
+  ShardLayout layout_;
+  Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * k_ + 16)};
+  std::vector<ShardSlot> slots_ = MakeSlots(k_);
+  std::vector<std::thread> threads_;
+  std::optional<ShardFreeLeg> inline_leg_;
+  obs::Gauge* const poll_min_gauge_ =
+      GaugeOrNull("runtime/coordinator/poll_min");
+  obs::Gauge* const poll_max_gauge_ =
+      GaugeOrNull("runtime/coordinator/poll_max");
+
+  int partials_pending_ = 0;  ///< > 0 while a round is outstanding.
+  bool poll_dirty_ = false;  ///< Notice arrived mid-round: re-poll after.
+  int64_t watermark_ = 0;
+  int64_t round_trigger_epoch_ = 0;
+  int64_t round_sum_ = 0;
+  int64_t round_min_ = 0;
+  int64_t round_max_ = 0;
+  std::optional<obs::ScopedTimer> round_timer_;
+  int sites_done_ = 0;
+  int shard_exits_ = 0;
+  int probe_heard_ = 0;  ///< Shards heard since the last probe began.
+  bool draining_ = false;  ///< Post-kShutdown: late messages are expected.
+  Status run_error_;
+  std::vector<RootMsg> batch_;    ///< One root-box drain.
+  std::vector<RootMsg> leg_out_;  ///< Inline leg output not yet served.
+  std::vector<Envelope> burst_;   ///< Inline leg: one shard-inbox drain.
+};
+
+Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
+  out->protocol = ProtocolName(config_.protocol);
+  out->mode = "free-running";
+  if (config_.chaos.kind == ChaosKind::kReshard ||
+      config_.chaos.kind == ChaosKind::kKillWorker) {
+    // Both fire at an epoch boundary, which only virtual time has.
+    return InvalidArgumentError(
+        std::string(ChaosKindName(config_.chaos.kind)) +
+        " chaos needs virtual time: a free-running run never fires it");
+  }
+  FreeRun run(this, transport, out);
+  return run.Run();
 }
 
 }  // namespace dcv

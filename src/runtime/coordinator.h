@@ -37,9 +37,11 @@ enum class RuntimeProtocol {
 /// (sites' observed values); the root then replays the protocol's sends
 /// through the Channel in ascending site order, which is exactly the order
 /// the single-threaded schemes use. Thread interleaving can reorder
-/// transport deliveries, but never the Channel's RNG stream. In
-/// free-running mode each leg owns a channel over its slice instead, and
-/// the root merges their stats at shutdown.
+/// transport deliveries, but never the Channel's RNG stream. Virtual legs
+/// keep no state of their own: every command carries the shard's site range
+/// (shard.h ShardCmd). In free-running mode each leg owns a channel over its
+/// slice instead (a ShardContext, which only free legs use), and the root
+/// merges their stats at shutdown.
 class CoordinatorActor {
  public:
   struct Config {
@@ -95,6 +97,10 @@ class CoordinatorActor {
   Status RunFree(Transport* transport, RuntimeResult* out);
 
  private:
+  /// One run object per time mode, defined in coordinator.cc.
+  class VirtualRun;
+  class FreeRun;
+
   Config config_;
   MessageCounter counter_;
   Channel channel_;

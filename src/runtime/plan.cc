@@ -52,23 +52,4 @@ Result<LocalPlan> BuildLocalPlan(const Trace& training,
   return plan;
 }
 
-LocalPlan SliceForShard(const LocalPlan& plan, const ShardLayout& layout,
-                        int shard) {
-  const size_t start = static_cast<size_t>(layout.ShardStart(shard));
-  const size_t size = static_cast<size_t>(layout.ShardSize(shard));
-  auto slice = [&](const std::vector<int64_t>& v) {
-    std::vector<int64_t> out;
-    if (start < v.size()) {
-      const size_t end = std::min(v.size(), start + size);
-      out.assign(v.begin() + static_cast<ptrdiff_t>(start),
-                 v.begin() + static_cast<ptrdiff_t>(end));
-    }
-    return out;
-  };
-  LocalPlan out;
-  out.thresholds = slice(plan.thresholds);
-  out.domain_max = slice(plan.domain_max);
-  return out;
-}
-
 }  // namespace dcv

@@ -1,23 +1,13 @@
 #include "runtime/shard.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
 namespace dcv {
 
 namespace {
-
-/// Pushes a kError to the root; a shard never returns a Status because it
-/// runs on its own thread — the root turns the first kError it sees into
-/// the run's failure.
-void ReportError(const ShardContext& ctx, Status status) {
-  RootMsg err;
-  err.kind = RootMsg::Kind::kError;
-  err.shard = ctx.shard;
-  err.status = std::move(status);
-  ctx.to_root->Push(std::move(err));
-}
 
 /// Pushes everything in `out` to the root, in order, and empties it; false
 /// once the root's box is closed.
@@ -28,6 +18,122 @@ bool Forward(Mailbox<RootMsg>* to_root, std::vector<RootMsg>* out) {
   }
   out->clear();
   return ok;
+}
+
+std::vector<int64_t> Slice(const std::vector<int64_t>& v, int start, int size) {
+  return std::vector<int64_t>(v.begin() + start, v.begin() + start + size);
+}
+
+/// Replaces `fanout` with `msg` addressed to every site in
+/// [first_site, first_site + num_sites), in ascending order.
+void FanOut(int first_site, int num_sites, const ActorMessage& msg,
+            std::vector<Envelope>* fanout) {
+  fanout->clear();
+  fanout->reserve(static_cast<size_t>(num_sites));
+  for (int i = 0; i < num_sites; ++i) {
+    fanout->push_back(Envelope{kCoordinatorId, first_site + i, msg});
+  }
+}
+
+Status EpochLeg(Transport* transport, int shard, const ShardCmd& cmd,
+                std::vector<std::pair<int, int64_t>>* alarmed) {
+  const int start = cmd.first_site;
+  const int size = cmd.num_sites;
+  // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
+  // is per-producer FIFO and one thread at a time produces for these sites
+  // (the shard thread, or the root for an inline leg), so the site
+  // installs the threshold before it evaluates — the lockstep scheme's
+  // order, which re-syncs at the top of OnEpoch.
+  // One batched fan-out per epoch leg: re-syncs first, then every start.
+  // SendBatch preserves batch order per destination inbox, so a site's
+  // re-sync still lands before its kEpochStart.
+  std::vector<Envelope> fanout;
+  fanout.reserve(cmd.resync.size() + static_cast<size_t>(size));
+  for (const auto& [site, threshold] : cmd.resync) {
+    ActorMessage update;
+    update.kind = ActorMsgKind::kThresholdUpdate;
+    update.epoch = cmd.epoch;
+    update.value = threshold;
+    fanout.push_back(Envelope{kCoordinatorId, site, update});
+  }
+  for (int i = 0; i < size; ++i) {
+    ActorMessage begin;
+    begin.kind = ActorMsgKind::kEpochStart;
+    begin.epoch = cmd.epoch;
+    begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
+    fanout.push_back(Envelope{kCoordinatorId, start + i, begin});
+  }
+  if (!transport->SendBatch(fanout)) {
+    return InternalError("transport closed during epoch start");
+  }
+  alarmed->clear();
+  std::vector<Envelope> batch;
+  int pending = size;
+  while (pending > 0) {
+    batch.clear();
+    if (transport->RecvShardAll(shard, &batch) == 0) {
+      return InternalError("transport closed while collecting reports");
+    }
+    for (const Envelope& e : batch) {
+      if (e.msg.kind != ActorMsgKind::kEpochReport ||
+          e.msg.epoch != cmd.epoch) {
+        return InternalError("out-of-order message at epoch barrier");
+      }
+      if (e.msg.flag) {
+        alarmed->emplace_back(e.from, e.msg.value);
+      }
+      --pending;
+    }
+  }
+  // Reports arrive in any order; the root replays alarms by ascending site.
+  std::sort(alarmed->begin(), alarmed->end());
+  return OkStatus();
+}
+
+Status PollLeg(Transport* transport, int shard, const ShardCmd& cmd,
+               std::vector<std::pair<int, int64_t>>* values) {
+  const int start = cmd.first_site;
+  const int size = cmd.num_sites;
+  ActorMessage request;
+  request.kind = ActorMsgKind::kPollRequest;
+  request.epoch = cmd.epoch;
+  std::vector<Envelope> fanout;
+  FanOut(start, size, request, &fanout);
+  if (!transport->SendBatch(fanout)) {
+    return InternalError("transport closed during poll round");
+  }
+  values->clear();
+  for (int i = 0; i < size; ++i) {
+    values->emplace_back(start + i, 0);
+  }
+  std::vector<Envelope> batch;
+  int pending = size;
+  while (pending > 0) {
+    batch.clear();
+    if (transport->RecvShardAll(shard, &batch) == 0) {
+      return InternalError("transport closed while collecting poll responses");
+    }
+    for (const Envelope& e : batch) {
+      if (e.msg.kind != ActorMsgKind::kPollResponse) {
+        return InternalError(std::string("unexpected ") +
+                             std::string(ActorMsgKindName(e.msg.kind)) +
+                             " during poll round");
+      }
+      (*values)[static_cast<size_t>(e.from - start)].second = e.msg.value;
+      --pending;
+    }
+  }
+  return OkStatus();
+}
+
+/// Forwards kShutdown to every site in range; a closed transport means the
+/// sites are already gone.
+void ShutdownSites(Transport* transport, int first_site, int num_sites) {
+  ActorMessage shutdown;
+  shutdown.kind = ActorMsgKind::kShutdown;
+  std::vector<Envelope> fanout;
+  FanOut(first_site, num_sites, shutdown, &fanout);
+  transport->SendBatch(fanout);
 }
 
 }  // namespace
@@ -63,182 +169,53 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
   return out;
 }
 
-Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
-                     int shard, const LocalPlan& plan, const ShardCmd& cmd,
-                     std::vector<std::pair<int, int64_t>>* alarmed) {
-  const int start = layout.ShardStart(shard);
-  const int size = layout.ShardSize(shard);
-  // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
-  // is per-producer FIFO and one thread at a time produces for these sites
-  // (the shard thread, or the root for an inline leg), so the site
-  // installs the threshold before it evaluates — the lockstep scheme's
-  // order, which re-syncs at the top of OnEpoch.
-  // One batched fan-out per epoch leg: re-syncs first, then every start.
-  // SendBatch preserves batch order per destination inbox, so a site's
-  // re-sync still lands before its kEpochStart.
-  std::vector<Envelope> fanout;
-  fanout.reserve(cmd.resync_sites.size() + static_cast<size_t>(size));
-  for (int site : cmd.resync_sites) {
-    ActorMessage update;
-    update.kind = ActorMsgKind::kThresholdUpdate;
-    update.epoch = cmd.epoch;
-    update.value = plan.thresholds[static_cast<size_t>(site - start)];
-    fanout.push_back(Envelope{kCoordinatorId, site, update});
-  }
-  for (int i = 0; i < size; ++i) {
-    ActorMessage begin;
-    begin.kind = ActorMsgKind::kEpochStart;
-    begin.epoch = cmd.epoch;
-    begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
-    fanout.push_back(Envelope{kCoordinatorId, start + i, begin});
-  }
-  if (!transport->SendBatch(fanout)) {
-    return InternalError("transport closed during epoch start");
-  }
-  std::vector<char> site_alarmed(static_cast<size_t>(size), 0);
-  std::vector<int64_t> values(static_cast<size_t>(size), 0);
-  std::vector<Envelope> batch;
-  int pending = size;
-  while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError("transport closed while collecting reports");
-    }
-    for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kEpochReport ||
-          e.msg.epoch != cmd.epoch) {
-        return InternalError("out-of-order message at epoch barrier");
-      }
-      site_alarmed[static_cast<size_t>(e.from - start)] = e.msg.flag ? 1 : 0;
-      values[static_cast<size_t>(e.from - start)] = e.msg.value;
-      --pending;
-    }
-  }
-  alarmed->clear();
-  for (int i = 0; i < size; ++i) {
-    if (site_alarmed[static_cast<size_t>(i)]) {
-      alarmed->emplace_back(start + i, values[static_cast<size_t>(i)]);
-    }
+Status RunShardLeg(Transport* transport, int shard, const ShardCmd& cmd,
+                   std::vector<std::pair<int, int64_t>>* entries) {
+  switch (cmd.kind) {
+    case ShardCmd::Kind::kEpoch:
+      return EpochLeg(transport, shard, cmd, entries);
+    case ShardCmd::Kind::kPoll:
+      return PollLeg(transport, shard, cmd, entries);
+    case ShardCmd::Kind::kShutdown:
+      ShutdownSites(transport, cmd.first_site, cmd.num_sites);
+      return OkStatus();
   }
   return OkStatus();
 }
 
-Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
-                    int shard, int64_t epoch,
-                    std::vector<std::pair<int, int64_t>>* values) {
-  const int start = layout.ShardStart(shard);
-  const int size = layout.ShardSize(shard);
-  ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = epoch;
-  std::vector<Envelope> fanout;
-  fanout.reserve(static_cast<size_t>(size));
-  for (int i = 0; i < size; ++i) {
-    fanout.push_back(Envelope{kCoordinatorId, start + i, request});
-  }
-  if (!transport->SendBatch(fanout)) {
-    return InternalError("transport closed during poll round");
-  }
-  std::vector<int64_t> responses(static_cast<size_t>(size), 0);
-  std::vector<Envelope> batch;
-  int pending = size;
-  while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError("transport closed while collecting poll responses");
-    }
-    for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kPollResponse) {
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " during poll round");
-      }
-      responses[static_cast<size_t>(e.from - start)] = e.msg.value;
-      --pending;
-    }
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(size));
-  for (int i = 0; i < size; ++i) {
-    values->emplace_back(start + i, responses[static_cast<size_t>(i)]);
-  }
-  return OkStatus();
-}
-
-void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
-                      int shard) {
-  const int start = layout.ShardStart(shard);
-  const int size = layout.ShardSize(shard);
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> fanout;
-  fanout.reserve(static_cast<size_t>(size));
-  for (int i = 0; i < size; ++i) {
-    fanout.push_back(Envelope{kCoordinatorId, start + i, shutdown});
-  }
-  transport->SendBatch(fanout);
-}
-
-void RunShardVirtual(ShardContext ctx) {
-  // Mutable: a kLayout command re-ranges the shard mid-run.
-  ShardLayout layout = ctx.layout;
-  LocalPlan plan = std::move(ctx.plan);
-  std::vector<std::pair<int, int64_t>> entries;
-
+void RunShardVirtual(int shard, Transport* transport, Mailbox<ShardCmd>* cmds,
+                     Mailbox<RootMsg>* to_root, int64_t die_at_epoch) {
   ShardCmd cmd;
-  while (ctx.cmds->Pop(&cmd)) {
-    switch (cmd.kind) {
-      case ShardCmd::Kind::kShutdown: {
-        ShardShutdownLeg(ctx.transport, layout, ctx.shard);
-        return;
-      }
-      case ShardCmd::Kind::kLayout: {
-        layout = cmd.layout;
-        plan = std::move(cmd.plan);
-        break;
-      }
-      case ShardCmd::Kind::kEpoch: {
-        if (cmd.epoch == ctx.die_at_epoch) {
-          // Chaos: crash before sending anything for this epoch. The
-          // consumed command is the only thing lost, and the root holds a
-          // copy — it re-executes the command itself after the heartbeat
-          // timeout, so the sites (still waiting for kEpochStart) see one
-          // producer and one barrier, exactly as if the shard had lived.
-          return;
-        }
-        if (Status st = ShardEpochLeg(ctx.transport, layout, ctx.shard, plan,
-                                      cmd, &entries);
-            !st.ok()) {
-          ReportError(ctx, std::move(st));
-          return;
-        }
-        RootMsg partial;
-        partial.kind = RootMsg::Kind::kEpochPartial;
-        partial.shard = ctx.shard;
-        partial.epoch = cmd.epoch;
-        partial.entries = std::move(entries);
-        if (!ctx.to_root->Push(std::move(partial))) {
-          return;
-        }
-        break;
-      }
-      case ShardCmd::Kind::kPoll: {
-        if (Status st = ShardPollLeg(ctx.transport, layout, ctx.shard,
-                                     cmd.epoch, &entries);
-            !st.ok()) {
-          ReportError(ctx, std::move(st));
-          return;
-        }
-        RootMsg partial;
-        partial.kind = RootMsg::Kind::kPollPartial;
-        partial.shard = ctx.shard;
-        partial.epoch = cmd.epoch;
-        partial.entries = std::move(entries);
-        if (!ctx.to_root->Push(std::move(partial))) {
-          return;
-        }
-        break;
-      }
+  while (cmds->Pop(&cmd)) {
+    if (cmd.kind == ShardCmd::Kind::kEpoch && cmd.epoch == die_at_epoch) {
+      // Chaos: crash before sending anything for this epoch. The consumed
+      // command is the only thing lost, and the root holds a copy — it
+      // re-executes the command itself after the heartbeat timeout, so the
+      // sites (still waiting for kEpochStart) see one producer and one
+      // barrier, exactly as if the shard had lived.
+      return;
+    }
+    RootMsg msg;
+    msg.shard = shard;
+    msg.epoch = cmd.epoch;
+    Status status = RunShardLeg(transport, shard, cmd, &msg.entries);
+    if (cmd.kind == ShardCmd::Kind::kShutdown) {
+      return;
+    }
+    const bool failed = !status.ok();
+    if (failed) {
+      // A shard thread cannot return a Status: it exits with the error in
+      // its report, and the root turns that exit into the run's failure.
+      msg.kind = RootMsg::Kind::kShardExit;
+      msg.report = std::make_unique<ShardReport>();
+      msg.report->status = std::move(status);
+    } else {
+      msg.kind = cmd.kind == ShardCmd::Kind::kEpoch
+                     ? RootMsg::Kind::kEpochPartial
+                     : RootMsg::Kind::kPollPartial;
+    }
+    if (!to_root->Push(std::move(msg)) || failed) {
+      return;
     }
   }
 }
@@ -247,27 +224,28 @@ ShardFreeLeg::ShardFreeLeg(ShardContext ctx)
     : ctx_(std::move(ctx)),
       start_(ctx_.layout.ShardStart(ctx_.shard)),
       size_(ctx_.layout.ShardSize(ctx_.shard)),
-      channel_(ctx_.faults),
-      poll_values_(static_cast<size_t>(size_), 0) {
-  poll_fanout_.reserve(static_cast<size_t>(size_));
-}
+      weights_(Slice(ctx_.config->weights, start_, size_)),
+      // A free leg never re-syncs thresholds; it needs only the pessimistic
+      // poll fallbacks, and only under the local-threshold protocol.
+      domain_max_(ctx_.config->protocol == RuntimeProtocol::kLocalThreshold
+                      ? Slice(ctx_.config->domain_max, start_, size_)
+                      : std::vector<int64_t>()),
+      channel_(SliceFaultSpec(ctx_.config->faults, ctx_.layout, ctx_.shard)),
+      poll_values_(static_cast<size_t>(size_), 0) {}
 
 void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
   if (Status init = channel_.Init(size_, &counter_); !init.ok()) {
     Stop(std::move(init), out);
     return;
   }
-  channel_.SetObserver(ctx_.metrics, ctx_.recorder);
+  channel_.SetObserver(ctx_.config->metrics, ctx_.config->recorder);
 }
 
 bool ShardFreeLeg::StartPoll() {
   ActorMessage request;
   request.kind = ActorMsgKind::kPollRequest;
   request.epoch = std::max<int64_t>(watermark_, 0);
-  poll_fanout_.clear();
-  for (int i = 0; i < size_; ++i) {
-    poll_fanout_.push_back(Envelope{kCoordinatorId, start_ + i, request});
-  }
+  FanOut(start_, size_, request, &poll_fanout_);
   if (!ctx_.transport->SendBatch(poll_fanout_)) {
     return false;
   }
@@ -291,14 +269,12 @@ void ShardFreeLeg::Stop(Status status, std::vector<RootMsg>* out) {
     return;
   }
   running_ = false;
-  ShardShutdownLeg(ctx_.transport, ctx_.layout, ctx_.shard);
+  ShutdownSites(ctx_.transport, start_, size_);
   RootMsg& exit = out->emplace_back();
   exit.kind = RootMsg::Kind::kShardExit;
   exit.shard = ctx_.shard;
-  exit.alarms = alarms_;
-  exit.messages = counter_;
-  exit.reliability = channel_.stats();
-  exit.status = std::move(status);
+  exit.report = std::make_unique<ShardReport>(
+      ShardReport{alarms_, counter_, channel_.stats(), std::move(status)});
 }
 
 void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
@@ -343,7 +319,6 @@ void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
     RootMsg& beat = out->emplace_back();
     beat.kind = RootMsg::Kind::kHeartbeat;
     beat.shard = ctx_.shard;
-    beat.epoch = cmd.epoch;  // Echo the probe id.
   } else if (cmd.kind == ActorMsgKind::kPollRequest && !poll_outstanding_) {
     notice_sent_ = false;
     if (!StartPoll()) {
@@ -398,7 +373,7 @@ void ShardFreeLeg::FinishPoll(std::vector<RootMsg>* out) {
   // The root provisions domain_max only under the local-threshold
   // protocol, so polling legs pass an empty (optimistic) fallback.
   PollOutcome poll =
-      channel_.PollSites(poll_values_, ctx_.weights, ctx_.plan.domain_max);
+      channel_.PollSites(poll_values_, weights_, domain_max_);
   poll_outstanding_ = false;
   RootMsg& partial = out->emplace_back();
   partial.kind = RootMsg::Kind::kPollPartial;

@@ -2,6 +2,7 @@
 #define DCV_RUNTIME_SHARD_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -9,7 +10,6 @@
 #include "obs/obs.h"
 #include "runtime/coordinator.h"
 #include "runtime/mailbox.h"
-#include "runtime/plan.h"
 #include "runtime/shard_layout.h"
 #include "runtime/transport.h"
 #include "sim/channel.h"
@@ -45,35 +45,45 @@ namespace dcv {
 /// Mailbox (never the transport): epoch commands carry vectors that do not
 /// fit an Envelope, and in virtual mode the shard's blocking wait
 /// alternates strictly between this box and the transport, so two sources
-/// never race.
+/// never race. Every command names the shard's site range, so a leg keeps
+/// no layout or plan of its own: after a reshard the new range arrives in
+/// the same command as the epoch it applies to.
 struct ShardCmd {
   enum class Kind {
     kEpoch,     ///< Run one epoch barrier over the shard's sites.
     kPoll,      ///< Fan out one poll round and report the responses.
-    kLayout,    ///< Adopt a new shard layout (and plan slice) mid-run.
     kShutdown,  ///< Forward kShutdown to the sites and exit.
   };
   Kind kind = Kind::kEpoch;
   int64_t epoch = 0;
+  /// The shard's sites under the root's current layout:
+  /// [first_site, first_site + num_sites).
+  int first_site = 0;
+  int num_sites = 0;
   /// kEpoch: up/down flag per shard-local site (the root owns the channel
   /// and thus the crash schedule).
   std::vector<char> up;
-  /// kEpoch: global site ids whose threshold re-sync got through the wire
-  /// this epoch (root already charged the sends); the shard pushes the
-  /// transport messages so the per-site update-before-epoch-start FIFO
-  /// holds with a single producer per site.
-  std::vector<int> resync_sites;
-  /// kLayout: the new versioned layout plus this shard's plan slice under
-  /// it. Sent only at an epoch boundary (no in-flight data-plane traffic),
-  /// after the transport itself adopted the layout, and the command box is
-  /// FIFO — so the shard switches ranges strictly between epochs.
-  ShardLayout layout;
-  LocalPlan plan;
+  /// kEpoch: (global site, threshold) for every threshold re-sync that got
+  /// through the wire this epoch (root already charged the sends); the
+  /// shard pushes the transport messages so the per-site
+  /// update-before-epoch-start FIFO holds with a single producer per site.
+  std::vector<std::pair<int, int64_t>> resync;
+};
+
+/// A shard's final accounting, merged into the run totals by the root.
+/// Rides only on kShardExit.
+struct ShardReport {
+  int64_t alarms = 0;
+  MessageCounter messages;
+  ChannelStats reliability;
+  /// Non-OK when the shard failed: a protocol or transport error, or (free
+  /// mode) an abnormal transport close.
+  Status status;
 };
 
 /// Shard -> root message (internal mailbox in both modes).
 struct RootMsg {
-  enum class Kind {
+  enum class Kind : uint8_t {
     kEpochPartial,  ///< Virtual: epoch barrier done; entries = alarmed sites.
     kPollPartial,   ///< Poll leg done. Virtual: entries = every site's value.
                     ///< Free: aggregated sum/min/max, no per-site entries.
@@ -84,8 +94,9 @@ struct RootMsg {
                     ///< dead shard already relayed stays counted, and the
                     ///< replacement relays the rest.
     kHeartbeat,     ///< Free: reply to the root's kPing liveness probe.
-    kShardExit,     ///< Free: shard exiting; final per-shard accounting.
-    kError,         ///< Shard hit a protocol/transport error; see status.
+    kShardExit,     ///< Shard exiting; `report` holds its final accounting.
+                    ///< A virtual shard thread exits unprompted only when a
+                    ///< leg failed, with the error in the report.
   };
   Kind kind = Kind::kEpochPartial;
   int shard = 0;
@@ -98,65 +109,55 @@ struct RootMsg {
   int64_t partial_sum = 0;  ///< Weighted sum over the shard's sites.
   int64_t partial_min = 0;  ///< Min/max of the resolved per-site values —
   int64_t partial_max = 0;  ///< groundwork for MIN/MAX runtime constraints.
-  // kShardExit: merged into the run totals by the root.
-  int64_t alarms = 0;
-  MessageCounter messages;
-  ChannelStats reliability;
-  Status status;  ///< kError (and kShardExit on abnormal transport close).
+  std::unique_ptr<ShardReport> report;  ///< kShardExit only.
 };
+// Two of these cross between the inline leg and the root on every poll
+// round (the alarm notice that starts it, the partial that ends it), so the
+// hot message stays small and the one-shot accounting lives behind `report`.
+static_assert(sizeof(RootMsg) <= 80, "RootMsg is on the poll-round hot path");
 
-/// Everything one shard leg needs. Pointers are owned by the root and
-/// outlive the leg.
+/// Everything one free-running shard leg needs. Pointers are owned by the
+/// root and outlive the leg. (Virtual legs need none of this: each command
+/// carries their range.)
 struct ShardContext {
   int shard = 0;
   ShardLayout layout;
+  /// The root's config. The leg cuts its own slice of the weights, the
+  /// pessimistic poll fallbacks and the fault spec (SliceFaultSpec) from it,
+  /// and reports to its observers.
+  const CoordinatorActor::Config* config = nullptr;
   Transport* transport = nullptr;
-  Mailbox<ShardCmd>* cmds = nullptr;  ///< Virtual mode only.
   Mailbox<RootMsg>* to_root = nullptr;
-  /// Shard-local plan slice: thresholds for re-sync pushes (virtual mode,
-  /// SliceForShard) and domain_max as the pessimistic poll fallback.
-  LocalPlan plan;
-  RuntimeProtocol protocol = RuntimeProtocol::kLocalThreshold;
-  // Free-running mode only.
-  std::vector<int64_t> weights;  ///< Shard-local slice.
-  FaultSpec faults;              ///< Sliced via SliceFaultSpec.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceRecorder* recorder = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
-  // Chaos injection (tests / --chaos runs): the shard kills itself at a
-  // deterministic point, simulating a crashed coordinator thread.
-  /// Virtual mode: die the instant the kEpoch command for this epoch
-  /// arrives, before sending anything — the root re-executes the command.
-  int64_t die_at_epoch = -1;
-  /// Free mode: die after fully processing this many inbox batches. Dying
-  /// at a batch boundary means every consumed message was handled and
-  /// every unconsumed one is still queued for the replacement shard.
+  /// Chaos injection (tests / --chaos runs): die after fully processing
+  /// this many inbox batches, simulating a crashed coordinator thread.
+  /// Dying at a batch boundary means every consumed message was handled
+  /// and every unconsumed one is still queued for the replacement shard.
   int64_t die_after_batches = -1;
 };
 
-/// Body of one shard coordinator thread, virtual-time mode: serve ShardCmds
-/// until kShutdown (or a closed box / transport error).
-void RunShardVirtual(ShardContext ctx);
-
-/// The three virtual-mode shard legs, exposed so the root can run a leg
-/// itself: the single leg of a 1-shard tree, or a dead shard's pending
-/// command (direct attachment after a shard crash). Shard threads and the
-/// root run exactly this code, which is what makes recovery transparent:
-/// the sites cannot tell who is on the other end of the transport.
+/// Runs one virtual-mode command over the command's site range. A shard
+/// thread and the root (the single leg of a 1-shard tree, or a dead
+/// shard's pending command after direct attachment) run exactly this
+/// code, which is what makes recovery transparent: the sites cannot tell
+/// who is on the other end of the transport. `shard` names the inbox the
+/// sites' replies arrive in.
 ///
-/// ShardEpochLeg: threshold re-syncs, then the epoch barrier over the
-/// shard's sites; `alarmed` gets (global site, value) for every alarmed
-/// site in ascending order. ShardPollLeg: one poll fan-out; `values` gets
-/// every owned site's response in ascending order. ShardShutdownLeg:
-/// forwards kShutdown to every owned site.
-Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
-                     int shard, const LocalPlan& plan, const ShardCmd& cmd,
-                     std::vector<std::pair<int, int64_t>>* alarmed);
-Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
-                    int shard, int64_t epoch,
-                    std::vector<std::pair<int, int64_t>>* values);
-void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
-                      int shard);
+/// kEpoch: threshold re-syncs, then the epoch barrier over the range;
+/// `entries` gets (global site, value) for every alarmed site in ascending
+/// order. kPoll: one poll fan-out; `entries` gets every site's response in
+/// ascending order. kShutdown: forwards kShutdown to every site in range.
+Status RunShardLeg(Transport* transport, int shard, const ShardCmd& cmd,
+                   std::vector<std::pair<int, int64_t>>* entries);
+
+/// Body of one shard coordinator thread, virtual-time mode: runs every
+/// command from `cmds` through RunShardLeg and pushes its partial to the
+/// root, until kShutdown (or a closed box). A failed leg ends the thread
+/// with a kShardExit carrying the error. Chaos: the thread dies the instant
+/// the kEpoch command for `die_at_epoch` arrives, before sending anything;
+/// the root re-executes the command.
+void RunShardVirtual(int shard, Transport* transport, Mailbox<ShardCmd>* cmds,
+                     Mailbox<RootMsg>* to_root, int64_t die_at_epoch);
 
 /// One free-running shard leg as a step function. It owns the shard's
 /// private channel (over shard-local site ids) and counter, the watermark,
@@ -166,9 +167,8 @@ void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
 /// 1-shard tree's root steps it inline, handing it commands directly.
 class ShardFreeLeg {
  public:
-  /// Takes the slice (shard, layout, transport, plan, weights, faults,
-  /// protocol) and observers from `ctx`; the driver keeps `to_root` and
-  /// the chaos fields.
+  /// Takes the shard, layout, transport, config and observers from `ctx`;
+  /// the caller keeps `to_root` and the chaos field.
   explicit ShardFreeLeg(ShardContext ctx);
   ShardFreeLeg(const ShardFreeLeg&) = delete;
   ShardFreeLeg& operator=(const ShardFreeLeg&) = delete;
@@ -212,6 +212,8 @@ class ShardFreeLeg {
   ShardContext ctx_;
   int start_ = 0;
   int size_ = 0;
+  std::vector<int64_t> weights_;     ///< Shard-local slice.
+  std::vector<int64_t> domain_max_;  ///< Empty (optimistic) under polling.
   MessageCounter counter_;
   Channel channel_;
   int64_t watermark_ = -1;

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace_recorder.h"
 #include "runtime/coordinator.h"
 #include "runtime/plan.h"
 #include "runtime/transport.h"
@@ -56,6 +59,15 @@ int64_t PickThreshold(const Workload& w, double overflow_fraction,
   auto t = ThresholdForOverflowFraction(w.eval, weights, overflow_fraction);
   EXPECT_TRUE(t.ok());
   return *t;
+}
+
+int64_t CountEvents(const obs::TraceRecorder& recorder,
+                    obs::TraceEventKind kind) {
+  int64_t n = 0;
+  for (const obs::TraceEvent& e : recorder.Events()) {
+    n += e.kind == kind ? 1 : 0;
+  }
+  return n;
 }
 
 void ExpectConformant(const Workload& w, const ConformanceSpec& spec,
@@ -493,6 +505,86 @@ TEST(ShardedRuntimeTest, RejectsBadShardCounts) {
   EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
 }
 
+// A scripted 2-shard fabric for the virtual epoch barrier. Shard 0's sites
+// answer kEpochStart with a correct kEpochReport; shard 1's inbox answers it
+// with a kPollResponse, which its leg must reject. Replies are queued before
+// SendBatch returns, so a leg's receive always finds them.
+class EpochBarrierScript : public Transport {
+ public:
+  explicit EpochBarrierScript(int sites)
+      : layout_(*MakeShardLayout(sites, 2)), inboxes_(2) {}
+  int num_sites() const override { return layout_.num_sites; }
+  int num_workers() const override { return 1; }
+  int WorkerOf(int) const override { return 0; }
+  int num_shards() const override { return 2; }
+  int ShardOf(int site) const override { return layout_.ShardOf(site); }
+  ShardLayout layout() const override { return layout_; }
+  bool Send(const Envelope& e) override { return SendBatch({e}); }
+  bool SendBatch(const std::vector<Envelope>& batch) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Envelope& e : batch) {
+      if (e.msg.kind != ActorMsgKind::kEpochStart) {
+        continue;
+      }
+      const int shard = layout_.ShardOf(e.to);
+      ActorMessage reply;
+      reply.kind = shard == 0 ? ActorMsgKind::kEpochReport
+                              : ActorMsgKind::kPollResponse;
+      reply.epoch = e.msg.epoch;
+      inboxes_[static_cast<size_t>(shard)].push_back(
+          Envelope{e.to, kCoordinatorId, reply});
+    }
+    return true;
+  }
+  bool SendToShard(int, const Envelope&) override { return false; }
+  bool TrySendToShard(int, const Envelope&) override { return false; }
+  bool RecvShard(int, Envelope*) override { return false; }
+  bool TryRecvShard(int, Envelope*) override { return false; }
+  size_t RecvShardAll(int shard, std::vector<Envelope>* out) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Envelope>& inbox = inboxes_[static_cast<size_t>(shard)];
+    const size_t n = inbox.size();
+    out->insert(out->end(), inbox.begin(), inbox.end());
+    inbox.clear();
+    return n;
+  }
+  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out, int64_t,
+                         bool* timed_out) override {
+    *timed_out = false;
+    return RecvShardAll(shard, out);
+  }
+  bool RecvWorker(int, Envelope*) override { return false; }
+  bool TryRecvWorker(int, Envelope*) override { return false; }
+  void Shutdown() override {}
+
+ private:
+  const ShardLayout layout_;
+  std::mutex mu_;
+  std::vector<std::vector<Envelope>> inboxes_;
+};
+
+// A shard thread whose leg fails must fail the whole virtual run with the
+// leg's error, and the root must still join every shard thread.
+TEST(ShardedRuntimeTest, VirtualShardErrorFailsRun) {
+  constexpr int kSites = 4;
+  CoordinatorActor::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.weights.assign(kSites, 1);
+  cfg.global_threshold = 1'000;
+  cfg.thresholds.assign(kSites, 900);
+  cfg.domain_max.assign(kSites, 1'000);
+  cfg.num_shards = 2;
+  CoordinatorActor coordinator(cfg);
+  ASSERT_TRUE(coordinator.Init().ok());
+  EpochBarrierScript script(kSites);
+  RuntimeResult result;
+  const Status status = coordinator.RunVirtual(&script, 10, &result);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("out-of-order message at epoch barrier"),
+            std::string::npos)
+      << status.message();
+}
+
 // Chaos conformance (the recovery proof): a shard coordinator killed at a
 // seed-resolved epoch, a mid-run reshard, or a severed worker TCP link must
 // leave the virtual-time detections bit-identical to the healthy lockstep
@@ -639,6 +731,8 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
     options.chaos.kind = ChaosKind::kKillShard;
     options.chaos.seed = chaos_seed;
     options.heartbeat_timeout_ms = 200;
+    obs::TraceRecorder recorder(/*capacity=*/1 << 18);
+    options.recorder = &recorder;
     auto result = RunSyntheticRuntime(6, 400, options);
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result->total_updates, 6 * 400) << "seed=" << chaos_seed;
@@ -648,7 +742,38 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
     }
     EXPECT_EQ(result->shard_recoveries, 1) << "seed=" << chaos_seed;
     EXPECT_GT(result->recovery_ms, 0.0);
+    // Every recovery, whether from a probe or at shutdown, leaves a death
+    // and a respawn in the trace.
+    EXPECT_EQ(recorder.dropped(), 0);
+    EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath),
+              result->shard_recoveries)
+        << "seed=" << chaos_seed;
+    EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn),
+              result->shard_recoveries)
+        << "seed=" << chaos_seed;
   }
+}
+
+// A virtual-time shard death is recovered by the root taking over the dead
+// shard's sites inline: the trace shows the death and no respawned thread.
+TEST(ChaosRuntimeTest, KillShardVirtualTracesDeathWithoutRespawn) {
+  Workload w = MakeSyntheticWorkload(21);
+  FptasSolver solver(0.05);
+  RuntimeOptions options;
+  options.solver = &solver;
+  options.global_threshold = PickThreshold(w, 0.02);
+  options.num_shards = 2;
+  options.chaos.kind = ChaosKind::kKillShard;
+  options.chaos.seed = 3;
+  options.heartbeat_timeout_ms = 300;
+  obs::TraceRecorder recorder(/*capacity=*/1 << 18);
+  options.recorder = &recorder;
+  auto result = RunMonitorRuntime(w.training, w.eval, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->shard_recoveries, 1);
+  EXPECT_EQ(recorder.dropped(), 0);
+  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath), 1);
+  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn), 0);
 }
 
 // Chaos needs a detectable configuration: kill-shard without a heartbeat
@@ -664,6 +789,18 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   options.num_shards = 2;
   options.heartbeat_timeout_ms = 0;  // Root would never notice the death.
   EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
+  // Reshard and kill-worker fire at an epoch boundary, which a free-running
+  // run never has: rejected, not silently ignored.
+  options.heartbeat_timeout_ms = 200;
+  for (ChaosKind kind : {ChaosKind::kReshard, ChaosKind::kKillWorker}) {
+    options.chaos.kind = kind;
+    auto result = RunSyntheticRuntime(4, 10, options);
+    ASSERT_FALSE(result.ok()) << ChaosKindName(kind);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("chaos needs virtual time"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 // The runtime's deployment plan must provision the same thresholds the
