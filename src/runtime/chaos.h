@@ -21,8 +21,9 @@ enum class ChaosKind : uint8_t {
   /// anything, and the root re-adopts its sites (direct attachment) — the
   /// Channel call sequence is unchanged, so detections stay bit-identical
   /// to the lockstep simulator. Free-running mode: the shard dies between
-  /// inbox batches and the root respawns a replacement that drains the
-  /// same inbox, so no queued alarm or site-done message is lost.
+  /// inbox batches, at the first boundary after it consumed a seeded
+  /// number of envelopes, and the root respawns a replacement that drains
+  /// the same inbox, so no queued alarm or site-done message is lost.
   kKillShard,
   /// Sever the TCP link to one site-worker mid-run (socket transport
   /// only). The worker redials, the handshake fences stale generations,
@@ -47,7 +48,8 @@ struct ChaosSpec {
 struct ResolvedChaos {
   int target = -1;          ///< Shard (kKillShard) or worker (kKillWorker).
   int64_t fire_epoch = -1;  ///< Virtual mode: epoch the chaos fires at.
-  int64_t fire_after_batches = -1;  ///< Free mode: inbox batches survived.
+  /// Free mode: envelopes consumed before the shard dies.
+  int64_t fire_after_envelopes = -1;
 };
 
 namespace chaos_internal {
@@ -75,7 +77,7 @@ inline ResolvedChaos ResolveChaos(const ChaosSpec& spec, int64_t num_epochs,
   r.target = static_cast<int>(a % static_cast<uint64_t>(num_targets));
   const int64_t span = num_epochs > 2 ? num_epochs - 2 : 1;
   r.fire_epoch = 1 + static_cast<int64_t>(b % static_cast<uint64_t>(span));
-  r.fire_after_batches = 1 + static_cast<int64_t>(b % 8);
+  r.fire_after_envelopes = 1 + static_cast<int64_t>(b % 8);
   return r;
 }
 

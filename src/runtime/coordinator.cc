@@ -448,7 +448,7 @@ class CoordinatorActor::FreeRun {
     DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
     out_->site_updates.assign(static_cast<size_t>(config_.num_sites), 0);
     if (k_ == 1) {
-      inline_leg_.emplace(MakeContext(0, /*die_after_batches=*/-1));
+      inline_leg_.emplace(MakeContext(0, /*die_after_envelopes=*/-1));
       inline_leg_->Start(&leg_out_);
       ServeLegOut();
     } else {
@@ -457,7 +457,7 @@ class CoordinatorActor::FreeRun {
                             slot.shard == chaos_.target;
         threads_.emplace_back(
             RunShardFree,
-            MakeContext(slot.shard, doomed ? chaos_.fire_after_batches : -1));
+            MakeContext(slot.shard, doomed ? chaos_.fire_after_envelopes : -1));
       }
     }
     while ((sites_done_ < config_.num_sites || partials_pending_ > 0) &&
@@ -482,10 +482,11 @@ class CoordinatorActor::FreeRun {
   }
 
  private:
-  ShardContext MakeContext(int s, int64_t die_after_batches) {
+  ShardContext MakeContext(int s, int64_t die_after_envelopes,
+                           int64_t incarnation = 0) {
     return ShardContext{s,          layout_,           &config_,
                         transport_, &root_box_,        actor_.alarms_rx_,
-                        die_after_batches};
+                        die_after_envelopes, incarnation};
   }
 
   void Fail(Status status) {
@@ -721,14 +722,16 @@ class CoordinatorActor::FreeRun {
     slot.respawned = true;
     RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
                     watermark_, slot.shard, slot.shard);
-    threads_.emplace_back(RunShardFree, MakeContext(slot.shard, -1));
+    threads_.emplace_back(RunShardFree,
+                          MakeContext(slot.shard, -1, /*incarnation=*/1));
     RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
                     watermark_, slot.shard, slot.shard);
     CountRecovery(since, out_);
     // Re-send what the shard still owed: while draining, a stop for the
     // twin (the original's is already queued or backlogged); otherwise a
     // kick for a round it had not answered, which would hang forever (the
-    // replacement ignores stale queued responses).
+    // replacement, incarnation 1, ignores every response to the dead leg's
+    // rounds: their ids differ).
     if (draining_) {
       SendCommand(slot, ActorMsgKind::kShutdown);
     } else if (partials_pending_ > 0 && !slot.reported) {

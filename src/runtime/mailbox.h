@@ -1,10 +1,15 @@
 #ifndef DCV_RUNTIME_MAILBOX_H_
 #define DCV_RUNTIME_MAILBOX_H_
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -16,6 +21,61 @@ enum class MailboxPush {
   kOk,      ///< Enqueued.
   kFull,    ///< At capacity; try again or fall back to blocking Push.
   kClosed,  ///< Mailbox closed; the message will never be accepted.
+};
+
+/// The one wake-up signal of a LanedMailbox, shared by its lanes. Producers
+/// call Notify after publishing; it costs a fence and a load unless a
+/// consumer is registered. A consumer registers, re-checks every lane, and
+/// only then sleeps. The seq_cst fence on each side, between its publish
+/// (a lane's size hint, a registration) and its check of the other side's,
+/// is what rules out a lost wake-up: at least one side sees the other.
+class MailboxWaker {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Producer side, after a publish: wakes the registered consumers, if any.
+  void Notify() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiters_.load(std::memory_order_relaxed) > 0) {
+      NotifyAll();
+    }
+  }
+
+  /// Wakes every waiting consumer unconditionally (shutdown).
+  void NotifyAll() {
+    // A consumer holds the lock from its registration until it sleeps, so
+    // taking the lock once waits out that gap: the signal cannot fall into
+    // it. Signalling after the release spares the woken consumer a second
+    // wait, for the lock.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_all();
+  }
+
+  /// Consumer side: registers, then sleeps unless `ready()` — evaluated
+  /// after registering — holds, until a Notify or `deadline` (nullptr:
+  /// none). Returns false iff the deadline expired. Spurious returns are
+  /// allowed; callers loop.
+  template <typename Ready>
+  bool Wait(Ready ready, const Clock::time_point* deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    waiters_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    bool expired = false;
+    if (!ready()) {
+      if (deadline == nullptr) {
+        cv_.wait(lock);
+      } else {
+        expired = cv_.wait_until(lock, *deadline) == std::cv_status::timeout;
+      }
+    }
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+    return !expired;
+  }
+
+ private:
+  std::atomic<int> waiters_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
 
 /// Bounded multi-producer queue — the runtime's only cross-thread channel.
@@ -35,7 +95,12 @@ enum class MailboxPush {
 template <typename T>
 class Mailbox {
  public:
-  explicit Mailbox(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit Mailbox(size_t capacity) : Mailbox(capacity, nullptr) {}
+
+  /// A lane of a LanedMailbox: every push Notifies `waker` instead of this
+  /// box's own consumers, so drain it with TryPop/TryPopAll.
+  Mailbox(size_t capacity, MailboxWaker* waker)
+      : capacity_(capacity == 0 ? 1 : capacity), waker_(waker) {}
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -50,8 +115,9 @@ class Mailbox {
       return false;
     }
     queue_.push_back(std::move(item));
+    UpdateHint();
     lock.unlock();
-    not_empty_.notify_one();
+    Signal(1);
     return true;
   }
 
@@ -79,12 +145,9 @@ class Mailbox {
           ++next;
           ++moved;
         }
+        UpdateHint();
       }
-      if (moved == 1) {
-        not_empty_.notify_one();
-      } else {
-        not_empty_.notify_all();
-      }
+      Signal(moved);
     }
     return true;
   }
@@ -95,26 +158,17 @@ class Mailbox {
   /// stop retrying a dead box). Moved-from slots are left behind in
   /// `items`; the caller advances its own cursor by the return value.
   size_t TryPushAll(std::vector<T>* items, size_t begin, bool* closed) {
-    size_t moved = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed != nullptr) {
-        *closed = closed_;
-      }
-      if (closed_) {
-        return 0;
-      }
-      while (begin + moved < items->size() && queue_.size() < capacity_) {
-        queue_.push_back(std::move((*items)[begin + moved]));
-        ++moved;
-      }
-    }
-    if (moved == 1) {
-      not_empty_.notify_one();
-    } else if (moved > 1) {
-      not_empty_.notify_all();
-    }
-    return moved;
+    const size_t first = std::min(begin, items->size());
+    return TryPushRun(std::make_move_iterator(items->begin() + first),
+                      items->size() - first, closed);
+  }
+
+  /// TryPushAll over items[begin, end) (begin <= end <= size), copying:
+  /// the run form a batched sender uses to push one destination's stretch
+  /// of a larger batch.
+  size_t TryPushAll(const std::vector<T>& items, size_t begin, size_t end,
+                    bool* closed) {
+    return TryPushRun(items.begin() + begin, end - begin, closed);
   }
 
   MailboxPush TryPush(T item) {
@@ -127,8 +181,9 @@ class Mailbox {
         return MailboxPush::kFull;
       }
       queue_.push_back(std::move(item));
+      UpdateHint();
     }
-    not_empty_.notify_one();
+    Signal(1);
     return MailboxPush::kOk;
   }
 
@@ -142,6 +197,7 @@ class Mailbox {
     }
     *out = std::move(queue_.front());
     queue_.pop_front();
+    UpdateHint();
     lock.unlock();
     not_full_.notify_one();
     return true;
@@ -195,8 +251,13 @@ class Mailbox {
   }
 
   /// Non-blocking batch drain; 0 when nothing is immediately available
-  /// (which, unlike PopAll, says nothing about the box being closed).
+  /// (which, unlike PopAll, says nothing about the box being closed). An
+  /// empty box costs one atomic load: the size hint reads 0 and no lock is
+  /// taken. A push that happens-before this call is always seen.
   size_t TryPopAll(std::vector<T>* out) {
+    if (size_hint() == 0) {
+      return 0;
+    }
     size_t moved = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -208,8 +269,12 @@ class Mailbox {
     return moved;
   }
 
-  /// Non-blocking Pop; false when nothing is immediately available.
+  /// Non-blocking Pop; false when nothing is immediately available. Like
+  /// TryPopAll, an empty box costs a load, not a lock.
   bool TryPop(T* out) {
+    if (size_hint() == 0) {
+      return false;
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (queue_.empty()) {
@@ -217,6 +282,7 @@ class Mailbox {
       }
       *out = std::move(queue_.front());
       queue_.pop_front();
+      UpdateHint();
     }
     not_full_.notify_one();
     return true;
@@ -245,6 +311,12 @@ class Mailbox {
 
   size_t capacity() const { return capacity_; }
 
+  /// The queue length as of its last change, read without the lock. Exact
+  /// for anything that happens-before the read; otherwise a hint.
+  size_t size_hint() const {
+    return size_hint_.load(std::memory_order_acquire);
+  }
+
  private:
   /// Moves the whole queue into `out`; caller holds mu_.
   size_t DrainLocked(std::vector<T>* out) {
@@ -253,6 +325,50 @@ class Mailbox {
       out->push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    UpdateHint();
+    return moved;
+  }
+
+  /// Publishes queue_.size() to lock-free readers; caller holds mu_.
+  void UpdateHint() {
+    size_hint_.store(queue_.size(), std::memory_order_release);
+  }
+
+  /// Wakes consumers after `moved` items landed (outside the lock).
+  void Signal(size_t moved) {
+    if (moved == 0) {
+      return;
+    }
+    if (waker_ != nullptr) {
+      waker_->Notify();
+    } else if (moved == 1) {
+      not_empty_.notify_one();
+    } else {
+      not_empty_.notify_all();
+    }
+  }
+
+  /// The non-blocking push both TryPushAll forms share: enqueues the
+  /// longest prefix of the `count` items at `first` that fits right now.
+  template <typename It>
+  size_t TryPushRun(It first, size_t count, bool* closed) {
+    size_t moved = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed != nullptr) {
+        *closed = closed_;
+      }
+      if (closed_) {
+        return 0;
+      }
+      while (moved < count && queue_.size() < capacity_) {
+        queue_.push_back(*first);
+        ++first;
+        ++moved;
+      }
+      UpdateHint();
+    }
+    Signal(moved);
     return moved;
   }
 
@@ -261,7 +377,156 @@ class Mailbox {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> queue_;
+  std::atomic<size_t> size_hint_{0};
   bool closed_ = false;
+  MailboxWaker* const waker_;
+};
+
+/// This thread's producer index: assigned on its first laned push, stable
+/// for the thread's lifetime, distinct from every earlier thread's.
+inline size_t ProducerIndex() {
+  static std::atomic<size_t> next{0};
+  constexpr size_t kUnassigned = ~size_t{0};
+  thread_local size_t index = kUnassigned;
+  if (index == kUnassigned) {
+    index = next.fetch_add(1, std::memory_order_relaxed);
+  }
+  return index;
+}
+
+/// A multi-producer inbox built from `num_lanes` bounded Mailbox lanes, so
+/// producing threads stop contending for one lock: a thread always pushes
+/// into lane ProducerIndex() % num_lanes (through lane()), and consumers
+/// drain every lane. Two threads that share a lane cost contention, never
+/// order.
+///
+/// Ordering guarantee: messages from one producer thread are delivered in
+/// that thread's push order (one lane, one FIFO). Messages from different
+/// threads interleave arbitrarily — even when one push happens-before the
+/// other, they may sit in different lanes.
+///
+/// Consumers never wait on a lane: they share one MailboxWaker, which lane
+/// pushes Notify. Any number of consumers may drain concurrently; each
+/// message is delivered exactly once. Each lane is bounded on its own, so
+/// a blocking push waits only for room in its own lane. Close closes every
+/// lane and wakes everyone; queued messages stay poppable.
+template <typename T>
+class LanedMailbox {
+ public:
+  /// `num_lanes` 0 is clamped to 1.
+  LanedMailbox(size_t num_lanes, size_t lane_capacity) {
+    for (size_t i = 0; i < std::max<size_t>(num_lanes, 1); ++i) {
+      lanes_.push_back(std::make_unique<Mailbox<T>>(lane_capacity, &waker_));
+    }
+  }
+
+  LanedMailbox(const LanedMailbox&) = delete;
+  LanedMailbox& operator=(const LanedMailbox&) = delete;
+
+  /// The calling thread's lane: every push goes through it.
+  Mailbox<T>& lane() { return *lanes_[ProducerIndex() % lanes_.size()]; }
+
+  /// Blocks until some lane holds a message (or the box is closed and
+  /// drained), then drains every non-empty lane once. Appends to `out`;
+  /// 0 = closed and drained.
+  size_t PopAll(std::vector<T>* out) {
+    return Await([&] { return Drain(out); }, nullptr, nullptr);
+  }
+
+  /// PopAll with a deadline. 0 with `*timed_out = true`: the deadline
+  /// expired with the box open and empty; 0 with `*timed_out = false`:
+  /// closed and drained.
+  size_t PopAllFor(std::vector<T>* out, int64_t timeout_ms, bool* timed_out) {
+    const MailboxWaker::Clock::time_point deadline =
+        MailboxWaker::Clock::now() + std::chrono::milliseconds(timeout_ms);
+    return Await([&] { return Drain(out); }, &deadline, timed_out);
+  }
+
+  /// Blocks for one message; false = closed and drained.
+  bool Pop(T* out) {
+    return Await([&] { return TryPop(out) ? size_t{1} : size_t{0}; },
+                 nullptr, nullptr) > 0;
+  }
+
+  /// Non-blocking Pop; false when nothing is immediately available.
+  bool TryPop(T* out) {
+    const size_t first = rotor_.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_[(first + i) % lanes_.size()]->TryPop(out)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Rejects future pushes and wakes every blocked producer and consumer.
+  /// Idempotent; queued messages stay poppable.
+  void Close() {
+    for (auto& lane : lanes_) {
+      lane->Close();
+    }
+    closed_.store(true, std::memory_order_release);
+    waker_.NotifyAll();
+  }
+
+  /// Capacity of each lane.
+  size_t lane_capacity() const { return lanes_[0]->capacity(); }
+
+ private:
+  /// Drains every non-empty lane once, starting one lane later on each
+  /// call so no lane is always served last.
+  size_t Drain(std::vector<T>* out) {
+    const size_t first = rotor_.fetch_add(1, std::memory_order_relaxed);
+    size_t moved = 0;
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      moved += lanes_[(first + i) % lanes_.size()]->TryPopAll(out);
+    }
+    return moved;
+  }
+
+  /// The consumer's wake condition, checked after registering as a waiter.
+  bool Ready() const {
+    if (closed_.load(std::memory_order_acquire)) {
+      return true;
+    }
+    for (const auto& lane : lanes_) {
+      if (lane->size_hint() > 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Runs `take` until it yields something, the box is closed and drained
+  /// (0), or `deadline` expires (0 and `*timed_out`).
+  template <typename Take>
+  size_t Await(Take take, const MailboxWaker::Clock::time_point* deadline,
+               bool* timed_out) {
+    if (timed_out != nullptr) {
+      *timed_out = false;
+    }
+    for (;;) {
+      // Read closed before taking: every lane closed before the flag was
+      // set, so a take after seeing it finds everything ever accepted.
+      bool closed = closed_.load(std::memory_order_acquire);
+      if (const size_t got = take(); got > 0 || closed) {
+        return got;
+      }
+      if (!waker_.Wait([this] { return Ready(); }, deadline)) {
+        closed = closed_.load(std::memory_order_acquire);
+        const size_t got = take();
+        if (timed_out != nullptr) {
+          *timed_out = got == 0 && !closed;
+        }
+        return got;
+      }
+    }
+  }
+
+  MailboxWaker waker_;
+  std::vector<std::unique_ptr<Mailbox<T>>> lanes_;
+  std::atomic<bool> closed_{false};
+  std::atomic<size_t> rotor_{0};
 };
 
 }  // namespace dcv

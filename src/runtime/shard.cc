@@ -242,9 +242,14 @@ void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
 }
 
 bool ShardFreeLeg::StartPoll() {
+  // The request epoch carries the round id, not a watermark: the sites
+  // echo it, and only responses echoing the open round's id count. A dead
+  // predecessor's stale responses can share this inbox with the fresh ones
+  // in any order, and must not resolve this round early.
+  poll_id_ = PollRoundId(ctx_.incarnation, ++poll_round_);
   ActorMessage request;
   request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = std::max<int64_t>(watermark_, 0);
+  request.epoch = poll_id_;
   FanOut(start_, size_, request, &poll_fanout_);
   if (!ctx_.transport->SendBatch(poll_fanout_)) {
     return false;
@@ -292,8 +297,8 @@ void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
       OnAlarm(e, out);
       break;
     case ActorMsgKind::kPollResponse:
-      if (!poll_outstanding_) {
-        break;  // Response to a round we already resolved; ignore.
+      if (!poll_outstanding_ || e.msg.epoch != poll_id_) {
+        break;  // Resolved round, or another incarnation's; ignore.
       }
       poll_values_[static_cast<size_t>(e.from - start_)] = e.msg.value;
       if (--poll_pending_ == 0) {
@@ -397,16 +402,16 @@ void RunShardFree(ShardContext ctx) {
   Transport* const transport = ctx.transport;
   Mailbox<RootMsg>* const to_root = ctx.to_root;
   const int shard = ctx.shard;
-  const int64_t die_after_batches = ctx.die_after_batches;
+  const int64_t die_after_envelopes = ctx.die_after_envelopes;
   // A free-running shard always terminates via kShardExit — even on init
   // failure — so the root can count k exits before joining.
   ShardFreeLeg leg(std::move(ctx));
   std::vector<RootMsg> out;
   leg.Start(&out);
   std::vector<Envelope> batch;
-  int64_t batches_survived = 0;
+  int64_t consumed = 0;
   while (leg.running()) {
-    if (die_after_batches >= 0 && batches_survived >= die_after_batches) {
+    if (die_after_envelopes >= 0 && consumed >= die_after_envelopes) {
       // Chaos: crash at a batch boundary — every consumed message was
       // fully handled (notices pushed, done reports relayed) and every
       // unconsumed one is still queued in the shard inbox, which the
@@ -419,7 +424,7 @@ void RunShardFree(ShardContext ctx) {
       leg.Stop(InternalError("transport closed while sites were live"), &out);
       break;
     }
-    ++batches_survived;
+    consumed += static_cast<int64_t>(batch.size());
     for (size_t next = 0; next < batch.size();) {
       next = leg.StepBatch(batch, next, &out);
       if (!Forward(to_root, &out)) {

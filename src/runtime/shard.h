@@ -129,11 +129,18 @@ struct ShardContext {
   Transport* transport = nullptr;
   Mailbox<RootMsg>* to_root = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
-  /// Chaos injection (tests / --chaos runs): die after fully processing
-  /// this many inbox batches, simulating a crashed coordinator thread.
-  /// Dying at a batch boundary means every consumed message was handled
-  /// and every unconsumed one is still queued for the replacement shard.
-  int64_t die_after_batches = -1;
+  /// Chaos injection (tests / --chaos runs): die at the first inbox batch
+  /// boundary after consuming this many envelopes, simulating a crashed
+  /// coordinator thread. Dying at a batch boundary means every consumed
+  /// message was handled and every unconsumed one is still queued for the
+  /// replacement shard. Envelopes, not batches: how many batches a run
+  /// takes depends on how the transport drains, and a short run may end
+  /// before a batch count is reached.
+  int64_t die_after_envelopes = -1;
+  /// Which leg on this shard id this is: 0 for the first, 1 for a respawned
+  /// replacement. Part of every poll-round id the leg stamps, so no round
+  /// of one incarnation shares an id with any round of another.
+  int64_t incarnation = 0;
 };
 
 /// Runs one virtual-mode command over the command's site range. A shard
@@ -197,6 +204,12 @@ class ShardFreeLeg {
 
   bool running() const { return running_; }
 
+  /// The id a poll fan-out carries in its request epoch (and the sites echo
+  /// back): incarnation * 2^32 + the leg's round number, 1-based.
+  static int64_t PollRoundId(int64_t incarnation, int64_t round) {
+    return (incarnation << 32) + round;
+  }
+
  private:
   /// Fans one poll request out to every owned site; false = transport
   /// closed.
@@ -218,6 +231,8 @@ class ShardFreeLeg {
   Channel channel_;
   int64_t watermark_ = -1;
   bool poll_outstanding_ = false;
+  int64_t poll_round_ = 0;  ///< Rounds this leg has fanned out.
+  int64_t poll_id_ = 0;     ///< PollRoundId of the open (or last) round.
   int poll_pending_ = 0;
   bool notice_sent_ = false;  ///< Collapse alarms into one notice per round.
   std::vector<int64_t> poll_values_;
@@ -228,7 +243,7 @@ class ShardFreeLeg {
 
 /// Body of one shard coordinator thread, free-running mode: receive inbox
 /// batches, step the shard's ShardFreeLeg over them, and push its output
-/// to the root until the leg stops (or `die_after_batches` chaos fires).
+/// to the root until the leg stops (or `die_after_envelopes` chaos fires).
 void RunShardFree(ShardContext ctx);
 
 /// Remaps a global fault spec onto one shard's contiguous site range:

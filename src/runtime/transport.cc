@@ -56,10 +56,11 @@ ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
   layouts_.push_back(std::make_unique<ShardLayout>(std::move(layout)));
   layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
   const int num_shards = layouts_.back()->num_shards;
+  // One lane per engine thread plus one for the root's commands.
   shard_boxes_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    shard_boxes_.push_back(
-        std::make_unique<Mailbox<Envelope>>(coordinator_capacity));
+    shard_boxes_.push_back(std::make_unique<LanedMailbox<Envelope>>(
+        static_cast<size_t>(num_workers) + 1, coordinator_capacity));
   }
   worker_boxes_.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
@@ -67,17 +68,25 @@ ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
   }
 }
 
-bool ThreadTransport::Send(const Envelope& e) {
+int ThreadTransport::InboxOf(const Envelope& e) const {
   if (e.to == kCoordinatorId) {
-    if (e.from < 0 || e.from >= num_sites_) {
-      return false;
-    }
-    return shard_boxes_[static_cast<size_t>(ShardOf(e.from))]->Push(e);
+    return e.from >= 0 && e.from < num_sites_ ? ShardOf(e.from) : -1;
   }
   if (e.to < 0 || e.to >= num_sites_) {
-    return false;
+    return -1;
   }
-  return worker_boxes_[static_cast<size_t>(WorkerOf(e.to))]->Push(e);
+  return static_cast<int>(shard_boxes_.size()) + WorkerOf(e.to);
+}
+
+Mailbox<Envelope>* ThreadTransport::PushBox(int inbox) {
+  const size_t k = shard_boxes_.size();
+  const size_t i = static_cast<size_t>(inbox);
+  return i < k ? &shard_boxes_[i]->lane() : worker_boxes_[i - k].get();
+}
+
+bool ThreadTransport::Send(const Envelope& e) {
+  const int inbox = InboxOf(e);
+  return inbox >= 0 && PushBox(inbox)->Push(e);
 }
 
 bool ThreadTransport::SendBatch(const std::vector<Envelope>& batch) {
@@ -87,30 +96,26 @@ bool ThreadTransport::SendBatch(const std::vector<Envelope>& batch) {
   // not run-length detection — is what recovers the batching win. Order
   // within each group is batch order, preserving the per-producer FIFO
   // guarantee every barrier in the runtime leans on.
-  std::vector<std::vector<Envelope>> to_shard(shard_boxes_.size());
-  std::vector<std::vector<Envelope>> to_worker(worker_boxes_.size());
+  // Groups are sized exactly first: a million-site fan-out's groups would
+  // otherwise overshoot by up to 2x while they grow.
+  std::vector<size_t> sizes(shard_boxes_.size() + worker_boxes_.size(), 0);
   for (const Envelope& e : batch) {
-    if (e.to == kCoordinatorId) {
-      if (e.from < 0 || e.from >= num_sites_) {
-        return false;
-      }
-      to_shard[static_cast<size_t>(ShardOf(e.from))].push_back(e);
-    } else {
-      if (e.to < 0 || e.to >= num_sites_) {
-        return false;
-      }
-      to_worker[static_cast<size_t>(WorkerOf(e.to))].push_back(e);
-    }
-  }
-  for (size_t s = 0; s < to_shard.size(); ++s) {
-    if (!to_shard[s].empty() &&
-        !shard_boxes_[s]->PushAll(std::move(to_shard[s]))) {
+    const int inbox = InboxOf(e);
+    if (inbox < 0) {
       return false;
     }
+    ++sizes[static_cast<size_t>(inbox)];
   }
-  for (size_t w = 0; w < to_worker.size(); ++w) {
-    if (!to_worker[w].empty() &&
-        !worker_boxes_[w]->PushAll(std::move(to_worker[w]))) {
+  std::vector<std::vector<Envelope>> to_box(sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    to_box[i].reserve(sizes[i]);
+  }
+  for (const Envelope& e : batch) {
+    to_box[static_cast<size_t>(InboxOf(e))].push_back(e);
+  }
+  for (size_t i = 0; i < to_box.size(); ++i) {
+    if (!to_box[i].empty() &&
+        !PushBox(static_cast<int>(i))->PushAll(std::move(to_box[i]))) {
       return false;
     }
   }
@@ -123,51 +128,49 @@ size_t ThreadTransport::TrySendBatch(const std::vector<Envelope>& batch,
   // so the caller's retry cursor stays a plain offset. `*closed` flags the
   // permanent stop reasons (closed box, unroutable envelope) — a full box
   // leaves it false so the caller retries after draining its own inbox.
-  size_t sent = 0;
-  while (begin + sent < batch.size()) {
-    const Envelope& e = batch[begin + sent];
-    Mailbox<Envelope>* box = nullptr;
-    if (e.to == kCoordinatorId) {
-      if (e.from < 0 || e.from >= num_sites_) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = shard_boxes_[static_cast<size_t>(ShardOf(e.from))].get();
-    } else {
-      if (e.to < 0 || e.to >= num_sites_) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = worker_boxes_[static_cast<size_t>(WorkerOf(e.to))].get();
-    }
-    const MailboxPush push = box->TryPush(e);
-    if (push != MailboxPush::kOk) {
-      if (push == MailboxPush::kClosed && closed != nullptr) {
+  // Each maximal run of envelopes bound for one inbox goes in with one
+  // TryPushAll: one lock and one wake-up per run, not per envelope. An
+  // engine's outbox is all coordinator-bound, so with one shard the whole
+  // batch is a single run.
+  size_t next = begin;
+  while (next < batch.size()) {
+    const int inbox = InboxOf(batch[next]);
+    if (inbox < 0) {
+      if (closed != nullptr) {
         *closed = true;
       }
       break;
     }
-    ++sent;
+    size_t end = next + 1;
+    while (end < batch.size() && InboxOf(batch[end]) == inbox) {
+      ++end;
+    }
+    bool box_closed = false;
+    const size_t pushed =
+        PushBox(inbox)->TryPushAll(batch, next, end, &box_closed);
+    next += pushed;
+    if (next < end) {
+      if (box_closed && closed != nullptr) {
+        *closed = true;
+      }
+      break;
+    }
   }
-  return sent;
+  return next - begin;
 }
 
 bool ThreadTransport::SendToShard(int shard, const Envelope& e) {
   if (shard < 0 || shard >= static_cast<int>(shard_boxes_.size())) {
     return false;
   }
-  return shard_boxes_[static_cast<size_t>(shard)]->Push(e);
+  return shard_boxes_[static_cast<size_t>(shard)]->lane().Push(e);
 }
 
 bool ThreadTransport::TrySendToShard(int shard, const Envelope& e) {
   if (shard < 0 || shard >= static_cast<int>(shard_boxes_.size())) {
     return false;
   }
-  return shard_boxes_[static_cast<size_t>(shard)]->TryPush(e) ==
+  return shard_boxes_[static_cast<size_t>(shard)]->lane().TryPush(e) ==
          MailboxPush::kOk;
 }
 

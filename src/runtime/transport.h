@@ -17,8 +17,8 @@ namespace dcv {
 /// opaque routed envelopes, a blocking receive per endpoint, an explicit
 /// shutdown. Two implementations exist, and the coordinator and site
 /// engines cannot tell them apart: `ThreadTransport` below (in-process,
-/// one bounded Mailbox per worker thread plus one per shard coordinator)
-/// and `SocketTransport` (TCP, one connection per worker process; see
+/// one bounded Mailbox per worker thread plus one laned inbox per shard
+/// coordinator) and `SocketTransport` (TCP, one connection per worker process; see
 /// socket_transport.h).
 ///
 /// Sites are multiplexed onto workers round-robin: `WorkerOf(site)` names
@@ -110,9 +110,9 @@ class Transport {
   virtual bool RecvShard(int shard, Envelope* out) = 0;
   virtual bool TryRecvShard(int shard, Envelope* out) = 0;
 
-  /// Batch drain of one shard inbox (Mailbox::PopAll): blocks for the
-  /// first message, then moves every queued message under one lock.
-  /// Appends to `out`; 0 = closed and drained.
+  /// Batch drain of one shard inbox: blocks for the first message, then
+  /// moves every queued message (for the thread transport, one lock per
+  /// non-empty lane). Appends to `out`; 0 = closed and drained.
   virtual size_t RecvShardAll(int shard, std::vector<Envelope>* out) = 0;
 
   /// RecvShardAll with a deadline: waits at most `timeout_ms` for the first
@@ -202,9 +202,11 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
   return 4 * per_worker + 8;
 }
 
-/// In-process transport over bounded mailboxes, one per worker plus one per
-/// shard coordinator. Capacity invariants the runtime relies on to stay
-/// deadlock-free with blocking sends:
+/// In-process transport over bounded mailboxes: one per worker, and one
+/// laned inbox per shard coordinator (LanedMailbox, num_workers + 1 lanes,
+/// so the engine threads and the root each push into a lane of their own
+/// instead of sharing one lock). Capacity invariants the runtime relies on
+/// to stay deadlock-free with blocking sends:
 ///
 ///  * the coordinator tree never blocks on a worker inbox: at most one
 ///    epoch start, one poll request, one threshold update, and one
@@ -212,8 +214,9 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
 ///    that;
 ///  * sites may block pushing into a shard inbox (that is the backpressure
 ///    path), but every shard coordinator is always in its receive loop, so
-///    the box drains. The root's SendToShard commands ride the same
-///    guarantee.
+///    the box drains. Each lane alone holds the per-shard formula, so a
+///    blocked sender waits only for its own lane. The root's SendToShard
+///    commands ride the same guarantee.
 class ThreadTransport : public Transport {
  public:
   /// `coordinator_capacity` 0 = auto (2 * max-sites-per-shard + 16; with
@@ -248,9 +251,11 @@ class ThreadTransport : public Transport {
   ShardLayout layout() const override { return *current(); }
   Status UpdateLayout(const ShardLayout& next) override;
 
-  /// Capacity of each shard coordinator inbox (identical across shards;
-  /// the formula uses the most-loaded shard's site count).
-  size_t coordinator_capacity() const { return shard_boxes_[0]->capacity(); }
+  /// Capacity of each lane of each shard coordinator inbox (identical
+  /// across shards; the formula uses the most-loaded shard's site count).
+  size_t coordinator_capacity() const {
+    return shard_boxes_[0]->lane_capacity();
+  }
 
   /// Capacity of each worker inbox (identical across workers; with uneven
   /// site division the formula uses ceil(sites/workers), so the most-loaded
@@ -270,12 +275,19 @@ class ThreadTransport : public Transport {
     return layout_ptr_.load(std::memory_order_acquire);
   }
 
+  /// The inbox `e` routes to: shard s is s, worker w is num_shards + w;
+  /// -1 = unroutable.
+  int InboxOf(const Envelope& e) const;
+  /// Inbox `inbox` (from InboxOf) as the calling thread pushes into it:
+  /// for a shard inbox, the thread's lane.
+  Mailbox<Envelope>* PushBox(int inbox);
+
   int num_sites_;
   int num_workers_;
   std::mutex layout_mu_;  ///< Serializes UpdateLayout calls.
   std::vector<std::unique_ptr<ShardLayout>> layouts_;
   std::atomic<const ShardLayout*> layout_ptr_{nullptr};
-  std::vector<std::unique_ptr<Mailbox<Envelope>>> shard_boxes_;
+  std::vector<std::unique_ptr<LanedMailbox<Envelope>>> shard_boxes_;
   std::vector<std::unique_ptr<Mailbox<Envelope>>> worker_boxes_;
 };
 

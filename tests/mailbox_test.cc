@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -384,6 +385,113 @@ TEST(MailboxTest, TryPushAllTakesLongestPrefixAndReportsClosure) {
   std::vector<int> out;
   EXPECT_EQ(box.TryPopAll(&out), 3u);
   EXPECT_EQ(out, (std::vector<int>{11, 12, 13}));
+}
+
+TEST(MailboxTest, TryPushAllRunTakesOnlyItsRange) {
+  Mailbox<int> box(4);
+  const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6};
+  bool closed = true;
+  EXPECT_EQ(box.TryPushAll(items, 1, 3, &closed), 2u);  // {1, 2}
+  EXPECT_FALSE(closed);
+  EXPECT_EQ(box.TryPushAll(items, 4, 7, &closed), 2u);  // {4, 5}: full.
+  EXPECT_FALSE(closed);
+  EXPECT_EQ(items, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));  // Copied.
+  std::vector<int> out;
+  EXPECT_EQ(box.TryPopAll(&out), 4u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 4, 5}));
+  box.Close();
+  EXPECT_EQ(box.TryPushAll(items, 0, 7, &closed), 0u);
+  EXPECT_TRUE(closed);
+}
+
+// The empty check of TryPopAll/TryPop reads a size hint without the lock.
+// It may miss a racing push, but never one that happens-before the call.
+TEST(MailboxTest, TryPopAllSeesPushPublishedBeforeFlagHandoff) {
+  constexpr int kRounds = 2000;
+  Mailbox<int> box(4);
+  std::atomic<int> published{-1};
+  std::thread producer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(box.Push(i));
+      published.store(i, std::memory_order_release);
+      while (published.load(std::memory_order_acquire) != -1) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::vector<int> out;
+  for (int i = 0; i < kRounds; ++i) {
+    while (published.load(std::memory_order_acquire) != i) {
+      std::this_thread::yield();
+    }
+    out.clear();
+    ASSERT_EQ(box.TryPopAll(&out), 1u) << "round " << i;
+    EXPECT_EQ(out[0], i);
+    published.store(-1, std::memory_order_release);
+  }
+  producer.join();
+}
+
+// --- LanedMailbox: one lane per producing thread, one wake-up per inbox.
+
+TEST(MailboxTest, LanedTryPopSeesPushPublishedBeforeFlagHandoff) {
+  constexpr int kRounds = 2000;
+  LanedMailbox<int> box(3, 4);
+  std::atomic<int> published{-1};
+  std::thread producer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      ASSERT_TRUE(box.lane().Push(i));
+      published.store(i, std::memory_order_release);
+      while (published.load(std::memory_order_acquire) != -1) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    while (published.load(std::memory_order_acquire) != i) {
+      std::this_thread::yield();
+    }
+    int got = -1;
+    ASSERT_TRUE(box.TryPop(&got)) << "round " << i;
+    EXPECT_EQ(got, i);
+    published.store(-1, std::memory_order_release);
+  }
+  producer.join();
+}
+
+TEST(MailboxTest, LanedEachLaneHoldsFullCapacityAndCloseDrains) {
+  LanedMailbox<int> box(2, 3);
+  EXPECT_EQ(box.lane_capacity(), 3u);
+  // This thread's lane fills at 3; a thread on the other lane still has
+  // all of its own room.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(box.lane().TryPush(i), MailboxPush::kOk);
+  }
+  EXPECT_EQ(box.lane().TryPush(3), MailboxPush::kFull);
+  const size_t my_lane = ProducerIndex() % 2;
+  bool pushed = false;
+  while (!pushed) {  // Fresh threads take consecutive indices: <= 2 tries.
+    std::thread other([&] {
+      if (ProducerIndex() % 2 == my_lane) {
+        return;
+      }
+      for (int i = 10; i < 13; ++i) {
+        EXPECT_EQ(box.lane().TryPush(i), MailboxPush::kOk);
+      }
+      pushed = true;
+    });
+    other.join();
+  }
+  box.Close();
+  EXPECT_EQ(box.lane().TryPush(4), MailboxPush::kClosed);
+  std::vector<int> out;
+  EXPECT_EQ(box.PopAll(&out), 6u);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+  out.clear();
+  EXPECT_EQ(box.PopAll(&out), 0u);  // Closed and drained.
+  int one = 0;
+  EXPECT_FALSE(box.Pop(&one));
 }
 
 }  // namespace

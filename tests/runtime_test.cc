@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "runtime/shard.h"
 #include "runtime/site_engine.h"
 #include "runtime/transport.h"
 #include "trace/trace.h"
@@ -167,6 +172,363 @@ TEST(ThreadTransportTest, UnevenShapeSurvivesBurstWithoutBlocking) {
     ASSERT_TRUE(t.TryRecvWorker(0, &e));
   }
   EXPECT_FALSE(t.TryRecvWorker(0, &e));
+}
+
+// --- Laned shard inboxes ---------------------------------------------------
+//
+// A shard inbox is one lane per producing thread (num_workers + 1 of them).
+// Each producer's sequence stays FIFO, every envelope is delivered exactly
+// once to however many consumers, and no wake-up is lost.
+
+Envelope Tagged(int from, int producer, int64_t seq) {
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kAlarm;
+  msg.epoch = producer;
+  msg.value = seq;
+  return Envelope{from, kCoordinatorId, msg};
+}
+
+TEST(ThreadTransportTest, LanedInboxKeepsEachProducersOrderAcrossSendPaths) {
+  constexpr int kEngines = 3;
+  constexpr int kPerProducer = 6000;
+  auto transport = ThreadTransport::Create(6, kEngines);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kEngines; ++p) {
+    // Engine p speaks for sites p and p + 3, rotating through every send
+    // path in bursts of up to 7.
+    producers.emplace_back([&t, p] {
+      int64_t seq = 0;
+      for (int burst = 0; seq < kPerProducer; ++burst) {
+        std::vector<Envelope> batch;
+        for (int i = 0; i < 7 && seq < kPerProducer; ++i) {
+          batch.push_back(Tagged(p + 3 * (i % 2), p, seq++));
+        }
+        if (burst % 3 == 0) {
+          ASSERT_TRUE(t.SendBatch(batch));
+        } else if (burst % 3 == 1) {
+          for (const Envelope& e : batch) {
+            ASSERT_TRUE(t.Send(e));
+          }
+        } else {
+          for (size_t next = 0; next < batch.size();) {
+            bool closed = false;
+            next += t.TrySendBatch(batch, next, &closed);
+            ASSERT_FALSE(closed);
+            std::this_thread::yield();
+          }
+        }
+      }
+    });
+  }
+  producers.emplace_back([&t] {  // The root: commands via SendToShard.
+    for (int64_t seq = 0; seq < kPerProducer; ++seq) {
+      ASSERT_TRUE(t.SendToShard(0, Tagged(kCoordinatorId, kEngines, seq)));
+    }
+  });
+  std::vector<int64_t> next_seq(kEngines + 1, 0);
+  std::vector<Envelope> batch;
+  int64_t received = 0;
+  while (received < (kEngines + 1) * kPerProducer) {
+    batch.clear();
+    const size_t got = t.RecvShardAll(0, &batch);
+    ASSERT_GT(got, 0u);
+    for (const Envelope& e : batch) {
+      const size_t p = static_cast<size_t>(e.msg.epoch);
+      ASSERT_LT(p, next_seq.size());
+      ASSERT_EQ(e.msg.value, next_seq[p]) << "producer " << p;
+      ++next_seq[p];
+    }
+    received += static_cast<int64_t>(got);
+  }
+  for (std::thread& th : producers) {
+    th.join();
+  }
+  Envelope extra;
+  EXPECT_FALSE(t.TryRecvShard(0, &extra));  // The total is exact.
+}
+
+TEST(ThreadTransportTest, LanedInboxTwoConsumersReceiveEachEnvelopeOnce) {
+  // A respawn can leave a slow shard thread and its replacement on one
+  // inbox; each envelope must still reach exactly one of them.
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 5000;
+  auto transport = ThreadTransport::Create(3, kProducers);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  std::vector<std::vector<Envelope>> seen(2);
+  std::vector<std::thread> consumers;
+  for (size_t c = 0; c < seen.size(); ++c) {
+    consumers.emplace_back([&t, &seen, c] {
+      while (t.RecvShardAll(0, &seen[c]) > 0) {
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&t, p] {
+      for (int64_t seq = 0; seq < kPerProducer; ++seq) {
+        ASSERT_TRUE(t.Send(Tagged(p, p, seq)));
+      }
+    });
+  }
+  for (std::thread& th : producers) {
+    th.join();
+  }
+  t.Shutdown();  // Consumers drain, then see closed-and-drained.
+  for (std::thread& th : consumers) {
+    th.join();
+  }
+  std::vector<std::vector<int>> count(kProducers,
+                                      std::vector<int>(kPerProducer, 0));
+  for (const std::vector<Envelope>& part : seen) {
+    for (const Envelope& e : part) {
+      ++count[static_cast<size_t>(e.msg.epoch)]
+             [static_cast<size_t>(e.msg.value)];
+    }
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    for (int seq = 0; seq < kPerProducer; ++seq) {
+      ASSERT_EQ(count[static_cast<size_t>(p)][static_cast<size_t>(seq)], 1)
+          << "producer " << p << " seq " << seq;
+    }
+  }
+}
+
+TEST(ThreadTransportTest, LanedInboxNeverLosesAWakeUp) {
+  // The consumer blocks in RecvShardAll between single pushes, each from a
+  // random one of four spinning producer threads (so from any lane). A
+  // random pause before each receive slides the consumer's empty check and
+  // waiter registration across the moment of the push. A lost wake-up
+  // hangs it; the deadline turns that into a failure.
+  constexpr int kPushes = 4000;
+  constexpr int kProducers = 4;
+  auto transport = ThreadTransport::Create(4, 3);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  std::atomic<bool> stop{false};
+  std::vector<std::atomic<int64_t>> jobs(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    jobs[static_cast<size_t>(p)] = -1;
+    producers.emplace_back([&, p] {
+      std::atomic<int64_t>& job = jobs[static_cast<size_t>(p)];
+      while (!stop.load()) {
+        const int64_t seq = job.exchange(-1);
+        if (seq >= 0) {
+          t.Send(Tagged(p, p, seq));
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  std::atomic<int64_t> consumed{0};
+  std::thread consumer([&] {
+    std::mt19937 pause_rng(5);
+    std::vector<Envelope> batch;
+    while (consumed.load() < kPushes) {
+      for (uint32_t spin = pause_rng() % 2048; spin > 0; --spin) {
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      }
+      batch.clear();
+      const size_t got = t.RecvShardAll(0, &batch);
+      if (got == 0) {
+        return;  // Shut down by the watchdog below.
+      }
+      consumed.fetch_add(static_cast<int64_t>(got));
+    }
+  });
+  std::mt19937 rng(17);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool in_time = true;
+  for (int64_t i = 0; i < kPushes && in_time; ++i) {
+    jobs[rng() % kProducers] = i;
+    while (consumed.load() <= i && in_time) {
+      in_time = std::chrono::steady_clock::now() < deadline;
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_TRUE(in_time) << "consumer stuck after " << consumed.load()
+                       << " of " << kPushes << " envelopes";
+  t.Shutdown();
+  stop = true;
+  consumer.join();
+  for (std::thread& th : producers) {
+    th.join();
+  }
+}
+
+TEST(ThreadTransportTest, LanedRecvShardAllForTellsTimeoutFromClosure) {
+  auto transport = ThreadTransport::Create(4, 2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  std::vector<Envelope> batch;
+  bool timed_out = false;
+  EXPECT_EQ(t.RecvShardAllFor(0, &batch, 20, &timed_out), 0u);
+  EXPECT_TRUE(timed_out);
+
+  // A late push from another thread (another lane) wakes the wait early.
+  const auto start = std::chrono::steady_clock::now();
+  std::thread late([&t] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_TRUE(t.Send(Tagged(3, 0, 0)));
+  });
+  EXPECT_EQ(t.RecvShardAllFor(0, &batch, 20000, &timed_out), 1u);
+  EXPECT_FALSE(timed_out);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  late.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].from, 3);
+
+  // Queued envelopes survive Shutdown; then closed-and-drained, no timeout.
+  ASSERT_TRUE(t.Send(Tagged(1, 0, 1)));
+  t.Shutdown();
+  batch.clear();
+  EXPECT_EQ(t.RecvShardAllFor(0, &batch, 20000, &timed_out), 1u);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(t.RecvShardAllFor(0, &batch, 20000, &timed_out), 0u);
+  EXPECT_FALSE(timed_out);
+}
+
+TEST(ThreadTransportTest, FullLaneStopsTrySendBatchAtExactPrefix) {
+  // Lane capacity 5. Everything runs on one fresh thread, so its lane holds
+  // exactly what it pushed.
+  auto transport = ThreadTransport::Create(4, 2, /*coordinator_capacity=*/5);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  EXPECT_EQ((*transport)->coordinator_capacity(), 5u);
+  std::thread([&t] {
+    ActorMessage poll;
+    poll.kind = ActorMsgKind::kPollRequest;
+    // Runs: 3 to the coordinator, 2 to workers, 4 to the coordinator. The
+    // last run fits only 2 more into the lane.
+    std::vector<Envelope> batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.push_back(Tagged(i, 0, i));
+    }
+    batch.push_back(Envelope{kCoordinatorId, 0, poll});
+    batch.push_back(Envelope{kCoordinatorId, 1, poll});
+    for (int i = 3; i < 7; ++i) {
+      batch.push_back(Tagged(i % 4, 0, i));
+    }
+    bool closed = false;
+    EXPECT_EQ(t.TrySendBatch(batch, 0, &closed), 7u);
+    EXPECT_FALSE(closed);
+    EXPECT_EQ(t.TrySendBatch(batch, 7, &closed), 0u);  // Lane full.
+    EXPECT_FALSE(closed);
+    // An unroutable envelope ends the prefix as a permanent stop.
+    std::vector<Envelope> bad = {Envelope{kCoordinatorId, 0, poll},
+                                 Envelope{kCoordinatorId, 9, poll}};
+    EXPECT_EQ(t.TrySendBatch(bad, 0, &closed), 1u);
+    EXPECT_TRUE(closed);
+  }).join();
+  std::vector<Envelope> batch;
+  EXPECT_EQ(t.RecvShardAll(0, &batch), 5u);
+}
+
+TEST(ThreadTransportTest, BlockedSendBatchResumesOnDrainAndFailsOnShutdown) {
+  auto transport = ThreadTransport::Create(4, 2, /*coordinator_capacity=*/4);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  std::vector<Envelope> eight;
+  for (int i = 0; i < 8; ++i) {
+    eight.push_back(Tagged(i % 4, 0, i));
+  }
+  std::atomic<bool> done{false};
+  bool sent = false;
+  std::thread producer([&] {
+    sent = t.SendBatch(eight);  // Fills its lane at 4, then blocks.
+    done = true;
+  });
+  std::vector<Envelope> batch;
+  while (batch.size() < 8) {
+    t.RecvShardAll(0, &batch);  // Each drain frees the producer's lane.
+  }
+  producer.join();
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(done);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].msg.value, static_cast<int64_t>(i));
+  }
+
+  done = false;
+  std::thread blocked([&] {
+    sent = t.SendBatch(eight);
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done);  // Lane full, nobody draining.
+  t.Shutdown();
+  blocked.join();
+  EXPECT_FALSE(sent);
+}
+
+// --- Free shard leg: poll-round ids ----------------------------------------
+
+TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
+  // A respawned leg (incarnation 1) shares its inbox with the responses
+  // its dead predecessor's round left behind. Lanes deliver those in any
+  // order relative to the fresh ones, so the leg must count only responses
+  // echoing its own round's id — else a stale one resolves the round early
+  // with 0 for a site whose fresh response is still on its way.
+  constexpr int kSites = 4;
+  auto transport = ThreadTransport::Create(kSites, 2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights = {1, 2, 3, 4};
+  config.protocol = RuntimeProtocol::kPolling;
+  Mailbox<RootMsg> to_root(16);
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(kSites, 1);
+  ctx.config = &config;
+  ctx.transport = &t;
+  ctx.to_root = &to_root;
+  ctx.incarnation = 1;
+  ShardFreeLeg leg(std::move(ctx));
+  std::vector<RootMsg> out;
+  leg.Start(&out);
+  ASSERT_TRUE(out.empty());
+
+  ActorMessage kick;
+  kick.kind = ActorMsgKind::kPollRequest;
+  leg.Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
+  std::vector<Envelope> requests;
+  t.TryRecvWorkerAll(0, &requests);
+  t.TryRecvWorkerAll(1, &requests);
+  ASSERT_EQ(requests.size(), static_cast<size_t>(kSites));
+  const int64_t id = requests[0].msg.epoch;
+  for (const Envelope& r : requests) {
+    EXPECT_EQ(r.msg.epoch, id);
+  }
+  ASSERT_NE(id, ShardFreeLeg::PollRoundId(0, 1));
+
+  auto response = [](int site, int64_t epoch, int64_t value) {
+    ActorMessage msg;
+    msg.kind = ActorMsgKind::kPollResponse;
+    msg.epoch = epoch;
+    msg.value = value;
+    return Envelope{site, kCoordinatorId, msg};
+  };
+  // The dead leg's first round, answered by site 0.
+  leg.Step(response(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
+  EXPECT_TRUE(out.empty());
+  for (int site = 0; site < kSites; ++site) {
+    leg.Step(response(site, id, 10 * (site + 1)), &out);
+    if (site + 1 < kSites) {
+      ASSERT_TRUE(out.empty()) << "resolved after " << site + 1 << " of "
+                               << kSites << " fresh responses";
+    }
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(out[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
+  EXPECT_EQ(out[0].partial_min, 10);
+  EXPECT_EQ(out[0].partial_max, 40);
 }
 
 // --- Virtual-time runtime on a hand-checked trace --------------------------
