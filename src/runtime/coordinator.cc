@@ -462,13 +462,16 @@ class CoordinatorActor::FreeRun {
     }
     while ((sites_done_ < config_.num_sites || partials_pending_ > 0) &&
            run_error_.ok()) {
-      bool timed_out = false;
       if (inline_leg_) {
         StepInline();
-      } else if (Pump(window_ms_, &timed_out)) {
+        continue;
+      }
+      const Clock::time_point since = Clock::now();
+      bool timed_out = false;
+      if (Pump(window_ms_, &timed_out)) {
         continue;
       } else if (timed_out) {
-        Probe();
+        Probe(since);
       } else {
         Fail(InternalError("root mailbox closed while shards were live"));
       }
@@ -678,12 +681,14 @@ class CoordinatorActor::FreeRun {
     return got > 0;
   }
 
-  /// Pings every shard after a silent stretch; the ones that stay
-  /// completely silent for one more window are dead and get respawned.
-  void Probe() {
-    const Clock::time_point since = Clock::now();
+  /// The one silence rule, for the main loop and the shutdown drain alike:
+  /// after a silent stretch that began at `since`, pings every shard; the
+  /// ones that stay completely silent for one more window are dead and get
+  /// respawned. A shard that is slow but alive answers, so it never gets
+  /// a twin.
+  void Probe(Clock::time_point since) {
     const Clock::time_point deadline =
-        since + std::chrono::milliseconds(config_.heartbeat_timeout_ms);
+        Clock::now() + std::chrono::milliseconds(config_.heartbeat_timeout_ms);
     probe_heard_ = 0;
     for (ShardSlot& slot : slots_) {
       slot.heard = false;
@@ -742,8 +747,9 @@ class CoordinatorActor::FreeRun {
   /// Stops every shard — one stop per live thread, so two for a respawned
   /// shard id; a surplus stop just sits unconsumed in the inbox — and counts
   /// exits instead of joining, so a shard blocked pushing to the root box
-  /// can always drain. A shard thread that died before its stop still gets
-  /// one respawn: the replacement finds the queued stop and exits.
+  /// can always drain. A silent stretch goes to Probe, so a shard thread
+  /// that died before its stop still gets one respawn (the replacement
+  /// finds the queued stop and exits).
   void Drain() {
     draining_ = true;
     for (ShardSlot& slot : slots_) {
@@ -758,20 +764,10 @@ class CoordinatorActor::FreeRun {
       bool timed_out = false;
       if (Pump(window_ms_, &timed_out)) {
         continue;
-      } else if (!timed_out) {
+      } else if (!timed_out || !run_error_.ok()) {
         break;
       }
-      bool acted = false;
-      for (ShardSlot& slot : slots_) {
-        if (!slot.exited && !slot.respawned) {
-          Respawn(slot, since);
-          acted = true;
-        }
-      }
-      if (!acted) {
-        Fail(InternalError("timed out waiting for shard exits at shutdown"));
-        break;
-      }
+      Probe(since);
     }
     for (std::thread& th : threads_) {
       th.join();

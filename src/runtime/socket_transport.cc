@@ -155,56 +155,21 @@ void SocketTransport::StatCounter::Add(int64_t n) {
   DCV_OBS_COUNT(twin, n);
 }
 
-SocketTransport::SocketTransport(Role role, int num_sites, int num_workers,
-                                 int worker, const Options& options)
-    : role_(role),
-      num_sites_(num_sites),
-      num_workers_(num_workers),
+SocketTransport::SocketTransport(Role role, ShardLayout layout,
+                                 int num_workers, int worker,
+                                 const Options& options)
+    : ThreadTransport(std::move(layout), num_workers),
+      role_(role),
       worker_(worker),
       options_(options) {
-  ShardLayout lay;
-  lay.num_sites = num_sites;
-  lay.num_shards = role == Role::kCoordinator
-                       ? std::max(1, options_.num_shards)
-                       : 1;  // Workers never see the shard split.
-  layouts_.push_back(std::make_unique<ShardLayout>(lay));
-  layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
-  const size_t worker_capacity =
-      options_.worker_capacity != 0
-          ? options_.worker_capacity
-          : WorkerInboxCapacity(num_sites, num_workers);
-  auto coordinator_capacity = [&](int sites) {
-    return options_.coordinator_capacity != 0
-               ? options_.coordinator_capacity
-               : CoordinatorInboxCapacity(sites);
-  };
   if (role_ == Role::kCoordinator) {
-    // Shard inboxes size for their own shard's fan-in only.
-    inboxes_.reserve(static_cast<size_t>(lay.num_shards));
-    for (int s = 0; s < lay.num_shards; ++s) {
-      inboxes_.push_back(std::make_unique<Mailbox<Envelope>>(
-          coordinator_capacity(lay.MaxShardSites())));
-    }
     layout_acked_.assign(static_cast<size_t>(num_workers), 0);
-    for (int w = 0; w < num_workers; ++w) {
-      conns_.push_back(std::make_unique<Connection>());
-      // The coordinator's queue toward one worker plays the worker-inbox
-      // role, so it inherits that capacity (deadlock-freedom invariant).
-      conns_.back()->send_box =
-          std::make_unique<Mailbox<Envelope>>(worker_capacity);
-    }
     worker_telemetry_.resize(static_cast<size_t>(num_workers));
     worker_telemetry_valid_.assign(static_cast<size_t>(num_workers), 0);
     worker_telemetry_final_.assign(static_cast<size_t>(num_workers), 0);
-  } else {
-    inboxes_.push_back(std::make_unique<Mailbox<Envelope>>(worker_capacity));
+  }
+  for (int c = role_ == Role::kCoordinator ? num_workers : 1; c > 0; --c) {
     conns_.push_back(std::make_unique<Connection>());
-    // The worker's queue toward the coordinator mirrors the coordinator
-    // inbox for the WHOLE fan-in (a worker's sites can span several
-    // shards): sites block here under backpressure, exactly as they block
-    // on the shared inbox in ThreadTransport.
-    conns_.back()->send_box =
-        std::make_unique<Mailbox<Envelope>>(coordinator_capacity(num_sites));
   }
   if (options_.metrics != nullptr) {
     // Every SocketStats field has a registry twin so --metrics-json covers
@@ -229,9 +194,10 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Listen(
   if (port < 0 || port > 65535) {
     return InvalidArgumentError("listen port must be in [0, 65535]");
   }
-  // Same validation the layout itself enforces; fail before binding.
-  DCV_RETURN_IF_ERROR(
-      MakeShardLayout(num_sites, std::max(1, options.num_shards)).status());
+  // Built before binding, so a bad shard count fails first.
+  DCV_ASSIGN_OR_RETURN(
+      ShardLayout layout,
+      MakeShardLayout(num_sites, std::max(1, options.num_shards)));
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return ErrnoError("socket");
@@ -259,8 +225,9 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Listen(
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
     return fail("getsockname");
   }
-  auto transport = std::unique_ptr<SocketTransport>(new SocketTransport(
-      Role::kCoordinator, num_sites, num_workers, /*worker=*/-1, options));
+  auto transport = std::unique_ptr<SocketTransport>(
+      new SocketTransport(Role::kCoordinator, std::move(layout), num_workers,
+                          /*worker=*/-1, options));
   transport->listen_fd_ = fd;
   transport->port_ = static_cast<int>(ntohs(bound.sin_port));
   transport->virtual_time_ = options.virtual_time;
@@ -289,7 +256,7 @@ Status SocketTransport::AcceptWorkers() {
     }
     return OkStatus();
   };
-  for (int pending = num_workers_; pending > 0; --pending) {
+  for (int pending = num_workers(); pending > 0; --pending) {
     pollfd p{listen_fd_, POLLIN, 0};
     int rc = ::poll(&p, 1, options_.accept_timeout_ms);
     if (rc < 0 && errno != EINTR) {
@@ -299,8 +266,8 @@ Status SocketTransport::AcceptWorkers() {
       accept_timeouts_.Add(1);
       return reject_all(ResourceExhaustedError(
           "timed out waiting for worker connections (" +
-          std::to_string(num_workers_ - pending) + " of " +
-          std::to_string(num_workers_) + " connected)"));
+          std::to_string(num_workers() - pending) + " of " +
+          std::to_string(num_workers()) + " connected)"));
     }
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -334,8 +301,8 @@ Result<HelloFrame> SocketTransport::AnswerHello(
   auto frame = ReadFrame(fd, timeout_ms, &reader);
   const int64_t t2 = WallClockUs();  // Hello receive time (clock-offset t2).
   HelloAckFrame ack;
-  ack.num_sites = num_sites_;
-  ack.num_workers = num_workers_;
+  ack.num_sites = num_sites();
+  ack.num_workers = num_workers();
   ack.virtual_time = virtual_time_ ? 1 : 0;
   Status refusal = OkStatus();
   if (!frame.ok()) {
@@ -346,13 +313,13 @@ Result<HelloFrame> SocketTransport::AnswerHello(
   } else {
     const HelloFrame& hello = frame->hello;
     ack.t1_us = hello.t1_us;
-    if (hello.num_sites != num_sites_ || hello.num_workers != num_workers_) {
+    if (hello.num_sites != num_sites() || hello.num_workers != num_workers()) {
       refusal = InvalidArgumentError(
           "worker fabric shape mismatch: worker says " +
           std::to_string(hello.num_sites) + " sites / " +
           std::to_string(hello.num_workers) + " workers, coordinator has " +
-          std::to_string(num_sites_) + " / " + std::to_string(num_workers_));
-    } else if (hello.worker < 0 || hello.worker >= num_workers_) {
+          std::to_string(num_sites()) + " / " + std::to_string(num_workers()));
+    } else if (hello.worker < 0 || hello.worker >= num_workers()) {
       refusal = InvalidArgumentError("worker index " +
                                      std::to_string(hello.worker) +
                                      " out of range");
@@ -384,8 +351,10 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
   if (worker < 0 || worker >= num_workers) {
     return InvalidArgumentError("worker index out of range");
   }
+  // Workers never see the shard split: their fabric has one shard.
+  DCV_ASSIGN_OR_RETURN(ShardLayout layout, MakeShardLayout(num_sites, 1));
   auto transport = std::unique_ptr<SocketTransport>(new SocketTransport(
-      Role::kWorker, num_sites, num_workers, worker, options));
+      Role::kWorker, std::move(layout), num_workers, worker, options));
   // Parsed once: every redial reuses it.
   sockaddr_in& addr = transport->peer_;
   addr.sin_family = AF_INET;
@@ -434,8 +403,8 @@ Result<int> SocketTransport::Handshake(uint32_t generation,
   ConfigureSocket(*fd, options_.io_timeout_ms);
   HelloFrame hello;
   hello.worker = worker_;
-  hello.num_workers = num_workers_;
-  hello.num_sites = num_sites_;
+  hello.num_workers = num_workers();
+  hello.num_sites = num_sites();
   hello.generation = generation;
   hello.last_seq_received =
       conns_[0]->last_seq_received.load(std::memory_order_relaxed);
@@ -501,8 +470,6 @@ void SocketTransport::StartConnection(size_t index) {
 void SocketTransport::ReaderLoop(size_t index) {
   Connection& c = *conns_[index];
   uint8_t buf[65536];
-  // Per-inbox routing scratch, reused across frames like `frame` below.
-  std::vector<std::vector<Envelope>> routed(inboxes_.size());
 
   // Decodes everything buffered in `reader`; false = drop the connection.
   WireFrame frame;  // Reused: a small frame decodes without allocating.
@@ -541,15 +508,15 @@ void SocketTransport::ReaderLoop(size_t index) {
       }
       if (frame.type == FrameType::kLayoutAck) {
         {
-          std::lock_guard<std::mutex> lock(layout_mu_);
+          std::lock_guard<std::mutex> lock(acks_mu_);
           layout_acked_[index] = frame.layout_ack.version;
         }
-        layout_cv_.notify_all();
+        acks_cv_.notify_all();
         continue;
       }
       if (frame.type == FrameType::kTelemetry) {
         if (frame.telemetry.worker < 0 ||
-            frame.telemetry.worker >= num_workers_) {
+            frame.telemetry.worker >= num_workers()) {
           decode_errors_.Add(1);
           continue;
         }
@@ -580,31 +547,13 @@ void SocketTransport::ReaderLoop(size_t index) {
         c.last_seq_received.store(frame.seq, std::memory_order_relaxed);
       }
       frames_received_.Add(1);
-      // Route the batch with one PushAll per destination inbox (one mutex
-      // round trip per burst, same as the thread transport).
-      for (const Envelope& env : frame.batch) {
-        size_t inbox = 0;
-        if (role_ == Role::kCoordinator) {
-          // Coordinator-bound traffic fans across the shard inboxes by
-          // sender. An envelope with an out-of-range sender has no shard;
-          // treat it like any other malformed input.
-          if (env.from < 0 || env.from >= num_sites_) {
-            decode_errors_.Add(1);
-            continue;
-          }
-          inbox = static_cast<size_t>(ShardOf(env.from));
-        }
-        routed[inbox].push_back(env);
+      const size_t misdirected = std::erase_if(
+          frame.batch, [this](const Envelope& e) { return !Inbound(e); });
+      if (misdirected > 0) {
+        decode_errors_.Add(static_cast<int64_t>(misdirected));
       }
-      for (size_t i = 0; i < routed.size(); ++i) {
-        if (routed[i].empty()) {
-          continue;
-        }
-        const bool pushed = inboxes_[i]->PushAll(std::move(routed[i]));
-        routed[i].clear();
-        if (!pushed) {
-          return false;  // Inbox closed: we are shutting down.
-        }
+      if (!frame.batch.empty() && !SendBatch(frame.batch)) {
+        return false;  // A box closed: we are shutting down.
       }
     }
   };
@@ -662,10 +611,10 @@ void SocketTransport::ReaderLoop(size_t index) {
     }
   }
   // End of stream with no resume coming means no more messages can arrive
-  // on this connection; close the inboxes so blocked receivers drain and
+  // on this connection; close the boxes so blocked receivers drain and
   // exit, matching ThreadTransport's closed-and-drained contract.
-  CloseInboxes();
-  c.send_box->Close();
+  CloseInbound();
+  CloseOutbound(index);
 }
 
 void SocketTransport::RecordLifecycle(obs::TraceEventKind kind,
@@ -685,78 +634,101 @@ bool SocketTransport::WriteDirect(Connection* c, const std::string& bytes) {
   return c->fd >= 0 && WriteAll(c->fd, bytes.data(), bytes.size());
 }
 
-void SocketTransport::CloseInboxes() {
-  for (auto& box : inboxes_) {
-    box->Close();
+bool SocketTransport::Inbound(const Envelope& e) const {
+  if (role_ == Role::kCoordinator) {
+    return e.to == kCoordinatorId && e.from >= 0 && e.from < num_sites();
+  }
+  return e.to >= 0 && e.to < num_sites() && WorkerOf(e.to) == worker_;
+}
+
+void SocketTransport::CloseOutbound(size_t index) {
+  if (role_ == Role::kCoordinator) {
+    worker_box(static_cast<int>(index)).Close();
+  } else {
+    shard_box(0).Close();
+  }
+}
+
+void SocketTransport::CloseInbound() {
+  if (role_ == Role::kCoordinator) {
+    for (int s = 0; s < num_shards(); ++s) {
+      shard_box(s).Close();
+    }
+  } else {
+    worker_box(worker_).Close();
   }
 }
 
 void SocketTransport::WriterLoop(size_t index) {
   Connection& c = *conns_[index];
   std::string frame;
-  std::vector<Envelope> batch;
-  Envelope e;
-  while (c.send_box->Pop(&e)) {
-    batch.clear();
-    batch.push_back(e);
-    // Coalesce whatever is already queued into one write (epoch barriers
-    // broadcast N small messages back to back).
-    while (batch.size() < kMaxBatchEnvelopes && c.send_box->TryPop(&e)) {
-      batch.push_back(e);
-    }
-    bool wrote = false;
-    uint32_t gen = 0;
-    {
-      std::lock_guard<std::mutex> wl(c.write_mu);
+  std::vector<Envelope> pending;
+  // Blocks for the outbound box's next burst; 0 = closed and drained.
+  auto take = [&] {
+    return role_ == Role::kCoordinator
+               ? RecvWorkerAll(static_cast<int>(index), &pending)
+               : RecvShardAll(0, &pending);
+  };
+  while (take() > 0) {
+    for (size_t first = 0; first < pending.size();) {
+      const size_t count =
+          std::min<size_t>(kMaxBatchEnvelopes, pending.size() - first);
+      bool wrote = false;
+      uint32_t gen = 0;
       {
-        std::lock_guard<std::mutex> lock(c.mu);
-        gen = c.generation;  // Incarnation this write lands on.
+        std::lock_guard<std::mutex> wl(c.write_mu);
+        {
+          std::lock_guard<std::mutex> lock(c.mu);
+          gen = c.generation;  // Incarnation this write lands on.
+        }
+        // Up to kMaxBatchEnvelopes of the burst become ONE kEnvelopeBatch
+        // frame under one sequence number; the whole frame is one
+        // sent-ring entry, so resume replay and the peer's high-water-mark
+        // dedup treat it atomically (never half-applied).
+        frame.clear();
+        AppendEnvelopeBatchFrame(pending.data() + first, count, &frame,
+                                 c.next_send_seq);
+        if (options_.allow_reconnect) {
+          c.sent_ring.emplace_back(c.next_send_seq, frame);
+          while (c.sent_ring.size() > options_.replay_capacity) {
+            c.sent_ring.pop_front();
+          }
+        }
+        ++c.next_send_seq;
+        wrote = c.fd >= 0 && WriteAll(c.fd, frame.data(), frame.size());
+        if (wrote) {
+          frames_sent_.Add(1);
+          bytes_sent_.Add(static_cast<int64_t>(frame.size()));
+        }
       }
-      // The burst becomes ONE kEnvelopeBatch frame under one sequence
-      // number (a lone envelope is a batch of one); the whole frame is one
-      // sent-ring entry, so resume replay and the peer's high-water-mark
-      // dedup treat the burst atomically (never half-applied).
-      frame.clear();
-      AppendEnvelopeBatchFrame(batch.data(), batch.size(), &frame,
-                               c.next_send_seq);
-      c.sent_ring.emplace_back(c.next_send_seq, frame);
-      while (c.sent_ring.size() > options_.replay_capacity) {
-        c.sent_ring.pop_front();
-      }
-      ++c.next_send_seq;
-      wrote = c.fd >= 0 && WriteAll(c.fd, frame.data(), frame.size());
+      first += count;
       if (wrote) {
-        frames_sent_.Add(1);
-        bytes_sent_.Add(static_cast<int64_t>(frame.size()));
+        continue;
       }
+      // Write failed. With reconnection the frame is already in the sent
+      // ring, so a resume replays it — park for the new incarnation instead
+      // of giving up.
+      if (!shutting_down_.load(std::memory_order_relaxed)) {
+        disconnects_.Add(1);
+      }
+      if (options_.allow_reconnect &&
+          AwaitGeneration(&c, gen,
+                          std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(
+                                  options_.reconnect_window_ms +
+                                  options_.reconnect_grace_ms))) {
+        continue;  // The installer replayed the failed frame already.
+      }
+      if (!shutting_down_.load(std::memory_order_relaxed)) {
+        CloseInbound();
+      }
+      CloseOutbound(index);  // Blocked senders wake and see closed.
+      return;
     }
-    if (wrote) {
-      continue;
-    }
-    // Write failed. The frames are already in the sent ring, so a resume
-    // replays them — park for the new incarnation instead of giving up.
-    if (!shutting_down_.load(std::memory_order_relaxed)) {
-      disconnects_.Add(1);
-    }
-    if (options_.allow_reconnect &&
-        AwaitGeneration(&c, gen,
-                        std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(
-                                options_.reconnect_window_ms +
-                                options_.reconnect_grace_ms))) {
-      continue;  // The installer replayed the failed frames already.
-    }
-    if (!shutting_down_.load(std::memory_order_relaxed)) {
-      CloseInboxes();
-    }
-    c.send_box->Close();
-    while (c.send_box->Pop(&e)) {
-      // Drain so producers blocked in Push wake and see closed.
-    }
-    return;
+    pending.clear();
   }
-  // Send queue closed and drained: our side is done sending. Half-close so
-  // the peer's reader sees a clean end of stream once it drains.
+  // Outbound box closed and drained: our side is done sending. Half-close
+  // so the peer's reader sees a clean end of stream once it drains.
   std::lock_guard<std::mutex> wl(c.write_mu);
   if (c.fd >= 0) {
     ::shutdown(c.fd, SHUT_WR);
@@ -912,163 +884,12 @@ void SocketTransport::AcceptorLoop() {
   }
 }
 
-Mailbox<Envelope>* SocketTransport::ShardInbox(int shard) const {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
-    return nullptr;
-  }
-  return inboxes_[static_cast<size_t>(shard)].get();
-}
-
-Mailbox<Envelope>* SocketTransport::WorkerInbox(int worker) const {
-  return role_ == Role::kWorker && worker == worker_ ? inboxes_[0].get()
-                                                     : nullptr;
-}
-
-Mailbox<Envelope>* SocketTransport::SendBoxFor(const Envelope& e,
-                                               size_t* conn) const {
-  // Coordinator role: one connection per worker, picked by destination
-  // site. Worker role: everything rides the one coordinator connection.
-  size_t index = 0;
-  if (role_ == Role::kCoordinator) {
-    if (e.to < 0 || e.to >= num_sites_) {
-      return nullptr;
-    }
-    index = static_cast<size_t>(WorkerOf(e.to));
-  } else if (e.to != kCoordinatorId) {
-    return nullptr;
-  }
-  if (conn != nullptr) {
-    *conn = index;
-  }
-  return conns_[index]->send_box.get();
-}
-
-bool SocketTransport::Send(const Envelope& e) {
-  Mailbox<Envelope>* box = SendBoxFor(e);
-  return box != nullptr && box->Push(e);
-}
-
-bool SocketTransport::SendBatch(const std::vector<Envelope>& batch) {
-  // Group per connection, checking every envelope before queuing any; each
-  // writer drains its send box into one coalesced kEnvelopeBatch wire
-  // frame per burst.
-  std::vector<std::vector<Envelope>> per_conn(conns_.size());
-  for (const Envelope& e : batch) {
-    size_t conn = 0;
-    if (SendBoxFor(e, &conn) == nullptr) {
-      return false;
-    }
-    per_conn[conn].push_back(e);
-  }
-  for (size_t i = 0; i < per_conn.size(); ++i) {
-    if (!per_conn[i].empty() &&
-        !conns_[i]->send_box->PushAll(std::move(per_conn[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-size_t SocketTransport::TrySendBatch(const std::vector<Envelope>& batch,
-                                     size_t begin, bool* closed) {
-  // Prefix semantics (see Transport::TrySendBatch). The send boxes are
-  // drained by dedicated writer threads regardless of what the peer is
-  // doing, so kFull here only means a transient burst beyond the box
-  // capacity — the caller drains its own inbox and retries. kClosed and
-  // unroutable envelopes are permanent and flag `*closed`.
-  size_t sent = 0;
-  while (begin + sent < batch.size()) {
-    const Envelope& e = batch[begin + sent];
-    Mailbox<Envelope>* box = SendBoxFor(e);
-    const MailboxPush push =
-        box != nullptr ? box->TryPush(e) : MailboxPush::kClosed;
-    if (push != MailboxPush::kOk) {
-      if (push == MailboxPush::kClosed && closed != nullptr) {
-        *closed = true;
-      }
-      break;
-    }
-    ++sent;
-  }
-  return sent;
-}
-
-// Root-to-shard commands are coordinator-process-local: straight into the
-// shard inbox, no frame, no socket.
-bool SocketTransport::SendToShard(int shard, const Envelope& e) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  return box != nullptr && box->Push(e);
-}
-
-bool SocketTransport::TrySendToShard(int shard, const Envelope& e) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  return box != nullptr && box->TryPush(e) == MailboxPush::kOk;
-}
-
-bool SocketTransport::RecvShard(int shard, Envelope* out) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  return box != nullptr && box->Pop(out);
-}
-
-bool SocketTransport::TryRecvShard(int shard, Envelope* out) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  return box != nullptr && box->TryPop(out);
-}
-
-size_t SocketTransport::RecvShardAll(int shard, std::vector<Envelope>* out) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  return box != nullptr ? box->PopAll(out) : 0;
-}
-
-size_t SocketTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                                        int64_t timeout_ms, bool* timed_out) {
-  Mailbox<Envelope>* box = ShardInbox(shard);
-  if (box == nullptr) {
-    if (timed_out != nullptr) {
-      *timed_out = false;
-    }
-    return 0;
-  }
-  return box->PopAllFor(out, timeout_ms, timed_out);
-}
-
-bool SocketTransport::RecvWorker(int worker, Envelope* out) {
-  Mailbox<Envelope>* box = WorkerInbox(worker);
-  return box != nullptr && box->Pop(out);
-}
-
-bool SocketTransport::TryRecvWorker(int worker, Envelope* out) {
-  Mailbox<Envelope>* box = WorkerInbox(worker);
-  return box != nullptr && box->TryPop(out);
-}
-
-size_t SocketTransport::RecvWorkerAll(int worker, std::vector<Envelope>* out) {
-  Mailbox<Envelope>* box = WorkerInbox(worker);
-  return box != nullptr ? box->PopAll(out) : 0;
-}
-
-size_t SocketTransport::TryRecvWorkerAll(int worker,
-                                         std::vector<Envelope>* out) {
-  Mailbox<Envelope>* box = WorkerInbox(worker);
-  return box != nullptr ? box->TryPopAll(out) : 0;
-}
-
 Status SocketTransport::UpdateLayout(const ShardLayout& next) {
   if (role_ != Role::kCoordinator) {
     return FailedPreconditionError(
         "layout updates originate at the coordinator");
   }
-  const ShardLayout* live = current();
-  if (next.num_sites != live->num_sites ||
-      next.num_shards != live->num_shards) {
-    return InvalidArgumentError(
-        "layout update must keep the fabric shape (sites, shards)");
-  }
-  if (next.version <= live->version) {
-    return InvalidArgumentError("layout update version must be newer than " +
-                                std::to_string(live->version));
-  }
+  DCV_RETURN_IF_ERROR(CheckLayoutUpdate(next));
   LayoutFrame lf;
   lf.version = next.version;
   lf.num_sites = next.num_sites;
@@ -1087,8 +908,8 @@ Status SocketTransport::UpdateLayout(const ShardLayout& next) {
   }
   // The fence: routing switches only after every worker acked, so no party
   // still routes by the old layout once this returns.
-  std::unique_lock<std::mutex> lock(layout_mu_);
-  bool acked = layout_cv_.wait_for(
+  std::unique_lock<std::mutex> lock(acks_mu_);
+  const bool acked = acks_cv_.wait_for(
       lock, std::chrono::milliseconds(options_.io_timeout_ms), [&] {
         return shutting_down_.load(std::memory_order_relaxed) ||
                std::all_of(layout_acked_.begin(), layout_acked_.end(),
@@ -1098,16 +919,15 @@ Status SocketTransport::UpdateLayout(const ShardLayout& next) {
     return ResourceExhaustedError(
         "timed out waiting for layout acks from workers");
   }
-  layouts_.push_back(std::make_unique<ShardLayout>(next));
-  layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
-  return OkStatus();
+  lock.unlock();
+  return ThreadTransport::UpdateLayout(next);
 }
 
 Status SocketTransport::InjectPeerFailure(int worker) {
   if (role_ != Role::kCoordinator) {
     return FailedPreconditionError("failure injection needs the coordinator");
   }
-  if (worker < 0 || worker >= num_workers_) {
+  if (worker < 0 || worker >= num_workers()) {
     return InvalidArgumentError("worker index out of range");
   }
   Connection& c = *conns_[static_cast<size_t>(worker)];
@@ -1127,7 +947,7 @@ Status SocketTransport::SendTelemetry(const TelemetryFrame& t) {
   }
   std::string bytes;
   DCV_RETURN_IF_ERROR(AppendTelemetryFrame(t, &bytes));
-  // Telemetry bypasses the envelope queue and replay ring (the same
+  // Telemetry bypasses the envelope boxes and replay ring (the same
   // direct-write path UpdateLayout uses): frames are unsequenced cumulative
   // snapshots, so a resume never needs to replay them and dedup can never
   // double-count them.
@@ -1177,16 +997,16 @@ void SocketTransport::Shutdown() {
   for (auto& c : conns_) {
     c->cv.notify_all();
   }
-  layout_cv_.notify_all();
+  acks_cv_.notify_all();
   telemetry_cv_.notify_all();
   if (acceptor_.joinable()) {
     acceptor_.join();
   }
-  // Phase 1: flush. Closing a mailbox still lets Pop drain it, so the
-  // writers push every queued frame (including a final kShutdown
-  // broadcast) before half-closing their sockets.
-  for (auto& c : conns_) {
-    c->send_box->Close();
+  // Phase 1: flush. Closing a mailbox still lets the writers drain it, so
+  // they push every queued frame (including a final kShutdown broadcast)
+  // before half-closing their sockets.
+  for (size_t i = 0; i < conns_.size(); ++i) {
+    CloseOutbound(i);
   }
   for (auto& c : conns_) {
     if (c->writer.joinable()) {
@@ -1194,13 +1014,13 @@ void SocketTransport::Shutdown() {
     }
   }
   // Phase 2: stop receiving. Shut the sockets to wake blocked readers and
-  // close the inbox so blocked receivers drain out.
+  // close every box so blocked receivers drain out.
   for (auto& c : conns_) {
     if (c->fd >= 0) {
       ::shutdown(c->fd, SHUT_RDWR);
     }
   }
-  CloseInboxes();
+  ThreadTransport::Shutdown();
   for (auto& c : conns_) {
     if (c->reader.joinable()) {
       c->reader.join();

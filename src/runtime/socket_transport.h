@@ -18,49 +18,54 @@
 
 #include "common/result.h"
 #include "obs/obs.h"
-#include "runtime/mailbox.h"
 #include "runtime/transport.h"
 #include "runtime/wire.h"
 
 namespace dcv {
 
-/// TCP implementation of the Transport interface: the coordinator process
-/// listens and accepts exactly one connection per worker process; site
-/// workers connect, identify themselves with a versioned handshake
-/// (wire.h), and then exchange length-prefixed kEnvelopeBatch frames (a
-/// lone envelope travels as a batch of one).
+/// The queue fabric of ThreadTransport with a socket on its engine side:
+/// the coordinator process listens and accepts exactly one connection per
+/// worker process; site workers connect, identify themselves with a
+/// versioned handshake (wire.h), and then exchange length-prefixed
+/// kEnvelopeBatch frames (a lone envelope travels as a batch of one).
 ///
-/// Backpressure mirrors ThreadTransport: every connection owns a bounded
-/// send-queue Mailbox with the same capacity formula as the in-process
-/// inboxes, so Send blocks when the peer falls behind (the TCP socket adds
-/// kernel-buffer slack but never unbounded memory). A writer thread drains
-/// each send queue onto the socket; a reader thread decodes frames into
-/// the owner's inbox.
+/// Every Send*/Recv* call, the routing and the box capacities are
+/// ThreadTransport's; this class only pumps boxes over TCP:
+///  * Coordinator role: the fabric has the run's shards and one worker box
+///    per connection. Reader thread w pushes each validated inbound batch
+///    into the shard inboxes with SendBatch (one lane per reader), and
+///    writer w drains worker box w onto the socket.
+///  * Worker role: the fabric has one shard. The engine's sends land in
+///    shard 0's inbox, which the writer drains onto the socket; the reader
+///    feeds this worker's box.
+/// Backpressure is therefore the in-process one: a sender blocks on the
+/// bounded box the writer drains when the peer falls behind (the TCP
+/// socket adds kernel-buffer slack but never unbounded memory).
 ///
 /// Lifecycle and failure semantics:
 ///  * Connect retries with bounded attempts and exponential backoff;
 ///    Listen/AcceptWorkers bound the wait per expected connection. Both
 ///    surface in SocketStats (and "runtime/socket/*" obs counters).
 ///  * Without reconnection (the default), a peer closing its stream (EOF)
-///    closes this side's inbox: blocked receivers drain and then observe
-///    transport-closed, exactly like ThreadTransport::Shutdown. Mid-run
-///    resets count as `disconnects`.
-///  * Shutdown flushes the send queues (writers drain the bounded boxes
-///    before the sockets half-close), so a graceful kShutdown broadcast is
-///    never lost.
+///    closes the boxes the readers feed: blocked receivers drain and then
+///    observe transport-closed, exactly like ThreadTransport::Shutdown.
+///    Mid-run resets count as `disconnects`.
+///  * Shutdown flushes the outbound boxes (writers drain them before the
+///    sockets half-close), so a graceful kShutdown broadcast is never
+///    lost, and only then stops the inbound side.
 ///
 /// Mid-run reconnection (Options::allow_reconnect): a lost connection
-/// parks this side instead of closing the inboxes. Every envelope frame
-/// carries a per-direction sequence number and each writer retains a
-/// bounded ring of sent frames; a returning worker handshakes with a
-/// bumped Hello generation (stale connections are fenced off) and each
-/// side replays exactly the suffix the peer missed, deduplicating replays
-/// by sequence number. The coordinator keeps an acceptor thread running so
-/// the resume handshake can land at any time; the worker side actively
-/// redials, through the same hello exchange as the first connect. Senders
-/// simply block on the bounded send queues during the outage, so no
-/// envelope is ever lost — the run resumes bit-identically.
-class SocketTransport : public Transport {
+/// parks this side instead of closing the boxes. Every envelope frame
+/// carries a per-direction sequence number and, with reconnection on, each
+/// writer retains a bounded ring of sent frames; a returning worker
+/// handshakes with a bumped Hello generation (stale connections are fenced
+/// off) and each side replays exactly the suffix the peer missed,
+/// deduplicating replays by sequence number. The coordinator keeps an
+/// acceptor thread running so the resume handshake can land at any time;
+/// the worker side actively redials, through the same hello exchange as
+/// the first connect. Senders simply block on the bounded boxes during the
+/// outage, so no envelope is ever lost — the run resumes bit-identically.
+class SocketTransport : public ThreadTransport {
  public:
   struct Options {
     int accept_timeout_ms = 30000;  ///< Per expected worker connection.
@@ -68,8 +73,6 @@ class SocketTransport : public Transport {
     int connect_attempts = 10;      ///< Bounded reconnect budget.
     int connect_backoff_ms = 100;   ///< Doubles per retry, capped at 2 s.
     int io_timeout_ms = 30000;      ///< Handshake reads + steady-state sends.
-    size_t coordinator_capacity = 0;  ///< 0 = auto (2 * num_sites + 16).
-    size_t worker_capacity = 0;       ///< 0 = auto (4 * ceil(sites/workers) + 8).
     bool virtual_time = true;  ///< Coordinator role: mode pushed to workers.
 
     /// Coordinator role: shard-coordinator fan-in. Reader threads route
@@ -80,7 +83,7 @@ class SocketTransport : public Transport {
     int num_shards = 1;
 
     /// Survive a dropped worker connection: park instead of closing the
-    /// inboxes, accept/redial a resume handshake, replay the missed frame
+    /// boxes, accept/redial a resume handshake, replay the missed frame
     /// suffix. Both sides must enable it (the worker redials, the
     /// coordinator keeps accepting).
     bool allow_reconnect = false;
@@ -88,7 +91,8 @@ class SocketTransport : public Transport {
     int reconnect_grace_ms = 100;    ///< Worker delay before redialing, so a
                                      ///< graceful shutdown is not mistaken
                                      ///< for a crash.
-    size_t replay_capacity = 4096;   ///< Sent-frame ring per connection.
+    size_t replay_capacity = 4096;   ///< Sent-frame ring per connection
+                                     ///< (kept only with reconnection).
 
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional distributed-trace sink: reconnect/replay lifecycle events
@@ -139,7 +143,7 @@ class SocketTransport : public Transport {
   }
 
   /// Worker role: serializes and sends a telemetry snapshot directly on the
-  /// connection (outside the envelope send queue — telemetry is unsequenced
+  /// connection (outside the envelope boxes — telemetry is unsequenced
   /// and must never enter the replay ring). Safe to call concurrently with
   /// envelope traffic; fails if the connection is down (the next push or the
   /// final flush supersedes a lost snapshot anyway).
@@ -156,28 +160,10 @@ class SocketTransport : public Transport {
   /// consuming the stream tail. Returns false on timeout.
   bool WaitForFinalTelemetry(int timeout_ms);
 
-  int num_sites() const override { return num_sites_; }
-  int num_workers() const override { return num_workers_; }
-  int WorkerOf(int site) const override { return site % num_workers_; }
-  int num_shards() const override { return current()->num_shards; }
-  int ShardOf(int site) const override { return current()->ShardOf(site); }
-  bool Send(const Envelope& e) override;
-  bool SendBatch(const std::vector<Envelope>& batch) override;
-  size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
-                      bool* closed = nullptr) override;
-  bool SendToShard(int shard, const Envelope& e) override;
-  bool TrySendToShard(int shard, const Envelope& e) override;
-  bool RecvShard(int shard, Envelope* out) override;
-  bool TryRecvShard(int shard, Envelope* out) override;
-  size_t RecvShardAll(int shard, std::vector<Envelope>* out) override;
-  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                         int64_t timeout_ms, bool* timed_out) override;
-  bool RecvWorker(int worker, Envelope* out) override;
-  bool TryRecvWorker(int worker, Envelope* out) override;
-  size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) override;
-  size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) override;
+  /// Two phases: close and flush the outbound boxes (the writers drain
+  /// them, then half-close), then stop inbound (sockets down, every box
+  /// closed, readers joined).
   void Shutdown() override;
-  ShardLayout layout() const override { return *current(); }
 
   /// Coordinator role: broadcasts the layout as a kLayoutUpdate frame,
   /// waits for every worker's kLayoutAck (the fence), then swaps the
@@ -209,13 +195,13 @@ class SocketTransport : public Transport {
   };
   static const LedgerEntry kLedger[];
 
-  /// One TCP connection: the socket, its bounded send queue, and the two
-  /// threads that pump it. Coordinator role has one per worker; worker
-  /// role has exactly one (index 0). Reconnection state lives here too:
-  /// `generation` names the fd incarnation (bumped by each successful
-  /// resume; parked threads wake on the bump), the writer-side ring holds
-  /// the replayable sent-frame suffix, and `last_seq_received` is the
-  /// receive direction's dedup high-water mark.
+  /// One TCP connection: the socket and the two threads that pump it
+  /// between the fabric's boxes and the wire. Coordinator role has one per
+  /// worker; worker role has exactly one (index 0). Reconnection state
+  /// lives here too: `generation` names the fd incarnation (bumped by each
+  /// successful resume; parked threads wake on the bump), the writer-side
+  /// ring holds the replayable sent-frame suffix, and `last_seq_received`
+  /// is the receive direction's dedup high-water mark.
   struct Connection {
     std::mutex mu;  ///< Guards fd (for readers), generation, residuals.
     std::condition_variable cv;  ///< Signals generation bumps + shutdown.
@@ -225,7 +211,6 @@ class SocketTransport : public Transport {
     /// the first data frames in the same segment as the hello/ack); the
     /// reader thread consumes these before touching the socket.
     std::string residual;
-    std::unique_ptr<Mailbox<Envelope>> send_box;
     std::thread reader;
     std::thread writer;
 
@@ -233,6 +218,7 @@ class SocketTransport : public Transport {
     /// socket write so a resume replay never interleaves mid-frame).
     std::mutex write_mu;
     uint64_t next_send_seq = 1;
+    /// Only a resume reads it, so it is filled only with allow_reconnect.
     std::deque<std::pair<uint64_t, std::string>> sent_ring;
 
     /// Receive direction: highest envelope seq seen (reader-owned, read by
@@ -240,19 +226,14 @@ class SocketTransport : public Transport {
     std::atomic<uint64_t> last_seq_received{0};
   };
 
-  SocketTransport(Role role, int num_sites, int num_workers, int worker,
+  SocketTransport(Role role, ShardLayout layout, int num_workers, int worker,
                   const Options& options);
 
-  const ShardLayout* current() const {
-    return layout_ptr_.load(std::memory_order_acquire);
-  }
-
-  /// Routing lookups: the mailbox a call addresses, or null when the role
-  /// or index does not match. SendBoxFor also yields the connection index.
-  Mailbox<Envelope>* ShardInbox(int shard) const;
-  Mailbox<Envelope>* WorkerInbox(int worker) const;
-  Mailbox<Envelope>* SendBoxFor(const Envelope& e,
-                                size_t* conn = nullptr) const;
+  /// True iff this side may route an envelope read off the wire: the
+  /// coordinator takes only coordinator-bound envelopes from a site in
+  /// range, a worker only envelopes for a site it owns. Anything else
+  /// would be routed back out, or land in a box no thread drains.
+  bool Inbound(const Envelope& e) const;
 
   /// Worker role: one dial plus the whole hello exchange as incarnation
   /// `generation` (socket options, hello out, ack in and checked, clock
@@ -305,27 +286,28 @@ class SocketTransport : public Transport {
                        std::chrono::steady_clock::time_point deadline);
 
   /// Writes unsequenced control bytes straight onto `c`'s live socket,
-  /// outside the send queue and the replay ring. False if the link is down.
+  /// outside the envelope boxes and the replay ring. False if the link is
+  /// down.
   static bool WriteDirect(Connection* c, const std::string& bytes);
 
-  /// End-of-stream on any connection (or a fatal write error) closes every
-  /// shard inbox: no shard can make progress once a worker is gone, and
-  /// blocked receivers must drain out exactly as in ThreadTransport.
-  void CloseInboxes();
+  /// Closes the box connection `index`'s writer drains onto the socket:
+  /// worker box `index` at the coordinator, the coordinator-bound shard
+  /// inbox at a worker. Further sends fail; queued envelopes still flush.
+  void CloseOutbound(size_t index);
+
+  /// Closes the boxes the readers feed: every shard inbox at the
+  /// coordinator (no shard can make progress once a worker is gone), this
+  /// worker's box at a worker. Blocked receivers drain out exactly as
+  /// after ThreadTransport::Shutdown.
+  void CloseInbound();
 
   const Role role_;
-  const int num_sites_;
-  const int num_workers_;
   const int worker_;  ///< Worker role: this process's worker index.
   Options options_;
 
-  /// Routing layout (coordinator role; 1 shard in worker role). Reads are
-  /// lock-free; UpdateLayout retires superseded layouts into layouts_.
-  std::mutex layout_mu_;
-  std::vector<std::unique_ptr<ShardLayout>> layouts_;
-  std::atomic<const ShardLayout*> layout_ptr_{nullptr};
-  std::condition_variable layout_cv_;          ///< Waits for worker acks.
-  std::vector<uint32_t> layout_acked_;         ///< Per worker, by layout_mu_.
+  std::mutex acks_mu_;
+  std::condition_variable acks_cv_;    ///< Waits for worker layout acks.
+  std::vector<uint32_t> layout_acked_;  ///< Per worker, by acks_mu_.
   std::atomic<uint32_t> adopted_layout_version_{0};  ///< Worker role.
 
   int listen_fd_ = -1;
@@ -333,10 +315,6 @@ class SocketTransport : public Transport {
   bool virtual_time_ = true;
   sockaddr_in peer_{};  ///< Worker role: coordinator address for redial.
 
-  /// Coordinator role: one inbox per shard coordinator, fed by the reader
-  /// threads routing on ShardOf(e.from). Worker role: exactly one — this
-  /// worker's inbox.
-  std::vector<std::unique_ptr<Mailbox<Envelope>>> inboxes_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::thread acceptor_;  ///< Resume acceptor (coordinator, reconnect on).
 

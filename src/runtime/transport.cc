@@ -1,5 +1,7 @@
 #include "runtime/transport.h"
 
+#include <utility>
+
 namespace dcv {
 
 std::string_view ActorMsgKindName(ActorMsgKind kind) {
@@ -38,21 +40,21 @@ Result<std::unique_ptr<ThreadTransport>> ThreadTransport::Create(
   }
   DCV_ASSIGN_OR_RETURN(ShardLayout layout,
                        MakeShardLayout(num_sites, num_shards));
-  if (coordinator_capacity == 0) {
-    // Per-shard fan-in; one shard is the whole-coordinator 2N+16 formula.
-    coordinator_capacity = CoordinatorInboxCapacity(layout.MaxShardSites());
-  }
-  if (worker_capacity == 0) {
-    worker_capacity = WorkerInboxCapacity(num_sites, num_workers);
-  }
   return std::unique_ptr<ThreadTransport>(new ThreadTransport(
-      layout, num_workers, coordinator_capacity, worker_capacity));
+      std::move(layout), num_workers, coordinator_capacity, worker_capacity));
 }
 
 ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
                                  size_t coordinator_capacity,
                                  size_t worker_capacity)
     : num_sites_(layout.num_sites), num_workers_(num_workers) {
+  if (coordinator_capacity == 0) {
+    // Per-shard fan-in; one shard is the whole-coordinator 2N+16 formula.
+    coordinator_capacity = CoordinatorInboxCapacity(layout.MaxShardSites());
+  }
+  if (worker_capacity == 0) {
+    worker_capacity = WorkerInboxCapacity(num_sites_, num_workers);
+  }
   layouts_.push_back(std::make_unique<ShardLayout>(std::move(layout)));
   layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
   const int num_shards = layouts_.back()->num_shards;
@@ -192,8 +194,7 @@ size_t ThreadTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
                                                              timed_out);
 }
 
-Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
-  std::lock_guard<std::mutex> lock(layout_mu_);
+Status ThreadTransport::CheckLayoutUpdate(const ShardLayout& next) const {
   const ShardLayout* live = current();
   if (next.num_sites != live->num_sites ||
       next.num_shards != live->num_shards) {
@@ -204,6 +205,12 @@ Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
     return InvalidArgumentError("layout update version must be newer than " +
                                 std::to_string(live->version));
   }
+  return OkStatus();
+}
+
+Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
+  std::lock_guard<std::mutex> lock(layout_mu_);
+  DCV_RETURN_IF_ERROR(CheckLayoutUpdate(next));
   layouts_.push_back(std::make_unique<ShardLayout>(next));
   layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
   return OkStatus();

@@ -15,11 +15,14 @@ namespace dcv {
 
 /// Message fabric between the coordinator tree and the site workers:
 /// opaque routed envelopes, a blocking receive per endpoint, an explicit
-/// shutdown. Two implementations exist, and the coordinator and site
-/// engines cannot tell them apart: `ThreadTransport` below (in-process,
-/// one bounded Mailbox per worker thread plus one laned inbox per shard
-/// coordinator) and `SocketTransport` (TCP, one connection per worker process; see
-/// socket_transport.h).
+/// shutdown. The coordinator and site engines cannot tell its
+/// implementations apart. There is one queue fabric, `ThreadTransport`
+/// below (one bounded Mailbox per worker plus one laned inbox per shard
+/// coordinator), and two kinds of pump: in-process, the engine threads
+/// push into it and drain it directly; `SocketTransport` (TCP, one
+/// connection per worker process; see socket_transport.h) is the same
+/// fabric whose engine side is a socket, with reader and writer threads
+/// moving envelopes between its boxes and the wire.
 ///
 /// Sites are multiplexed onto workers round-robin: `WorkerOf(site)` names
 /// the worker inbox a site-addressed envelope lands in (how `dcvtool run
@@ -50,8 +53,8 @@ class Transport {
   /// destination FIFO order preserved — envelopes to the same inbox land in
   /// batch order), but implementations amortize locking/framing across the
   /// batch: the thread transport groups by destination mailbox and pays one
-  /// mutex round trip per box per burst (Mailbox::PushAll), the socket
-  /// transport coalesces each burst into one kEnvelopeBatch wire frame.
+  /// mutex round trip per box per burst (Mailbox::PushAll); over a socket,
+  /// the writer then frames each drained burst as kEnvelopeBatch frames.
   /// Blocks on full inboxes like Send; returns false iff a destination was
   /// closed or an envelope was unroutable (a prefix may have been
   /// delivered, exactly as a loop of Sends interrupted mid-way).
@@ -74,7 +77,8 @@ class Transport {
   /// envelope unroutable — `*closed` (if non-null) is set so the caller
   /// stops retrying a dead fabric; a plain full inbox leaves it false.
   /// Base transports without a non-blocking path may block (they fall back
-  /// to Send); the thread and socket transports override this.
+  /// to Send); ThreadTransport, and with it the socket transport,
+  /// overrides this.
   virtual size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
                               bool* closed = nullptr) {
     size_t sent = 0;
@@ -202,11 +206,13 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
   return 4 * per_worker + 8;
 }
 
-/// In-process transport over bounded mailboxes: one per worker, and one
-/// laned inbox per shard coordinator (LanedMailbox, num_workers + 1 lanes,
-/// so the engine threads and the root each push into a lane of their own
-/// instead of sharing one lock). Capacity invariants the runtime relies on
-/// to stay deadlock-free with blocking sends:
+/// The queue fabric over bounded mailboxes: one per worker, and one laned
+/// inbox per shard coordinator (LanedMailbox, num_workers + 1 lanes, so
+/// the engine threads and the root each push into a lane of their own
+/// instead of sharing one lock). In-process, engine threads and shard
+/// coordinators use it directly; SocketTransport derives from it and
+/// pumps the same boxes over TCP. Capacity invariants the runtime relies
+/// on to stay deadlock-free with blocking sends:
 ///
 ///  * the coordinator tree never blocks on a worker inbox: at most one
 ///    epoch start, one poll request, one threshold update, and one
@@ -264,10 +270,24 @@ class ThreadTransport : public Transport {
     return worker_boxes_.empty() ? 0 : worker_boxes_[0]->capacity();
   }
 
- private:
+ protected:
+  /// `coordinator_capacity` and `worker_capacity` 0 = auto (the Create
+  /// formulas).
   ThreadTransport(ShardLayout layout, int num_workers,
-                  size_t coordinator_capacity, size_t worker_capacity);
+                  size_t coordinator_capacity = 0, size_t worker_capacity = 0);
 
+  /// OK iff `next` keeps the live layout's shape (sites, shards) and is
+  /// strictly newer.
+  Status CheckLayoutUpdate(const ShardLayout& next) const;
+
+  LanedMailbox<Envelope>& shard_box(int shard) {
+    return *shard_boxes_[static_cast<size_t>(shard)];
+  }
+  Mailbox<Envelope>& worker_box(int worker) {
+    return *worker_boxes_[static_cast<size_t>(worker)];
+  }
+
+ private:
   /// The live layout. Routing reads are lock-free (acquire on an atomic
   /// pointer); UpdateLayout retires superseded layouts into layouts_ so a
   /// racing reader never dereferences freed memory.

@@ -72,6 +72,11 @@ std::vector<std::unique_ptr<SocketTransport>> ConnectWorkers(
   return workers;
 }
 
+bool SendRaw(int fd, const std::string& bytes) {
+  return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
 /// Dials the coordinator on loopback over a raw socket and sends `hello`
 /// as hand-built wire bytes; returns the fd (-1 on failure).
 int DialRawHello(int port, const HelloFrame& hello) {
@@ -87,16 +92,16 @@ int DialRawHello(int port, const HelloFrame& hello) {
   AppendHelloFrame(hello, &bytes);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
-      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
-          static_cast<ssize_t>(bytes.size())) {
+      !SendRaw(fd, bytes)) {
     ::close(fd);
     return -1;
   }
   return fd;
 }
 
-/// Reads the coordinator's hello-ack off a raw socket (5 s budget).
-Result<HelloAckFrame> ReadRawAck(int fd) {
+/// Reads the next frame off a raw socket and checks it is a `want` frame
+/// (5 s budget).
+Result<WireFrame> ReadRawFrame(int fd, FrameType want) {
   FrameReader reader;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -104,10 +109,10 @@ Result<HelloAckFrame> ReadRawAck(int fd) {
     WireFrame frame;
     DCV_ASSIGN_OR_RETURN(bool ready, reader.Next(&frame));
     if (ready) {
-      if (frame.type != FrameType::kHelloAck) {
-        return InternalError("expected a hello-ack");
+      if (frame.type != want) {
+        return InternalError("unexpected frame type");
       }
-      return frame.hello_ack;
+      return frame;
     }
     pollfd p{fd, POLLIN, 0};
     if (::poll(&p, 1, 100) <= 0) {
@@ -116,11 +121,66 @@ Result<HelloAckFrame> ReadRawAck(int fd) {
     uint8_t buf[256];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
-      return InternalError("stream ended before the hello-ack");
+      return InternalError("stream ended before the expected frame");
     }
     reader.Append(buf, static_cast<size_t>(n));
   }
-  return ResourceExhaustedError("no hello-ack within 5 s");
+  return ResourceExhaustedError("no frame within 5 s");
+}
+
+/// Reads the coordinator's hello-ack off a raw socket (5 s budget).
+Result<HelloAckFrame> ReadRawAck(int fd) {
+  DCV_ASSIGN_OR_RETURN(WireFrame frame,
+                       ReadRawFrame(fd, FrameType::kHelloAck));
+  return frame.hello_ack;
+}
+
+/// A loopback listener on an ephemeral port; returns the fd (-1 on
+/// failure) and sets `*port`.
+int ListenRaw(int* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd, 1) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  *port = static_cast<int>(ntohs(addr.sin_port));
+  return fd;
+}
+
+/// Plays the coordinator's side of the handshake over raw wire bytes:
+/// accepts one worker, reads its hello, acks it for the given fabric
+/// shape, then writes `tail`. Returns the connection fd (-1 on failure).
+int AcceptRawWorker(int listen_fd, int num_sites, int num_workers,
+                    const std::string& tail) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) {
+    return -1;
+  }
+  auto hello = ReadRawFrame(fd, FrameType::kHello);
+  HelloAckFrame ack;
+  ack.ok = 1;
+  ack.virtual_time = 1;
+  ack.num_sites = num_sites;
+  ack.num_workers = num_workers;
+  std::string bytes;
+  AppendHelloAckFrame(ack, &bytes);
+  bytes += tail;
+  if (!hello.ok() || !SendRaw(fd, bytes)) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
@@ -572,6 +632,154 @@ TEST(SocketTransportTest, ResumeRejectsStaleGeneration) {
   coordinator->Shutdown();
   EXPECT_EQ(coordinator->stats().reconnects, 0);
   EXPECT_EQ(worker->stats().reconnects, 0);
+}
+
+TEST(SocketTransportTest, LanedInboxKeepsEachConnectionsOrderAcrossSendPaths) {
+  // The socket twin of ThreadTransportTest's laned-inbox order test: each
+  // worker's run crosses its own connection and reader thread into the
+  // shard inbox while the root interleaves commands; every producer's
+  // order must survive.
+  constexpr int kWorkers = 2;
+  constexpr int kPerProducer = 6000;
+  auto listen = SocketTransport::Listen(/*num_sites=*/4, kWorkers,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  auto workers = ConnectWorkers(coordinator.get(), 4, kWorkers);
+  ASSERT_TRUE(workers[0] != nullptr && workers[1] != nullptr);
+  // Producer p tags its envelopes with epoch p and value = its sequence.
+  auto tagged = [](int site, int producer, int64_t seq) {
+    return ToCoordinator(site, ActorMsgKind::kAlarm, producer, seq);
+  };
+  std::vector<std::thread> producers;
+  for (int w = 0; w < kWorkers; ++w) {
+    // Worker w speaks for its sites w and w + 2, rotating through every
+    // send path in bursts of up to 7.
+    producers.emplace_back([&, w] {
+      Transport& t = *workers[static_cast<size_t>(w)];
+      int64_t seq = 0;
+      for (int burst = 0; seq < kPerProducer; ++burst) {
+        std::vector<Envelope> batch;
+        for (int i = 0; i < 7 && seq < kPerProducer; ++i) {
+          batch.push_back(tagged(w + 2 * (i % 2), w, seq++));
+        }
+        if (burst % 3 == 0) {
+          ASSERT_TRUE(t.SendBatch(batch));
+        } else if (burst % 3 == 1) {
+          for (const Envelope& e : batch) {
+            ASSERT_TRUE(t.Send(e));
+          }
+        } else {
+          for (size_t next = 0; next < batch.size();) {
+            bool closed = false;
+            next += t.TrySendBatch(batch, next, &closed);
+            ASSERT_FALSE(closed);
+            std::this_thread::yield();
+          }
+        }
+      }
+    });
+  }
+  producers.emplace_back([&] {  // The root: commands via SendToShard.
+    for (int64_t seq = 0; seq < kPerProducer; ++seq) {
+      Envelope cmd = tagged(0, kWorkers, seq);
+      cmd.from = kCoordinatorId;
+      ASSERT_TRUE(coordinator->SendToShard(0, cmd));
+    }
+  });
+  std::vector<int64_t> next_seq(kWorkers + 1, 0);
+  std::vector<Envelope> batch;
+  int64_t received = 0;
+  while (received < (kWorkers + 1) * kPerProducer) {
+    batch.clear();
+    const size_t got = coordinator->RecvShardAll(0, &batch);
+    ASSERT_GT(got, 0u);
+    for (const Envelope& e : batch) {
+      const size_t p = static_cast<size_t>(e.msg.epoch);
+      ASSERT_LT(p, next_seq.size());
+      ASSERT_EQ(e.msg.value, next_seq[p]) << "producer " << p;
+      ++next_seq[p];
+    }
+    received += static_cast<int64_t>(got);
+  }
+  for (std::thread& th : producers) {
+    th.join();
+  }
+  Envelope extra;
+  EXPECT_FALSE(coordinator->TryRecvShard(0, &extra));  // The total is exact.
+  workers[0]->Shutdown();
+  workers[1]->Shutdown();
+  coordinator->Shutdown();
+  EXPECT_EQ(coordinator->stats().decode_errors, 0);
+}
+
+TEST(SocketTransportTest, CoordinatorDropsEnvelopesNotBoundForIt) {
+  // A worker may only send coordinator-bound envelopes. A site-to-site
+  // envelope from a site in range must not reach a shard inbox, nor be
+  // routed back out to a worker: it counts as a decode error and is gone.
+  auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/1,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  Status accept = OkStatus();
+  std::thread acceptor([&] { accept = coordinator->AcceptWorkers(); });
+  HelloFrame hello;
+  hello.worker = 0;
+  hello.num_workers = 1;
+  hello.num_sites = 2;
+  const int fd = DialRawHello(coordinator->port(), hello);
+  auto ack = fd >= 0 ? ReadRawAck(fd)
+                     : Result<HelloAckFrame>(InternalError("dial failed"));
+  acceptor.join();
+  ASSERT_TRUE(accept.ok()) << accept.message();
+  ASSERT_TRUE(ack.ok()) << ack.status().message();
+  ASSERT_EQ(ack->ok, 1);
+
+  Envelope envs[2] = {ToSite(1, ActorMsgKind::kAlarm, 0, 5),
+                      ToCoordinator(1, ActorMsgKind::kAlarm, 0, 6)};
+  envs[0].from = 0;  // Site 0 to site 1.
+  std::string bytes;
+  AppendEnvelopeBatchFrame(envs, 2, &bytes, /*seq=*/1);
+  ASSERT_TRUE(SendRaw(fd, bytes));
+  Envelope e;
+  ASSERT_TRUE(coordinator->RecvShard(0, &e));
+  EXPECT_EQ(e.msg.value, 6);
+  EXPECT_EQ(coordinator->stats().decode_errors, 1);
+  EXPECT_FALSE(coordinator->TryRecvShard(0, &e));
+  ::close(fd);
+  coordinator->Shutdown();
+}
+
+TEST(SocketTransportTest, WorkerDropsEnvelopesForSitesItDoesNotOwn) {
+  // Worker 0 of 2 owns sites 0 and 2. An envelope for site 1 (worker 1's)
+  // or for the coordinator would sit in a box no thread drains: both count
+  // as decode errors and only the envelope for site 2 arrives.
+  int port = 0;
+  const int listen_fd = ListenRaw(&port);
+  ASSERT_GE(listen_fd, 0);
+  const Envelope envs[3] = {ToSite(1, ActorMsgKind::kPollRequest, 0, 5),
+                            ToCoordinator(0, ActorMsgKind::kAlarm, 0, 6),
+                            ToSite(2, ActorMsgKind::kPollRequest, 0, 7)};
+  std::string tail;
+  AppendEnvelopeBatchFrame(envs, 3, &tail, /*seq=*/1);
+  int conn = -1;
+  std::thread raw_coordinator(
+      [&] { conn = AcceptRawWorker(listen_fd, 4, 2, tail); });
+  auto worker = SocketTransport::Connect("127.0.0.1", port, /*worker=*/0,
+                                         /*num_sites=*/4, /*num_workers=*/2,
+                                         FastOptions());
+  raw_coordinator.join();
+  ASSERT_TRUE(worker.ok()) << worker.status().message();
+  ASSERT_GE(conn, 0);
+  Envelope e;
+  ASSERT_TRUE((*worker)->RecvWorker(0, &e));
+  EXPECT_EQ(e.to, 2);
+  EXPECT_EQ(e.msg.value, 7);
+  EXPECT_EQ((*worker)->stats().decode_errors, 2);
+  EXPECT_FALSE((*worker)->TryRecvWorker(0, &e));
+  ::close(conn);
+  ::close(listen_fd);
+  (*worker)->Shutdown();
 }
 
 }  // namespace
