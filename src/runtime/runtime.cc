@@ -265,25 +265,16 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   // Sites never alarm in the polling protocol: the coordinator drives every
   // contact. The provisioned thresholds still ship so WhatIf-style reuse of
   // the plan is possible, but the site constraint is disabled.
-  const bool local = options.protocol == RuntimeProtocol::kLocalThreshold;
-  // One SoA engine per worker; per-site config lands in slot order (slot s
-  // of worker w is site s * workers + w).
+  const std::vector<int64_t> unconstrained;
+  const std::vector<int64_t>& thresholds =
+      options.protocol == RuntimeProtocol::kLocalThreshold ? plan.thresholds
+                                                           : unconstrained;
+  // One SoA engine per worker.
   std::vector<std::unique_ptr<SiteEngine>> engines;
   engines.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    SiteEngine::Config ecfg;
-    ecfg.worker = w;
-    ecfg.num_workers = workers;
-    ecfg.num_sites = n;
-    for (int site = w; site < n; site += workers) {
-      ecfg.thresholds.push_back(local
-                                    ? plan.thresholds[static_cast<size_t>(site)]
-                                    : std::numeric_limits<int64_t>::max());
-      if (eval != nullptr) {
-        ecfg.series.push_back(eval->SiteSeries(site));
-      }
-    }
-    ecfg.synthetic_updates = eval == nullptr ? updates_per_site : 0;
+    SiteEngine::Config ecfg =
+        WorkerEngineConfig(w, workers, n, eval, updates_per_site, thresholds);
     ecfg.seed = options.seed;
     ecfg.synthetic_max = options.synthetic_max;
     ecfg.capture_updates = options.capture_updates;

@@ -35,10 +35,48 @@ void FanOut(int first_site, int num_sites, const ActorMessage& msg,
   }
 }
 
+/// The lockstep exchange behind both virtual legs: sends `fanout`, then
+/// collects exactly one `want` reply echoing the command's epoch from each
+/// site of the command's range, in any order. Anything else — another
+/// kind or epoch, a site outside the range, a second reply — fails the
+/// leg. Returns (site, value) in ascending site order, the entries of
+/// alarmed reports only when `alarmed_only`: the root replays alarms by
+/// ascending site, and poll values in site order, so arrival order (and
+/// with it batching) never reaches the result.
+Status Exchange(Transport* transport, int shard, const ShardCmd& cmd,
+                const std::vector<Envelope>& fanout, ActorMsgKind want,
+                const char* stage, bool alarmed_only,
+                std::vector<std::pair<int, int64_t>>* entries) {
+  std::vector<char> answered(static_cast<size_t>(cmd.num_sites), 0);
+  entries->clear();
+  if (!transport->SendBatch(fanout)) {
+    return InternalError(std::string("transport closed during ") + stage);
+  }
+  std::vector<Envelope> batch;
+  for (int pending = cmd.num_sites; pending > 0;) {
+    batch.clear();
+    if (transport->RecvShardAll(shard, &batch) == 0) {
+      return InternalError(std::string("transport closed during ") + stage);
+    }
+    for (const Envelope& e : batch) {
+      const int64_t i = int64_t{e.from} - cmd.first_site;
+      if (e.msg.kind != want || e.msg.epoch != cmd.epoch || i < 0 ||
+          i >= cmd.num_sites || answered[static_cast<size_t>(i)]) {
+        return InternalError(std::string("out-of-order message at ") + stage);
+      }
+      answered[static_cast<size_t>(i)] = 1;
+      if (!alarmed_only || e.msg.flag) {
+        entries->emplace_back(e.from, e.msg.value);
+      }
+      --pending;
+    }
+  }
+  std::sort(entries->begin(), entries->end());
+  return OkStatus();
+}
+
 Status EpochLeg(Transport* transport, int shard, const ShardCmd& cmd,
                 std::vector<std::pair<int, int64_t>>* alarmed) {
-  const int start = cmd.first_site;
-  const int size = cmd.num_sites;
   // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
   // is per-producer FIFO and one thread at a time produces for these sites
   // (the shard thread, or the root for an inline leg), so the site
@@ -48,7 +86,7 @@ Status EpochLeg(Transport* transport, int shard, const ShardCmd& cmd,
   // SendBatch preserves batch order per destination inbox, so a site's
   // re-sync still lands before its kEpochStart.
   std::vector<Envelope> fanout;
-  fanout.reserve(cmd.resync.size() + static_cast<size_t>(size));
+  fanout.reserve(cmd.resync.size() + static_cast<size_t>(cmd.num_sites));
   for (const auto& [site, threshold] : cmd.resync) {
     ActorMessage update;
     update.kind = ActorMsgKind::kThresholdUpdate;
@@ -56,74 +94,26 @@ Status EpochLeg(Transport* transport, int shard, const ShardCmd& cmd,
     update.value = threshold;
     fanout.push_back(Envelope{kCoordinatorId, site, update});
   }
-  for (int i = 0; i < size; ++i) {
+  for (int i = 0; i < cmd.num_sites; ++i) {
     ActorMessage begin;
     begin.kind = ActorMsgKind::kEpochStart;
     begin.epoch = cmd.epoch;
     begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
-    fanout.push_back(Envelope{kCoordinatorId, start + i, begin});
+    fanout.push_back(Envelope{kCoordinatorId, cmd.first_site + i, begin});
   }
-  if (!transport->SendBatch(fanout)) {
-    return InternalError("transport closed during epoch start");
-  }
-  alarmed->clear();
-  std::vector<Envelope> batch;
-  int pending = size;
-  while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError("transport closed while collecting reports");
-    }
-    for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kEpochReport ||
-          e.msg.epoch != cmd.epoch) {
-        return InternalError("out-of-order message at epoch barrier");
-      }
-      if (e.msg.flag) {
-        alarmed->emplace_back(e.from, e.msg.value);
-      }
-      --pending;
-    }
-  }
-  // Reports arrive in any order; the root replays alarms by ascending site.
-  std::sort(alarmed->begin(), alarmed->end());
-  return OkStatus();
+  return Exchange(transport, shard, cmd, fanout, ActorMsgKind::kEpochReport,
+                  "epoch barrier", /*alarmed_only=*/true, alarmed);
 }
 
 Status PollLeg(Transport* transport, int shard, const ShardCmd& cmd,
                std::vector<std::pair<int, int64_t>>* values) {
-  const int start = cmd.first_site;
-  const int size = cmd.num_sites;
   ActorMessage request;
   request.kind = ActorMsgKind::kPollRequest;
   request.epoch = cmd.epoch;
   std::vector<Envelope> fanout;
-  FanOut(start, size, request, &fanout);
-  if (!transport->SendBatch(fanout)) {
-    return InternalError("transport closed during poll round");
-  }
-  values->clear();
-  for (int i = 0; i < size; ++i) {
-    values->emplace_back(start + i, 0);
-  }
-  std::vector<Envelope> batch;
-  int pending = size;
-  while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError("transport closed while collecting poll responses");
-    }
-    for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kPollResponse) {
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " during poll round");
-      }
-      (*values)[static_cast<size_t>(e.from - start)].second = e.msg.value;
-      --pending;
-    }
-  }
-  return OkStatus();
+  FanOut(cmd.first_site, cmd.num_sites, request, &fanout);
+  return Exchange(transport, shard, cmd, fanout, ActorMsgKind::kPollResponse,
+                  "poll round", /*alarmed_only=*/false, values);
 }
 
 /// Forwards kShutdown to every site in range; a closed transport means the

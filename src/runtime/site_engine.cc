@@ -1,5 +1,6 @@
 #include "runtime/site_engine.h"
 
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -27,6 +28,26 @@ Rng MakeSiteRng(uint64_t seed, int site) {
   uint64_t mixed =
       seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(site) + 1));
   return Rng(mixed);
+}
+
+SiteEngine::Config WorkerEngineConfig(int worker, int num_workers,
+                                      int num_sites, const Trace* eval,
+                                      int64_t synthetic_updates,
+                                      const std::vector<int64_t>& thresholds) {
+  SiteEngine::Config config;
+  config.worker = worker;
+  config.num_workers = num_workers;
+  config.num_sites = num_sites;
+  for (int site = worker; site < num_sites; site += num_workers) {
+    config.thresholds.push_back(
+        thresholds.empty() ? std::numeric_limits<int64_t>::max()
+                           : thresholds[static_cast<size_t>(site)]);
+    if (eval != nullptr) {
+      config.series.push_back(eval->SiteSeries(site));
+    }
+  }
+  config.synthetic_updates = eval == nullptr ? synthetic_updates : 0;
+  return config;
 }
 
 SiteEngine::SiteEngine(Config config) : config_(std::move(config)) {
@@ -76,109 +97,33 @@ int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
   return rngs_[slot].UniformInt(0, config_.synthetic_max);
 }
 
-ActorMessage SiteEngine::OnEpochStart(size_t slot, int64_t epoch, bool up) {
-  const int64_t value = ValueAt(slot, epoch);
+bool SiteEngine::Observe(size_t slot, int64_t index, bool up) {
+  const int64_t value = ValueAt(slot, index);
   values_[slot] = value;
   ++updates_[slot];
   DCV_OBS_COUNT(updates_counter_, 1);
   if (config_.capture_updates) {
     captured_[slot].push_back(value);
   }
-  ActorMessage report;
-  report.kind = ActorMsgKind::kEpochReport;
-  report.epoch = epoch;
   const bool alarmed = up && value > thresholds_[slot];
-  report.flag = alarmed;
-  report.value = alarmed ? value : 0;
   if (alarmed) {
     DCV_OBS_COUNT(alarms_counter_, 1);
-    DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm, epoch,
+    DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm, index,
                   SiteOf(slot), value);
   }
-  return report;
+  return alarmed;
 }
 
-bool SiteEngine::NextUpdate(size_t slot, int64_t* value, bool* alarmed) {
-  if (cursors_[slot] >= workload_size(slot)) {
-    return false;
-  }
-  const int64_t v = ValueAt(slot, cursors_[slot]);
-  values_[slot] = v;
-  ++cursors_[slot];
-  ++updates_[slot];
-  DCV_OBS_COUNT(updates_counter_, 1);
-  if (config_.capture_updates) {
-    captured_[slot].push_back(v);
-  }
-  *value = v;
-  *alarmed = v > thresholds_[slot];
-  if (*alarmed) {
-    DCV_OBS_COUNT(alarms_counter_, 1);
-    DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm,
-                  cursors_[slot] - 1, SiteOf(slot), v);
-  }
-  return true;
-}
-
-ActorMessage SiteEngine::OnPollRequest(size_t slot, int64_t epoch) const {
-  ActorMessage response;
-  response.kind = ActorMsgKind::kPollResponse;
-  response.epoch = epoch;
-  response.value = values_[slot];
-  return response;
-}
-
-void SiteEngine::RunVirtual(Transport* transport) {
-  size_t live = num_slots();
-  std::vector<Envelope> inbox;
-  std::vector<Envelope> outbox;
-  while (live > 0) {
-    inbox.clear();
-    if (transport->RecvWorkerAll(config_.worker, &inbox) == 0) {
-      break;  // Fabric closed.
-    }
-    outbox.clear();
-    for (const Envelope& e : inbox) {
-      const int slot = SlotOf(e.to);
-      if (slot < 0) {
-        continue;
-      }
-      switch (e.msg.kind) {
-        case ActorMsgKind::kEpochStart:
-          outbox.push_back(
-              Envelope{SiteOf(static_cast<size_t>(slot)), kCoordinatorId,
-                       OnEpochStart(static_cast<size_t>(slot), e.msg.epoch,
-                                    e.msg.flag)});
-          break;
-        case ActorMsgKind::kPollRequest:
-          outbox.push_back(
-              Envelope{SiteOf(static_cast<size_t>(slot)), kCoordinatorId,
-                       OnPollRequest(static_cast<size_t>(slot), e.msg.epoch)});
-          break;
-        case ActorMsgKind::kThresholdUpdate:
-          thresholds_[static_cast<size_t>(slot)] = e.msg.value;
-          break;
-        case ActorMsgKind::kShutdown:
-          --live;
-          break;
-        default:
-          break;
-      }
-    }
-    // One batched reply per drained burst. Blocking is safe here: shard
-    // inbox capacity covers every in-flight report + poll response of an
-    // epoch (2 per owned site + headroom), and the shard coordinator is
-    // always in its receive loop.
-    if (!outbox.empty() && !transport->SendBatch(outbox)) {
-      break;
-    }
-  }
-}
+void SiteEngine::RunVirtual(Transport* transport) { Run(transport, {}); }
 
 void SiteEngine::RunFree(Transport* transport) {
-  size_t shutdowns_pending = num_slots();
   std::vector<size_t> active(num_slots());
   std::iota(active.begin(), active.end(), size_t{0});
+  Run(transport, std::move(active));
+}
+
+void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
+  size_t shutdowns_pending = num_slots();
   std::vector<Envelope> inbox;
   std::vector<Envelope> pending;  ///< Unsent outbox suffix [pending_begin..).
   size_t pending_begin = 0;
@@ -198,19 +143,39 @@ void SiteEngine::RunFree(Transport* transport) {
     }
   };
 
+  auto reply = [&](size_t slot, ActorMsgKind kind, int64_t epoch,
+                   int64_t value, bool flag = false) {
+    pending.push_back(Envelope{SiteOf(slot), kCoordinatorId,
+                               ActorMessage{kind, epoch, value, flag}});
+  };
+
   auto handle = [&](const Envelope& env) {
-    const int slot = SlotOf(env.to);
-    if (slot < 0) {
+    const int owned = SlotOf(env.to);
+    if (owned < 0) {
       return;
     }
+    const size_t slot = static_cast<size_t>(owned);
     switch (env.msg.kind) {
+      case ActorMsgKind::kEpochStart: {
+        // The epoch indexes the site's column and may come off the wire:
+        // one outside a trace-driven column is dropped like an envelope for
+        // an unowned site. A synthetic slot ignores the index.
+        const std::vector<int64_t>& column = config_.series[slot];
+        const int64_t epoch = env.msg.epoch;
+        if (!column.empty() &&
+            (epoch < 0 || epoch >= static_cast<int64_t>(column.size()))) {
+          break;
+        }
+        const bool alarmed = Observe(slot, epoch, env.msg.flag);
+        reply(slot, ActorMsgKind::kEpochReport, epoch,
+              alarmed ? values_[slot] : 0, alarmed);
+        break;
+      }
       case ActorMsgKind::kPollRequest:
-        pending.push_back(
-            Envelope{SiteOf(static_cast<size_t>(slot)), kCoordinatorId,
-                     OnPollRequest(static_cast<size_t>(slot), env.msg.epoch)});
+        reply(slot, ActorMsgKind::kPollResponse, env.msg.epoch, values_[slot]);
         break;
       case ActorMsgKind::kThresholdUpdate:
-        thresholds_[static_cast<size_t>(slot)] = env.msg.value;
+        thresholds_[slot] = env.msg.value;
         break;
       case ActorMsgKind::kShutdown:
         --shutdowns_pending;
@@ -230,34 +195,24 @@ void SiteEngine::RunFree(Transport* transport) {
   };
 
   // The key deadlock-freedom invariant at scale: this loop NEVER blocks
-  // on a send. Alarms/dones/poll responses accumulate in `pending` and go
-  // out through non-blocking TrySendBatch; when the coordinator inbox is
-  // full we keep draining our own inbox (so a coordinator blocked fanning
-  // polls at this worker always unblocks) and pause update production
-  // once `pending` passes the high-water mark (backpressure without an
-  // unbounded queue).
+  // on a send. Replies accumulate in `pending` and go out through
+  // non-blocking TrySendBatch; when the coordinator inbox is full we keep
+  // draining our own inbox (so a coordinator blocked fanning polls at this
+  // worker always unblocks) and pause update production once `pending`
+  // passes the high-water mark (backpressure without an unbounded queue).
   while (!active.empty() && !closed) {
     drain_controls();
     flush();
     for (size_t i = 0; i < active.size() && !closed;) {
       const size_t slot = active[i];
-      int64_t value = 0;
-      bool alarmed = false;
-      if (!NextUpdate(slot, &value, &alarmed)) {
-        ActorMessage done;
-        done.kind = ActorMsgKind::kSiteDone;
-        done.epoch = updates_[slot];
-        done.value = updates_[slot];
-        pending.push_back(Envelope{SiteOf(slot), kCoordinatorId, done});
+      if (cursors_[slot] >= workload_size(slot)) {
+        reply(slot, ActorMsgKind::kSiteDone, updates_[slot], updates_[slot]);
         active[i] = active.back();
         active.pop_back();
       } else {
-        if (alarmed) {
-          ActorMessage alarm;
-          alarm.kind = ActorMsgKind::kAlarm;
-          alarm.epoch = updates_[slot] - 1;
-          alarm.value = value;
-          pending.push_back(Envelope{SiteOf(slot), kCoordinatorId, alarm});
+        const int64_t index = cursors_[slot]++;
+        if (Observe(slot, index, /*up=*/true)) {
+          reply(slot, ActorMsgKind::kAlarm, index, values_[slot]);
         }
         ++i;
       }
@@ -273,9 +228,10 @@ void SiteEngine::RunFree(Transport* transport) {
     }
   }
 
-  // Workloads drained; flush the alarm/done tail and keep answering polls
-  // until every owned site has been shut down (the coordinator may still
-  // be resolving in-flight rounds).
+  // No self-driven slot is left (a virtual engine has none): flush the
+  // tail and keep answering the coordinator until every owned site has
+  // been shut down — in virtual time every epoch start and poll, in free
+  // running the polls of in-flight rounds.
   while (!closed && (shutdowns_pending > 0 || !pending.empty())) {
     flush();
     if (closed) {
@@ -285,8 +241,7 @@ void SiteEngine::RunFree(Transport* transport) {
       if (shutdowns_pending == 0) {
         break;
       }
-      // Nothing owed to the coordinator: block for control traffic (polls
-      // of in-flight rounds, then the kShutdown broadcast).
+      // Nothing owed to the coordinator: block for control traffic.
       inbox.clear();
       if (transport->RecvWorkerAll(config_.worker, &inbox) == 0) {
         break;  // Closed and drained.

@@ -2,13 +2,13 @@
 #define DCV_RUNTIME_SITE_ENGINE_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "runtime/actor_message.h"
 #include "runtime/transport.h"
+#include "trace/trace.h"
 
 namespace dcv {
 
@@ -98,23 +98,30 @@ class SiteEngine {
     return captured_;
   }
 
-  /// Virtual-time loop: batch-drains the worker inbox, applies every
-  /// message to its slot, and pushes the replies back as one batch per
-  /// drained burst. Exits when every owned site received kShutdown or the
-  /// fabric closed.
+  /// Virtual time: no slot drives itself. The engine blocks on its own
+  /// inbox and observes a slot only on its kEpochStart, so the
+  /// coordinator's epoch barrier paces every site. Exits when every owned
+  /// site received kShutdown or the fabric closed.
   void RunVirtual(Transport* transport);
 
-  /// Free-running loop: rotates through the live slots consuming updates;
-  /// alarms, site-done markers, and poll responses accumulate in a pending
-  /// outbox flushed with non-blocking TrySendBatch. The engine never
-  /// blocks on a full coordinator inbox — it keeps draining its own inbox
-  /// between flush attempts, so a coordinator blocked fanning polls at
-  /// this worker always makes progress (no A/B mailbox deadlock). A full
-  /// outbox pauses update production instead (bounded memory,
-  /// backpressure preserved).
+  /// Free running: every slot drives itself, one update per live slot per
+  /// pass, until its workload is exhausted (then a kSiteDone); the engine
+  /// then answers the coordinator until shutdown like a virtual one.
   void RunFree(Transport* transport);
 
  private:
+  /// The one engine loop behind both modes. `active` holds the
+  /// self-driven slots; the loop rotates through them while there are
+  /// any, then blocks on the inbox until every owned site is shut down.
+  /// Every reply (alarm, site done, epoch report, poll response) queues in
+  /// a pending outbox flushed with non-blocking TrySendBatch: no engine
+  /// ever blocks on a full coordinator inbox. It keeps draining its own
+  /// inbox between flush attempts, so a coordinator blocked fanning out
+  /// to this worker always makes progress (no A/B mailbox deadlock), and
+  /// a full outbox pauses update production instead (bounded memory,
+  /// backpressure preserved).
+  void Run(Transport* transport, std::vector<size_t> active);
+
   /// Dense slot of a site-addressed envelope; -1 when the site is out of
   /// range or not owned by this worker (such envelopes are dropped).
   int SlotOf(int32_t site) const;
@@ -122,15 +129,11 @@ class SiteEngine {
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 
-  /// Virtual time: observes epoch `epoch`'s value and returns the
-  /// kEpochReport. A down site (up == false) observes the value but never
-  /// alarms — the lockstep simulator's crash semantics.
-  ActorMessage OnEpochStart(size_t slot, int64_t epoch, bool up);
-  /// Free running: consumes the slot's next update; false when its
-  /// workload is exhausted. `*alarmed` says whether L_i fired.
-  bool NextUpdate(size_t slot, int64_t* value, bool* alarmed);
-  /// kPollResponse carrying the slot's most recently observed value.
-  ActorMessage OnPollRequest(size_t slot, int64_t epoch) const;
+  /// The site step of either mode: observes the slot's value at `index`
+  /// (its epoch, or its free-running cursor) and returns whether L_i
+  /// fired. A down site (up == false) observes but never alarms — the
+  /// lockstep simulator's crash semantics.
+  bool Observe(size_t slot, int64_t index, bool up);
 
   Config config_;
   // Structure-of-arrays site state, all indexed by slot.
@@ -143,6 +146,15 @@ class SiteEngine {
   obs::Counter* updates_counter_ = nullptr;  ///< "runtime/site/updates".
   obs::Counter* alarms_counter_ = nullptr;   ///< "runtime/site/alarms".
 };
+
+/// Worker `worker`'s engine config over its sites w, w+W, w+2W, ... in
+/// slot order: their `eval` columns (null = synthetic, `synthetic_updates`
+/// per site) and their entries of the global `thresholds` (empty = no
+/// local constraint). The caller sets the seed, sinks and capture.
+SiteEngine::Config WorkerEngineConfig(int worker, int num_workers,
+                                      int num_sites, const Trace* eval,
+                                      int64_t synthetic_updates,
+                                      const std::vector<int64_t>& thresholds);
 
 }  // namespace dcv
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,6 +16,11 @@ namespace {
 /// Worker trace batches are bounded so a telemetry frame always fits under
 /// kMaxTelemetryPayload (each encoded event is ~40 bytes).
 constexpr size_t kMaxTelemetryEvents = 8192;
+
+/// Cadence of the cumulative telemetry pushes toward the coordinator. The
+/// final shutdown push happens regardless, so the coordinator's merge
+/// always sees this worker.
+constexpr std::chrono::milliseconds kTelemetryInterval{50};
 
 TelemetryFrame BuildTelemetryFrame(const SiteWorkerOptions& options,
                                    SocketTransport* transport,
@@ -79,25 +83,19 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   // Owned sites start unconstrained; the real thresholds arrive as the
   // coordinator's first envelopes (per-connection FIFO guarantees they
   // install before any epoch start or poll reaches the site).
-  SiteWorkerReport report;
-  SiteEngine::Config ecfg;
-  ecfg.worker = options.worker;
-  ecfg.num_workers = options.num_workers;
-  ecfg.num_sites = options.num_sites;
-  for (int i = options.worker; i < options.num_sites;
-       i += options.num_workers) {
-    report.sites.push_back(i);
-    ecfg.thresholds.push_back(std::numeric_limits<int64_t>::max());
-    if (eval != nullptr) {
-      ecfg.series.push_back(eval->SiteSeries(i));
-    }
-  }
-  ecfg.synthetic_updates = eval == nullptr ? options.synthetic_updates : 0;
+  SiteEngine::Config ecfg =
+      WorkerEngineConfig(options.worker, options.num_workers,
+                         options.num_sites, eval, options.synthetic_updates,
+                         /*thresholds=*/{});
   ecfg.seed = options.seed;
   ecfg.synthetic_max = options.synthetic_max;
   ecfg.metrics = options.metrics;
   ecfg.recorder = options.recorder;
   SiteEngine engine(std::move(ecfg));
+  SiteWorkerReport report;
+  for (size_t slot = 0; slot < engine.num_slots(); ++slot) {
+    report.sites.push_back(engine.SiteOf(slot));
+  }
   report.virtual_time = transport->virtual_time();
 
   // Initial threshold sync: exactly one kThresholdUpdate per owned site
@@ -136,23 +134,19 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   std::mutex flush_mu;
   std::condition_variable flush_cv;
   bool flush_stop = false;
-  std::thread flusher;
-  if (options.telemetry_interval_ms > 0) {
-    flusher = std::thread([&] {
-      std::unique_lock<std::mutex> lock(flush_mu);
-      while (!flush_cv.wait_for(
-          lock, std::chrono::milliseconds(options.telemetry_interval_ms),
-          [&] { return flush_stop; })) {
-        lock.unlock();
-        TelemetryFrame t =
-            BuildTelemetryFrame(options, transport.get(), /*final_flush=*/false);
-        // A failed push (connection mid-resume) is harmless: the next tick
-        // or the final flush carries a fresher cumulative snapshot.
-        (void)transport->SendTelemetry(t);
-        lock.lock();
-      }
-    });
-  }
+  std::thread flusher([&] {
+    std::unique_lock<std::mutex> lock(flush_mu);
+    while (!flush_cv.wait_for(lock, kTelemetryInterval,
+                              [&] { return flush_stop; })) {
+      lock.unlock();
+      TelemetryFrame t =
+          BuildTelemetryFrame(options, transport.get(), /*final_flush=*/false);
+      // A failed push (connection mid-resume) is harmless: the next tick
+      // or the final flush carries a fresher cumulative snapshot.
+      (void)transport->SendTelemetry(t);
+      lock.lock();
+    }
+  });
 
   if (!aborted) {
     if (report.virtual_time) {
@@ -162,14 +156,12 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
     }
   }
 
-  if (flusher.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flush_mu);
-      flush_stop = true;
-    }
-    flush_cv.notify_all();
-    flusher.join();
+  {
+    std::lock_guard<std::mutex> lock(flush_mu);
+    flush_stop = true;
   }
+  flush_cv.notify_all();
+  flusher.join();
   // Final flush: the frame the coordinator's WaitForFinalTelemetry blocks
   // on. Sent after the run loop so it carries the complete counters.
   (void)transport->SendTelemetry(

@@ -32,11 +32,6 @@ struct SiteWorkerOptions {
   SocketTransport::Options socket;
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
-
-  /// Cadence of cumulative telemetry pushes toward the coordinator; <= 0
-  /// disables the periodic flusher (the final shutdown push still happens,
-  /// so the coordinator's merge always sees this worker).
-  int telemetry_interval_ms = 50;
 };
 
 /// What one worker process did, for its exit report.

@@ -218,9 +218,10 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
 ///    epoch start, one poll request, one threshold update, and one
 ///    shutdown can be in flight per owned site, and worker capacity covers
 ///    that;
-///  * sites may block pushing into a shard inbox (that is the backpressure
-///    path), but every shard coordinator is always in its receive loop, so
-///    the box drains. Each lane alone holds the per-shard formula, so a
+///  * a sender may block pushing into a shard inbox (a socket reader's
+///    SendBatch; an engine never blocks, it retries TrySendBatch), but
+///    every shard coordinator is always in its receive loop, so the box
+///    drains. Each lane alone holds the per-shard formula, so a
 ///    blocked sender waits only for its own lane. The root's SendToShard
 ///    commands ride the same guarantee.
 class ThreadTransport : public Transport {

@@ -12,6 +12,7 @@
 #include "obs/trace_recorder.h"
 #include "runtime/coordinator.h"
 #include "runtime/plan.h"
+#include "runtime/shard.h"
 #include "runtime/transport.h"
 #include "sim/local_scheme.h"
 #include "threshold/fptas.h"
@@ -583,6 +584,35 @@ TEST(ShardedRuntimeTest, VirtualShardErrorFailsRun) {
   EXPECT_NE(status.message().find("out-of-order message at epoch barrier"),
             std::string::npos)
       << status.message();
+}
+
+// A poll leg takes exactly one response per site, echoing the round's
+// epoch: a stale round's response, or a second one from the same site,
+// fails the leg instead of standing in for a missing answer.
+TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
+  ShardCmd cmd;
+  cmd.kind = ShardCmd::Kind::kPoll;
+  cmd.epoch = 5;
+  cmd.first_site = 0;
+  cmd.num_sites = 2;
+  ActorMessage response;
+  response.kind = ActorMsgKind::kPollResponse;
+  for (const int64_t stale_epoch : {int64_t{4}, int64_t{5}}) {
+    auto transport = ThreadTransport::Create(2, 1);
+    ASSERT_TRUE(transport.ok());
+    // Site 0 answers twice (the second time with a stale epoch, or again
+    // with the round's own); site 1 never answers.
+    response.epoch = 5;
+    ASSERT_TRUE((*transport)->Send(Envelope{0, kCoordinatorId, response}));
+    response.epoch = stale_epoch;
+    ASSERT_TRUE((*transport)->Send(Envelope{0, kCoordinatorId, response}));
+    std::vector<std::pair<int, int64_t>> values;
+    const Status status = RunShardLeg(transport->get(), 0, cmd, &values);
+    ASSERT_FALSE(status.ok()) << "stale epoch " << stale_epoch;
+    EXPECT_NE(status.message().find("out-of-order message at poll round"),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 // Chaos conformance (the recovery proof): a shard coordinator killed at a

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "runtime/conformance.h"
 #include "runtime/runtime.h"
+#include "runtime/transport.h"
 #include "threshold/fptas.h"
 #include "trace/stats.h"
 #include "trace/synthetic.h"
@@ -250,6 +252,83 @@ TEST(SiteEngineTest, SlotMappingAndThresholdRouting) {
   EXPECT_FALSE(engine.ApplyThresholdUpdate(3, 250));  // Owned by worker 0.
   EXPECT_FALSE(engine.ApplyThresholdUpdate(-1, 250));
   EXPECT_FALSE(engine.ApplyThresholdUpdate(8, 250));  // Out of fabric.
+}
+
+Envelope ToSite(int site, ActorMsgKind kind, int64_t epoch = 0) {
+  ActorMessage msg;
+  msg.kind = kind;
+  msg.epoch = epoch;
+  msg.flag = true;  // kEpochStart: the site is up.
+  return Envelope{kCoordinatorId, site, msg};
+}
+
+// A kEpochStart's epoch indexes the site's trace column and can arrive off
+// the wire: one outside the column is dropped like an envelope for an
+// unowned site, instead of reading past it.
+TEST(SiteEngineTest, EpochStartOutsideColumnIsDropped) {
+  SiteEngine::Config cfg;
+  cfg.num_sites = 1;
+  cfg.thresholds = {15};
+  cfg.series = {{10, 20, 30}};
+  SiteEngine engine(std::move(cfg));
+  auto transport = ThreadTransport::Create(1, 1);
+  ASSERT_TRUE(transport.ok());
+  ASSERT_TRUE((*transport)
+                  ->SendBatch({ToSite(0, ActorMsgKind::kEpochStart, 3),
+                               ToSite(0, ActorMsgKind::kEpochStart, -1),
+                               ToSite(0, ActorMsgKind::kEpochStart, 2),
+                               ToSite(0, ActorMsgKind::kShutdown)}));
+  engine.RunVirtual(transport->get());
+  std::vector<Envelope> replies;
+  Envelope e;
+  while ((*transport)->TryRecvShard(0, &e)) {
+    replies.push_back(e);
+  }
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].from, 0);
+  EXPECT_EQ(replies[0].msg.kind, ActorMsgKind::kEpochReport);
+  EXPECT_EQ(replies[0].msg.epoch, 2);
+  EXPECT_TRUE(replies[0].msg.flag);
+  EXPECT_EQ(replies[0].msg.value, 30);
+  EXPECT_EQ(engine.updates_processed()[0], 1);
+}
+
+// A virtual engine never blocks on a send: with one envelope per shard
+// inbox lane, its epoch reports go out one partial TrySendBatch at a time
+// while the shard drains them, and still arrive in site order.
+TEST(SiteEngineTest, VirtualRepliesSurviveShortSends) {
+  constexpr int kSites = 4;
+  SiteEngine::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.thresholds.assign(kSites, 0);
+  cfg.series.assign(kSites, {7});
+  SiteEngine engine(std::move(cfg));
+  auto transport = ThreadTransport::Create(kSites, 1,
+                                           /*coordinator_capacity=*/1);
+  ASSERT_TRUE(transport.ok());
+  Transport* t = transport->get();
+  std::thread worker([&] { engine.RunVirtual(t); });
+  std::vector<Envelope> starts;
+  for (int site = 0; site < kSites; ++site) {
+    starts.push_back(ToSite(site, ActorMsgKind::kEpochStart));
+  }
+  ASSERT_TRUE(t->SendBatch(starts));
+  for (int site = 0; site < kSites; ++site) {
+    Envelope e;
+    ASSERT_TRUE(t->RecvShard(0, &e));
+    EXPECT_EQ(e.from, site);
+    EXPECT_EQ(e.msg.kind, ActorMsgKind::kEpochReport);
+    EXPECT_TRUE(e.msg.flag);
+    EXPECT_EQ(e.msg.value, 7);
+  }
+  std::vector<Envelope> stops;
+  for (int site = 0; site < kSites; ++site) {
+    stops.push_back(ToSite(site, ActorMsgKind::kShutdown));
+  }
+  ASSERT_TRUE(t->SendBatch(stops));
+  worker.join();
+  Envelope extra;
+  EXPECT_FALSE(t->TryRecvShard(0, &extra));
 }
 
 }  // namespace

@@ -8,6 +8,11 @@ that every protocol-relevant output line is identical: per-run detection
 counts, message totals and per-type breakdown. Timing lines and wire-level
 socket stats are excluded (they legitimately differ between transports).
 
+Runs are in virtual time unless --free-running is given. Then both runs
+drop --virtual-time, so every worker process runs its engine's free loop,
+and only the run's shape and its update total are compared: free-running
+alarm and poll counts depend on timing.
+
 With --metrics-json the coordinator's merged telemetry document (its own
 registry folded with every worker's final kTelemetry push) is written,
 schema-validated via validate_metrics.py, and checked for worker-side
@@ -44,6 +49,10 @@ COMPARED_KEYS = [
     "updates",
 ]
 
+# Free-running alarm and poll counts depend on timing; the run's shape and
+# its update total (every site replays its whole column) do not.
+FREE_RUNNING_KEYS = ["threshold", "protocol", "mode", "sites", "updates"]
+
 
 def parse_output(text):
     values = {}
@@ -72,6 +81,9 @@ def main():
     parser.add_argument("--chaos-seed", type=int, default=3)
     parser.add_argument("--heartbeat-timeout-ms", type=int, default=500)
     parser.add_argument("--timeout", type=float, default=240.0)
+    parser.add_argument("--free-running", action="store_true",
+                        help="run both transports without --virtual-time "
+                             "and compare only the shape and update total")
     parser.add_argument("--metrics-json", default="",
                         help="write the coordinator's merged telemetry "
                              "document here and validate it against "
@@ -80,12 +92,14 @@ def main():
                         help="write the merged Chrome trace here and assert "
                              "it carries coordinator + worker lanes")
     args = parser.parse_args()
+    mode_flags = [] if args.free_running else ["--virtual-time"]
+    compared_keys = FREE_RUNNING_KEYS if args.free_running else COMPARED_KEYS
 
     coordinator_cmd = [
         args.dcvtool, "run",
         "--trace", args.trace,
         "--train-epochs", str(args.train_epochs),
-        "--virtual-time",
+    ] + mode_flags + [
         "--transport", "socket",
         "--listen-port", "0",
         "--threads", str(args.workers),
@@ -168,7 +182,7 @@ def main():
             args.dcvtool, "run",
             "--trace", args.trace,
             "--train-epochs", str(args.train_epochs),
-            "--virtual-time",
+        ] + mode_flags + [
             "--threads", str(args.workers),
             "--shards", str(args.shards),
         ],
@@ -183,7 +197,7 @@ def main():
     socket_values = parse_output(socket_out)
     thread_values = parse_output(thread.stdout)
     mismatches = []
-    for key in COMPARED_KEYS:
+    for key in compared_keys:
         if key not in socket_values and key not in thread_values:
             continue  # e.g. "reliability" only appears under fault flags.
         if socket_values.get(key) != thread_values.get(key):
@@ -237,10 +251,11 @@ def main():
                          "instant event; got %r" % sorted(
                              n for n in names if n))
 
-    print("socket smoke OK: %d workers, %d shards on port %d, "
-          "%s messages, %s epochs, chaos=%s"
-          % (args.workers, args.shards, port, socket_values.get("messages"),
-             socket_values.get("epochs"), args.chaos))
+    print("socket smoke OK: %d workers, %d shards on port %d, %s, "
+          "%s messages, %s updates, chaos=%s"
+          % (args.workers, args.shards, port, socket_values.get("mode"),
+             socket_values.get("messages"), socket_values.get("updates"),
+             args.chaos))
     return 0
 
 
