@@ -476,7 +476,10 @@ class CoordinatorActor::FreeRun {
         Fail(InternalError("root mailbox closed while shards were live"));
       }
     }
+    SetGaugeMs(completion_ms_gauge_, last_done_ - first_done_);
+    const Clock::time_point drain_start = Clock::now();
     Drain();
+    SetGaugeMs(drain_ms_gauge_, Clock::now() - drain_start);
     out_->messages = actor_.counter_;
     for (int64_t u : out_->site_updates) {
       out_->total_updates += u;
@@ -535,6 +538,11 @@ class CoordinatorActor::FreeRun {
         }
         break;
       case RootMsg::Kind::kSiteDone:
+        // One clock read per relayed run, never per site or update.
+        last_done_ = Clock::now();
+        if (sites_done_ == 0) {
+          first_done_ = last_done_;
+        }
         for (const auto& [site, updates] : msg.entries) {
           out_->site_updates[static_cast<size_t>(site)] = updates;
           ++sites_done_;
@@ -778,6 +786,12 @@ class CoordinatorActor::FreeRun {
     return config_.metrics == nullptr ? nullptr : config_.metrics->gauge(name);
   }
 
+  static void SetGaugeMs(obs::Gauge* gauge, Clock::duration took) {
+    if (gauge != nullptr) {
+      gauge->Set(std::chrono::duration<double, std::milli>(took).count());
+    }
+  }
+
   CoordinatorActor& actor_;
   Transport* const transport_;
   RuntimeResult* const out_;
@@ -800,6 +814,11 @@ class CoordinatorActor::FreeRun {
       GaugeOrNull("runtime/coordinator/poll_min");
   obs::Gauge* const poll_max_gauge_ =
       GaugeOrNull("runtime/coordinator/poll_max");
+  /// Once per run: the first counted site done to the last, and Drain().
+  obs::Gauge* const completion_ms_gauge_ =
+      GaugeOrNull("runtime/coordinator/completion_ms");
+  obs::Gauge* const drain_ms_gauge_ =
+      GaugeOrNull("runtime/coordinator/drain_ms");
 
   int partials_pending_ = 0;  ///< > 0 while a round is outstanding.
   bool poll_dirty_ = false;  ///< Notice arrived mid-round: re-poll after.
@@ -810,6 +829,8 @@ class CoordinatorActor::FreeRun {
   int64_t round_max_ = 0;
   std::optional<obs::ScopedTimer> round_timer_;
   int sites_done_ = 0;
+  Clock::time_point first_done_;  ///< When the root counted its first done.
+  Clock::time_point last_done_;   ///< ... and its latest.
   int shard_exits_ = 0;
   int probe_heard_ = 0;  ///< Shards heard since the last probe began.
   bool draining_ = false;  ///< Post-kShutdown: late messages are expected.

@@ -12,10 +12,7 @@ namespace {
 /// Pushes everything in `out` to the root, in order, and empties it; false
 /// once the root's box is closed.
 bool Forward(Mailbox<RootMsg>* to_root, std::vector<RootMsg>* out) {
-  bool ok = true;
-  for (RootMsg& msg : *out) {
-    ok = ok && to_root->Push(std::move(msg));
-  }
+  const bool ok = to_root->PushAll(std::move(*out));
   out->clear();
   return ok;
 }
@@ -256,6 +253,17 @@ size_t ShardFreeLeg::StepBatch(const std::vector<Envelope>& batch,
   while (begin < batch.size() && out->size() == emitted) {
     Step(batch[begin++], out);
   }
+  // A done run is one step: the rest of the run joins the relay its first
+  // done opened, so a completion burst costs one root message per inbox
+  // batch instead of one per site.
+  if (out->size() > emitted && out->back().kind == RootMsg::Kind::kSiteDone) {
+    std::vector<std::pair<int, int64_t>>& entries = out->back().entries;
+    for (; begin < batch.size() &&
+           batch[begin].msg.kind == ActorMsgKind::kSiteDone;
+         ++begin) {
+      entries.emplace_back(batch[begin].from, batch[begin].msg.value);
+    }
+  }
   return begin;
 }
 
@@ -323,9 +331,11 @@ void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
 }
 
 void ShardFreeLeg::OnSiteDone(const Envelope& e, std::vector<RootMsg>* out) {
-  // Per-site relay (not batched per shard): the root counts sites, not
-  // shards, so its done-tracking survives a shard death and respawn
-  // mid-drain.
+  // Opens one relay per run of consecutive dones (StepBatch appends the
+  // rest of the run), never one per shard: the root counts the sites in
+  // each run, so its done-tracking survives a shard death and respawn
+  // mid-drain. A leg dies only at an inbox-batch boundary, so a run is
+  // relayed whole or left queued for the replacement.
   RootMsg& done = out->emplace_back();
   done.kind = RootMsg::Kind::kSiteDone;
   done.shard = ctx_.shard;

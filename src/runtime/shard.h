@@ -88,11 +88,12 @@ struct RootMsg {
     kPollPartial,   ///< Poll leg done. Virtual: entries = every site's value.
                     ///< Free: aggregated sum/min/max, no per-site entries.
     kAlarmNotice,   ///< Free: a delivered alarm needs a poll round.
-    kSiteDone,      ///< Free: one owned site reported kSiteDone. Relayed
-                    ///< per site (not batched per shard) so the root's
-                    ///< done-tracking survives a shard death: whatever the
-                    ///< dead shard already relayed stays counted, and the
-                    ///< replacement relays the rest.
+    kSiteDone,      ///< Free: one run of owned sites reported kSiteDone.
+                    ///< Relayed per run of consecutive dones in one inbox
+                    ///< batch (not batched per shard) and counted per site,
+                    ///< so the root's done-tracking survives a shard death:
+                    ///< whatever the dead shard already relayed stays
+                    ///< counted, and the replacement relays the rest.
     kHeartbeat,     ///< Free: reply to the root's kPing liveness probe.
     kShardExit,     ///< Shard exiting; `report` holds its final accounting.
                     ///< A virtual shard thread exits unprompted only when a
@@ -103,7 +104,8 @@ struct RootMsg {
   int64_t epoch = 0;
   /// (global site, value) pairs in ascending site order. kEpochPartial:
   /// alarmed sites and their observed values. kPollPartial (virtual): every
-  /// owned site's response. kSiteDone: the one site's update count.
+  /// owned site's response. kSiteDone: one run's sites and their update
+  /// counts, in arrival order.
   std::vector<std::pair<int, int64_t>> entries;
   // kPollPartial, free-running mode: the shard-aggregated poll leg.
   int64_t partial_sum = 0;  ///< Weighted sum over the shard's sites.
@@ -192,9 +194,11 @@ class ShardFreeLeg {
   void Step(const Envelope& e, std::vector<RootMsg>* out);
 
   /// Steps batch[begin], batch[begin + 1], ... and stops right after the
-  /// first envelope that appends to `out`, so the driver can act on that
-  /// output (and hand the leg a command) before the next envelope. Returns
-  /// the index of the first envelope not stepped.
+  /// first step that appends to `out`, so the driver can act on that
+  /// output (and hand the leg a command) before the next envelope. A run
+  /// of consecutive site kSiteDone envelopes is one step: it appends one
+  /// kSiteDone listing every site of the run in arrival order. Returns the
+  /// index of the first envelope not stepped.
   size_t StepBatch(const std::vector<Envelope>& batch, size_t begin,
                    std::vector<RootMsg>* out);
 

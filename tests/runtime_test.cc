@@ -531,6 +531,142 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   EXPECT_EQ(out[0].partial_max, 40);
 }
 
+// --- Free shard leg: site-done runs -----------------------------------------
+
+Envelope SiteDone(int site, int64_t updates) {
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kSiteDone;
+  msg.value = updates;
+  return Envelope{site, kCoordinatorId, msg};
+}
+
+TEST(ShardFreeLegTest, RelaysEachDoneRunAsOneMessage) {
+  // A run of consecutive dones in one inbox batch is one step and one root
+  // message; any other envelope ends the run, and a stopped leg relays
+  // nothing.
+  constexpr int kSites = 4;
+  auto transport = ThreadTransport::Create(kSites, 1);
+  ASSERT_TRUE(transport.ok());
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights = {1, 1, 1, 1};
+  config.protocol = RuntimeProtocol::kPolling;
+  Mailbox<RootMsg> to_root(16);
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(kSites, 1);
+  ctx.config = &config;
+  ctx.transport = transport->get();
+  ctx.to_root = &to_root;
+  ShardFreeLeg leg(std::move(ctx));
+  std::vector<RootMsg> out;
+  leg.Start(&out);
+  ASSERT_TRUE(out.empty());
+
+  ActorMessage alarm;
+  alarm.kind = ActorMsgKind::kAlarm;
+  alarm.epoch = 7;
+  alarm.value = 50;
+  const std::vector<Envelope> batch = {SiteDone(0, 100), SiteDone(1, 101),
+                                       SiteDone(2, 102),
+                                       Envelope{3, kCoordinatorId, alarm},
+                                       SiteDone(3, 103)};
+  EXPECT_EQ(leg.StepBatch(batch, 0, &out), 3u);  // The run is one step.
+  for (size_t next = 3; next < batch.size();) {
+    next = leg.StepBatch(batch, next, &out);
+  }
+  using Entries = std::vector<std::pair<int, int64_t>>;
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].kind, RootMsg::Kind::kSiteDone);
+  EXPECT_EQ(out[0].entries, (Entries{{0, 100}, {1, 101}, {2, 102}}));
+  EXPECT_EQ(out[1].kind, RootMsg::Kind::kAlarmNotice);
+  EXPECT_EQ(out[1].epoch, 7);
+  EXPECT_EQ(out[2].kind, RootMsg::Kind::kSiteDone);
+  EXPECT_EQ(out[2].entries, (Entries{{3, 103}}));
+
+  leg.Stop(OkStatus(), &out);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[3].kind, RootMsg::Kind::kShardExit);
+  out.clear();
+  const std::vector<Envelope> late = {SiteDone(0, 1), SiteDone(1, 1)};
+  EXPECT_EQ(leg.StepBatch(late, 0, &out), late.size());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
+  // Chaos kills a shard thread at the inbox-batch boundary right after its
+  // first completion burst; the replacement drains the second. The root
+  // must hear every site's count exactly once: the dead leg's run whole,
+  // the rest from the replacement.
+  constexpr int kSites = 40;
+  constexpr int kShard = 1;  // Owns sites [20, 40).
+  constexpr int kFirstBurst = 8;
+  auto transport = ThreadTransport::Create(kSites, 2, 0, 0, /*num_shards=*/2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights.assign(kSites, 1);
+  config.protocol = RuntimeProtocol::kPolling;
+  const ShardLayout layout = *MakeShardLayout(kSites, 2);
+  const int first = layout.ShardStart(kShard);
+  const int owned = layout.ShardSize(kShard);
+  ASSERT_EQ(owned, 20);
+  Mailbox<RootMsg> to_root(16);
+  ShardContext ctx;
+  ctx.shard = kShard;
+  ctx.layout = layout;
+  ctx.config = &config;
+  ctx.transport = &t;
+  ctx.to_root = &to_root;
+
+  auto burst = [&](int from, int to) {
+    std::vector<Envelope> dones;
+    for (int site = from; site < to; ++site) {
+      dones.push_back(SiteDone(site, 1000 + site));
+    }
+    ASSERT_TRUE(t.SendBatch(dones));
+  };
+  burst(first, first + kFirstBurst);
+  ShardContext doomed = ctx;
+  doomed.die_after_envelopes = kFirstBurst;
+  RunShardFree(doomed);  // Relays the burst, then dies at the boundary.
+
+  burst(first + kFirstBurst, first + owned);
+  ActorMessage stop;
+  stop.kind = ActorMsgKind::kShutdown;
+  ASSERT_TRUE(t.SendToShard(kShard, Envelope{kCoordinatorId, kCoordinatorId,
+                                             stop}));
+  ShardContext replacement = ctx;
+  replacement.incarnation = 1;
+  RunShardFree(replacement);
+
+  std::vector<RootMsg> got;
+  to_root.TryPopAll(&got);
+  std::vector<int> heard(static_cast<size_t>(kSites), 0);
+  int done_msgs = 0;
+  int exits = 0;
+  for (const RootMsg& msg : got) {
+    if (msg.kind == RootMsg::Kind::kShardExit) {
+      ++exits;
+      EXPECT_TRUE(msg.report->status.ok());
+      continue;
+    }
+    ASSERT_EQ(msg.kind, RootMsg::Kind::kSiteDone);
+    ++done_msgs;
+    for (const auto& [site, updates] : msg.entries) {
+      ++heard[static_cast<size_t>(site)];
+      EXPECT_EQ(updates, 1000 + site);
+    }
+  }
+  EXPECT_EQ(done_msgs, 2);  // One run per burst.
+  EXPECT_EQ(exits, 1);      // The dead leg never reports.
+  for (int site = 0; site < kSites; ++site) {
+    const bool mine = site >= first && site < first + owned;
+    EXPECT_EQ(heard[static_cast<size_t>(site)], mine ? 1 : 0)
+        << "site " << site;
+  }
+}
+
 // --- Virtual-time runtime on a hand-checked trace --------------------------
 
 // Two sites, thresholds {10, 10}, weights {1, 1}, global threshold 25.

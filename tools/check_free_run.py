@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Checks the completion accounting of a free-running `dcvtool run
+--metrics-json` document: the run covered exactly `--sites` sites, every
+entry of throughput.site_updates equals `--updates` (each site's done
+report was counted exactly once, with its full count), and the root's
+once-per-run runtime/coordinator/completion_ms gauge is present.
+
+Usage: check_free_run.py <metrics.json> --sites S --updates N
+
+Exit status 0 on success, 1 with a message otherwise. Stdlib only.
+"""
+
+import argparse
+import json
+import sys
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("metrics", help="metrics JSON of a free-running run")
+    parser.add_argument("--sites", type=int, required=True)
+    parser.add_argument("--updates", type=int, required=True)
+    args = parser.parse_args()
+
+    try:
+        with open(args.metrics, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"FAIL: cannot load {args.metrics}: {e}")
+        return 1
+
+    failures = []
+    if doc.get("mode") != "free-running":
+        failures.append(f"mode is {doc.get('mode')!r}, not 'free-running'")
+    counts = doc.get("throughput", {}).get("site_updates", [])
+    if len(counts) != args.sites:
+        failures.append(f"{len(counts)} site_updates entries, "
+                        f"expected {args.sites}")
+    wrong = [i for i, u in enumerate(counts) if u != args.updates]
+    if wrong:
+        failures.append(f"{len(wrong)} sites report a count other than "
+                        f"{args.updates}; first: site {wrong[0]} = "
+                        f"{counts[wrong[0]]}")
+    gauges = doc.get("metrics", {}).get("gauges", {})
+    if "runtime/coordinator/completion_ms" not in gauges:
+        failures.append("missing gauge runtime/coordinator/completion_ms")
+
+    for f in failures:
+        print(f"FAIL: {f}")
+    if failures:
+        return 1
+    print(f"OK: {args.sites} sites x {args.updates} updates, completion "
+          f"{gauges['runtime/coordinator/completion_ms']:.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

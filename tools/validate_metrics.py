@@ -9,7 +9,9 @@
     coordinator writes: "runtime_required" key paths,
     "runtime_required_counters", the "runtime_socket_counters" namespace
     (enforced only when the run actually used the socket transport), and
-    the detection-lag histogram with its p50/p95/p99 quantile keys.
+    the detection-lag histogram with its p50/p95/p99 quantile keys. A
+    free-running document (mode "free-running") must also carry the
+    "runtime_free_gauges": the root's completion and drain wall times.
 
 Usage: validate_metrics.py <metrics.json> [--schema <schema.json>]
 
@@ -40,6 +42,15 @@ def check_counters(doc, names, failures):
     for name in names:
         if name not in counters:
             failures.append(f"missing required counter: {name}")
+
+
+def check_gauges(doc, names, failures):
+    found, gauges = lookup(doc, "metrics.gauges")
+    if not (found and isinstance(gauges, dict)):
+        return
+    for name in names:
+        if not isinstance(gauges.get(name), (int, float)):
+            failures.append(f"missing required gauge: {name}")
 
 
 def check_histograms(doc, schema, failures):
@@ -99,6 +110,9 @@ def main():
             check_counters(doc, schema.get("runtime_socket_counters", []),
                            failures)
         check_histograms(doc, schema, failures)
+        if doc.get("mode") == "free-running":
+            check_gauges(doc, schema.get("runtime_free_gauges", []),
+                         failures)
     else:
         check_counters(doc, schema.get("required_counters", []), failures)
 
