@@ -25,13 +25,25 @@ enum class MailboxPush {
 
 /// The one wake-up signal of a LanedMailbox, shared by its lanes. Producers
 /// call Notify after publishing; it costs a fence and a load unless a
-/// consumer is registered. A consumer registers, re-checks every lane, and
-/// only then sleeps. The seq_cst fence on each side, between its publish
-/// (a lane's size hint, a registration) and its check of the other side's,
-/// is what rules out a lost wake-up: at least one side sees the other.
+/// consumer is registered. A consumer first spins, unregistered, polling
+/// every lane for up to kSpinWindow; only then does it register, re-check
+/// every lane, and sleep. The seq_cst fence on each side, between its
+/// publish (a lane's size hint, a registration) and its check of the other
+/// side's, is what rules out a lost wake-up: at least one side sees the
+/// other. The spin adds no case to that argument: a push that lands while
+/// the consumer spins unregistered is seen by its re-check after
+/// registering, if not sooner.
 class MailboxWaker {
  public:
   using Clock = std::chrono::steady_clock;
+
+  /// How long a consumer polls before it registers and parks (DESIGN §8;
+  /// the sweep behind the value is in §14).
+  /// A hand-off that lands inside the window costs its producer a fence
+  /// and a load instead of a lock and a futex wake, and spares the
+  /// consumer a sleep; bounded by the clock, not by a count of pauses, so
+  /// its CPU cost per park does not depend on the machine.
+  static constexpr std::chrono::microseconds kSpinWindow{10};
 
   /// Producer side, after a publish: wakes the registered consumers, if any.
   void Notify() {
@@ -51,12 +63,24 @@ class MailboxWaker {
     cv_.notify_all();
   }
 
-  /// Consumer side: registers, then sleeps unless `ready()` — evaluated
-  /// after registering — holds, until a Notify or `deadline` (nullptr:
-  /// none). Returns false iff the deadline expired. Spurious returns are
-  /// allowed; callers loop.
+  /// Consumer side: polls `ready()` for up to kSpinWindow (never past
+  /// `deadline`), then registers and sleeps unless `ready()` — evaluated
+  /// again after registering — holds, until a Notify or `deadline`
+  /// (nullptr: none). Returns false iff the deadline expired. Spurious
+  /// returns are allowed; callers loop.
   template <typename Ready>
   bool Wait(Ready ready, const Clock::time_point* deadline) {
+    Clock::time_point spin_end = Clock::now() + kSpinWindow;
+    if (deadline != nullptr && *deadline < spin_end) {
+      spin_end = *deadline;
+    }
+    do {
+      if (ready()) {
+        return true;
+      }
+      CpuRelax();
+    } while (Clock::now() < spin_end);
+
     std::unique_lock<std::mutex> lock(mu_);
     waiters_.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -73,6 +97,15 @@ class MailboxWaker {
   }
 
  private:
+  /// A spin-wait hint: lets a sibling hyperthread run and saves power.
+  static void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
   std::atomic<int> waiters_{0};
   std::mutex mu_;
   std::condition_variable cv_;
@@ -406,10 +439,13 @@ inline size_t ProducerIndex() {
 /// other, they may sit in different lanes.
 ///
 /// Consumers never wait on a lane: they share one MailboxWaker, which lane
-/// pushes Notify. Any number of consumers may drain concurrently; each
-/// message is delivered exactly once. Each lane is bounded on its own, so
-/// a blocking push waits only for room in its own lane. Close closes every
-/// lane and wakes everyone; queued messages stay poppable.
+/// pushes Notify. A consumer that finds every lane empty spins for
+/// MailboxWaker::kSpinWindow before it registers and parks, so a push that
+/// lands inside the window costs its producer no wake-up. Any number of
+/// consumers may drain concurrently; each message is delivered exactly
+/// once. Each lane is bounded on its own, so a blocking push waits only
+/// for room in its own lane. Close closes every lane and wakes everyone;
+/// queued messages stay poppable.
 template <typename T>
 class LanedMailbox {
  public:

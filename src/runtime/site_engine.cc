@@ -8,12 +8,6 @@
 namespace dcv {
 namespace {
 
-/// Pending-outbox high-water mark: past this many unsent envelopes the
-/// free-running loop stops producing updates and spins on drain+flush
-/// until the coordinator catches up — backpressure with bounded memory,
-/// without ever blocking on a send.
-constexpr size_t kOutboxCap = 8192;
-
 /// Compact the pending outbox (erase the sent prefix) once the dead
 /// prefix grows past this, so a long run with a slow coordinator never
 /// accumulates an unbounded vector of already-sent envelopes.
@@ -101,17 +95,27 @@ bool SiteEngine::Observe(size_t slot, int64_t index, bool up) {
   const int64_t value = ValueAt(slot, index);
   values_[slot] = value;
   ++updates_[slot];
-  DCV_OBS_COUNT(updates_counter_, 1);
+  ++tally_updates_;
   if (config_.capture_updates) {
     captured_[slot].push_back(value);
   }
   const bool alarmed = up && value > thresholds_[slot];
   if (alarmed) {
-    DCV_OBS_COUNT(alarms_counter_, 1);
+    ++tally_alarms_;
     DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm, index,
                   SiteOf(slot), value);
   }
   return alarmed;
+}
+
+void SiteEngine::FlushTally() {
+  if (tally_updates_ == 0) {
+    return;  // An alarm is always an update: nothing to add.
+  }
+  DCV_OBS_COUNT(updates_counter_, tally_updates_);
+  DCV_OBS_COUNT(alarms_counter_, tally_alarms_);
+  tally_updates_ = 0;
+  tally_alarms_ = 0;
 }
 
 void SiteEngine::RunVirtual(Transport* transport) { Run(transport, {}); }
@@ -127,9 +131,11 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
   std::vector<Envelope> inbox;
   std::vector<Envelope> pending;  ///< Unsent outbox suffix [pending_begin..).
   size_t pending_begin = 0;
+  int64_t produced = 0;  ///< Updates produced since the last flush.
   bool closed = false;
 
   auto flush = [&]() {
+    produced = 0;
     if (pending_begin < pending.size()) {
       pending_begin += transport->TrySendBatch(pending, pending_begin, &closed);
     }
@@ -200,9 +206,20 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
   // draining our own inbox (so a coordinator blocked fanning polls at this
   // worker always unblocks) and pause update production once `pending`
   // passes the high-water mark (backpressure without an unbounded queue).
+  //
+  // A pass sends only on the cadence of kSendRunEnvelopes/kSendRunUpdates,
+  // or when its control drain owes the coordinator a reply: each send is
+  // a lane lock and may wake a parked coordinator, so coalescing alarms
+  // into runs is what keeps the engines off the coordinator's futex.
   while (!active.empty() && !closed) {
+    FlushTally();
+    const size_t owed = pending.size();
     drain_controls();
-    flush();
+    if (pending.size() > owed ||
+        pending.size() - pending_begin >= kSendRunEnvelopes ||
+        produced >= kSendRunUpdates) {
+      flush();
+    }
     for (size_t i = 0; i < active.size() && !closed;) {
       const size_t slot = active[i];
       if (cursors_[slot] >= workload_size(slot)) {
@@ -214,6 +231,7 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         if (Observe(slot, index, /*up=*/true)) {
           reply(slot, ActorMsgKind::kAlarm, index, values_[slot]);
         }
+        ++produced;
         ++i;
       }
       while (!closed && pending.size() - pending_begin >= kOutboxCap) {
@@ -252,7 +270,9 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
     } else if (drain_controls() == 0) {
       std::this_thread::yield();
     }
+    FlushTally();
   }
+  FlushTally();
 }
 
 }  // namespace dcv

@@ -72,6 +72,22 @@ class SiteEngine {
     obs::TraceRecorder* recorder = nullptr;
   };
 
+  /// Send cadence of the free-running production loop (DESIGN §14). At
+  /// the top of each pass the engine flushes its pending outbox only when
+  /// that pass's control drain queued a reply (a poll response or an epoch
+  /// report is never held), when the unsent suffix holds at least
+  /// kSendRunEnvelopes envelopes, or when kSendRunUpdates updates were
+  /// produced since the last flush. Every other pass sends nothing, so an
+  /// alarm waits at most kSendRunUpdates of this engine's updates.
+  static constexpr size_t kSendRunEnvelopes = 64;
+  static constexpr int64_t kSendRunUpdates = 256;
+
+  /// Pending-outbox high-water mark: past this many unsent envelopes the
+  /// free-running loop stops producing updates and spins on drain+flush
+  /// until the coordinator catches up — backpressure with bounded memory,
+  /// without ever blocking on a send.
+  static constexpr size_t kOutboxCap = 8192;
+
   explicit SiteEngine(Config config);
 
   int worker() const { return config_.worker; }
@@ -135,6 +151,14 @@ class SiteEngine {
   /// lockstep simulator's crash semantics.
   bool Observe(size_t slot, int64_t index, bool up);
 
+  /// Adds the tally of updates and alarms observed since the last call to
+  /// the shared runtime/site/* counters: at the top of each production
+  /// pass, after each drained inbox in the tail loop, and once at exit
+  /// (a fabric that closes mid-pass ends the loop before another pass
+  /// top), so an update costs a plain increment instead of a contended
+  /// atomic add.
+  void FlushTally();
+
   Config config_;
   // Structure-of-arrays site state, all indexed by slot.
   std::vector<int64_t> thresholds_;
@@ -145,6 +169,8 @@ class SiteEngine {
   std::vector<std::vector<int64_t>> captured_;
   obs::Counter* updates_counter_ = nullptr;  ///< "runtime/site/updates".
   obs::Counter* alarms_counter_ = nullptr;   ///< "runtime/site/alarms".
+  int64_t tally_updates_ = 0;  ///< Observed, not yet in updates_counter_.
+  int64_t tally_alarms_ = 0;   ///< Fired, not yet in alarms_counter_.
 };
 
 /// Worker `worker`'s engine config over its sites w, w+W, w+2W, ... in

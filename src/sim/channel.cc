@@ -185,12 +185,13 @@ Status Channel::Init(int num_sites, MessageCounter* counter) {
 
 void Channel::SetObserver(obs::MetricsRegistry* metrics,
                           obs::TraceRecorder* recorder) {
-  metrics_ = metrics;
   recorder_ = recorder;
   msg_counters_.fill(nullptr);
-  if (metrics_ != nullptr) {
+  poll_us_ = nullptr;
+  if (metrics != nullptr) {
+    poll_us_ = metrics->histogram("channel/poll_us");
     for (int m = 0; m < kNumMessageTypes; ++m) {
-      msg_counters_[static_cast<size_t>(m)] = metrics_->counter(
+      msg_counters_[static_cast<size_t>(m)] = metrics->counter(
           "channel/msg/" +
           std::string(MessageTypeName(static_cast<MessageType>(m))));
     }
@@ -405,8 +406,7 @@ PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
                                const std::vector<int64_t>& weights,
                                const std::vector<int64_t>& pessimistic) {
   DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
-  obs::ScopedTimer poll_timer(
-      metrics_ != nullptr ? metrics_->histogram("channel/poll_us") : nullptr);
+  obs::ScopedTimer poll_timer(poll_us_);
   PollOutcome out;
   out.values.assign(static_cast<size_t>(num_sites_), 0);
   auto weight = [&](int i) {

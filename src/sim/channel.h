@@ -286,10 +286,11 @@ class Channel {
 
   /// Observability (all null when detached). msg_counters_ caches one
   /// registry counter per MessageType so charging a message is one relaxed
-  /// atomic add, with no name lookup on the hot path.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// atomic add, and poll_us_ the "channel/poll_us" histogram every poll
+  /// round records into: no name lookup on the hot path.
   obs::TraceRecorder* recorder_ = nullptr;
   std::array<obs::Counter*, kNumMessageTypes> msg_counters_{};
+  obs::Histogram* poll_us_ = nullptr;
 };
 
 }  // namespace dcv

@@ -494,5 +494,82 @@ TEST(MailboxTest, LanedEachLaneHoldsFullCapacityAndCloseDrains) {
   EXPECT_FALSE(box.Pop(&one));
 }
 
+// Busy-waits for `d`: a sleep would overshoot a microsecond window.
+void SpinFor(std::chrono::nanoseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+// A consumer spins for MailboxWaker::kSpinWindow before it registers and
+// parks. Pushes that land at once, inside the window, at its edge, and long
+// after it (the consumer asleep) must all be delivered; a lost wake-up
+// shows as a 5 s timeout instead of a hang.
+TEST(MailboxTest, LanedPopAllWakesAcrossTheSpinWindow) {
+  using std::chrono::nanoseconds;
+  const nanoseconds window = MailboxWaker::kSpinWindow;
+  for (const nanoseconds delay :
+       {nanoseconds{0}, window / 2, window, 10 * window}) {
+    SCOPED_TRACE(delay.count());
+    constexpr int kMessages = 200;
+    LanedMailbox<int> box(2, 4);
+    std::atomic<int> taken{0};
+    std::atomic<bool> stop{false};
+    std::thread producer([&] {
+      for (int i = 0; i < kMessages; ++i) {
+        // The consumer has everything so far and is back in PopAllFor:
+        // the delay is how long it waits there.
+        while (taken.load(std::memory_order_acquire) < i) {
+          if (stop.load(std::memory_order_acquire)) {
+            return;
+          }
+        }
+        SpinFor(delay);
+        ASSERT_TRUE(box.lane().Push(i));
+      }
+    });
+    std::vector<int> out;
+    while (out.size() < static_cast<size_t>(kMessages)) {
+      bool timed_out = false;
+      box.PopAllFor(&out, /*timeout_ms=*/5000, &timed_out);
+      if (timed_out) {
+        ADD_FAILURE() << "lost wake-up after " << out.size() << " messages";
+        break;
+      }
+      taken.store(static_cast<int>(out.size()), std::memory_order_release);
+    }
+    stop.store(true, std::memory_order_release);
+    producer.join();
+    std::vector<int> expected(kMessages);
+    for (int i = 0; i < kMessages; ++i) {
+      expected[static_cast<size_t>(i)] = i;
+    }
+    EXPECT_EQ(out, expected);
+  }
+}
+
+// A deadline shorter than the spin window cuts the spin short: PopAllFor
+// on an open, empty box still reports the timeout.
+TEST(MailboxTest, LanedPopAllForTimesOutInsideTheSpinWindow) {
+  static_assert(MailboxWaker::kSpinWindow < std::chrono::milliseconds(1));
+  LanedMailbox<int> box(2, 4);
+  std::vector<int> out;
+  bool timed_out = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/0, &timed_out), 0u);
+  EXPECT_TRUE(timed_out);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+
+  ASSERT_TRUE(box.lane().Push(5));
+  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/0, &timed_out), 1u);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(out, std::vector<int>{5});
+
+  box.Close();
+  out.clear();
+  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/0, &timed_out), 0u);
+  EXPECT_FALSE(timed_out);  // Closed and drained, not a timeout.
+}
+
 }  // namespace
 }  // namespace dcv

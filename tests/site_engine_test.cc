@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/conformance.h"
 #include "runtime/runtime.h"
+#include "runtime/shard_layout.h"
 #include "runtime/transport.h"
 #include "threshold/fptas.h"
 #include "trace/stats.h"
@@ -329,6 +333,258 @@ TEST(SiteEngineTest, VirtualRepliesSurviveShortSends) {
   worker.join();
   Envelope extra;
   EXPECT_FALSE(t->TryRecvShard(0, &extra));
+}
+
+// The engines count updates and alarms in per-engine tallies and add them
+// to the shared counters once per pass, per drained inbox, and at exit:
+// after a run the counters are exact. On a perfect channel every local
+// alarm reaches the coordinator, so the alarm counter equals total_alarms.
+TEST(SiteEngineTallyTest, FreeRunCountersAreExact) {
+  constexpr int kSites = 6;
+  obs::MetricsRegistry metrics;
+  RuntimeOptions options;
+  options.virtual_time = false;
+  options.num_workers = 2;
+  options.seed = 13;
+  options.synthetic_max = 1000;
+  options.global_threshold = kSites * 1000;
+  options.thresholds.assign(kSites, 900);
+  options.domain_max.assign(kSites, 1000);
+  options.metrics = &metrics;
+  auto result = RunSyntheticRuntime(kSites, 3001, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->total_updates, kSites * 3001);
+  EXPECT_GT(result->total_alarms, 0);
+  EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
+            result->total_updates);
+  EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
+            result->total_alarms);
+}
+
+TEST(SiteEngineTallyTest, VirtualRunCountersAreExact) {
+  Workload w = MakeWorkload(57, /*num_sites=*/6);
+  FptasSolver solver(0.05);
+  obs::MetricsRegistry metrics;
+  RuntimeOptions options;
+  options.protocol = RuntimeProtocol::kLocalThreshold;
+  options.solver = &solver;
+  options.global_threshold = PickThreshold(w, 0.05);
+  options.num_workers = 2;
+  options.metrics = &metrics;
+  auto result = RunMonitorRuntime(w.training, w.eval, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->total_updates, 6 * w.eval.num_epochs());
+  EXPECT_GT(result->total_alarms, 0);
+  EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
+            result->total_updates);
+  EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
+            result->total_alarms);
+}
+
+// A one-worker, one-shard Transport double that drives an engine
+// deterministically: control envelopes are scripted per TryRecvWorkerAll
+// call, every TrySendBatch is accepted whole and logged with the number of
+// TryRecvWorkerAll calls made before it, and the tail loop's blocking
+// RecvWorkerAll shuts every site down. With one slot, a production pass is
+// one TryRecvWorkerAll call and one update, so call counts are updates.
+class ScriptedTransport : public Transport {
+ public:
+  struct SentBatch {
+    int64_t after_recv = 0;  ///< TryRecvWorkerAll calls made before it.
+    std::vector<Envelope> envelopes;
+  };
+
+  explicit ScriptedTransport(int num_sites) : num_sites_(num_sites) {}
+
+  /// From now on the coordinator inbox is full, and the fabric closes on
+  /// the first send that offers at least `backlog` envelopes.
+  void FullThenCloseAt(size_t backlog) { close_at_ = backlog; }
+
+  /// Delivers `e` on the `call`-th (1-based) TryRecvWorkerAll call.
+  void ScriptOn(int64_t call, const Envelope& e) {
+    script_[call].push_back(e);
+  }
+  const std::vector<SentBatch>& sends() const { return sends_; }
+  /// Every sent envelope, in send order.
+  std::vector<Envelope> stream() const {
+    std::vector<Envelope> all;
+    for (const SentBatch& s : sends_) {
+      all.insert(all.end(), s.envelopes.begin(), s.envelopes.end());
+    }
+    return all;
+  }
+
+  int num_sites() const override { return num_sites_; }
+  int num_workers() const override { return 1; }
+  int WorkerOf(int) const override { return 0; }
+  int num_shards() const override { return 1; }
+  int ShardOf(int) const override { return 0; }
+  bool Send(const Envelope&) override { return false; }
+  size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
+                      bool* closed) override {
+    if (closed != nullptr) {
+      *closed = close_at_ > 0 && batch.size() - begin >= close_at_;
+    }
+    if (close_at_ > 0) {
+      return 0;
+    }
+    sends_.push_back(
+        {recv_calls_, std::vector<Envelope>(batch.begin() + begin,
+                                            batch.end())});
+    return batch.size() - begin;
+  }
+  bool SendToShard(int, const Envelope&) override { return false; }
+  bool TrySendToShard(int, const Envelope&) override { return false; }
+  bool RecvShard(int, Envelope*) override { return false; }
+  bool TryRecvShard(int, Envelope*) override { return false; }
+  size_t RecvShardAll(int, std::vector<Envelope>*) override { return 0; }
+  size_t RecvShardAllFor(int, std::vector<Envelope>*, int64_t,
+                         bool* timed_out) override {
+    *timed_out = false;
+    return 0;
+  }
+  bool RecvWorker(int, Envelope*) override { return false; }
+  bool TryRecvWorker(int, Envelope*) override { return false; }
+  size_t TryRecvWorkerAll(int, std::vector<Envelope>* out) override {
+    ++recv_calls_;
+    const auto it = script_.find(recv_calls_);
+    if (it == script_.end()) {
+      return 0;
+    }
+    out->insert(out->end(), it->second.begin(), it->second.end());
+    return it->second.size();
+  }
+  size_t RecvWorkerAll(int, std::vector<Envelope>* out) override {
+    if (shut_down_) {
+      return 0;
+    }
+    shut_down_ = true;
+    for (int site = 0; site < num_sites_; ++site) {
+      out->push_back(ToSite(site, ActorMsgKind::kShutdown));
+    }
+    return static_cast<size_t>(num_sites_);
+  }
+  void Shutdown() override {}
+  ShardLayout layout() const override {
+    return *MakeShardLayout(num_sites_, 1);
+  }
+
+ private:
+  int num_sites_;
+  int64_t recv_calls_ = 0;
+  bool shut_down_ = false;
+  size_t close_at_ = 0;
+  std::map<int64_t, std::vector<Envelope>> script_;
+  std::vector<SentBatch> sends_;
+};
+
+SiteEngine::Config OneSlotConfig(int64_t updates, int64_t threshold) {
+  SiteEngine::Config cfg;
+  cfg.num_sites = 1;
+  cfg.thresholds = {threshold};
+  cfg.synthetic_updates = updates;
+  cfg.seed = 3;
+  return cfg;
+}
+
+// A fabric that closes while the engine is held at the outbox cap ends the
+// production loop mid-pass, before the next pass adds its tally: the exit
+// flush is what keeps the counters exact there.
+TEST(SiteEngineTallyTest, CountersAreExactWhenTheFabricClosesMidPass) {
+  ScriptedTransport transport(1);
+  transport.FullThenCloseAt(SiteEngine::kOutboxCap);
+  obs::MetricsRegistry metrics;
+  SiteEngine::Config cfg = OneSlotConfig(/*updates=*/20000, /*threshold=*/-1);
+  cfg.metrics = &metrics;
+  SiteEngine engine(std::move(cfg));
+  engine.RunFree(&transport);
+
+  const int64_t updates = engine.updates_processed()[0];
+  EXPECT_EQ(updates, static_cast<int64_t>(SiteEngine::kOutboxCap));
+  const obs::MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.counters.at("runtime/site/updates"), updates);
+  EXPECT_EQ(snap.counters.at("runtime/site/alarms"), updates);  // 100%.
+}
+
+// Coalescing never holds a control reply: a poll request delivered on the
+// k-th TryRecvWorkerAll goes out in a send before the (k+1)-th, even with
+// fewer than a run of alarms pending.
+TEST(SiteEngineCadenceTest, PollResponseLeavesBeforeTheNextDrain) {
+  constexpr int64_t kUpdates = 2000;
+  ScriptedTransport transport(1);
+  const std::vector<int64_t> polls = {1, 2, 37, 300, 301, 1999};
+  for (int64_t k : polls) {
+    transport.ScriptOn(k, ToSite(0, ActorMsgKind::kPollRequest, k));
+  }
+  SiteEngine engine(OneSlotConfig(kUpdates, /*threshold=*/900000));
+  engine.RunFree(&transport);
+
+  std::map<int64_t, int64_t> answered_after;  // poll epoch -> after_recv.
+  int64_t alarms = 0;
+  for (const auto& send : transport.sends()) {
+    for (const Envelope& e : send.envelopes) {
+      if (e.msg.kind == ActorMsgKind::kPollResponse) {
+        EXPECT_EQ(answered_after.count(e.msg.epoch), 0u);
+        answered_after[e.msg.epoch] = send.after_recv;
+      }
+      alarms += e.msg.kind == ActorMsgKind::kAlarm ? 1 : 0;
+    }
+  }
+  EXPECT_GT(alarms, 0);  // Alarms were pending beside the replies.
+  ASSERT_EQ(answered_after.size(), polls.size());
+  for (int64_t k : polls) {
+    EXPECT_EQ(answered_after[k], k) << "poll delivered on call " << k;
+  }
+}
+
+// Runs of alarms: at 100% alarms, consecutive sends are at most the update
+// bound apart; at any alarm rate, an alarm leaves within the update bound
+// of its update; and every alarm precedes the slot's kSiteDone.
+TEST(SiteEngineCadenceTest, AlarmsLeaveWithinTheUpdateBound) {
+  constexpr int64_t kUpdates = 5000;
+  for (int64_t threshold : {int64_t{-1}, int64_t{990000}}) {
+    SCOPED_TRACE(threshold);
+    ScriptedTransport transport(1);
+    obs::MetricsRegistry metrics;
+    SiteEngine::Config cfg = OneSlotConfig(kUpdates, threshold);
+    cfg.metrics = &metrics;
+    SiteEngine engine(std::move(cfg));
+    engine.RunFree(&transport);
+
+    const auto& sends = transport.sends();
+    ASSERT_FALSE(sends.empty());
+    for (size_t i = 0; i < sends.size(); ++i) {
+      for (const Envelope& e : sends[i].envelopes) {
+        if (e.msg.kind == ActorMsgKind::kAlarm) {
+          EXPECT_LE(sends[i].after_recv - e.msg.epoch,
+                    SiteEngine::kSendRunUpdates);
+        }
+      }
+      if (threshold < 0 && i > 0) {
+        EXPECT_LE(sends[i].after_recv - sends[i - 1].after_recv,
+                  SiteEngine::kSendRunUpdates);
+      }
+    }
+
+    const std::vector<Envelope> stream = transport.stream();
+    ASSERT_FALSE(stream.empty());
+    EXPECT_EQ(stream.back().msg.kind, ActorMsgKind::kSiteDone);
+    EXPECT_EQ(stream.back().msg.value, kUpdates);
+    int64_t alarms = 0;
+    int64_t last_epoch = -1;
+    for (size_t i = 0; i + 1 < stream.size(); ++i) {
+      ASSERT_EQ(stream[i].msg.kind, ActorMsgKind::kAlarm);
+      EXPECT_GT(stream[i].msg.epoch, last_epoch);
+      last_epoch = stream[i].msg.epoch;
+      ++alarms;
+    }
+    if (threshold < 0) {
+      EXPECT_EQ(alarms, kUpdates);
+    }
+    const obs::MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_EQ(snap.counters.at("runtime/site/updates"), kUpdates);
+    EXPECT_EQ(snap.counters.at("runtime/site/alarms"), alarms);
+  }
 }
 
 }  // namespace
