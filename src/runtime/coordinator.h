@@ -107,7 +107,7 @@ class CoordinatorActor {
   obs::Counter* alarms_rx_ = nullptr;  ///< "runtime/coordinator/alarms".
   obs::Counter* polls_ = nullptr;      ///< "runtime/coordinator/polls".
   /// Per-epoch (virtual) / per-poll-round (free) root latency, recorded
-  /// for every shard count so bench_runtime can compare 1 vs k.
+  /// for every shard count so runs at 1 and k shards can be compared.
   obs::Histogram* epoch_us_ = nullptr;       ///< "runtime/coordinator/epoch_us".
   obs::Histogram* poll_round_us_ = nullptr;  ///< ".../poll_round_us".
   /// Free-running detection lag: epochs (watermark units) between the

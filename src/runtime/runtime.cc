@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -404,11 +406,33 @@ Result<RuntimeResult> RunSyntheticRuntime(int num_sites,
     return InvalidArgumentError(
         "synthetic runtime needs >= 1 site and >= 1 update per site");
   }
+  DCV_RETURN_IF_ERROR(ValidateSyntheticMax(options.synthetic_max, num_sites));
   LaunchPlan plan;
   DCV_RETURN_IF_ERROR(ResolveWeights(num_sites, options, &plan.weights));
   DCV_RETURN_IF_ERROR(
       ResolvePlan(num_sites, /*training=*/nullptr, options, &plan));
   return Launch(num_sites, /*eval=*/nullptr, updates_per_site, plan, options);
+}
+
+Status ValidateSyntheticMax(int64_t synthetic_max, int num_sites) {
+  const int64_t ceiling =
+      std::numeric_limits<int64_t>::max() / std::max(num_sites, 1);
+  if (synthetic_max < 0 || synthetic_max > ceiling) {
+    return InvalidArgumentError(
+        "synthetic_max must be in [0, " + std::to_string(ceiling) + "] for " +
+        std::to_string(num_sites) + " sites, got " +
+        std::to_string(synthetic_max));
+  }
+  return OkStatus();
+}
+
+int64_t SyntheticSiteThreshold(int64_t synthetic_max, double alarm_fraction) {
+  const double breaching = std::floor(static_cast<double>(synthetic_max) *
+                                      alarm_fraction);
+  if (breaching >= static_cast<double>(synthetic_max)) {
+    return 0;
+  }
+  return synthetic_max - static_cast<int64_t>(breaching);
 }
 
 }  // namespace dcv

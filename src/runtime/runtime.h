@@ -110,11 +110,30 @@ Result<RuntimeResult> RunMonitorRuntime(const Trace& training,
                                         const RuntimeOptions& options);
 
 /// Synthetic run: `num_sites` sites each generate `updates_per_site` values
-/// from their (seed, site) stream. The workhorse of bench_runtime and the
-/// seed-determinism tests.
+/// from their (seed, site) stream. The workhorse of `dcvtool run` without
+/// --trace, of perfbench's synthetic workloads and of the seed-determinism
+/// tests. Fails with InvalidArgument unless ValidateSyntheticMax accepts
+/// `options.synthetic_max`.
 Result<RuntimeResult> RunSyntheticRuntime(int num_sites,
                                           int64_t updates_per_site,
                                           const RuntimeOptions& options);
+
+/// Synthetic values are drawn from U[0, synthetic_max]. Accepts
+/// synthetic_max in [0, INT64_MAX / num_sites], so that the sum of all
+/// sites' values (and the default global threshold num_sites *
+/// synthetic_max) fits in int64; anything else is InvalidArgument.
+Status ValidateSyntheticMax(int64_t synthetic_max, int num_sites);
+
+/// Share of synthetic updates that breach their site's threshold when the
+/// caller names none (`dcvtool run` without --alarm-fraction).
+inline constexpr double kDefaultAlarmFraction = 0.02;
+
+/// The per-site threshold T_i that about `alarm_fraction` (in [0, 1]) of
+/// the U[0, synthetic_max] draws exceed: synthetic_max -
+/// floor(synthetic_max * alarm_fraction). At kDefaultAlarmFraction this is
+/// synthetic_max - synthetic_max / 50 for every synthetic_max below 2^50;
+/// at 0 it is synthetic_max, which no draw exceeds.
+int64_t SyntheticSiteThreshold(int64_t synthetic_max, double alarm_fraction);
 
 }  // namespace dcv
 

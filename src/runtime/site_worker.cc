@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "runtime/runtime.h"
 #include "runtime/site_engine.h"
 
 namespace dcv {
@@ -61,9 +62,13 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   if (eval != nullptr && eval->num_sites() != options.num_sites) {
     return InvalidArgumentError("eval trace site count does not match fabric");
   }
-  if (eval == nullptr && options.synthetic_updates < 1) {
-    return InvalidArgumentError(
-        "site worker needs an eval trace or a synthetic workload");
+  if (eval == nullptr) {
+    if (options.synthetic_updates < 1) {
+      return InvalidArgumentError(
+          "site worker needs an eval trace or a synthetic workload");
+    }
+    DCV_RETURN_IF_ERROR(
+        ValidateSyntheticMax(options.synthetic_max, options.num_sites));
   }
 
   if (options.recorder != nullptr) {

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/strings.h"
 
@@ -26,16 +28,18 @@ Status MonitorPlan::Validate() const {
   if (site_names.size() != bounds.size()) {
     return InvalidArgumentError("site_names and bounds are misaligned");
   }
+  // A hash set, not a pairwise scan: a plan file is outside input, and a
+  // million-site plan must not take quadratic time to reject or accept.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(site_names.size());
   for (size_t i = 0; i < site_names.size(); ++i) {
     if (site_names[i].empty() || HasWhitespace(site_names[i])) {
       return InvalidArgumentError("site name '" + site_names[i] +
                                   "' must be nonempty without whitespace");
     }
-    for (size_t j = 0; j < i; ++j) {
-      if (site_names[j] == site_names[i]) {
-        return InvalidArgumentError("duplicate site name '" + site_names[i] +
-                                    "'");
-      }
+    if (!seen.insert(site_names[i]).second) {
+      return InvalidArgumentError("duplicate site name '" + site_names[i] +
+                                  "'");
     }
     if (bounds[i].lo < 0) {
       return InvalidArgumentError("negative lower bound for site '" +

@@ -76,7 +76,7 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
                              ? metrics_->histogram("solver/fptas/solve_us")
                              : nullptr);
   DCV_RETURN_IF_ERROR(ValidateProblem(problem));
-  if (options_.eps <= 0.0) {
+  if (!(options_.eps > 0.0)) {  // NaN must fail too: ceil(NaN) is no size.
     return InvalidArgumentError("FPTAS eps must be positive");
   }
   const size_t n = problem.vars.size();

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace dcv {
 namespace {
 
@@ -159,6 +161,129 @@ TEST(FlagSetTest, ParsesFromArgv) {
   ASSERT_TRUE(sites.ok());
   EXPECT_EQ(*sites, 3);
   EXPECT_TRUE(parsed->GetBool("quiet"));
+}
+
+// --- Seeded mutation (argv is untrusted input) ------------------------------
+
+/// Every outcome of a parse is either a ParsedFlags whose typed lookups
+/// answer or fail cleanly, or a non-OK Status with a message.
+void CheckOutcome(const Result<ParsedFlags>& parsed,
+                  const std::vector<std::string>& args) {
+  std::string line;
+  for (const std::string& a : args) {
+    line += "[" + a + "] ";
+  }
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_FALSE(parsed.status().message().empty()) << line;
+    return;
+  }
+  for (const char* key : {"quiet", "virtual-time"}) {
+    const std::string v = parsed->GetString(key, "0");
+    EXPECT_TRUE(v == "0" || v == "1") << key << "=" << v << " in " << line;
+    (void)parsed->GetBool(key);
+  }
+  for (const char* key : {"sites", "trace", "eps"}) {
+    auto as_int = parsed->GetInt(key, 0);
+    auto as_double = parsed->GetDouble(key, 0.0);
+    auto as_bool = parsed->GetBoolValue(key, false);
+    for (const Status& st :
+         {as_int.status(), as_double.status(), as_bool.status()}) {
+      if (!st.ok()) {
+        EXPECT_NE(st.code(), StatusCode::kInternal) << line;
+        EXPECT_FALSE(st.message().empty()) << line;
+      }
+    }
+  }
+}
+
+const char kArgAlphabet[] = "-=-=abcdeilqstuv0123456789.e+ \t\xff";
+
+std::string RandomToken(Rng& rng) {
+  std::string t;
+  const int64_t len = rng.UniformInt(0, 12);
+  for (int64_t i = 0; i < len; ++i) {
+    t.push_back(kArgAlphabet[rng.UniformInt(
+        0, static_cast<int64_t>(sizeof(kArgAlphabet)) - 2)]);
+  }
+  return t;
+}
+
+TEST(FlagSetFuzzTest, MutatedArgvNeverCrashes) {
+  const std::vector<std::string> base = {
+      "--sites",  "8",    "--trace=week.csv", "--quiet",
+      "--eps",    "0.25", "--virtual-time=no"};
+  ASSERT_TRUE(MakeSet().Parse(base).ok());
+  Rng rng(0xF1A6);
+  int parsed_ok = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::string> args = base;
+    const int edits = static_cast<int>(rng.UniformInt(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      const int64_t n = static_cast<int64_t>(args.size());
+      const size_t at =
+          static_cast<size_t>(rng.UniformInt(0, n > 0 ? n - 1 : 0));
+      switch (rng.UniformInt(0, 5)) {
+        case 0:  // Drop a token.
+          if (!args.empty()) {
+            args.erase(args.begin() + static_cast<std::ptrdiff_t>(at));
+          }
+          break;
+        case 1:  // Repeat a token somewhere else.
+          if (!args.empty()) {
+            const std::string copy = args[at];
+            args.insert(args.begin() + rng.UniformInt(0, n), copy);
+          }
+          break;
+        case 2:  // Swap two tokens.
+          if (n > 1) {
+            std::swap(args[at], args[static_cast<size_t>(
+                                    rng.UniformInt(0, n - 1))]);
+          }
+          break;
+        case 3:  // Flip one byte of a token.
+          if (!args.empty() && !args[at].empty()) {
+            args[at][static_cast<size_t>(rng.UniformInt(
+                0, static_cast<int64_t>(args[at].size()) - 1))] =
+                static_cast<char>(rng.UniformInt(0, 255));
+          }
+          break;
+        case 4:  // Truncate a token.
+          if (!args.empty()) {
+            args[at].resize(static_cast<size_t>(rng.UniformInt(
+                0, static_cast<int64_t>(args[at].size()))));
+          }
+          break;
+        default:  // Splice in a random token.
+          args.insert(args.begin() + rng.UniformInt(0, n), RandomToken(rng));
+          break;
+      }
+    }
+    auto parsed = MakeSet().Parse(args);
+    parsed_ok += parsed.ok() ? 1 : 0;
+    CheckOutcome(parsed, args);
+  }
+  // Light mutation keeps a healthy fraction of argument lines valid.
+  EXPECT_GT(parsed_ok, 1000);
+}
+
+TEST(FlagSetFuzzTest, RandomArgvNeverCrashes) {
+  Rng rng(0xF1A7);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::string> args;
+    const int64_t count = rng.UniformInt(0, 6);
+    for (int64_t i = 0; i < count; ++i) {
+      args.push_back(rng.Bernoulli(0.5) ? "--" + RandomToken(rng)
+                                        : RandomToken(rng));
+    }
+    // The argv overload is the one main() calls.
+    std::vector<char*> argv = {const_cast<char*>("dcvtool")};
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    CheckOutcome(
+        MakeSet().Parse(static_cast<int>(argv.size()), argv.data(), 1), args);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +54,20 @@ TEST(FptasTest, RejectsNonPositiveEps) {
   p.budget = 3;
   p.vars.push_back(ProblemVar{0, 1, CdfView(&model, false)});
   EXPECT_FALSE(solver.Solve(p).ok());
+}
+
+TEST(FptasTest, RejectsNanEps) {
+  // NaN passes an `eps <= 0` test; the solver must still refuse it rather
+  // than size its DP from ceil(NaN).
+  FptasSolver solver(std::nan(""));
+  EmpiricalCdf model({1, 2}, 3);
+  ThresholdProblem p;
+  p.budget = 3;
+  p.vars.push_back(ProblemVar{0, 1, CdfView(&model, false)});
+  auto sol = solver.Solve(p);
+  ASSERT_FALSE(sol.ok());
+  EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sol.status().message().find("eps"), std::string::npos);
 }
 
 TEST(FptasTest, SingleVariableIsExact) {

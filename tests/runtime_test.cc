@@ -5,13 +5,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "runtime/shard.h"
 #include "runtime/site_engine.h"
+#include "runtime/site_worker.h"
 #include "runtime/transport.h"
 #include "trace/trace.h"
 
@@ -806,6 +810,77 @@ TEST(RuntimeFreeTest, UnevenSitesPerWorkerDrainsFully) {
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result->total_updates, 5 * 400);
   EXPECT_GT(result->total_alarms, 0);
+}
+
+// --- Synthetic workload parameters -----------------------------------------
+
+TEST(SyntheticWorkloadTest, DefaultAlarmFractionKeepsTheTwoPercentThreshold) {
+  // Before `dcvtool run` took --alarm-fraction it set T_i = max - max / 50;
+  // the default fraction must give exactly those thresholds.
+  EXPECT_EQ(SyntheticSiteThreshold(1'000'000, kDefaultAlarmFraction), 980'000);
+  constexpr int64_t kLimit = (int64_t{1} << 50) - 1;
+  std::vector<int64_t> maxes = {0,    1,     49,     50,     51,    99,
+                                100,  999,   1000,   12345,  kLimit};
+  Rng rng(0x7A11);
+  for (int i = 0; i < 20000; ++i) {
+    maxes.push_back(rng.UniformInt(0, i % 2 == 0 ? 10'000'000 : kLimit));
+  }
+  for (int64_t m : maxes) {
+    ASSERT_EQ(SyntheticSiteThreshold(m, kDefaultAlarmFraction), m - m / 50)
+        << "synthetic_max " << m;
+  }
+}
+
+TEST(SyntheticWorkloadTest, AlarmFractionEndpoints) {
+  EXPECT_EQ(SyntheticSiteThreshold(1'000'000, 0.0), 1'000'000);
+  EXPECT_EQ(SyntheticSiteThreshold(1'000'000, 0.1), 900'000);
+  EXPECT_EQ(SyntheticSiteThreshold(1'000'000, 1.0), 0);
+  EXPECT_EQ(SyntheticSiteThreshold(0, 0.5), 0);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(SyntheticSiteThreshold(kMax, 0.0), kMax);
+  EXPECT_EQ(SyntheticSiteThreshold(kMax, 1.0), 0);
+  const int64_t half = SyntheticSiteThreshold(kMax, 0.5);
+  EXPECT_GT(half, 0);
+  EXPECT_LT(half, kMax);
+}
+
+TEST(SyntheticWorkloadTest, RejectsSyntheticMaxOutsideTheInt64Range) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  RuntimeOptions options;
+  options.virtual_time = false;
+  for (int64_t bad : {int64_t{-5}, kMax / 4 + 1, kMax}) {
+    options.synthetic_max = bad;
+    auto result = RunSyntheticRuntime(4, 10, options);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("synthetic_max must be in [0, "),
+              std::string::npos)
+        << result.status().message();
+  }
+  EXPECT_TRUE(ValidateSyntheticMax(0, 4).ok());
+  EXPECT_TRUE(ValidateSyntheticMax(kMax / 4, 4).ok());
+  EXPECT_TRUE(ValidateSyntheticMax(kMax, 1).ok());
+  options.synthetic_max = 0;  // Every draw is 0; still a valid run.
+  auto zero = RunSyntheticRuntime(4, 10, options);
+  ASSERT_TRUE(zero.ok()) << zero.status().message();
+  EXPECT_EQ(zero->total_updates, 40);
+}
+
+TEST(SyntheticWorkloadTest, SiteWorkerRejectsSyntheticMaxBeforeConnecting) {
+  // Nothing listens on the port: a worker that got as far as Connect would
+  // fail with a connection error, not the named argument error.
+  SiteWorkerOptions wo;
+  wo.port = 1;
+  wo.num_sites = 4;
+  wo.synthetic_updates = 10;
+  wo.synthetic_max = -5;
+  wo.socket.connect_attempts = 1;
+  auto report = RunSiteWorker(nullptr, wo);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("synthetic_max must be in [0, "),
+            std::string::npos)
+      << report.status().message();
 }
 
 // --- Seed determinism -------------------------------------------------------

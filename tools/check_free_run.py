@@ -3,9 +3,14 @@
 --metrics-json` document: the run covered exactly `--sites` sites, every
 entry of throughput.site_updates equals `--updates` (each site's done
 report was counted exactly once, with its full count), and the root's
-once-per-run runtime/coordinator/completion_ms gauge is present.
+once-per-run runtime/coordinator/completion_ms gauge is present. With
+--total-alarms, detection.total_alarms must equal A as well: a synthetic
+run's alarm count depends only on the seed, the site count, the update
+count and the per-site thresholds, never on the thread schedule, so a
+fixed A pins the thresholds.
 
 Usage: check_free_run.py <metrics.json> --sites S --updates N
+                         [--total-alarms A]
 
 Exit status 0 on success, 1 with a message otherwise. Stdlib only.
 """
@@ -20,6 +25,7 @@ def main():
     parser.add_argument("metrics", help="metrics JSON of a free-running run")
     parser.add_argument("--sites", type=int, required=True)
     parser.add_argument("--updates", type=int, required=True)
+    parser.add_argument("--total-alarms", type=int)
     args = parser.parse_args()
 
     try:
@@ -41,6 +47,10 @@ def main():
         failures.append(f"{len(wrong)} sites report a count other than "
                         f"{args.updates}; first: site {wrong[0]} = "
                         f"{counts[wrong[0]]}")
+    alarms = doc.get("detection", {}).get("total_alarms")
+    if args.total_alarms is not None and alarms != args.total_alarms:
+        failures.append(f"detection.total_alarms is {alarms}, expected "
+                        f"{args.total_alarms}")
     gauges = doc.get("metrics", {}).get("gauges", {})
     if "runtime/coordinator/completion_ms" not in gauges:
         failures.append("missing gauge runtime/coordinator/completion_ms")

@@ -48,6 +48,7 @@
 //
 //   dcvtool run [--trace trace.csv [--train-epochs N] [--threshold T]]
 //           [--sites 4] [--updates 100000] [--seed 42] [--synthetic-max M]
+//           [--alarm-fraction 0.02]
 //           [--scheme local|polling] [--solver fptas|...] [--eps 0.05]
 //           [--poll-period 5] [--threads K] [--shards S] [--virtual-time]
 //           [--conformance] [--transport thread|socket] [--listen-port P]
@@ -60,9 +61,12 @@
 //       threads behind a mailbox transport instead of the lockstep
 //       simulator. With --trace the sites replay trace columns; without,
 //       each of --sites generates --updates synthetic values from its
-//       (seed, site) stream. --virtual-time runs the deterministic
-//       epoch-barrier mode (bit-identical to `simulate`); the default is
-//       free-running throughput mode. --conformance (needs --trace) runs
+//       (seed, site) stream, U[0, --synthetic-max], and under the local
+//       scheme each site's threshold is set so that about --alarm-fraction
+//       of its updates (in [0, 1]; 0 = none) raise an alarm.
+//       --virtual-time runs the deterministic epoch-barrier mode
+//       (bit-identical to `simulate`); the default is free-running
+//       throughput mode. --conformance (needs --trace) runs
 //       the lockstep simulator AND the virtual-time runtime and verifies
 //       they agree epoch by epoch (with --transport socket a third run
 //       over loopback TCP is verified as well). --threads packs the sites
@@ -870,6 +874,14 @@ Status RunRuntime(const ParsedFlags& flags) {
   };
 
   const std::string trace_path = flags.GetString("trace", "");
+  if (flags.Has("alarm-fraction") &&
+      (!trace_path.empty() ||
+       options.protocol != RuntimeProtocol::kLocalThreshold)) {
+    // A trace run's thresholds come from the solver, and polling has none.
+    return InvalidArgumentError(
+        "--alarm-fraction only applies to synthetic --scheme local runs "
+        "(no --trace)");
+  }
   if (trace_path.empty()) {
     // Synthetic workload: per-site (seed, site) streams.
     if (conformance) {
@@ -881,17 +893,28 @@ Status RunRuntime(const ParsedFlags& flags) {
         ValidateFaults(options.faults, static_cast<int>(sites)));
     DCV_ASSIGN_OR_RETURN(int64_t updates, flags.GetInt("updates", 100000));
     DCV_RETURN_IF_ERROR(ValidateWorkload(sites, updates));
+    DCV_RETURN_IF_ERROR(ValidateSyntheticMax(options.synthetic_max,
+                                             static_cast<int>(sites)));
     DCV_ASSIGN_OR_RETURN(
         int64_t threshold,
         flags.GetInt("threshold",
                      static_cast<int64_t>(sites) * options.synthetic_max));
     options.global_threshold = threshold;
-    // Local constraints at ~2% breach rate keep protocol traffic honest
-    // without serializing every update on the coordinator.
+    // Local constraints at a small breach rate (2% by default) keep
+    // protocol traffic honest without serializing every update on the
+    // coordinator.
     if (options.protocol == RuntimeProtocol::kLocalThreshold) {
+      DCV_ASSIGN_OR_RETURN(
+          double alarm_fraction,
+          flags.GetDouble("alarm-fraction", kDefaultAlarmFraction));
+      if (!(alarm_fraction >= 0.0 && alarm_fraction <= 1.0)) {
+        return InvalidArgumentError(
+            "--alarm-fraction must be in [0, 1], got " +
+            flags.GetString("alarm-fraction", ""));
+      }
       options.thresholds.assign(
           static_cast<size_t>(sites),
-          options.synthetic_max - options.synthetic_max / 50);
+          SyntheticSiteThreshold(options.synthetic_max, alarm_fraction));
       options.domain_max.assign(static_cast<size_t>(sites),
                                 options.synthetic_max);
     }
@@ -1166,10 +1189,10 @@ FlagSet RunFlags() {
   flags.Value("trace").Value("train-epochs").Value("threshold").Value("eps")
       .Value("scheme").Value("solver").Value("poll-period").Value("threads")
       .Value("shards").Value("sites").Value("updates").Value("seed")
-      .Value("synthetic-max").Value("metrics-json").Value("transport")
-      .Value("listen-port").Value("chaos").Value("chaos-seed")
-      .Value("heartbeat-timeout-ms").Value("trace-out").Value("trace-format")
-      .Value("stats-interval-ms");
+      .Value("synthetic-max").Value("alarm-fraction").Value("metrics-json")
+      .Value("transport").Value("listen-port").Value("chaos")
+      .Value("chaos-seed").Value("heartbeat-timeout-ms").Value("trace-out")
+      .Value("trace-format").Value("stats-interval-ms");
   flags.Boolean("virtual-time").Boolean("quiet").Boolean("conformance")
       .Boolean("allow-reconnect");
   DeclareFaultFlags(&flags);
