@@ -16,14 +16,12 @@ namespace dcv {
 /// run still routes every protocol message through the Channel.
 enum class ChaosKind : uint8_t {
   kNone = 0,
-  /// Kill one shard coordinator thread. Virtual mode: the shard dies the
-  /// instant it receives the doomed epoch's command, before sending
-  /// anything, and the root re-adopts its sites (direct attachment) — the
-  /// Channel call sequence is unchanged, so detections stay bit-identical
-  /// to the lockstep simulator. Free-running mode: the shard dies between
-  /// inbox batches, at the first boundary after it consumed a seeded
-  /// number of envelopes, and the root respawns a replacement that drains
-  /// the same inbox, so no queued alarm or site-done message is lost.
+  /// Kill one shard coordinator thread (free-running mode only: a virtual
+  /// run has no shard threads, and rejects it with InvalidArgument). The
+  /// shard dies between inbox batches, at the first boundary after it
+  /// consumed a seeded number of envelopes, and the root respawns a
+  /// replacement that drains the same inbox, so no queued alarm or
+  /// site-done message is lost.
   kKillShard,
   /// Sever the TCP link to one site-worker mid-run (socket transport
   /// only). The worker redials, the handshake fences stale generations,

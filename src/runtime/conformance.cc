@@ -103,7 +103,6 @@ Result<ConformanceReport> RunConformance(const Trace& training,
   rt_options.virtual_time = true;
   rt_options.solver = spec.solver;
   rt_options.faults = spec.faults;
-  rt_options.heartbeat_timeout_ms = spec.heartbeat_timeout_ms;
   // kill-worker severs a TCP link, which only exists in the socket run;
   // the in-process run stays healthy for that chaos kind.
   if (spec.chaos.kind != ChaosKind::kKillWorker) {

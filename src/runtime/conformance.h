@@ -25,8 +25,8 @@ struct ConformanceSpec {
   int num_workers = 0;  ///< 0 = auto (see RuntimeOptions::num_workers).
 
   /// Coordinator shard count for the runtime runs (two-level coordinator
-  /// tree; 1 = one leg, run inline on the root's thread). Virtual-time
-  /// results must be bit-identical for every
+  /// tree; in virtual time it only sets how the transport routes replies
+  /// to the root). Virtual-time results must be bit-identical for every
   /// legal value — sharded conformance IS the determinism proof.
   int num_shards = 1;
 
@@ -36,17 +36,15 @@ struct ConformanceSpec {
   /// and diffs that run against the lockstep reference too.
   TransportKind transport = TransportKind::kThread;
 
-  /// Chaos: kill a shard coordinator / sever a worker link / push a
-  /// mid-run reshard at a seed-resolved point DURING the runtime runs (the
-  /// lockstep reference always runs healthy). Conformance with chaos on is
-  /// the recovery proof: the runtime must survive the failure AND still
-  /// produce bit-identical virtual-time detections. kill-worker needs the
-  /// socket transport (there is no link to sever in-process) and is
-  /// applied to the socket run only.
+  /// Chaos: sever a worker link or push a mid-run reshard at a
+  /// seed-resolved point DURING the runtime runs (the lockstep reference
+  /// always runs healthy). Conformance with chaos on is the recovery proof:
+  /// the runtime must survive the failure AND still produce bit-identical
+  /// virtual-time detections. kill-worker needs the socket transport (there
+  /// is no link to sever in-process) and is applied to the socket run only.
+  /// kill-shard fails the run with InvalidArgument: a virtual run has no
+  /// shard thread to kill.
   ChaosSpec chaos;
-  /// Dead-shard detection window for the runtime runs; must be > 0 when
-  /// chaos kills a shard (the root has to notice the silence).
-  int heartbeat_timeout_ms = 0;
 };
 
 /// Side-by-side outcome plus the verdict. `identical` demands agreement

@@ -30,12 +30,6 @@ void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
   }
 }
 
-void CountRecovery(Clock::time_point since, RuntimeResult* out) {
-  const std::chrono::duration<double, std::milli> took = Clock::now() - since;
-  ++out->shard_recoveries;
-  out->recovery_ms = std::max(out->recovery_ms, took.count());
-}
-
 const char* ProtocolName(RuntimeProtocol protocol) {
   return protocol == RuntimeProtocol::kLocalThreshold ? "local-threshold"
                                                       : "polling";
@@ -51,22 +45,13 @@ Result<ShardLayout> TreeLayout(const CoordinatorActor::Config& config,
   return MakeShardLayout(config.num_sites, config.num_shards);
 }
 
+/// The root's view of one free-running shard.
 struct ShardSlot {
   int shard = 0;
-  // Virtual mode.
-  /// The leg runs on the root's thread: shard 0 of a 1-shard tree from the
-  /// start, or a dead shard's range after the root took it over.
-  bool inline_leg = false;
-  std::unique_ptr<Mailbox<ShardCmd>> cmds;  ///< Shard thread only.
-  /// The shard's current command. An inline leg runs it from here, and a
-  /// shard thread that dies holding it gets it re-executed from here.
-  ShardCmd pending;
-  std::vector<std::pair<int, int64_t>> partial;  ///< This round's entries.
-  bool reported = false;  ///< This round's partial is in (both modes).
-  // Free-running mode.
-  bool exited = false;      ///< Its kShardExit arrived (counted once).
-  bool respawned = false;   ///< Replaced once; a second silence is fatal.
-  bool heard = false;       ///< Sent anything inside the probe window.
+  bool reported = false;   ///< This round's partial is in.
+  bool exited = false;     ///< Its kShardExit arrived (counted once).
+  bool respawned = false;  ///< Replaced once; a second silence is fatal.
+  bool heard = false;      ///< Sent anything inside the probe window.
   /// Commands that did not fit the shard inbox (detection on only).
   std::deque<ActorMessage> backlog;
 };
@@ -104,12 +89,6 @@ Status CoordinatorActor::Init() {
         std::string(ChaosKindName(config_.chaos.kind)) +
         " chaos needs a sharded coordinator (num_shards >= 2)");
   }
-  if (config_.chaos.kind == ChaosKind::kKillShard &&
-      config_.heartbeat_timeout_ms <= 0) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
-        "detect the death");
-  }
   if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
     if (static_cast<int>(config_.thresholds.size()) != config_.num_sites) {
       return InvalidArgumentError("thresholds size mismatch");
@@ -138,8 +117,9 @@ Status CoordinatorActor::Init() {
   return OkStatus();
 }
 
-// A virtual-time run: the root owns the Channel and the legs relay ground
-// truth (see the concurrency contract in coordinator.h).
+// A virtual-time run: the root owns the Channel, fans every exchange out to
+// all sites and collects every shard's replies itself, on the caller's
+// thread (see the concurrency contract in coordinator.h).
 class CoordinatorActor::VirtualRun {
  public:
   VirtualRun(CoordinatorActor* actor, Transport* transport,
@@ -151,17 +131,6 @@ class CoordinatorActor::VirtualRun {
 
   Status Run() {
     DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
-    slots_[0].inline_leg = slots_.size() == 1;
-    for (ShardSlot& slot : slots_) {
-      if (!slot.inline_leg) {
-        slot.cmds = std::make_unique<Mailbox<ShardCmd>>(4);
-        const bool doomed = config_.chaos.kind == ChaosKind::kKillShard &&
-                            slot.shard == chaos_.target;
-        threads_.emplace_back(RunShardVirtual, slot.shard, transport_,
-                              slot.cmds.get(), &root_box_,
-                              doomed ? chaos_.fire_epoch : -1);
-      }
-    }
     Status status = OkStatus();
     for (int64_t t = 0; t < num_epochs_ && status.ok(); ++t) {
       status = Epoch(t);
@@ -183,7 +152,7 @@ class CoordinatorActor::VirtualRun {
     // Same call order as the lockstep runner + scheme, so the channel's RNG
     // stream (and thus every fault fate) is bit-identical: BeginEpoch,
     // re-sync sends, (barrier), stale arrivals, alarm replays in ascending
-    // site order, then the poll. Shards only move ground truth.
+    // site order, then the poll. The transport only moves ground truth.
     channel_.BeginEpoch(t);
     Resync(t);
     DCV_RETURN_IF_ERROR(Barrier(t));
@@ -195,17 +164,13 @@ class CoordinatorActor::VirtualRun {
       // other kinds are consumed and ignored (mirrors the lockstep scheme).
       poll = !channel_.TakeArrivals(MessageType::kAlarm).empty();
       channel_.TakeArrivals(MessageType::kFilterReport);
-      // Shards are contiguous and entries ascend within a shard, so this
-      // double loop visits alarmed sites in ascending global order — the
-      // lockstep scheme's replay order.
-      for (const ShardSlot& slot : slots_) {
-        for (const auto& [site, value] : slot.partial) {
-          ++det.num_alarms;
-          DCV_OBS_COUNT(actor_.alarms_rx_, 1);
-          poll |= channel_.SendFromSite(site, MessageType::kAlarm,
-                                        /*reliable=*/true, value) ==
-                  SendStatus::kDelivered;
-        }
+      // The lockstep scheme's replay order: entries_ ascends by site.
+      for (const auto& [site, value] : entries_) {
+        ++det.num_alarms;
+        DCV_OBS_COUNT(actor_.alarms_rx_, 1);
+        poll |= channel_.SendFromSite(site, MessageType::kAlarm,
+                                      /*reliable=*/true, value) ==
+                SendStatus::kDelivered;
       }
     }
     if (poll) {
@@ -223,10 +188,9 @@ class CoordinatorActor::VirtualRun {
 
   /// At an epoch boundary no data-plane message is in flight, so the
   /// routing swap cannot strand anything; UpdateLayout fences on every
-  /// worker's ack. Each later command carries its shard's new range, so a
-  /// leg switches ranges with the epoch command the switch applies to. Poll
-  /// values, partial order, and Channel calls are range-independent, so
-  /// detections stay bit-identical.
+  /// worker's ack. Later collects read the new ranges. Poll values, entry
+  /// order, and Channel calls are range-independent, so detections stay
+  /// bit-identical.
   Status Reshard(int64_t t) {
     ShardLayout next = RotateLayout(layout_);
     DCV_RETURN_IF_ERROR(transport_->UpdateLayout(next));
@@ -239,12 +203,10 @@ class CoordinatorActor::VirtualRun {
 
   /// Recovered sites missed threshold pushes while down: re-sync, at the top
   /// of the epoch like the lockstep scheme. The wire charge happens here;
-  /// the owning leg pushes the transport message before its kEpochStart,
-  /// preserving the per-site FIFO.
+  /// the transport message opens the epoch's fan-out, ahead of the site's
+  /// kEpochStart.
   void Resync(int64_t t) {
-    for (ShardSlot& slot : slots_) {
-      slot.pending.resync.clear();
-    }
+    fanout_.clear();
     if (!local_ || channel_.newly_recovered().empty()) {
       return;
     }
@@ -254,8 +216,11 @@ class CoordinatorActor::VirtualRun {
                                          /*reliable=*/true);
       if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
         const int64_t threshold = config_.thresholds[static_cast<size_t>(i)];
-        slots_[static_cast<size_t>(layout_.ShardOf(i))]
-            .pending.resync.emplace_back(i, threshold);
+        ActorMessage update;
+        update.kind = ActorMsgKind::kThresholdUpdate;
+        update.epoch = t;
+        update.value = threshold;
+        fanout_.push_back(Envelope{kCoordinatorId, i, update});
         DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
                       t, i, threshold);
       }
@@ -266,139 +231,70 @@ class CoordinatorActor::VirtualRun {
   /// Every site observes its value and reports whether its local constraint
   /// fired. These synchronization messages model the passage of simulated
   /// time; they are not protocol traffic, which Epoch replays through the
-  /// channel afterwards.
+  /// channel afterwards. One fan-out: the re-syncs Resync queued, then every
+  /// site's kEpochStart with its up flag. SendBatch keeps batch order per
+  /// inbox, so a site installs its re-synced threshold before it evaluates
+  /// — the lockstep scheme's order, which re-syncs at the top of OnEpoch.
   Status Barrier(int64_t t) {
-    for (ShardSlot& slot : slots_) {
-      std::vector<char>& up = slot.pending.up;
-      const int start = layout_.ShardStart(slot.shard);
-      up.resize(static_cast<size_t>(layout_.ShardSize(slot.shard)));
-      for (size_t i = 0; i < up.size(); ++i) {
-        up[i] = channel_.SiteUp(start + static_cast<int>(i)) ? 1 : 0;
-      }
-      DCV_RETURN_IF_ERROR(Dispatch(slot, ShardCmd::Kind::kEpoch, t));
+    ActorMessage begin;
+    begin.kind = ActorMsgKind::kEpochStart;
+    begin.epoch = t;
+    for (int i = 0; i < config_.num_sites; ++i) {
+      begin.flag = channel_.SiteUp(i);
+      fanout_.push_back(Envelope{kCoordinatorId, i, begin});
     }
-    return Collect(RootMsg::Kind::kEpochPartial, t);
+    return Exchange(ActorMsgKind::kEpochReport, t, "epoch barrier",
+                    /*alarmed_only=*/true);
   }
 
   Status Poll(int64_t t) {
     DCV_OBS_COUNT(actor_.polls_, 1);
-    for (ShardSlot& slot : slots_) {
-      DCV_RETURN_IF_ERROR(Dispatch(slot, ShardCmd::Kind::kPoll, t));
-    }
-    DCV_RETURN_IF_ERROR(Collect(RootMsg::Kind::kPollPartial, t));
-    for (const ShardSlot& slot : slots_) {
-      for (const auto& [site, value] : slot.partial) {
-        poll_values_[static_cast<size_t>(site)] = value;
-      }
+    FanOutToAll(ActorMsgKind::kPollRequest, t);
+    DCV_RETURN_IF_ERROR(Exchange(ActorMsgKind::kPollResponse, t, "poll round",
+                                 /*alarmed_only=*/false));
+    for (const auto& [site, value] : entries_) {
+      poll_values_[static_cast<size_t>(site)] = value;
     }
     return OkStatus();
   }
 
-  /// Makes `kind` at epoch `t`, over the shard's current range, the slot's
-  /// pending command and hands a copy to the shard thread (an inline leg
-  /// runs it from the slot at collect time). Only kEpoch needs the vectors.
-  Status Dispatch(ShardSlot& slot, ShardCmd::Kind kind, int64_t t) {
-    ShardCmd& cmd = slot.pending;
-    cmd.kind = kind;
-    cmd.epoch = t;
-    cmd.first_site = layout_.ShardStart(slot.shard);
-    cmd.num_sites = layout_.ShardSize(slot.shard);
-    if (!slot.inline_leg &&
-        !slot.cmds->Push(kind == ShardCmd::Kind::kEpoch
-                             ? cmd
-                             : ShardCmd{kind, t, cmd.first_site,
-                                        cmd.num_sites, {}, {}})) {
-      return InternalError("shard command box closed");
+  /// Replaces `fanout_` with one `kind` message per site, ascending.
+  void FanOutToAll(ActorMsgKind kind, int64_t t) {
+    ActorMessage msg;
+    msg.kind = kind;
+    msg.epoch = t;
+    fanout_.clear();
+    for (int i = 0; i < config_.num_sites; ++i) {
+      fanout_.push_back(Envelope{kCoordinatorId, i, msg});
+    }
+  }
+
+  /// Sends `fanout_` in one batch, then takes every shard's replies from
+  /// its inbox in turn. Shards are contiguous and each shard's entries
+  /// ascend, so `entries_` ascends by global site.
+  Status Exchange(ActorMsgKind want, int64_t t, const char* stage,
+                  bool alarmed_only) {
+    entries_.clear();
+    if (!transport_->SendBatch(fanout_)) {
+      return InternalError(std::string("transport closed during ") + stage);
+    }
+    for (int s = 0; s < layout_.num_shards; ++s) {
+      DCV_RETURN_IF_ERROR(CollectShardReplies(
+          transport_, s, layout_.ShardStart(s), layout_.ShardSize(s), want, t,
+          stage, alarmed_only, &entries_));
     }
     return OkStatus();
   }
 
-  Status RunLeg(ShardSlot& slot) {
-    return RunShardLeg(transport_, slot.shard, slot.pending, &slot.partial);
-  }
-
-  /// Runs the inline legs here, then collects one partial per thread leg.
-  /// Arrival order across shards is free, content is not.
-  Status Collect(RootMsg::Kind want, int64_t epoch) {
-    int missing = 0;
-    for (ShardSlot& slot : slots_) {
-      slot.reported = slot.inline_leg;
-      if (slot.inline_leg) {
-        DCV_RETURN_IF_ERROR(RunLeg(slot));
-      } else {
-        ++missing;
-      }
-    }
-    while (missing > 0) {
-      batch_.clear();
-      bool timed_out = false;
-      const size_t got =
-          config_.heartbeat_timeout_ms > 0
-              ? root_box_.PopAllFor(&batch_, config_.heartbeat_timeout_ms,
-                                    &timed_out)
-              : root_box_.PopAll(&batch_);
-      if (got == 0) {
-        return timed_out ? Recover(epoch)
-                         : InternalError(
-                               "root mailbox closed while collecting partials");
-      }
-      for (RootMsg& msg : batch_) {
-        if (msg.kind == RootMsg::Kind::kShardExit) {
-          return msg.report->status;  // Sent only by a failed leg.
-        }
-        if (msg.kind != want || msg.epoch != epoch) {
-          return InternalError("out-of-order shard partial");
-        }
-        ShardSlot& slot = slots_[static_cast<size_t>(msg.shard)];
-        slot.partial = std::move(msg.entries);
-        slot.reported = true;
-        --missing;
-      }
-    }
-    return OkStatus();
-  }
-
-  /// A heartbeat window with nothing delivered: every shard still missing
-  /// its partial is presumed dead (a live shard's leg completes well inside
-  /// the window). The root takes over its sites and runs the leg here, now
-  /// and for the rest of the run.
-  Status Recover(int64_t epoch) {
-    for (ShardSlot& slot : slots_) {
-      if (!slot.reported) {
-        RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
-                        epoch, slot.shard, slot.shard);
-        const Clock::time_point since = Clock::now();
-        slot.inline_leg = true;
-        slot.reported = true;
-        Status status = RunLeg(slot);
-        CountRecovery(since, out_);
-        DCV_RETURN_IF_ERROR(status);
-      }
-    }
-    return OkStatus();
-  }
-
-  /// On success every site gets its shutdown (an inline leg's straight from
-  /// the root); on failure the transport closes instead. Either way the
-  /// command boxes close, so every shard thread wakes, exits and is joined.
+  /// On success every site gets its shutdown; on failure the transport
+  /// closes instead.
   Status Finish(Status status) {
-    if (!status.ok()) {
+    if (status.ok()) {
+      // A closed transport means the sites are already gone.
+      FanOutToAll(ActorMsgKind::kShutdown, /*t=*/0);
+      (void)transport_->SendBatch(fanout_);
+    } else {
       transport_->Shutdown();
-    }
-    for (ShardSlot& slot : slots_) {
-      // A closed box only means that shard thread is already gone, and a
-      // shutdown fan-out reports nothing.
-      if (status.ok() &&
-          Dispatch(slot, ShardCmd::Kind::kShutdown, num_epochs_).ok() &&
-          slot.inline_leg) {
-        (void)RunLeg(slot);
-      }
-      if (slot.cmds != nullptr) {
-        slot.cmds->Close();
-      }
-    }
-    for (std::thread& th : threads_) {
-      th.join();
     }
     out_->messages = actor_.counter_;
     out_->reliability = channel_.stats();
@@ -418,10 +314,10 @@ class CoordinatorActor::VirtualRun {
       config_.chaos.kind == ChaosKind::kKillWorker ? transport_->num_workers()
                                                    : config_.num_shards);
   ShardLayout layout_;
-  Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * config_.num_shards + 16)};
-  std::vector<ShardSlot> slots_ = MakeSlots(config_.num_shards);
-  std::vector<std::thread> threads_;
-  std::vector<RootMsg> batch_;
+  std::vector<Envelope> fanout_;  ///< This exchange's sends, in send order.
+  /// This exchange's (site, value) replies, ascending by site: the alarmed
+  /// sites after a barrier, every site after a poll.
+  std::vector<std::pair<int, int64_t>> entries_;
   std::vector<int64_t> poll_values_ =
       std::vector<int64_t>(static_cast<size_t>(config_.num_sites), 0);
 };
@@ -433,6 +329,11 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
   out->epochs = num_epochs;
   out->detections.clear();
   out->detections.reserve(static_cast<size_t>(num_epochs));
+  if (config_.chaos.kind == ChaosKind::kKillShard) {
+    return InvalidArgumentError(
+        "kill-shard chaos needs free-running time: a virtual run has no "
+        "shard thread to kill");
+  }
   VirtualRun run(this, transport, num_epochs, out);
   return run.Run();
 }
@@ -570,7 +471,7 @@ class CoordinatorActor::FreeRun {
         break;
       }
       default:
-        break;  // kHeartbeat was credited above; virtual partials never come.
+        break;  // kHeartbeat was credited above.
     }
   }
 
@@ -739,7 +640,9 @@ class CoordinatorActor::FreeRun {
                           MakeContext(slot.shard, -1, /*incarnation=*/1));
     RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
                     watermark_, slot.shard, slot.shard);
-    CountRecovery(since, out_);
+    const std::chrono::duration<double, std::milli> took = Clock::now() - since;
+    ++out_->shard_recoveries;
+    out_->recovery_ms = std::max(out_->recovery_ms, took.count());
     // Re-send what the shard still owed: while draining, a stop for the
     // twin (the original's is already queued or backlogged); otherwise a
     // kick for a round it had not answered, which would hang forever (the
@@ -849,6 +752,12 @@ Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
     return InvalidArgumentError(
         std::string(ChaosKindName(config_.chaos.kind)) +
         " chaos needs virtual time: a free-running run never fires it");
+  }
+  if (config_.chaos.kind == ChaosKind::kKillShard &&
+      config_.heartbeat_timeout_ms <= 0) {
+    return InvalidArgumentError(
+        "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
+        "detect the death");
   }
   FreeRun run(this, transport, out);
   return run.Run();

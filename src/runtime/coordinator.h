@@ -24,24 +24,22 @@ enum class RuntimeProtocol {
 };
 
 /// The coordinator actor: the root of a two-level coordinator tree over
-/// `num_shards` shard legs (shard.h). Each time mode has one loop over a
-/// shard layout of any k >= 1. With k >= 2 every leg runs on its own shard
-/// thread; with k == 1 the single leg runs inline on the caller's thread,
-/// with no shard thread and no root-mailbox hop. Sites talk to the tree
-/// only through the Transport.
+/// `num_shards` shards (shard.h), each owning a contiguous site range and
+/// one transport inbox. Each time mode has one loop over a shard layout of
+/// any k >= 1. Sites talk to the tree only through the Transport.
 ///
-/// Concurrency contract that makes virtual-time runs bit-identical to the
-/// lockstep simulator: the fault-injecting `Channel` — the single source of
-/// message fates, RNG draws, and MessageCounter charges — is owned by the
-/// root and touched by no other thread. The legs deliver ground truth
-/// (sites' observed values); the root then replays the protocol's sends
-/// through the Channel in ascending site order, which is exactly the order
-/// the single-threaded schemes use. Thread interleaving can reorder
-/// transport deliveries, but never the Channel's RNG stream. Virtual legs
-/// keep no state of their own: every command carries the shard's site range
-/// (shard.h ShardCmd). In free-running mode each leg owns a channel over its
-/// slice instead (a ShardContext, which only free legs use), and the root
-/// merges their stats at shutdown.
+/// Virtual time runs no shard threads. In each epoch the root sends one
+/// fan-out to every site and collects one reply per site from each shard
+/// inbox in turn, all on the caller's thread; `num_shards` only sets how
+/// the transport routes the replies. The fault-injecting `Channel` — the
+/// single source of message fates, RNG draws, and MessageCounter charges —
+/// is owned by the root, which replays the protocol's sends through it in
+/// ascending site order, exactly the order the single-threaded schemes use.
+/// That is what makes virtual-time runs bit-identical to the lockstep
+/// simulator for every shard count. Free-running mode runs one shard leg
+/// per shard instead (on its own thread for k >= 2, inline on the caller's
+/// thread for k == 1), each owning a channel over its slice (a
+/// ShardContext), and the root merges their stats at shutdown.
 class CoordinatorActor {
  public:
   struct Config {
@@ -49,8 +47,8 @@ class CoordinatorActor {
     std::vector<int64_t> weights;  ///< Size num_sites.
     int64_t global_threshold = 0;
     /// Two-level coordinator tree: partition the sites across this many
-    /// shard legs feeding the root aggregator. 1 (the default) runs the
-    /// single leg inline on the caller's thread; k >= 2 runs one shard
+    /// shards. Free-running mode runs one leg per shard: 1 (the default)
+    /// runs the single leg inline on the caller's thread, k >= 2 one shard
     /// thread per leg. Must satisfy 1 <= num_shards <= num_sites, and the
     /// transport must be built with the same shard count.
     int num_shards = 1;
@@ -64,14 +62,14 @@ class CoordinatorActor {
 
     FaultSpec faults;
 
-    /// Chaos injection (chaos.h): kill a shard / sever a worker link /
-    /// push a reshard at a seed-resolved point. kNone = healthy run.
+    /// Chaos injection (chaos.h) at a seed-resolved point: kill a shard
+    /// (free-running only), or sever a worker link or push a reshard
+    /// (virtual only). kNone = healthy run.
     ChaosSpec chaos;
-    /// Shard threads (k >= 2): how long the root waits for shard traffic
-    /// before it suspects a dead shard coordinator and starts recovery (virtual
-    /// mode: re-execute the pending command itself; free mode: kPing probe
-    /// and respawn the silent shards). 0 = detection off — the root waits
-    /// forever, the pre-recovery behavior.
+    /// Free-running shard threads (k >= 2): how long the root waits for
+    /// shard traffic before it kPing-probes the shards and respawns the
+    /// silent ones. 0 = detection off — the root waits forever. No effect
+    /// in virtual time, which runs no shard threads.
     int heartbeat_timeout_ms = 0;
 
     obs::MetricsRegistry* metrics = nullptr;
@@ -86,6 +84,8 @@ class CoordinatorActor {
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
   /// sites (epoch barrier via kEpochStart / kEpochReport), then shuts
   /// the sites down. Fills `out`'s detections, messages, and reliability.
+  /// Rejects kill-shard chaos with InvalidArgument: there is no shard
+  /// thread to kill.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 

@@ -41,11 +41,11 @@ struct RuntimeOptions {
   int num_workers = 0;
 
   /// Coordinator-side sharding: partition the sites across this many shard
-  /// legs feeding a root aggregator (two-level tree). Must be in
-  /// [1, num_sites]; 1 runs the single leg inline on the coordinator's
-  /// thread, k >= 2 runs one shard thread per leg.
-  /// Virtual-time results are bit-identical for every legal value (the
-  /// conformance harness asserts shards in {1, 2, 4}).
+  /// inboxes feeding a root aggregator (two-level tree). Must be in
+  /// [1, num_sites]. Free-running: 1 runs the single leg inline on the
+  /// coordinator's thread, k >= 2 runs one shard thread per leg. Virtual
+  /// time runs no shard threads, and its results are bit-identical for
+  /// every legal value (the conformance harness asserts shards 1 to 4).
   int num_shards = 1;
 
   /// Virtual-time mode runs the sites in epoch lockstep with the
@@ -67,12 +67,14 @@ struct RuntimeOptions {
 
   FaultSpec faults;
 
-  /// Chaos injection (chaos.h): kill a shard coordinator, sever a worker
-  /// link, or push a mid-run reshard at a seed-resolved point. Requires
-  /// `heartbeat_timeout_ms > 0` for kill-shard so the root notices.
+  /// Chaos injection (chaos.h): kill a shard coordinator (free-running
+  /// only), sever a worker link, or push a mid-run reshard (virtual only) at
+  /// a seed-resolved point. Requires `heartbeat_timeout_ms > 0` for
+  /// kill-shard so the root notices.
   ChaosSpec chaos;
-  /// Sharded runs: root-side dead-shard detection window in milliseconds.
-  /// 0 (default) disables detection — the root waits forever.
+  /// Free-running sharded runs: root-side dead-shard detection window in
+  /// milliseconds. 0 (default) disables detection — the root waits forever.
+  /// No effect in virtual time, which runs no shard threads.
   int heartbeat_timeout_ms = 0;
 
   /// Synthetic workloads: per-site streams derive from (seed, site), so a

@@ -65,11 +65,11 @@ struct RuntimeResult {
   std::vector<std::vector<int64_t>> captured_updates;
 
   // Failure recovery accounting (chaos runs; all zero on a healthy run).
-  int64_t shard_recoveries = 0;  ///< Dead shards re-adopted or respawned.
+  int64_t shard_recoveries = 0;  ///< Dead shards respawned (free mode).
   int64_t reshards = 0;          ///< Mid-run layout pushes applied.
-  /// Wall-clock cost of the slowest single recovery: from the heartbeat
-  /// timeout firing to the dead shard's work being re-executed (virtual
-  /// direct attachment) or its replacement thread running (free mode).
+  /// Free-running kill-shard runs: wall-clock cost of the slowest single
+  /// recovery, from the start of the silence the heartbeat timeout caught
+  /// to the replacement shard thread running.
   double recovery_ms = 0.0;
 
   /// Socket-transport runs only: the coordinator side's wire-level

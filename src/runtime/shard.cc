@@ -32,87 +32,6 @@ void FanOut(int first_site, int num_sites, const ActorMessage& msg,
   }
 }
 
-/// The lockstep exchange behind both virtual legs: sends `fanout`, then
-/// collects exactly one `want` reply echoing the command's epoch from each
-/// site of the command's range, in any order. Anything else — another
-/// kind or epoch, a site outside the range, a second reply — fails the
-/// leg. Returns (site, value) in ascending site order, the entries of
-/// alarmed reports only when `alarmed_only`: the root replays alarms by
-/// ascending site, and poll values in site order, so arrival order (and
-/// with it batching) never reaches the result.
-Status Exchange(Transport* transport, int shard, const ShardCmd& cmd,
-                const std::vector<Envelope>& fanout, ActorMsgKind want,
-                const char* stage, bool alarmed_only,
-                std::vector<std::pair<int, int64_t>>* entries) {
-  std::vector<char> answered(static_cast<size_t>(cmd.num_sites), 0);
-  entries->clear();
-  if (!transport->SendBatch(fanout)) {
-    return InternalError(std::string("transport closed during ") + stage);
-  }
-  std::vector<Envelope> batch;
-  for (int pending = cmd.num_sites; pending > 0;) {
-    batch.clear();
-    if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError(std::string("transport closed during ") + stage);
-    }
-    for (const Envelope& e : batch) {
-      const int64_t i = int64_t{e.from} - cmd.first_site;
-      if (e.msg.kind != want || e.msg.epoch != cmd.epoch || i < 0 ||
-          i >= cmd.num_sites || answered[static_cast<size_t>(i)]) {
-        return InternalError(std::string("out-of-order message at ") + stage);
-      }
-      answered[static_cast<size_t>(i)] = 1;
-      if (!alarmed_only || e.msg.flag) {
-        entries->emplace_back(e.from, e.msg.value);
-      }
-      --pending;
-    }
-  }
-  std::sort(entries->begin(), entries->end());
-  return OkStatus();
-}
-
-Status EpochLeg(Transport* transport, int shard, const ShardCmd& cmd,
-                std::vector<std::pair<int, int64_t>>* alarmed) {
-  // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
-  // is per-producer FIFO and one thread at a time produces for these sites
-  // (the shard thread, or the root for an inline leg), so the site
-  // installs the threshold before it evaluates — the lockstep scheme's
-  // order, which re-syncs at the top of OnEpoch.
-  // One batched fan-out per epoch leg: re-syncs first, then every start.
-  // SendBatch preserves batch order per destination inbox, so a site's
-  // re-sync still lands before its kEpochStart.
-  std::vector<Envelope> fanout;
-  fanout.reserve(cmd.resync.size() + static_cast<size_t>(cmd.num_sites));
-  for (const auto& [site, threshold] : cmd.resync) {
-    ActorMessage update;
-    update.kind = ActorMsgKind::kThresholdUpdate;
-    update.epoch = cmd.epoch;
-    update.value = threshold;
-    fanout.push_back(Envelope{kCoordinatorId, site, update});
-  }
-  for (int i = 0; i < cmd.num_sites; ++i) {
-    ActorMessage begin;
-    begin.kind = ActorMsgKind::kEpochStart;
-    begin.epoch = cmd.epoch;
-    begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
-    fanout.push_back(Envelope{kCoordinatorId, cmd.first_site + i, begin});
-  }
-  return Exchange(transport, shard, cmd, fanout, ActorMsgKind::kEpochReport,
-                  "epoch barrier", /*alarmed_only=*/true, alarmed);
-}
-
-Status PollLeg(Transport* transport, int shard, const ShardCmd& cmd,
-               std::vector<std::pair<int, int64_t>>* values) {
-  ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = cmd.epoch;
-  std::vector<Envelope> fanout;
-  FanOut(cmd.first_site, cmd.num_sites, request, &fanout);
-  return Exchange(transport, shard, cmd, fanout, ActorMsgKind::kPollResponse,
-                  "poll round", /*alarmed_only=*/false, values);
-}
-
 /// Forwards kShutdown to every site in range; a closed transport means the
 /// sites are already gone.
 void ShutdownSites(Transport* transport, int first_site, int num_sites) {
@@ -156,55 +75,34 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
   return out;
 }
 
-Status RunShardLeg(Transport* transport, int shard, const ShardCmd& cmd,
-                   std::vector<std::pair<int, int64_t>>* entries) {
-  switch (cmd.kind) {
-    case ShardCmd::Kind::kEpoch:
-      return EpochLeg(transport, shard, cmd, entries);
-    case ShardCmd::Kind::kPoll:
-      return PollLeg(transport, shard, cmd, entries);
-    case ShardCmd::Kind::kShutdown:
-      ShutdownSites(transport, cmd.first_site, cmd.num_sites);
-      return OkStatus();
+Status CollectShardReplies(Transport* transport, int shard, int first_site,
+                           int num_sites, ActorMsgKind want, int64_t epoch,
+                           const char* stage, bool alarmed_only,
+                           std::vector<std::pair<int, int64_t>>* entries) {
+  std::vector<char> answered(static_cast<size_t>(num_sites), 0);
+  const size_t first_entry = entries->size();
+  std::vector<Envelope> batch;
+  for (int pending = num_sites; pending > 0;) {
+    batch.clear();
+    if (transport->RecvShardAll(shard, &batch) == 0) {
+      return InternalError(std::string("transport closed during ") + stage);
+    }
+    for (const Envelope& e : batch) {
+      const int64_t i = int64_t{e.from} - first_site;
+      if (e.msg.kind != want || e.msg.epoch != epoch || i < 0 ||
+          i >= num_sites || answered[static_cast<size_t>(i)]) {
+        return InternalError(std::string("out-of-order message at ") + stage);
+      }
+      answered[static_cast<size_t>(i)] = 1;
+      if (!alarmed_only || e.msg.flag) {
+        entries->emplace_back(e.from, e.msg.value);
+      }
+      --pending;
+    }
   }
+  std::sort(entries->begin() + static_cast<std::ptrdiff_t>(first_entry),
+            entries->end());
   return OkStatus();
-}
-
-void RunShardVirtual(int shard, Transport* transport, Mailbox<ShardCmd>* cmds,
-                     Mailbox<RootMsg>* to_root, int64_t die_at_epoch) {
-  ShardCmd cmd;
-  while (cmds->Pop(&cmd)) {
-    if (cmd.kind == ShardCmd::Kind::kEpoch && cmd.epoch == die_at_epoch) {
-      // Chaos: crash before sending anything for this epoch. The consumed
-      // command is the only thing lost, and the root holds a copy — it
-      // re-executes the command itself after the heartbeat timeout, so the
-      // sites (still waiting for kEpochStart) see one producer and one
-      // barrier, exactly as if the shard had lived.
-      return;
-    }
-    RootMsg msg;
-    msg.shard = shard;
-    msg.epoch = cmd.epoch;
-    Status status = RunShardLeg(transport, shard, cmd, &msg.entries);
-    if (cmd.kind == ShardCmd::Kind::kShutdown) {
-      return;
-    }
-    const bool failed = !status.ok();
-    if (failed) {
-      // A shard thread cannot return a Status: it exits with the error in
-      // its report, and the root turns that exit into the run's failure.
-      msg.kind = RootMsg::Kind::kShardExit;
-      msg.report = std::make_unique<ShardReport>();
-      msg.report->status = std::move(status);
-    } else {
-      msg.kind = cmd.kind == ShardCmd::Kind::kEpoch
-                     ? RootMsg::Kind::kEpochPartial
-                     : RootMsg::Kind::kPollPartial;
-    }
-    if (!to_root->Push(std::move(msg)) || failed) {
-      return;
-    }
-  }
 }
 
 ShardFreeLeg::ShardFreeLeg(ShardContext ctx)

@@ -16,59 +16,26 @@
 
 namespace dcv {
 
-/// The shard half of the two-level coordinator tree. Each shard leg owns a
-/// contiguous range of sites (shard_layout.h): alarm intake, threshold
-/// distribution, and the per-shard leg of every poll round for exactly
-/// those sites. The root aggregator (coordinator.cc) drives the legs and
-/// combines their partials into the global constraint decision, so
-/// per-round work at the root is O(num_shards) messages instead of
-/// O(num_sites). With k >= 2 every leg runs on its own shard thread; a
-/// 1-shard tree runs its single leg inline on the root's thread (no shard
-/// thread, no command box, no root-mailbox hop), which is the same code the
-/// root runs after re-adopting a dead shard's sites.
+/// The shard half of the two-level coordinator tree. Each shard owns a
+/// contiguous range of sites (shard_layout.h) and one transport inbox,
+/// where its sites' replies arrive.
 ///
-/// Determinism contract (virtual-time mode): legs never touch a Channel.
-/// They relay ground truth between the transport and the root; every
-/// channel call — the single source of message fates, RNG draws, and
-/// MessageCounter charges — stays on the root thread, issued in ascending
-/// global site order. That is why virtual runs are bit-identical to the
-/// lockstep simulator for every shard count (the conformance harness
-/// asserts it for 1, 2, and 4 shards).
+/// Virtual-time mode runs no shard threads. The root fans every epoch and
+/// poll round out to all sites itself and collects each shard's replies
+/// from that shard's inbox with CollectShardReplies, on its own thread. It
+/// owns the only Channel and calls it in ascending global site order, so
+/// virtual runs are bit-identical to the lockstep simulator for every
+/// shard count (the conformance harness asserts it for 1 to 4 shards).
 ///
-/// Free-running mode inverts the split: each leg owns a Channel over its
-/// own site range (fault spec sliced via SliceFaultSpec) and aggregates
-/// its poll leg locally — partial weighted SUM plus MIN/MAX — so the root
-/// combines k partials without ever materializing per-site values. No
-/// per-epoch determinism is claimed in this mode.
-
-/// Root -> shard command, virtual-time mode only. Travels over an internal
-/// Mailbox (never the transport): epoch commands carry vectors that do not
-/// fit an Envelope, and in virtual mode the shard's blocking wait
-/// alternates strictly between this box and the transport, so two sources
-/// never race. Every command names the shard's site range, so a leg keeps
-/// no layout or plan of its own: after a reshard the new range arrives in
-/// the same command as the epoch it applies to.
-struct ShardCmd {
-  enum class Kind {
-    kEpoch,     ///< Run one epoch barrier over the shard's sites.
-    kPoll,      ///< Fan out one poll round and report the responses.
-    kShutdown,  ///< Forward kShutdown to the sites and exit.
-  };
-  Kind kind = Kind::kEpoch;
-  int64_t epoch = 0;
-  /// The shard's sites under the root's current layout:
-  /// [first_site, first_site + num_sites).
-  int first_site = 0;
-  int num_sites = 0;
-  /// kEpoch: up/down flag per shard-local site (the root owns the channel
-  /// and thus the crash schedule).
-  std::vector<char> up;
-  /// kEpoch: (global site, threshold) for every threshold re-sync that got
-  /// through the wire this epoch (root already charged the sends); the
-  /// shard pushes the transport messages so the per-site
-  /// update-before-epoch-start FIFO holds with a single producer per site.
-  std::vector<std::pair<int, int64_t>> resync;
-};
+/// Free-running mode is where shard legs live. Each leg owns a Channel
+/// over its own site range (fault spec sliced via SliceFaultSpec), serves
+/// alarm intake and its leg of every poll round for exactly those sites,
+/// and aggregates the leg locally — partial weighted SUM plus MIN/MAX — so
+/// the root combines k partials without ever materializing per-site
+/// values: O(num_shards) root messages per round instead of O(num_sites).
+/// With k >= 2 every leg runs on its own shard thread; a 1-shard tree's
+/// root steps its single leg inline. No per-epoch determinism is claimed
+/// in this mode.
 
 /// A shard's final accounting, merged into the run totals by the root.
 /// Rides only on kShardExit.
@@ -81,33 +48,28 @@ struct ShardReport {
   Status status;
 };
 
-/// Shard -> root message (internal mailbox in both modes).
+/// Free-running shard leg -> root message: over the root's internal
+/// mailbox from a shard thread, or straight from an inline leg.
 struct RootMsg {
   enum class Kind : uint8_t {
-    kEpochPartial,  ///< Virtual: epoch barrier done; entries = alarmed sites.
-    kPollPartial,   ///< Poll leg done. Virtual: entries = every site's value.
-                    ///< Free: aggregated sum/min/max, no per-site entries.
-    kAlarmNotice,   ///< Free: a delivered alarm needs a poll round.
-    kSiteDone,      ///< Free: one run of owned sites reported kSiteDone.
+    kPollPartial,   ///< Poll leg done: aggregated sum/min/max.
+    kAlarmNotice,   ///< A delivered alarm needs a poll round.
+    kSiteDone,      ///< One run of owned sites reported kSiteDone.
                     ///< Relayed per run of consecutive dones in one inbox
                     ///< batch (not batched per shard) and counted per site,
                     ///< so the root's done-tracking survives a shard death:
                     ///< whatever the dead shard already relayed stays
                     ///< counted, and the replacement relays the rest.
-    kHeartbeat,     ///< Free: reply to the root's kPing liveness probe.
+    kHeartbeat,     ///< Reply to the root's kPing liveness probe.
     kShardExit,     ///< Shard exiting; `report` holds its final accounting.
-                    ///< A virtual shard thread exits unprompted only when a
-                    ///< leg failed, with the error in the report.
   };
-  Kind kind = Kind::kEpochPartial;
+  Kind kind = Kind::kPollPartial;
   int shard = 0;
   int64_t epoch = 0;
-  /// (global site, value) pairs in ascending site order. kEpochPartial:
-  /// alarmed sites and their observed values. kPollPartial (virtual): every
-  /// owned site's response. kSiteDone: one run's sites and their update
-  /// counts, in arrival order.
+  /// kSiteDone: one run's (global site, update count) pairs, in arrival
+  /// order.
   std::vector<std::pair<int, int64_t>> entries;
-  // kPollPartial, free-running mode: the shard-aggregated poll leg.
+  // kPollPartial: the shard-aggregated poll leg.
   int64_t partial_sum = 0;  ///< Weighted sum over the shard's sites.
   int64_t partial_min = 0;  ///< Min/max of the resolved per-site values —
   int64_t partial_max = 0;  ///< groundwork for MIN/MAX runtime constraints.
@@ -119,8 +81,7 @@ struct RootMsg {
 static_assert(sizeof(RootMsg) <= 80, "RootMsg is on the poll-round hot path");
 
 /// Everything one free-running shard leg needs. Pointers are owned by the
-/// root and outlive the leg. (Virtual legs need none of this: each command
-/// carries their range.)
+/// root and outlive the leg.
 struct ShardContext {
   int shard = 0;
   ShardLayout layout;
@@ -145,28 +106,19 @@ struct ShardContext {
   int64_t incarnation = 0;
 };
 
-/// Runs one virtual-mode command over the command's site range. A shard
-/// thread and the root (the single leg of a 1-shard tree, or a dead
-/// shard's pending command after direct attachment) run exactly this
-/// code, which is what makes recovery transparent: the sites cannot tell
-/// who is on the other end of the transport. `shard` names the inbox the
-/// sites' replies arrive in.
-///
-/// kEpoch: threshold re-syncs, then the epoch barrier over the range;
-/// `entries` gets (global site, value) for every alarmed site in ascending
-/// order. kPoll: one poll fan-out; `entries` gets every site's response in
-/// ascending order. kShutdown: forwards kShutdown to every site in range.
-Status RunShardLeg(Transport* transport, int shard, const ShardCmd& cmd,
-                   std::vector<std::pair<int, int64_t>>* entries);
-
-/// Body of one shard coordinator thread, virtual-time mode: runs every
-/// command from `cmds` through RunShardLeg and pushes its partial to the
-/// root, until kShutdown (or a closed box). A failed leg ends the thread
-/// with a kShardExit carrying the error. Chaos: the thread dies the instant
-/// the kEpoch command for `die_at_epoch` arrives, before sending anything;
-/// the root re-executes the command.
-void RunShardVirtual(int shard, Transport* transport, Mailbox<ShardCmd>* cmds,
-                     Mailbox<RootMsg>* to_root, int64_t die_at_epoch);
+/// The root's collect step of one virtual exchange, for one shard: after
+/// the fan-out, takes exactly one `want` reply echoing `epoch` from each
+/// site of [first_site, first_site + num_sites) out of `shard`'s inbox, in
+/// any order. Anything else — another kind or epoch, a site outside the
+/// range, a second reply — fails with "out-of-order message at <stage>".
+/// Appends (site, value) for the shard's replies in ascending site order,
+/// only alarmed ones (the reply's flag) when `alarmed_only`: the root
+/// replays alarms and poll values by site, so arrival order (and with it
+/// batching) never reaches the result.
+Status CollectShardReplies(Transport* transport, int shard, int first_site,
+                           int num_sites, ActorMsgKind want, int64_t epoch,
+                           const char* stage, bool alarmed_only,
+                           std::vector<std::pair<int, int64_t>>* entries);
 
 /// One free-running shard leg as a step function. It owns the shard's
 /// private channel (over shard-local site ids) and counter, the watermark,

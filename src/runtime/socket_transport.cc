@@ -471,6 +471,10 @@ void SocketTransport::ReaderLoop(size_t index) {
   Connection& c = *conns_[index];
   uint8_t buf[65536];
 
+  // Coordinator role: the peer's final_flush telemetry frame arrived, so it
+  // is exiting in order and has nothing left to send but its end of stream.
+  bool final_flushed = false;
+  bool orderly = false;  // A clean end of stream after the final flush.
   // Decodes everything buffered in `reader`; false = drop the connection.
   WireFrame frame;  // Reused: a small frame decodes without allocating.
   auto drain_frames = [&](FrameReader& reader) {
@@ -521,6 +525,7 @@ void SocketTransport::ReaderLoop(size_t index) {
           continue;
         }
         frames_received_.Add(1);
+        final_flushed = final_flushed || frame.telemetry.final_flush != 0;
         // Snapshots are cumulative, so latest-wins per worker: overwrite
         // the slot and remember whether the worker's shutdown flush landed.
         const size_t slot = static_cast<size_t>(frame.telemetry.worker);
@@ -603,7 +608,8 @@ void SocketTransport::ReaderLoop(size_t index) {
     if (!clean && !down) {
       disconnects_.Add(1);
     }
-    if (down || !options_.allow_reconnect) {
+    orderly = clean && final_flushed;
+    if (down || orderly || !options_.allow_reconnect) {
       break;
     }
     if (!AwaitResume(index, gen)) {
@@ -611,9 +617,15 @@ void SocketTransport::ReaderLoop(size_t index) {
     }
   }
   // End of stream with no resume coming means no more messages can arrive
-  // on this connection; close the boxes so blocked receivers drain and
-  // exit, matching ThreadTransport's closed-and-drained contract.
-  CloseInbound();
+  // on this connection. After a final flush that is an orderly exit: the
+  // worker's engine stopped on its sites' kShutdown, and every envelope it
+  // sent was read before the end of stream, so the shard inboxes — which
+  // other workers still feed, and the root still commands — stay open.
+  // Otherwise the worker is gone mid-run: close them so blocked receivers
+  // drain and exit, matching ThreadTransport's closed-and-drained contract.
+  if (!orderly) {
+    CloseInbound();
+  }
   CloseOutbound(index);
 }
 

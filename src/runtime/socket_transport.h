@@ -298,7 +298,9 @@ class SocketTransport : public ThreadTransport {
   /// Closes the boxes the readers feed: every shard inbox at the
   /// coordinator (no shard can make progress once a worker is gone), this
   /// worker's box at a worker. Blocked receivers drain out exactly as
-  /// after ThreadTransport::Shutdown.
+  /// after ThreadTransport::Shutdown. A coordinator reader skips it when its
+  /// worker exits in order (a clean end of stream after its final_flush
+  /// telemetry frame): that worker owes nothing more.
   void CloseInbound();
 
   const Role role_;

@@ -58,7 +58,10 @@ ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
   layouts_.push_back(std::make_unique<ShardLayout>(std::move(layout)));
   layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
   const int num_shards = layouts_.back()->num_shards;
-  // One lane per engine thread plus one for the root's commands.
+  // num_workers + 1 lanes. A thread pushes into lane ProducerIndex() %
+  // lanes, and the producer index counts every thread that ever pushed into
+  // a laned box, so the root may share a lane with an engine or a socket
+  // reader: that costs contention, never order.
   shard_boxes_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shard_boxes_.push_back(std::make_unique<LanedMailbox<Envelope>>(

@@ -208,11 +208,13 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
 
 /// The queue fabric over bounded mailboxes: one per worker, and one laned
 /// inbox per shard coordinator (LanedMailbox, num_workers + 1 lanes, so
-/// the engine threads and the root each push into a lane of their own
-/// instead of sharing one lock). In-process, engine threads and shard
-/// coordinators use it directly; SocketTransport derives from it and
-/// pumps the same boxes over TCP. Capacity invariants the runtime relies
-/// on to stay deadlock-free with blocking sends:
+/// its producers spread over several locks instead of sharing one). A
+/// thread pushes into lane ProducerIndex() % lanes; the index is
+/// process-wide, so two producers — the root and an engine, say — may
+/// share a lane. In-process, engine threads and shard coordinators use it
+/// directly; SocketTransport derives from it and pumps the same boxes over
+/// TCP. Capacity invariants the runtime relies on to stay deadlock-free
+/// with blocking sends:
 ///
 ///  * the coordinator tree never blocks on a worker inbox: at most one
 ///    epoch start, one poll request, one threshold update, and one

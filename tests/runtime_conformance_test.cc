@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -264,18 +265,14 @@ TEST(ShardedConformanceTest, LocalFptasUnderChannelFaultsShards2And4) {
   // and a coordinator partition, re-run at 2 and 4 shards. Identical
   // reliability stats prove the root (not the shards) owns every channel
   // RNG draw.
-  // k = 1 runs its single leg inline, so its heartbeat has no shard
-  // thread to watch and must never fire a recovery.
   Workload w = MakeSyntheticWorkload(55, /*num_sites=*/5);
   FptasSolver solver(0.1);
-  for (auto [shards, heartbeat_ms] :
-       {std::pair{1, 200}, std::pair{2, 0}, std::pair{4, 0}}) {
+  for (int shards : {1, 2, 4}) {
     ConformanceSpec spec;
     spec.protocol = RuntimeProtocol::kLocalThreshold;
     spec.solver = &solver;
     spec.global_threshold = PickThreshold(w, 0.02);
     spec.num_shards = shards;
-    spec.heartbeat_timeout_ms = heartbeat_ms;
     spec.faults.loss = 0.1;
     spec.faults.duplicate = 0.05;
     spec.faults.delay = 0.1;
@@ -506,32 +503,44 @@ TEST(ShardedRuntimeTest, RejectsBadShardCounts) {
   EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
 }
 
-// A scripted 2-shard fabric for the virtual epoch barrier. Shard 0's sites
-// answer kEpochStart with a correct kEpochReport; shard 1's inbox answers it
-// with a kPollResponse, which its leg must reject. Replies are queued before
-// SendBatch returns, so a leg's receive always finds them.
+// A scripted fabric for the virtual epoch barrier over `shards` shard
+// inboxes. Sites answer kEpochStart with a correct kEpochReport (site 0
+// alarms on odd epochs) and kPollRequest with a kPollResponse, except in
+// `bad_shard`'s inbox, which answers kEpochStart with a kPollResponse that
+// the exchange must reject. Replies are queued before SendBatch returns, so
+// a receive always finds them. Its shard-command path is dead —
+// SendToShard and TrySendToShard refuse everything — and it records the
+// thread of every RecvShardAll.
 class EpochBarrierScript : public Transport {
  public:
-  explicit EpochBarrierScript(int sites)
-      : layout_(*MakeShardLayout(sites, 2)), inboxes_(2) {}
+  explicit EpochBarrierScript(int sites, int shards = 2, int bad_shard = 1)
+      : layout_(*MakeShardLayout(sites, shards)),
+        bad_shard_(bad_shard),
+        inboxes_(static_cast<size_t>(shards)) {}
   int num_sites() const override { return layout_.num_sites; }
   int num_workers() const override { return 1; }
   int WorkerOf(int) const override { return 0; }
-  int num_shards() const override { return 2; }
+  int num_shards() const override { return layout_.num_shards; }
   int ShardOf(int site) const override { return layout_.ShardOf(site); }
   ShardLayout layout() const override { return layout_; }
   bool Send(const Envelope& e) override { return SendBatch({e}); }
   bool SendBatch(const std::vector<Envelope>& batch) override {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kEpochStart) {
-        continue;
-      }
       const int shard = layout_.ShardOf(e.to);
       ActorMessage reply;
-      reply.kind = shard == 0 ? ActorMsgKind::kEpochReport
-                              : ActorMsgKind::kPollResponse;
       reply.epoch = e.msg.epoch;
+      if (e.msg.kind == ActorMsgKind::kEpochStart) {
+        reply.kind = shard == bad_shard_ ? ActorMsgKind::kPollResponse
+                                         : ActorMsgKind::kEpochReport;
+        reply.flag = e.to == 0 && e.msg.epoch % 2 == 1;
+        reply.value = reply.flag ? 1'000 : 1;
+      } else if (e.msg.kind == ActorMsgKind::kPollRequest) {
+        reply.kind = ActorMsgKind::kPollResponse;
+        reply.value = e.to + 1;
+      } else {
+        continue;
+      }
       inboxes_[static_cast<size_t>(shard)].push_back(
           Envelope{e.to, kCoordinatorId, reply});
     }
@@ -543,6 +552,7 @@ class EpochBarrierScript : public Transport {
   bool TryRecvShard(int, Envelope*) override { return false; }
   size_t RecvShardAll(int shard, std::vector<Envelope>* out) override {
     std::lock_guard<std::mutex> lock(mu_);
+    recv_threads_.push_back(std::this_thread::get_id());
     std::vector<Envelope>& inbox = inboxes_[static_cast<size_t>(shard)];
     const size_t n = inbox.size();
     out->insert(out->end(), inbox.begin(), inbox.end());
@@ -558,14 +568,21 @@ class EpochBarrierScript : public Transport {
   bool TryRecvWorker(int, Envelope*) override { return false; }
   void Shutdown() override {}
 
+  std::vector<std::thread::id> recv_threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return recv_threads_;
+  }
+
  private:
   const ShardLayout layout_;
+  const int bad_shard_;
   std::mutex mu_;
   std::vector<std::vector<Envelope>> inboxes_;
+  std::vector<std::thread::id> recv_threads_;
 };
 
-// A shard thread whose leg fails must fail the whole virtual run with the
-// leg's error, and the root must still join every shard thread.
+// A shard whose replies break the epoch barrier's exchange must fail the
+// whole virtual run with the exchange's error.
 TEST(ShardedRuntimeTest, VirtualShardErrorFailsRun) {
   constexpr int kSites = 4;
   CoordinatorActor::Config cfg;
@@ -586,15 +603,41 @@ TEST(ShardedRuntimeTest, VirtualShardErrorFailsRun) {
       << status.message();
 }
 
-// A poll leg takes exactly one response per site, echoing the round's
+// Virtual time runs no shard threads: the root fans every epoch and poll
+// round out itself and drains every shard inbox on the caller's thread,
+// sending no shard command.
+TEST(ShardedRuntimeTest, VirtualRunCollectsOnTheRootThread) {
+  constexpr int kSites = 7;
+  CoordinatorActor::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.weights.assign(kSites, 1);
+  cfg.global_threshold = 100;
+  cfg.thresholds.assign(kSites, 900);
+  cfg.domain_max.assign(kSites, 1'000);
+  cfg.num_shards = 3;
+  CoordinatorActor coordinator(cfg);
+  ASSERT_TRUE(coordinator.Init().ok());
+  EpochBarrierScript script(kSites, /*shards=*/3, /*bad_shard=*/-1);
+  RuntimeResult result;
+  const Status status = coordinator.RunVirtual(&script, 10, &result);
+  ASSERT_TRUE(status.ok()) << status.message();
+  ASSERT_EQ(result.detections.size(), 10u);
+  int polled = 0;
+  for (const EpochDetection& det : result.detections) {
+    polled += det.polled ? 1 : 0;
+  }
+  EXPECT_EQ(polled, 5);  // Site 0 alarms on every odd epoch.
+  const std::vector<std::thread::id> threads = script.recv_threads();
+  ASSERT_FALSE(threads.empty());
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+// A poll collect takes exactly one response per site, echoing the round's
 // epoch: a stale round's response, or a second one from the same site,
-// fails the leg instead of standing in for a missing answer.
+// fails it instead of standing in for a missing answer.
 TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
-  ShardCmd cmd;
-  cmd.kind = ShardCmd::Kind::kPoll;
-  cmd.epoch = 5;
-  cmd.first_site = 0;
-  cmd.num_sites = 2;
   ActorMessage response;
   response.kind = ActorMsgKind::kPollResponse;
   for (const int64_t stale_epoch : {int64_t{4}, int64_t{5}}) {
@@ -607,7 +650,10 @@ TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
     response.epoch = stale_epoch;
     ASSERT_TRUE((*transport)->Send(Envelope{0, kCoordinatorId, response}));
     std::vector<std::pair<int, int64_t>> values;
-    const Status status = RunShardLeg(transport->get(), 0, cmd, &values);
+    const Status status = CollectShardReplies(
+        transport->get(), /*shard=*/0, /*first_site=*/0, /*num_sites=*/2,
+        ActorMsgKind::kPollResponse, /*epoch=*/5, "poll round",
+        /*alarmed_only=*/false, &values);
     ASSERT_FALSE(status.ok()) << "stale epoch " << stale_epoch;
     EXPECT_NE(status.message().find("out-of-order message at poll round"),
               std::string::npos)
@@ -615,84 +661,10 @@ TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
   }
 }
 
-// Chaos conformance (the recovery proof): a shard coordinator killed at a
-// seed-resolved epoch, a mid-run reshard, or a severed worker TCP link must
-// leave the virtual-time detections bit-identical to the healthy lockstep
-// simulator — recovery that changes results is not recovery.
-
-TEST(ChaosConformanceTest, KillShardVirtualBitIdenticalAcrossSeeds) {
-  Workload w = MakeSyntheticWorkload(21);
-  FptasSolver solver(0.05);
-  for (uint64_t chaos_seed : {3ULL, 11ULL, 29ULL}) {
-    ConformanceSpec spec;
-    spec.protocol = RuntimeProtocol::kLocalThreshold;
-    spec.solver = &solver;
-    spec.global_threshold = PickThreshold(w, 0.02);
-    spec.num_shards = 2;
-    spec.chaos.kind = ChaosKind::kKillShard;
-    spec.chaos.seed = chaos_seed;
-    spec.heartbeat_timeout_ms = 300;
-    auto report = RunConformance(w.training, w.eval, spec);
-    ASSERT_TRUE(report.ok()) << report.status().message();
-    EXPECT_TRUE(report->identical)
-        << "chaos_seed=" << chaos_seed << ": " << report->mismatch;
-    // The shard really died and the root really recovered it.
-    EXPECT_EQ(report->runtime.shard_recoveries, 1) << "seed=" << chaos_seed;
-    EXPECT_GT(report->runtime.recovery_ms, 0.0);
-  }
-}
-
-TEST(ChaosConformanceTest, KillShardUnderChannelFaults) {
-  // Recovery must also replay the fault-injecting channel identically:
-  // the re-executed epoch leg goes through the same Channel calls in the
-  // same order, so even RNG-driven loss patterns stay bit-identical.
-  Workload w = MakeSyntheticWorkload(55, /*num_sites=*/5);
-  FptasSolver solver(0.1);
-  ConformanceSpec spec;
-  spec.protocol = RuntimeProtocol::kLocalThreshold;
-  spec.solver = &solver;
-  spec.global_threshold = PickThreshold(w, 0.02);
-  spec.num_shards = 4;
-  spec.faults.loss = 0.1;
-  spec.faults.retry.enable_acks = true;
-  spec.faults.retry.max_attempts = 3;
-  spec.faults.crashes = {{/*site=*/1, /*from=*/100, /*to=*/220}};
-  spec.faults.seed = 0xfeedULL;
-  spec.chaos.kind = ChaosKind::kKillShard;
-  spec.chaos.seed = 7;
-  spec.heartbeat_timeout_ms = 300;
-  auto report = RunConformance(w.training, w.eval, spec);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_TRUE(report->identical) << report->mismatch;
-  EXPECT_EQ(report->runtime.shard_recoveries, 1);
-}
-
-TEST(ChaosConformanceTest, KillShardSocketBitIdentical) {
-  // The dead shard's sites live in remote worker processes: the root's
-  // re-executed legs run over real TCP and must still match the lockstep
-  // simulator bit for bit.
-  Workload w = MakeSyntheticWorkload(101, /*num_sites=*/4,
-                                     /*train_epochs=*/300,
-                                     /*eval_epochs=*/300);
-  FptasSolver solver(0.05);
-  ConformanceSpec spec;
-  spec.protocol = RuntimeProtocol::kLocalThreshold;
-  spec.solver = &solver;
-  spec.global_threshold = PickThreshold(w, 0.02);
-  spec.num_workers = 2;
-  spec.num_shards = 2;
-  spec.transport = TransportKind::kSocket;
-  spec.chaos.kind = ChaosKind::kKillShard;
-  spec.chaos.seed = 11;
-  spec.heartbeat_timeout_ms = 300;
-  auto report = RunConformance(w.training, w.eval, spec);
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_TRUE(report->identical) << report->mismatch;
-  ASSERT_TRUE(report->ran_socket);
-  EXPECT_EQ(report->runtime.shard_recoveries, 1);
-  EXPECT_EQ(report->socket_runtime.shard_recoveries, 1);
-  EXPECT_EQ(report->socket_runtime.socket.decode_errors, 0);
-}
+// Chaos conformance (the recovery proof): a mid-run reshard or a severed
+// worker TCP link must leave the virtual-time detections bit-identical to
+// the healthy lockstep simulator — recovery that changes results is not
+// recovery.
 
 TEST(ChaosConformanceTest, ReshardMidRunBitIdentical) {
   // A new site->shard layout pushed at an epoch boundary mid-run: routing
@@ -784,31 +756,9 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
   }
 }
 
-// A virtual-time shard death is recovered by the root taking over the dead
-// shard's sites inline: the trace shows the death and no respawned thread.
-TEST(ChaosRuntimeTest, KillShardVirtualTracesDeathWithoutRespawn) {
-  Workload w = MakeSyntheticWorkload(21);
-  FptasSolver solver(0.05);
-  RuntimeOptions options;
-  options.solver = &solver;
-  options.global_threshold = PickThreshold(w, 0.02);
-  options.num_shards = 2;
-  options.chaos.kind = ChaosKind::kKillShard;
-  options.chaos.seed = 3;
-  options.heartbeat_timeout_ms = 300;
-  obs::TraceRecorder recorder(/*capacity=*/1 << 18);
-  options.recorder = &recorder;
-  auto result = RunMonitorRuntime(w.training, w.eval, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result->shard_recoveries, 1);
-  EXPECT_EQ(recorder.dropped(), 0);
-  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath), 1);
-  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn), 0);
-}
-
 // Chaos needs a detectable configuration: kill-shard without a heartbeat
-// window or with a 1-shard tree (no shard thread to kill) is rejected up
-// front.
+// window, with a 1-shard tree, or in virtual time (no shard thread to kill)
+// is rejected up front.
 TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   RuntimeOptions options;
   options.virtual_time = false;
@@ -831,6 +781,33 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
               std::string::npos)
         << result.status().message();
   }
+  // Virtual time runs no shard threads, from the runtime API and from the
+  // conformance harness alike.
+  options.virtual_time = true;
+  options.chaos.kind = ChaosKind::kKillShard;
+  auto result = RunSyntheticRuntime(4, 10, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(
+                "kill-shard chaos needs free-running time"),
+            std::string::npos)
+      << result.status().message();
+  Workload w = MakeSyntheticWorkload(21, /*num_sites=*/4,
+                                     /*train_epochs=*/100,
+                                     /*eval_epochs=*/100);
+  FptasSolver solver(0.1);
+  ConformanceSpec spec;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.num_shards = 2;
+  spec.chaos.kind = ChaosKind::kKillShard;
+  auto report = RunConformance(w.training, w.eval, spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find(
+                "kill-shard chaos needs free-running time"),
+            std::string::npos)
+      << report.status().message();
 }
 
 // The runtime's deployment plan must provision the same thresholds the

@@ -750,6 +750,69 @@ TEST(SocketTransportTest, CoordinatorDropsEnvelopesNotBoundForIt) {
   coordinator->Shutdown();
 }
 
+TEST(SocketTransportTest, OrderlyWorkerExitKeepsShardInboxesOpen) {
+  // Worker 1 exits in order: its last envelope, its final_flush telemetry
+  // frame, then a clean end of stream. That closes only its own worker box;
+  // the shard inbox stays open for worker 0's envelopes and the root's
+  // commands. Worker 0 then drops without a final flush, as a crashed
+  // worker does, and that closes the shard inbox.
+  auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/2,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  Status accept = OkStatus();
+  std::thread acceptor([&] { accept = coordinator->AcceptWorkers(); });
+  int fds[2] = {-1, -1};
+  for (int w = 0; w < 2; ++w) {
+    HelloFrame hello;
+    hello.worker = w;
+    hello.num_workers = 2;
+    hello.num_sites = 2;
+    fds[w] = DialRawHello(coordinator->port(), hello);
+    ASSERT_GE(fds[w], 0);
+    auto ack = ReadRawAck(fds[w]);
+    ASSERT_TRUE(ack.ok()) << ack.status().message();
+    ASSERT_EQ(ack->ok, 1);
+  }
+  acceptor.join();
+  ASSERT_TRUE(accept.ok()) << accept.message();
+
+  const Envelope done = ToCoordinator(1, ActorMsgKind::kSiteDone, 0, 7);
+  std::string bytes;
+  AppendEnvelopeBatchFrame(&done, 1, &bytes, /*seq=*/1);
+  TelemetryFrame final_flush;
+  final_flush.worker = 1;
+  final_flush.final_flush = 1;
+  ASSERT_TRUE(AppendTelemetryFrame(final_flush, &bytes).ok());
+  ASSERT_TRUE(SendRaw(fds[1], bytes));
+  ::shutdown(fds[1], SHUT_WR);
+  // The reader closes worker 1's box once it reaches the end of stream.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (coordinator->Send(ToSite(1, ActorMsgKind::kPollRequest, 0, 0)) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(coordinator->Send(ToSite(1, ActorMsgKind::kPollRequest, 0, 0)));
+  Envelope command = ToCoordinator(kCoordinatorId, ActorMsgKind::kPing, 0, 9);
+  EXPECT_TRUE(coordinator->SendToShard(0, command));
+  Envelope e;
+  ASSERT_TRUE(coordinator->RecvShard(0, &e));
+  EXPECT_EQ(e.msg.kind, ActorMsgKind::kSiteDone);
+  EXPECT_EQ(e.msg.value, 7);
+  ASSERT_TRUE(coordinator->RecvShard(0, &e));
+  EXPECT_EQ(e.msg.kind, ActorMsgKind::kPing);
+  EXPECT_EQ(coordinator->stats().disconnects, 0);
+
+  ::close(fds[0]);
+  std::vector<Envelope> rest;
+  bool timed_out = false;
+  EXPECT_EQ(coordinator->RecvShardAllFor(0, &rest, 5000, &timed_out), 0u);
+  EXPECT_FALSE(timed_out);
+  ::close(fds[1]);
+  coordinator->Shutdown();
+}
+
 TEST(SocketTransportTest, WorkerDropsEnvelopesForSitesItDoesNotOwn) {
   // Worker 0 of 2 owns sites 0 and 2. An envelope for site 1 (worker 1's)
   // or for the coordinator would sit in a box no thread drains: both count

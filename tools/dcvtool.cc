@@ -73,17 +73,21 @@
 //       onto K worker threads (default: one per core), each driving all
 //       of its sites from one flat structure-of-arrays loop with batched
 //       transport drains — how a million sites fit on one box. --shards S
-//       partitions the sites across S shard legs feeding a root
+//       partitions the sites across S shard inboxes feeding a root
 //       aggregator (two-level coordinator tree; S in [1, sites], default
-//       1 = one leg run inline on the coordinator's thread); virtual-time
-//       results are identical for every legal S.
+//       1). Free-running runs one shard leg per shard (S = 1: inline on
+//       the coordinator's thread); virtual time runs no shard threads, so
+//       there S only sets how replies are routed, and results are
+//       identical for every legal S.
 //       --transport socket makes this process the coordinator: it listens
 //       on --listen-port (0 = ephemeral; the bound port is printed as
 //       "listening-port: P"), waits for one `dcvtool site-worker` process
 //       per worker slot, and prints the wire stats as "socket: ...".
 //       --chaos injects one seed-resolved failure mid-run: kill-shard
-//       crashes a shard coordinator thread (the root detects the silence
-//       via --heartbeat-timeout-ms and recovers its sites), kill-worker
+//       crashes a shard coordinator thread (free-running only; the root
+//       detects the silence via --heartbeat-timeout-ms, default 1000 under
+//       kill-shard, and respawns the shard; the run prints
+//       "shard-recoveries:" and "recovery-ms:"), kill-worker
 //       severs a worker's TCP link (socket transport only; heals via the
 //       reconnect protocol), reshard pushes a new site->shard layout at an
 //       epoch boundary. Detection results must be unchanged — that is the
@@ -680,6 +684,11 @@ Status PrintRuntimeResult(const RuntimeResult& result, bool show_reliability,
   std::printf("updates: %lld\n", static_cast<long long>(result.total_updates));
   std::printf("elapsed-seconds: %.3f\n", result.elapsed_seconds);
   std::printf("updates-per-second: %.0f\n", result.updates_per_second);
+  if (result.shard_recoveries > 0) {
+    std::printf("shard-recoveries: %lld\n",
+                static_cast<long long>(result.shard_recoveries));
+    std::printf("recovery-ms: %.1f\n", result.recovery_ms);
+  }
   if (show_reliability) {
     std::printf("reliability: %s\n", result.reliability.ToString().c_str());
   }
@@ -957,7 +966,6 @@ Status RunRuntime(const ParsedFlags& flags) {
     spec.num_shards = options.num_shards;
     spec.transport = options.transport;
     spec.chaos = options.chaos;
-    spec.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
     DCV_ASSIGN_OR_RETURN(ConformanceReport report,
                          RunConformance(training, eval, spec));
     if (!quiet) {

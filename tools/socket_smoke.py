@@ -19,7 +19,10 @@ schema-validated via validate_metrics.py, and checked for worker-side
 counters (and, under --chaos kill-worker, for a counted
 runtime/socket/reconnects). With --trace-out the merged Chrome trace is
 written and checked for one lane per process (and, under --chaos
-kill-worker, for the worker_reconnect recovery instant event).
+kill-worker, for the worker_reconnect recovery instant event). Under
+--chaos kill-shard the socket run must report shard-recoveries >= 1, so a
+chaos run that never fired does not pass; kill-shard needs --free-running,
+the only mode with shard threads.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -204,6 +207,10 @@ def main():
             mismatches.append("  %s: socket=%r thread=%r"
                               % (key, socket_values.get(key),
                                  thread_values.get(key)))
+    if (args.chaos == "kill-shard"
+            and int(socket_values.get("shard-recoveries", "0")) < 1):
+        mismatches.append("  shard-recoveries: socket=%r, want >= 1"
+                          % socket_values.get("shard-recoveries"))
     if mismatches:
         sys.exit("socket run diverged from thread run:\n"
                  + "\n".join(mismatches)
