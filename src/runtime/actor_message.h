@@ -1,6 +1,7 @@
 #ifndef DCV_RUNTIME_ACTOR_MESSAGE_H_
 #define DCV_RUNTIME_ACTOR_MESSAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 
@@ -30,13 +31,17 @@ enum class ActorMsgKind : uint8_t {
   kEpochStart,   ///< Coordinator -> site: begin epoch; flag = site is up.
   kEpochReport,  ///< Site -> coordinator: epoch done; flag = local alarm
                  ///< (value = observed X_i when alarmed, else 0).
-  kShutdown,     ///< Coordinator -> site: drain and exit.
+  kShutdown,     ///< Coordinator -> site: drain and exit. A range
+                 ///< envelope: covers the sites CoveredEnd names.
   kSiteDone,     ///< Site -> coordinator: workload exhausted
                  ///< (value = updates processed).
   // Data plane (free-running mode; virtual mode batches these into the
   // epoch report / poll round).
   kAlarm,            ///< Site -> coordinator: local constraint violated.
   kPollRequest,      ///< Coordinator -> site: report your current value.
+                     ///< A range envelope, like kShutdown: one request
+                     ///< covers the sites CoveredEnd names, and each
+                     ///< covered site answers with its own kPollResponse.
   kPollResponse,     ///< Site -> coordinator: current value.
   kThresholdUpdate,  ///< Coordinator -> site: new local threshold (value).
   // Control plane, process-local only (never crosses the wire; the socket
@@ -60,6 +65,21 @@ struct Envelope {
   int32_t to = kCoordinatorId;
   ActorMessage msg;
 };
+
+/// The covering rule of the two coordinator -> site messages that carry
+/// nothing per site. A kPollRequest or kShutdown addressed to site `to`
+/// with `value` = e covers every site the receiving worker owns in
+/// [to, max(e, to + 1)); with e <= to it covers `to` alone, so a per-site
+/// envelope (value 0) keeps its meaning. Every other kind covers `to`
+/// alone. Returns the exclusive end of that range. It is not clamped to
+/// the fabric: a receiver caps it at num_sites, since `value` may come off
+/// the wire.
+inline int64_t CoveredEnd(const Envelope& e) {
+  const int64_t next = int64_t{e.to} + 1;
+  const bool ranged = e.msg.kind == ActorMsgKind::kPollRequest ||
+                      e.msg.kind == ActorMsgKind::kShutdown;
+  return ranged ? std::max(e.msg.value, next) : next;
+}
 
 }  // namespace dcv
 

@@ -93,6 +93,41 @@ inline const char* ChaosKindName(ChaosKind kind) {
   return "unknown";
 }
 
+/// Whether `chaos` can fire in a run of this shape. The runtime checks it
+/// before it builds any transport, so a socket run fails before it waits
+/// for its workers. Kill-shard and reshard need a shard tree (num_shards
+/// >= 2). Kill-shard kills a shard thread, which only free-running time
+/// runs, and needs heartbeat_timeout_ms > 0 for the root to notice the
+/// death; reshard and kill-worker fire at an epoch boundary, which only
+/// virtual time has.
+inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
+                             bool virtual_time, int heartbeat_timeout_ms) {
+  const std::string name = ChaosKindName(chaos.kind);
+  if ((chaos.kind == ChaosKind::kKillShard ||
+       chaos.kind == ChaosKind::kReshard) &&
+      num_shards < 2) {
+    return InvalidArgumentError(
+        name + " chaos needs a sharded coordinator (num_shards >= 2)");
+  }
+  if (chaos.kind == ChaosKind::kKillShard && virtual_time) {
+    return InvalidArgumentError(
+        "kill-shard chaos needs free-running time: a virtual run has no "
+        "shard thread to kill");
+  }
+  if (chaos.kind == ChaosKind::kKillShard && heartbeat_timeout_ms <= 0) {
+    return InvalidArgumentError(
+        "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
+        "detect the death");
+  }
+  if ((chaos.kind == ChaosKind::kReshard ||
+       chaos.kind == ChaosKind::kKillWorker) &&
+      !virtual_time) {
+    return InvalidArgumentError(
+        name + " chaos needs virtual time: a free-running run never fires it");
+  }
+  return OkStatus();
+}
+
 /// Parses the `--chaos` flag values; "none" (or empty) disables chaos.
 inline Result<ChaosKind> ParseChaosKind(std::string_view text) {
   if (text.empty() || text == "none") {

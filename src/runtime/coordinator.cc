@@ -82,13 +82,6 @@ Status CoordinatorActor::Init() {
   }
   DCV_RETURN_IF_ERROR(
       MakeShardLayout(config_.num_sites, config_.num_shards).status());
-  if ((config_.chaos.kind == ChaosKind::kKillShard ||
-       config_.chaos.kind == ChaosKind::kReshard) &&
-      config_.num_shards < 2) {
-    return InvalidArgumentError(
-        std::string(ChaosKindName(config_.chaos.kind)) +
-        " chaos needs a sharded coordinator (num_shards >= 2)");
-  }
   if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
     if (static_cast<int>(config_.thresholds.size()) != config_.num_sites) {
       return InvalidArgumentError("thresholds size mismatch");
@@ -249,24 +242,14 @@ class CoordinatorActor::VirtualRun {
 
   Status Poll(int64_t t) {
     DCV_OBS_COUNT(actor_.polls_, 1);
-    FanOutToAll(ActorMsgKind::kPollRequest, t);
+    FanOutRange(ActorMsgKind::kPollRequest, t, 0, config_.num_sites,
+                transport_->num_workers(), &fanout_);
     DCV_RETURN_IF_ERROR(Exchange(ActorMsgKind::kPollResponse, t, "poll round",
                                  /*alarmed_only=*/false));
     for (const auto& [site, value] : entries_) {
       poll_values_[static_cast<size_t>(site)] = value;
     }
     return OkStatus();
-  }
-
-  /// Replaces `fanout_` with one `kind` message per site, ascending.
-  void FanOutToAll(ActorMsgKind kind, int64_t t) {
-    ActorMessage msg;
-    msg.kind = kind;
-    msg.epoch = t;
-    fanout_.clear();
-    for (int i = 0; i < config_.num_sites; ++i) {
-      fanout_.push_back(Envelope{kCoordinatorId, i, msg});
-    }
   }
 
   /// Sends `fanout_` in one batch, then takes every shard's replies from
@@ -286,12 +269,13 @@ class CoordinatorActor::VirtualRun {
     return OkStatus();
   }
 
-  /// On success every site gets its shutdown; on failure the transport
-  /// closes instead.
+  /// On success every worker gets one range shutdown covering its sites;
+  /// on failure the transport closes instead.
   Status Finish(Status status) {
     if (status.ok()) {
       // A closed transport means the sites are already gone.
-      FanOutToAll(ActorMsgKind::kShutdown, /*t=*/0);
+      FanOutRange(ActorMsgKind::kShutdown, /*epoch=*/0, 0, config_.num_sites,
+                  transport_->num_workers(), &fanout_);
       (void)transport_->SendBatch(fanout_);
     } else {
       transport_->Shutdown();
@@ -329,11 +313,6 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
   out->epochs = num_epochs;
   out->detections.clear();
   out->detections.reserve(static_cast<size_t>(num_epochs));
-  if (config_.chaos.kind == ChaosKind::kKillShard) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs free-running time: a virtual run has no "
-        "shard thread to kill");
-  }
   VirtualRun run(this, transport, num_epochs, out);
   return run.Run();
 }
@@ -746,19 +725,6 @@ class CoordinatorActor::FreeRun {
 Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   out->protocol = ProtocolName(config_.protocol);
   out->mode = "free-running";
-  if (config_.chaos.kind == ChaosKind::kReshard ||
-      config_.chaos.kind == ChaosKind::kKillWorker) {
-    // Both fire at an epoch boundary, which only virtual time has.
-    return InvalidArgumentError(
-        std::string(ChaosKindName(config_.chaos.kind)) +
-        " chaos needs virtual time: a free-running run never fires it");
-  }
-  if (config_.chaos.kind == ChaosKind::kKillShard &&
-      config_.heartbeat_timeout_ms <= 0) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
-        "detect the death");
-  }
   FreeRun run(this, transport, out);
   return run.Run();
 }

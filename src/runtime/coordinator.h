@@ -64,7 +64,10 @@ class CoordinatorActor {
 
     /// Chaos injection (chaos.h) at a seed-resolved point: kill a shard
     /// (free-running only), or sever a worker link or push a reshard
-    /// (virtual only). kNone = healthy run.
+    /// (virtual only). kNone = healthy run. The coordinator does not
+    /// check that the chaos fits the run: the caller does, with
+    /// CheckChaosFits, before it builds the transport (the runtime's
+    /// launcher does).
     ChaosSpec chaos;
     /// Free-running shard threads (k >= 2): how long the root waits for
     /// shard traffic before it kPing-probes the shards and respawns the
@@ -84,13 +87,14 @@ class CoordinatorActor {
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
   /// sites (epoch barrier via kEpochStart / kEpochReport), then shuts
   /// the sites down. Fills `out`'s detections, messages, and reliability.
-  /// Rejects kill-shard chaos with InvalidArgument: there is no shard
-  /// thread to kill.
+  /// Each poll round and the shutdown fan out one range envelope per
+  /// worker (FanOutRange); replies stay one per site.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
   /// Free-running mode: serves alarms and poll rounds in arrival order
-  /// until every site reports kSiteDone, then shuts the sites down. Epoch
+  /// until every site reports kSiteDone, then shuts the sites down (each
+  /// leg's poll rounds and shutdown are range fan-outs, as above). Epoch
   /// semantics degrade to a watermark (the highest site-local update index
   /// seen), so fault windows still engage, but no per-epoch determinism is
   /// claimed.

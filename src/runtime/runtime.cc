@@ -233,6 +233,9 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
                              int64_t updates_per_site,
                              const LaunchPlan& plan,
                              const RuntimeOptions& options) {
+  DCV_RETURN_IF_ERROR(CheckChaosFits(options.chaos, options.num_shards,
+                                     options.virtual_time,
+                                     options.heartbeat_timeout_ms));
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
   }

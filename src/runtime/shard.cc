@@ -21,27 +21,6 @@ std::vector<int64_t> Slice(const std::vector<int64_t>& v, int start, int size) {
   return std::vector<int64_t>(v.begin() + start, v.begin() + start + size);
 }
 
-/// Replaces `fanout` with `msg` addressed to every site in
-/// [first_site, first_site + num_sites), in ascending order.
-void FanOut(int first_site, int num_sites, const ActorMessage& msg,
-            std::vector<Envelope>* fanout) {
-  fanout->clear();
-  fanout->reserve(static_cast<size_t>(num_sites));
-  for (int i = 0; i < num_sites; ++i) {
-    fanout->push_back(Envelope{kCoordinatorId, first_site + i, msg});
-  }
-}
-
-/// Forwards kShutdown to every site in range; a closed transport means the
-/// sites are already gone.
-void ShutdownSites(Transport* transport, int first_site, int num_sites) {
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> fanout;
-  FanOut(first_site, num_sites, shutdown, &fanout);
-  transport->SendBatch(fanout);
-}
-
 }  // namespace
 
 FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
@@ -132,11 +111,9 @@ bool ShardFreeLeg::StartPoll() {
   // predecessor's stale responses can share this inbox with the fresh ones
   // in any order, and must not resolve this round early.
   poll_id_ = PollRoundId(ctx_.incarnation, ++poll_round_);
-  ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = poll_id_;
-  FanOut(start_, size_, request, &poll_fanout_);
-  if (!ctx_.transport->SendBatch(poll_fanout_)) {
+  FanOutRange(ActorMsgKind::kPollRequest, poll_id_, start_, start_ + size_,
+              ctx_.transport->num_workers(), &fanout_);
+  if (!ctx_.transport->SendBatch(fanout_)) {
     return false;
   }
   std::fill(poll_values_.begin(), poll_values_.end(), 0);
@@ -170,7 +147,10 @@ void ShardFreeLeg::Stop(Status status, std::vector<RootMsg>* out) {
     return;
   }
   running_ = false;
-  ShutdownSites(ctx_.transport, start_, size_);
+  // A closed transport means the sites are already gone.
+  FanOutRange(ActorMsgKind::kShutdown, /*epoch=*/0, start_, start_ + size_,
+              ctx_.transport->num_workers(), &fanout_);
+  (void)ctx_.transport->SendBatch(fanout_);
   RootMsg& exit = out->emplace_back();
   exit.kind = RootMsg::Kind::kShardExit;
   exit.shard = ctx_.shard;

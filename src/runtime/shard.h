@@ -33,6 +33,8 @@ namespace dcv {
 /// and aggregates the leg locally — partial weighted SUM plus MIN/MAX — so
 /// the root combines k partials without ever materializing per-site
 /// values: O(num_shards) root messages per round instead of O(num_sites).
+/// A leg's fan-out is one range request per worker (FanOutRange), so a
+/// round costs O(workers) envelopes out and O(sites) replies back.
 /// With k >= 2 every leg runs on its own shard thread; a 1-shard tree's
 /// root steps its single leg inline. No per-epoch determinism is claimed
 /// in this mode.
@@ -154,8 +156,9 @@ class ShardFreeLeg {
   size_t StepBatch(const std::vector<Envelope>& batch, size_t begin,
                    std::vector<RootMsg>* out);
 
-  /// Stops the leg: forwards kShutdown to its sites and appends the
-  /// kShardExit (final accounting plus `status`). No-op once stopped.
+  /// Stops the leg: sends one range kShutdown per worker covering its
+  /// sites and appends the kShardExit (final accounting plus `status`).
+  /// No-op once stopped.
   void Stop(Status status, std::vector<RootMsg>* out);
 
   bool running() const { return running_; }
@@ -167,8 +170,9 @@ class ShardFreeLeg {
   }
 
  private:
-  /// Fans one poll request out to every owned site; false = transport
-  /// closed.
+  /// Fans one range poll request out to each worker with a site in the
+  /// shard (FanOutRange); every owned site still answers on its own.
+  /// False = transport closed.
   bool StartPoll();
   /// A root command: kPollRequest, kPing or kShutdown.
   void OnCommand(const ActorMessage& cmd, std::vector<RootMsg>* out);
@@ -192,7 +196,7 @@ class ShardFreeLeg {
   int poll_pending_ = 0;
   bool notice_sent_ = false;  ///< Collapse alarms into one notice per round.
   std::vector<int64_t> poll_values_;
-  std::vector<Envelope> poll_fanout_;
+  std::vector<Envelope> fanout_;  ///< The last range fan-out (FanOutRange).
   int64_t alarms_ = 0;
   bool running_ = true;
 };

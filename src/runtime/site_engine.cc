@@ -1,5 +1,6 @@
 #include "runtime/site_engine.h"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 #include <thread>
@@ -73,6 +74,16 @@ int SiteEngine::SlotOf(int32_t site) const {
   }
   const int slot = site / config_.num_workers;
   return slot < static_cast<int>(num_slots()) ? slot : -1;
+}
+
+size_t SiteEngine::CoveredSlotEnd(const Envelope& e) const {
+  // Owned sites are worker + slot * W; the ones below the covered end,
+  // capped at the fabric (the end may come off the wire), are the slots
+  // below ceil((end - worker) / W). `e.to` is owned, so end > worker.
+  const int64_t end = std::min<int64_t>(CoveredEnd(e), config_.num_sites);
+  const int64_t w = config_.num_workers;
+  return std::min(num_slots(),
+                  static_cast<size_t>((end - config_.worker + w - 1) / w));
 }
 
 int64_t SiteEngine::workload_size(size_t slot) const {
@@ -178,13 +189,18 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         break;
       }
       case ActorMsgKind::kPollRequest:
-        reply(slot, ActorMsgKind::kPollResponse, env.msg.epoch, values_[slot]);
+        for (size_t s = slot, end = CoveredSlotEnd(env); s < end; ++s) {
+          reply(s, ActorMsgKind::kPollResponse, env.msg.epoch, values_[s]);
+        }
         break;
       case ActorMsgKind::kThresholdUpdate:
         thresholds_[slot] = env.msg.value;
         break;
       case ActorMsgKind::kShutdown:
-        --shutdowns_pending;
+        // Saturating: a second stop for a site (a respawned leg's twin)
+        // must not wrap the count.
+        shutdowns_pending -=
+            std::min(shutdowns_pending, CoveredSlotEnd(env) - slot);
         break;
       default:
         break;

@@ -116,8 +116,10 @@ class SiteEngine {
 
   /// Virtual time: no slot drives itself. The engine blocks on its own
   /// inbox and observes a slot only on its kEpochStart, so the
-  /// coordinator's epoch barrier paces every site. Exits when every owned
-  /// site received kShutdown or the fabric closed.
+  /// coordinator's epoch barrier paces every site. A kPollRequest or
+  /// kShutdown addressed to an owned site covers a range (CoveredEnd): each
+  /// covered slot answers the poll, or counts as shut down. Exits when
+  /// every owned site was covered by a kShutdown or the fabric closed.
   void RunVirtual(Transport* transport);
 
   /// Free running: every slot drives itself, one update per live slot per
@@ -141,6 +143,11 @@ class SiteEngine {
   /// Dense slot of a site-addressed envelope; -1 when the site is out of
   /// range or not owned by this worker (such envelopes are dropped).
   int SlotOf(int32_t site) const;
+
+  /// One past the last slot a range envelope covers (CoveredEnd), for an
+  /// `e` addressed to an owned site: its owned sites below the covered end,
+  /// capped at num_sites. A per-site envelope covers its own slot alone.
+  size_t CoveredSlotEnd(const Envelope& e) const;
 
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);

@@ -1,5 +1,6 @@
 #include "runtime/transport.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace dcv {
@@ -26,6 +27,16 @@ std::string_view ActorMsgKindName(ActorMsgKind kind) {
       return "ping";
   }
   return "unknown";
+}
+
+void FanOutRange(ActorMsgKind kind, int64_t epoch, int first, int end,
+                 int num_workers, std::vector<Envelope>* out) {
+  Envelope e{kCoordinatorId, first, ActorMessage{kind, epoch, end, false}};
+  const int64_t last = std::min(CoveredEnd(e), int64_t{first} + num_workers);
+  out->clear();
+  for (; e.to < last; ++e.to) {
+    out->push_back(e);
+  }
 }
 
 Result<std::unique_ptr<ThreadTransport>> ThreadTransport::Create(

@@ -190,6 +190,17 @@ class Transport {
   }
 };
 
+/// The one fan-out of a range message (kPollRequest or kShutdown, see
+/// CoveredEnd) over the sites [first, end), first < end: replaces `out`
+/// with a `kind` message stamped `epoch` to each of the first
+/// min(num_workers, end - first) sites of the range, each with value =
+/// end. Sites are dealt to workers round-robin (WorkerOf), so those are
+/// the first owned sites of as many distinct workers, and each envelope
+/// covers every site its worker owns in the range: a poll or shutdown
+/// fan-out is O(workers) envelopes, not O(sites).
+void FanOutRange(ActorMsgKind kind, int64_t epoch, int first, int end,
+                 int num_workers, std::vector<Envelope>* out);
+
 /// Auto mailbox capacities, the DESIGN §8 deadlock-freedom invariant. A
 /// coordinator (shard) inbox fed by `sites` sites holds an epoch's at most
 /// 2 messages per site (report + poll response) plus root commands.
@@ -198,7 +209,9 @@ inline size_t CoordinatorInboxCapacity(int sites) {
 }
 
 /// A worker inbox serves ceil(sites / workers) sites, each with at most one
-/// epoch start, poll request, threshold update and shutdown in flight.
+/// epoch start and threshold update in flight, plus at most one range poll
+/// request and one range shutdown per leg (one per worker, FanOutRange);
+/// the per-site bound of 4 covers those with room to spare.
 inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
   const size_t per_worker =
       (static_cast<size_t>(num_sites) + static_cast<size_t>(num_workers) - 1) /
@@ -217,9 +230,9 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
 /// with blocking sends:
 ///
 ///  * the coordinator tree never blocks on a worker inbox: at most one
-///    epoch start, one poll request, one threshold update, and one
-///    shutdown can be in flight per owned site, and worker capacity covers
-///    that;
+///    epoch start and one threshold update per owned site, and one range
+///    poll request and one range shutdown per leg, can be in flight, and
+///    worker capacity covers that;
 ///  * a sender may block pushing into a shard inbox (a socket reader's
 ///    SendBatch; an engine never blocks, it retries TrySendBatch), but
 ///    every shard coordinator is always in its receive loop, so the box

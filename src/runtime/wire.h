@@ -55,8 +55,15 @@ namespace dcv {
 // Version 5 removes the single-envelope frame (type 0, now an unknown
 // type): a lone envelope travels as a kEnvelopeBatch of one, 4 bytes more.
 // A v4 peer fails at the hello on the version byte.
+//
+// Version 6 keeps every layout and changes one meaning: a kPollRequest or
+// kShutdown envelope is a range (CoveredEnd in actor_message.h). Its
+// `value` is the end of the site range it covers on the receiving worker,
+// so a poll round or a shutdown sends one envelope per worker instead of
+// one per site. A v5 worker would answer one site per request and hang
+// the round; the version byte makes it fail at the hello instead.
 
-inline constexpr uint8_t kWireVersion = 5;
+inline constexpr uint8_t kWireVersion = 6;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.

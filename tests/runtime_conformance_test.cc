@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -381,9 +382,16 @@ TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
   }
 }
 
+/// One past the last site `e` covers on a one-worker fabric of `sites`
+/// sites (CoveredEnd, capped at the fabric).
+int CoveredSiteEnd(const Envelope& e, int sites) {
+  return static_cast<int>(std::min<int64_t>(CoveredEnd(e), sites));
+}
+
 // A scripted fabric for one coordinator inbox: it raises one alarm, answers
-// each poll round at once (site i reports i + 1) and raises the next alarm,
-// and after `rounds` rounds reports every site done. Its shard-command path
+// each poll round at once (every site a request covers, site i reporting
+// i + 1) and raises the next alarm, and after `rounds` rounds reports every
+// site done. It counts every site a shutdown covers. Its shard-command path
 // is dead — SendToShard and TrySendToShard refuse everything — so the
 // coordinator can only get through if it hands its commands to the leg
 // directly.
@@ -402,18 +410,20 @@ class InlinePollScript : public Transport {
   bool SendBatch(const std::vector<Envelope>& batch) override {
     for (const Envelope& e : batch) {
       if (e.msg.kind == ActorMsgKind::kShutdown) {
-        ++shutdowns_;
+        shutdowns_ += CoveredSiteEnd(e, sites_) - e.to;
       }
     }
     if (batch.empty() || batch[0].msg.kind != ActorMsgKind::kPollRequest) {
       return true;
     }
     for (const Envelope& e : batch) {
-      ActorMessage m;
-      m.kind = ActorMsgKind::kPollResponse;
-      m.epoch = e.msg.epoch;
-      m.value = e.to + 1;
-      inbox_.push_back(Envelope{e.to, kCoordinatorId, m});
+      for (int site = e.to; site < CoveredSiteEnd(e, sites_); ++site) {
+        ActorMessage m;
+        m.kind = ActorMsgKind::kPollResponse;
+        m.epoch = e.msg.epoch;
+        m.value = site + 1;
+        inbox_.push_back(Envelope{site, kCoordinatorId, m});
+      }
     }
     if (++round_ < rounds_) {
       inbox_.push_back(Alarm(round_ % sites_));
@@ -507,7 +517,7 @@ TEST(ShardedRuntimeTest, RejectsBadShardCounts) {
 // inboxes. Sites answer kEpochStart with a correct kEpochReport (site 0
 // alarms on odd epochs) and kPollRequest with a kPollResponse, except in
 // `bad_shard`'s inbox, which answers kEpochStart with a kPollResponse that
-// the exchange must reject. Replies are queued before SendBatch returns, so
+// the exchange must reject. Every site a request covers answers. Replies are queued before SendBatch returns, so
 // a receive always finds them. Its shard-command path is dead —
 // SendToShard and TrySendToShard refuse everything — and it records the
 // thread of every RecvShardAll.
@@ -527,22 +537,25 @@ class EpochBarrierScript : public Transport {
   bool SendBatch(const std::vector<Envelope>& batch) override {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Envelope& e : batch) {
-      const int shard = layout_.ShardOf(e.to);
-      ActorMessage reply;
-      reply.epoch = e.msg.epoch;
-      if (e.msg.kind == ActorMsgKind::kEpochStart) {
-        reply.kind = shard == bad_shard_ ? ActorMsgKind::kPollResponse
-                                         : ActorMsgKind::kEpochReport;
-        reply.flag = e.to == 0 && e.msg.epoch % 2 == 1;
-        reply.value = reply.flag ? 1'000 : 1;
-      } else if (e.msg.kind == ActorMsgKind::kPollRequest) {
-        reply.kind = ActorMsgKind::kPollResponse;
-        reply.value = e.to + 1;
-      } else {
-        continue;
+      for (int site = e.to; site < CoveredSiteEnd(e, layout_.num_sites);
+           ++site) {
+        const int shard = layout_.ShardOf(site);
+        ActorMessage reply;
+        reply.epoch = e.msg.epoch;
+        if (e.msg.kind == ActorMsgKind::kEpochStart) {
+          reply.kind = shard == bad_shard_ ? ActorMsgKind::kPollResponse
+                                           : ActorMsgKind::kEpochReport;
+          reply.flag = site == 0 && e.msg.epoch % 2 == 1;
+          reply.value = reply.flag ? 1'000 : 1;
+        } else if (e.msg.kind == ActorMsgKind::kPollRequest) {
+          reply.kind = ActorMsgKind::kPollResponse;
+          reply.value = site + 1;
+        } else {
+          continue;
+        }
+        inboxes_[static_cast<size_t>(shard)].push_back(
+            Envelope{site, kCoordinatorId, reply});
       }
-      inboxes_[static_cast<size_t>(shard)].push_back(
-          Envelope{e.to, kCoordinatorId, reply});
     }
     return true;
   }

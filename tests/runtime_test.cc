@@ -7,6 +7,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -472,6 +473,24 @@ TEST(ThreadTransportTest, BlockedSendBatchResumesOnDrainAndFailsOnShutdown) {
 
 // --- Free shard leg: poll-round ids ----------------------------------------
 
+/// The sites `envs` cover on `t` (each envelope's worker's sites below its
+/// CoveredEnd), ascending.
+std::vector<int> CoveredSites(const Transport& t,
+                              const std::vector<Envelope>& envs) {
+  std::vector<int> covered;
+  for (const Envelope& e : envs) {
+    const int end =
+        static_cast<int>(std::min<int64_t>(CoveredEnd(e), t.num_sites()));
+    for (int site = e.to; site < end; ++site) {
+      if (t.WorkerOf(site) == t.WorkerOf(e.to)) {
+        covered.push_back(site);
+      }
+    }
+  }
+  std::sort(covered.begin(), covered.end());
+  return covered;
+}
+
 TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   // A respawned leg (incarnation 1) shares its inbox with the responses
   // its dead predecessor's round left behind. Lanes deliver those in any
@@ -504,7 +523,9 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   std::vector<Envelope> requests;
   t.TryRecvWorkerAll(0, &requests);
   t.TryRecvWorkerAll(1, &requests);
-  ASSERT_EQ(requests.size(), static_cast<size_t>(kSites));
+  // One range request per worker, covering exactly the shard's sites.
+  ASSERT_EQ(requests.size(), static_cast<size_t>(t.num_workers()));
+  EXPECT_EQ(CoveredSites(t, requests), (std::vector<int>{0, 1, 2, 3}));
   const int64_t id = requests[0].msg.epoch;
   for (const Envelope& r : requests) {
     EXPECT_EQ(r.msg.epoch, id);
@@ -533,6 +554,74 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   EXPECT_EQ(out[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
   EXPECT_EQ(out[0].partial_min, 10);
   EXPECT_EQ(out[0].partial_max, 40);
+}
+
+// A leg's poll round and its stop are range fan-outs: one envelope to each
+// worker that owns a site of the shard, none to a worker that owns none
+// (a one-site shard under three workers reaches one), and together they
+// cover exactly the shard's sites.
+TEST(ShardFreeLegTest, RangeFanOutReachesOnlyWorkersWithSitesInItsShard) {
+  struct Shape {
+    int sites, shards, workers;
+  };
+  for (const Shape& shape : {Shape{7, 3, 2}, Shape{4, 3, 3}}) {
+    auto transport = ThreadTransport::Create(shape.sites, shape.workers, 0, 0,
+                                             shape.shards);
+    ASSERT_TRUE(transport.ok());
+    Transport& t = **transport;
+    const ShardLayout layout = *MakeShardLayout(shape.sites, shape.shards);
+    CoordinatorActor::Config config;
+    config.num_sites = shape.sites;
+    config.weights.assign(static_cast<size_t>(shape.sites), 1);
+    config.protocol = RuntimeProtocol::kPolling;
+    for (int shard = 0; shard < shape.shards; ++shard) {
+      SCOPED_TRACE(testing::Message()
+                   << shape.sites << " sites / " << shape.shards
+                   << " shards / " << shape.workers << " workers, shard "
+                   << shard);
+      const int first = layout.ShardStart(shard);
+      const int end = first + layout.ShardSize(shard);
+      Mailbox<RootMsg> to_root(16);
+      ShardContext ctx;
+      ctx.shard = shard;
+      ctx.layout = layout;
+      ctx.config = &config;
+      ctx.transport = &t;
+      ctx.to_root = &to_root;
+      ShardFreeLeg leg(std::move(ctx));
+      std::vector<RootMsg> out;
+      leg.Start(&out);
+      std::vector<int> want(static_cast<size_t>(end - first));
+      std::iota(want.begin(), want.end(), first);
+      // Checks one fan-out of `kind` and returns how many envelopes it had.
+      auto check = [&](ActorMsgKind kind) {
+        std::vector<Envelope> all;
+        for (int w = 0; w < shape.workers; ++w) {
+          std::vector<Envelope> got;
+          t.TryRecvWorkerAll(w, &got);
+          bool owns = false;
+          for (int site = first; site < end; ++site) {
+            owns |= t.WorkerOf(site) == w;
+          }
+          EXPECT_EQ(got.size(), owns ? 1u : 0u) << "worker " << w;
+          all.insert(all.end(), got.begin(), got.end());
+        }
+        for (const Envelope& e : all) {
+          EXPECT_EQ(e.msg.kind, kind);
+        }
+        EXPECT_EQ(CoveredSites(t, all), want);
+        return all.size();
+      };
+      ActorMessage kick;
+      kick.kind = ActorMsgKind::kPollRequest;
+      leg.Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
+      EXPECT_EQ(check(ActorMsgKind::kPollRequest),
+                static_cast<size_t>(std::min(end - first, shape.workers)));
+      leg.Stop(OkStatus(), &out);
+      EXPECT_EQ(check(ActorMsgKind::kShutdown),
+                static_cast<size_t>(std::min(end - first, shape.workers)));
+    }
+  }
 }
 
 // --- Free shard leg: site-done runs -----------------------------------------

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -295,6 +299,162 @@ TEST(SiteEngineTest, EpochStartOutsideColumnIsDropped) {
   EXPECT_TRUE(replies[0].msg.flag);
   EXPECT_EQ(replies[0].msg.value, 30);
   EXPECT_EQ(engine.updates_processed()[0], 1);
+}
+
+Envelope ToRange(int site, ActorMsgKind kind, int64_t epoch, int64_t end) {
+  Envelope e = ToSite(site, kind, epoch);
+  e.msg.value = end;
+  return e;
+}
+
+/// Worker 0 of 3 over 10 sites: it owns sites 0, 3, 6 and 9, whose one-
+/// epoch columns hold 10, 20, 30 and 40. On a one-worker fabric every
+/// envelope lands in its box, owned or not.
+SiteEngine::Config RangeEngineConfig() {
+  SiteEngine::Config cfg;
+  cfg.num_workers = 3;
+  cfg.num_sites = 10;
+  cfg.thresholds.assign(4, std::numeric_limits<int64_t>::max());
+  cfg.series = {{10}, {20}, {30}, {40}};
+  return cfg;
+}
+
+/// Takes `n` replies off shard 0's inbox (waiting at most 5 s for each
+/// burst) and returns the poll responses: epoch -> (site, value) in
+/// arrival order. `*count` gets how many replies of any kind arrived.
+std::map<int64_t, std::vector<std::pair<int, int64_t>>> TakeAnswers(
+    Transport* t, size_t n, size_t* count) {
+  std::vector<Envelope> replies;
+  bool timed_out = false;
+  while (replies.size() < n && !timed_out) {
+    t->RecvShardAllFor(0, &replies, 5000, &timed_out);
+  }
+  std::map<int64_t, std::vector<std::pair<int, int64_t>>> answers;
+  for (const Envelope& e : replies) {
+    if (e.msg.kind == ActorMsgKind::kPollResponse) {
+      answers[e.msg.epoch].emplace_back(e.from, e.msg.value);
+    }
+  }
+  *count = replies.size();
+  return answers;
+}
+
+// A range poll answers each owned site of its range exactly once, with that
+// site's value, and an end at or below `to` covers `to` alone. A range
+// shutdown counts every slot it covers: the engine keeps serving after two
+// of its four slots were shut down, and exits once the other two are.
+TEST(SiteEngineTest, RangePollAndShutdownCoverEachOwnedSiteOnce) {
+  auto transport = ThreadTransport::Create(10, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport* t = transport->get();
+  SiteEngine engine(RangeEngineConfig());
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    engine.RunVirtual(t);
+    done = true;
+  });
+  std::vector<Envelope> first;
+  for (int site : {0, 3, 6, 9}) {
+    first.push_back(ToSite(site, ActorMsgKind::kEpochStart));
+  }
+  first.push_back(ToRange(0, ActorMsgKind::kPollRequest, 1, 10));
+  first.push_back(ToRange(3, ActorMsgKind::kPollRequest, 2, 7));
+  first.push_back(ToRange(3, ActorMsgKind::kPollRequest, 3, 3));
+  first.push_back(ToRange(0, ActorMsgKind::kShutdown, 0, 4));  // 0 and 3.
+  ASSERT_TRUE(t->SendBatch(first));
+  size_t count = 0;
+  using Answers = std::map<int64_t, std::vector<std::pair<int, int64_t>>>;
+  EXPECT_EQ(TakeAnswers(t, 11, &count),
+            (Answers{{1, {{0, 10}, {3, 20}, {6, 30}, {9, 40}}},
+                     {2, {{3, 20}, {6, 30}}},
+                     {3, {{3, 20}}}}));
+  EXPECT_EQ(count, 11u);  // With the four epoch reports.
+
+  ASSERT_TRUE(t->Send(ToSite(9, ActorMsgKind::kPollRequest, 4)));
+  EXPECT_EQ(TakeAnswers(t, 1, &count), (Answers{{4, {{9, 40}}}}));
+  EXPECT_FALSE(done);
+  ASSERT_TRUE(t->Send(ToRange(6, ActorMsgKind::kShutdown, 0, 10)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(done) << "a shutdown covering the last two slots left the "
+                       "engine running";
+  t->Shutdown();
+  worker.join();
+}
+
+// A range addressed to a site the worker does not own is dropped whole, as
+// a per-site envelope for such a site is: it neither answers nor shuts
+// down any slot.
+TEST(SiteEngineTest, RangeToAnUnownedSiteIsDropped) {
+  auto transport = ThreadTransport::Create(10, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport* t = transport->get();
+  SiteEngine engine(RangeEngineConfig());
+  ASSERT_TRUE(t->SendBatch({ToRange(1, ActorMsgKind::kPollRequest, 1, 10),
+                            ToRange(2, ActorMsgKind::kShutdown, 0, 10),
+                            ToRange(0, ActorMsgKind::kPollRequest, 2, 1),
+                            ToRange(0, ActorMsgKind::kShutdown, 0, 10)}));
+  engine.RunVirtual(t);  // Returns on the last shutdown, which covers all.
+  std::vector<Envelope> replies;
+  Envelope e;
+  while (t->TryRecvShard(0, &e)) {
+    replies.push_back(e);
+  }
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].from, 0);
+  EXPECT_EQ(replies[0].msg.kind, ActorMsgKind::kPollResponse);
+  EXPECT_EQ(replies[0].msg.epoch, 2);
+}
+
+// Uneven layouts: shards whose sizes differ and are not multiples of the
+// worker count, and a one-site shard under three workers, whose range
+// fan-out reaches one worker. A free run still drains every update, and a
+// virtual run still matches lockstep.
+TEST(SiteEngineFreeTest, UnevenLayoutsDrainEveryUpdate) {
+  struct Shape {
+    int sites, shards, workers;
+  };
+  for (const Shape& shape : {Shape{7, 3, 2}, Shape{4, 3, 3}}) {
+    SCOPED_TRACE(testing::Message() << shape.sites << " sites / "
+                                    << shape.shards << " shards / "
+                                    << shape.workers << " workers");
+    RuntimeOptions options;
+    options.virtual_time = false;
+    options.num_workers = shape.workers;
+    options.num_shards = shape.shards;
+    options.seed = 17;
+    options.synthetic_max = 1000;
+    options.global_threshold = static_cast<int64_t>(shape.sites) * 1000;
+    options.thresholds.assign(static_cast<size_t>(shape.sites), 900);
+    options.domain_max.assign(static_cast<size_t>(shape.sites), 1000);
+    auto result = RunSyntheticRuntime(shape.sites, 2000, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->total_updates, shape.sites * 2000);
+    for (int64_t u : result->site_updates) {
+      EXPECT_EQ(u, 2000);
+    }
+    EXPECT_GT(result->polled_epochs, 0);
+  }
+}
+
+TEST(SiteEngineConformanceTest, UnevenLayoutsMatchLockstep) {
+  FptasSolver solver(0.05);
+  for (const auto& [sites, shards, workers] :
+       {std::tuple{7, 3, 2}, std::tuple{4, 3, 3}}) {
+    SCOPED_TRACE(testing::Message() << sites << " sites / " << shards
+                                    << " shards / " << workers << " workers");
+    Workload w = MakeWorkload(239, sites);
+    ConformanceSpec spec;
+    spec.protocol = RuntimeProtocol::kLocalThreshold;
+    spec.solver = &solver;
+    spec.global_threshold = PickThreshold(w, 0.02);
+    spec.num_workers = workers;
+    spec.num_shards = shards;
+    ExpectMatchesLockstep(w, spec);
+  }
 }
 
 // A virtual engine never blocks on a send: with one envelope per shard

@@ -8,12 +8,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "runtime/site_engine.h"
 
 namespace dcv {
 namespace {
@@ -77,9 +81,9 @@ bool SendRaw(int fd, const std::string& bytes) {
          static_cast<ssize_t>(bytes.size());
 }
 
-/// Dials the coordinator on loopback over a raw socket and sends `hello`
-/// as hand-built wire bytes; returns the fd (-1 on failure).
-int DialRawHello(int port, const HelloFrame& hello) {
+/// Dials the coordinator on loopback over a raw socket and sends `bytes`;
+/// returns the fd (-1 on failure).
+int DialRaw(int port, const std::string& bytes) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return -1;
@@ -88,8 +92,6 @@ int DialRawHello(int port, const HelloFrame& hello) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  std::string bytes;
-  AppendHelloFrame(hello, &bytes);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       !SendRaw(fd, bytes)) {
@@ -97,6 +99,14 @@ int DialRawHello(int port, const HelloFrame& hello) {
     return -1;
   }
   return fd;
+}
+
+/// Dials the coordinator on loopback over a raw socket and sends `hello`
+/// as hand-built wire bytes; returns the fd (-1 on failure).
+int DialRawHello(int port, const HelloFrame& hello) {
+  std::string bytes;
+  AppendHelloFrame(hello, &bytes);
+  return DialRaw(port, bytes);
 }
 
 /// Reads the next frame off a raw socket and checks it is a `want` frame
@@ -126,6 +136,39 @@ Result<WireFrame> ReadRawFrame(int fd, FrameType want) {
     reader.Append(buf, static_cast<size_t>(n));
   }
   return ResourceExhaustedError("no frame within 5 s");
+}
+
+/// Reads envelopes out of kEnvelopeBatch frames off a raw socket until `n`
+/// arrived, the stream ended or 5 s passed; returns what arrived.
+std::vector<Envelope> ReadRawEnvelopes(int fd, size_t n) {
+  std::vector<Envelope> got;
+  FrameReader reader;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (got.size() < n && std::chrono::steady_clock::now() < deadline) {
+    WireFrame frame;
+    auto ready = reader.Next(&frame);
+    if (!ready.ok()) {
+      break;
+    }
+    if (*ready) {
+      if (frame.type == FrameType::kEnvelopeBatch) {
+        got.insert(got.end(), frame.batch.begin(), frame.batch.end());
+      }
+      continue;
+    }
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) <= 0) {
+      continue;
+    }
+    uint8_t buf[4096];
+    const ssize_t bytes = ::recv(fd, buf, sizeof(buf), 0);
+    if (bytes <= 0) {
+      break;
+    }
+    reader.Append(buf, static_cast<size_t>(bytes));
+  }
+  return got;
 }
 
 /// Reads the coordinator's hello-ack off a raw socket (5 s budget).
@@ -843,6 +886,85 @@ TEST(SocketTransportTest, WorkerDropsEnvelopesForSitesItDoesNotOwn) {
   ::close(conn);
   ::close(listen_fd);
   (*worker)->Shutdown();
+}
+
+TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
+  // A range poll's end comes off the wire. Worker 1 of 3 owns sites 1, 4
+  // and 7 of 10; whatever the end says, only those of its sites in
+  // [to, max(end, to + 1)) capped at the fabric answer, each once.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  int port = 0;
+  const int listen_fd = ListenRaw(&port);
+  ASSERT_GE(listen_fd, 0);
+  const Envelope envs[] = {
+      ToSite(1, ActorMsgKind::kPollRequest, 1, kMax),   // 1, 4, 7.
+      ToSite(4, ActorMsgKind::kPollRequest, 2, -5),     // 4.
+      ToSite(7, ActorMsgKind::kPollRequest, 3, 3),      // 7: end below to.
+      ToSite(4, ActorMsgKind::kPollRequest, 4, 1000),   // 4, 7.
+      ToSite(7, ActorMsgKind::kPollRequest, 5, kMin),   // 7.
+      ToSite(1, ActorMsgKind::kPollRequest, 6, 5),      // 1, 4.
+      ToSite(1, ActorMsgKind::kShutdown, 0, kMax)};     // Every slot.
+  const std::map<int64_t, std::vector<int>> want = {
+      {1, {1, 4, 7}}, {2, {4}}, {3, {7}}, {4, {4, 7}}, {5, {7}}, {6, {1, 4}}};
+  std::string tail;
+  AppendEnvelopeBatchFrame(envs, sizeof(envs) / sizeof(envs[0]), &tail,
+                           /*seq=*/1);
+  int conn = -1;
+  std::thread raw_coordinator(
+      [&] { conn = AcceptRawWorker(listen_fd, 10, 3, tail); });
+  auto worker = SocketTransport::Connect("127.0.0.1", port, /*worker=*/1,
+                                         /*num_sites=*/10, /*num_workers=*/3,
+                                         FastOptions());
+  raw_coordinator.join();
+  ASSERT_TRUE(worker.ok()) << worker.status().message();
+  ASSERT_GE(conn, 0);
+
+  SiteEngine::Config cfg;
+  cfg.worker = 1;
+  cfg.num_workers = 3;
+  cfg.num_sites = 10;
+  cfg.thresholds.assign(3, 0);
+  SiteEngine engine(std::move(cfg));
+  engine.RunVirtual(worker->get());  // Returns on the covering shutdown.
+  EXPECT_EQ((*worker)->stats().decode_errors, 0);
+  (*worker)->Shutdown();  // Flushes the replies, then ends the stream.
+
+  std::map<int64_t, std::vector<int>> answered;
+  for (const Envelope& e : ReadRawEnvelopes(conn, SIZE_MAX)) {
+    EXPECT_EQ(e.msg.kind, ActorMsgKind::kPollResponse);
+    answered[e.msg.epoch].push_back(e.from);
+  }
+  EXPECT_EQ(answered, want);
+  ::close(conn);
+  ::close(listen_fd);
+}
+
+TEST(SocketTransportTest, RejectsAWireV5Hello) {
+  // Wire v6 gave kPollRequest and kShutdown a range meaning; a v5 worker
+  // would answer one site per request, so it must fail at the hello.
+  auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/1,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  Status accept = OkStatus();
+  std::thread acceptor([&] { accept = coordinator->AcceptWorkers(); });
+  HelloFrame hello;
+  hello.worker = 0;
+  hello.num_workers = 1;
+  hello.num_sites = 2;
+  std::string bytes;
+  AppendHelloFrame(hello, &bytes);
+  ASSERT_EQ(kWireVersion, 6);
+  bytes[4] = 5;  // The version byte follows the u32 length prefix.
+  const int fd = DialRaw(coordinator->port(), bytes);
+  acceptor.join();
+  ASSERT_GE(fd, 0);
+  ASSERT_FALSE(accept.ok());
+  EXPECT_NE(accept.message().find("wire version"), std::string::npos)
+      << accept.message();
+  ::close(fd);
+  coordinator->Shutdown();
 }
 
 }  // namespace
