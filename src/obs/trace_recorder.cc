@@ -49,8 +49,6 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
       return "shard_death";
     case TraceEventKind::kShardRespawn:
       return "shard_respawn";
-    case TraceEventKind::kLayoutRotation:
-      return "layout_rotation";
     case TraceEventKind::kWorkerReconnect:
       return "worker_reconnect";
     case TraceEventKind::kFrameReplay:

@@ -36,7 +36,6 @@ enum class TraceEventKind {
   // Chaos / failure-tolerance lifecycle (runtime only; PR 6 machinery).
   kShardDeath,           ///< Shard coordinator went silent (value = shard).
   kShardRespawn,         ///< Replacement shard thread started (value = shard).
-  kLayoutRotation,       ///< Versioned shard layout pushed (value = version).
   kWorkerReconnect,      ///< Worker TCP link resumed (value = worker).
   kFrameReplay,          ///< Frames retransmitted on resume (value = count).
   kTelemetryFlush,       ///< Worker pushed a telemetry frame (value = bytes).

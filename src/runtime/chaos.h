@@ -27,10 +27,6 @@ enum class ChaosKind : uint8_t {
   /// only). The worker redials, the handshake fences stale generations,
   /// and unacked envelopes are replayed — detections are unaffected.
   kKillWorker,
-  /// Push a rotated shard layout mid-run at a virtual epoch boundary
-  /// (kLayoutUpdate / ack / switch), rebalancing the site->shard
-  /// assignment without stopping the data plane.
-  kReshard,
 };
 
 /// A chaos scenario: what to break, resolved where/when from the seed.
@@ -60,7 +56,7 @@ inline uint64_t Splitmix64(uint64_t x) {
 }  // namespace chaos_internal
 
 /// Resolves a spec against the run's shape: `num_targets` is the shard
-/// count (kKillShard / kReshard) or worker count (kKillWorker), and
+/// count (kKillShard) or worker count (kKillWorker), and
 /// `num_epochs` bounds the fire epoch. The fire epoch lands in
 /// [1, num_epochs - 1] when the run is long enough (never epoch 0, so the
 /// steady state is established first, and never past the end).
@@ -79,35 +75,17 @@ inline ResolvedChaos ResolveChaos(const ChaosSpec& spec, int64_t num_epochs,
   return r;
 }
 
-inline const char* ChaosKindName(ChaosKind kind) {
-  switch (kind) {
-    case ChaosKind::kNone:
-      return "none";
-    case ChaosKind::kKillShard:
-      return "kill-shard";
-    case ChaosKind::kKillWorker:
-      return "kill-worker";
-    case ChaosKind::kReshard:
-      return "reshard";
-  }
-  return "unknown";
-}
-
 /// Whether `chaos` can fire in a run of this shape. The runtime checks it
 /// before it builds any transport, so a socket run fails before it waits
-/// for its workers. Kill-shard and reshard need a shard tree (num_shards
-/// >= 2). Kill-shard kills a shard thread, which only free-running time
-/// runs, and needs heartbeat_timeout_ms > 0 for the root to notice the
-/// death; reshard and kill-worker fire at an epoch boundary, which only
-/// virtual time has.
+/// for its workers. Kill-shard needs a shard tree (num_shards >= 2) and
+/// kills a shard thread, which only free-running time runs, and needs
+/// heartbeat_timeout_ms > 0 for the root to notice the death; kill-worker
+/// fires at an epoch boundary, which only virtual time has.
 inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
                              bool virtual_time, int heartbeat_timeout_ms) {
-  const std::string name = ChaosKindName(chaos.kind);
-  if ((chaos.kind == ChaosKind::kKillShard ||
-       chaos.kind == ChaosKind::kReshard) &&
-      num_shards < 2) {
+  if (chaos.kind == ChaosKind::kKillShard && num_shards < 2) {
     return InvalidArgumentError(
-        name + " chaos needs a sharded coordinator (num_shards >= 2)");
+        "kill-shard chaos needs a sharded coordinator (num_shards >= 2)");
   }
   if (chaos.kind == ChaosKind::kKillShard && virtual_time) {
     return InvalidArgumentError(
@@ -119,11 +97,10 @@ inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
         "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
         "detect the death");
   }
-  if ((chaos.kind == ChaosKind::kReshard ||
-       chaos.kind == ChaosKind::kKillWorker) &&
-      !virtual_time) {
+  if (chaos.kind == ChaosKind::kKillWorker && !virtual_time) {
     return InvalidArgumentError(
-        name + " chaos needs virtual time: a free-running run never fires it");
+        "kill-worker chaos needs virtual time: a free-running run never "
+        "fires it");
   }
   return OkStatus();
 }
@@ -139,12 +116,9 @@ inline Result<ChaosKind> ParseChaosKind(std::string_view text) {
   if (text == "kill-worker") {
     return ChaosKind::kKillWorker;
   }
-  if (text == "reshard") {
-    return ChaosKind::kReshard;
-  }
   return InvalidArgumentError(
       "unknown chaos kind '" + std::string(text) +
-      "' (expected kill-shard, kill-worker, reshard, or none)");
+      "' (expected kill-shard, kill-worker, or none)");
 }
 
 }  // namespace dcv

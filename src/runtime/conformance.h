@@ -36,8 +36,8 @@ struct ConformanceSpec {
   /// and diffs that run against the lockstep reference too.
   TransportKind transport = TransportKind::kThread;
 
-  /// Chaos: sever a worker link or push a mid-run reshard at a
-  /// seed-resolved point DURING the runtime runs (the lockstep reference
+  /// Chaos: sever a worker link at a seed-resolved epoch DURING the
+  /// runtime runs (the lockstep reference
   /// always runs healthy). Conformance with chaos on is the recovery proof:
   /// the runtime must survive the failure AND still produce bit-identical
   /// virtual-time detections. kill-worker needs the socket transport (there

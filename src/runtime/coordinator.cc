@@ -20,8 +20,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Records one coordinator-tree lifecycle event (shard death or respawn,
-/// layout rotation) on the shard's trace lane; shard -1 = the root.
+/// Records one coordinator-tree lifecycle event (shard death or respawn)
+/// on the shard's trace lane.
 void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
                      int64_t epoch, int shard, int64_t value) {
   if (recorder != nullptr) {
@@ -35,7 +35,7 @@ const char* ProtocolName(RuntimeProtocol protocol) {
                                                       : "polling";
 }
 
-/// The run's starting layout; the transport must route as many shards.
+/// The run's layout; the transport must route as many shards.
 Result<ShardLayout> TreeLayout(const CoordinatorActor::Config& config,
                                const Transport& transport) {
   if (transport.num_shards() != config.num_shards) {
@@ -139,9 +139,6 @@ class CoordinatorActor::VirtualRun {
       // Unimplemented on link-free transports; fine.
       (void)transport_->InjectPeerFailure(chaos_.target);
     }
-    if (config_.chaos.kind == ChaosKind::kReshard && t == chaos_.fire_epoch) {
-      DCV_RETURN_IF_ERROR(Reshard(t));
-    }
     // Same call order as the lockstep runner + scheme, so the channel's RNG
     // stream (and thus every fault fate) is bit-identical: BeginEpoch,
     // re-sync sends, (barrier), stale arrivals, alarm replays in ascending
@@ -176,21 +173,6 @@ class CoordinatorActor::VirtualRun {
       det.violation_reported = outcome.weighted_sum > config_.global_threshold;
     }
     out_->detections.push_back(det);
-    return OkStatus();
-  }
-
-  /// At an epoch boundary no data-plane message is in flight, so the
-  /// routing swap cannot strand anything; UpdateLayout fences on every
-  /// worker's ack. Later collects read the new ranges. Poll values, entry
-  /// order, and Channel calls are range-independent, so detections stay
-  /// bit-identical.
-  Status Reshard(int64_t t) {
-    ShardLayout next = RotateLayout(layout_);
-    DCV_RETURN_IF_ERROR(transport_->UpdateLayout(next));
-    layout_ = std::move(next);
-    ++out_->reshards;
-    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kLayoutRotation, t,
-                    /*shard=*/-1, static_cast<int64_t>(layout_.version));
     return OkStatus();
   }
 
@@ -293,10 +275,9 @@ class CoordinatorActor::VirtualRun {
   Channel& channel_ = actor_.channel_;
   const bool local_ = config_.protocol == RuntimeProtocol::kLocalThreshold;
   const std::vector<int64_t> no_fallbacks_;
-  const ResolvedChaos chaos_ = ResolveChaos(
-      config_.chaos, num_epochs_,
-      config_.chaos.kind == ChaosKind::kKillWorker ? transport_->num_workers()
-                                                   : config_.num_shards);
+  // Kill-worker is the one chaos kind that fires in virtual time.
+  const ResolvedChaos chaos_ =
+      ResolveChaos(config_.chaos, num_epochs_, transport_->num_workers());
   ShardLayout layout_;
   std::vector<Envelope> fanout_;  ///< This exchange's sends, in send order.
   /// This exchange's (site, value) replies, ascending by site: the alarmed

@@ -63,8 +63,7 @@ class CoordinatorActor {
     FaultSpec faults;
 
     /// Chaos injection (chaos.h) at a seed-resolved point: kill a shard
-    /// (free-running only), or sever a worker link or push a reshard
-    /// (virtual only). kNone = healthy run. The coordinator does not
+    /// (free-running only) or sever a worker link (virtual only). kNone = healthy run. The coordinator does not
     /// check that the chaos fits the run: the caller does, with
     /// CheckChaosFits, before it builds the transport (the runtime's
     /// launcher does).

@@ -68,8 +68,7 @@ struct RuntimeOptions {
   FaultSpec faults;
 
   /// Chaos injection (chaos.h): kill a shard coordinator (free-running
-  /// only), sever a worker link, or push a mid-run reshard (virtual only) at
-  /// a seed-resolved point. Requires `heartbeat_timeout_ms > 0` for
+  /// only) or sever a worker link (virtual only) at a seed-resolved point. Requires `heartbeat_timeout_ms > 0` for
   /// kill-shard so the root notices. A chaos kind that cannot fire in the
   /// run's time mode or shard count fails with InvalidArgument
   /// (CheckChaosFits) before any transport is built or worker accepted.

@@ -29,7 +29,6 @@ std::string RuntimeResult::ToJson() const {
   w.EndObject();
   w.Key("recovery").BeginObject();
   w.Key("shard_recoveries").Value(shard_recoveries);
-  w.Key("reshards").Value(reshards);
   w.Key("recovery_ms").Value(recovery_ms);
   w.EndObject();
   w.Key("reliability").Raw(reliability.ToJson());

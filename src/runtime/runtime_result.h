@@ -66,7 +66,6 @@ struct RuntimeResult {
 
   // Failure recovery accounting (chaos runs; all zero on a healthy run).
   int64_t shard_recoveries = 0;  ///< Dead shards respawned (free mode).
-  int64_t reshards = 0;          ///< Mid-run layout pushes applied.
   /// Free-running kill-shard runs: wall-clock cost of the slowest single
   /// recovery, from the start of the silence the heartbeat timeout caught
   /// to the replacement shard thread running.

@@ -163,7 +163,6 @@ SocketTransport::SocketTransport(Role role, ShardLayout layout,
       worker_(worker),
       options_(options) {
   if (role_ == Role::kCoordinator) {
-    layout_acked_.assign(static_cast<size_t>(num_workers), 0);
     worker_telemetry_.resize(static_cast<size_t>(num_workers));
     worker_telemetry_valid_.assign(static_cast<size_t>(num_workers), 0);
     worker_telemetry_final_.assign(static_cast<size_t>(num_workers), 0);
@@ -195,9 +194,8 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Listen(
     return InvalidArgumentError("listen port must be in [0, 65535]");
   }
   // Built before binding, so a bad shard count fails first.
-  DCV_ASSIGN_OR_RETURN(
-      ShardLayout layout,
-      MakeShardLayout(num_sites, std::max(1, options.num_shards)));
+  DCV_ASSIGN_OR_RETURN(ShardLayout layout,
+                       MakeShardLayout(num_sites, options.num_shards));
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return ErrnoError("socket");
@@ -487,35 +485,13 @@ void SocketTransport::ReaderLoop(size_t index) {
       if (!*r) {
         return true;
       }
-      // Handshake frames never arrive mid-run and each control frame flows
-      // one way only: a frame this role cannot receive is malformed input.
-      const Role receiver = frame.type == FrameType::kLayoutUpdate
-                                ? Role::kWorker
-                                : Role::kCoordinator;
-      if (frame.type == FrameType::kHello ||
-          frame.type == FrameType::kHelloAck ||
-          (frame.type != FrameType::kEnvelopeBatch && receiver != role_)) {
+      // Handshake frames never arrive mid-run, and the one control frame,
+      // kTelemetry, flows worker -> coordinator only: any other frame is
+      // malformed input here.
+      if (frame.type != FrameType::kEnvelopeBatch &&
+          (frame.type != FrameType::kTelemetry ||
+           role_ != Role::kCoordinator)) {
         decode_errors_.Add(1);
-        continue;
-      }
-      if (frame.type == FrameType::kLayoutUpdate) {
-        // Adopt the pushed layout version and ack it (the coordinator's
-        // fence waits for every worker's ack before switching routing).
-        adopted_layout_version_.store(frame.layout.version,
-                                      std::memory_order_release);
-        LayoutAckFrame la;
-        la.version = frame.layout.version;
-        std::string ack_bytes;
-        AppendLayoutAckFrame(la, &ack_bytes);
-        WriteDirect(&c, ack_bytes);
-        continue;
-      }
-      if (frame.type == FrameType::kLayoutAck) {
-        {
-          std::lock_guard<std::mutex> lock(acks_mu_);
-          layout_acked_[index] = frame.layout_ack.version;
-        }
-        acks_cv_.notify_all();
         continue;
       }
       if (frame.type == FrameType::kTelemetry) {
@@ -896,45 +872,6 @@ void SocketTransport::AcceptorLoop() {
   }
 }
 
-Status SocketTransport::UpdateLayout(const ShardLayout& next) {
-  if (role_ != Role::kCoordinator) {
-    return FailedPreconditionError(
-        "layout updates originate at the coordinator");
-  }
-  DCV_RETURN_IF_ERROR(CheckLayoutUpdate(next));
-  LayoutFrame lf;
-  lf.version = next.version;
-  lf.num_sites = next.num_sites;
-  lf.num_shards = next.num_shards;
-  lf.starts.resize(static_cast<size_t>(next.num_shards) + 1);
-  for (int s = 0; s < next.num_shards; ++s) {
-    lf.starts[static_cast<size_t>(s)] = next.ShardStart(s);
-  }
-  lf.starts[static_cast<size_t>(next.num_shards)] = next.num_sites;
-  std::string bytes;
-  AppendLayoutFrame(lf, &bytes);
-  for (auto& c : conns_) {
-    if (!WriteDirect(c.get(), bytes)) {
-      return InternalError("layout push failed on a worker connection");
-    }
-  }
-  // The fence: routing switches only after every worker acked, so no party
-  // still routes by the old layout once this returns.
-  std::unique_lock<std::mutex> lock(acks_mu_);
-  const bool acked = acks_cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.io_timeout_ms), [&] {
-        return shutting_down_.load(std::memory_order_relaxed) ||
-               std::all_of(layout_acked_.begin(), layout_acked_.end(),
-                           [&](uint32_t v) { return v >= next.version; });
-      });
-  if (!acked || shutting_down_.load(std::memory_order_relaxed)) {
-    return ResourceExhaustedError(
-        "timed out waiting for layout acks from workers");
-  }
-  lock.unlock();
-  return ThreadTransport::UpdateLayout(next);
-}
-
 Status SocketTransport::InjectPeerFailure(int worker) {
   if (role_ != Role::kCoordinator) {
     return FailedPreconditionError("failure injection needs the coordinator");
@@ -959,10 +896,9 @@ Status SocketTransport::SendTelemetry(const TelemetryFrame& t) {
   }
   std::string bytes;
   DCV_RETURN_IF_ERROR(AppendTelemetryFrame(t, &bytes));
-  // Telemetry bypasses the envelope boxes and replay ring (the same
-  // direct-write path UpdateLayout uses): frames are unsequenced cumulative
-  // snapshots, so a resume never needs to replay them and dedup can never
-  // double-count them.
+  // Telemetry bypasses the envelope boxes and replay ring: frames are
+  // unsequenced cumulative snapshots, so a resume never needs to replay
+  // them and dedup can never double-count them.
   if (!WriteDirect(conns_[0].get(), bytes)) {
     return InternalError("telemetry push failed (connection down)");
   }
@@ -1009,7 +945,6 @@ void SocketTransport::Shutdown() {
   for (auto& c : conns_) {
     c->cv.notify_all();
   }
-  acks_cv_.notify_all();
   telemetry_cv_.notify_all();
   if (acceptor_.joinable()) {
     acceptor_.join();

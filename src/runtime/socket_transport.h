@@ -127,12 +127,6 @@ class SocketTransport : public ThreadTransport {
   /// Worker role: the run mode from the coordinator's handshake ack.
   bool virtual_time() const { return virtual_time_; }
 
-  /// Worker role: the newest shard-layout version adopted from a
-  /// kLayoutUpdate push (0 until one arrives).
-  uint32_t layout_version() const {
-    return adopted_layout_version_.load(std::memory_order_acquire);
-  }
-
   SocketStats stats() const;
 
   /// Worker role: estimated coordinator-minus-worker wall-clock offset in
@@ -164,11 +158,6 @@ class SocketTransport : public ThreadTransport {
   /// them, then half-close), then stop inbound (sockets down, every box
   /// closed, readers joined).
   void Shutdown() override;
-
-  /// Coordinator role: broadcasts the layout as a kLayoutUpdate frame,
-  /// waits for every worker's kLayoutAck (the fence), then swaps the
-  /// routing layout. Shape must match; version must be strictly newer.
-  Status UpdateLayout(const ShardLayout& next) override;
 
   /// Coordinator role, chaos hook: hard-severs worker `w`'s TCP connection
   /// (both directions), simulating a crash or partition. With
@@ -306,11 +295,6 @@ class SocketTransport : public ThreadTransport {
   const Role role_;
   const int worker_;  ///< Worker role: this process's worker index.
   Options options_;
-
-  std::mutex acks_mu_;
-  std::condition_variable acks_cv_;    ///< Waits for worker layout acks.
-  std::vector<uint32_t> layout_acked_;  ///< Per worker, by acks_mu_.
-  std::atomic<uint32_t> adopted_layout_version_{0};  ///< Worker role.
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -58,17 +58,15 @@ Result<std::unique_ptr<ThreadTransport>> ThreadTransport::Create(
 ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
                                  size_t coordinator_capacity,
                                  size_t worker_capacity)
-    : num_sites_(layout.num_sites), num_workers_(num_workers) {
+    : layout_(layout), num_workers_(num_workers) {
   if (coordinator_capacity == 0) {
     // Per-shard fan-in; one shard is the whole-coordinator 2N+16 formula.
-    coordinator_capacity = CoordinatorInboxCapacity(layout.MaxShardSites());
+    coordinator_capacity = CoordinatorInboxCapacity(layout_.MaxShardSites());
   }
   if (worker_capacity == 0) {
-    worker_capacity = WorkerInboxCapacity(num_sites_, num_workers);
+    worker_capacity = WorkerInboxCapacity(layout_.num_sites, num_workers);
   }
-  layouts_.push_back(std::make_unique<ShardLayout>(std::move(layout)));
-  layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
-  const int num_shards = layouts_.back()->num_shards;
+  const int num_shards = layout_.num_shards;
   // num_workers + 1 lanes. A thread pushes into lane ProducerIndex() %
   // lanes, and the producer index counts every thread that ever pushed into
   // a laned box, so the root may share a lane with an engine or a socket
@@ -86,9 +84,9 @@ ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
 
 int ThreadTransport::InboxOf(const Envelope& e) const {
   if (e.to == kCoordinatorId) {
-    return e.from >= 0 && e.from < num_sites_ ? ShardOf(e.from) : -1;
+    return e.from >= 0 && e.from < layout_.num_sites ? ShardOf(e.from) : -1;
   }
-  if (e.to < 0 || e.to >= num_sites_) {
+  if (e.to < 0 || e.to >= layout_.num_sites) {
     return -1;
   }
   return static_cast<int>(shard_boxes_.size()) + WorkerOf(e.to);
@@ -206,28 +204,6 @@ size_t ThreadTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
                                         int64_t timeout_ms, bool* timed_out) {
   return shard_boxes_[static_cast<size_t>(shard)]->PopAllFor(out, timeout_ms,
                                                              timed_out);
-}
-
-Status ThreadTransport::CheckLayoutUpdate(const ShardLayout& next) const {
-  const ShardLayout* live = current();
-  if (next.num_sites != live->num_sites ||
-      next.num_shards != live->num_shards) {
-    return InvalidArgumentError(
-        "layout update must keep the fabric shape (sites, shards)");
-  }
-  if (next.version <= live->version) {
-    return InvalidArgumentError("layout update version must be newer than " +
-                                std::to_string(live->version));
-  }
-  return OkStatus();
-}
-
-Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
-  std::lock_guard<std::mutex> lock(layout_mu_);
-  DCV_RETURN_IF_ERROR(CheckLayoutUpdate(next));
-  layouts_.push_back(std::make_unique<ShardLayout>(next));
-  layout_ptr_.store(layouts_.back().get(), std::memory_order_release);
-  return OkStatus();
 }
 
 bool ThreadTransport::RecvWorker(int worker, Envelope* out) {

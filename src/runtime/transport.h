@@ -1,9 +1,7 @@
 #ifndef DCV_RUNTIME_TRANSPORT_H_
 #define DCV_RUNTIME_TRANSPORT_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/result.h"
@@ -164,17 +162,12 @@ class Transport {
   /// Closes every inbox (receivers drain, then their Recv returns false).
   virtual void Shutdown() = 0;
 
-  /// The current site->shard assignment (reflects any layout pushed by
-  /// UpdateLayout).
+  /// The site->shard assignment, fixed for the life of the transport.
   virtual ShardLayout layout() const = 0;
 
-  /// Pushes a new versioned shard layout mid-run. The shape (num_sites,
-  /// num_shards) must match the current layout — a reshard rebalances the
-  /// boundaries, it does not grow the tree — and the version must be
-  /// strictly newer. The call returns once every routing party has adopted
-  /// the layout (for the socket transport: after each worker acked the
-  /// kLayoutUpdate frame), so the caller can treat it as a barrier fence:
-  /// envelopes sent afterward route by the new layout everywhere.
+  /// A run's layout never changes, so no transport in the runtime
+  /// implements this; it stays only so an overriding decorator still
+  /// compiles. Always Unimplemented.
   virtual Status UpdateLayout(const ShardLayout& next) {
     (void)next;
     return UnimplementedError("transport does not support layout updates");
@@ -248,11 +241,11 @@ class ThreadTransport : public Transport {
       int num_sites, int num_workers, size_t coordinator_capacity = 0,
       size_t worker_capacity = 0, int num_shards = 1);
 
-  int num_sites() const override { return num_sites_; }
+  int num_sites() const override { return layout_.num_sites; }
   int num_workers() const override { return num_workers_; }
   int WorkerOf(int site) const override { return site % num_workers_; }
-  int num_shards() const override { return current()->num_shards; }
-  int ShardOf(int site) const override { return current()->ShardOf(site); }
+  int num_shards() const override { return layout_.num_shards; }
+  int ShardOf(int site) const override { return layout_.ShardOf(site); }
 
   bool Send(const Envelope& e) override;
   bool SendBatch(const std::vector<Envelope>& batch) override;
@@ -270,8 +263,7 @@ class ThreadTransport : public Transport {
   size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   void Shutdown() override;
-  ShardLayout layout() const override { return *current(); }
-  Status UpdateLayout(const ShardLayout& next) override;
+  ShardLayout layout() const override { return layout_; }
 
   /// Capacity of each lane of each shard coordinator inbox (identical
   /// across shards; the formula uses the most-loaded shard's site count).
@@ -292,10 +284,6 @@ class ThreadTransport : public Transport {
   ThreadTransport(ShardLayout layout, int num_workers,
                   size_t coordinator_capacity = 0, size_t worker_capacity = 0);
 
-  /// OK iff `next` keeps the live layout's shape (sites, shards) and is
-  /// strictly newer.
-  Status CheckLayoutUpdate(const ShardLayout& next) const;
-
   LanedMailbox<Envelope>& shard_box(int shard) {
     return *shard_boxes_[static_cast<size_t>(shard)];
   }
@@ -304,13 +292,6 @@ class ThreadTransport : public Transport {
   }
 
  private:
-  /// The live layout. Routing reads are lock-free (acquire on an atomic
-  /// pointer); UpdateLayout retires superseded layouts into layouts_ so a
-  /// racing reader never dereferences freed memory.
-  const ShardLayout* current() const {
-    return layout_ptr_.load(std::memory_order_acquire);
-  }
-
   /// The inbox `e` routes to: shard s is s, worker w is num_shards + w;
   /// -1 = unroutable.
   int InboxOf(const Envelope& e) const;
@@ -318,11 +299,8 @@ class ThreadTransport : public Transport {
   /// for a shard inbox, the thread's lane.
   Mailbox<Envelope>* PushBox(int inbox);
 
-  int num_sites_;
+  const ShardLayout layout_;
   int num_workers_;
-  std::mutex layout_mu_;  ///< Serializes UpdateLayout calls.
-  std::vector<std::unique_ptr<ShardLayout>> layouts_;
-  std::atomic<const ShardLayout*> layout_ptr_{nullptr};
   std::vector<std::unique_ptr<LanedMailbox<Envelope>>> shard_boxes_;
   std::vector<std::unique_ptr<Mailbox<Envelope>>> worker_boxes_;
 };

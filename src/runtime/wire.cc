@@ -168,23 +168,6 @@ void AppendHelloAckFrame(const HelloAckFrame& a, std::string* out) {
   EndFrame(at, out);
 }
 
-void AppendLayoutFrame(const LayoutFrame& l, std::string* out) {
-  size_t at = BeginFrame(FrameType::kLayoutUpdate, out);
-  PutU32(l.version, out);
-  PutI32(l.num_sites, out);
-  PutI32(l.num_shards, out);
-  for (int32_t s : l.starts) {
-    PutI32(s, out);
-  }
-  EndFrame(at, out);
-}
-
-void AppendLayoutAckFrame(const LayoutAckFrame& a, std::string* out) {
-  size_t at = BeginFrame(FrameType::kLayoutAck, out);
-  PutU32(a.version, out);
-  EndFrame(at, out);
-}
-
 Status AppendTelemetryFrame(const TelemetryFrame& t, std::string* out) {
   std::string frame;
   size_t at = BeginFrame(FrameType::kTelemetry, &frame);
@@ -321,43 +304,6 @@ Status DecodeInto(const uint8_t* data, size_t len, WireFrame& frame) {
       }
       if (frame.hello_ack.magic != kWireMagic) {
         return InvalidArgumentError("hello-ack magic mismatch");
-      }
-      return OkStatus();
-    }
-    case FrameType::kLayoutUpdate: {
-      frame.layout.version = c.U32();
-      frame.layout.num_sites = c.I32();
-      frame.layout.num_shards = c.I32();
-      if (!c.ok || frame.layout.num_shards < 1 ||
-          frame.layout.num_shards > kMaxWireShards) {
-        return InvalidArgumentError("malformed layout frame header");
-      }
-      frame.layout.starts.resize(
-          static_cast<size_t>(frame.layout.num_shards) + 1);
-      for (int32_t& s : frame.layout.starts) {
-        s = c.I32();
-      }
-      if (!c.ok || c.pos != len) {
-        return InvalidArgumentError("malformed layout frame body");
-      }
-      // Boundaries must be a non-descending cover of [0, num_sites]:
-      // installing anything else would break the worker's routing.
-      if (frame.layout.starts.front() != 0 ||
-          frame.layout.starts.back() != frame.layout.num_sites) {
-        return InvalidArgumentError("layout frame boundaries do not cover "
-                                    "[0, num_sites]");
-      }
-      for (size_t i = 1; i < frame.layout.starts.size(); ++i) {
-        if (frame.layout.starts[i] < frame.layout.starts[i - 1]) {
-          return InvalidArgumentError("layout frame boundaries descend");
-        }
-      }
-      return OkStatus();
-    }
-    case FrameType::kLayoutAck: {
-      frame.layout_ack.version = c.U32();
-      if (!c.ok || c.pos != len) {
-        return InvalidArgumentError("malformed layout-ack frame body");
       }
       return OkStatus();
     }

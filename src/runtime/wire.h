@@ -29,7 +29,8 @@ namespace dcv {
 // per-connection-direction sequence number (for replay dedup after a
 // reconnect), hellos carry a generation counter (fences stale connections)
 // plus the receiver's high-water mark (tells the peer where to resume),
-// and kLayoutUpdate/kLayoutAck carry versioned shard-layout pushes.
+// and frame types 3 and 4 carried a versioned shard-layout push and its
+// ack (retired in v7).
 //
 // Version 3 adds the distributed telemetry plane: the Hello/HelloAck
 // handshake carries NTP-style wall-clock timestamps (t1 worker send, t2
@@ -62,16 +63,20 @@ namespace dcv {
 // so a poll round or a shutdown sends one envelope per worker instead of
 // one per site. A v5 worker would answer one site per request and hang
 // the round; the version byte makes it fail at the hello instead.
+//
+// Version 7 removes the layout frames (types 3 and 4, now unknown types):
+// a run's site->shard layout is fixed when the coordinator starts, and it
+// is coordinator-local, so nothing about it crosses the wire. A v6 peer
+// fails at the hello on the version byte, not on a layout push.
 
-inline constexpr uint8_t kWireVersion = 6;
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.
 inline constexpr uint32_t kWireMagic = 0x53564344;
 
-/// Largest fixed frame is < 64 bytes; a layout frame is 4 bytes per shard
-/// boundary. The cap exists purely to bound damage from a corrupt length
-/// prefix.
+/// Largest fixed frame (the hello ack) is < 64 bytes. The cap exists
+/// purely to bound damage from a corrupt length prefix.
 inline constexpr uint32_t kMaxFramePayload = 4096;
 
 /// kTelemetry frames carry whole registry snapshots (name strings, bucket
@@ -79,10 +84,6 @@ inline constexpr uint32_t kMaxFramePayload = 4096;
 /// type is peeked before accepting an over-kMaxFramePayload length so a
 /// corrupt prefix still can't force a large allocation for data frames.
 inline constexpr uint32_t kMaxTelemetryPayload = 1u << 20;
-
-/// Upper bound on shard boundaries a kLayoutUpdate may carry (fits well
-/// under kMaxFramePayload and far exceeds any real coordinator tree).
-inline constexpr int32_t kMaxWireShards = 512;
 
 /// Most envelopes one kEnvelopeBatch frame may carry. Writers chunk larger
 /// bursts; the decoder rejects bigger counts so a corrupt count field can't
@@ -94,13 +95,12 @@ inline constexpr uint32_t kMaxBatchEnvelopes = 4096;
 /// frame type is peeked before accepting an over-kMaxFramePayload length.
 inline constexpr uint32_t kMaxBatchPayload = 1u << 18;
 
-/// Type 0 (the single-envelope frame before v5) stays unassigned, so an old
-/// peer's envelope decodes as an unknown frame type.
+/// Types 0 (the single-envelope frame before v5) and 3-4 (the layout
+/// frames before v7) stay unassigned, so an old peer's frame of those types
+/// decodes as an unknown frame type.
 enum class FrameType : uint8_t {
   kHello = 1,         ///< Worker -> coordinator, first frame after connect.
   kHelloAck = 2,      ///< Coordinator -> worker, handshake verdict + mode.
-  kLayoutUpdate = 3,  ///< Coordinator -> worker, versioned shard layout.
-  kLayoutAck = 4,     ///< Worker -> coordinator, layout version adopted.
   kTelemetry = 5,     ///< Worker -> coordinator, metrics + trace snapshot.
   kEnvelopeBatch = 6, ///< K routed envelopes under one length prefix + seq.
 };
@@ -138,21 +138,6 @@ struct HelloAckFrame {
   int64_t t3_us = 0;  ///< Coordinator wall clock when this ack was sent.
 };
 
-/// A versioned site->shard assignment push (contiguous ranges: shard s owns
-/// sites [starts[s], starts[s+1])). Workers ack the version; the
-/// coordinator switches routing only after every ack (the fence that makes
-/// a mid-run reshard race-free).
-struct LayoutFrame {
-  uint32_t version = 0;
-  int32_t num_sites = 0;
-  int32_t num_shards = 0;
-  std::vector<int32_t> starts;  ///< num_shards + 1 ascending boundaries.
-};
-
-struct LayoutAckFrame {
-  uint32_t version = 0;
-};
-
 /// One worker trace event inside a telemetry frame. Timestamps are in the
 /// worker's own clock; the coordinator applies the frame's clock offset
 /// when merging into the run-wide recorder.
@@ -186,8 +171,6 @@ struct WireFrame {
   std::vector<Envelope> batch;
   HelloFrame hello;
   HelloAckFrame hello_ack;
-  LayoutFrame layout;
-  LayoutAckFrame layout_ack;
   TelemetryFrame telemetry;
 };
 
@@ -202,8 +185,6 @@ void AppendEnvelopeBatchFrame(const Envelope* envs, size_t count,
                               std::string* out, uint64_t seq = 0);
 void AppendHelloFrame(const HelloFrame& h, std::string* out);
 void AppendHelloAckFrame(const HelloAckFrame& a, std::string* out);
-void AppendLayoutFrame(const LayoutFrame& l, std::string* out);
-void AppendLayoutAckFrame(const LayoutAckFrame& a, std::string* out);
 
 /// Serializes a telemetry frame. Fails (kInvalidArgument) if the encoded
 /// payload would exceed kMaxTelemetryPayload — callers should trim the

@@ -674,32 +674,9 @@ TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
   }
 }
 
-// Chaos conformance (the recovery proof): a mid-run reshard or a severed
-// worker TCP link must leave the virtual-time detections bit-identical to
-// the healthy lockstep simulator — recovery that changes results is not
-// recovery.
-
-TEST(ChaosConformanceTest, ReshardMidRunBitIdentical) {
-  // A new site->shard layout pushed at an epoch boundary mid-run: routing
-  // changes, results must not.
-  Workload w = MakeSyntheticWorkload(143, /*num_sites=*/7);
-  FptasSolver solver(0.1);
-  for (uint64_t chaos_seed : {5ULL, 17ULL}) {
-    ConformanceSpec spec;
-    spec.protocol = RuntimeProtocol::kLocalThreshold;
-    spec.solver = &solver;
-    spec.global_threshold = PickThreshold(w, 0.02);
-    spec.num_shards = 3;
-    spec.chaos.kind = ChaosKind::kReshard;
-    spec.chaos.seed = chaos_seed;
-    auto report = RunConformance(w.training, w.eval, spec);
-    ASSERT_TRUE(report.ok()) << report.status().message();
-    EXPECT_TRUE(report->identical)
-        << "chaos_seed=" << chaos_seed << ": " << report->mismatch;
-    EXPECT_EQ(report->runtime.reshards, 1);
-    EXPECT_EQ(report->runtime.shard_recoveries, 0);
-  }
-}
+// Chaos conformance (the recovery proof): a severed worker TCP link must
+// leave the virtual-time detections bit-identical to the healthy lockstep
+// simulator — recovery that changes results is not recovery.
 
 TEST(ChaosConformanceTest, KillWorkerSocketReconnectsAndMatches) {
   // A worker's TCP link severed mid-run: the worker redials, both sides
@@ -782,18 +759,17 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   options.num_shards = 2;
   options.heartbeat_timeout_ms = 0;  // Root would never notice the death.
   EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
-  // Reshard and kill-worker fire at an epoch boundary, which a free-running
-  // run never has: rejected, not silently ignored.
+  // Kill-worker fires at an epoch boundary, which a free-running run never
+  // has: rejected, not silently ignored.
   options.heartbeat_timeout_ms = 200;
-  for (ChaosKind kind : {ChaosKind::kReshard, ChaosKind::kKillWorker}) {
-    options.chaos.kind = kind;
-    auto result = RunSyntheticRuntime(4, 10, options);
-    ASSERT_FALSE(result.ok()) << ChaosKindName(kind);
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find("chaos needs virtual time"),
-              std::string::npos)
-        << result.status().message();
-  }
+  options.chaos.kind = ChaosKind::kKillWorker;
+  auto free_run = RunSyntheticRuntime(4, 10, options);
+  ASSERT_FALSE(free_run.ok());
+  EXPECT_EQ(free_run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(free_run.status().message().find(
+                "kill-worker chaos needs virtual time"),
+            std::string::npos)
+      << free_run.status().message();
   // Virtual time runs no shard threads, from the runtime API and from the
   // conformance harness alike.
   options.virtual_time = true;

@@ -507,6 +507,16 @@ TEST(SocketTransportTest, ValidatesArguments) {
       SocketTransport::Connect("not-an-ip", 80, 0, 1, 1, FastOptions()).ok());
   EXPECT_FALSE(
       SocketTransport::Connect("127.0.0.1", 80, 5, 4, 2, FastOptions()).ok());
+  // A bad shard count is a named error, as ThreadTransport::Create makes it.
+  for (int shards : {0, -1}) {
+    SocketTransport::Options options = FastOptions();
+    options.num_shards = shards;
+    auto listen = SocketTransport::Listen(2, 1, 0, options);
+    ASSERT_FALSE(listen.ok()) << "num_shards " << shards;
+    EXPECT_EQ(listen.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(listen.status().message().find("num_shards"), std::string::npos)
+        << listen.status().message();
+  }
 }
 
 TEST(SocketTransportTest, StatsMatchRegistryAfterReplay) {
@@ -940,9 +950,9 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   ::close(listen_fd);
 }
 
-TEST(SocketTransportTest, RejectsAWireV5Hello) {
-  // Wire v6 gave kPollRequest and kShutdown a range meaning; a v5 worker
-  // would answer one site per request, so it must fail at the hello.
+TEST(SocketTransportTest, RejectsAWireV6Hello) {
+  // Wire v7 retired the layout frame types; a v6 peer must fail at the
+  // hello, not on its first layout frame.
   auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/1,
                                         /*port=*/0, FastOptions());
   ASSERT_TRUE(listen.ok()) << listen.status().message();
@@ -955,8 +965,8 @@ TEST(SocketTransportTest, RejectsAWireV5Hello) {
   hello.num_sites = 2;
   std::string bytes;
   AppendHelloFrame(hello, &bytes);
-  ASSERT_EQ(kWireVersion, 6);
-  bytes[4] = 5;  // The version byte follows the u32 length prefix.
+  ASSERT_EQ(kWireVersion, 7);
+  bytes[4] = 6;  // The version byte follows the u32 length prefix.
   const int fd = DialRaw(coordinator->port(), bytes);
   acceptor.join();
   ASSERT_GE(fd, 0);

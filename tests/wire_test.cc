@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -302,50 +303,6 @@ TEST(WireTest, HelloCarriesGenerationAndHighWater) {
   EXPECT_EQ(frame->hello_ack.last_seq_received, 123456789u);
 }
 
-TEST(WireTest, LayoutFrameRoundTripAndAck) {
-  LayoutFrame l;
-  l.version = 7;
-  l.num_sites = 10;
-  l.num_shards = 3;
-  l.starts = {0, 4, 7, 10};
-  std::string buf;
-  AppendLayoutFrame(l, &buf);
-  auto frame = DecodeFramePayload(
-      reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
-  ASSERT_TRUE(frame.ok()) << frame.status().message();
-  ASSERT_EQ(frame->type, FrameType::kLayoutUpdate);
-  EXPECT_EQ(frame->layout.version, 7u);
-  EXPECT_EQ(frame->layout.num_sites, 10);
-  EXPECT_EQ(frame->layout.num_shards, 3);
-  EXPECT_EQ(frame->layout.starts, (std::vector<int32_t>{0, 4, 7, 10}));
-
-  LayoutAckFrame a;
-  a.version = 7;
-  std::string ack;
-  AppendLayoutAckFrame(a, &ack);
-  frame = DecodeFramePayload(
-      reinterpret_cast<const uint8_t*>(ack.data()) + 4, ack.size() - 4);
-  ASSERT_TRUE(frame.ok()) << frame.status().message();
-  ASSERT_EQ(frame->type, FrameType::kLayoutAck);
-  EXPECT_EQ(frame->layout_ack.version, 7u);
-}
-
-TEST(WireTest, LayoutFrameRejectsMalformedBoundaries) {
-  // Non-ascending boundaries must fail decoding: a malicious or corrupt
-  // layout would otherwise install broken routing on the worker.
-  LayoutFrame l;
-  l.version = 1;
-  l.num_sites = 10;
-  l.num_shards = 2;
-  l.starts = {0, 7, 5};  // Descending tail.
-  std::string buf;
-  AppendLayoutFrame(l, &buf);
-  EXPECT_FALSE(DecodeFramePayload(
-                   reinterpret_cast<const uint8_t*>(buf.data()) + 4,
-                   buf.size() - 4)
-                   .ok());
-}
-
 TEST(WireTest, FinishDistinguishesCleanEofFromTruncation) {
   std::string stream;
   AppendSingle(Envelope{}, &stream);
@@ -608,31 +565,39 @@ TEST(WireTest, EnvelopeBatchRejectsLyingCount) {
 }
 
 TEST(WireTest, RejectsRetiredSingleEnvelopeType) {
-  // Type 0 was the v4 single-envelope frame. A v5 payload carrying it, with
-  // that frame's old body, is an unknown type both to the decoder and to
+  // Retired frame types, each with its old body: type 0 was the v4
+  // single-envelope frame (envelope + seq), types 3 and 4 the v6 layout
+  // push (version, sites, shards, 3 boundaries) and its ack (version). In a
+  // current payload each is an unknown type, both to the decoder and to
   // the stream reader.
-  std::string payload;
-  payload.push_back(static_cast<char>(kWireVersion));
-  payload.push_back(0);                   // Frame type 0.
-  payload.append(26 + 8, '\0');           // Envelope body + seq.
-  auto frame = DecodeFramePayload(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  ASSERT_FALSE(frame.ok());
-  EXPECT_NE(frame.status().message().find("unknown frame type 0"),
-            std::string::npos)
-      << frame.status().message();
+  const std::pair<uint8_t, size_t> retired[] = {
+      {0, 26 + 8}, {3, 4 + 4 + 4 + 3 * 4}, {4, 4}};
+  for (const auto& [type, body] : retired) {
+    std::string payload;
+    payload.push_back(static_cast<char>(kWireVersion));
+    payload.push_back(static_cast<char>(type));
+    payload.append(body, '\0');
+    auto frame = DecodeFramePayload(
+        reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+    ASSERT_FALSE(frame.ok()) << "type " << int{type};
+    EXPECT_NE(frame.status().message().find("unknown frame type " +
+                                            std::to_string(type)),
+              std::string::npos)
+        << frame.status().message();
 
-  std::string stream(4, '\0');
-  stream[0] = static_cast<char>(payload.size());
-  stream += payload;
-  FrameReader reader;
-  reader.Append(reinterpret_cast<const uint8_t*>(stream.data()),
-                stream.size());
-  WireFrame out;
-  auto r = reader.Next(&out);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("unknown frame type"),
-            std::string::npos);
+    std::string stream(4, '\0');
+    stream[0] = static_cast<char>(payload.size());
+    stream += payload;
+    FrameReader reader;
+    reader.Append(reinterpret_cast<const uint8_t*>(stream.data()),
+                  stream.size());
+    WireFrame out;
+    auto r = reader.Next(&out);
+    ASSERT_FALSE(r.ok()) << "type " << int{type};
+    EXPECT_NE(r.status().message().find("unknown frame type"),
+              std::string::npos)
+        << r.status().message();
+  }
 }
 
 TEST(WireTest, FlipEveryByteOfMixedStreamFailsNamed) {
@@ -653,17 +618,6 @@ TEST(WireTest, FlipEveryByteOfMixedStreamFailsNamed) {
   ack.ok = 1;
   mark();
   AppendHelloAckFrame(ack, &stream);
-  LayoutFrame layout;
-  layout.version = 2;
-  layout.num_sites = 8;
-  layout.num_shards = 2;
-  layout.starts = {0, 4, 8};
-  mark();
-  AppendLayoutFrame(layout, &stream);
-  LayoutAckFrame layout_ack;
-  layout_ack.version = 2;
-  mark();
-  AppendLayoutAckFrame(layout_ack, &stream);
   std::vector<Envelope> envs;
   for (int i = 0; i < 64; ++i) {
     envs.push_back(MakeEnvelope(i, kCoordinatorId, ActorMsgKind::kAlarm, i,

@@ -52,7 +52,7 @@
 //           [--scheme local|polling] [--solver fptas|...] [--eps 0.05]
 //           [--poll-period 5] [--threads K] [--shards S] [--virtual-time]
 //           [--conformance] [--transport thread|socket] [--listen-port P]
-//           [--chaos none|kill-shard|kill-worker|reshard] [--chaos-seed S]
+//           [--chaos none|kill-shard|kill-worker] [--chaos-seed S]
 //           [--heartbeat-timeout-ms T] [--allow-reconnect]
 //           [--metrics-json out.json] [--trace-out out.trace]
 //           [--trace-format jsonl|chrome] [--stats-interval-ms T]
@@ -88,10 +88,9 @@
 //       detects the silence via --heartbeat-timeout-ms, default 1000 under
 //       kill-shard, and respawns the shard; the run prints
 //       "shard-recoveries:" and "recovery-ms:"), kill-worker
-//       severs a worker's TCP link (socket transport only; heals via the
-//       reconnect protocol), reshard pushes a new site->shard layout at an
-//       epoch boundary. Detection results must be unchanged — that is the
-//       point. --allow-reconnect keeps the coordinator accepting resume
+//       severs a worker's TCP link at an epoch boundary (socket transport
+//       and virtual time only; heals via the reconnect protocol).
+//       Detection results must be unchanged — that is the point. --allow-reconnect keeps the coordinator accepting resume
 //       handshakes even without chaos (kill-worker implies it).
 //       --metrics-json writes the merged telemetry document: the
 //       coordinator registry folded with every worker's final kTelemetry

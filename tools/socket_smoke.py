@@ -75,8 +75,7 @@ def main():
     parser.add_argument("--shards", type=int, default=1,
                         help="coordinator shard count (two-level tree)")
     parser.add_argument("--chaos", default="none",
-                        choices=["none", "kill-shard", "kill-worker",
-                                 "reshard"],
+                        choices=["none", "kill-shard", "kill-worker"],
                         help="inject one seed-resolved failure into the "
                              "socket run; the healthy thread run is still "
                              "the comparison baseline, so a match proves "
