@@ -34,8 +34,8 @@ enum class TraceEventKind {
   kSolverSolve,          ///< Threshold solver run (dur set).
   kViolation,            ///< Ground-truth violation (value = 1 if detected).
   // Chaos / failure-tolerance lifecycle (runtime only; PR 6 machinery).
-  kShardDeath,           ///< Shard coordinator went silent (value = shard).
-  kShardRespawn,         ///< Replacement shard thread started (value = shard).
+  kShardDeath,           ///< Shard coordinator leg crashed (value = shard).
+  kShardRespawn,         ///< Replacement shard leg started (value = shard).
   kWorkerReconnect,      ///< Worker TCP link resumed (value = worker).
   kFrameReplay,          ///< Frames retransmitted on resume (value = count).
   kTelemetryFlush,       ///< Worker pushed a telemetry frame (value = bytes).

@@ -44,10 +44,6 @@ enum class ActorMsgKind : uint8_t {
                      ///< covered site answers with its own kPollResponse.
   kPollResponse,     ///< Site -> coordinator: current value.
   kThresholdUpdate,  ///< Coordinator -> site: new local threshold (value).
-  // Control plane, process-local only (never crosses the wire; the socket
-  // decoder rejects it like any unknown kind).
-  kPing,  ///< Root -> shard: liveness probe; a live shard answers with a
-          ///< heartbeat on its root mailbox. Silence marks it dead.
 };
 
 std::string_view ActorMsgKindName(ActorMsgKind kind);

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "runtime/transport.h"
 
 namespace dcv {
 
@@ -16,12 +17,12 @@ namespace dcv {
 /// run still routes every protocol message through the Channel.
 enum class ChaosKind : uint8_t {
   kNone = 0,
-  /// Kill one shard coordinator thread (free-running mode only: a virtual
+  /// Crash one shard's free-running leg (free-running mode only: a virtual
   /// run has no shard threads, and rejects it with InvalidArgument). The
-  /// shard dies between inbox batches, at the first boundary after it
-  /// consumed a seeded number of envelopes, and the root respawns a
-  /// replacement that drains the same inbox, so no queued alarm or
-  /// site-done message is lost.
+  /// leg dies between inbox batches, at the first boundary after it
+  /// consumed a seeded number of envelopes, and its shard thread starts a
+  /// replacement leg that drains the same inbox (RunShardFree), so no
+  /// queued alarm or site-done message is lost.
   kKillShard,
   /// Sever the TCP link to one site-worker mid-run (socket transport
   /// only). The worker redials, the handshake fences stale generations,
@@ -78,11 +79,11 @@ inline ResolvedChaos ResolveChaos(const ChaosSpec& spec, int64_t num_epochs,
 /// Whether `chaos` can fire in a run of this shape. The runtime checks it
 /// before it builds any transport, so a socket run fails before it waits
 /// for its workers. Kill-shard needs a shard tree (num_shards >= 2) and
-/// kills a shard thread, which only free-running time runs, and needs
-/// heartbeat_timeout_ms > 0 for the root to notice the death; kill-worker
-/// fires at an epoch boundary, which only virtual time has.
+/// kills a shard thread, which only free-running time runs; kill-worker
+/// fires at an epoch boundary, which only virtual time has, and severs a
+/// TCP link, which only the socket transport has.
 inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
-                             bool virtual_time, int heartbeat_timeout_ms) {
+                             bool virtual_time, TransportKind transport) {
   if (chaos.kind == ChaosKind::kKillShard && num_shards < 2) {
     return InvalidArgumentError(
         "kill-shard chaos needs a sharded coordinator (num_shards >= 2)");
@@ -92,15 +93,16 @@ inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
         "kill-shard chaos needs free-running time: a virtual run has no "
         "shard thread to kill");
   }
-  if (chaos.kind == ChaosKind::kKillShard && heartbeat_timeout_ms <= 0) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs heartbeat_timeout_ms > 0 so the root can "
-        "detect the death");
-  }
   if (chaos.kind == ChaosKind::kKillWorker && !virtual_time) {
     return InvalidArgumentError(
         "kill-worker chaos needs virtual time: a free-running run never "
         "fires it");
+  }
+  if (chaos.kind == ChaosKind::kKillWorker &&
+      transport != TransportKind::kSocket) {
+    return InvalidArgumentError(
+        "kill-worker chaos needs the socket transport: there is no "
+        "connection to sever in-process");
   }
   return OkStatus();
 }

@@ -61,6 +61,10 @@ std::string DiffAgainstLockstep(const SimResult& lockstep,
 Result<ConformanceReport> RunConformance(const Trace& training,
                                          const Trace& eval,
                                          const ConformanceSpec& spec) {
+  // Every runtime run here is virtual: a chaos kind none of them can fire
+  // fails before the lockstep run, not as a healthy run.
+  DCV_RETURN_IF_ERROR(CheckChaosFits(spec.chaos, spec.num_shards,
+                                     /*virtual_time=*/true, spec.transport));
   ConformanceReport report;
 
   // Lockstep reference run, with the per-epoch detection trail captured.

@@ -40,10 +40,11 @@ struct ConformanceSpec {
   /// runtime runs (the lockstep reference
   /// always runs healthy). Conformance with chaos on is the recovery proof:
   /// the runtime must survive the failure AND still produce bit-identical
-  /// virtual-time detections. kill-worker needs the socket transport (there
-  /// is no link to sever in-process) and is applied to the socket run only.
-  /// kill-shard fails the run with InvalidArgument: a virtual run has no
-  /// shard thread to kill.
+  /// virtual-time detections. kill-worker is applied to the socket run
+  /// only. A kind no run can fire fails with InvalidArgument before any
+  /// run (CheckChaosFits): kill-worker without the socket transport (there
+  /// is no link to sever in-process), and kill-shard (a virtual run has no
+  /// shard thread to kill).
   ChaosSpec chaos;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -20,16 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Records one coordinator-tree lifecycle event (shard death or respawn)
-/// on the shard's trace lane.
-void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
-                     int64_t epoch, int shard, int64_t value) {
-  if (recorder != nullptr) {
-    recorder->Record(obs::TraceEvent{
-        .kind = kind, .epoch = epoch, .value = value, .shard = shard});
-  }
-}
-
 const char* ProtocolName(RuntimeProtocol protocol) {
   return protocol == RuntimeProtocol::kLocalThreshold ? "local-threshold"
                                                       : "polling";
@@ -43,25 +32,6 @@ Result<ShardLayout> TreeLayout(const CoordinatorActor::Config& config,
         "transport shard count does not match coordinator num_shards");
   }
   return MakeShardLayout(config.num_sites, config.num_shards);
-}
-
-/// The root's view of one free-running shard.
-struct ShardSlot {
-  int shard = 0;
-  bool reported = false;   ///< This round's partial is in.
-  bool exited = false;     ///< Its kShardExit arrived (counted once).
-  bool respawned = false;  ///< Replaced once; a second silence is fatal.
-  bool heard = false;      ///< Sent anything inside the probe window.
-  /// Commands that did not fit the shard inbox (detection on only).
-  std::deque<ActorMessage> backlog;
-};
-
-std::vector<ShardSlot> MakeSlots(int num_shards) {
-  std::vector<ShardSlot> slots(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    slots[static_cast<size_t>(s)].shard = s;
-  }
-  return slots;
 }
 
 }  // namespace
@@ -136,8 +106,10 @@ class CoordinatorActor::VirtualRun {
     obs::ScopedTimer epoch_timer(actor_.epoch_us_);
     if (config_.chaos.kind == ChaosKind::kKillWorker &&
         t == chaos_.fire_epoch) {
-      // Unimplemented on link-free transports; fine.
-      (void)transport_->InjectPeerFailure(chaos_.target);
+      // Unimplemented on link-free transports: a chaos run that cannot
+      // fire fails instead of running healthy (CheckChaosFits rejects it
+      // before any transport is built).
+      DCV_RETURN_IF_ERROR(transport_->InjectPeerFailure(chaos_.target));
     }
     // Same call order as the lockstep runner + scheme, so the channel's RNG
     // stream (and thus every fault fate) is bit-identical: BeginEpoch,
@@ -313,28 +285,20 @@ class CoordinatorActor::FreeRun {
       inline_leg_->Start(&leg_out_);
       ServeLegOut();
     } else {
-      for (const ShardSlot& slot : slots_) {
-        const bool doomed = config_.chaos.kind == ChaosKind::kKillShard &&
-                            slot.shard == chaos_.target;
+      for (int s = 0; s < k_; ++s) {
+        const bool doomed =
+            config_.chaos.kind == ChaosKind::kKillShard && s == chaos_.target;
         threads_.emplace_back(
             RunShardFree,
-            MakeContext(slot.shard, doomed ? chaos_.fire_after_envelopes : -1));
+            MakeContext(s, doomed ? chaos_.fire_after_envelopes : -1));
       }
     }
     while ((sites_done_ < config_.num_sites || partials_pending_ > 0) &&
            run_error_.ok()) {
       if (inline_leg_) {
         StepInline();
-        continue;
-      }
-      const Clock::time_point since = Clock::now();
-      bool timed_out = false;
-      if (Pump(window_ms_, &timed_out)) {
-        continue;
-      } else if (timed_out) {
-        Probe(since);
       } else {
-        Fail(InternalError("root mailbox closed while shards were live"));
+        Pump();
       }
     }
     SetGaugeMs(completion_ms_gauge_, last_done_ - first_done_);
@@ -349,11 +313,10 @@ class CoordinatorActor::FreeRun {
   }
 
  private:
-  ShardContext MakeContext(int s, int64_t die_after_envelopes,
-                           int64_t incarnation = 0) {
-    return ShardContext{s,          layout_,           &config_,
-                        transport_, &root_box_,        actor_.alarms_rx_,
-                        die_after_envelopes, incarnation};
+  ShardContext MakeContext(int s, int64_t die_after_envelopes) {
+    return ShardContext{s,          layout_,    &config_,
+                        transport_, &root_box_, actor_.alarms_rx_,
+                        die_after_envelopes};
   }
 
   void Fail(Status status) {
@@ -364,16 +327,6 @@ class CoordinatorActor::FreeRun {
 
   /// The single handler for shard output: root box or inline leg.
   void Handle(RootMsg& msg) {
-    ShardSlot& slot = slots_[static_cast<size_t>(msg.shard)];
-    // Probe clears these marks, so during a probe ANY traffic proves a shard
-    // alive: the root box was empty when the silence was declared, so this
-    // was pushed inside the window. A live shard grinding through a full
-    // inbox, with the ping stuck in the backlog behind it, must not get a
-    // twin respawned.
-    if (!slot.heard) {
-      slot.heard = true;
-      ++probe_heard_;
-    }
     // Only notices and partials carry an epoch; the other kinds leave it 0.
     watermark_ = std::max(watermark_, msg.epoch);
     switch (msg.kind) {
@@ -390,7 +343,6 @@ class CoordinatorActor::FreeRun {
         if (draining_ || partials_pending_ == 0) {
           break;
         }
-        slot.reported = true;
         round_sum_ += msg.partial_sum;
         round_min_ = std::min(round_min_, msg.partial_min);
         round_max_ = std::max(round_max_, msg.partial_max);
@@ -410,17 +362,13 @@ class CoordinatorActor::FreeRun {
         }
         break;
       case RootMsg::Kind::kShardExit: {
-        // A respawn that raced a live-but-slow shard leaves two threads on
-        // one shard id, each reporting a disjoint half of its work: merge
-        // both, count one exit.
-        if (!slot.exited) {
-          ++shard_exits_;
-          slot.exited = true;
-        }
+        ++shard_exits_;
         const ShardReport& report = *msg.report;
         out_->total_alarms += report.alarms;
         actor_.counter_.Merge(report.messages);
         out_->reliability = out_->reliability + report.reliability;
+        out_->shard_recoveries += report.recoveries;
+        out_->recovery_ms = std::max(out_->recovery_ms, report.recovery_ms);
         if (!report.status.ok()) {
           Fail(report.status);
         }
@@ -430,18 +378,13 @@ class CoordinatorActor::FreeRun {
         }
         break;
       }
-      default:
-        break;  // kHeartbeat was credited above.
     }
   }
 
-  /// Kicks every shard's poll leg. A shard thread gets an envelope from
-  /// kCoordinatorId straight in its inbox (SendToShard never crosses a
-  /// wire), so each shard still blocks on one source.
+  /// Kicks every shard's poll leg.
   void StartRound() {
-    for (ShardSlot& slot : slots_) {
-      slot.reported = false;
-      SendCommand(slot, ActorMsgKind::kPollRequest);
+    for (int s = 0; s < k_; ++s) {
+      SendCommand(s, ActorMsgKind::kPollRequest);
     }
     partials_pending_ = k_;
     round_trigger_epoch_ = watermark_;
@@ -474,40 +417,22 @@ class CoordinatorActor::FreeRun {
     }
   }
 
-  /// With detection on, the root never blocks pushing into a shard inbox: a
-  /// dead shard's inbox stays full of blocked site updates, and a blocking
-  /// push would wedge the root and its probe/respawn machinery forever. A
-  /// command that does not fit waits in the slot's FIFO backlog, retried on
-  /// every pump, and follows once a replacement drains the inbox. Without
-  /// detection the root waits on its box with no timeout, so a backlogged
-  /// command could wait until the sites finish: the send blocks instead,
-  /// every shard being assumed to stay in its receive loop.
-  void SendCommand(ShardSlot& slot, ActorMsgKind kind) {
+  /// Hands a root command (poll kick, stop) to shard `s`'s leg. An inline
+  /// leg steps it at once, before it steps another envelope, so a round
+  /// starts at the point of the stream where it was triggered. A shard
+  /// thread gets it in its inbox from kCoordinatorId (SendToShard never
+  /// crosses a wire), so each shard still blocks on one source. The send
+  /// may block on a full inbox; every shard thread stays in its receive
+  /// loop — a crashed leg is replaced on the same thread (RunShardFree) —
+  /// so the inbox drains.
+  void SendCommand(int s, ActorMsgKind kind) {
     ActorMessage cmd;
     cmd.kind = kind;
     const Envelope env{kCoordinatorId, kCoordinatorId, cmd};
     if (inline_leg_) {
-      // Straight into the inline leg, before it steps another envelope, so
-      // a round starts at the point of the stream where it was triggered.
       inline_leg_->Step(env, &leg_out_);
-    } else if (window_ms_ < 0) {
-      if (!transport_->SendToShard(slot.shard, env)) {
-        Fail(InternalError("transport closed during a shard command"));
-      }
-    } else if (!slot.backlog.empty() ||
-               !transport_->TrySendToShard(slot.shard, env)) {
-      slot.backlog.push_back(cmd);
-    }
-  }
-
-  void FlushCommands() {
-    for (ShardSlot& slot : slots_) {
-      while (!slot.backlog.empty() &&
-             transport_->TrySendToShard(
-                 slot.shard, Envelope{kCoordinatorId, kCoordinatorId,
-                                      slot.backlog.front()})) {
-        slot.backlog.pop_front();
-      }
+    } else if (!transport_->SendToShard(s, env)) {
+      Fail(InternalError("transport closed during a shard command"));
     }
   }
 
@@ -534,111 +459,28 @@ class CoordinatorActor::FreeRun {
     }
   }
 
-  /// Flushes the backlogs, then drains the root box once, every message
-  /// through Handle. Waits at most `wait_ms` (< 0: forever). False when
-  /// nothing arrived: a timeout (`*timed_out`) or a closed box.
-  bool Pump(int64_t wait_ms, bool* timed_out) {
-    FlushCommands();
+  /// Shard threads' turn of the main loop (and of the drain): one blocking
+  /// drain of the root box, every message through Handle. Nothing closes
+  /// the box, so there is no empty return to handle; a shard thread's last
+  /// push is always its kShardExit.
+  void Pump() {
     batch_.clear();
-    *timed_out = false;
-    const size_t got = wait_ms >= 0
-                           ? root_box_.PopAllFor(&batch_, wait_ms, timed_out)
-                           : root_box_.PopAll(&batch_);
+    root_box_.PopAll(&batch_);
     for (RootMsg& msg : batch_) {
       Handle(msg);
     }
-    return got > 0;
   }
 
-  /// The one silence rule, for the main loop and the shutdown drain alike:
-  /// after a silent stretch that began at `since`, pings every shard; the
-  /// ones that stay completely silent for one more window are dead and get
-  /// respawned. A shard that is slow but alive answers, so it never gets
-  /// a twin.
-  void Probe(Clock::time_point since) {
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(config_.heartbeat_timeout_ms);
-    probe_heard_ = 0;
-    for (ShardSlot& slot : slots_) {
-      slot.heard = false;
-      SendCommand(slot, ActorMsgKind::kPing);
-    }
-    bool timed_out = false;
-    while (probe_heard_ < k_ && run_error_.ok() && !timed_out) {
-      const int64_t remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - Clock::now())
-              .count();
-      if (!Pump(std::max<int64_t>(0, remaining_ms), &timed_out) &&
-          !timed_out) {
-        Fail(InternalError("root mailbox closed during probe"));
-      }
-    }
-    for (ShardSlot& slot : slots_) {
-      if (!run_error_.ok() || slot.heard || slot.exited) {
-        continue;
-      } else if (slot.respawned) {
-        Fail(InternalError("shard " + std::to_string(slot.shard) +
-                           " went silent again after a respawn; giving up"));
-      } else {
-        Respawn(slot, since);
-      }
-    }
-  }
-
-  /// Replaces a silent shard with a thread on the SAME shard inbox, so every
-  /// queued alarm, response and site-done survives the crash (bounded
-  /// mailboxes drop nothing; senders just block). The replacement's channel
-  /// restarts from the plan's fault slice. `since` is when the silence
-  /// began. If the "dead" shard was merely slow, two threads now serve the
-  /// shard id, and each will need a stop.
-  void Respawn(ShardSlot& slot, Clock::time_point since) {
-    slot.respawned = true;
-    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardDeath,
-                    watermark_, slot.shard, slot.shard);
-    threads_.emplace_back(RunShardFree,
-                          MakeContext(slot.shard, -1, /*incarnation=*/1));
-    RecordTreeEvent(config_.recorder, obs::TraceEventKind::kShardRespawn,
-                    watermark_, slot.shard, slot.shard);
-    const std::chrono::duration<double, std::milli> took = Clock::now() - since;
-    ++out_->shard_recoveries;
-    out_->recovery_ms = std::max(out_->recovery_ms, took.count());
-    // Re-send what the shard still owed: while draining, a stop for the
-    // twin (the original's is already queued or backlogged); otherwise a
-    // kick for a round it had not answered, which would hang forever (the
-    // replacement, incarnation 1, ignores every response to the dead leg's
-    // rounds: their ids differ).
-    if (draining_) {
-      SendCommand(slot, ActorMsgKind::kShutdown);
-    } else if (partials_pending_ > 0 && !slot.reported) {
-      SendCommand(slot, ActorMsgKind::kPollRequest);
-    }
-  }
-
-  /// Stops every shard — one stop per live thread, so two for a respawned
-  /// shard id; a surplus stop just sits unconsumed in the inbox — and counts
-  /// exits instead of joining, so a shard blocked pushing to the root box
-  /// can always drain. A silent stretch goes to Probe, so a shard thread
-  /// that died before its stop still gets one respawn (the replacement
-  /// finds the queued stop and exits).
+  /// Stops every leg and counts exits instead of joining, so a shard
+  /// blocked pushing to the root box can always drain.
   void Drain() {
     draining_ = true;
-    for (ShardSlot& slot : slots_) {
-      SendCommand(slot, ActorMsgKind::kShutdown);
-      if (slot.respawned) {
-        SendCommand(slot, ActorMsgKind::kShutdown);
-      }
+    for (int s = 0; s < k_; ++s) {
+      SendCommand(s, ActorMsgKind::kShutdown);
     }
     ServeLegOut();
     while (shard_exits_ < k_) {
-      const Clock::time_point since = Clock::now();
-      bool timed_out = false;
-      if (Pump(window_ms_, &timed_out)) {
-        continue;
-      } else if (!timed_out || !run_error_.ok()) {
-        break;
-      }
-      Probe(since);
+      Pump();
     }
     for (std::thread& th : threads_) {
       th.join();
@@ -662,15 +504,8 @@ class CoordinatorActor::FreeRun {
   const int k_ = config_.num_shards;
   const ResolvedChaos chaos_ =
       ResolveChaos(config_.chaos, /*num_epochs=*/0, k_);
-  /// Root-box wait per pump: the heartbeat window with detection on, -1
-  /// (block) without. Detection covers shard threads only; an inline leg
-  /// cannot die on its own.
-  const int64_t window_ms_ =
-      config_.heartbeat_timeout_ms > 0 && k_ > 1 ? config_.heartbeat_timeout_ms
-                                                 : -1;
   ShardLayout layout_;
   Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * k_ + 16)};
-  std::vector<ShardSlot> slots_ = MakeSlots(k_);
   std::vector<std::thread> threads_;
   std::optional<ShardFreeLeg> inline_leg_;
   obs::Gauge* const poll_min_gauge_ =
@@ -695,7 +530,6 @@ class CoordinatorActor::FreeRun {
   Clock::time_point first_done_;  ///< When the root counted its first done.
   Clock::time_point last_done_;   ///< ... and its latest.
   int shard_exits_ = 0;
-  int probe_heard_ = 0;  ///< Shards heard since the last probe began.
   bool draining_ = false;  ///< Post-kShutdown: late messages are expected.
   Status run_error_;
   std::vector<RootMsg> batch_;    ///< One root-box drain.

@@ -62,17 +62,13 @@ class CoordinatorActor {
 
     FaultSpec faults;
 
-    /// Chaos injection (chaos.h) at a seed-resolved point: kill a shard
-    /// (free-running only) or sever a worker link (virtual only). kNone = healthy run. The coordinator does not
-    /// check that the chaos fits the run: the caller does, with
-    /// CheckChaosFits, before it builds the transport (the runtime's
-    /// launcher does).
+    /// Chaos injection (chaos.h) at a seed-resolved point: crash a shard's
+    /// leg (free-running only; its shard thread starts a replacement) or
+    /// sever a worker link (virtual time over a socket only). kNone = a
+    /// healthy run. The coordinator does not check that the chaos fits the
+    /// run: the caller does, with CheckChaosFits, before it builds the
+    /// transport (the runtime's launcher does).
     ChaosSpec chaos;
-    /// Free-running shard threads (k >= 2): how long the root waits for
-    /// shard traffic before it kPing-probes the shards and respawns the
-    /// silent ones. 0 = detection off — the root waits forever. No effect
-    /// in virtual time, which runs no shard threads.
-    int heartbeat_timeout_ms = 0;
 
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceRecorder* recorder = nullptr;

@@ -258,31 +258,6 @@ class Mailbox {
     return moved;
   }
 
-  /// PopAll with a deadline: waits at most `timeout_ms` for the first
-  /// message. Returns the number of messages moved; 0 with `*timed_out =
-  /// true` means the deadline expired with the box still open and empty —
-  /// the caller's cue to probe for a dead producer (crash detection) —
-  /// while 0 with `*timed_out = false` means closed and drained, the usual
-  /// end-of-stream signal.
-  size_t PopAllFor(std::vector<T>* out, int64_t timeout_ms, bool* timed_out) {
-    size_t moved = 0;
-    bool expired = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      expired = !not_empty_.wait_for(
-          lock, std::chrono::milliseconds(timeout_ms),
-          [this] { return closed_ || !queue_.empty(); });
-      moved = DrainLocked(out);
-    }
-    if (timed_out != nullptr) {
-      *timed_out = expired && moved == 0;
-    }
-    if (moved > 0) {
-      not_full_.notify_all();
-    }
-    return moved;
-  }
-
   /// Non-blocking batch drain; 0 when nothing is immediately available
   /// (which, unlike PopAll, says nothing about the box being closed). An
   /// empty box costs one atomic load: the size hint reads 0 and no lock is

@@ -99,7 +99,6 @@ CoordinatorActor::Config MakeCoordinatorConfig(int n, const LaunchPlan& plan,
   ccfg.num_shards = options.num_shards;
   ccfg.faults = options.faults;
   ccfg.chaos = options.chaos;
-  ccfg.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
   ccfg.metrics = options.metrics;
   ccfg.recorder = options.recorder;
   return ccfg;
@@ -235,7 +234,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
                              const RuntimeOptions& options) {
   DCV_RETURN_IF_ERROR(CheckChaosFits(options.chaos, options.num_shards,
                                      options.virtual_time,
-                                     options.heartbeat_timeout_ms));
+                                     options.transport));
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
   }

@@ -16,13 +16,6 @@
 
 namespace dcv {
 
-/// Which message fabric carries the coordinator <-> site traffic.
-enum class TransportKind {
-  kThread,  ///< In-process bounded mailboxes (the default).
-  kSocket,  ///< TCP: this process is the coordinator; site-worker processes
-            ///< connect over loopback or the network (see site_worker.h).
-};
-
 /// Configuration for one threaded-runtime run (the concurrent counterpart
 /// of SimOptions).
 struct RuntimeOptions {
@@ -67,16 +60,13 @@ struct RuntimeOptions {
 
   FaultSpec faults;
 
-  /// Chaos injection (chaos.h): kill a shard coordinator (free-running
-  /// only) or sever a worker link (virtual only) at a seed-resolved point. Requires `heartbeat_timeout_ms > 0` for
-  /// kill-shard so the root notices. A chaos kind that cannot fire in the
-  /// run's time mode or shard count fails with InvalidArgument
-  /// (CheckChaosFits) before any transport is built or worker accepted.
+  /// Chaos injection (chaos.h): crash a shard's leg (free-running only;
+  /// its shard thread restarts it) or sever a worker link (virtual time
+  /// over the socket transport only) at a seed-resolved point. A chaos
+  /// kind that cannot fire in the run's time mode, shard count or
+  /// transport fails with InvalidArgument (CheckChaosFits) before any
+  /// transport is built or worker accepted.
   ChaosSpec chaos;
-  /// Free-running sharded runs: root-side dead-shard detection window in
-  /// milliseconds. 0 (default) disables detection — the root waits forever.
-  /// No effect in virtual time, which runs no shard threads.
-  int heartbeat_timeout_ms = 0;
 
   /// Synthetic workloads: per-site streams derive from (seed, site), so a
   /// seed pins every site's update sequence regardless of thread schedule.

@@ -65,10 +65,11 @@ struct RuntimeResult {
   std::vector<std::vector<int64_t>> captured_updates;
 
   // Failure recovery accounting (chaos runs; all zero on a healthy run).
-  int64_t shard_recoveries = 0;  ///< Dead shards respawned (free mode).
+  /// Crashed shard legs their shard threads replaced (free mode).
+  int64_t shard_recoveries = 0;
   /// Free-running kill-shard runs: wall-clock cost of the slowest single
-  /// recovery, from the start of the silence the heartbeat timeout caught
-  /// to the replacement shard thread running.
+  /// recovery, from the leg's death to its replacement running on the same
+  /// shard thread, with the root's kick re-delivered if a round was open.
   double recovery_ms = 0.0;
 
   /// Socket-transport runs only: the coordinator side's wire-level

@@ -1,13 +1,27 @@
 #include "runtime/shard.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 namespace dcv {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Records one coordinator-tree lifecycle event (a leg's death or its
+/// replacement) on the shard's trace lane.
+void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
+                     int64_t epoch, int shard) {
+  if (recorder != nullptr) {
+    recorder->Record(obs::TraceEvent{
+        .kind = kind, .epoch = epoch, .value = shard, .shard = shard});
+  }
+}
 
 /// Pushes everything in `out` to the root, in order, and empties it; false
 /// once the root's box is closed.
@@ -153,7 +167,6 @@ void ShardFreeLeg::Stop(Status status, std::vector<RootMsg>* out) {
   (void)ctx_.transport->SendBatch(fanout_);
   RootMsg& exit = out->emplace_back();
   exit.kind = RootMsg::Kind::kShardExit;
-  exit.shard = ctx_.shard;
   exit.report = std::make_unique<ShardReport>(
       ShardReport{alarms_, counter_, channel_.stats(), std::move(status)});
 }
@@ -196,10 +209,6 @@ void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
   // the wire), or handed over directly to an inline leg.
   if (cmd.kind == ActorMsgKind::kShutdown) {
     Stop(OkStatus(), out);
-  } else if (cmd.kind == ActorMsgKind::kPing) {
-    RootMsg& beat = out->emplace_back();
-    beat.kind = RootMsg::Kind::kHeartbeat;
-    beat.shard = ctx_.shard;
   } else if (cmd.kind == ActorMsgKind::kPollRequest && !poll_outstanding_) {
     notice_sent_ = false;
     if (!StartPoll()) {
@@ -211,12 +220,11 @@ void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
 void ShardFreeLeg::OnSiteDone(const Envelope& e, std::vector<RootMsg>* out) {
   // Opens one relay per run of consecutive dones (StepBatch appends the
   // rest of the run), never one per shard: the root counts the sites in
-  // each run, so its done-tracking survives a shard death and respawn
+  // each run, so its done-tracking survives a leg's death and replacement
   // mid-drain. A leg dies only at an inbox-batch boundary, so a run is
   // relayed whole or left queued for the replacement.
   RootMsg& done = out->emplace_back();
   done.kind = RootMsg::Kind::kSiteDone;
-  done.shard = ctx_.shard;
   done.entries.emplace_back(e.from, e.msg.value);
 }
 
@@ -246,8 +254,7 @@ void ShardFreeLeg::OnAlarm(const Envelope& e, std::vector<RootMsg>* out) {
     // fire.
     RootMsg& notice = out->emplace_back();
     notice.kind = RootMsg::Kind::kAlarmNotice;
-    notice.shard = ctx_.shard;
-    notice.epoch = watermark_;
+      notice.epoch = watermark_;
     notice_sent_ = true;
   }
 }
@@ -260,7 +267,6 @@ void ShardFreeLeg::FinishPoll(std::vector<RootMsg>* out) {
   poll_outstanding_ = false;
   RootMsg& partial = out->emplace_back();
   partial.kind = RootMsg::Kind::kPollPartial;
-  partial.shard = ctx_.shard;
   partial.epoch = watermark_;
   partial.partial_sum = poll.weighted_sum;
   if (!poll.values.empty()) {
@@ -280,36 +286,69 @@ void RunShardFree(ShardContext ctx) {
   Transport* const transport = ctx.transport;
   Mailbox<RootMsg>* const to_root = ctx.to_root;
   const int shard = ctx.shard;
-  const int64_t die_after_envelopes = ctx.die_after_envelopes;
+  obs::TraceRecorder* const recorder = ctx.config->recorder;
+  int64_t die_after_envelopes = std::exchange(ctx.die_after_envelopes, -1);
   // A free-running shard always terminates via kShardExit — even on init
   // failure — so the root can count k exits before joining.
-  ShardFreeLeg leg(std::move(ctx));
+  std::optional<ShardFreeLeg> leg(std::in_place, ctx);
   std::vector<RootMsg> out;
-  leg.Start(&out);
+  leg->Start(&out);
+  int64_t recoveries = 0;
+  double recovery_ms = 0.0;  // The slowest replacement's restart.
   std::vector<Envelope> batch;
   int64_t consumed = 0;
-  while (leg.running()) {
+  while (leg->running()) {
     if (die_after_envelopes >= 0 && consumed >= die_after_envelopes) {
-      // Chaos: crash at a batch boundary — every consumed message was
-      // fully handled (notices pushed, done reports relayed) and every
-      // unconsumed one is still queued in the shard inbox, which the
-      // root's respawned replacement drains. Nothing is lost; only this
-      // shard's channel/counter accounting dies with it.
-      return;
+      // Chaos: the leg crashes at a batch boundary — every consumed
+      // message was fully handled (notices pushed, done runs relayed) and
+      // every unconsumed one is still queued in the inbox, which the
+      // replacement drains. Only the dead leg's channel and counter
+      // accounting dies with it.
+      die_after_envelopes = -1;
+      const Clock::time_point died = Clock::now();
+      const bool round_open = leg->poll_outstanding();
+      const int64_t epoch = std::max<int64_t>(0, leg->watermark());
+      RecordTreeEvent(recorder, obs::TraceEventKind::kShardDeath, epoch,
+                      shard);
+      ++ctx.incarnation;
+      leg.emplace(ctx);
+      leg->Start(&out);
+      if (round_open) {
+        // The dead leg consumed the root's kick and never answered it:
+        // re-open the round, or the root waits for its partial forever.
+        // The replacement counts no response to the dead leg's round (its
+        // id differs), so the root still gets one partial per kick.
+        ActorMessage kick;
+        kick.kind = ActorMsgKind::kPollRequest;
+        leg->Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
+      }
+      RecordTreeEvent(recorder, obs::TraceEventKind::kShardRespawn, epoch,
+                      shard);
+      ++recoveries;
+      recovery_ms = std::max(
+          recovery_ms,
+          std::chrono::duration<double, std::milli>(Clock::now() - died)
+              .count());
+      continue;
     }
     batch.clear();
     if (transport->RecvShardAll(shard, &batch) == 0) {
-      leg.Stop(InternalError("transport closed while sites were live"), &out);
+      leg->Stop(InternalError("transport closed while sites were live"),
+                &out);
       break;
     }
     consumed += static_cast<int64_t>(batch.size());
-    for (size_t next = 0; next < batch.size();) {
-      next = leg.StepBatch(batch, next, &out);
-      if (!Forward(to_root, &out)) {
-        leg.Stop(OkStatus(), &out);  // The root is gone; so is its box.
+    for (size_t next = 0; next < batch.size() && leg->running();) {
+      next = leg->StepBatch(batch, next, &out);
+      if (leg->running() && !Forward(to_root, &out)) {
+        leg->Stop(OkStatus(), &out);  // The root is gone; so is its box.
       }
     }
   }
+  // A stopped leg's last output is its kShardExit.
+  ShardReport& report = *out.back().report;
+  report.recoveries = recoveries;
+  report.recovery_ms = recovery_ms;
   Forward(to_root, &out);
 }
 

@@ -48,6 +48,10 @@ struct ShardReport {
   /// Non-OK when the shard failed: a protocol or transport error, or (free
   /// mode) an abnormal transport close.
   Status status;
+  /// Filled by the shard thread's supervisor (RunShardFree): crashed legs
+  /// it replaced, and the slowest replacement's restart time.
+  int64_t recoveries = 0;
+  double recovery_ms = 0.0;
 };
 
 /// Free-running shard leg -> root message: over the root's internal
@@ -59,14 +63,12 @@ struct RootMsg {
     kSiteDone,      ///< One run of owned sites reported kSiteDone.
                     ///< Relayed per run of consecutive dones in one inbox
                     ///< batch (not batched per shard) and counted per site,
-                    ///< so the root's done-tracking survives a shard death:
-                    ///< whatever the dead shard already relayed stays
+                    ///< so the root's done-tracking survives a leg's death:
+                    ///< whatever the dead leg already relayed stays
                     ///< counted, and the replacement relays the rest.
-    kHeartbeat,     ///< Reply to the root's kPing liveness probe.
     kShardExit,     ///< Shard exiting; `report` holds its final accounting.
   };
   Kind kind = Kind::kPollPartial;
-  int shard = 0;
   int64_t epoch = 0;
   /// kSiteDone: one run's (global site, update count) pairs, in arrival
   /// order.
@@ -94,17 +96,18 @@ struct ShardContext {
   Transport* transport = nullptr;
   Mailbox<RootMsg>* to_root = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
-  /// Chaos injection (tests / --chaos runs): die at the first inbox batch
-  /// boundary after consuming this many envelopes, simulating a crashed
-  /// coordinator thread. Dying at a batch boundary means every consumed
+  /// Chaos injection (tests / --chaos runs; RunShardFree only): the leg
+  /// dies at the first inbox batch boundary after consuming this many
+  /// envelopes, simulating a crashed shard coordinator, and the thread
+  /// starts a replacement. Dying at a batch boundary means every consumed
   /// message was handled and every unconsumed one is still queued for the
-  /// replacement shard. Envelopes, not batches: how many batches a run
-  /// takes depends on how the transport drains, and a short run may end
-  /// before a batch count is reached.
+  /// replacement. Envelopes, not batches: how many batches a run takes
+  /// depends on how the transport drains, and a short run may end before
+  /// a batch count is reached.
   int64_t die_after_envelopes = -1;
-  /// Which leg on this shard id this is: 0 for the first, 1 for a respawned
-  /// replacement. Part of every poll-round id the leg stamps, so no round
-  /// of one incarnation shares an id with any round of another.
+  /// Which leg on this shard id this is: 0 for the first, one more for
+  /// each replacement. Part of every poll-round id the leg stamps, so no
+  /// round of one incarnation shares an id with any round of another.
   int64_t incarnation = 0;
 };
 
@@ -142,9 +145,9 @@ class ShardFreeLeg {
 
   /// Serves one inbox envelope: a site's kAlarm, kPollResponse or
   /// kSiteDone, or a root command (from == kCoordinatorId): kPollRequest
-  /// opens a poll leg, kPing asks for a kHeartbeat, kShutdown stops the
-  /// leg. The step that stops the leg appends its final kShardExit; a
-  /// stopped leg ignores every later envelope.
+  /// opens a poll leg, kShutdown stops the leg. The step that stops the
+  /// leg appends its final kShardExit; a stopped leg ignores every later
+  /// envelope.
   void Step(const Envelope& e, std::vector<RootMsg>* out);
 
   /// Steps batch[begin], batch[begin + 1], ... and stops right after the
@@ -162,6 +165,9 @@ class ShardFreeLeg {
   void Stop(Status status, std::vector<RootMsg>* out);
 
   bool running() const { return running_; }
+  /// A poll leg is open: kicked, and its partial not yet appended.
+  bool poll_outstanding() const { return poll_outstanding_; }
+  int64_t watermark() const { return watermark_; }
 
   /// The id a poll fan-out carries in its request epoch (and the sites echo
   /// back): incarnation * 2^32 + the leg's round number, 1-based.
@@ -174,7 +180,7 @@ class ShardFreeLeg {
   /// shard (FanOutRange); every owned site still answers on its own.
   /// False = transport closed.
   bool StartPoll();
-  /// A root command: kPollRequest, kPing or kShutdown.
+  /// A root command: kPollRequest or kShutdown.
   void OnCommand(const ActorMessage& cmd, std::vector<RootMsg>* out);
   void OnAlarm(const Envelope& e, std::vector<RootMsg>* out);
   void OnSiteDone(const Envelope& e, std::vector<RootMsg>* out);
@@ -203,7 +209,13 @@ class ShardFreeLeg {
 
 /// Body of one shard coordinator thread, free-running mode: receive inbox
 /// batches, step the shard's ShardFreeLeg over them, and push its output
-/// to the root until the leg stops (or `die_after_envelopes` chaos fires).
+/// to the root until the leg stops. It also supervises the leg: when
+/// `die_after_envelopes` chaos kills it, the thread records shard_death,
+/// starts a replacement on the same inbox (incarnation + 1, a fresh
+/// channel from the plan's fault slice), re-delivers the root's kick if
+/// the dead leg had a round open, and records shard_respawn. The root
+/// still gets exactly one kPollPartial per kick and one kShardExit, whose
+/// report carries the recovery count and time.
 void RunShardFree(ShardContext ctx);
 
 /// Remaps a global fault spec onto one shard's contiguous site range:

@@ -197,8 +197,8 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         thresholds_[slot] = env.msg.value;
         break;
       case ActorMsgKind::kShutdown:
-        // Saturating: a second stop for a site (a respawned leg's twin)
-        // must not wrap the count.
+        // Saturating: a second stop for a site (ranges can come off the
+        // wire) must not wrap the count.
         shutdowns_pending -=
             std::min(shutdowns_pending, CoveredSlotEnd(env) - slot);
         break;

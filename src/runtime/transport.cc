@@ -23,8 +23,6 @@ std::string_view ActorMsgKindName(ActorMsgKind kind) {
       return "poll_response";
     case ActorMsgKind::kThresholdUpdate:
       return "threshold_update";
-    case ActorMsgKind::kPing:
-      return "ping";
   }
   return "unknown";
 }

@@ -11,6 +11,13 @@
 
 namespace dcv {
 
+/// Which message fabric carries the coordinator <-> site traffic.
+enum class TransportKind {
+  kThread,  ///< In-process bounded mailboxes (the default).
+  kSocket,  ///< TCP: this process is the coordinator; site-worker processes
+            ///< connect over loopback or the network (see site_worker.h).
+};
+
 /// Message fabric between the coordinator tree and the site workers:
 /// opaque routed envelopes, a blocking receive per endpoint, an explicit
 /// shutdown. The coordinator and site engines cannot tell its
@@ -95,16 +102,21 @@ class Transport {
   /// Injects a root-aggregator command (poll kick, shutdown) directly into
   /// a shard coordinator's inbox, bypassing site routing. Local to the
   /// coordinator process — never crosses the wire, so the socket transport
-  /// needs no new frame types for it. Returns false iff the inbox is
+  /// needs no new frame types for it. Blocks while the inbox is full: the
+  /// free-running root sends every command this way, since each shard
+  /// thread stays in its receive loop (a crashed leg is replaced on the
+  /// same thread) and so drains its inbox. Returns false iff the inbox is
   /// closed.
   virtual bool SendToShard(int shard, const Envelope& e) = 0;
 
   /// Non-blocking SendToShard: queues the command iff the inbox has room
-  /// right now; false = full or closed, nothing was queued. The root's
-  /// failure-detection path uses this with its own retry backlog — a dead
-  /// shard's inbox stays full of blocked site updates, and a blocking
-  /// push into it would wedge the root (and with it the whole recovery
-  /// machinery) forever.
+  /// right now; false = full or closed, nothing was queued.
+  ///
+  /// This, RecvShard, TryRecvShard, RecvShardAllFor, layout and
+  /// UpdateLayout have no caller in the runtime: it receives shard inboxes
+  /// only through RecvShardAll and commands them only through SendToShard.
+  /// They stay because perfbench's TimedTransport and its bench fakes
+  /// override them.
   virtual bool TrySendToShard(int shard, const Envelope& e) = 0;
 
   /// Blocking receive on one shard coordinator inbox; false = closed and
@@ -118,9 +130,8 @@ class Transport {
   virtual size_t RecvShardAll(int shard, std::vector<Envelope>* out) = 0;
 
   /// RecvShardAll with a deadline: waits at most `timeout_ms` for the first
-  /// message. 0 with `*timed_out = true` means the deadline expired (the
-  /// root's cue to probe for dead shard coordinators); 0 with `*timed_out =
-  /// false` means closed and drained.
+  /// message. 0 with `*timed_out = true` means the deadline expired; 0 with
+  /// `*timed_out = false` means closed and drained.
   virtual size_t RecvShardAllFor(int shard, std::vector<Envelope>* out,
                                  int64_t timeout_ms, bool* timed_out) = 0;
 

@@ -27,46 +27,6 @@ TEST(MailboxTest, FifoWithinCapacity) {
   EXPECT_FALSE(box.TryPop(&v));
 }
 
-TEST(MailboxTest, PopAllForDistinguishesTimeoutFromClosure) {
-  Mailbox<int> box(4);
-  std::vector<int> out;
-  bool timed_out = false;
-
-  // Open and empty: the deadline expires with timed_out set.
-  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/20, &timed_out), 0u);
-  EXPECT_TRUE(timed_out);
-
-  // Messages arriving before the deadline are delivered without it.
-  ASSERT_TRUE(box.Push(7));
-  out.clear();
-  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/1000, &timed_out), 1u);
-  EXPECT_FALSE(timed_out);
-  EXPECT_EQ(out, std::vector<int>{7});
-
-  // Closed and drained: 0 without the timeout flag — end of stream, not a
-  // dead producer.
-  box.Close();
-  out.clear();
-  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/1000, &timed_out), 0u);
-  EXPECT_FALSE(timed_out);
-}
-
-TEST(MailboxTest, PopAllForWakesOnLatePush) {
-  Mailbox<int> box(4);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ASSERT_TRUE(box.Push(42));
-  });
-  std::vector<int> out;
-  bool timed_out = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(box.PopAllFor(&out, /*timeout_ms=*/5000, &timed_out), 1u);
-  EXPECT_FALSE(timed_out);
-  // The wait ended on the push, not the 5 s deadline.
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(4));
-  producer.join();
-}
-
 TEST(MailboxTest, BoundedPushBlocksUntilConsumerDrains) {
   Mailbox<int> box(1);
   ASSERT_TRUE(box.Push(0));

@@ -353,32 +353,28 @@ TEST(ShardedConformanceTest, SocketTransportUnderFaultsShards3) {
 
 // Free-running mode has no determinism claim, but it must drain the whole
 // workload and account for every update exactly once — with the single
-// leg inline (k = 1) or on shard threads, and with failure detection off
-// or on. A healthy run never recovers anything.
+// leg inline (k = 1) or on shard threads. A healthy run never recovers
+// anything.
 TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
   for (int shards : {1, 2, 3}) {
-    for (int heartbeat_ms : {0, 50}) {
-      RuntimeOptions options;
-      options.virtual_time = false;
-      options.num_shards = shards;
-      options.heartbeat_timeout_ms = heartbeat_ms;
-      options.seed = 9;
-      options.synthetic_max = 1000;
-      options.global_threshold = 7 * 1000;
-      options.thresholds.assign(7, 900);  // Alarm-heavy.
-      options.domain_max.assign(7, 1000);
-      auto result = RunSyntheticRuntime(7, 500, options);
-      ASSERT_TRUE(result.ok()) << result.status().message();
-      EXPECT_EQ(result->total_updates, 7 * 500);
-      ASSERT_EQ(result->site_updates.size(), 7u);
-      for (int64_t u : result->site_updates) {
-        EXPECT_EQ(u, 500);
-      }
-      EXPECT_GT(result->total_alarms, 0);
-      EXPECT_GT(result->polled_epochs, 0);
-      EXPECT_EQ(result->shard_recoveries, 0)
-          << "shards=" << shards << " heartbeat_ms=" << heartbeat_ms;
+    RuntimeOptions options;
+    options.virtual_time = false;
+    options.num_shards = shards;
+    options.seed = 9;
+    options.synthetic_max = 1000;
+    options.global_threshold = 7 * 1000;
+    options.thresholds.assign(7, 900);  // Alarm-heavy.
+    options.domain_max.assign(7, 1000);
+    auto result = RunSyntheticRuntime(7, 500, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->total_updates, 7 * 500);
+    ASSERT_EQ(result->site_updates.size(), 7u);
+    for (int64_t u : result->site_updates) {
+      EXPECT_EQ(u, 500);
     }
+    EXPECT_GT(result->total_alarms, 0);
+    EXPECT_GT(result->polled_epochs, 0);
+    EXPECT_EQ(result->shard_recoveries, 0) << "shards=" << shards;
   }
 }
 
@@ -484,7 +480,6 @@ TEST(ShardedRuntimeFreeTest, SingleShardLegRunsInline) {
   cfg.global_threshold = 1'000;
   cfg.thresholds.assign(kSites, 900);
   cfg.domain_max.assign(kSites, 1'000);
-  cfg.heartbeat_timeout_ms = 50;  // Detection watches shard threads only.
   cfg.metrics = &registry;
   CoordinatorActor coordinator(cfg);
   ASSERT_TRUE(coordinator.Init().ok());
@@ -708,10 +703,12 @@ TEST(ChaosConformanceTest, KillWorkerSocketReconnectsAndMatches) {
 }
 
 // Free-running mode claims no determinism, but chaos must not lose work:
-// a killed shard's replacement drains the same inboxes, so every update is
-// still consumed and every site still reports done exactly once.
+// a killed leg's replacement, on the same shard thread, drains the same
+// inbox, so every update is still consumed and every site still reports
+// done exactly once. The seeds cover both target shards and several fire
+// points.
 TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
-  for (uint64_t chaos_seed : {3ULL, 9ULL}) {
+  for (uint64_t chaos_seed : {1ULL, 3ULL, 5ULL, 9ULL, 11ULL, 17ULL}) {
     RuntimeOptions options;
     options.virtual_time = false;
     options.num_shards = 2;
@@ -722,7 +719,6 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
     options.domain_max.assign(6, 1000);
     options.chaos.kind = ChaosKind::kKillShard;
     options.chaos.seed = chaos_seed;
-    options.heartbeat_timeout_ms = 200;
     obs::TraceRecorder recorder(/*capacity=*/1 << 18);
     options.recorder = &recorder;
     auto result = RunSyntheticRuntime(6, 400, options);
@@ -734,8 +730,7 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
     }
     EXPECT_EQ(result->shard_recoveries, 1) << "seed=" << chaos_seed;
     EXPECT_GT(result->recovery_ms, 0.0);
-    // Every recovery, whether from a probe or at shutdown, leaves a death
-    // and a respawn in the trace.
+    // The recovery leaves one death and one respawn in the trace.
     EXPECT_EQ(recorder.dropped(), 0);
     EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath),
               result->shard_recoveries)
@@ -746,22 +741,18 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
   }
 }
 
-// Chaos needs a detectable configuration: kill-shard without a heartbeat
-// window, with a 1-shard tree, or in virtual time (no shard thread to kill)
-// is rejected up front.
+// Chaos must be able to fire: kill-shard with a 1-shard tree or in virtual
+// time (no shard thread to kill), and kill-worker in free-running time or
+// over the thread transport, are rejected up front.
 TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   RuntimeOptions options;
   options.virtual_time = false;
   options.chaos.kind = ChaosKind::kKillShard;
   options.num_shards = 1;  // No shard tree to kill a member of.
-  options.heartbeat_timeout_ms = 200;
   EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
   options.num_shards = 2;
-  options.heartbeat_timeout_ms = 0;  // Root would never notice the death.
-  EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
   // Kill-worker fires at an epoch boundary, which a free-running run never
   // has: rejected, not silently ignored.
-  options.heartbeat_timeout_ms = 200;
   options.chaos.kind = ChaosKind::kKillWorker;
   auto free_run = RunSyntheticRuntime(4, 10, options);
   ASSERT_FALSE(free_run.ok());
@@ -770,9 +761,18 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
                 "kill-worker chaos needs virtual time"),
             std::string::npos)
       << free_run.status().message();
+  // In virtual time it still severs a TCP link, which the thread transport
+  // does not have: rejected, not run with no chaos at all.
+  options.virtual_time = true;
+  auto thread_run = RunSyntheticRuntime(4, 10, options);
+  ASSERT_FALSE(thread_run.ok());
+  EXPECT_EQ(thread_run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(thread_run.status().message().find(
+                "kill-worker chaos needs the socket transport"),
+            std::string::npos)
+      << thread_run.status().message();
   // Virtual time runs no shard threads, from the runtime API and from the
   // conformance harness alike.
-  options.virtual_time = true;
   options.chaos.kind = ChaosKind::kKillShard;
   auto result = RunSyntheticRuntime(4, 10, options);
   ASSERT_FALSE(result.ok());
@@ -795,6 +795,16 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find(
                 "kill-shard chaos needs free-running time"),
+            std::string::npos)
+      << report.status().message();
+  // The harness applies kill-worker to its socket run only, so without one
+  // it would run healthy: rejected before the lockstep run.
+  spec.chaos.kind = ChaosKind::kKillWorker;
+  report = RunConformance(w.training, w.eval, spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find(
+                "kill-worker chaos needs the socket transport"),
             std::string::npos)
       << report.status().message();
 }

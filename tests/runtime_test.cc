@@ -255,8 +255,8 @@ TEST(ThreadTransportTest, LanedInboxKeepsEachProducersOrderAcrossSendPaths) {
 }
 
 TEST(ThreadTransportTest, LanedInboxTwoConsumersReceiveEachEnvelopeOnce) {
-  // A respawn can leave a slow shard thread and its replacement on one
-  // inbox; each envelope must still reach exactly one of them.
+  // The laned inbox allows any number of consumers; each envelope must
+  // still reach exactly one of them.
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 5000;
   auto transport = ThreadTransport::Create(3, kProducers);
@@ -492,7 +492,7 @@ std::vector<int> CoveredSites(const Transport& t,
 }
 
 TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
-  // A respawned leg (incarnation 1) shares its inbox with the responses
+  // A replacement leg (incarnation 1) shares its inbox with the responses
   // its dead predecessor's round left behind. Lanes deliver those in any
   // order relative to the fresh ones, so the leg must count only responses
   // echoing its own round's id — else a stale one resolves the round early
@@ -685,21 +685,34 @@ TEST(ShardFreeLegTest, RelaysEachDoneRunAsOneMessage) {
   EXPECT_TRUE(out.empty());
 }
 
+/// Trace events of `kind` that `recorder` holds.
+int64_t CountEvents(const obs::TraceRecorder& recorder,
+                    obs::TraceEventKind kind) {
+  int64_t n = 0;
+  for (const obs::TraceEvent& e : recorder.Events()) {
+    n += e.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
 TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
-  // Chaos kills a shard thread at the inbox-batch boundary right after its
-  // first completion burst; the replacement drains the second. The root
-  // must hear every site's count exactly once: the dead leg's run whole,
-  // the rest from the replacement.
+  // Chaos kills a shard's leg at the inbox-batch boundary right after its
+  // first completion burst; the shard thread starts a replacement, which
+  // drains the second. The root must hear every site's count exactly
+  // once, the dead leg's run whole and the rest from the replacement, and
+  // one exit that reports the recovery.
   constexpr int kSites = 40;
   constexpr int kShard = 1;  // Owns sites [20, 40).
   constexpr int kFirstBurst = 8;
   auto transport = ThreadTransport::Create(kSites, 2, 0, 0, /*num_shards=*/2);
   ASSERT_TRUE(transport.ok());
   Transport& t = **transport;
+  obs::TraceRecorder recorder(/*capacity=*/64);
   CoordinatorActor::Config config;
   config.num_sites = kSites;
   config.weights.assign(kSites, 1);
   config.protocol = RuntimeProtocol::kPolling;
+  config.recorder = &recorder;
   const ShardLayout layout = *MakeShardLayout(kSites, 2);
   const int first = layout.ShardStart(kShard);
   const int owned = layout.ShardSize(kShard);
@@ -711,6 +724,7 @@ TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
   ctx.config = &config;
   ctx.transport = &t;
   ctx.to_root = &to_root;
+  ctx.die_after_envelopes = kFirstBurst;
 
   auto burst = [&](int from, int to) {
     std::vector<Envelope> dones;
@@ -719,22 +733,20 @@ TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
     }
     ASSERT_TRUE(t.SendBatch(dones));
   };
+  std::thread shard_thread(RunShardFree, ctx);
   burst(first, first + kFirstBurst);
-  ShardContext doomed = ctx;
-  doomed.die_after_envelopes = kFirstBurst;
-  RunShardFree(doomed);  // Relays the burst, then dies at the boundary.
-
+  // The first run's relay: the leg consumed the whole burst (one push, so
+  // one inbox batch) and dies at the next boundary.
+  std::vector<RootMsg> got;
+  ASSERT_GT(to_root.PopAll(&got), 0u);
   burst(first + kFirstBurst, first + owned);
   ActorMessage stop;
   stop.kind = ActorMsgKind::kShutdown;
   ASSERT_TRUE(t.SendToShard(kShard, Envelope{kCoordinatorId, kCoordinatorId,
                                              stop}));
-  ShardContext replacement = ctx;
-  replacement.incarnation = 1;
-  RunShardFree(replacement);
-
-  std::vector<RootMsg> got;
+  shard_thread.join();
   to_root.TryPopAll(&got);
+
   std::vector<int> heard(static_cast<size_t>(kSites), 0);
   int done_msgs = 0;
   int exits = 0;
@@ -742,6 +754,7 @@ TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
     if (msg.kind == RootMsg::Kind::kShardExit) {
       ++exits;
       EXPECT_TRUE(msg.report->status.ok());
+      EXPECT_EQ(msg.report->recoveries, 1);
       continue;
     }
     ASSERT_EQ(msg.kind, RootMsg::Kind::kSiteDone);
@@ -758,6 +771,75 @@ TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
     EXPECT_EQ(heard[static_cast<size_t>(site)], mine ? 1 : 0)
         << "site " << site;
   }
+  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath), 1);
+  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn), 1);
+}
+
+TEST(ShardFreeLegTest, DeathWithRoundOpenAnswersTheKickOnce) {
+  // The leg consumes the root's kick, fans its round out and dies before
+  // any response arrives. Its replacement must re-open the round, count
+  // only responses to its own round, and send the root exactly one
+  // partial for the one kick; without the re-delivered kick the root
+  // would wait for that partial forever.
+  constexpr int kSites = 4;
+  auto transport = ThreadTransport::Create(kSites, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights = {1, 2, 3, 4};
+  config.protocol = RuntimeProtocol::kPolling;
+  Mailbox<RootMsg> to_root(16);
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(kSites, 1);
+  ctx.config = &config;
+  ctx.transport = &t;
+  ctx.to_root = &to_root;
+  ctx.die_after_envelopes = 1;  // Dies right after the kick.
+
+  std::thread shard_thread(RunShardFree, ctx);
+  ActorMessage kick;
+  kick.kind = ActorMsgKind::kPollRequest;
+  ASSERT_TRUE(
+      t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, kick}));
+  // Two fan-outs reach the one worker: the dead leg's and the
+  // replacement's, each a single range request for all four sites.
+  std::vector<Envelope> requests;
+  while (requests.size() < 2) {
+    ASSERT_GT(t.RecvWorkerAll(0, &requests), 0u);
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests[0].msg.epoch, ShardFreeLeg::PollRoundId(0, 1));
+  EXPECT_EQ(requests[1].msg.epoch, ShardFreeLeg::PollRoundId(1, 1));
+  // Every site answers both rounds, the dead one with values that would
+  // give another sum.
+  std::vector<Envelope> responses;
+  for (const Envelope& request : requests) {
+    for (int site = 0; site < kSites; ++site) {
+      ActorMessage msg;
+      msg.kind = ActorMsgKind::kPollResponse;
+      msg.epoch = request.msg.epoch;
+      msg.value = request.msg.epoch == requests[0].msg.epoch ? 1000
+                                                             : 10 * (site + 1);
+      responses.push_back(Envelope{site, kCoordinatorId, msg});
+    }
+  }
+  ASSERT_TRUE(t.SendBatch(responses));
+  ActorMessage stop;
+  stop.kind = ActorMsgKind::kShutdown;
+  ASSERT_TRUE(t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, stop}));
+  shard_thread.join();
+
+  std::vector<RootMsg> got;
+  to_root.TryPopAll(&got);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(got[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
+  EXPECT_EQ(got[0].partial_min, 10);
+  EXPECT_EQ(got[0].partial_max, 40);
+  ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
+  EXPECT_TRUE(got[1].report->status.ok());
+  EXPECT_EQ(got[1].report->recoveries, 1);
 }
 
 // --- Virtual-time runtime on a hand-checked trace --------------------------

@@ -847,14 +847,15 @@ TEST(SocketTransportTest, OrderlyWorkerExitKeepsShardInboxesOpen) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_FALSE(coordinator->Send(ToSite(1, ActorMsgKind::kPollRequest, 0, 0)));
-  Envelope command = ToCoordinator(kCoordinatorId, ActorMsgKind::kPing, 0, 9);
+  Envelope command =
+      ToCoordinator(kCoordinatorId, ActorMsgKind::kShutdown, 0, 9);
   EXPECT_TRUE(coordinator->SendToShard(0, command));
   Envelope e;
   ASSERT_TRUE(coordinator->RecvShard(0, &e));
   EXPECT_EQ(e.msg.kind, ActorMsgKind::kSiteDone);
   EXPECT_EQ(e.msg.value, 7);
   ASSERT_TRUE(coordinator->RecvShard(0, &e));
-  EXPECT_EQ(e.msg.kind, ActorMsgKind::kPing);
+  EXPECT_EQ(e.msg.kind, ActorMsgKind::kShutdown);
   EXPECT_EQ(coordinator->stats().disconnects, 0);
 
   ::close(fds[0]);

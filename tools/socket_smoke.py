@@ -81,7 +81,6 @@ def main():
                              "the comparison baseline, so a match proves "
                              "zero lost detections across the failure")
     parser.add_argument("--chaos-seed", type=int, default=3)
-    parser.add_argument("--heartbeat-timeout-ms", type=int, default=500)
     parser.add_argument("--timeout", type=float, default=240.0)
     parser.add_argument("--free-running", action="store_true",
                         help="run both transports without --virtual-time "
@@ -116,7 +115,6 @@ def main():
         coordinator_cmd += [
             "--chaos", args.chaos,
             "--chaos-seed", str(args.chaos_seed),
-            "--heartbeat-timeout-ms", str(args.heartbeat_timeout_ms),
         ]
     coordinator = subprocess.Popen(
         coordinator_cmd,
