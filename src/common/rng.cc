@@ -14,40 +14,20 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& s : state_) {
+  for (uint64_t& s : state_.s) {
     s = SplitMix64(&sm);
   }
 }
 
-uint64_t Rng::NextUint64() {
-  // xoshiro256++ step.
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
+uint64_t Rng::NextUint64() { return XoshiroNext(state_); }
 
 uint64_t Rng::NextUint64(uint64_t bound) {
   DCV_CHECK(bound > 0) << "bound must be positive";
-  // Lemire-style rejection to avoid modulo bias.
-  uint64_t threshold = (-bound) % bound;
-  for (;;) {
-    uint64_t r = NextUint64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
+  return XoshiroBounded(state_, bound, RejectBelow(bound));
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

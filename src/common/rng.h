@@ -6,6 +6,45 @@
 
 namespace dcv {
 
+/// The whole position of one xoshiro256++ stream: 32 bytes. Rng wraps one;
+/// the site engine keeps one per slot, with none of Rng's sampler state.
+struct XoshiroState {
+  uint64_t s[4];
+};
+
+/// One xoshiro256++ step: returns 64 random bits and advances `st`. The
+/// only copy of the generator in the tree.
+inline uint64_t XoshiroNext(XoshiroState& st) {
+  auto rotl = [](uint64_t x, int k) { return (x << k) | (x >> (64 - k)); };
+  uint64_t* s = st.s;
+  const uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// The rejection threshold of a uniform draw in [0, bound), bound > 0:
+/// raw draws below it are redrawn so that every residue is equally likely.
+/// A caller drawing many times under one bound computes it once.
+inline uint64_t RejectBelow(uint64_t bound) { return (-bound) % bound; }
+
+/// Uniform in [0, bound) from `st`, given reject_below = RejectBelow(bound):
+/// the one rejection rule behind every bounded draw.
+inline uint64_t XoshiroBounded(XoshiroState& st, uint64_t bound,
+                               uint64_t reject_below) {
+  for (;;) {
+    const uint64_t r = XoshiroNext(st);
+    if (r >= reject_below) {
+      return r % bound;
+    }
+  }
+}
+
 /// Deterministic, seedable pseudo-random generator (xoshiro256++), plus the
 /// distribution samplers the trace generators need. All simulation and
 /// benchmark randomness flows through this class so runs are reproducible
@@ -55,8 +94,12 @@ class Rng {
   /// (split via SplitMix64 of the next output).
   Rng Split();
 
+  /// The generator's position: XoshiroNext on a copy continues this
+  /// stream draw for draw.
+  const XoshiroState& state() const { return state_; }
+
  private:
-  uint64_t state_[4];
+  XoshiroState state_;
   // Cached Zipf tables keyed by (n, s).
   struct ZipfTable {
     int64_t n;

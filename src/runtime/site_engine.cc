@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace dcv {
 namespace {
 
@@ -45,18 +47,24 @@ SiteEngine::Config WorkerEngineConfig(int worker, int num_workers,
   return config;
 }
 
-SiteEngine::SiteEngine(Config config) : config_(std::move(config)) {
-  const size_t slots = config_.thresholds.size();
-  thresholds_ = config_.thresholds;
+SiteEngine::SiteEngine(Config config)
+    : config_(std::move(config)),
+      synthetic_(std::all_of(config_.series.begin(), config_.series.end(),
+                             [](const auto& column) { return column.empty(); })),
+      thresholds_(std::move(config_.thresholds)) {
+  const size_t slots = thresholds_.size();
   values_.assign(slots, 0);
   cursors_.assign(slots, 0);
   updates_.assign(slots, 0);
-  if (config_.series.empty()) {
-    config_.series.resize(slots);
-  }
-  rngs_.reserve(slots);
-  for (size_t slot = 0; slot < slots; ++slot) {
-    rngs_.push_back(MakeSiteRng(config_.seed, SiteOf(slot)));
+  if (synthetic_) {
+    DCV_CHECK(config_.synthetic_max >= 0) << "synthetic_max must be >= 0";
+    config_.series = {};
+    span_ = static_cast<uint64_t>(config_.synthetic_max) + 1;
+    reject_below_ = RejectBelow(span_);
+    streams_.reserve(slots);
+    for (size_t slot = 0; slot < slots; ++slot) {
+      streams_.push_back(MakeSiteRng(config_.seed, SiteOf(slot)).state());
+    }
   }
   if (config_.capture_updates) {
     captured_.resize(slots);
@@ -87,19 +95,20 @@ size_t SiteEngine::CoveredSlotEnd(const Envelope& e) const {
 }
 
 int64_t SiteEngine::workload_size(size_t slot) const {
-  return config_.series[slot].empty()
-             ? config_.synthetic_updates
-             : static_cast<int64_t>(config_.series[slot].size());
+  return synthetic_ ? config_.synthetic_updates
+                    : static_cast<int64_t>(config_.series[slot].size());
 }
 
 int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
-  if (!config_.series[slot].empty()) {
+  if (!synthetic_) {
     return config_.series[slot][static_cast<size_t>(index)];
   }
   // Synthetic stream: one draw per update, in stream order, from the
-  // (seed, site)-derived RNG owned by this slot — the same stream no
-  // matter how slots interleave within a batch or across workers.
-  return rngs_[slot].UniformInt(0, config_.synthetic_max);
+  // (seed, site)-derived stream owned by this slot — the same stream no
+  // matter how slots interleave within a batch or across workers. It is
+  // MakeSiteRng(seed, site).UniformInt(0, synthetic_max), draw for draw.
+  return static_cast<int64_t>(
+      XoshiroBounded(streams_[slot], span_, reject_below_));
 }
 
 bool SiteEngine::Observe(size_t slot, int64_t index, bool up) {
@@ -162,8 +171,10 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
 
   auto reply = [&](size_t slot, ActorMsgKind kind, int64_t epoch,
                    int64_t value, bool flag = false) {
-    pending.push_back(Envelope{SiteOf(slot), kCoordinatorId,
-                               ActorMessage{kind, epoch, value, flag}});
+    pending.push_back(Envelope{
+        SiteOf(slot), kCoordinatorId,
+        ActorMessage{
+            .epoch = epoch, .value = value, .kind = kind, .flag = flag}});
   };
 
   auto handle = [&](const Envelope& env) {
@@ -177,10 +188,8 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         // The epoch indexes the site's column and may come off the wire:
         // one outside a trace-driven column is dropped like an envelope for
         // an unowned site. A synthetic slot ignores the index.
-        const std::vector<int64_t>& column = config_.series[slot];
         const int64_t epoch = env.msg.epoch;
-        if (!column.empty() &&
-            (epoch < 0 || epoch >= static_cast<int64_t>(column.size()))) {
+        if (!synthetic_ && (epoch < 0 || epoch >= workload_size(slot))) {
           break;
         }
         const bool alarmed = Observe(slot, epoch, env.msg.flag);

@@ -34,8 +34,9 @@ Rng MakeSiteRng(uint64_t seed, int site);
 /// Determinism contract (why virtual-time runs are bit-identical to the
 /// lockstep simulator, which the conformance harness asserts):
 ///  * every per-site RNG stream is derived from (seed, site) alone
-///    (MakeSiteRng), and each slot owns its Rng — the order sites are
-///    processed within a batch never touches another site's stream;
+///    (MakeSiteRng), and each slot owns its stream's 32-byte xoshiro state
+///    — the order sites are processed within a batch never touches another
+///    site's stream;
 ///  * each epoch, a site observes its value, checks L_i : X_i <= T_i (a
 ///    down site observes but never alarms), and answers a poll with its
 ///    most recent value — the lockstep simulator's site step, one
@@ -59,7 +60,8 @@ class SiteEngine {
     std::vector<int64_t> thresholds;
 
     /// Trace-driven workload: owned sites' eval-trace columns in slot
-    /// order. Empty (or all-empty) = synthetic workload below.
+    /// order. Empty (or all-empty) = synthetic workload below; otherwise an
+    /// empty column is a site with no updates.
     std::vector<std::vector<int64_t>> series;
     int64_t synthetic_updates = 0;
     uint64_t seed = 42;
@@ -166,13 +168,22 @@ class SiteEngine {
   /// atomic add.
   void FlushTally();
 
-  Config config_;
-  // Structure-of-arrays site state, all indexed by slot.
+  Config config_;  ///< Its thresholds move into thresholds_.
+  /// Every column is empty: values come from the slots' streams, and
+  /// config_.series holds nothing.
+  bool synthetic_ = false;
+  /// Synthetic draws are U[0, span_ - 1] (span_ = synthetic_max + 1), with
+  /// the rejection threshold computed once per engine, not per draw.
+  uint64_t span_ = 1;
+  uint64_t reject_below_ = 0;
+  // Structure-of-arrays site state, all indexed by slot (DESIGN §14): 72
+  // bytes per synthetic slot with the free loop's 8-byte active index.
   std::vector<int64_t> thresholds_;
   std::vector<int64_t> values_;    ///< Most recently observed value.
   std::vector<int64_t> cursors_;   ///< Free-running stream position.
   std::vector<int64_t> updates_;   ///< Updates processed.
-  std::vector<Rng> rngs_;          ///< (seed, site)-derived streams.
+  /// (seed, site)-derived streams, MakeSiteRng's state (synthetic only).
+  std::vector<XoshiroState> streams_;
   std::vector<std::vector<int64_t>> captured_;
   obs::Counter* updates_counter_ = nullptr;  ///< "runtime/site/updates".
   obs::Counter* alarms_counter_ = nullptr;   ///< "runtime/site/alarms".

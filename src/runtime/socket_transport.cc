@@ -158,7 +158,15 @@ void SocketTransport::StatCounter::Add(int64_t n) {
 SocketTransport::SocketTransport(Role role, ShardLayout layout,
                                  int num_workers, int worker,
                                  const Options& options)
-    : ThreadTransport(std::move(layout), num_workers),
+    : ThreadTransport(
+          layout, num_workers,
+          // A worker's outbound box (its one shard inbox) carries only its
+          // own engine's replies: at most 2 per owned site per epoch, the
+          // DESIGN §8 bound over its sites instead of the whole fabric's.
+          role == Role::kWorker
+              ? CoordinatorInboxCapacity(
+                    MaxWorkerSites(layout.num_sites, num_workers))
+              : 0),
       role_(role),
       worker_(worker),
       options_(options) {

@@ -37,7 +37,9 @@ namespace dcv {
 ///    writer w drains worker box w onto the socket.
 ///  * Worker role: the fabric has one shard. The engine's sends land in
 ///    shard 0's inbox, which the writer drains onto the socket; the reader
-///    feeds this worker's box.
+///    feeds this worker's box. That outbound inbox is sized for this
+///    worker's sites alone, CoordinatorInboxCapacity(MaxWorkerSites), since
+///    no other engine feeds it (DESIGN §8).
 /// Backpressure is therefore the in-process one: a sender blocks on the
 /// bounded box the writer drains when the peer falls behind (the TCP
 /// socket adds kernel-buffer slack but never unbounded memory).

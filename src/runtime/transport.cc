@@ -29,7 +29,8 @@ std::string_view ActorMsgKindName(ActorMsgKind kind) {
 
 void FanOutRange(ActorMsgKind kind, int64_t epoch, int first, int end,
                  int num_workers, std::vector<Envelope>* out) {
-  Envelope e{kCoordinatorId, first, ActorMessage{kind, epoch, end, false}};
+  Envelope e{kCoordinatorId, first,
+             ActorMessage{.epoch = epoch, .value = end, .kind = kind}};
   const int64_t last = std::min(CoveredEnd(e), int64_t{first} + num_workers);
   out->clear();
   for (; e.to < last; ++e.to) {

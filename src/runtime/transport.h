@@ -212,15 +212,18 @@ inline size_t CoordinatorInboxCapacity(int sites) {
   return 2 * static_cast<size_t>(sites) + 16;
 }
 
-/// A worker inbox serves ceil(sites / workers) sites, each with at most one
-/// epoch start and threshold update in flight, plus at most one range poll
+/// The most sites one worker owns under round-robin ownership:
+/// ceil(sites / workers).
+inline int MaxWorkerSites(int num_sites, int num_workers) {
+  return (num_sites + num_workers - 1) / num_workers;
+}
+
+/// A worker inbox serves MaxWorkerSites sites, each with at most one epoch
+/// start and threshold update in flight, plus at most one range poll
 /// request and one range shutdown per leg (one per worker, FanOutRange);
 /// the per-site bound of 4 covers those with room to spare.
 inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
-  const size_t per_worker =
-      (static_cast<size_t>(num_sites) + static_cast<size_t>(num_workers) - 1) /
-      static_cast<size_t>(num_workers);
-  return 4 * per_worker + 8;
+  return 4 * static_cast<size_t>(MaxWorkerSites(num_sites, num_workers)) + 8;
 }
 
 /// The queue fabric over bounded mailboxes: one per worker, and one laned

@@ -42,6 +42,16 @@ void PutF64(double v, std::string* out) {
   PutU64(bits, out);
 }
 
+/// Stores the low `N` bytes of `v` little-endian at `p`, which has room;
+/// returns the position past them.
+template <size_t N>
+char* StoreLe(uint64_t v, char* p) {
+  for (size_t i = 0; i < N; ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return p + N;
+}
+
 /// Length-prefixed UTF-8/opaque bytes (metric names).
 void PutStr(const std::string& s, std::string* out) {
   PutU32(static_cast<uint32_t>(s.size()), out);
@@ -129,15 +139,21 @@ void AppendEnvelopeBatchFrame(const Envelope* envs, size_t count,
                               std::string* out, uint64_t seq) {
   size_t at = BeginFrame(FrameType::kEnvelopeBatch, out);
   PutU32(static_cast<uint32_t>(count), out);
+  // One resize for the bodies and the sequence number, then plain stores:
+  // a push_back per byte costs a capacity check each.
+  const size_t body = out->size();
+  out->resize(body + count * kEnvelopeWireBytes + 8);
+  char* p = out->data() + body;
   for (size_t i = 0; i < count; ++i) {
-    PutI32(envs[i].from, out);
-    PutI32(envs[i].to, out);
-    PutU8(static_cast<uint8_t>(envs[i].msg.kind), out);
-    PutU8(envs[i].msg.flag ? 1 : 0, out);
-    PutI64(envs[i].msg.epoch, out);
-    PutI64(envs[i].msg.value, out);
+    const Envelope& e = envs[i];
+    p = StoreLe<4>(static_cast<uint32_t>(e.from), p);
+    p = StoreLe<4>(static_cast<uint32_t>(e.to), p);
+    p = StoreLe<1>(static_cast<uint8_t>(e.msg.kind), p);
+    p = StoreLe<1>(e.msg.flag ? 1 : 0, p);
+    p = StoreLe<8>(static_cast<uint64_t>(e.msg.epoch), p);
+    p = StoreLe<8>(static_cast<uint64_t>(e.msg.value), p);
   }
-  PutU64(seq, out);
+  StoreLe<8>(seq, p);
   EndFrame(at, out);
 }
 
@@ -244,10 +260,10 @@ Status DecodeInto(const uint8_t* data, size_t len, WireFrame& frame) {
   switch (frame.type) {
     case FrameType::kEnvelopeBatch: {
       uint32_t count = c.U32();
-      // Each envelope body is 26 bytes; validating the count against the
-      // bytes actually present bounds the allocation before resize.
+      // Validating the count against the bytes actually present bounds
+      // the allocation before resize.
       if (!c.ok || count < 1 || count > kMaxBatchEnvelopes ||
-          static_cast<size_t>(count) > (len - c.pos) / 26) {
+          static_cast<size_t>(count) > (len - c.pos) / kEnvelopeWireBytes) {
         return InvalidArgumentError("malformed envelope batch header");
       }
       frame.batch.resize(count);

@@ -90,6 +90,10 @@ inline constexpr uint32_t kMaxTelemetryPayload = 1u << 20;
 /// force an oversized allocation.
 inline constexpr uint32_t kMaxBatchEnvelopes = 4096;
 
+/// Bytes of one envelope body in a kEnvelopeBatch frame: from, to (4 each),
+/// kind, flag (1 each), epoch, value (8 each).
+inline constexpr size_t kEnvelopeWireBytes = 26;
+
 /// Payload cap for kEnvelopeBatch frames: count + kMaxBatchEnvelopes
 /// envelope bodies + seq fits comfortably. Like kMaxTelemetryPayload, the
 /// frame type is peeked before accepting an over-kMaxFramePayload length.

@@ -280,6 +280,30 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
   EXPECT_EQ(stats.disconnects, 0);
 }
 
+// A worker's outbound box carries only its own engine's replies, so it is
+// sized by the sites that worker owns: CoordinatorInboxCapacity(ceil(N/W)).
+// The coordinator's shard inboxes keep the per-shard formula.
+TEST(SocketTransportTest, WorkerOutboundBoxIsSizedByItsOwnSites) {
+  constexpr int kSites = 10;
+  constexpr int kWorkers = 3;
+  SocketTransport::Options options = FastOptions();
+  options.num_shards = 2;
+  auto listen = SocketTransport::Listen(kSites, kWorkers, /*port=*/0, options);
+  ASSERT_TRUE(listen.ok()) << listen.status().message();
+  auto coordinator = std::move(*listen);
+  EXPECT_EQ(coordinator->coordinator_capacity(),
+            CoordinatorInboxCapacity(kSites / 2));
+  auto workers = ConnectWorkers(coordinator.get(), kSites, kWorkers);
+  for (const auto& worker : workers) {
+    ASSERT_TRUE(worker != nullptr);
+    EXPECT_EQ(worker->coordinator_capacity(), CoordinatorInboxCapacity(4));
+    EXPECT_EQ(worker->worker_capacity(),
+              WorkerInboxCapacity(kSites, kWorkers));
+    worker->Shutdown();
+  }
+  coordinator->Shutdown();
+}
+
 TEST(SocketTransportTest, PreservesPerSenderOrderUnderLoad) {
   // Many more frames than any queue capacity: exercises the writer's
   // batching and the bounded boxes without losing or reordering anything.

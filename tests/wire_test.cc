@@ -505,6 +505,52 @@ TEST(WireTest, EnvelopeBatchRoundTrip) {
   }
 }
 
+// The v7 kEnvelopeBatch bytes, pinned: every kind, negative ids, INT64 min
+// and max, both flags. Any change to the encoder must leave them as they
+// are, since a worker of one build talks to a coordinator of another.
+TEST(WireTest, EnvelopeBatchGoldenBytes) {
+  const Envelope envs[] = {
+      MakeEnvelope(kCoordinatorId, 0, ActorMsgKind::kEpochStart, 0, 0, true),
+      MakeEnvelope(3, kCoordinatorId, ActorMsgKind::kEpochReport, 1,
+                   INT64_MIN, true),
+      MakeEnvelope(kCoordinatorId, INT32_MAX, ActorMsgKind::kShutdown, -1,
+                   INT64_MAX, false),
+      MakeEnvelope(-2, -123456, ActorMsgKind::kSiteDone, 7, 20, false),
+      MakeEnvelope(1, kCoordinatorId, ActorMsgKind::kAlarm, INT64_MAX, -5,
+                   false),
+      MakeEnvelope(kCoordinatorId, 9, ActorMsgKind::kPollRequest, INT64_MIN,
+                   0x0102030405060708LL, false),
+      MakeEnvelope(INT32_MIN, kCoordinatorId, ActorMsgKind::kPollResponse, 42,
+                   -1, true),
+      MakeEnvelope(kCoordinatorId, 5, ActorMsgKind::kThresholdUpdate, -9,
+                   1000000, true),
+  };
+  // Length prefix, version 7, type, count; then 26 bytes per envelope
+  // (from, to, kind, flag, epoch, value); then the sequence number.
+  const std::string golden =
+      "de000000070608000000"
+      "ffffffff00000000000100000000000000000000000000000000"
+      "03000000ffffffff010101000000000000000000000000000080"
+      "ffffffffffffff7f0200ffffffffffffffffffffffffffffff7f"
+      "feffffffc01dfeff030007000000000000001400000000000000"
+      "01000000ffffffff0400ffffffffffffff7ffbffffffffffffff"
+      "ffffffff09000000050000000000000000800807060504030201"
+      "00000080ffffffff06012a00000000000000ffffffffffffffff"
+      "ffffffff050000000701f7ffffffffffffff40420f0000000000"
+      "efcdab8967452301";
+  std::string buf = "prefix";  // The encoder appends.
+  AppendEnvelopeBatchFrame(envs, 8, &buf, 0x0123456789abcdefULL);
+  ASSERT_EQ(buf.substr(0, 6), "prefix");
+  std::string hex;
+  for (size_t i = 6; i < buf.size(); ++i) {
+    static const char kDigits[] = "0123456789abcdef";
+    const auto byte = static_cast<unsigned char>(buf[i]);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  EXPECT_EQ(hex, golden);
+}
+
 TEST(WireTest, EnvelopeBatchMaxSizeRoundTripsThroughReader) {
   // The largest legal batch must survive the FrameReader's oversized-frame
   // peek (it is bigger than kMaxFramePayload but under kMaxBatchPayload).
