@@ -223,14 +223,18 @@ class CoordinatorActor::VirtualRun {
     return OkStatus();
   }
 
-  /// On success every worker gets one range shutdown covering its sites;
-  /// on failure the transport closes instead.
+  /// On success every worker gets one range shutdown covering its sites,
+  /// and every site observed every epoch; on failure the transport closes
+  /// instead.
   Status Finish(Status status) {
     if (status.ok()) {
       // A closed transport means the sites are already gone.
       FanOutRange(ActorMsgKind::kShutdown, /*epoch=*/0, 0, config_.num_sites,
                   transport_->num_workers(), &fanout_);
       (void)transport_->SendBatch(fanout_);
+      out_->site_updates.assign(static_cast<size_t>(config_.num_sites),
+                                num_epochs_);
+      out_->total_updates = config_.num_sites * num_epochs_;
     } else {
       transport_->Shutdown();
     }

@@ -81,14 +81,16 @@ class CoordinatorActor {
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
   /// sites (epoch barrier via kEpochStart / kEpochReport), then shuts
-  /// the sites down. Fills `out`'s detections, messages, and reliability.
+  /// the sites down. Fills `out`'s detections, messages, reliability, and
+  /// update counts (every site observes every epoch).
   /// Each poll round and the shutdown fan out one range envelope per
   /// worker (FanOutRange); replies stay one per site.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
   /// Free-running mode: serves alarms and poll rounds in arrival order
-  /// until every site reports kSiteDone, then shuts the sites down (each
+  /// until every site reports kSiteDone, whose count is the site's entry
+  /// of `out`'s site_updates, then shuts the sites down (each
   /// leg's poll rounds and shutdown are range fan-outs, as above). Epoch
   /// semantics degrade to a watermark (the highest site-local update index
   /// seen), so fault windows still engage, but no per-epoch determinism is

@@ -104,6 +104,24 @@ CoordinatorActor::Config MakeCoordinatorConfig(int n, const LaunchPlan& plan,
   return ccfg;
 }
 
+/// The tail both launches share: the run's wall time from `t0` to `t1`,
+/// its throughput over the coordinator's update count, and the registry's
+/// snapshot as the run's metrics document (a socket launch then folds its
+/// workers' snapshots in, so both transports emit the same shape).
+void FinishLaunch(std::chrono::steady_clock::time_point t0,
+                  std::chrono::steady_clock::time_point t1,
+                  const RuntimeOptions& options, RuntimeResult* result) {
+  result->elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
+  result->updates_per_second =
+      result->elapsed_seconds > 0.0
+          ? static_cast<double>(result->total_updates) /
+                result->elapsed_seconds
+          : 0.0;
+  if (options.metrics != nullptr) {
+    result->metrics = options.metrics->Snapshot();
+  }
+}
+
 /// Socket-transport launch: this process runs only the coordinator; the
 /// site engines live in site-worker processes (site_worker.h) that connect
 /// over TCP. The protocol state machines are untouched — the coordinator
@@ -112,10 +130,6 @@ CoordinatorActor::Config MakeCoordinatorConfig(int n, const LaunchPlan& plan,
 Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
                                    const LaunchPlan& plan,
                                    const RuntimeOptions& options) {
-  if (options.capture_updates) {
-    return InvalidArgumentError(
-        "capture_updates is not supported over the socket transport");
-  }
   // Listen checks the worker count.
   const int workers = options.num_workers == 0 ? n : options.num_workers;
   DCV_RETURN_IF_ERROR(MakeShardLayout(n, options.num_shards).status());
@@ -189,9 +203,7 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   // folds in (counters sum, histograms merge, gauges namespace per worker)
   // and its trace events land in the run recorder on the worker's lane,
   // shifted onto the coordinator clock by the handshake-estimated offset.
-  if (options.metrics != nullptr) {
-    result.metrics = options.metrics->Snapshot();
-  }
+  FinishLaunch(t0, t1, options, &result);
   for (const TelemetryFrame& f : transport->TakeWorkerTelemetry()) {
     result.metrics.MergeFrom(f.metrics,
                              "worker" + std::to_string(f.worker));
@@ -209,25 +221,12 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
       }
     }
   }
-
-  if (options.virtual_time) {
-    // Every site observes every epoch in lockstep; the actual counters live
-    // in the worker processes.
-    result.site_updates.assign(static_cast<size_t>(n), updates_per_site);
-    result.total_updates = static_cast<int64_t>(n) * updates_per_site;
-  }  // Free-running mode: RunFree filled these from the kSiteDone reports.
-  result.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.updates_per_second =
-      result.elapsed_seconds > 0.0
-          ? static_cast<double>(result.total_updates) / result.elapsed_seconds
-          : 0.0;
   result.socket = transport->stats();
   return result;
 }
 
 /// Builds engines and threads, runs the coordinator on the calling thread,
-/// joins, and fills the throughput/capture fields. `eval` is null for
-/// synthetic runs.
+/// joins, and times the run. `eval` is null for synthetic runs.
 Result<RuntimeResult> Launch(int n, const Trace* eval,
                              int64_t updates_per_site,
                              const LaunchPlan& plan,
@@ -281,7 +280,6 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
         WorkerEngineConfig(w, workers, n, eval, updates_per_site, thresholds);
     ecfg.seed = options.seed;
     ecfg.synthetic_max = options.synthetic_max;
-    ecfg.capture_updates = options.capture_updates;
     ecfg.metrics = options.metrics;
     ecfg.recorder = options.recorder;
     engines.push_back(std::make_unique<SiteEngine>(std::move(ecfg)));
@@ -319,30 +317,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   }
   DCV_RETURN_IF_ERROR(run_status);
   const auto t1 = std::chrono::steady_clock::now();
-
-  result.site_updates.clear();
-  result.total_updates = 0;
-  for (int i = 0; i < n; ++i) {
-    const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
-    const size_t slot = static_cast<size_t>(i / workers);
-    const int64_t processed = engine.updates_processed()[slot];
-    result.site_updates.push_back(processed);
-    result.total_updates += processed;
-    if (options.capture_updates) {
-      result.captured_updates.push_back(engine.captured_updates()[slot]);
-    }
-  }
-  result.elapsed_seconds =
-      std::chrono::duration<double>(t1 - t0).count();
-  result.updates_per_second =
-      result.elapsed_seconds > 0.0
-          ? static_cast<double>(result.total_updates) / result.elapsed_seconds
-          : 0.0;
-  if (options.metrics != nullptr) {
-    // Single shared registry: the "merged" document is just its snapshot,
-    // keeping the output shape identical to a socket-transport run.
-    result.metrics = options.metrics->Snapshot();
-  }
+  FinishLaunch(t0, t1, options, &result);
   return result;
 }
 

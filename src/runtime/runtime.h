@@ -73,12 +73,6 @@ struct RuntimeOptions {
   uint64_t seed = 42;
   int64_t synthetic_max = 1000000;
 
-  /// Record every consumed update into RuntimeResult::captured_updates
-  /// (seed-determinism tests; memory-proportional to the workload). Not
-  /// supported over the socket transport (the updates live in the worker
-  /// processes).
-  bool capture_updates = false;
-
   /// kSocket: listen on `listen_port` (0 = ephemeral) and wait for
   /// `num_workers` site-worker processes. `on_listening` fires once the
   /// port is bound, before accepting — publish the port (or spawn local

@@ -39,7 +39,7 @@ struct RuntimeResult {
   ChannelStats reliability;
 
   // Virtual-time detection accounting (scored against ground truth by
-  // MonitorRuntime, exactly like the lockstep runner).
+  // RunMonitorRuntime, exactly like the lockstep runner).
   int64_t total_alarms = 0;
   int64_t alarm_epochs = 0;
   int64_t polled_epochs = 0;
@@ -54,15 +54,13 @@ struct RuntimeResult {
   /// claimed — free-running trades determinism for throughput.
   int64_t violations_flagged = 0;
 
-  // Throughput accounting (both modes).
+  // Throughput accounting (both modes). The coordinator (coordinator.cc)
+  // fills the update counts: free-running from each site's kSiteDone
+  // report, virtual time as sites x epochs. The launch times the run.
   std::vector<int64_t> site_updates;  ///< Per-site updates consumed.
   int64_t total_updates = 0;
   double elapsed_seconds = 0.0;
   double updates_per_second = 0.0;
-
-  /// Per-site update sequences, filled only when
-  /// RuntimeOptions::capture_updates was set (seed-determinism tests).
-  std::vector<std::vector<int64_t>> captured_updates;
 
   // Failure recovery accounting (chaos runs; all zero on a healthy run).
   /// Crashed shard legs their shard threads replaced (free mode).

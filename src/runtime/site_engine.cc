@@ -55,7 +55,6 @@ SiteEngine::SiteEngine(Config config)
   const size_t slots = thresholds_.size();
   values_.assign(slots, 0);
   cursors_.assign(slots, 0);
-  updates_.assign(slots, 0);
   if (synthetic_) {
     DCV_CHECK(config_.synthetic_max >= 0) << "synthetic_max must be >= 0";
     config_.series = {};
@@ -65,9 +64,6 @@ SiteEngine::SiteEngine(Config config)
     for (size_t slot = 0; slot < slots; ++slot) {
       streams_.push_back(MakeSiteRng(config_.seed, SiteOf(slot)).state());
     }
-  }
-  if (config_.capture_updates) {
-    captured_.resize(slots);
   }
   if (config_.metrics != nullptr) {
     updates_counter_ = config_.metrics->counter("runtime/site/updates");
@@ -114,11 +110,6 @@ int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
 bool SiteEngine::Observe(size_t slot, int64_t index, bool up) {
   const int64_t value = ValueAt(slot, index);
   values_[slot] = value;
-  ++updates_[slot];
-  ++tally_updates_;
-  if (config_.capture_updates) {
-    captured_[slot].push_back(value);
-  }
   const bool alarmed = up && value > thresholds_[slot];
   if (alarmed) {
     ++tally_alarms_;
@@ -193,6 +184,8 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
           break;
         }
         const bool alarmed = Observe(slot, epoch, env.msg.flag);
+        ++cursors_[slot];
+        ++tally_updates_;
         reply(slot, ActorMsgKind::kEpochReport, epoch,
               alarmed ? values_[slot] : 0, alarmed);
         break;
@@ -245,10 +238,11 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         produced >= kSendRunUpdates) {
       flush();
     }
+    int64_t observed = 0;  ///< This pass's updates, tallied when it ends.
     for (size_t i = 0; i < active.size() && !closed;) {
       const size_t slot = active[i];
       if (cursors_[slot] >= workload_size(slot)) {
-        reply(slot, ActorMsgKind::kSiteDone, updates_[slot], updates_[slot]);
+        reply(slot, ActorMsgKind::kSiteDone, cursors_[slot], cursors_[slot]);
         active[i] = active.back();
         active.pop_back();
       } else {
@@ -256,6 +250,7 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         if (Observe(slot, index, /*up=*/true)) {
           reply(slot, ActorMsgKind::kAlarm, index, values_[slot]);
         }
+        ++observed;
         ++produced;
         ++i;
       }
@@ -269,6 +264,7 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         }
       }
     }
+    tally_updates_ += observed;
   }
 
   // No self-driven slot is left (a virtual engine has none): flush the

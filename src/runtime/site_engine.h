@@ -27,9 +27,9 @@ Rng MakeSiteRng(uint64_t seed, int site);
 ///   slot = site / num_workers        site = slot * num_workers + worker
 ///
 /// so a worker's sites {w, w+W, w+2W, ...} land in slots {0, 1, 2, ...}
-/// with no holes — `thresholds_[slot]`, `values_[slot]`, `cursors_[slot]`,
-/// `updates_[slot]` are contiguous and the per-message dispatch is an
-/// integer divide instead of a pointer chase through a per-site object.
+/// with no holes — `thresholds_[slot]`, `values_[slot]`, `cursors_[slot]`
+/// are contiguous and the per-message dispatch is an integer divide
+/// instead of a pointer chase through a per-site object.
 ///
 /// Determinism contract (why virtual-time runs are bit-identical to the
 /// lockstep simulator, which the conformance harness asserts):
@@ -67,9 +67,6 @@ class SiteEngine {
     uint64_t seed = 42;
     int64_t synthetic_max = 1000000;  ///< Synthetic values ~ U[0, max].
 
-    /// Record every consumed update per slot (seed-determinism tests).
-    bool capture_updates = false;
-
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceRecorder* recorder = nullptr;
   };
@@ -98,8 +95,9 @@ class SiteEngine {
     return static_cast<int>(slot) * config_.num_workers + config_.worker;
   }
 
-  /// updates-processed counters in slot order (valid after a run).
-  const std::vector<int64_t>& updates_processed() const { return updates_; }
+  /// Updates each slot observed, in slot order: its cursor, which both
+  /// time modes advance once per observation (valid after a run).
+  const std::vector<int64_t>& updates_processed() const { return cursors_; }
 
   /// Out-of-band threshold install (the socket worker's initial sync,
   /// which happens before the run loop starts). False = site not owned.
@@ -110,10 +108,6 @@ class SiteEngine {
     }
     thresholds_[static_cast<size_t>(slot)] = value;
     return true;
-  }
-  /// Captured update streams in slot order (capture_updates only).
-  const std::vector<std::vector<int64_t>>& captured_updates() const {
-    return captured_;
   }
 
   /// Virtual time: no slot drives itself. The engine blocks on its own
@@ -157,15 +151,17 @@ class SiteEngine {
   /// The site step of either mode: observes the slot's value at `index`
   /// (its epoch, or its free-running cursor) and returns whether L_i
   /// fired. A down site (up == false) observes but never alarms — the
-  /// lockstep simulator's crash semantics.
+  /// lockstep simulator's crash semantics. The caller advances the slot's
+  /// cursor and adds the update to the tally.
   bool Observe(size_t slot, int64_t index, bool up);
 
   /// Adds the tally of updates and alarms observed since the last call to
   /// the shared runtime/site/* counters: at the top of each production
   /// pass, after each drained inbox in the tail loop, and once at exit
   /// (a fabric that closes mid-pass ends the loop before another pass
-  /// top), so an update costs a plain increment instead of a contended
-  /// atomic add.
+  /// top), so an update costs no contended atomic add. A production pass
+  /// counts its updates in a local and adds them to the tally when it
+  /// ends, however it ends.
   void FlushTally();
 
   Config config_;  ///< Its thresholds move into thresholds_.
@@ -176,15 +172,15 @@ class SiteEngine {
   /// the rejection threshold computed once per engine, not per draw.
   uint64_t span_ = 1;
   uint64_t reject_below_ = 0;
-  // Structure-of-arrays site state, all indexed by slot (DESIGN §14): 72
+  // Structure-of-arrays site state, all indexed by slot (DESIGN §14): 64
   // bytes per synthetic slot with the free loop's 8-byte active index.
   std::vector<int64_t> thresholds_;
-  std::vector<int64_t> values_;    ///< Most recently observed value.
-  std::vector<int64_t> cursors_;   ///< Free-running stream position.
-  std::vector<int64_t> updates_;   ///< Updates processed.
+  std::vector<int64_t> values_;   ///< Most recently observed value.
+  /// Updates observed: the free-running stream position, and in virtual
+  /// time the count of kEpochStarts the slot observed.
+  std::vector<int64_t> cursors_;
   /// (seed, site)-derived streams, MakeSiteRng's state (synthetic only).
   std::vector<XoshiroState> streams_;
-  std::vector<std::vector<int64_t>> captured_;
   obs::Counter* updates_counter_ = nullptr;  ///< "runtime/site/updates".
   obs::Counter* alarms_counter_ = nullptr;   ///< "runtime/site/alarms".
   int64_t tally_updates_ = 0;  ///< Observed, not yet in updates_counter_.
@@ -194,7 +190,7 @@ class SiteEngine {
 /// Worker `worker`'s engine config over its sites w, w+W, w+2W, ... in
 /// slot order: their `eval` columns (null = synthetic, `synthetic_updates`
 /// per site) and their entries of the global `thresholds` (empty = no
-/// local constraint). The caller sets the seed, sinks and capture.
+/// local constraint). The caller sets the seed and sinks.
 SiteEngine::Config WorkerEngineConfig(int worker, int num_workers,
                                       int num_sites, const Trace* eval,
                                       int64_t synthetic_updates,

@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "runtime/shard.h"
-#include "runtime/site_engine.h"
 #include "runtime/site_worker.h"
 #include "runtime/transport.h"
 #include "trace/trace.h"
@@ -1052,52 +1051,6 @@ TEST(SyntheticWorkloadTest, SiteWorkerRejectsSyntheticMaxBeforeConnecting) {
   EXPECT_NE(report.status().message().find("synthetic_max must be in [0, "),
             std::string::npos)
       << report.status().message();
-}
-
-// --- Seed determinism -------------------------------------------------------
-
-TEST(SeedDeterminismTest, SameSeedSameStreamsRegardlessOfThreads) {
-  RuntimeOptions options;
-  options.virtual_time = false;
-  options.capture_updates = true;
-  options.seed = 1234;
-  auto a = RunSyntheticRuntime(4, 300, options);
-  ASSERT_TRUE(a.ok());
-  options.num_workers = 1;  // Different thread schedule, same streams.
-  auto b = RunSyntheticRuntime(4, 300, options);
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->captured_updates.size(), 4u);
-  ASSERT_EQ(b->captured_updates.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(a->captured_updates[static_cast<size_t>(i)],
-              b->captured_updates[static_cast<size_t>(i)])
-        << "site " << i;
-  }
-}
-
-TEST(SeedDeterminismTest, DifferentSeedsDiverge) {
-  RuntimeOptions options;
-  options.virtual_time = false;
-  options.capture_updates = true;
-  options.seed = 1;
-  auto a = RunSyntheticRuntime(2, 100, options);
-  ASSERT_TRUE(a.ok());
-  options.seed = 2;
-  auto b = RunSyntheticRuntime(2, 100, options);
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a->captured_updates[0], b->captured_updates[0]);
-}
-
-TEST(SeedDeterminismTest, SiteStreamsAreUnrelated) {
-  // Adjacent sites under the same seed must not share a stream.
-  Rng r0 = MakeSiteRng(42, 0);
-  Rng r1 = MakeSiteRng(42, 1);
-  std::vector<int64_t> s0, s1;
-  for (int i = 0; i < 50; ++i) {
-    s0.push_back(r0.UniformInt(0, 1000000));
-    s1.push_back(r1.UniformInt(0, 1000000));
-  }
-  EXPECT_NE(s0, s1);
 }
 
 // --- Trace-driven free-running ---------------------------------------------

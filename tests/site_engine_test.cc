@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -189,92 +190,6 @@ TEST(SiteEngineFreeTest, EngineDrainsFullWorkload) {
     EXPECT_EQ(u, 400);
   }
   EXPECT_GT(result->total_alarms, 0);
-}
-
-/// Site s's synthetic values are exactly the draws of MakeSiteRng(seed, s)
-/// .UniformInt(0, synthetic_max), in order: streams are keyed by (seed,
-/// site), never by slot, worker, or processing order. Runs at each
-/// synthetic_max below, over as many of 5 sites as ValidateSyntheticMax
-/// allows: 0 and 1 are the degenerate spans, and 2^62 draws under the span
-/// 2^62 + 1, which rejects about a quarter of raw draws, so the rejection
-/// loop runs.
-void ExpectCapturedStreamsMatchSiteRng(bool virtual_time) {
-  constexpr int64_t kUpdates = 64;
-  for (const int64_t max : {int64_t{0}, int64_t{1}, int64_t{5000},
-                            int64_t{1} << 62}) {
-    SCOPED_TRACE(testing::Message() << "synthetic_max " << max);
-    const int sites = static_cast<int>(std::min<int64_t>(
-        5, max == 0 ? 5 : std::numeric_limits<int64_t>::max() / max));
-    RuntimeOptions options;
-    options.virtual_time = virtual_time;
-    options.num_workers = std::min(sites, 2);
-    options.seed = 77;
-    options.synthetic_max = max;
-    options.global_threshold = sites * max;
-    options.thresholds.assign(static_cast<size_t>(sites), max - max / 10);
-    options.domain_max.assign(static_cast<size_t>(sites), max);
-    options.capture_updates = true;
-    auto result = RunSyntheticRuntime(sites, kUpdates, options);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-
-    ASSERT_EQ(result->captured_updates.size(), static_cast<size_t>(sites));
-    int64_t rejected = 0;  // Raw draws the rejection rule threw away.
-    for (int s = 0; s < sites; ++s) {
-      Rng rng = MakeSiteRng(77, s);
-      XoshiroState raw = rng.state();
-      const uint64_t span = static_cast<uint64_t>(max) + 1;
-      std::vector<int64_t> expected;
-      for (int64_t i = 0; i < kUpdates; ++i) {
-        expected.push_back(rng.UniformInt(0, max));
-        while (XoshiroNext(raw) < RejectBelow(span)) {
-          ++rejected;
-        }
-      }
-      EXPECT_EQ(result->captured_updates[static_cast<size_t>(s)], expected)
-          << "value stream diverges for site " << s;
-    }
-    if (max == int64_t{1} << 62) {
-      EXPECT_GT(rejected, 0);
-    }
-  }
-}
-
-TEST(SiteEngineFreeTest, CapturedUpdateStreamsMatchSiteRng) {
-  ExpectCapturedStreamsMatchSiteRng(/*virtual_time=*/false);
-}
-
-TEST(SiteEngineVirtualTest, CapturedUpdateStreamsMatchSiteRng) {
-  ExpectCapturedStreamsMatchSiteRng(/*virtual_time=*/true);
-}
-
-// A trace-driven config whose columns mix empty and non-empty ones (the
-// shape WorkerEngineConfig builds, synthetic_updates 0) reads each
-// non-empty column in order and gives an empty one no updates: its site
-// reports done at once, with 0.
-TEST(SiteEngineFreeTest, EmptyTraceColumnGetsNoUpdates) {
-  SiteEngine::Config cfg;
-  cfg.num_sites = 3;
-  cfg.thresholds.assign(3, std::numeric_limits<int64_t>::max());
-  cfg.series = {{10, 20, 30}, {}, {40, 50}};
-  cfg.capture_updates = true;
-  SiteEngine engine(std::move(cfg));
-  auto transport = ThreadTransport::Create(3, 1);
-  ASSERT_TRUE(transport.ok());
-  ActorMessage stop;
-  stop.kind = ActorMsgKind::kShutdown;
-  stop.value = 3;  // A range over every site.
-  ASSERT_TRUE((*transport)->Send(Envelope{kCoordinatorId, 0, stop}));
-  engine.RunFree(transport->get());
-  EXPECT_EQ(engine.captured_updates(),
-            (std::vector<std::vector<int64_t>>{{10, 20, 30}, {}, {40, 50}}));
-  EXPECT_EQ(engine.updates_processed(), (std::vector<int64_t>{3, 0, 2}));
-  std::map<int, int64_t> done;
-  Envelope e;
-  while ((*transport)->TryRecvShard(0, &e)) {
-    ASSERT_EQ(e.msg.kind, ActorMsgKind::kSiteDone);
-    done[e.from] = e.msg.value;
-  }
-  EXPECT_EQ(done, (std::map<int, int64_t>{{0, 3}, {1, 0}, {2, 2}}));
 }
 
 // The shutdown-ordering stress (satellite of the million-site PR): a
@@ -595,32 +510,41 @@ TEST(SiteEngineTallyTest, FreeRunCountersAreExact) {
             result->total_alarms);
 }
 
+// In virtual time the root counts every site's updates as the epochs it
+// drove, at every shard count; the engines' own tallies must agree.
 TEST(SiteEngineTallyTest, VirtualRunCountersAreExact) {
   Workload w = MakeWorkload(57, /*num_sites=*/6);
   FptasSolver solver(0.05);
-  obs::MetricsRegistry metrics;
-  RuntimeOptions options;
-  options.protocol = RuntimeProtocol::kLocalThreshold;
-  options.solver = &solver;
-  options.global_threshold = PickThreshold(w, 0.05);
-  options.num_workers = 2;
-  options.metrics = &metrics;
-  auto result = RunMonitorRuntime(w.training, w.eval, options);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result->total_updates, 6 * w.eval.num_epochs());
-  EXPECT_GT(result->total_alarms, 0);
-  EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
-            result->total_updates);
-  EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
-            result->total_alarms);
+  for (int shards = 1; shards <= 4; ++shards) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    obs::MetricsRegistry metrics;
+    RuntimeOptions options;
+    options.protocol = RuntimeProtocol::kLocalThreshold;
+    options.solver = &solver;
+    options.global_threshold = PickThreshold(w, 0.05);
+    options.num_workers = 2;
+    options.num_shards = shards;
+    options.metrics = &metrics;
+    auto result = RunMonitorRuntime(w.training, w.eval, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->site_updates,
+              std::vector<int64_t>(6, w.eval.num_epochs()));
+    EXPECT_EQ(result->total_updates, 6 * w.eval.num_epochs());
+    EXPECT_GT(result->total_alarms, 0);
+    EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
+              result->total_updates);
+    EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
+              result->total_alarms);
+  }
 }
 
-// A one-worker, one-shard Transport double that drives an engine
-// deterministically: control envelopes are scripted per TryRecvWorkerAll
-// call, every TrySendBatch is accepted whole and logged with the number of
+// A one-shard Transport double that drives one engine deterministically:
+// control envelopes are scripted per TryRecvWorkerAll call, every
+// TrySendBatch is accepted whole and logged with the number of
 // TryRecvWorkerAll calls made before it, and the tail loop's blocking
-// RecvWorkerAll shuts every site down. With one slot, a production pass is
-// one TryRecvWorkerAll call and one update, so call counts are updates.
+// RecvWorkerAll delivers the envelopes ScriptBlocking queued, then shuts
+// every site down. With one slot, a production pass is one
+// TryRecvWorkerAll call and one update, so call counts are updates.
 class ScriptedTransport : public Transport {
  public:
   struct SentBatch {
@@ -638,6 +562,8 @@ class ScriptedTransport : public Transport {
   void ScriptOn(int64_t call, const Envelope& e) {
     script_[call].push_back(e);
   }
+  /// Delivers `e` on the first blocking RecvWorkerAll call.
+  void ScriptBlocking(const Envelope& e) { blocking_.push_back(e); }
   const std::vector<SentBatch>& sends() const { return sends_; }
   /// Every sent envelope, in send order.
   std::vector<Envelope> stream() const {
@@ -689,6 +615,12 @@ class ScriptedTransport : public Transport {
     return it->second.size();
   }
   size_t RecvWorkerAll(int, std::vector<Envelope>* out) override {
+    if (!blocking_.empty()) {
+      out->insert(out->end(), blocking_.begin(), blocking_.end());
+      const size_t got = blocking_.size();
+      blocking_.clear();
+      return got;
+    }
     if (shut_down_) {
       return 0;
     }
@@ -709,8 +641,205 @@ class ScriptedTransport : public Transport {
   bool shut_down_ = false;
   size_t close_at_ = 0;
   std::map<int64_t, std::vector<Envelope>> script_;
+  std::vector<Envelope> blocking_;
   std::vector<SentBatch> sends_;
 };
+
+/// Each site's observed values, in observation order, from a synthetic run
+/// of `workers` engines at threshold -1, where every update alarms: free
+/// running, each update is a kAlarm carrying its index and value; in
+/// virtual time, the engines get `updates` epochs of kEpochStart, and each
+/// is an alarmed kEpochReport carrying its epoch and value. Each engine
+/// runs on its own thread over its own ScriptedTransport. Also checks that
+/// each site's indices run 0, 1, 2, ..., that every slot observed
+/// `updates` updates, and that a free site's kSiteDone reports as many.
+std::vector<std::vector<int64_t>> AlarmStreams(int sites, int workers,
+                                               int64_t updates, uint64_t seed,
+                                               int64_t synthetic_max,
+                                               bool virtual_time) {
+  std::vector<std::unique_ptr<ScriptedTransport>> transports;
+  std::vector<std::unique_ptr<SiteEngine>> engines;
+  for (int w = 0; w < workers; ++w) {
+    SiteEngine::Config cfg = WorkerEngineConfig(
+        w, workers, sites, /*eval=*/nullptr, updates,
+        std::vector<int64_t>(static_cast<size_t>(sites), -1));
+    cfg.seed = seed;
+    cfg.synthetic_max = synthetic_max;
+    engines.push_back(std::make_unique<SiteEngine>(std::move(cfg)));
+    transports.push_back(std::make_unique<ScriptedTransport>(sites));
+    for (int64_t epoch = 0; virtual_time && epoch < updates; ++epoch) {
+      for (int site = w; site < sites; site += workers) {
+        transports.back()->ScriptBlocking(
+            ToSite(site, ActorMsgKind::kEpochStart, epoch));
+      }
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    SiteEngine* engine = engines[static_cast<size_t>(w)].get();
+    ScriptedTransport* t = transports[static_cast<size_t>(w)].get();
+    threads.emplace_back([engine, t, virtual_time] {
+      virtual_time ? engine->RunVirtual(t) : engine->RunFree(t);
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+
+  std::vector<std::vector<int64_t>> values(static_cast<size_t>(sites));
+  std::vector<int64_t> done(static_cast<size_t>(sites), -1);
+  const ActorMsgKind alarm =
+      virtual_time ? ActorMsgKind::kEpochReport : ActorMsgKind::kAlarm;
+  for (int w = 0; w < workers; ++w) {
+    const SiteEngine& engine = *engines[static_cast<size_t>(w)];
+    EXPECT_EQ(engine.updates_processed(),
+              std::vector<int64_t>(engine.num_slots(), updates));
+    for (const Envelope& e : transports[static_cast<size_t>(w)]->stream()) {
+      std::vector<int64_t>& site = values[static_cast<size_t>(e.from)];
+      if (e.msg.kind == ActorMsgKind::kSiteDone) {
+        done[static_cast<size_t>(e.from)] = e.msg.value;
+        continue;
+      }
+      EXPECT_EQ(e.msg.kind, alarm);
+      EXPECT_EQ(e.msg.flag, virtual_time);  // An epoch report's alarm bit.
+      EXPECT_EQ(e.msg.epoch, static_cast<int64_t>(site.size()))
+          << "site " << e.from;
+      site.push_back(e.msg.value);
+    }
+  }
+  EXPECT_EQ(done, std::vector<int64_t>(static_cast<size_t>(sites),
+                                       virtual_time ? -1 : updates));
+  return values;
+}
+
+/// Site s's synthetic values are exactly the draws of MakeSiteRng(seed, s)
+/// .UniformInt(0, synthetic_max), in order: streams are keyed by (seed,
+/// site), never by slot, worker, or processing order. Runs at each
+/// synthetic_max below, over as many of 5 sites as ValidateSyntheticMax
+/// allows: 0 and 1 are the degenerate spans, and 2^62 draws under the span
+/// 2^62 + 1, which rejects about a quarter of raw draws, so the rejection
+/// loop runs.
+void ExpectCapturedStreamsMatchSiteRng(bool virtual_time) {
+  constexpr int64_t kUpdates = 64;
+  for (const int64_t max : {int64_t{0}, int64_t{1}, int64_t{5000},
+                            int64_t{1} << 62}) {
+    SCOPED_TRACE(testing::Message() << "synthetic_max " << max);
+    const int sites = static_cast<int>(std::min<int64_t>(
+        5, max == 0 ? 5 : std::numeric_limits<int64_t>::max() / max));
+    ASSERT_TRUE(ValidateSyntheticMax(max, sites).ok());
+    const std::vector<std::vector<int64_t>> streams = AlarmStreams(
+        sites, std::min(sites, 2), kUpdates, /*seed=*/77, max, virtual_time);
+
+    int64_t rejected = 0;  // Raw draws the rejection rule threw away.
+    for (int s = 0; s < sites; ++s) {
+      Rng rng = MakeSiteRng(77, s);
+      XoshiroState raw = rng.state();
+      const uint64_t span = static_cast<uint64_t>(max) + 1;
+      std::vector<int64_t> expected;
+      for (int64_t i = 0; i < kUpdates; ++i) {
+        expected.push_back(rng.UniformInt(0, max));
+        while (XoshiroNext(raw) < RejectBelow(span)) {
+          ++rejected;
+        }
+      }
+      EXPECT_EQ(streams[static_cast<size_t>(s)], expected)
+          << "value stream diverges for site " << s;
+    }
+    if (max == int64_t{1} << 62) {
+      EXPECT_GT(rejected, 0);
+    }
+  }
+}
+
+TEST(SiteEngineFreeTest, CapturedUpdateStreamsMatchSiteRng) {
+  ExpectCapturedStreamsMatchSiteRng(/*virtual_time=*/false);
+}
+
+TEST(SiteEngineVirtualTest, CapturedUpdateStreamsMatchSiteRng) {
+  ExpectCapturedStreamsMatchSiteRng(/*virtual_time=*/true);
+}
+
+// A trace-driven config whose columns mix empty and non-empty ones (the
+// shape WorkerEngineConfig builds, synthetic_updates 0) reads each
+// non-empty column in order and gives an empty one no updates: its site
+// reports done at once, with 0. At threshold -1 every update is an alarm
+// carrying its index and value.
+TEST(SiteEngineFreeTest, EmptyTraceColumnGetsNoUpdates) {
+  SiteEngine::Config cfg;
+  cfg.num_sites = 3;
+  cfg.thresholds.assign(3, -1);
+  cfg.series = {{10, 20, 30}, {}, {40, 50}};
+  SiteEngine engine(std::move(cfg));
+  ScriptedTransport transport(3);
+  engine.RunFree(&transport);
+  EXPECT_EQ(engine.updates_processed(), (std::vector<int64_t>{3, 0, 2}));
+  using Observed = std::vector<std::pair<int64_t, int64_t>>;  // (index, value)
+  std::map<int, Observed> alarms;
+  std::map<int, int64_t> done;
+  for (const Envelope& e : transport.stream()) {
+    if (e.msg.kind == ActorMsgKind::kAlarm) {
+      alarms[e.from].emplace_back(e.msg.epoch, e.msg.value);
+    } else {
+      ASSERT_EQ(e.msg.kind, ActorMsgKind::kSiteDone);
+      done[e.from] = e.msg.value;
+    }
+  }
+  EXPECT_EQ(alarms, (std::map<int, Observed>{{0, {{0, 10}, {1, 20}, {2, 30}}},
+                                             {2, {{0, 40}, {1, 50}}}}));
+  EXPECT_EQ(done, (std::map<int, int64_t>{{0, 3}, {1, 0}, {2, 2}}));
+}
+
+// --- Seed determinism -------------------------------------------------------
+
+TEST(SeedDeterminismTest, SameSeedSameStreamsRegardlessOfThreads) {
+  constexpr int kSites = 4;
+  constexpr int64_t kUpdates = 300;
+  constexpr int64_t kMax = 1'000'000;
+  // Four engines on four threads read the same per-site streams as one
+  // engine over every site.
+  const std::vector<std::vector<int64_t>> streams =
+      AlarmStreams(kSites, 4, kUpdates, /*seed=*/1234, kMax, false);
+  EXPECT_EQ(AlarmStreams(kSites, 1, kUpdates, 1234, kMax, false), streams);
+
+  // The runtime hands every engine the run's seed, at any thread count: on
+  // a perfect channel each run alarms exactly where the streams breach.
+  constexpr int64_t kThreshold = 900'000;
+  int64_t breaches = 0;
+  for (const std::vector<int64_t>& site : streams) {
+    breaches += std::count_if(site.begin(), site.end(),
+                              [](int64_t v) { return v > kThreshold; });
+  }
+  ASSERT_GT(breaches, 0);
+  for (int workers : {1, 4}) {
+    RuntimeOptions options;
+    options.virtual_time = false;
+    options.num_workers = workers;
+    options.seed = 1234;
+    options.global_threshold = kSites * kMax;
+    options.thresholds.assign(kSites, kThreshold);
+    options.domain_max.assign(kSites, kMax);
+    auto result = RunSyntheticRuntime(kSites, kUpdates, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->total_alarms, breaches) << workers << " workers";
+  }
+}
+
+TEST(SeedDeterminismTest, DifferentSeedsDiverge) {
+  EXPECT_NE(AlarmStreams(2, 1, 100, /*seed=*/1, 1'000'000, false)[0],
+            AlarmStreams(2, 1, 100, /*seed=*/2, 1'000'000, false)[0]);
+}
+
+TEST(SeedDeterminismTest, SiteStreamsAreUnrelated) {
+  // Adjacent sites under the same seed must not share a stream.
+  Rng r0 = MakeSiteRng(42, 0);
+  Rng r1 = MakeSiteRng(42, 1);
+  std::vector<int64_t> s0, s1;
+  for (int i = 0; i < 50; ++i) {
+    s0.push_back(r0.UniformInt(0, 1000000));
+    s1.push_back(r1.UniformInt(0, 1000000));
+  }
+  EXPECT_NE(s0, s1);
+}
 
 SiteEngine::Config OneSlotConfig(int64_t updates, int64_t threshold) {
   SiteEngine::Config cfg;

@@ -2,8 +2,11 @@
 """Checks the completion accounting of a free-running `dcvtool run
 --metrics-json` document: the run covered exactly `--sites` sites, every
 entry of throughput.site_updates equals `--updates` (each site's done
-report was counted exactly once, with its full count), and the root's
-once-per-run runtime/coordinator/completion_ms gauge is present. With
+report was counted exactly once, with its full count), throughput.
+total_updates equals sites x updates, and the root's once-per-run
+runtime/coordinator/completion_ms gauge is present. Every count read is
+the coordinator's own: the root fills both from the sites' done reports.
+With
 --total-alarms, detection.total_alarms must equal A as well: a synthetic
 run's alarm count depends only on the seed, the site count, the update
 count and the per-site thresholds, never on the thread schedule, so a
@@ -47,6 +50,10 @@ def main():
         failures.append(f"{len(wrong)} sites report a count other than "
                         f"{args.updates}; first: site {wrong[0]} = "
                         f"{counts[wrong[0]]}")
+    total = doc.get("throughput", {}).get("total_updates")
+    if total != args.sites * args.updates:
+        failures.append(f"throughput.total_updates is {total}, expected "
+                        f"{args.sites * args.updates}")
     alarms = doc.get("detection", {}).get("total_alarms")
     if args.total_alarms is not None and alarms != args.total_alarms:
         failures.append(f"detection.total_alarms is {alarms}, expected "
