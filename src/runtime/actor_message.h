@@ -40,9 +40,13 @@ enum class ActorMsgKind : uint8_t {
   kAlarm,            ///< Site -> coordinator: local constraint violated.
   kPollRequest,      ///< Coordinator -> site: report your current value.
                      ///< A range envelope, like kShutdown: one request
-                     ///< covers the sites CoveredEnd names, and each
-                     ///< covered site answers with its own kPollResponse.
-  kPollResponse,     ///< Site -> coordinator: current value.
+                     ///< covers the sites CoveredEnd names. Unflagged,
+                     ///< each covered site answers with its own
+                     ///< kPollResponse; flagged (summed), the addressed
+                     ///< site answers once with the plain sum of the
+                     ///< covered owned sites' values.
+  kPollResponse,     ///< Site -> coordinator: current value, or the sum
+                     ///< a flagged request asked for.
   kThresholdUpdate,  ///< Coordinator -> site: new local threshold (value).
 };
 
@@ -55,7 +59,8 @@ struct ActorMessage {
   int64_t epoch = 0;  ///< Virtual epoch (site-local update index when free).
   int64_t value = 0;  ///< Kind-specific payload.
   ActorMsgKind kind = ActorMsgKind::kEpochStart;
-  bool flag = false;  ///< kEpochStart: site up; kEpochReport: alarmed.
+  bool flag = false;  ///< kEpochStart: site up; kEpochReport: alarmed;
+                      ///< kPollRequest: answer with one sum.
 };
 static_assert(sizeof(ActorMessage) == 24);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -348,8 +347,6 @@ class CoordinatorActor::FreeRun {
           break;
         }
         round_sum_ += msg.partial_sum;
-        round_min_ = std::min(round_min_, msg.partial_min);
-        round_max_ = std::max(round_max_, msg.partial_max);
         if (--partials_pending_ == 0) {
           FinishRound();
         }
@@ -393,8 +390,6 @@ class CoordinatorActor::FreeRun {
     partials_pending_ = k_;
     round_trigger_epoch_ = watermark_;
     round_sum_ = 0;
-    round_min_ = std::numeric_limits<int64_t>::max();
-    round_max_ = std::numeric_limits<int64_t>::min();
     DCV_OBS_COUNT(actor_.polls_, 1);
     round_timer_.emplace(actor_.poll_round_us_);
   }
@@ -410,10 +405,6 @@ class CoordinatorActor::FreeRun {
       // ground truth decides in the trigger epoch itself.
       actor_.detection_lag_->Observe(static_cast<double>(
           std::max<int64_t>(0, watermark_ - round_trigger_epoch_)));
-    }
-    if (poll_min_gauge_ != nullptr) {
-      poll_min_gauge_->Set(static_cast<double>(round_min_));
-      poll_max_gauge_->Set(static_cast<double>(round_max_));
     }
     if (poll_dirty_) {
       poll_dirty_ = false;
@@ -512,10 +503,6 @@ class CoordinatorActor::FreeRun {
   Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * k_ + 16)};
   std::vector<std::thread> threads_;
   std::optional<ShardFreeLeg> inline_leg_;
-  obs::Gauge* const poll_min_gauge_ =
-      GaugeOrNull("runtime/coordinator/poll_min");
-  obs::Gauge* const poll_max_gauge_ =
-      GaugeOrNull("runtime/coordinator/poll_max");
   /// Once per run: the first counted site done to the last, and Drain().
   obs::Gauge* const completion_ms_gauge_ =
       GaugeOrNull("runtime/coordinator/completion_ms");
@@ -527,8 +514,6 @@ class CoordinatorActor::FreeRun {
   int64_t watermark_ = 0;
   int64_t round_trigger_epoch_ = 0;
   int64_t round_sum_ = 0;
-  int64_t round_min_ = 0;
-  int64_t round_max_ = 0;
   std::optional<obs::ScopedTimer> round_timer_;
   int sites_done_ = 0;
   Clock::time_point first_done_;  ///< When the root counted its first done.

@@ -84,14 +84,17 @@ class CoordinatorActor {
   /// the sites down. Fills `out`'s detections, messages, reliability, and
   /// update counts (every site observes every epoch).
   /// Each poll round and the shutdown fan out one range envelope per
-  /// worker (FanOutRange); replies stay one per site.
+  /// worker (FanOutRange); poll replies stay one per site, since the root
+  /// replays every site's fate through its channel.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
   /// Free-running mode: serves alarms and poll rounds in arrival order
   /// until every site reports kSiteDone, whose count is the site's entry
   /// of `out`'s site_updates, then shuts the sites down (each
-  /// leg's poll rounds and shutdown are range fan-outs, as above). Epoch
+  /// leg's poll rounds and shutdown are range fan-outs, as above; on a
+  /// perfect channel with uniform weights each worker answers a round with
+  /// one sum, so a round costs O(workers) envelopes both ways). Epoch
   /// semantics degrade to a watermark (the highest site-local update index
   /// seen), so fault windows still engage, but no per-epoch determinism is
   /// claimed.

@@ -12,6 +12,7 @@
 #include "runtime/plan.h"
 #include "runtime/site_engine.h"
 #include "runtime/transport.h"
+#include "trace/stats.h"
 
 namespace dcv {
 namespace {
@@ -28,6 +29,10 @@ struct LaunchPlan {
   std::vector<int64_t> domain_max;
 };
 
+/// Fills the run's weights (ones by default). The caller checks them with
+/// CheckWeightedSumFits against its site values: every weight >= 1, and
+/// no weighted sum can wrap — neither the root's, nor a leg's, nor a
+/// worker's summed poll answer.
 Status ResolveWeights(int n, const RuntimeOptions& options,
                       std::vector<int64_t>* weights) {
   *weights = options.weights;
@@ -36,11 +41,6 @@ Status ResolveWeights(int n, const RuntimeOptions& options,
   }
   if (static_cast<int>(weights->size()) != n) {
     return InvalidArgumentError("weights size mismatch");
-  }
-  for (int64_t w : *weights) {
-    if (w < 1) {
-      return InvalidArgumentError("weights must be >= 1");
-    }
   }
   return OkStatus();
 }
@@ -366,6 +366,7 @@ Result<RuntimeResult> RunMonitorRuntime(const Trace& training,
   }
   LaunchPlan plan;
   DCV_RETURN_IF_ERROR(ResolveWeights(n, options, &plan.weights));
+  DCV_RETURN_IF_ERROR(CheckWeightedSumFits(plan.weights, SiteMaxima(eval)));
   DCV_RETURN_IF_ERROR(ResolvePlan(n, &training, options, &plan));
   DCV_ASSIGN_OR_RETURN(
       RuntimeResult result,
@@ -386,6 +387,8 @@ Result<RuntimeResult> RunSyntheticRuntime(int num_sites,
   DCV_RETURN_IF_ERROR(ValidateSyntheticMax(options.synthetic_max, num_sites));
   LaunchPlan plan;
   DCV_RETURN_IF_ERROR(ResolveWeights(num_sites, options, &plan.weights));
+  DCV_RETURN_IF_ERROR(
+      CheckWeightedSumFits(plan.weights, options.synthetic_max));
   DCV_RETURN_IF_ERROR(
       ResolvePlan(num_sites, /*training=*/nullptr, options, &plan));
   return Launch(num_sites, /*eval=*/nullptr, updates_per_site, plan, options);

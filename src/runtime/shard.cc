@@ -35,6 +35,13 @@ std::vector<int64_t> Slice(const std::vector<int64_t>& v, int start, int size) {
   return std::vector<int64_t>(v.begin() + start, v.begin() + start + size);
 }
 
+/// True when every weight equals the first (and there is one).
+bool Uniform(const std::vector<int64_t>& weights) {
+  return !weights.empty() &&
+         std::all_of(weights.begin(), weights.end(),
+                     [&](int64_t w) { return w == weights.front(); });
+}
+
 }  // namespace
 
 FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
@@ -109,7 +116,10 @@ ShardFreeLeg::ShardFreeLeg(ShardContext ctx)
                       ? Slice(ctx_.config->domain_max, start_, size_)
                       : std::vector<int64_t>()),
       channel_(SliceFaultSpec(ctx_.config->faults, ctx_.layout, ctx_.shard)),
-      poll_values_(static_cast<size_t>(size_), 0) {}
+      // Per-site fates and last-known values need per-site answers, and
+      // mixed weights need per-site values; otherwise each worker sums.
+      summed_(channel_.perfect() && Uniform(weights_)),
+      poll_values_(summed_ ? 0 : static_cast<size_t>(size_), 0) {}
 
 void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
   if (Status init = channel_.Init(size_, &counter_); !init.ok()) {
@@ -127,11 +137,21 @@ bool ShardFreeLeg::StartPoll() {
   poll_id_ = PollRoundId(ctx_.incarnation, ++poll_round_);
   FanOutRange(ActorMsgKind::kPollRequest, poll_id_, start_, start_ + size_,
               ctx_.transport->num_workers(), &fanout_);
+  for (Envelope& e : fanout_) {
+    e.msg.flag = summed_;
+  }
   if (!ctx_.transport->SendBatch(fanout_)) {
     return false;
   }
-  std::fill(poll_values_.begin(), poll_values_.end(), 0);
-  poll_pending_ = size_;
+  if (summed_) {
+    // The fan-out targets are the range's first sites, one per worker.
+    sum_answered_.assign(fanout_.size(), 0);
+    poll_sum_ = 0;
+    poll_pending_ = static_cast<int>(fanout_.size());
+  } else {
+    std::fill(poll_values_.begin(), poll_values_.end(), 0);
+    poll_pending_ = size_;
+  }
   poll_outstanding_ = true;
   return true;
 }
@@ -188,6 +208,10 @@ void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
     case ActorMsgKind::kPollResponse:
       if (!poll_outstanding_ || e.msg.epoch != poll_id_) {
         break;  // Resolved round, or another incarnation's; ignore.
+      }
+      if (summed_) {
+        OnPollSum(e, out);
+        break;
       }
       poll_values_[static_cast<size_t>(e.from - start_)] = e.msg.value;
       if (--poll_pending_ == 0) {
@@ -259,27 +283,38 @@ void ShardFreeLeg::OnAlarm(const Envelope& e, std::vector<RootMsg>* out) {
   }
 }
 
+void ShardFreeLeg::OnPollSum(const Envelope& e, std::vector<RootMsg>* out) {
+  // Each fan-out target answers once; anything else (a second answer, a
+  // site that was not a target) leaves the round as it is.
+  const size_t target = static_cast<size_t>(int64_t{e.from} - start_);
+  if (target >= sum_answered_.size() || sum_answered_[target] != 0) {
+    return;
+  }
+  sum_answered_[target] = 1;
+  poll_sum_ += static_cast<uint64_t>(e.msg.value);
+  if (--poll_pending_ == 0) {
+    FinishPoll(out);
+  }
+}
+
 void ShardFreeLeg::FinishPoll(std::vector<RootMsg>* out) {
-  // The root provisions domain_max only under the local-threshold
-  // protocol, so polling legs pass an empty (optimistic) fallback.
-  PollOutcome poll =
-      channel_.PollSites(poll_values_, weights_, domain_max_);
+  int64_t sum = 0;
+  if (summed_) {
+    // Still 2n messages charged: n requests and n answers in the paper's
+    // accounting, however few envelopes carried them.
+    channel_.PollPerfect();
+    sum = static_cast<int64_t>(static_cast<uint64_t>(weights_.front()) *
+                               poll_sum_);
+  } else {
+    // The root provisions domain_max only under the local-threshold
+    // protocol, so polling legs pass an empty (optimistic) fallback.
+    sum = channel_.PollSites(poll_values_, weights_, domain_max_).weighted_sum;
+  }
   poll_outstanding_ = false;
   RootMsg& partial = out->emplace_back();
   partial.kind = RootMsg::Kind::kPollPartial;
   partial.epoch = watermark_;
-  partial.partial_sum = poll.weighted_sum;
-  if (!poll.values.empty()) {
-    // A plain reduction vectorizes; std::minmax_element does not.
-    int64_t lo = poll.values[0];
-    int64_t hi = lo;
-    for (int64_t v : poll.values) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    partial.partial_min = lo;
-    partial.partial_max = hi;
-  }
+  partial.partial_sum = sum;
 }
 
 void RunShardFree(ShardContext ctx) {

@@ -30,11 +30,16 @@ namespace dcv {
 /// Free-running mode is where shard legs live. Each leg owns a Channel
 /// over its own site range (fault spec sliced via SliceFaultSpec), serves
 /// alarm intake and its leg of every poll round for exactly those sites,
-/// and aggregates the leg locally — partial weighted SUM plus MIN/MAX — so
-/// the root combines k partials without ever materializing per-site
-/// values: O(num_shards) root messages per round instead of O(num_sites).
-/// A leg's fan-out is one range request per worker (FanOutRange), so a
-/// round costs O(workers) envelopes out and O(sites) replies back.
+/// and aggregates the leg locally into a partial weighted SUM, so the root
+/// combines k partials without ever materializing per-site values:
+/// O(num_shards) root messages per round instead of O(num_sites). A leg's
+/// fan-out is one range request per worker (FanOutRange). On a perfect
+/// channel slice with uniform weights the requests are summed (flagged):
+/// each worker answers with the sum of its sites' values, so a round costs
+/// O(workers) envelopes both ways. Otherwise every site answers on its own
+/// (O(sites) replies back), since per-site fates, last-known values and
+/// mixed weights need per-site values. Either way the leg's channel
+/// charges the paper's 2n messages per round.
 /// With k >= 2 every leg runs on its own shard thread; a 1-shard tree's
 /// root steps its single leg inline. No per-epoch determinism is claimed
 /// in this mode.
@@ -58,7 +63,7 @@ struct ShardReport {
 /// mailbox from a shard thread, or straight from an inline leg.
 struct RootMsg {
   enum class Kind : uint8_t {
-    kPollPartial,   ///< Poll leg done: aggregated sum/min/max.
+    kPollPartial,   ///< Poll leg done: its weighted sum.
     kAlarmNotice,   ///< A delivered alarm needs a poll round.
     kSiteDone,      ///< One run of owned sites reported kSiteDone.
                     ///< Relayed per run of consecutive dones in one inbox
@@ -73,10 +78,7 @@ struct RootMsg {
   /// kSiteDone: one run's (global site, update count) pairs, in arrival
   /// order.
   std::vector<std::pair<int, int64_t>> entries;
-  // kPollPartial: the shard-aggregated poll leg.
-  int64_t partial_sum = 0;  ///< Weighted sum over the shard's sites.
-  int64_t partial_min = 0;  ///< Min/max of the resolved per-site values —
-  int64_t partial_max = 0;  ///< groundwork for MIN/MAX runtime constraints.
+  int64_t partial_sum = 0;  ///< kPollPartial: weighted sum over the shard.
   std::unique_ptr<ShardReport> report;  ///< kShardExit only.
 };
 // Two of these cross between the inline leg and the root on every poll
@@ -177,13 +179,17 @@ class ShardFreeLeg {
 
  private:
   /// Fans one range poll request out to each worker with a site in the
-  /// shard (FanOutRange); every owned site still answers on its own.
-  /// False = transport closed.
+  /// shard (FanOutRange), flagged when the leg sums: then each target
+  /// answers once with its worker's sum, else every site answers on its
+  /// own. False = transport closed.
   bool StartPoll();
   /// A root command: kPollRequest or kShutdown.
   void OnCommand(const ActorMessage& cmd, std::vector<RootMsg>* out);
   void OnAlarm(const Envelope& e, std::vector<RootMsg>* out);
   void OnSiteDone(const Envelope& e, std::vector<RootMsg>* out);
+  /// A summed round's answer: counts each fan-out target's first answer to
+  /// the open round.
+  void OnPollSum(const Envelope& e, std::vector<RootMsg>* out);
   /// The last response is in: resolve the leg into one kPollPartial.
   void FinishPoll(std::vector<RootMsg>* out);
   void OnUnexpected(ActorMsgKind kind, std::vector<RootMsg>* out);
@@ -201,7 +207,15 @@ class ShardFreeLeg {
   int64_t poll_id_ = 0;     ///< PollRoundId of the open (or last) round.
   int poll_pending_ = 0;
   bool notice_sent_ = false;  ///< Collapse alarms into one notice per round.
-  std::vector<int64_t> poll_values_;
+  /// Chosen once: a perfect channel slice and equal weights. Then a round
+  /// is one summed answer per fan-out target, and the partial is
+  /// weight * their total.
+  const bool summed_;
+  /// Summed: the answers so far. Unsigned, as the answers come off the
+  /// wire; the launcher checks that every true sum fits in int64.
+  uint64_t poll_sum_ = 0;
+  std::vector<char> sum_answered_;    ///< Summed: per fan-out target.
+  std::vector<int64_t> poll_values_;  ///< Per site: the answers so far.
   std::vector<Envelope> fanout_;  ///< The last range fan-out (FanOutRange).
   int64_t alarms_ = 0;
   bool running_ = true;

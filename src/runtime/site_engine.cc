@@ -191,6 +191,18 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
         break;
       }
       case ActorMsgKind::kPollRequest:
+        if (env.msg.flag) {
+          // Summed: one answer from the addressed site for its whole
+          // range. Unsigned, so a range off the wire cannot overflow; the
+          // launcher checks that every real sum fits in int64.
+          uint64_t sum = 0;
+          for (size_t s = slot, end = CoveredSlotEnd(env); s < end; ++s) {
+            sum += static_cast<uint64_t>(values_[s]);
+          }
+          reply(slot, ActorMsgKind::kPollResponse, env.msg.epoch,
+                static_cast<int64_t>(sum));
+          break;
+        }
         for (size_t s = slot, end = CoveredSlotEnd(env); s < end; ++s) {
           reply(s, ActorMsgKind::kPollResponse, env.msg.epoch, values_[s]);
         }

@@ -114,7 +114,9 @@ class SiteEngine {
   /// inbox and observes a slot only on its kEpochStart, so the
   /// coordinator's epoch barrier paces every site. A kPollRequest or
   /// kShutdown addressed to an owned site covers a range (CoveredEnd): each
-  /// covered slot answers the poll, or counts as shut down. Exits when
+  /// covered slot answers the poll, or counts as shut down. A summed
+  /// (flagged) poll is answered once, by the addressed site, with the sum
+  /// of the covered slots' values. Exits when
   /// every owned site was covered by a kShutdown or the fabric closed.
   void RunVirtual(Transport* transport);
 

@@ -68,8 +68,15 @@ namespace dcv {
 // a run's site->shard layout is fixed when the coordinator starts, and it
 // is coordinator-local, so nothing about it crosses the wire. A v6 peer
 // fails at the hello on the version byte, not on a layout push.
+//
+// Version 8 keeps every layout and gives the flag of a kPollRequest a
+// meaning: a flagged range is answered by its addressed site with one
+// kPollResponse carrying the sum of the covered sites' values
+// (actor_message.h). A v7 worker would ignore the flag and answer per
+// site, so a summed round would resolve on the wrong values; the version
+// byte makes it fail at the hello instead.
 
-inline constexpr uint8_t kWireVersion = 7;
+inline constexpr uint8_t kWireVersion = 8;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.

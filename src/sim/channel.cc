@@ -402,11 +402,21 @@ void Channel::RecordLastKnown(int site, int64_t value) {
   has_last_known_[static_cast<size_t>(site)] = 1;
 }
 
+void Channel::PollPerfect() {
+  DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
+  obs::ScopedTimer poll_timer(poll_us_);
+  Charge(MessageType::kPollRequest, num_sites_);
+  Charge(MessageType::kPollResponse, num_sites_);
+  stats_.transmissions += 2 * num_sites_;
+  stats_.delivered += 2 * num_sites_;
+  DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollEnd, epoch_,
+                obs::TraceRecorder::kCoordinator, num_sites_,
+                poll_timer.ElapsedUs());
+}
+
 PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
                                const std::vector<int64_t>& weights,
                                const std::vector<int64_t>& pessimistic) {
-  DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
-  obs::ScopedTimer poll_timer(poll_us_);
   PollOutcome out;
   out.values.assign(static_cast<size_t>(num_sites_), 0);
   auto weight = [&](int i) {
@@ -414,10 +424,7 @@ PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
   };
 
   if (perfect_) {
-    Charge(MessageType::kPollRequest, num_sites_);
-    Charge(MessageType::kPollResponse, num_sites_);
-    stats_.transmissions += 2 * num_sites_;
-    stats_.delivered += 2 * num_sites_;
+    PollPerfect();
     for (int i = 0; i < num_sites_; ++i) {
       size_t si = static_cast<size_t>(i);
       out.values[si] = true_values[si];
@@ -425,12 +432,11 @@ PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
       out.weighted_sum += weight(i) * true_values[si];
     }
     out.responses = num_sites_;
-    DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollEnd, epoch_,
-                  obs::TraceRecorder::kCoordinator, out.responses,
-                  poll_timer.ElapsedUs());
     return out;
   }
 
+  DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
+  obs::ScopedTimer poll_timer(poll_us_);
   const int attempts =
       spec_.retry.enable_acks ? spec_.retry.max_attempts : 1;
   for (int i = 0; i < num_sites_; ++i) {

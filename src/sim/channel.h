@@ -223,6 +223,14 @@ class Channel {
                         const std::vector<int64_t>& weights,
                         const std::vector<int64_t>& pessimistic);
 
+  /// One poll round on the perfect network, for a caller that holds the
+  /// answers already (PollSites' perfect branch) or sums them itself (a
+  /// free shard leg's summed round): charges num_sites requests and
+  /// num_sites responses, counts them delivered, and records the round's
+  /// kPollStart/kPollEnd events and its poll_us time. Call only when
+  /// perfect(); the last-known table is left as it is.
+  void PollPerfect();
+
   /// Records a value the coordinator learned out of band (e.g. from a
   /// piggybacked alarm), improving kLastKnown degradation.
   void RecordLastKnown(int site, int64_t value);

@@ -1,6 +1,7 @@
 #include "sim/runner.h"
 
 #include "obs/json_writer.h"
+#include "trace/stats.h"
 
 namespace dcv {
 namespace {
@@ -47,12 +48,8 @@ Status ValidateAndFillWeights(const Trace& training, const Trace& eval,
   if (static_cast<int>(weights->size()) != n) {
     return InvalidArgumentError("weights size mismatch");
   }
-  for (int64_t w : *weights) {
-    if (w < 1) {
-      return InvalidArgumentError("weights must be >= 1");
-    }
-  }
-  return OkStatus();
+  // The schemes sum eval values: a weighted sum must not wrap.
+  return CheckWeightedSumFits(*weights, SiteMaxima(eval));
 }
 
 }  // namespace

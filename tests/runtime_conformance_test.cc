@@ -386,8 +386,9 @@ int CoveredSiteEnd(const Envelope& e, int sites) {
 
 // A scripted fabric for one coordinator inbox: it raises one alarm, answers
 // each poll round at once (every site a request covers, site i reporting
-// i + 1) and raises the next alarm, and after `rounds` rounds reports every
-// site done. It counts every site a shutdown covers. Its shard-command path
+// i + 1; a flagged request is answered once, by its addressed site, with
+// the sum over the sites it covers) and raises the next alarm, and after
+// `rounds` rounds reports every site done. It counts every site a shutdown covers. Its shard-command path
 // is dead — SendToShard and TrySendToShard refuse everything — so the
 // coordinator can only get through if it hands its commands to the leg
 // directly.
@@ -413,10 +414,18 @@ class InlinePollScript : public Transport {
       return true;
     }
     for (const Envelope& e : batch) {
+      ActorMessage m;
+      m.kind = ActorMsgKind::kPollResponse;
+      m.epoch = e.msg.epoch;
+      if (e.msg.flag) {
+        for (int site = e.to; site < CoveredSiteEnd(e, sites_); ++site) {
+          m.value += site + 1;
+        }
+        inbox_.push_back(Envelope{e.to, kCoordinatorId, m});
+        ++summed_rounds_;
+        continue;
+      }
       for (int site = e.to; site < CoveredSiteEnd(e, sites_); ++site) {
-        ActorMessage m;
-        m.kind = ActorMsgKind::kPollResponse;
-        m.epoch = e.msg.epoch;
         m.value = site + 1;
         inbox_.push_back(Envelope{site, kCoordinatorId, m});
       }
@@ -453,6 +462,7 @@ class InlinePollScript : public Transport {
   void Shutdown() override {}
 
   int shutdowns() const { return shutdowns_; }
+  int summed_rounds() const { return summed_rounds_; }
 
  private:
   Envelope Alarm(int site) const {
@@ -467,6 +477,7 @@ class InlinePollScript : public Transport {
   const int rounds_;
   int round_ = 0;
   int shutdowns_ = 0;
+  int summed_rounds_ = 0;
   std::vector<Envelope> inbox_;
 };
 
@@ -492,10 +503,11 @@ TEST(ShardedRuntimeFreeTest, SingleShardLegRunsInline) {
   EXPECT_EQ(result.total_updates, kSites * 7);
   EXPECT_EQ(result.shard_recoveries, 0);
   EXPECT_EQ(script.shutdowns(), kSites);
-  // A 1-shard tree reports the same per-round gauges as any other.
-  EXPECT_EQ(registry.gauge("runtime/coordinator/poll_min")->value(), 1.0);
-  EXPECT_EQ(registry.gauge("runtime/coordinator/poll_max")->value(),
-            static_cast<double>(kSites));
+  // Equal weights on a perfect channel: the leg summed every round, and
+  // each round still charged a request and an answer per site.
+  EXPECT_EQ(script.summed_rounds(), kRounds);
+  EXPECT_EQ(result.messages.of(MessageType::kPollRequest), kSites * kRounds);
+  EXPECT_EQ(result.messages.of(MessageType::kPollResponse), kSites * kRounds);
 }
 
 // The runtime rejects shard counts outside [1, num_sites] up front.

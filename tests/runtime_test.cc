@@ -490,6 +490,14 @@ std::vector<int> CoveredSites(const Transport& t,
   return covered;
 }
 
+Envelope PollResponse(int site, int64_t epoch, int64_t value) {
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kPollResponse;
+  msg.epoch = epoch;
+  msg.value = value;
+  return Envelope{site, kCoordinatorId, msg};
+}
+
 TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   // A replacement leg (incarnation 1) shares its inbox with the responses
   // its dead predecessor's round left behind. Lanes deliver those in any
@@ -528,21 +536,15 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   const int64_t id = requests[0].msg.epoch;
   for (const Envelope& r : requests) {
     EXPECT_EQ(r.msg.epoch, id);
+    EXPECT_FALSE(r.msg.flag);  // Mixed weights: every site answers.
   }
   ASSERT_NE(id, ShardFreeLeg::PollRoundId(0, 1));
 
-  auto response = [](int site, int64_t epoch, int64_t value) {
-    ActorMessage msg;
-    msg.kind = ActorMsgKind::kPollResponse;
-    msg.epoch = epoch;
-    msg.value = value;
-    return Envelope{site, kCoordinatorId, msg};
-  };
   // The dead leg's first round, answered by site 0.
-  leg.Step(response(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
+  leg.Step(PollResponse(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
   EXPECT_TRUE(out.empty());
   for (int site = 0; site < kSites; ++site) {
-    leg.Step(response(site, id, 10 * (site + 1)), &out);
+    leg.Step(PollResponse(site, id, 10 * (site + 1)), &out);
     if (site + 1 < kSites) {
       ASSERT_TRUE(out.empty()) << "resolved after " << site + 1 << " of "
                                << kSites << " fresh responses";
@@ -551,8 +553,116 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, RootMsg::Kind::kPollPartial);
   EXPECT_EQ(out[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
-  EXPECT_EQ(out[0].partial_min, 10);
-  EXPECT_EQ(out[0].partial_max, 40);
+}
+
+/// A shard leg over all of `config`'s sites on `t`, started.
+std::unique_ptr<ShardFreeLeg> StartedLeg(const CoordinatorActor::Config& config,
+                                         Transport* t,
+                                         Mailbox<RootMsg>* to_root,
+                                         int64_t incarnation = 0) {
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(config.num_sites, 1);
+  ctx.config = &config;
+  ctx.transport = t;
+  ctx.to_root = to_root;
+  ctx.incarnation = incarnation;
+  auto leg = std::make_unique<ShardFreeLeg>(std::move(ctx));
+  std::vector<RootMsg> out;
+  leg->Start(&out);
+  EXPECT_TRUE(out.empty());
+  return leg;
+}
+
+// The summed twin of CountsOnlyResponsesToItsOwnRound: with equal weights
+// on a perfect channel the leg flags its fan-out, and each target (the
+// range's first site on each worker) answers with one sum. Only the first
+// answer of each target to the open round counts: a stale round's sum, a
+// second sum from the same target and an answer from a site that was not
+// a target all leave the round open.
+TEST(ShardFreeLegTest, CountsOnlySumsToItsOwnRound) {
+  constexpr int kSites = 4;
+  auto transport = ThreadTransport::Create(kSites, 2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights = {3, 3, 3, 3};
+  config.protocol = RuntimeProtocol::kPolling;
+  Mailbox<RootMsg> to_root(16);
+  auto leg = StartedLeg(config, &t, &to_root, /*incarnation=*/1);
+
+  std::vector<RootMsg> out;
+  ActorMessage kick;
+  kick.kind = ActorMsgKind::kPollRequest;
+  leg->Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
+  std::vector<Envelope> requests;
+  t.TryRecvWorkerAll(0, &requests);
+  t.TryRecvWorkerAll(1, &requests);
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(CoveredSites(t, requests), (std::vector<int>{0, 1, 2, 3}));
+  for (const Envelope& r : requests) {
+    EXPECT_TRUE(r.msg.flag) << "request to site " << r.to;
+  }
+  const int64_t id = requests[0].msg.epoch;
+  ASSERT_EQ(id, ShardFreeLeg::PollRoundId(1, 1));
+
+  leg->Step(PollResponse(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
+  leg->Step(PollResponse(0, id, 10 + 30), &out);  // Sites 0 and 2.
+  leg->Step(PollResponse(0, id, 10 + 30), &out);  // Duplicated.
+  leg->Step(PollResponse(3, id, 1000), &out);     // Not a target.
+  EXPECT_TRUE(out.empty()) << "resolved before target 1 answered";
+  leg->Step(PollResponse(1, id, 20 + 40), &out);  // Sites 1 and 3.
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(out[0].partial_sum, 3 * (10 + 20 + 30 + 40));
+  leg->Step(PollResponse(1, id, 20 + 40), &out);  // After the round.
+  EXPECT_EQ(out.size(), 1u);
+
+  // The round still charges a request and an answer per site.
+  leg->Stop(OkStatus(), &out);
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(out[1].kind, RootMsg::Kind::kShardExit);
+  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollRequest), kSites);
+  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollResponse), kSites);
+}
+
+// The leg sums only when it can: mixed weights need per-site values, and a
+// lossy slice needs per-site fates and last-known values, so either one
+// keeps the per-site (unflagged) fan-out.
+TEST(ShardFreeLegTest, FansOutPerSiteUnlessPerfectAndUniform) {
+  struct Case {
+    const char* name;
+    std::vector<int64_t> weights;
+    double loss;
+    bool summed;
+  };
+  const Case cases[] = {{"uniform, perfect", {2, 2, 2, 2}, 0.0, true},
+                        {"mixed weights", {1, 2, 3, 4}, 0.0, false},
+                        {"lossy slice", {1, 1, 1, 1}, 0.1, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto transport = ThreadTransport::Create(4, 2);
+    ASSERT_TRUE(transport.ok());
+    Transport& t = **transport;
+    CoordinatorActor::Config config;
+    config.num_sites = 4;
+    config.weights = c.weights;
+    config.protocol = RuntimeProtocol::kPolling;
+    config.faults.loss = c.loss;
+    Mailbox<RootMsg> to_root(16);
+    auto leg = StartedLeg(config, &t, &to_root);
+    std::vector<RootMsg> out;
+    ActorMessage kick;
+    kick.kind = ActorMsgKind::kPollRequest;
+    leg->Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
+    std::vector<Envelope> requests;
+    t.TryRecvWorkerAll(0, &requests);
+    t.TryRecvWorkerAll(1, &requests);
+    ASSERT_EQ(requests.size(), 2u);
+    for (const Envelope& r : requests) {
+      EXPECT_EQ(r.msg.flag, c.summed) << "request to site " << r.to;
+    }
+  }
 }
 
 // A leg's poll round and its stop are range fan-outs: one envelope to each
@@ -834,8 +944,59 @@ TEST(ShardFreeLegTest, DeathWithRoundOpenAnswersTheKickOnce) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
   EXPECT_EQ(got[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
-  EXPECT_EQ(got[0].partial_min, 10);
-  EXPECT_EQ(got[0].partial_max, 40);
+  ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
+  EXPECT_TRUE(got[1].report->status.ok());
+  EXPECT_EQ(got[1].report->recoveries, 1);
+}
+
+// The summed twin of DeathWithRoundOpenAnswersTheKickOnce: the one worker's
+// target answers each of the two summed rounds once, the dead round's sum
+// first; only the replacement's round counts.
+TEST(ShardFreeLegTest, DeathWithSummedRoundOpenAnswersTheKickOnce) {
+  constexpr int kSites = 4;
+  auto transport = ThreadTransport::Create(kSites, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  CoordinatorActor::Config config;
+  config.num_sites = kSites;
+  config.weights.assign(kSites, 2);
+  config.protocol = RuntimeProtocol::kPolling;
+  Mailbox<RootMsg> to_root(16);
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(kSites, 1);
+  ctx.config = &config;
+  ctx.transport = &t;
+  ctx.to_root = &to_root;
+  ctx.die_after_envelopes = 1;  // Dies right after the kick.
+
+  std::thread shard_thread(RunShardFree, ctx);
+  ActorMessage kick;
+  kick.kind = ActorMsgKind::kPollRequest;
+  ASSERT_TRUE(
+      t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, kick}));
+  std::vector<Envelope> requests;
+  while (requests.size() < 2) {
+    ASSERT_GT(t.RecvWorkerAll(0, &requests), 0u);
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests[0].msg.epoch, ShardFreeLeg::PollRoundId(0, 1));
+  EXPECT_EQ(requests[1].msg.epoch, ShardFreeLeg::PollRoundId(1, 1));
+  for (const Envelope& r : requests) {
+    EXPECT_TRUE(r.msg.flag);
+    EXPECT_EQ(r.to, 0);
+  }
+  ASSERT_TRUE(t.SendBatch({PollResponse(0, requests[0].msg.epoch, 1000),
+                           PollResponse(0, requests[1].msg.epoch, 100)}));
+  ActorMessage stop;
+  stop.kind = ActorMsgKind::kShutdown;
+  ASSERT_TRUE(t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, stop}));
+  shard_thread.join();
+
+  std::vector<RootMsg> got;
+  to_root.TryPopAll(&got);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(got[0].partial_sum, 2 * 100);
   ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
   EXPECT_TRUE(got[1].report->status.ok());
   EXPECT_EQ(got[1].report->recoveries, 1);
@@ -1012,6 +1173,39 @@ TEST(SyntheticWorkloadTest, AlarmFractionEndpoints) {
   const int64_t half = SyntheticSiteThreshold(kMax, 0.5);
   EXPECT_GT(half, 0);
   EXPECT_LT(half, kMax);
+}
+
+// The plain sum of 4 sites at kMax / 4 fits, so the max passes
+// ValidateSyntheticMax; with weights 2 the worst-case weighted sum does
+// not, and the run is refused before any thread starts. A trace whose
+// weighted sums cannot fit is refused the same way, in both time modes.
+TEST(SyntheticWorkloadTest, RejectsWeightsWhoseWorstCaseSumOverflows) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (bool virtual_time : {false, true}) {
+    SCOPED_TRACE(virtual_time ? "virtual" : "free");
+    RuntimeOptions options;
+    options.virtual_time = virtual_time;
+    options.synthetic_max = kMax / 4;
+    options.weights = {2, 2, 2, 2};
+    auto synthetic = RunSyntheticRuntime(4, 10, options);
+    ASSERT_FALSE(synthetic.ok());
+    EXPECT_EQ(synthetic.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(synthetic.status().message().find("weighted sum overflows"),
+              std::string::npos)
+        << synthetic.status().message();
+    options.weights = {1, 1, 1, 1};
+    EXPECT_TRUE(RunSyntheticRuntime(4, 10, options).ok());
+
+    Trace eval(2);
+    ASSERT_TRUE(eval.AppendEpoch({kMax / 2, kMax / 2 + 2}).ok());
+    options.weights.clear();
+    options.protocol = RuntimeProtocol::kPolling;
+    auto traced = RunMonitorRuntime(Trace(2), eval, options);
+    ASSERT_FALSE(traced.ok());
+    EXPECT_NE(traced.status().message().find("weighted sum overflows"),
+              std::string::npos)
+        << traced.status().message();
+  }
 }
 
 TEST(SyntheticWorkloadTest, RejectsSyntheticMaxOutsideTheInt64Range) {

@@ -255,7 +255,7 @@ Envelope ToSite(int site, ActorMsgKind kind, int64_t epoch = 0) {
   ActorMessage msg;
   msg.kind = kind;
   msg.epoch = epoch;
-  msg.flag = true;  // kEpochStart: the site is up.
+  msg.flag = kind == ActorMsgKind::kEpochStart;  // The site is up.
   return Envelope{kCoordinatorId, site, msg};
 }
 
@@ -372,6 +372,56 @@ TEST(SiteEngineTest, RangePollAndShutdownCoverEachOwnedSiteOnce) {
                        "engine running";
   t->Shutdown();
   worker.join();
+}
+
+// A flagged (summed) range poll is answered once, by its addressed site,
+// with the plain sum of the values of exactly the owned sites it covers;
+// the unflagged request in the same batch still gets one answer per site.
+TEST(SiteEngineTest, SummedRangePollAnswersOnceWithTheOwnedSitesSum) {
+  auto transport = ThreadTransport::Create(10, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport* t = transport->get();
+  SiteEngine engine(RangeEngineConfig());
+  std::vector<Envelope> batch;
+  for (int site : {0, 3, 6, 9}) {
+    batch.push_back(ToSite(site, ActorMsgKind::kEpochStart));
+  }
+  auto summed = [](int site, int64_t epoch, int64_t end) {
+    Envelope e = ToRange(site, ActorMsgKind::kPollRequest, epoch, end);
+    e.msg.flag = true;
+    return e;
+  };
+  batch.push_back(summed(0, 1, 10));  // 0, 3, 6, 9.
+  batch.push_back(summed(3, 2, 7));   // 3, 6.
+  batch.push_back(summed(6, 3, 6));   // 6 alone: the end is below `to`.
+  batch.push_back(summed(9, 4, std::numeric_limits<int64_t>::max()));  // 9.
+  batch.push_back(summed(1, 5, 10));  // Unowned: dropped.
+  batch.push_back(ToRange(3, ActorMsgKind::kPollRequest, 6, 10));  // 3, 6, 9.
+  batch.push_back(ToRange(0, ActorMsgKind::kShutdown, 0, 10));
+  ASSERT_TRUE(t->SendBatch(batch));
+  engine.RunVirtual(t);  // Returns on the shutdown, which covers all.
+  std::vector<Envelope> replies;
+  Envelope e;
+  while (t->TryRecvShard(0, &e)) {
+    replies.push_back(e);
+  }
+  std::map<int64_t, std::vector<std::pair<int, int64_t>>> answers;
+  size_t reports = 0;
+  for (const Envelope& r : replies) {
+    if (r.msg.kind == ActorMsgKind::kPollResponse) {
+      answers[r.msg.epoch].emplace_back(r.from, r.msg.value);
+    } else {
+      EXPECT_EQ(r.msg.kind, ActorMsgKind::kEpochReport);
+      ++reports;
+    }
+  }
+  EXPECT_EQ(reports, 4u);
+  using Answers = std::map<int64_t, std::vector<std::pair<int, int64_t>>>;
+  EXPECT_EQ(answers, (Answers{{1, {{0, 10 + 20 + 30 + 40}}},
+                              {2, {{3, 20 + 30}}},
+                              {3, {{6, 30}}},
+                              {4, {{9, 40}}},
+                              {6, {{3, 20}, {6, 30}, {9, 40}}}}));
 }
 
 // A range addressed to a site the worker does not own is dropped whole, as

@@ -925,23 +925,38 @@ TEST(SocketTransportTest, WorkerDropsEnvelopesForSitesItDoesNotOwn) {
 
 TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   // A range poll's end comes off the wire. Worker 1 of 3 owns sites 1, 4
-  // and 7 of 10; whatever the end says, only those of its sites in
-  // [to, max(end, to + 1)) capped at the fabric answer, each once.
+  // and 7 of 10, whose one-epoch columns hold 100, 400 and 700; whatever
+  // the end says, only those of its sites in [to, max(end, to + 1)) capped
+  // at the fabric answer, each once. A flagged (summed) range is answered
+  // once, by its addressed site, with the sum over the same sites.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   int port = 0;
   const int listen_fd = ListenRaw(&port);
   ASSERT_GE(listen_fd, 0);
+  auto summed = [](Envelope e) {
+    e.msg.flag = true;
+    return e;
+  };
   const Envelope envs[] = {
+      ToSite(1, ActorMsgKind::kEpochStart, 0, 0),
+      ToSite(4, ActorMsgKind::kEpochStart, 0, 0),
+      ToSite(7, ActorMsgKind::kEpochStart, 0, 0),
       ToSite(1, ActorMsgKind::kPollRequest, 1, kMax),   // 1, 4, 7.
       ToSite(4, ActorMsgKind::kPollRequest, 2, -5),     // 4.
       ToSite(7, ActorMsgKind::kPollRequest, 3, 3),      // 7: end below to.
       ToSite(4, ActorMsgKind::kPollRequest, 4, 1000),   // 4, 7.
       ToSite(7, ActorMsgKind::kPollRequest, 5, kMin),   // 7.
       ToSite(1, ActorMsgKind::kPollRequest, 6, 5),      // 1, 4.
+      summed(ToSite(1, ActorMsgKind::kPollRequest, 7, kMax)),  // 1, 4, 7.
+      summed(ToSite(4, ActorMsgKind::kPollRequest, 8, -5)),    // 4.
+      summed(ToSite(7, ActorMsgKind::kPollRequest, 9, kMin)),  // 7.
+      summed(ToSite(1, ActorMsgKind::kPollRequest, 10, 5)),    // 1, 4.
       ToSite(1, ActorMsgKind::kShutdown, 0, kMax)};     // Every slot.
   const std::map<int64_t, std::vector<int>> want = {
       {1, {1, 4, 7}}, {2, {4}}, {3, {7}}, {4, {4, 7}}, {5, {7}}, {6, {1, 4}}};
+  const std::map<int64_t, std::vector<std::pair<int, int64_t>>> want_sums = {
+      {7, {{1, 1200}}}, {8, {{4, 400}}}, {9, {{7, 700}}}, {10, {{1, 500}}}};
   std::string tail;
   AppendEnvelopeBatchFrame(envs, sizeof(envs) / sizeof(envs[0]), &tail,
                            /*seq=*/1);
@@ -960,24 +975,38 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   cfg.num_workers = 3;
   cfg.num_sites = 10;
   cfg.thresholds.assign(3, 0);
+  cfg.series = {{100}, {400}, {700}};
   SiteEngine engine(std::move(cfg));
   engine.RunVirtual(worker->get());  // Returns on the covering shutdown.
   EXPECT_EQ((*worker)->stats().decode_errors, 0);
   (*worker)->Shutdown();  // Flushes the replies, then ends the stream.
 
   std::map<int64_t, std::vector<int>> answered;
+  std::map<int64_t, std::vector<std::pair<int, int64_t>>> sums;
+  int reports = 0;
   for (const Envelope& e : ReadRawEnvelopes(conn, SIZE_MAX)) {
+    if (e.msg.kind == ActorMsgKind::kEpochReport) {
+      ++reports;
+      continue;
+    }
     EXPECT_EQ(e.msg.kind, ActorMsgKind::kPollResponse);
-    answered[e.msg.epoch].push_back(e.from);
+    if (e.msg.epoch >= 7) {
+      sums[e.msg.epoch].emplace_back(e.from, e.msg.value);
+    } else {
+      answered[e.msg.epoch].push_back(e.from);
+    }
   }
+  EXPECT_EQ(reports, 3);
   EXPECT_EQ(answered, want);
+  EXPECT_EQ(sums, want_sums);
   ::close(conn);
   ::close(listen_fd);
 }
 
-TEST(SocketTransportTest, RejectsAWireV6Hello) {
-  // Wire v7 retired the layout frame types; a v6 peer must fail at the
-  // hello, not on its first layout frame.
+/// Dials a coordinator with a hello stamped `version` and checks that the
+/// accept fails on the wire version.
+void ExpectHelloVersionRejected(uint8_t version) {
+  ASSERT_NE(version, kWireVersion);
   auto listen = SocketTransport::Listen(/*num_sites=*/2, /*num_workers=*/1,
                                         /*port=*/0, FastOptions());
   ASSERT_TRUE(listen.ok()) << listen.status().message();
@@ -990,8 +1019,7 @@ TEST(SocketTransportTest, RejectsAWireV6Hello) {
   hello.num_sites = 2;
   std::string bytes;
   AppendHelloFrame(hello, &bytes);
-  ASSERT_EQ(kWireVersion, 7);
-  bytes[4] = 6;  // The version byte follows the u32 length prefix.
+  bytes[4] = static_cast<char>(version);  // After the u32 length prefix.
   const int fd = DialRaw(coordinator->port(), bytes);
   acceptor.join();
   ASSERT_GE(fd, 0);
@@ -1000,6 +1028,19 @@ TEST(SocketTransportTest, RejectsAWireV6Hello) {
       << accept.message();
   ::close(fd);
   coordinator->Shutdown();
+}
+
+TEST(SocketTransportTest, RejectsAWireV6Hello) {
+  // Wire v7 retired the layout frame types; a v6 peer must fail at the
+  // hello, not on its first layout frame.
+  ExpectHelloVersionRejected(6);
+}
+
+TEST(SocketTransportTest, RejectsAWireV7Hello) {
+  // Wire v8 gave the poll request's flag a meaning (one summed answer per
+  // range); a v7 worker would answer per site, so it must fail at the
+  // hello, not mid-round.
+  ExpectHelloVersionRejected(7);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace dcv {
 namespace {
 
@@ -72,6 +76,44 @@ TEST(ThresholdForOverflowFractionTest, EdgeCases) {
   auto none = ThresholdForOverflowFraction(t, {}, 0.0);
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, 5);
+}
+
+TEST(CheckWeightedSumFitsTest, RejectsWorstCasesOutsideInt64) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  using Maxima = std::vector<int64_t>;
+  EXPECT_TRUE(CheckWeightedSumFits({}, Maxima{kMax}).ok());
+  EXPECT_TRUE(
+      CheckWeightedSumFits({1, 1}, Maxima{kMax / 2, kMax / 2 + 1}).ok());
+  EXPECT_TRUE(CheckWeightedSumFits({3, 3, 3}, kMax / 9).ok());
+  EXPECT_TRUE(CheckWeightedSumFits({}, Maxima{}).ok());
+  // Sites past the end of the weights weigh 1; extra weights weigh nothing.
+  EXPECT_TRUE(CheckWeightedSumFits({1}, Maxima{kMax / 2, kMax / 2}).ok());
+  EXPECT_FALSE(
+      CheckWeightedSumFits({1}, Maxima{kMax / 2, kMax / 2 + 2}).ok());
+  EXPECT_TRUE(CheckWeightedSumFits({1, 1, 5}, Maxima{kMax / 2}).ok());
+  const Status sum =
+      CheckWeightedSumFits({}, Maxima{kMax / 2, kMax / 2 + 2});
+  EXPECT_EQ(sum.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sum.message().find("weighted sum overflows int64"),
+            std::string::npos)
+      << sum.message();
+  EXPECT_NE(sum.message().find("sites 0..1"), std::string::npos)
+      << sum.message();
+  // The product alone overflows; a shared max counts for every weight.
+  EXPECT_FALSE(CheckWeightedSumFits({1, 3}, kMax / 2).ok());
+  EXPECT_FALSE(CheckWeightedSumFits({2, 2, 2}, kMax / 5).ok());
+  const Status weight = CheckWeightedSumFits({1, 0}, Maxima{5, 5});
+  EXPECT_EQ(weight.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(weight.message(), "weights must be >= 1");
+}
+
+TEST(CheckWeightedSumFitsTest, ThresholdSelectionRejectsAWrappingTrace) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Trace t = MakeTrace({{kMax / 2, 1}, {1, kMax / 2 + 2}});
+  EXPECT_EQ(SiteMaxima(t), (std::vector<int64_t>{kMax / 2, kMax / 2 + 2}));
+  const auto threshold = ThresholdForOverflowFraction(t, {}, 0.5);
+  ASSERT_FALSE(threshold.ok());
+  EXPECT_EQ(threshold.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ThresholdForOverflowFractionTest, RespectsWeights) {

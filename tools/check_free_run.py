@@ -10,10 +10,14 @@ With
 --total-alarms, detection.total_alarms must equal A as well: a synthetic
 run's alarm count depends only on the seed, the site count, the update
 count and the per-site thresholds, never on the thread schedule, so a
-fixed A pins the thresholds.
+fixed A pins the thresholds. With --charges, every poll round must have
+charged one request and one response per site, however the sites' answers
+travelled (one per site, or one sum per worker): messages.poll_request ==
+messages.poll_response == sites x detection.polled_epochs. That holds on a
+perfect channel only; retransmissions and losses break it by design.
 
 Usage: check_free_run.py <metrics.json> --sites S --updates N
-                         [--total-alarms A]
+                         [--total-alarms A] [--charges]
 
 Exit status 0 on success, 1 with a message otherwise. Stdlib only.
 """
@@ -29,6 +33,8 @@ def main():
     parser.add_argument("--sites", type=int, required=True)
     parser.add_argument("--updates", type=int, required=True)
     parser.add_argument("--total-alarms", type=int)
+    parser.add_argument("--charges", action="store_true",
+                        help="check that each poll round charged 2n messages")
     args = parser.parse_args()
 
     try:
@@ -58,6 +64,15 @@ def main():
     if args.total_alarms is not None and alarms != args.total_alarms:
         failures.append(f"detection.total_alarms is {alarms}, expected "
                         f"{args.total_alarms}")
+    if args.charges:
+        messages = doc.get("messages", {})
+        polls = doc.get("detection", {}).get("polled_epochs")
+        want = args.sites * polls if isinstance(polls, int) else None
+        for kind in ("poll_request", "poll_response"):
+            if want is None or messages.get(kind) != want:
+                failures.append(f"messages.{kind} is {messages.get(kind)}, "
+                                f"expected {args.sites} sites x {polls} "
+                                f"polled epochs")
     gauges = doc.get("metrics", {}).get("gauges", {})
     if "runtime/coordinator/completion_ms" not in gauges:
         failures.append("missing gauge runtime/coordinator/completion_ms")
@@ -66,8 +81,13 @@ def main():
         print(f"FAIL: {f}")
     if failures:
         return 1
+    charges = ""
+    if args.charges:
+        messages = doc["messages"]
+        charges = (f", {messages['poll_request']}/{messages['poll_response']}"
+                   f" poll requests/responses charged")
     print(f"OK: {args.sites} sites x {args.updates} updates, completion "
-          f"{gauges['runtime/coordinator/completion_ms']:.1f} ms")
+          f"{gauges['runtime/coordinator/completion_ms']:.1f} ms{charges}")
     return 0
 
 
