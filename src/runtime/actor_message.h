@@ -28,9 +28,13 @@ inline constexpr int32_t kCoordinatorId = -1;
 /// matter how the threads interleave.
 enum class ActorMsgKind : uint8_t {
   // Control plane.
-  kEpochStart,   ///< Coordinator -> site: begin epoch; flag = site is up.
-  kEpochReport,  ///< Site -> coordinator: epoch done; flag = local alarm
-                 ///< (value = observed X_i when alarmed, else 0).
+  kEpochStart,   ///< Coordinator -> site: observe the window of epochs
+                 ///< [epoch, max(value, epoch + 1)); flag = site is up
+                 ///< for the whole window. value <= epoch is the one
+                 ///< epoch `epoch`.
+  kEpochReport,  ///< Site -> coordinator: one per alarmed epoch of a
+                 ///< window, plus one for its last epoch; flag = local
+                 ///< alarm (value = observed X_i when alarmed, else 0).
   kShutdown,     ///< Coordinator -> site: drain and exit. A range
                  ///< envelope: covers the sites CoveredEnd names.
   kSiteDone,     ///< Site -> coordinator: workload exhausted
@@ -38,7 +42,9 @@ enum class ActorMsgKind : uint8_t {
   // Data plane (free-running mode; virtual mode batches these into the
   // epoch report / poll round).
   kAlarm,            ///< Site -> coordinator: local constraint violated.
-  kPollRequest,      ///< Coordinator -> site: report your current value.
+  kPollRequest,      ///< Coordinator -> site: report your value at
+                     ///< `epoch` if it names an epoch of the last window
+                     ///< the worker observed, else your most recent value.
                      ///< A range envelope, like kShutdown: one request
                      ///< covers the sites CoveredEnd names. Unflagged,
                      ///< each covered site answers with its own
@@ -47,7 +53,8 @@ enum class ActorMsgKind : uint8_t {
                      ///< covered owned sites' values.
   kPollResponse,     ///< Site -> coordinator: current value, or the sum
                      ///< a flagged request asked for.
-  kThresholdUpdate,  ///< Coordinator -> site: new local threshold (value).
+  kThresholdUpdate,  ///< Coordinator -> site: local threshold (value); only
+                     ///< a socket worker's initial sync sends it.
 };
 
 std::string_view ActorMsgKindName(ActorMsgKind kind);
@@ -85,6 +92,17 @@ inline int64_t CoveredEnd(const Envelope& e) {
   const bool ranged = e.msg.kind == ActorMsgKind::kPollRequest ||
                       e.msg.kind == ActorMsgKind::kShutdown;
   return ranged ? std::max(e.msg.value, next) : next;
+}
+
+/// The most epochs one virtual-time window covers: the root sends one
+/// ranged kEpochStart per site per window and fetches the window's polled
+/// values in one exchange, so a window costs O(1) round trips instead of
+/// O(epochs). 65536 / N keeps a window's per-site buffers (engine outbox,
+/// synthetic value record, root's poll values) near 64k entries at any N;
+/// at N >= 65536 a window is one epoch. Shared by the root, which cuts the
+/// windows, and the engine, which caps a window off the wire.
+inline int64_t VirtualWindowEpochs(int num_sites) {
+  return std::clamp<int64_t>(65536 / std::max(num_sites, 1), 1, 1024);
 }
 
 }  // namespace dcv

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -81,7 +82,10 @@ Status CoordinatorActor::Init() {
 
 // A virtual-time run: the root owns the Channel, fans every exchange out to
 // all sites and collects every shard's replies itself, on the caller's
-// thread (see the concurrency contract in coordinator.h).
+// thread (see the concurrency contract in coordinator.h). Time advances in
+// windows of epochs: one exchange starts a window at every site, the root
+// then steps the window through the channel epoch by epoch, and one poll
+// fetch per shard brings in the values of the window's polled epochs.
 class CoordinatorActor::VirtualRun {
  public:
   VirtualRun(CoordinatorActor* actor, Transport* transport,
@@ -94,29 +98,124 @@ class CoordinatorActor::VirtualRun {
   Status Run() {
     DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
     Status status = OkStatus();
-    for (int64_t t = 0; t < num_epochs_ && status.ok(); ++t) {
-      status = Epoch(t);
+    for (int64_t t0 = 0; t0 < num_epochs_ && status.ok();) {
+      const int64_t t1 = WindowEnd(t0);
+      status = Window(t0, t1);
+      t0 = t1;
     }
     return Finish(std::move(status));
   }
 
  private:
-  Status Epoch(int64_t t) {
-    obs::ScopedTimer epoch_timer(actor_.epoch_us_);
+  /// One past the last epoch of the window that starts at `t0`: at most
+  /// VirtualWindowEpochs(N) epochs, and it ends before any epoch where a
+  /// site's up flag may change (a crash window's edge) and before the
+  /// kill-worker chaos fires. So every site's up flag holds for its whole
+  /// window, and the chaos fires at a window's start. Partitions need no
+  /// cut: they change fates, not flags.
+  int64_t WindowEnd(int64_t t0) const {
+    int64_t t1 = std::min(num_epochs_, t0 + window_epochs_);
+    const auto cut = [&](int64_t edge) {
+      if (edge > t0 && edge < t1) {
+        t1 = edge;
+      }
+    };
+    for (const CrashWindow& crash : config_.faults.crashes) {
+      cut(crash.from);
+      cut(crash.to);
+    }
+    if (config_.chaos.kind == ChaosKind::kKillWorker) {
+      cut(chaos_.fire_epoch);
+    }
+    return t1;
+  }
+
+  Status Window(int64_t t0, int64_t t1) {
+    const Clock::time_point start = Clock::now();
     if (config_.chaos.kind == ChaosKind::kKillWorker &&
-        t == chaos_.fire_epoch) {
+        t0 == chaos_.fire_epoch) {
       // Unimplemented on link-free transports: a chaos run that cannot
       // fire fails instead of running healthy (CheckChaosFits rejects it
       // before any transport is built).
       DCV_RETURN_IF_ERROR(transport_->InjectPeerFailure(chaos_.target));
     }
-    // Same call order as the lockstep runner + scheme, so the channel's RNG
-    // stream (and thus every fault fate) is bit-identical: BeginEpoch,
-    // re-sync sends, (barrier), stale arrivals, alarm replays in ascending
-    // site order, then the poll. The transport only moves ground truth.
-    channel_.BeginEpoch(t);
+    // Same channel call order as the lockstep runner + scheme, epoch by
+    // epoch, so the channel's RNG stream (and thus every fault fate) is
+    // bit-identical: BeginEpoch, re-sync sends, stale arrivals, alarm
+    // replays in ascending site order, then the poll's fates. The transport
+    // only moves ground truth: the up flags BeginEpoch(t0) sets, which
+    // hold for the window, go out before it, and the polled values come in
+    // after it, for the value half of each poll.
+    channel_.BeginEpoch(t0);
+    DCV_RETURN_IF_ERROR(StartWindow(t0, t1));
+    polled_.clear();
+    for (int64_t t = t0; t < t1; ++t) {
+      if (t > t0) {
+        channel_.BeginEpoch(t);
+      }
+      Step(t);
+    }
+    if (!polled_.empty()) {
+      DCV_RETURN_IF_ERROR(FetchPolls());
+      Decide();
+    }
+    if (actor_.epoch_us_ != nullptr) {
+      // One sample per epoch, each the window's share.
+      const double us =
+          std::chrono::duration<double, std::micro>(Clock::now() - start)
+              .count() /
+          static_cast<double>(t1 - t0);
+      for (int64_t t = t0; t < t1; ++t) {
+        actor_.epoch_us_->Observe(us);
+      }
+    }
+    return OkStatus();
+  }
+
+  /// Every site observes the window [t0, t1) and reports each alarmed epoch
+  /// and the last one. These synchronization messages model the passage of
+  /// simulated time; they are not protocol traffic, which Step replays
+  /// through the channel afterwards. Leaves the alarmed reports in
+  /// `reports_`, ordered by (epoch, site).
+  Status StartWindow(int64_t t0, int64_t t1) {
+    epochs_.clear();
+    for (int64_t t = t0; t < t1; ++t) {
+      epochs_.push_back(t);
+    }
+    fanout_.clear();
+    ActorMessage begin;
+    begin.kind = ActorMsgKind::kEpochStart;
+    begin.epoch = t0;
+    begin.value = t1;
+    for (int i = 0; i < config_.num_sites; ++i) {
+      begin.flag = channel_.SiteUp(i);
+      fanout_.push_back(Envelope{kCoordinatorId, i, begin});
+    }
+    if (!transport_->SendBatch(fanout_)) {
+      return InternalError("transport closed during epoch barrier");
+    }
+    // Each worker answers its starts in site order, so its reports leave
+    // it in shard order and the shards can be collected in turn: none of a
+    // worker's reports to the shard being collected waits behind one to a
+    // later shard's full inbox.
+    reports_.clear();
+    for (int s = 0; s < layout_.num_shards; ++s) {
+      DCV_RETURN_IF_ERROR(CollectShardReplies(
+          transport_, s, layout_.ShardStart(s), layout_.ShardSize(s),
+          ActorMsgKind::kEpochReport, epochs_, "epoch barrier",
+          /*alarmed_only=*/true, &reports_));
+    }
+    std::sort(reports_.begin(), reports_.end(),
+              [](const ShardReply& a, const ShardReply& b) {
+                return a.pos != b.pos ? a.pos < b.pos : a.site < b.site;
+              });
+    next_report_ = 0;
+    return OkStatus();
+  }
+
+  /// Epoch `t` of the window through the channel, up to the poll's fates.
+  void Step(int64_t t) {
     Resync(t);
-    DCV_RETURN_IF_ERROR(Barrier(t));
     EpochDetection det;
     det.epoch = t;
     bool poll = !local_ && t % config_.poll_period == 0;
@@ -125,34 +224,35 @@ class CoordinatorActor::VirtualRun {
       // other kinds are consumed and ignored (mirrors the lockstep scheme).
       poll = !channel_.TakeArrivals(MessageType::kAlarm).empty();
       channel_.TakeArrivals(MessageType::kFilterReport);
-      // The lockstep scheme's replay order: entries_ ascends by site.
-      for (const auto& [site, value] : entries_) {
+      // The lockstep scheme's replay order: ascending site within the epoch.
+      const int pos = static_cast<int>(t - epochs_.front());
+      for (; next_report_ < reports_.size() &&
+             reports_[next_report_].pos == pos;
+           ++next_report_) {
+        const ShardReply& report = reports_[next_report_];
         ++det.num_alarms;
         DCV_OBS_COUNT(actor_.alarms_rx_, 1);
-        poll |= channel_.SendFromSite(site, MessageType::kAlarm,
-                                      /*reliable=*/true, value) ==
+        poll |= channel_.SendFromSite(report.site, MessageType::kAlarm,
+                                      /*reliable=*/true, report.value) ==
                 SendStatus::kDelivered;
       }
     }
     if (poll) {
-      DCV_RETURN_IF_ERROR(Poll(t));
-      // Only the local-threshold protocol provisions pessimistic fallbacks.
-      PollOutcome outcome =
-          channel_.PollSites(poll_values_, config_.weights,
-                             local_ ? config_.domain_max : no_fallbacks_);
+      DCV_OBS_COUNT(actor_.polls_, 1);
+      const size_t n = static_cast<size_t>(config_.num_sites);
+      fates_.resize((polled_.size() + 1) * n);
+      channel_.PollFates(std::span<char>(fates_).subspan(polled_.size() * n));
+      polled_.push_back(t);
       det.polled = true;
-      det.violation_reported = outcome.weighted_sum > config_.global_threshold;
     }
     out_->detections.push_back(det);
-    return OkStatus();
   }
 
   /// Recovered sites missed threshold pushes while down: re-sync, at the top
-  /// of the epoch like the lockstep scheme. The wire charge happens here;
-  /// the transport message opens the epoch's fan-out, ahead of the site's
-  /// kEpochStart.
+  /// of the epoch like the lockstep scheme. A runtime never re-plans, so a
+  /// recovered site still holds the threshold it would be sent: the re-sync
+  /// is charged and recorded, and no envelope carries it.
   void Resync(int64_t t) {
-    fanout_.clear();
     if (!local_ || channel_.newly_recovered().empty()) {
       return;
     }
@@ -161,65 +261,57 @@ class CoordinatorActor::VirtualRun {
       SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
                                          /*reliable=*/true);
       if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-        const int64_t threshold = config_.thresholds[static_cast<size_t>(i)];
-        ActorMessage update;
-        update.kind = ActorMsgKind::kThresholdUpdate;
-        update.epoch = t;
-        update.value = threshold;
-        fanout_.push_back(Envelope{kCoordinatorId, i, update});
         DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
-                      t, i, threshold);
+                      t, i, config_.thresholds[static_cast<size_t>(i)]);
       }
     }
     channel_.CountResync(static_cast<int64_t>(recovered.size()));
   }
 
-  /// Every site observes its value and reports whether its local constraint
-  /// fired. These synchronization messages model the passage of simulated
-  /// time; they are not protocol traffic, which Epoch replays through the
-  /// channel afterwards. One fan-out: the re-syncs Resync queued, then every
-  /// site's kEpochStart with its up flag. SendBatch keeps batch order per
-  /// inbox, so a site installs its re-synced threshold before it evaluates
-  /// — the lockstep scheme's order, which re-syncs at the top of OnEpoch.
-  Status Barrier(int64_t t) {
-    ActorMessage begin;
-    begin.kind = ActorMsgKind::kEpochStart;
-    begin.epoch = t;
-    for (int i = 0; i < config_.num_sites; ++i) {
-      begin.flag = channel_.SiteUp(i);
-      fanout_.push_back(Envelope{kCoordinatorId, i, begin});
-    }
-    return Exchange(ActorMsgKind::kEpochReport, t, "epoch barrier",
-                    /*alarmed_only=*/true);
-  }
-
-  Status Poll(int64_t t) {
-    DCV_OBS_COUNT(actor_.polls_, 1);
-    FanOutRange(ActorMsgKind::kPollRequest, t, 0, config_.num_sites,
-                transport_->num_workers(), &fanout_);
-    DCV_RETURN_IF_ERROR(Exchange(ActorMsgKind::kPollResponse, t, "poll round",
-                                 /*alarmed_only=*/false));
-    for (const auto& [site, value] : entries_) {
-      poll_values_[static_cast<size_t>(site)] = value;
-    }
-    return OkStatus();
-  }
-
-  /// Sends `fanout_` in one batch, then takes every shard's replies from
-  /// its inbox in turn. Shards are contiguous and each shard's entries
-  /// ascend, so `entries_` ascends by global site.
-  Status Exchange(ActorMsgKind want, int64_t t, const char* stage,
-                  bool alarmed_only) {
-    entries_.clear();
-    if (!transport_->SendBatch(fanout_)) {
-      return InternalError(std::string("transport closed during ") + stage);
-    }
+  /// Every site's value at each polled epoch of the window, into
+  /// `poll_values_` (one row of N per polled epoch). One exchange per
+  /// shard: each worker gets one range request per polled epoch over the
+  /// shard's sites, so every reply of an exchange lands in the inbox being
+  /// collected.
+  Status FetchPolls() {
+    const size_t n = static_cast<size_t>(config_.num_sites);
+    poll_values_.resize(polled_.size() * n);
     for (int s = 0; s < layout_.num_shards; ++s) {
+      const int first = layout_.ShardStart(s);
+      const int end = first + layout_.ShardSize(s);
+      fanout_.clear();
+      for (int64_t t : polled_) {
+        FanOutRange(ActorMsgKind::kPollRequest, t, first, end,
+                    transport_->num_workers(), &range_);
+        fanout_.insert(fanout_.end(), range_.begin(), range_.end());
+      }
+      if (!transport_->SendBatch(fanout_)) {
+        return InternalError("transport closed during poll round");
+      }
+      answers_.clear();
       DCV_RETURN_IF_ERROR(CollectShardReplies(
-          transport_, s, layout_.ShardStart(s), layout_.ShardSize(s), want, t,
-          stage, alarmed_only, &entries_));
+          transport_, s, first, end - first, ActorMsgKind::kPollResponse,
+          polled_, "poll round", /*alarmed_only=*/false, &answers_));
+      for (const ShardReply& a : answers_) {
+        poll_values_[static_cast<size_t>(a.pos) * n +
+                     static_cast<size_t>(a.site)] = a.value;
+      }
     }
     return OkStatus();
+  }
+
+  /// The value half of each polled epoch's round, in epoch order.
+  void Decide() {
+    const size_t n = static_cast<size_t>(config_.num_sites);
+    for (size_t k = 0; k < polled_.size(); ++k) {
+      // Only the local-threshold protocol provisions pessimistic fallbacks.
+      const PollOutcome outcome = channel_.PollValues(
+          std::span<const char>(fates_).subspan(k * n, n),
+          std::span<const int64_t>(poll_values_).subspan(k * n, n),
+          config_.weights, local_ ? config_.domain_max : no_fallbacks_);
+      out_->detections[static_cast<size_t>(polled_[k])].violation_reported =
+          outcome.weighted_sum > config_.global_threshold;
+    }
   }
 
   /// On success every worker gets one range shutdown covering its sites,
@@ -249,17 +341,23 @@ class CoordinatorActor::VirtualRun {
   const Config& config_ = actor_.config_;
   Channel& channel_ = actor_.channel_;
   const bool local_ = config_.protocol == RuntimeProtocol::kLocalThreshold;
+  const int64_t window_epochs_ = VirtualWindowEpochs(config_.num_sites);
   const std::vector<int64_t> no_fallbacks_;
   // Kill-worker is the one chaos kind that fires in virtual time.
   const ResolvedChaos chaos_ =
       ResolveChaos(config_.chaos, num_epochs_, transport_->num_workers());
   ShardLayout layout_;
+  // Window buffers, O(L·N) at most and reused across windows.
   std::vector<Envelope> fanout_;  ///< This exchange's sends, in send order.
-  /// This exchange's (site, value) replies, ascending by site: the alarmed
-  /// sites after a barrier, every site after a poll.
-  std::vector<std::pair<int, int64_t>> entries_;
-  std::vector<int64_t> poll_values_ =
-      std::vector<int64_t>(static_cast<size_t>(config_.num_sites), 0);
+  std::vector<Envelope> range_;   ///< One FanOutRange, before it joins.
+  std::vector<int64_t> epochs_;   ///< The window's epochs, ascending.
+  /// The window's alarmed reports, by (epoch, site), and the next to replay.
+  std::vector<ShardReply> reports_;
+  size_t next_report_ = 0;
+  std::vector<int64_t> polled_;      ///< The window's polled epochs.
+  std::vector<char> fates_;          ///< PollFates' record, a row per poll.
+  std::vector<ShardReply> answers_;  ///< One shard's poll answers.
+  std::vector<int64_t> poll_values_;  ///< Polled values, a row per poll.
 };
 
 Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,

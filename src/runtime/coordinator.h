@@ -17,7 +17,8 @@ namespace dcv {
 enum class RuntimeProtocol {
   /// The paper's scheme: static local thresholds; any delivered (or
   /// delayed-then-arrived) alarm triggers a full poll round; recovered
-  /// sites get their thresholds re-pushed.
+  /// sites get their thresholds re-synced (charged, not sent: a runtime
+  /// never re-plans, so the site still holds its threshold).
   kLocalThreshold,
   /// Brute-force baseline: poll every `poll_period` epochs.
   kPolling,
@@ -28,13 +29,16 @@ enum class RuntimeProtocol {
 /// one transport inbox. Each time mode has one loop over a shard layout of
 /// any k >= 1. Sites talk to the tree only through the Transport.
 ///
-/// Virtual time runs no shard threads. In each epoch the root sends one
-/// fan-out to every site and collects one reply per site from each shard
-/// inbox in turn, all on the caller's thread; `num_shards` only sets how
-/// the transport routes the replies. The fault-injecting `Channel` — the
-/// single source of message fates, RNG draws, and MessageCounter charges —
-/// is owned by the root, which replays the protocol's sends through it in
-/// ascending site order, exactly the order the single-threaded schemes use.
+/// Virtual time runs no shard threads. It advances in windows of at most
+/// VirtualWindowEpochs(N) epochs: for each, the root sends every site one
+/// ranged epoch start and collects their alarmed reports from each shard
+/// inbox in turn, steps the window through the channel epoch by epoch,
+/// then fetches every polled epoch's values in one exchange per shard, all
+/// on the caller's thread; `num_shards` only sets how the transport routes
+/// the replies. The fault-injecting `Channel` — the single source of
+/// message fates, RNG draws, and MessageCounter charges — is owned by the
+/// root, which replays the protocol's sends through it in ascending site
+/// order, exactly the order the single-threaded schemes use.
 /// That is what makes virtual-time runs bit-identical to the lockstep
 /// simulator for every shard count. Free-running mode runs one shard leg
 /// per shard instead (on its own thread for k >= 2, inline on the caller's
@@ -55,7 +59,7 @@ class CoordinatorActor {
     RuntimeProtocol protocol = RuntimeProtocol::kLocalThreshold;
     int64_t poll_period = 5;  ///< kPolling only.
 
-    /// kLocalThreshold: the coordinator's threshold table (pushed to
+    /// kLocalThreshold: the coordinator's threshold table (charged to
     /// recovered sites) and the per-site pessimistic poll fallbacks.
     std::vector<int64_t> thresholds;
     std::vector<int64_t> domain_max;
@@ -80,12 +84,15 @@ class CoordinatorActor {
   Status Init();
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
-  /// sites (epoch barrier via kEpochStart / kEpochReport), then shuts
-  /// the sites down. Fills `out`'s detections, messages, reliability, and
-  /// update counts (every site observes every epoch).
-  /// Each poll round and the shutdown fan out one range envelope per
-  /// worker (FanOutRange); poll replies stay one per site, since the root
-  /// replays every site's fate through its channel.
+  /// sites, a window at a time (a barrier per window via kEpochStart /
+  /// kEpochReport), then shuts the sites down. A window ends early before
+  /// any epoch where a site's up flag changes and before the kill-worker
+  /// chaos fires. Fills `out`'s detections, messages, reliability, and
+  /// update counts (every site observes every epoch). Each poll fetch and
+  /// the shutdown fan out one range envelope per worker (FanOutRange) per
+  /// epoch; poll replies stay one per site, since the root replays every
+  /// site's fate through its channel. "runtime/coordinator/epoch_us" gets
+  /// one sample per epoch: its window's wall time over its epoch count.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
@@ -110,8 +117,9 @@ class CoordinatorActor {
   Channel channel_;
   obs::Counter* alarms_rx_ = nullptr;  ///< "runtime/coordinator/alarms".
   obs::Counter* polls_ = nullptr;      ///< "runtime/coordinator/polls".
-  /// Per-epoch (virtual) / per-poll-round (free) root latency, recorded
-  /// for every shard count so runs at 1 and k shards can be compared.
+  /// Per-epoch (virtual: a window's share) / per-poll-round (free) root
+  /// latency, recorded for every shard count so runs at 1 and k shards can
+  /// be compared.
   obs::Histogram* epoch_us_ = nullptr;       ///< "runtime/coordinator/epoch_us".
   obs::Histogram* poll_round_us_ = nullptr;  ///< ".../poll_round_us".
   /// Free-running detection lag: epochs (watermark units) between the

@@ -255,12 +255,16 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
         " worker threads (max " + std::to_string(kMaxWorkerThreads) +
         "); pass a smaller thread count");
   }
-  DCV_RETURN_IF_ERROR(MakeShardLayout(n, options.num_shards).status());
-  DCV_ASSIGN_OR_RETURN(std::unique_ptr<ThreadTransport> transport,
-                       ThreadTransport::Create(n, workers,
-                                               /*coordinator_capacity=*/0,
-                                               /*worker_capacity=*/0,
-                                               options.num_shards));
+  DCV_ASSIGN_OR_RETURN(const ShardLayout layout,
+                       MakeShardLayout(n, options.num_shards));
+  DCV_ASSIGN_OR_RETURN(
+      std::unique_ptr<ThreadTransport> transport,
+      ThreadTransport::Create(
+          n, workers,
+          options.virtual_time
+              ? VirtualInboxCapacity(n, layout.MaxShardSites())
+              : 0,
+          /*worker_capacity=*/0, options.num_shards));
   if (options.recorder != nullptr) {
     options.recorder->DeclareSites(n);
   }

@@ -76,32 +76,47 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
 }
 
 Status CollectShardReplies(Transport* transport, int shard, int first_site,
-                           int num_sites, ActorMsgKind want, int64_t epoch,
-                           const char* stage, bool alarmed_only,
-                           std::vector<std::pair<int, int64_t>>* entries) {
-  std::vector<char> answered(static_cast<size_t>(num_sites), 0);
-  const size_t first_entry = entries->size();
+                           int num_sites, ActorMsgKind want,
+                           std::span<const int64_t> epochs, const char* stage,
+                           bool alarmed_only, std::vector<ShardReply>* replies) {
+  const auto failed = [&](const char* what) {
+    return InternalError(std::string(what) + stage);
+  };
+  const int last = static_cast<int>(epochs.size()) - 1;
+  // Per site, the index in `epochs` of the next reply it owes; past `last`
+  // once it is done.
+  std::vector<int> next(static_cast<size_t>(num_sites), 0);
   std::vector<Envelope> batch;
   for (int pending = num_sites; pending > 0;) {
     batch.clear();
     if (transport->RecvShardAll(shard, &batch) == 0) {
-      return InternalError(std::string("transport closed during ") + stage);
+      return failed("transport closed during ");
     }
     for (const Envelope& e : batch) {
       const int64_t i = int64_t{e.from} - first_site;
-      if (e.msg.kind != want || e.msg.epoch != epoch || i < 0 ||
-          i >= num_sites || answered[static_cast<size_t>(i)]) {
-        return InternalError(std::string("out-of-order message at ") + stage);
+      if (e.msg.kind != want || i < 0 || i >= num_sites ||
+          next[static_cast<size_t>(i)] > last) {
+        return failed("out-of-order message at ");
       }
-      answered[static_cast<size_t>(i)] = 1;
+      int& owed = next[static_cast<size_t>(i)];
+      // A report may skip the alarm-free epochs before it; a poll answer
+      // may not skip any.
+      const auto it = alarmed_only
+                          ? std::lower_bound(epochs.begin() + owed,
+                                             epochs.end(), e.msg.epoch)
+                          : epochs.begin() + owed;
+      const int pos = static_cast<int>(it - epochs.begin());
+      if (it == epochs.end() || *it != e.msg.epoch ||
+          (alarmed_only && !e.msg.flag && pos != last)) {
+        return failed("out-of-order message at ");
+      }
+      owed = pos + 1;
+      pending -= pos == last ? 1 : 0;
       if (!alarmed_only || e.msg.flag) {
-        entries->emplace_back(e.from, e.msg.value);
+        replies->push_back(ShardReply{e.from, pos, e.msg.value});
       }
-      --pending;
     }
   }
-  std::sort(entries->begin() + static_cast<std::ptrdiff_t>(first_entry),
-            entries->end());
   return OkStatus();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,9 +21,10 @@ namespace dcv {
 /// contiguous range of sites (shard_layout.h) and one transport inbox,
 /// where its sites' replies arrive.
 ///
-/// Virtual-time mode runs no shard threads. The root fans every epoch and
-/// poll round out to all sites itself and collects each shard's replies
-/// from that shard's inbox with CollectShardReplies, on its own thread. It
+/// Virtual-time mode runs no shard threads. The root fans every window of
+/// epochs and every poll fetch out to the sites itself and collects each
+/// shard's replies from that shard's inbox with CollectShardReplies, on
+/// its own thread. It
 /// owns the only Channel and calls it in ascending global site order, so
 /// virtual runs are bit-identical to the lockstep simulator for every
 /// shard count (the conformance harness asserts it for 1 to 4 shards).
@@ -113,19 +115,31 @@ struct ShardContext {
   int64_t incarnation = 0;
 };
 
+/// One reply the root collected in a virtual exchange: the replying site,
+/// the index of the reply's epoch in the exchange's `epochs`, and its value.
+struct ShardReply {
+  int site = 0;
+  int pos = 0;
+  int64_t value = 0;
+};
+
 /// The root's collect step of one virtual exchange, for one shard: after
-/// the fan-out, takes exactly one `want` reply echoing `epoch` from each
-/// site of [first_site, first_site + num_sites) out of `shard`'s inbox, in
-/// any order. Anything else — another kind or epoch, a site outside the
-/// range, a second reply — fails with "out-of-order message at <stage>".
-/// Appends (site, value) for the shard's replies in ascending site order,
-/// only alarmed ones (the reply's flag) when `alarmed_only`: the root
-/// replays alarms and poll values by site, so arrival order (and with it
-/// batching) never reaches the result.
+/// the fan-out, takes the `want` replies of every site of [first_site,
+/// first_site + num_sites) out of `shard`'s inbox until each has answered
+/// `epochs.back()`. `epochs` ascends, and each site's replies ascend with
+/// it, since a worker answers its inbox in order. A poll fetch
+/// (`alarmed_only` false) is answered at every epoch of `epochs`; a
+/// window's reports (`alarmed_only` true) only at its alarmed epochs (the
+/// reply's flag) and at its last one. Anything else — another kind, an
+/// epoch out of turn, a site outside the range or one already done — fails
+/// with "out-of-order message at <stage>". Appends a ShardReply per poll
+/// answer, or per alarmed report, in arrival order: the root replays them
+/// by (epoch, site), so arrival order (and with it batching) never reaches
+/// the result.
 Status CollectShardReplies(Transport* transport, int shard, int first_site,
-                           int num_sites, ActorMsgKind want, int64_t epoch,
-                           const char* stage, bool alarmed_only,
-                           std::vector<std::pair<int, int64_t>>* entries);
+                           int num_sites, ActorMsgKind want,
+                           std::span<const int64_t> epochs, const char* stage,
+                           bool alarmed_only, std::vector<ShardReply>* replies);
 
 /// One free-running shard leg as a step function. It owns the shard's
 /// private channel (over shard-local site ids) and counter, the watermark,

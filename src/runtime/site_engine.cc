@@ -51,6 +51,7 @@ SiteEngine::SiteEngine(Config config)
     : config_(std::move(config)),
       synthetic_(std::all_of(config_.series.begin(), config_.series.end(),
                              [](const auto& column) { return column.empty(); })),
+      window_epochs_(VirtualWindowEpochs(config_.num_sites)),
       thresholds_(std::move(config_.thresholds)) {
   const size_t slots = thresholds_.size();
   values_.assign(slots, 0);
@@ -105,6 +106,28 @@ int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
   // MakeSiteRng(seed, site).UniformInt(0, synthetic_max), draw for draw.
   return static_cast<int64_t>(
       XoshiroBounded(streams_[slot], span_, reject_below_));
+}
+
+int64_t* SiteEngine::WindowRecord(size_t slot) {
+  if (window_values_.empty()) {
+    window_values_.assign(num_slots() * static_cast<size_t>(window_epochs_),
+                          0);
+  }
+  return &window_values_[slot * static_cast<size_t>(window_epochs_)];
+}
+
+int64_t SiteEngine::PolledValue(size_t slot, int64_t epoch) const {
+  if (epoch < window_first_ || epoch >= window_end_) {
+    return values_[slot];
+  }
+  if (synthetic_) {
+    return window_values_[slot * static_cast<size_t>(window_epochs_) +
+                          static_cast<size_t>(epoch - window_first_)];
+  }
+  const std::vector<int64_t>& column = config_.series[slot];
+  return epoch < static_cast<int64_t>(column.size())
+             ? column[static_cast<size_t>(epoch)]
+             : values_[slot];
 }
 
 bool SiteEngine::Observe(size_t slot, int64_t index, bool up) {
@@ -176,18 +199,35 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
     const size_t slot = static_cast<size_t>(owned);
     switch (env.msg.kind) {
       case ActorMsgKind::kEpochStart: {
-        // The epoch indexes the site's column and may come off the wire:
-        // one outside a trace-driven column is dropped like an envelope for
-        // an unowned site. A synthetic slot ignores the index.
-        const int64_t epoch = env.msg.epoch;
-        if (!synthetic_ && (epoch < 0 || epoch >= workload_size(slot))) {
+        // A window [epoch, max(value, epoch + 1)) that may come off the
+        // wire: capped at the slot's workload and at window_epochs_, and
+        // dropped like an envelope for an unowned site when it starts
+        // outside the workload. Every epoch is observed with the window's
+        // up flag; each alarmed one and the last one are reported.
+        const int64_t first = env.msg.epoch;
+        const int64_t size = workload_size(slot);
+        if (first < 0 || first >= size) {
           break;
         }
-        const bool alarmed = Observe(slot, epoch, env.msg.flag);
-        ++cursors_[slot];
-        ++tally_updates_;
-        reply(slot, ActorMsgKind::kEpochReport, epoch,
-              alarmed ? values_[slot] : 0, alarmed);
+        const int64_t end =
+            first + std::min({size - first, window_epochs_,
+                              env.msg.value > first ? env.msg.value - first
+                                                    : int64_t{1}});
+        int64_t* const record = synthetic_ ? WindowRecord(slot) : nullptr;
+        for (int64_t epoch = first; epoch < end; ++epoch) {
+          const bool alarmed = Observe(slot, epoch, env.msg.flag);
+          if (record != nullptr) {
+            record[epoch - first] = values_[slot];
+          }
+          if (alarmed || epoch + 1 == end) {
+            reply(slot, ActorMsgKind::kEpochReport, epoch,
+                  alarmed ? values_[slot] : 0, alarmed);
+          }
+        }
+        cursors_[slot] += end - first;
+        tally_updates_ += end - first;
+        window_first_ = first;
+        window_end_ = end;
         break;
       }
       case ActorMsgKind::kPollRequest:
@@ -204,11 +244,9 @@ void SiteEngine::Run(Transport* transport, std::vector<size_t> active) {
           break;
         }
         for (size_t s = slot, end = CoveredSlotEnd(env); s < end; ++s) {
-          reply(s, ActorMsgKind::kPollResponse, env.msg.epoch, values_[s]);
+          reply(s, ActorMsgKind::kPollResponse, env.msg.epoch,
+                PolledValue(s, env.msg.epoch));
         }
-        break;
-      case ActorMsgKind::kThresholdUpdate:
-        thresholds_[slot] = env.msg.value;
         break;
       case ActorMsgKind::kShutdown:
         // Saturating: a second stop for a site (ranges can come off the

@@ -37,10 +37,10 @@ Rng MakeSiteRng(uint64_t seed, int site);
 ///    (MakeSiteRng), and each slot owns its stream's 32-byte xoshiro state
 ///    — the order sites are processed within a batch never touches another
 ///    site's stream;
-///  * each epoch, a site observes its value, checks L_i : X_i <= T_i (a
-///    down site observes but never alarms), and answers a poll with its
-///    most recent value — the lockstep simulator's site step, one
-///    message at a time;
+///  * each epoch of a window, a site observes its value and checks
+///    L_i : X_i <= T_i (a down site observes but never alarms), and it
+///    answers a poll with its value at the polled epoch — the lockstep
+///    simulator's site step, a window at a time;
 ///  * the coordinator replays alarms in ascending site order after
 ///    collecting every report, and the fault-injecting Channel lives on
 ///    the root thread only — transport arrival order (and therefore
@@ -100,7 +100,8 @@ class SiteEngine {
   const std::vector<int64_t>& updates_processed() const { return cursors_; }
 
   /// Out-of-band threshold install (the socket worker's initial sync,
-  /// which happens before the run loop starts). False = site not owned.
+  /// which happens before the run loop starts; no message changes a
+  /// threshold during a run). False = site not owned.
   bool ApplyThresholdUpdate(int32_t site, int64_t value) {
     const int slot = SlotOf(site);
     if (slot < 0) {
@@ -111,13 +112,16 @@ class SiteEngine {
   }
 
   /// Virtual time: no slot drives itself. The engine blocks on its own
-  /// inbox and observes a slot only on its kEpochStart, so the
-  /// coordinator's epoch barrier paces every site. A kPollRequest or
-  /// kShutdown addressed to an owned site covers a range (CoveredEnd): each
-  /// covered slot answers the poll, or counts as shut down. A summed
-  /// (flagged) poll is answered once, by the addressed site, with the sum
-  /// of the covered slots' values. Exits when
-  /// every owned site was covered by a kShutdown or the fabric closed.
+  /// inbox and observes a slot only on its kEpochStart, which names a
+  /// window of epochs: the slot observes each and reports every alarmed
+  /// one and the last, so the coordinator's windows pace every site. A
+  /// kPollRequest or kShutdown addressed to an owned site covers a range
+  /// (CoveredEnd): each covered slot answers the poll with its value at the
+  /// request's epoch when that epoch is in the last window the engine
+  /// observed (else with its most recent value), or counts as shut down. A
+  /// summed (flagged) poll is answered once, by the addressed site, with
+  /// the sum of the covered slots' most recent values. Exits when every
+  /// owned site was covered by a kShutdown or the fabric closed.
   void RunVirtual(Transport* transport);
 
   /// Free running: every slot drives itself, one update per live slot per
@@ -150,6 +154,17 @@ class SiteEngine {
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 
+  /// The slot's row of the synthetic window record: its value at each
+  /// epoch of the window it is observing (allocated on first use, so a
+  /// free-running engine never holds one).
+  int64_t* WindowRecord(size_t slot);
+
+  /// What a poll at `epoch` reads: the slot's value at that epoch when it
+  /// is in the last observed window [window_first_, window_end_) — from
+  /// the column, or from the record for a synthetic slot — else its most
+  /// recent value.
+  int64_t PolledValue(size_t slot, int64_t epoch) const;
+
   /// The site step of either mode: observes the slot's value at `index`
   /// (its epoch, or its free-running cursor) and returns whether L_i
   /// fired. A down site (up == false) observes but never alarms — the
@@ -174,6 +189,13 @@ class SiteEngine {
   /// the rejection threshold computed once per engine, not per draw.
   uint64_t span_ = 1;
   uint64_t reject_below_ = 0;
+  /// The longest window a kEpochStart may cover (VirtualWindowEpochs).
+  int64_t window_epochs_ = 1;
+  /// The last window a kEpochStart covered, and the synthetic slots' values
+  /// over it: window_epochs_ entries per slot, O(L·N) across the fabric.
+  int64_t window_first_ = 0;
+  int64_t window_end_ = 0;
+  std::vector<int64_t> window_values_;
   // Structure-of-arrays site state, all indexed by slot (DESIGN §14): 64
   // bytes per synthetic slot with the free loop's 8-byte active index.
   std::vector<int64_t> thresholds_;

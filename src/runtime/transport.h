@@ -1,6 +1,7 @@
 #ifndef DCV_RUNTIME_TRANSPORT_H_
 #define DCV_RUNTIME_TRANSPORT_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -205,11 +206,29 @@ class Transport {
 void FanOutRange(ActorMsgKind kind, int64_t epoch, int first, int end,
                  int num_workers, std::vector<Envelope>* out);
 
-/// Auto mailbox capacities, the DESIGN §8 deadlock-freedom invariant. A
-/// coordinator (shard) inbox fed by `sites` sites holds an epoch's at most
-/// 2 messages per site (report + poll response) plus root commands.
+/// Auto mailbox capacities (DESIGN §8). Each lane of a coordinator
+/// (shard) inbox fed by `sites` sites holds 2 messages per site plus root
+/// commands. In free running that bounds how far the engines run ahead of
+/// the root; a virtual window's replies may outnumber it and wait in the
+/// engines' outboxes (no engine blocks on a send) while the root drains
+/// that very shard.
 inline size_t CoordinatorInboxCapacity(int sites) {
   return 2 * static_cast<size_t>(sites) + 16;
+}
+
+/// The lane capacity an in-process virtual-time run gives a shard inbox
+/// fed by `sites` of its `num_sites` sites: one exchange's replies for the
+/// shard, up to VirtualWindowEpochs(num_sites) per site (a window's
+/// reports, or a poll fetch's answers), plus root commands, and never less
+/// than the free-running formula. An exchange then lands whole while the
+/// root drains, so no engine idles on a full lane. The memory is what one
+/// exchange sends, O(L·N) in all, since a box grows only as it fills. (A
+/// socket coordinator keeps CoordinatorInboxCapacity: its readers, not the
+/// engines, wait on a full lane.)
+inline size_t VirtualInboxCapacity(int num_sites, int sites) {
+  const size_t window = static_cast<size_t>(VirtualWindowEpochs(num_sites));
+  return std::max(CoordinatorInboxCapacity(sites),
+                  window * static_cast<size_t>(sites) + 16);
 }
 
 /// The most sites one worker owns under round-robin ownership:
@@ -218,12 +237,17 @@ inline int MaxWorkerSites(int num_sites, int num_workers) {
   return (num_sites + num_workers - 1) / num_workers;
 }
 
-/// A worker inbox serves MaxWorkerSites sites, each with at most one epoch
-/// start and threshold update in flight, plus at most one range poll
-/// request and one range shutdown per leg (one per worker, FanOutRange);
-/// the per-site bound of 4 covers those with room to spare.
+/// A worker inbox serves MaxWorkerSites sites. In virtual time the root
+/// collects every exchange before it sends the next, so the inbox holds at
+/// most one window's epoch starts (one per owned site), or one shard's poll
+/// fetch (a range request per polled epoch, at most VirtualWindowEpochs),
+/// plus the shutdown. In free running each leg has at most one range poll
+/// and one range shutdown in flight at a worker (FanOutRange), and a
+/// worker meets at most one leg per owned site. 2 per owned site plus the
+/// window covers both.
 inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
-  return 4 * static_cast<size_t>(MaxWorkerSites(num_sites, num_workers)) + 8;
+  return 2 * static_cast<size_t>(MaxWorkerSites(num_sites, num_workers)) +
+         static_cast<size_t>(VirtualWindowEpochs(num_sites));
 }
 
 /// The queue fabric over bounded mailboxes: one per worker, and one laned
@@ -236,21 +260,24 @@ inline size_t WorkerInboxCapacity(int num_sites, int num_workers) {
 /// TCP. Capacity invariants the runtime relies on to stay deadlock-free
 /// with blocking sends:
 ///
-///  * the coordinator tree never blocks on a worker inbox: at most one
-///    epoch start and one threshold update per owned site, and one range
-///    poll request and one range shutdown per leg, can be in flight, and
-///    worker capacity covers that;
+///  * the coordinator tree never blocks on a worker inbox: worker
+///    capacity covers everything that can be in flight to a worker
+///    (WorkerInboxCapacity);
 ///  * a sender may block pushing into a shard inbox (a socket reader's
 ///    SendBatch; an engine never blocks, it retries TrySendBatch), but
 ///    every shard coordinator is always in its receive loop, so the box
 ///    drains. Each lane alone holds the per-shard formula, so a
 ///    blocked sender waits only for its own lane. The root's SendToShard
-///    commands ride the same guarantee.
+///    commands ride the same guarantee. The virtual root drains one shard
+///    at a time, so each of its exchanges is shaped for that: a window's
+///    replies leave every worker in shard order, and a poll fetch is one
+///    exchange per shard, so no reply to the shard being drained waits
+///    behind one to another shard's full lane.
 class ThreadTransport : public Transport {
  public:
   /// `coordinator_capacity` 0 = auto (2 * max-sites-per-shard + 16; with
   /// one shard that is the historical 2 * num_sites + 16).
-  /// `worker_capacity` 0 = auto (4 * ceil(sites/workers) + 8).
+  /// `worker_capacity` 0 = auto (WorkerInboxCapacity).
   static Result<std::unique_ptr<ThreadTransport>> Create(
       int num_sites, int num_workers, size_t coordinator_capacity = 0,
       size_t worker_capacity = 0, int num_shards = 1);
@@ -287,7 +314,7 @@ class ThreadTransport : public Transport {
 
   /// Capacity of each worker inbox (identical across workers; with uneven
   /// site division the formula uses ceil(sites/workers), so the most-loaded
-  /// worker still fits its 4-messages-per-owned-site worst case).
+  /// worker still fits its worst case).
   size_t worker_capacity() const {
     return worker_boxes_.empty() ? 0 : worker_boxes_[0]->capacity();
   }

@@ -75,8 +75,15 @@ namespace dcv {
 // (actor_message.h). A v7 worker would ignore the flag and answer per
 // site, so a summed round would resolve on the wrong values; the version
 // byte makes it fail at the hello instead.
+//
+// Version 9 keeps every layout and gives the value of a kEpochStart a
+// meaning: it is the end of a window of epochs [epoch, value) the site
+// observes at once, reporting only its alarmed epochs and the last one,
+// and a kPollRequest names the epoch of that window whose value it reads
+// (actor_message.h). A v8 worker would observe one epoch per start, so a
+// window would hang; the version byte makes it fail at the hello instead.
 
-inline constexpr uint8_t kWireVersion = 8;
+inline constexpr uint8_t kWireVersion = 9;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.

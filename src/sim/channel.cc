@@ -417,32 +417,26 @@ void Channel::PollPerfect() {
 PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
                                const std::vector<int64_t>& weights,
                                const std::vector<int64_t>& pessimistic) {
-  PollOutcome out;
-  out.values.assign(static_cast<size_t>(num_sites_), 0);
-  auto weight = [&](int i) {
-    return weights.empty() ? int64_t{1} : weights[static_cast<size_t>(i)];
-  };
+  poll_answered_.resize(static_cast<size_t>(num_sites_));
+  PollFates(poll_answered_);
+  return PollValues(poll_answered_, true_values, weights, pessimistic);
+}
 
+void Channel::PollFates(std::span<char> answered) {
   if (perfect_) {
     PollPerfect();
-    for (int i = 0; i < num_sites_; ++i) {
-      size_t si = static_cast<size_t>(i);
-      out.values[si] = true_values[si];
-      RecordLastKnown(i, true_values[si]);
-      out.weighted_sum += weight(i) * true_values[si];
-    }
-    out.responses = num_sites_;
-    return out;
+    std::fill(answered.begin(), answered.end(), char{1});
+    return;
   }
 
   DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
   obs::ScopedTimer poll_timer(poll_us_);
   const int attempts =
       spec_.retry.enable_acks ? spec_.retry.max_attempts : 1;
+  int responses = 0;
   for (int i = 0; i < num_sites_; ++i) {
-    size_t si = static_cast<size_t>(i);
-    bool answered = false;
-    for (int attempt = 1; attempt <= attempts && !answered; ++attempt) {
+    bool ok = false;
+    for (int attempt = 1; attempt <= attempts && !ok; ++attempt) {
       if (attempt > 1) {
         ++stats_.retransmissions;
         stats_.backoff_ticks +=
@@ -471,33 +465,47 @@ PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
         continue;
       }
       stats_.delivered += 2;
-      answered = true;
+      ok = true;
     }
-    if (answered) {
-      out.values[si] = true_values[si];
-      RecordLastKnown(i, true_values[si]);
-      ++out.responses;
+    answered[static_cast<size_t>(i)] = ok ? 1 : 0;
+    if (ok) {
+      ++responses;
     } else {
-      ++out.timeouts;
       ++stats_.timed_out_polls;
       DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kDegraded, epoch_, i);
-      int64_t fallback =
-          si < pessimistic.size() ? pessimistic[si] : int64_t{0};
-      if (spec_.degrade == DegradeMode::kLastKnown && has_last_known_[si]) {
-        out.values[si] = last_known_[si];
-      } else {
-        out.values[si] = fallback;
-      }
     }
-    out.weighted_sum += weight(i) * out.values[si];
   }
-  if (out.timeouts > 0) {
-    out.degraded = true;
+  if (responses < num_sites_) {
     ++stats_.degraded_decisions;
   }
   DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollEnd, epoch_,
-                obs::TraceRecorder::kCoordinator, out.responses,
+                obs::TraceRecorder::kCoordinator, responses,
                 poll_timer.ElapsedUs());
+}
+
+PollOutcome Channel::PollValues(std::span<const char> answered,
+                                std::span<const int64_t> true_values,
+                                const std::vector<int64_t>& weights,
+                                const std::vector<int64_t>& pessimistic) {
+  PollOutcome out;
+  out.values.assign(static_cast<size_t>(num_sites_), 0);
+  for (int i = 0; i < num_sites_; ++i) {
+    const size_t si = static_cast<size_t>(i);
+    if (answered[si] != 0) {
+      out.values[si] = true_values[si];
+      RecordLastKnown(i, true_values[si]);
+      ++out.responses;
+    } else if (spec_.degrade == DegradeMode::kLastKnown &&
+               has_last_known_[si]) {
+      out.values[si] = last_known_[si];
+    } else {
+      out.values[si] = si < pessimistic.size() ? pessimistic[si] : int64_t{0};
+    }
+    out.weighted_sum +=
+        (weights.empty() ? int64_t{1} : weights[si]) * out.values[si];
+  }
+  out.timeouts = num_sites_ - out.responses;
+  out.degraded = out.timeouts > 0;
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define DCV_SIM_CHANNEL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -219,9 +220,29 @@ class Channel {
   /// DegradeMode: last-known value or `pessimistic[i]` (pass an empty
   /// vector for schemes with no pessimistic bound; 0 is then the final
   /// fallback). Successful responses update the last-known table.
+  /// PollFates then PollValues, called in turn.
   PollOutcome PollSites(const std::vector<int64_t>& true_values,
                         const std::vector<int64_t>& weights,
                         const std::vector<int64_t>& pessimistic);
+
+  /// The fate half of PollSites, which needs no value: charges the round's
+  /// requests, responses and retries, draws every fate, counts the timeout
+  /// and degradation stats, and records the round's poll, retransmission
+  /// and degraded trace events and its poll_us time, all at the current
+  /// epoch. Sets `answered[i]` (num_sites entries) to 1 for each site whose
+  /// round trip beat the deadline, else 0. The fault RNG thus keeps its
+  /// order while the values are still out at the sites.
+  void PollFates(std::span<char> answered);
+
+  /// The value half of PollSites: resolves a round PollFates recorded in
+  /// `answered` — the weighted sum, the last-known updates from the
+  /// answers, and the DegradeMode substitutes for the rest. Rounds must be
+  /// resolved in the order their fates were drawn, since each reads the
+  /// last-known table the earlier ones wrote.
+  PollOutcome PollValues(std::span<const char> answered,
+                         std::span<const int64_t> true_values,
+                         const std::vector<int64_t>& weights,
+                         const std::vector<int64_t>& pessimistic);
 
   /// One poll round on the perfect network, for a caller that holds the
   /// answers already (PollSites' perfect branch) or sums them itself (a
@@ -290,6 +311,7 @@ class Channel {
   std::vector<Arrival> arrivals_;
   std::vector<int64_t> last_known_;
   std::vector<char> has_last_known_;
+  std::vector<char> poll_answered_;  ///< PollSites' round, between halves.
   ChannelStats stats_;
 
   /// Observability (all null when detached). msg_counters_ caches one

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -521,13 +522,15 @@ TEST(ShardedRuntimeTest, RejectsBadShardCounts) {
 }
 
 // A scripted fabric for the virtual epoch barrier over `shards` shard
-// inboxes. Sites answer kEpochStart with a correct kEpochReport (site 0
-// alarms on odd epochs) and kPollRequest with a kPollResponse, except in
-// `bad_shard`'s inbox, which answers kEpochStart with a kPollResponse that
-// the exchange must reject. Every site a request covers answers. Replies are queued before SendBatch returns, so
-// a receive always finds them. Its shard-command path is dead —
-// SendToShard and TrySendToShard refuse everything — and it records the
-// thread of every RecvShardAll.
+// inboxes. Sites answer a kEpochStart's window with correct kEpochReports
+// (site 0 alarms on odd epochs; every site reports the window's last
+// epoch) and kPollRequest with a kPollResponse, except in `bad_shard`'s
+// inbox, which answers kEpochStart with a kPollResponse that the exchange
+// must reject. Every site a request covers answers. Replies are queued
+// before SendBatch returns, so a receive always finds them. Its
+// shard-command path is dead — SendToShard and TrySendToShard refuse
+// everything — and it records the thread of every RecvShardAll and the
+// kind of every envelope sent.
 class EpochBarrierScript : public Transport {
  public:
   explicit EpochBarrierScript(int sites, int shards = 2, int bad_shard = 1)
@@ -544,24 +547,30 @@ class EpochBarrierScript : public Transport {
   bool SendBatch(const std::vector<Envelope>& batch) override {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Envelope& e : batch) {
+      ++sent_[e.msg.kind];
       for (int site = e.to; site < CoveredSiteEnd(e, layout_.num_sites);
            ++site) {
         const int shard = layout_.ShardOf(site);
+        std::vector<Envelope>& inbox = inboxes_[static_cast<size_t>(shard)];
         ActorMessage reply;
-        reply.epoch = e.msg.epoch;
         if (e.msg.kind == ActorMsgKind::kEpochStart) {
-          reply.kind = shard == bad_shard_ ? ActorMsgKind::kPollResponse
-                                           : ActorMsgKind::kEpochReport;
-          reply.flag = site == 0 && e.msg.epoch % 2 == 1;
-          reply.value = reply.flag ? 1'000 : 1;
+          const int64_t end = std::max(e.msg.value, e.msg.epoch + 1);
+          for (int64_t epoch = e.msg.epoch; epoch < end; ++epoch) {
+            reply.epoch = epoch;
+            reply.kind = shard == bad_shard_ ? ActorMsgKind::kPollResponse
+                                             : ActorMsgKind::kEpochReport;
+            reply.flag = site == 0 && epoch % 2 == 1;
+            reply.value = reply.flag ? 1'000 : 1;
+            if (reply.flag || epoch + 1 == end) {
+              inbox.push_back(Envelope{site, kCoordinatorId, reply});
+            }
+          }
         } else if (e.msg.kind == ActorMsgKind::kPollRequest) {
+          reply.epoch = e.msg.epoch;
           reply.kind = ActorMsgKind::kPollResponse;
           reply.value = site + 1;
-        } else {
-          continue;
+          inbox.push_back(Envelope{site, kCoordinatorId, reply});
         }
-        inboxes_[static_cast<size_t>(shard)].push_back(
-            Envelope{site, kCoordinatorId, reply});
       }
     }
     return true;
@@ -593,12 +602,19 @@ class EpochBarrierScript : public Transport {
     return recv_threads_;
   }
 
+  /// Envelopes sent through this fabric, by kind.
+  std::map<ActorMsgKind, int> sent() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+
  private:
   const ShardLayout layout_;
   const int bad_shard_;
   std::mutex mu_;
   std::vector<std::vector<Envelope>> inboxes_;
   std::vector<std::thread::id> recv_threads_;
+  std::map<ActorMsgKind, int> sent_;
 };
 
 // A shard whose replies break the epoch barrier's exchange must fail the
@@ -669,10 +685,11 @@ TEST(ShardedRuntimeTest, PollLegRejectsStaleAndDuplicateResponses) {
     ASSERT_TRUE((*transport)->Send(Envelope{0, kCoordinatorId, response}));
     response.epoch = stale_epoch;
     ASSERT_TRUE((*transport)->Send(Envelope{0, kCoordinatorId, response}));
-    std::vector<std::pair<int, int64_t>> values;
+    std::vector<ShardReply> values;
+    const std::vector<int64_t> epochs = {5};
     const Status status = CollectShardReplies(
         transport->get(), /*shard=*/0, /*first_site=*/0, /*num_sites=*/2,
-        ActorMsgKind::kPollResponse, /*epoch=*/5, "poll round",
+        ActorMsgKind::kPollResponse, epochs, "poll round",
         /*alarmed_only=*/false, &values);
     ASSERT_FALSE(status.ok()) << "stale epoch " << stale_epoch;
     EXPECT_NE(status.message().find("out-of-order message at poll round"),
@@ -823,6 +840,165 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
 
 // The runtime's deployment plan must provision the same thresholds the
 // lockstep scheme computes for itself from the same training data.
+// Virtual time runs in windows of VirtualWindowEpochs(N) epochs, each cut
+// short at a crash edge and at the kill-worker fire epoch. Wherever the
+// cuts fall, a run stays bit-identical to lockstep over threads and over a
+// socket, at every shard count.
+
+/// ExpectConformant at 1 to 4 shards, each a thread run and a socket run;
+/// a kill-worker chaos must have fired in each socket run.
+void ExpectConformantAtEveryShardCount(const Workload& w,
+                                       ConformanceSpec spec) {
+  spec.num_workers = 2;
+  spec.transport = TransportKind::kSocket;  // Adds the socket run.
+  for (int shards = 1; shards <= 4; ++shards) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    spec.num_shards = shards;
+    ConformanceReport report;
+    ExpectConformant(w, spec, &report);
+    EXPECT_TRUE(report.ran_socket);
+    EXPECT_EQ(report.socket_runtime.socket.reconnects,
+              spec.chaos.kind == ChaosKind::kKillWorker ? 1 : 0);
+  }
+}
+
+TEST(WindowConformanceTest, CrashesAndPartitionsAtAndInsideWindowEdges) {
+  // Five sites make 1,024-epoch windows; 1,500 epochs are two would-be
+  // windows, [0, 1024) and [1024, 1500). Crash windows start and end on
+  // that edge, inside either window, and one epoch from it; partitions
+  // straddle the edge and sit inside a window.
+  Workload w = MakeSyntheticWorkload(61, /*num_sites=*/5,
+                                     /*train_epochs=*/600,
+                                     /*eval_epochs=*/1500);
+  ASSERT_EQ(VirtualWindowEpochs(5), 1024);
+  FptasSolver solver(0.1);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.faults.loss = 0.05;
+  spec.faults.retry.enable_acks = true;
+  spec.faults.crashes = {{/*site=*/0, /*from=*/1024, /*to=*/1100},
+                         {/*site=*/1, /*from=*/300, /*to=*/1024},
+                         {/*site=*/2, /*from=*/1023, /*to=*/1025},
+                         {/*site=*/3, /*from=*/0, /*to=*/7},
+                         {/*site=*/4, /*from=*/1400, /*to=*/1500}};
+  spec.faults.partitions = {{/*from=*/1020, /*to=*/1030},
+                            {/*from=*/200, /*to=*/260}};
+  spec.faults.seed = 0x5151ULL;
+  ExpectConformantAtEveryShardCount(w, spec);
+}
+
+TEST(WindowConformanceTest, DelayedAlarmTriggersThePollOfAnAlarmFreeEpoch) {
+  // Without acks a delayed alarm lands epochs later; where no site alarms
+  // in the landing epoch, the arrival alone must trigger its poll.
+  Workload w = MakeSyntheticWorkload(67, /*num_sites=*/4,
+                                     /*train_epochs=*/500,
+                                     /*eval_epochs=*/700);
+  FptasSolver solver(0.1);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.01);
+  spec.faults.delay = 0.5;
+  spec.faults.max_delay_epochs = 3;
+  spec.faults.seed = 0xde1aULL;
+  auto report = RunConformance(w.training, w.eval, spec);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  int arrival_polls = 0;
+  for (const EpochDetection& det : report->lockstep_epochs) {
+    arrival_polls += det.polled && det.num_alarms == 0 ? 1 : 0;
+  }
+  ASSERT_GT(arrival_polls, 0) << "no delayed alarm landed on a quiet epoch";
+  ExpectConformantAtEveryShardCount(w, spec);
+}
+
+TEST(WindowConformanceTest, KillWorkerFiresInsideAWouldBeWindow) {
+  // 400 epochs at four sites are one would-be window; the seed-resolved
+  // fire epoch falls strictly inside it, so the run cuts the window there.
+  Workload w = MakeSyntheticWorkload(71, /*num_sites=*/4,
+                                     /*train_epochs=*/300,
+                                     /*eval_epochs=*/400);
+  FptasSolver solver(0.05);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.faults.loss = 0.05;
+  spec.faults.retry.enable_acks = true;
+  spec.chaos.kind = ChaosKind::kKillWorker;
+  spec.chaos.seed = 29;
+  const ResolvedChaos fire = ResolveChaos(spec.chaos, 400, /*num_targets=*/2);
+  ASSERT_GT(fire.fire_epoch, 0);
+  ASSERT_LT(fire.fire_epoch, std::min<int64_t>(400, VirtualWindowEpochs(4)));
+  ExpectConformantAtEveryShardCount(w, spec);
+}
+
+TEST(WindowConformanceTest, EpochCountsAroundTheWindowLength) {
+  // 80 sites make 819-epoch windows: runs of 1, L - 1, L and L + 1 epochs
+  // end inside, on and one past a window edge.
+  constexpr int kSites = 80;
+  const int64_t window = VirtualWindowEpochs(kSites);
+  ASSERT_EQ(window, 819);
+  EqualValueSolver solver;
+  for (const int64_t epochs : {int64_t{1}, window - 1, window, window + 1}) {
+    SCOPED_TRACE(testing::Message() << epochs << " epochs");
+    Workload w = MakeSyntheticWorkload(73, kSites, /*train_epochs=*/300,
+                                       epochs);
+    ConformanceSpec spec;
+    spec.protocol = RuntimeProtocol::kLocalThreshold;
+    spec.solver = &solver;
+    // At one epoch an overflow fraction would leave the run silent; a
+    // threshold just under its sum makes every site alarm and poll.
+    spec.global_threshold = epochs == 1 ? 1 : PickThreshold(w, 0.02);
+    spec.faults.loss = 0.05;
+    spec.faults.retry.enable_acks = true;
+    ExpectConformantAtEveryShardCount(w, spec);
+  }
+}
+
+// A runtime never re-plans, so a recovered site already holds the threshold
+// its re-sync would carry: the re-sync is charged and counted exactly as
+// lockstep does, and no kThresholdUpdate envelope is sent.
+TEST(WindowConformanceTest, ResyncIsChargedButSendsNoEnvelope) {
+  Workload w = MakeSyntheticWorkload(79, /*num_sites=*/4,
+                                     /*train_epochs=*/300,
+                                     /*eval_epochs=*/300);
+  FptasSolver solver(0.05);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.faults.crashes = {{/*site=*/1, /*from=*/40, /*to=*/90},
+                         {/*site=*/2, /*from=*/100, /*to=*/150}};
+  ConformanceReport report;
+  ExpectConformant(w, spec, &report);
+  EXPECT_EQ(report.runtime.reliability.resyncs, 2);
+  EXPECT_EQ(report.runtime.messages.of(MessageType::kThresholdUpdate),
+            report.lockstep.messages.of(MessageType::kThresholdUpdate));
+  EXPECT_GT(report.runtime.messages.of(MessageType::kThresholdUpdate), 0);
+
+  constexpr int kSites = 4;
+  CoordinatorActor::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.weights.assign(kSites, 1);
+  cfg.global_threshold = 100;
+  cfg.thresholds.assign(kSites, 900);
+  cfg.domain_max.assign(kSites, 1'000);
+  cfg.faults.crashes = {{/*site=*/1, /*from=*/2, /*to=*/5}};
+  CoordinatorActor coordinator(cfg);
+  ASSERT_TRUE(coordinator.Init().ok());
+  EpochBarrierScript script(kSites, /*shards=*/1, /*bad_shard=*/-1);
+  RuntimeResult result;
+  ASSERT_TRUE(coordinator.RunVirtual(&script, 10, &result).ok());
+  EXPECT_EQ(result.reliability.resyncs, 1);
+  EXPECT_EQ(result.messages.of(MessageType::kThresholdUpdate), 1);
+  const std::map<ActorMsgKind, int> sent = script.sent();
+  EXPECT_EQ(sent.count(ActorMsgKind::kThresholdUpdate), 0u);
+  // Three windows, [0, 2), [2, 5) and [5, 10): one start per site each.
+  EXPECT_EQ(sent.at(ActorMsgKind::kEpochStart), 3 * kSites);
+}
+
 TEST(RuntimeConformanceTest, BuildLocalPlanMatchesSchemeThresholds) {
   Workload w = MakeSyntheticWorkload(91);
   FptasSolver solver(0.05);

@@ -142,25 +142,30 @@ TEST(ThreadTransportTest, RoutesBySiteAndMultiplexesWorkers) {
 
 TEST(ThreadTransportTest, WorkerCapacityRoundsUpForUnevenShapes) {
   // 5 sites over 2 workers: worker 0 owns 3 sites, so the per-worker inbox
-  // must be sized for ceil(5/2) = 3 sites (4 * 3 + 8), not floor = 2. With
-  // floor sizing a full epoch barrier could overfill worker 0's inbox.
+  // must be sized for ceil(5/2) = 3 sites (2 * 3 plus a window's poll
+  // ranges), not floor = 2. With floor sizing a window's epoch starts plus
+  // a free leg's shutdowns could overfill worker 0's inbox.
+  auto window = [](int sites) {
+    return static_cast<size_t>(VirtualWindowEpochs(sites));
+  };
   auto uneven = ThreadTransport::Create(5, 2);
   ASSERT_TRUE(uneven.ok());
-  EXPECT_EQ((*uneven)->worker_capacity(), 4u * 3u + 8u);
+  EXPECT_EQ((*uneven)->worker_capacity(), 2u * 3u + window(5));
 
   auto even = ThreadTransport::Create(6, 2);
   ASSERT_TRUE(even.ok());
-  EXPECT_EQ((*even)->worker_capacity(), 4u * 3u + 8u);
+  EXPECT_EQ((*even)->worker_capacity(), 2u * 3u + window(6));
 
   auto single = ThreadTransport::Create(7, 1);
   ASSERT_TRUE(single.ok());
-  EXPECT_EQ((*single)->worker_capacity(), 4u * 7u + 8u);
+  EXPECT_EQ((*single)->worker_capacity(), 2u * 7u + window(7));
 }
 
 TEST(ThreadTransportTest, UnevenShapeSurvivesBurstWithoutBlocking) {
-  // The invariant behind the capacity formula: the coordinator can push a
-  // whole epoch's worth of traffic (kEpochStart + a threshold update per
-  // site) at the most-loaded worker without anyone draining.
+  // The invariant behind the capacity formula: the coordinator can push
+  // two envelopes per site (a window's kEpochStart and a leg's range
+  // shutdown, say) and more at the most-loaded worker without anyone
+  // draining.
   auto transport = ThreadTransport::Create(5, 2);
   ASSERT_TRUE(transport.ok());
   Transport& t = **transport;

@@ -448,6 +448,51 @@ TEST(SiteEngineTest, RangeToAnUnownedSiteIsDropped) {
   EXPECT_EQ(replies[0].msg.epoch, 2);
 }
 
+// A kEpochStart names a window of epochs. A synthetic slot draws one value
+// per epoch of it, in stream order, and a poll at an earlier epoch of the
+// window answers that epoch's draw, not the latest one; a poll outside the
+// window answers the latest. A window past synthetic_updates is dropped.
+TEST(SiteEngineTest, SyntheticSlotPolledInsideItsWindowAnswersThatEpochsDraw) {
+  constexpr int kSites = 2;
+  constexpr int64_t kEpochs = 10;
+  SiteEngine::Config cfg = WorkerEngineConfig(
+      0, 1, kSites, /*eval=*/nullptr, kEpochs,
+      std::vector<int64_t>(kSites, std::numeric_limits<int64_t>::max()));
+  cfg.seed = 77;
+  cfg.synthetic_max = 1'000'000;
+  SiteEngine engine(std::move(cfg));
+  auto transport = ThreadTransport::Create(kSites, 1);
+  ASSERT_TRUE(transport.ok());
+  Transport* t = transport->get();
+  ASSERT_TRUE(t->SendBatch({ToRange(0, ActorMsgKind::kEpochStart, 0, kEpochs),
+                            ToRange(1, ActorMsgKind::kEpochStart, 0, kEpochs),
+                            ToRange(0, ActorMsgKind::kEpochStart, kEpochs,
+                                    kEpochs + 5),
+                            ToRange(0, ActorMsgKind::kPollRequest, 3, 2),
+                            ToRange(0, ActorMsgKind::kPollRequest, 9, 2),
+                            ToRange(0, ActorMsgKind::kPollRequest, 40, 2),
+                            ToRange(0, ActorMsgKind::kShutdown, 0, 2)}));
+  engine.RunVirtual(t);
+  std::vector<std::vector<int64_t>> draws(kSites);
+  for (int site = 0; site < kSites; ++site) {
+    Rng rng = MakeSiteRng(77, site);
+    for (int64_t e = 0; e < kEpochs; ++e) {
+      draws[static_cast<size_t>(site)].push_back(rng.UniformInt(0, 1'000'000));
+    }
+  }
+  using Answers = std::map<int64_t, std::vector<std::pair<int, int64_t>>>;
+  size_t count = 0;
+  // No epoch alarms (no local constraint): one closing report per site.
+  EXPECT_EQ(TakeAnswers(t, 8, &count),
+            (Answers{{3, {{0, draws[0][3]}, {1, draws[1][3]}}},
+                     {9, {{0, draws[0][9]}, {1, draws[1][9]}}},
+                     {40, {{0, draws[0][9]}, {1, draws[1][9]}}}}));
+  EXPECT_EQ(count, 8u);
+  EXPECT_NE(draws[0][3], draws[0][9]);
+  EXPECT_EQ(engine.updates_processed(),
+            (std::vector<int64_t>{kEpochs, kEpochs}));
+}
+
 // Uneven layouts: shards whose sizes differ and are not multiples of the
 // worker count, and a one-site shard under three workers, whose range
 // fan-out reaches one worker. A free run still drains every update, and a
@@ -694,6 +739,30 @@ class ScriptedTransport : public Transport {
   std::vector<Envelope> blocking_;
   std::vector<SentBatch> sends_;
 };
+
+// A window off the wire is capped at VirtualWindowEpochs(N) epochs: at
+// N = 32768 a window is two epochs, so a start naming a thousand observes
+// two and reports both (every epoch alarms at threshold -1).
+TEST(SiteEngineTest, WindowLongerThanTheRuleIsCapped) {
+  constexpr int kSites = 32768;
+  ASSERT_EQ(VirtualWindowEpochs(kSites), 2);
+  SiteEngine::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.num_workers = kSites;  // One slot: site 0.
+  cfg.thresholds = {-1};
+  cfg.series = {std::vector<int64_t>(1000, 5)};
+  SiteEngine engine(std::move(cfg));
+  ScriptedTransport transport(kSites);
+  transport.ScriptBlocking(ToRange(0, ActorMsgKind::kEpochStart, 10, 1000));
+  engine.RunVirtual(&transport);
+  std::vector<int64_t> reported;
+  for (const Envelope& e : transport.stream()) {
+    EXPECT_EQ(e.msg.kind, ActorMsgKind::kEpochReport);
+    reported.push_back(e.msg.epoch);
+  }
+  EXPECT_EQ(reported, (std::vector<int64_t>{10, 11}));
+  EXPECT_EQ(engine.updates_processed(), (std::vector<int64_t>{2}));
+}
 
 /// Each site's observed values, in observation order, from a synthetic run
 /// of `workers` engines at threshold -1, where every update alarms: free

@@ -925,12 +925,20 @@ TEST(SocketTransportTest, WorkerDropsEnvelopesForSitesItDoesNotOwn) {
 
 TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   // A range poll's end comes off the wire. Worker 1 of 3 owns sites 1, 4
-  // and 7 of 10, whose one-epoch columns hold 100, 400 and 700; whatever
-  // the end says, only those of its sites in [to, max(end, to + 1)) capped
-  // at the fabric answer, each once. A flagged (summed) range is answered
-  // once, by its addressed site, with the sum over the same sites.
+  // and 7 of 10, whose columns open with 100, 400 and 700; whatever the end
+  // says, only those of its sites in [to, max(end, to + 1)) capped at the
+  // fabric answer, each once. A flagged (summed) range is answered once, by
+  // its addressed site, with the sum over the same sites.
+  //
+  // An epoch start's window end comes off the wire too: a reversed range
+  // is its first epoch alone, a window past the column is dropped, one
+  // reaching past it is cut at the column, and one longer than
+  // VirtualWindowEpochs(10) is cut to that length. A poll inside the last
+  // window reads that epoch of the column.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t window = VirtualWindowEpochs(10);
+  const int64_t column = window + 10;
   int port = 0;
   const int listen_fd = ListenRaw(&port);
   ASSERT_GE(listen_fd, 0);
@@ -938,6 +946,7 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
     e.msg.flag = true;
     return e;
   };
+  const auto up = summed;  // A start's flag is the site's up flag.
   const Envelope envs[] = {
       ToSite(1, ActorMsgKind::kEpochStart, 0, 0),
       ToSite(4, ActorMsgKind::kEpochStart, 0, 0),
@@ -952,11 +961,31 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
       summed(ToSite(4, ActorMsgKind::kPollRequest, 8, -5)),    // 4.
       summed(ToSite(7, ActorMsgKind::kPollRequest, 9, kMin)),  // 7.
       summed(ToSite(1, ActorMsgKind::kPollRequest, 10, 5)),    // 1, 4.
+      up(ToSite(1, ActorMsgKind::kEpochStart, 5, -3)),             // 5.
+      up(ToSite(4, ActorMsgKind::kEpochStart, column, kMax)),      // None.
+      up(ToSite(7, ActorMsgKind::kEpochStart, kMax, kMin)),        // None.
+      up(ToSite(7, ActorMsgKind::kEpochStart, column - 2, kMax)),  // 2.
+      up(ToSite(4, ActorMsgKind::kEpochStart, 0, kMax)),  // `window`.
+      ToSite(4, ActorMsgKind::kPollRequest, window - 1, 0),  // In it.
+      ToSite(4, ActorMsgKind::kPollRequest, window + 3, 0),  // Past it.
       ToSite(1, ActorMsgKind::kShutdown, 0, kMax)};     // Every slot.
   const std::map<int64_t, std::vector<int>> want = {
       {1, {1, 4, 7}}, {2, {4}}, {3, {7}}, {4, {4, 7}}, {5, {7}}, {6, {1, 4}}};
   const std::map<int64_t, std::vector<std::pair<int, int64_t>>> want_sums = {
       {7, {{1, 1200}}}, {8, {{4, 400}}}, {9, {{7, 700}}}, {10, {{1, 500}}}};
+  // Site 4's column holds 400 + e at epoch e; its last window ends at
+  // `window`, so a poll past it reads the most recent value.
+  const std::map<int64_t, std::vector<std::pair<int, int64_t>>> want_window =
+      {{window - 1, {{4, 400 + window - 1}}},
+       {window + 3, {{4, 400 + window - 1}}}};
+  // Per site, the epochs it reported. The first starts say the site is
+  // down, so only their last epoch reports; an up site alarms at every
+  // epoch (threshold 0) and reports each.
+  std::map<int, std::vector<int64_t>> want_reports = {
+      {1, {0, 5}}, {4, {0}}, {7, {0, column - 2, column - 1}}};
+  for (int64_t e = 0; e < window; ++e) {
+    want_reports[4].push_back(e);
+  }
   std::string tail;
   AppendEnvelopeBatchFrame(envs, sizeof(envs) / sizeof(envs[0]), &tail,
                            /*seq=*/1);
@@ -975,7 +1004,12 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   cfg.num_workers = 3;
   cfg.num_sites = 10;
   cfg.thresholds.assign(3, 0);
-  cfg.series = {{100}, {400}, {700}};
+  for (const int64_t base : {100, 400, 700}) {
+    cfg.series.emplace_back();
+    for (int64_t e = 0; e < column; ++e) {
+      cfg.series.back().push_back(base + e);
+    }
+  }
   SiteEngine engine(std::move(cfg));
   engine.RunVirtual(worker->get());  // Returns on the covering shutdown.
   EXPECT_EQ((*worker)->stats().decode_errors, 0);
@@ -983,22 +1017,26 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
 
   std::map<int64_t, std::vector<int>> answered;
   std::map<int64_t, std::vector<std::pair<int, int64_t>>> sums;
-  int reports = 0;
+  std::map<int64_t, std::vector<std::pair<int, int64_t>>> windowed;
+  std::map<int, std::vector<int64_t>> reports;
   for (const Envelope& e : ReadRawEnvelopes(conn, SIZE_MAX)) {
     if (e.msg.kind == ActorMsgKind::kEpochReport) {
-      ++reports;
+      reports[e.from].push_back(e.msg.epoch);
       continue;
     }
     EXPECT_EQ(e.msg.kind, ActorMsgKind::kPollResponse);
-    if (e.msg.epoch >= 7) {
+    if (e.msg.epoch > 10) {
+      windowed[e.msg.epoch].emplace_back(e.from, e.msg.value);
+    } else if (e.msg.epoch >= 7) {
       sums[e.msg.epoch].emplace_back(e.from, e.msg.value);
     } else {
       answered[e.msg.epoch].push_back(e.from);
     }
   }
-  EXPECT_EQ(reports, 3);
+  EXPECT_EQ(reports, want_reports);
   EXPECT_EQ(answered, want);
   EXPECT_EQ(sums, want_sums);
+  EXPECT_EQ(windowed, want_window);
   ::close(conn);
   ::close(listen_fd);
 }
@@ -1041,6 +1079,13 @@ TEST(SocketTransportTest, RejectsAWireV7Hello) {
   // range); a v7 worker would answer per site, so it must fail at the
   // hello, not mid-round.
   ExpectHelloVersionRejected(7);
+}
+
+TEST(SocketTransportTest, RejectsAWireV8Hello) {
+  // Wire v9 gave the epoch start's value a meaning (the end of a window of
+  // epochs); a v8 worker would observe one epoch per start and hang the
+  // window, so it must fail at the hello.
+  ExpectHelloVersionRejected(8);
 }
 
 }  // namespace

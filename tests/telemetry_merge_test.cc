@@ -122,6 +122,13 @@ void ExpectMergedMatchesThread(const obs::MetricsSnapshot& thread_doc,
     ASSERT_NE(it, merged.histograms.end()) << "merged doc missing " << name;
     EXPECT_EQ(it->second.count, h.count) << name;
   }
+  // Virtual time advances in windows of epochs, but epoch_us keeps one
+  // sample per epoch on both transports.
+  for (const obs::MetricsSnapshot* doc : {&thread_doc, &merged}) {
+    auto it = doc->histograms.find("runtime/coordinator/epoch_us");
+    ASSERT_NE(it, doc->histograms.end());
+    EXPECT_EQ(it->second.count, kUpdates);
+  }
 }
 
 TEST(TelemetryMergeTest, SocketMergeEqualsThreadRegistry) {
