@@ -29,9 +29,9 @@ inline constexpr int32_t kCoordinatorId = -1;
 enum class ActorMsgKind : uint8_t {
   // Control plane.
   kEpochStart,   ///< Coordinator -> site: observe the window of epochs
-                 ///< [epoch, max(value, epoch + 1)); flag = site is up
-                 ///< for the whole window. value <= epoch is the one
-                 ///< epoch `epoch`.
+                 ///< [epoch, max(value, epoch + 1)); value <= epoch is
+                 ///< the one epoch `epoch`. Carries no up state: only
+                 ///< the root's channel knows which sites are down.
   kEpochReport,  ///< Site -> coordinator: one per alarmed epoch of a
                  ///< window, plus one for its last epoch; flag = local
                  ///< alarm (value = observed X_i when alarmed, else 0).
@@ -66,8 +66,8 @@ struct ActorMessage {
   int64_t epoch = 0;  ///< Virtual epoch (site-local update index when free).
   int64_t value = 0;  ///< Kind-specific payload.
   ActorMsgKind kind = ActorMsgKind::kEpochStart;
-  bool flag = false;  ///< kEpochStart: site up; kEpochReport: alarmed;
-                      ///< kPollRequest: answer with one sum.
+  bool flag = false;  ///< kEpochReport: alarmed; kPollRequest: answer
+                      ///< with one sum. Unread on every other kind.
 };
 static_assert(sizeof(ActorMessage) == 24);
 

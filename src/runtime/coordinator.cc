@@ -108,26 +108,15 @@ class CoordinatorActor::VirtualRun {
 
  private:
   /// One past the last epoch of the window that starts at `t0`: at most
-  /// VirtualWindowEpochs(N) epochs, and it ends before any epoch where a
-  /// site's up flag may change (a crash window's edge) and before the
-  /// kill-worker chaos fires. So every site's up flag holds for its whole
-  /// window, and the chaos fires at a window's start. Partitions need no
-  /// cut: they change fates, not flags.
+  /// VirtualWindowEpochs(N) epochs, and it ends before the kill-worker
+  /// chaos fires, so the chaos fires at a window's start. Faults need no
+  /// cut: crashes and partitions live in the channel, which Step consults
+  /// epoch by epoch.
   int64_t WindowEnd(int64_t t0) const {
-    int64_t t1 = std::min(num_epochs_, t0 + window_epochs_);
-    const auto cut = [&](int64_t edge) {
-      if (edge > t0 && edge < t1) {
-        t1 = edge;
-      }
-    };
-    for (const CrashWindow& crash : config_.faults.crashes) {
-      cut(crash.from);
-      cut(crash.to);
-    }
-    if (config_.chaos.kind == ChaosKind::kKillWorker) {
-      cut(chaos_.fire_epoch);
-    }
-    return t1;
+    const int64_t t1 = std::min(num_epochs_, t0 + window_epochs_);
+    const bool fires_inside = config_.chaos.kind == ChaosKind::kKillWorker &&
+                              chaos_.fire_epoch > t0 && chaos_.fire_epoch < t1;
+    return fires_inside ? chaos_.fire_epoch : t1;
   }
 
   Status Window(int64_t t0, int64_t t1) {
@@ -142,17 +131,14 @@ class CoordinatorActor::VirtualRun {
     // Same channel call order as the lockstep runner + scheme, epoch by
     // epoch, so the channel's RNG stream (and thus every fault fate) is
     // bit-identical: BeginEpoch, re-sync sends, stale arrivals, alarm
-    // replays in ascending site order, then the poll's fates. The transport
-    // only moves ground truth: the up flags BeginEpoch(t0) sets, which
-    // hold for the window, go out before it, and the polled values come in
-    // after it, for the value half of each poll.
-    channel_.BeginEpoch(t0);
+    // replays of the up sites in ascending site order, then the poll's
+    // fates. The transport only moves ground truth: the sites' reports
+    // come in before the window is stepped, and the polled values after
+    // it, for the value half of each poll.
     DCV_RETURN_IF_ERROR(StartWindow(t0, t1));
     polled_.clear();
     for (int64_t t = t0; t < t1; ++t) {
-      if (t > t0) {
-        channel_.BeginEpoch(t);
-      }
+      channel_.BeginEpoch(t);
       Step(t);
     }
     if (!polled_.empty()) {
@@ -188,7 +174,6 @@ class CoordinatorActor::VirtualRun {
     begin.epoch = t0;
     begin.value = t1;
     for (int i = 0; i < config_.num_sites; ++i) {
-      begin.flag = channel_.SiteUp(i);
       fanout_.push_back(Envelope{kCoordinatorId, i, begin});
     }
     if (!transport_->SendBatch(fanout_)) {
@@ -225,11 +210,16 @@ class CoordinatorActor::VirtualRun {
       poll = !channel_.TakeArrivals(MessageType::kAlarm).empty();
       channel_.TakeArrivals(MessageType::kFilterReport);
       // The lockstep scheme's replay order: ascending site within the epoch.
+      // A crashed site observes nothing and sends nothing: its report
+      // stops here, as the scheme skips the site.
       const int pos = static_cast<int>(t - epochs_.front());
       for (; next_report_ < reports_.size() &&
              reports_[next_report_].pos == pos;
            ++next_report_) {
         const ShardReply& report = reports_[next_report_];
+        if (!channel_.SiteUp(report.site)) {
+          continue;
+        }
         ++det.num_alarms;
         DCV_OBS_COUNT(actor_.alarms_rx_, 1);
         poll |= channel_.SendFromSite(report.site, MessageType::kAlarm,

@@ -85,14 +85,16 @@ class CoordinatorActor {
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
   /// sites, a window at a time (a barrier per window via kEpochStart /
-  /// kEpochReport), then shuts the sites down. A window ends early before
-  /// any epoch where a site's up flag changes and before the kill-worker
-  /// chaos fires. Fills `out`'s detections, messages, reliability, and
-  /// update counts (every site observes every epoch). Each poll fetch and
-  /// the shutdown fan out one range envelope per worker (FanOutRange) per
-  /// epoch; poll replies stay one per site, since the root replays every
-  /// site's fate through its channel. "runtime/coordinator/epoch_us" gets
-  /// one sample per epoch: its window's wall time over its epoch count.
+  /// kEpochReport), then shuts the sites down. A window ends early only
+  /// before the kill-worker chaos fires. Every site observes every epoch;
+  /// the channel alone knows which sites are down, and the root drops a
+  /// down site's reports before they count or reach the channel, as the
+  /// lockstep scheme skips the site. Fills `out`'s detections, messages,
+  /// reliability, and update counts. Each poll fetch and the shutdown fan
+  /// out one range envelope per worker (FanOutRange) per epoch; poll
+  /// replies stay one per site, since the root replays every site's fate
+  /// through its channel. "runtime/coordinator/epoch_us" gets one sample
+  /// per epoch: its window's wall time over its epoch count.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 

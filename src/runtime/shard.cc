@@ -133,8 +133,7 @@ ShardFreeLeg::ShardFreeLeg(ShardContext ctx)
       channel_(SliceFaultSpec(ctx_.config->faults, ctx_.layout, ctx_.shard)),
       // Per-site fates and last-known values need per-site answers, and
       // mixed weights need per-site values; otherwise each worker sums.
-      summed_(channel_.perfect() && Uniform(weights_)),
-      poll_values_(summed_ ? 0 : static_cast<size_t>(size_), 0) {}
+      summed_(channel_.perfect() && Uniform(weights_)) {}
 
 void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
   if (Status init = channel_.Init(size_, &counter_); !init.ok()) {
@@ -158,15 +157,13 @@ bool ShardFreeLeg::StartPoll() {
   if (!ctx_.transport->SendBatch(fanout_)) {
     return false;
   }
-  if (summed_) {
-    // The fan-out targets are the range's first sites, one per worker.
-    sum_answered_.assign(fanout_.size(), 0);
-    poll_sum_ = 0;
-    poll_pending_ = static_cast<int>(fanout_.size());
-  } else {
-    std::fill(poll_values_.begin(), poll_values_.end(), 0);
-    poll_pending_ = size_;
-  }
+  // Summed, the responders are the fan-out targets: the range's first
+  // sites, one per worker. Otherwise they are the shard's sites.
+  const size_t responders =
+      summed_ ? fanout_.size() : static_cast<size_t>(size_);
+  answered_.assign(responders, 0);
+  answers_.assign(responders, 0);
+  poll_pending_ = static_cast<int>(responders);
   poll_outstanding_ = true;
   return true;
 }
@@ -220,19 +217,22 @@ void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
     case ActorMsgKind::kAlarm:
       OnAlarm(e, out);
       break;
-    case ActorMsgKind::kPollResponse:
-      if (!poll_outstanding_ || e.msg.epoch != poll_id_) {
-        break;  // Resolved round, or another incarnation's; ignore.
-      }
-      if (summed_) {
-        OnPollSum(e, out);
+    case ActorMsgKind::kPollResponse: {
+      // Only a responder's first answer to the open round counts; a
+      // resolved round's, another incarnation's, a repeat and a site that
+      // is not a responder leave the round as it is.
+      const size_t i = static_cast<size_t>(int64_t{e.from} - start_);
+      if (!poll_outstanding_ || e.msg.epoch != poll_id_ ||
+          i >= answered_.size() || answered_[i] != 0) {
         break;
       }
-      poll_values_[static_cast<size_t>(e.from - start_)] = e.msg.value;
+      answered_[i] = 1;
+      answers_[i] = e.msg.value;
       if (--poll_pending_ == 0) {
         FinishPoll(out);
       }
       break;
+    }
     case ActorMsgKind::kSiteDone:
       OnSiteDone(e, out);
       break;
@@ -298,32 +298,24 @@ void ShardFreeLeg::OnAlarm(const Envelope& e, std::vector<RootMsg>* out) {
   }
 }
 
-void ShardFreeLeg::OnPollSum(const Envelope& e, std::vector<RootMsg>* out) {
-  // Each fan-out target answers once; anything else (a second answer, a
-  // site that was not a target) leaves the round as it is.
-  const size_t target = static_cast<size_t>(int64_t{e.from} - start_);
-  if (target >= sum_answered_.size() || sum_answered_[target] != 0) {
-    return;
-  }
-  sum_answered_[target] = 1;
-  poll_sum_ += static_cast<uint64_t>(e.msg.value);
-  if (--poll_pending_ == 0) {
-    FinishPoll(out);
-  }
-}
-
 void ShardFreeLeg::FinishPoll(std::vector<RootMsg>* out) {
   int64_t sum = 0;
   if (summed_) {
     // Still 2n messages charged: n requests and n answers in the paper's
-    // accounting, however few envelopes carried them.
+    // accounting, however few envelopes carried them. Unsigned, as the
+    // answers come off the wire; the launcher checks that every true sum
+    // fits in int64.
     channel_.PollPerfect();
+    uint64_t total = 0;
+    for (int64_t answer : answers_) {
+      total += static_cast<uint64_t>(answer);
+    }
     sum = static_cast<int64_t>(static_cast<uint64_t>(weights_.front()) *
-                               poll_sum_);
+                               total);
   } else {
     // The root provisions domain_max only under the local-threshold
     // protocol, so polling legs pass an empty (optimistic) fallback.
-    sum = channel_.PollSites(poll_values_, weights_, domain_max_).weighted_sum;
+    sum = channel_.PollSites(answers_, weights_, domain_max_).weighted_sum;
   }
   poll_outstanding_ = false;
   RootMsg& partial = out->emplace_back();

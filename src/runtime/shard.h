@@ -201,9 +201,6 @@ class ShardFreeLeg {
   void OnCommand(const ActorMessage& cmd, std::vector<RootMsg>* out);
   void OnAlarm(const Envelope& e, std::vector<RootMsg>* out);
   void OnSiteDone(const Envelope& e, std::vector<RootMsg>* out);
-  /// A summed round's answer: counts each fan-out target's first answer to
-  /// the open round.
-  void OnPollSum(const Envelope& e, std::vector<RootMsg>* out);
   /// The last response is in: resolve the leg into one kPollPartial.
   void FinishPoll(std::vector<RootMsg>* out);
   void OnUnexpected(ActorMsgKind kind, std::vector<RootMsg>* out);
@@ -225,11 +222,11 @@ class ShardFreeLeg {
   /// is one summed answer per fan-out target, and the partial is
   /// weight * their total.
   const bool summed_;
-  /// Summed: the answers so far. Unsigned, as the answers come off the
-  /// wire; the launcher checks that every true sum fits in int64.
-  uint64_t poll_sum_ = 0;
-  std::vector<char> sum_answered_;    ///< Summed: per fan-out target.
-  std::vector<int64_t> poll_values_;  ///< Per site: the answers so far.
+  /// The open round's responders, indexed from start_: the fan-out targets
+  /// when summed, else every site of the shard. Whether each has answered,
+  /// and its first answer (0 until then).
+  std::vector<char> answered_;
+  std::vector<int64_t> answers_;
   std::vector<Envelope> fanout_;  ///< The last range fan-out (FanOutRange).
   int64_t alarms_ = 0;
   bool running_ = true;

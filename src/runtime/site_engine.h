@@ -38,9 +38,10 @@ Rng MakeSiteRng(uint64_t seed, int site);
 ///    — the order sites are processed within a batch never touches another
 ///    site's stream;
 ///  * each epoch of a window, a site observes its value and checks
-///    L_i : X_i <= T_i (a down site observes but never alarms), and it
-///    answers a poll with its value at the polled epoch — the lockstep
-///    simulator's site step, a window at a time;
+///    L_i : X_i <= T_i, and it answers a poll with its value at the polled
+///    epoch — the lockstep simulator's site step, a window at a time. A
+///    site never learns whether it is down: like every fault, that is the
+///    Channel's, and the root drops a down site's reports unreplayed;
 ///  * the coordinator replays alarms in ascending site order after
 ///    collecting every report, and the fault-injecting Channel lives on
 ///    the root thread only — transport arrival order (and therefore
@@ -154,23 +155,24 @@ class SiteEngine {
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 
-  /// The slot's row of the synthetic window record: its value at each
-  /// epoch of the window it is observing (allocated on first use, so a
-  /// free-running engine never holds one).
+  /// The slot's row of the window record: its value at each epoch of the
+  /// window it is observing (allocated on first use, so a free-running
+  /// engine never holds one).
   int64_t* WindowRecord(size_t slot);
 
-  /// What a poll at `epoch` reads: the slot's value at that epoch when it
-  /// is in the last observed window [window_first_, window_end_) — from
-  /// the column, or from the record for a synthetic slot — else its most
-  /// recent value.
+  /// What a poll at `epoch` reads: the slot's value at that epoch from the
+  /// record when the epoch is in the last observed window [window_first_,
+  /// window_end_) and in the slot's workload, else its most recent value
+  /// (so a workload that ends inside the window holds its last value).
   int64_t PolledValue(size_t slot, int64_t epoch) const;
 
   /// The site step of either mode: observes the slot's value at `index`
   /// (its epoch, or its free-running cursor) and returns whether L_i
-  /// fired. A down site (up == false) observes but never alarms — the
-  /// lockstep simulator's crash semantics. The caller advances the slot's
-  /// cursor and adds the update to the tally.
-  bool Observe(size_t slot, int64_t index, bool up);
+  /// fired. Up or down is the Channel's to decide, so a crossing always
+  /// counts as a local alarm. The caller advances the slot's cursor and
+  /// adds the update to the tally. Defined (and only called) in
+  /// site_engine.cc.
+  [[gnu::always_inline]] inline bool Observe(size_t slot, int64_t index);
 
   /// Adds the tally of updates and alarms observed since the last call to
   /// the shared runtime/site/* counters: at the top of each production
@@ -191,8 +193,8 @@ class SiteEngine {
   uint64_t reject_below_ = 0;
   /// The longest window a kEpochStart may cover (VirtualWindowEpochs).
   int64_t window_epochs_ = 1;
-  /// The last window a kEpochStart covered, and the synthetic slots' values
-  /// over it: window_epochs_ entries per slot, O(L·N) across the fabric.
+  /// The last window a kEpochStart covered, and every slot's values over
+  /// it: window_epochs_ entries per slot, O(L·N) across the fabric.
   int64_t window_first_ = 0;
   int64_t window_end_ = 0;
   std::vector<int64_t> window_values_;

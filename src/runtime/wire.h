@@ -82,8 +82,14 @@ namespace dcv {
 // and a kPollRequest names the epoch of that window whose value it reads
 // (actor_message.h). A v8 worker would observe one epoch per start, so a
 // window would hang; the version byte makes it fail at the hello instead.
+//
+// Version 10 keeps every layout and takes a meaning away: the flag of a
+// kEpochStart no longer says the site is up. A site alarms whenever it
+// crosses its threshold, and the coordinator's channel drops a down
+// site's reports. A v9 worker would read the unset flag as "down" and
+// never alarm; the version byte makes it fail at the hello instead.
 
-inline constexpr uint8_t kWireVersion = 9;
+inline constexpr uint8_t kWireVersion = 10;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.

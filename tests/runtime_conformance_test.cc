@@ -959,7 +959,8 @@ TEST(WindowConformanceTest, EpochCountsAroundTheWindowLength) {
 
 // A runtime never re-plans, so a recovered site already holds the threshold
 // its re-sync would carry: the re-sync is charged and counted exactly as
-// lockstep does, and no kThresholdUpdate envelope is sent.
+// lockstep does, and no kThresholdUpdate envelope is sent. A crash window
+// cuts no window, and a down site's reports are dropped at the root.
 TEST(WindowConformanceTest, ResyncIsChargedButSendsNoEnvelope) {
   Workload w = MakeSyntheticWorkload(79, /*num_sites=*/4,
                                      /*train_epochs=*/300,
@@ -985,7 +986,7 @@ TEST(WindowConformanceTest, ResyncIsChargedButSendsNoEnvelope) {
   cfg.global_threshold = 100;
   cfg.thresholds.assign(kSites, 900);
   cfg.domain_max.assign(kSites, 1'000);
-  cfg.faults.crashes = {{/*site=*/1, /*from=*/2, /*to=*/5}};
+  cfg.faults.crashes = {{/*site=*/0, /*from=*/2, /*to=*/5}};
   CoordinatorActor coordinator(cfg);
   ASSERT_TRUE(coordinator.Init().ok());
   EpochBarrierScript script(kSites, /*shards=*/1, /*bad_shard=*/-1);
@@ -995,8 +996,17 @@ TEST(WindowConformanceTest, ResyncIsChargedButSendsNoEnvelope) {
   EXPECT_EQ(result.messages.of(MessageType::kThresholdUpdate), 1);
   const std::map<ActorMsgKind, int> sent = script.sent();
   EXPECT_EQ(sent.count(ActorMsgKind::kThresholdUpdate), 0u);
-  // Three windows, [0, 2), [2, 5) and [5, 10): one start per site each.
-  EXPECT_EQ(sent.at(ActorMsgKind::kEpochStart), 3 * kSites);
+  EXPECT_EQ(sent.at(ActorMsgKind::kEpochStart), kSites);  // One window.
+  // Site 0 alarms on every odd epoch, but epoch 3's report, sent while it
+  // is down, polls nothing: 4 of the 10 epochs poll.
+  std::vector<int64_t> polled;
+  for (const EpochDetection& det : result.detections) {
+    if (det.polled) {
+      polled.push_back(det.epoch);
+    }
+  }
+  EXPECT_EQ(polled, (std::vector<int64_t>{1, 5, 7, 9}));
+  EXPECT_EQ(result.messages.of(MessageType::kAlarm), 4);
 }
 
 TEST(RuntimeConformanceTest, BuildLocalPlanMatchesSchemeThresholds) {

@@ -508,7 +508,9 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   // its dead predecessor's round left behind. Lanes deliver those in any
   // order relative to the fresh ones, so the leg must count only responses
   // echoing its own round's id — else a stale one resolves the round early
-  // with 0 for a site whose fresh response is still on its way.
+  // with 0 for a site whose fresh response is still on its way. A site's
+  // repeated fresh response counts once, so it cannot stand in for another
+  // site's either.
   constexpr int kSites = 4;
   auto transport = ThreadTransport::Create(kSites, 2);
   ASSERT_TRUE(transport.ok());
@@ -550,6 +552,9 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   EXPECT_TRUE(out.empty());
   for (int site = 0; site < kSites; ++site) {
     leg.Step(PollResponse(site, id, 10 * (site + 1)), &out);
+    if (site == 0) {
+      leg.Step(PollResponse(0, id, 1000), &out);  // Repeated: ignored.
+    }
     if (site + 1 < kSites) {
       ASSERT_TRUE(out.empty()) << "resolved after " << site + 1 << " of "
                                << kSites << " fresh responses";

@@ -16,6 +16,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/conformance.h"
+#include "runtime/plan.h"
 #include "runtime/runtime.h"
 #include "runtime/shard_layout.h"
 #include "runtime/transport.h"
@@ -251,11 +252,12 @@ TEST(SiteEngineTest, SlotMappingAndThresholdRouting) {
   EXPECT_FALSE(engine.ApplyThresholdUpdate(8, 250));  // Out of fabric.
 }
 
+// Unflagged: an epoch start carries no up state, so a site reports its
+// alarmed epochs whatever the flag says.
 Envelope ToSite(int site, ActorMsgKind kind, int64_t epoch = 0) {
   ActorMessage msg;
   msg.kind = kind;
   msg.epoch = epoch;
-  msg.flag = kind == ActorMsgKind::kEpochStart;  // The site is up.
   return Envelope{kCoordinatorId, site, msg};
 }
 
@@ -493,6 +495,51 @@ TEST(SiteEngineTest, SyntheticSlotPolledInsideItsWindowAnswersThatEpochsDraw) {
             (std::vector<int64_t>{kEpochs, kEpochs}));
 }
 
+// Every slot answers a poll inside the window from its record. A column
+// that ends inside the window holds its last value there, as it does
+// outside the window: whether the window starts before the column ends or
+// past it (the slot's start is then dropped, while the other slot's start
+// moves the window).
+TEST(SiteEngineTest, ShortColumnHoldsItsLastValueInsideTheWindow) {
+  using Answers = std::map<int64_t, std::vector<std::pair<int, int64_t>>>;
+  struct Case {
+    std::vector<Envelope> starts;
+    Answers answers;
+  };
+  const std::vector<Case> cases = {
+      {{ToRange(0, ActorMsgKind::kEpochStart, 0, 6),
+        ToRange(1, ActorMsgKind::kEpochStart, 0, 6)},
+       Answers{{1, {{0, 20}, {1, 2}}}, {4, {{0, 30}, {1, 5}}}}},
+      {{ToRange(0, ActorMsgKind::kEpochStart, 0, 3),
+        ToRange(1, ActorMsgKind::kEpochStart, 0, 3),
+        ToRange(0, ActorMsgKind::kEpochStart, 3, 6),
+        ToRange(1, ActorMsgKind::kEpochStart, 3, 6)},
+       Answers{{1, {{0, 30}, {1, 6}}}, {4, {{0, 30}, {1, 5}}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.starts.size() << " starts");
+    SiteEngine::Config cfg;
+    cfg.num_sites = 2;
+    cfg.thresholds = {1000, 1000};
+    cfg.series = {{10, 20, 30}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}};
+    SiteEngine engine(std::move(cfg));
+    auto transport = ThreadTransport::Create(2, 1);
+    ASSERT_TRUE(transport.ok());
+    Transport* t = transport->get();
+    std::vector<Envelope> batch = c.starts;
+    batch.push_back(ToRange(0, ActorMsgKind::kPollRequest, 1, 2));
+    batch.push_back(ToRange(0, ActorMsgKind::kPollRequest, 4, 2));
+    batch.push_back(ToRange(0, ActorMsgKind::kShutdown, 0, 2));
+    ASSERT_TRUE(t->SendBatch(batch));
+    engine.RunVirtual(t);
+    // One closing report per slot per start that was not dropped.
+    const size_t reports = c.starts.size() == 2 ? 2 : 3;
+    size_t count = 0;
+    EXPECT_EQ(TakeAnswers(t, reports + 4, &count), c.answers);
+    EXPECT_EQ(count, reports + 4);
+  }
+}
+
 // Uneven layouts: shards whose sizes differ and are not multiples of the
 // worker count, and a one-site shard under three workers, whose range
 // fan-out reaches one worker. A free run still drains every update, and a
@@ -606,30 +653,52 @@ TEST(SiteEngineTallyTest, FreeRunCountersAreExact) {
 }
 
 // In virtual time the root counts every site's updates as the epochs it
-// drove, at every shard count; the engines' own tallies must agree.
+// drove, at every shard count; the engines' own tallies must agree. A site
+// does not know it is down, so the engines also count the crossings of a
+// crashed site, which the root drops: runtime/site/alarms is total_alarms
+// plus those.
 TEST(SiteEngineTallyTest, VirtualRunCountersAreExact) {
-  Workload w = MakeWorkload(57, /*num_sites=*/6);
+  constexpr int kSites = 6;
+  Workload w = MakeWorkload(57, kSites);
   FptasSolver solver(0.05);
-  for (int shards = 1; shards <= 4; ++shards) {
-    SCOPED_TRACE(testing::Message() << shards << " shards");
-    obs::MetricsRegistry metrics;
-    RuntimeOptions options;
-    options.protocol = RuntimeProtocol::kLocalThreshold;
-    options.solver = &solver;
-    options.global_threshold = PickThreshold(w, 0.05);
-    options.num_workers = 2;
-    options.num_shards = shards;
-    options.metrics = &metrics;
-    auto result = RunMonitorRuntime(w.training, w.eval, options);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(result->site_updates,
-              std::vector<int64_t>(6, w.eval.num_epochs()));
-    EXPECT_EQ(result->total_updates, 6 * w.eval.num_epochs());
-    EXPECT_GT(result->total_alarms, 0);
-    EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
-              result->total_updates);
-    EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
-              result->total_alarms);
+  const int64_t threshold = PickThreshold(w, 0.05);
+  auto plan = BuildLocalPlan(w.training, std::vector<int64_t>(kSites, 1),
+                             threshold, solver);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  const CrashWindow crash{/*site=*/2, /*from=*/100, /*to=*/400};
+  const int64_t site_threshold =
+      plan->thresholds[static_cast<size_t>(crash.site)];
+  const std::vector<int64_t> column = w.eval.SiteSeries(crash.site);
+  const int64_t down_crossings =
+      std::count_if(column.begin() + crash.from, column.begin() + crash.to,
+                    [&](int64_t value) { return value > site_threshold; });
+  ASSERT_GT(down_crossings, 0);
+  for (const bool crashed : {false, true}) {
+    for (int shards = 1; shards <= 4; ++shards) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, crashed "
+                                      << crashed);
+      obs::MetricsRegistry metrics;
+      RuntimeOptions options;
+      options.protocol = RuntimeProtocol::kLocalThreshold;
+      options.solver = &solver;
+      options.global_threshold = threshold;
+      options.num_workers = 2;
+      options.num_shards = shards;
+      options.metrics = &metrics;
+      if (crashed) {
+        options.faults.crashes = {crash};
+      }
+      auto result = RunMonitorRuntime(w.training, w.eval, options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      EXPECT_EQ(result->site_updates,
+                std::vector<int64_t>(kSites, w.eval.num_epochs()));
+      EXPECT_EQ(result->total_updates, kSites * w.eval.num_epochs());
+      EXPECT_GT(result->total_alarms, 0);
+      EXPECT_EQ(result->metrics.counters.at("runtime/site/updates"),
+                result->total_updates);
+      EXPECT_EQ(result->metrics.counters.at("runtime/site/alarms"),
+                result->total_alarms + (crashed ? down_crossings : 0));
+    }
   }
 }
 

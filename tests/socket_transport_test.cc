@@ -946,7 +946,6 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
     e.msg.flag = true;
     return e;
   };
-  const auto up = summed;  // A start's flag is the site's up flag.
   const Envelope envs[] = {
       ToSite(1, ActorMsgKind::kEpochStart, 0, 0),
       ToSite(4, ActorMsgKind::kEpochStart, 0, 0),
@@ -961,11 +960,11 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
       summed(ToSite(4, ActorMsgKind::kPollRequest, 8, -5)),    // 4.
       summed(ToSite(7, ActorMsgKind::kPollRequest, 9, kMin)),  // 7.
       summed(ToSite(1, ActorMsgKind::kPollRequest, 10, 5)),    // 1, 4.
-      up(ToSite(1, ActorMsgKind::kEpochStart, 5, -3)),             // 5.
-      up(ToSite(4, ActorMsgKind::kEpochStart, column, kMax)),      // None.
-      up(ToSite(7, ActorMsgKind::kEpochStart, kMax, kMin)),        // None.
-      up(ToSite(7, ActorMsgKind::kEpochStart, column - 2, kMax)),  // 2.
-      up(ToSite(4, ActorMsgKind::kEpochStart, 0, kMax)),  // `window`.
+      ToSite(1, ActorMsgKind::kEpochStart, 5, -3),             // 5.
+      ToSite(4, ActorMsgKind::kEpochStart, column, kMax),      // None.
+      ToSite(7, ActorMsgKind::kEpochStart, kMax, kMin),        // None.
+      ToSite(7, ActorMsgKind::kEpochStart, column - 2, kMax),  // 2.
+      ToSite(4, ActorMsgKind::kEpochStart, 0, kMax),           // `window`.
       ToSite(4, ActorMsgKind::kPollRequest, window - 1, 0),  // In it.
       ToSite(4, ActorMsgKind::kPollRequest, window + 3, 0),  // Past it.
       ToSite(1, ActorMsgKind::kShutdown, 0, kMax)};     // Every slot.
@@ -978,9 +977,8 @@ TEST(SocketTransportTest, WorkerAnswersOnlyOwnedSitesOfUntrustedRanges) {
   const std::map<int64_t, std::vector<std::pair<int, int64_t>>> want_window =
       {{window - 1, {{4, 400 + window - 1}}},
        {window + 3, {{4, 400 + window - 1}}}};
-  // Per site, the epochs it reported. The first starts say the site is
-  // down, so only their last epoch reports; an up site alarms at every
-  // epoch (threshold 0) and reports each.
+  // Per site, the epochs it reported: every site alarms at every epoch
+  // (threshold 0) and reports each.
   std::map<int, std::vector<int64_t>> want_reports = {
       {1, {0, 5}}, {4, {0}}, {7, {0, column - 2, column - 1}}};
   for (int64_t e = 0; e < window; ++e) {
@@ -1086,6 +1084,13 @@ TEST(SocketTransportTest, RejectsAWireV8Hello) {
   // epochs); a v8 worker would observe one epoch per start and hang the
   // window, so it must fail at the hello.
   ExpectHelloVersionRejected(8);
+}
+
+TEST(SocketTransportTest, RejectsAWireV9Hello) {
+  // Wire v10 took the up meaning away from the epoch start's flag; a v9
+  // worker would read the unset flag as a down site and never alarm, so it
+  // must fail at the hello.
+  ExpectHelloVersionRejected(9);
 }
 
 }  // namespace

@@ -24,6 +24,10 @@ kill-worker, for the worker_reconnect recovery instant event). Under
 chaos run that never fired does not pass; kill-shard needs --free-running,
 the only mode with shard threads.
 
+--crash and --partition go to both the socket run and the thread run: the
+faults live in the coordinator's channel, so the worker processes never see
+them, and the two runs must still match.
+
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
 
@@ -92,15 +96,24 @@ def main():
     parser.add_argument("--trace-out", default="",
                         help="write the merged Chrome trace here and assert "
                              "it carries coordinator + worker lanes")
+    parser.add_argument("--crash", default="",
+                        help="site:from:to[,...], passed to both "
+                             "coordinator runs")
+    parser.add_argument("--partition", default="",
+                        help="from:to[,...], passed to both coordinator runs")
     args = parser.parse_args()
-    mode_flags = [] if args.free_running else ["--virtual-time"]
+    run_flags = [] if args.free_running else ["--virtual-time"]
+    if args.crash:
+        run_flags += ["--crash", args.crash]
+    if args.partition:
+        run_flags += ["--partition", args.partition]
     compared_keys = FREE_RUNNING_KEYS if args.free_running else COMPARED_KEYS
 
     coordinator_cmd = [
         args.dcvtool, "run",
         "--trace", args.trace,
         "--train-epochs", str(args.train_epochs),
-    ] + mode_flags + [
+    ] + run_flags + [
         "--transport", "socket",
         "--listen-port", "0",
         "--threads", str(args.workers),
@@ -182,7 +195,7 @@ def main():
             args.dcvtool, "run",
             "--trace", args.trace,
             "--train-epochs", str(args.train_epochs),
-        ] + mode_flags + [
+        ] + run_flags + [
             "--threads", str(args.workers),
             "--shards", str(args.shards),
         ],
