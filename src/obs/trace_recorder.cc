@@ -45,10 +45,6 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
       return "solver_solve";
     case TraceEventKind::kViolation:
       return "violation";
-    case TraceEventKind::kShardDeath:
-      return "shard_death";
-    case TraceEventKind::kShardRespawn:
-      return "shard_respawn";
     case TraceEventKind::kWorkerReconnect:
       return "worker_reconnect";
     case TraceEventKind::kFrameReplay:
@@ -150,9 +146,6 @@ std::string TraceRecorder::ToJsonl() const {
     if (e.process != 0) {
       w.Key("process").Value(static_cast<int64_t>(e.process));
     }
-    if (e.shard >= 0) {
-      w.Key("shard").Value(static_cast<int64_t>(e.shard));
-    }
     w.EndObject();
     out += w.str();
     out += '\n';
@@ -162,10 +155,10 @@ std::string TraceRecorder::ToJsonl() const {
 
 std::string TraceRecorder::ToChromeJson() const {
   // Track layout: tid 0 is the coordinator (or the worker lane itself in a
-  // worker pid), tid i+1 is site i, and tid 1000+s is coordinator-tree
-  // shard s. Legacy single-process traces keep pid 1 throughout; a merged
-  // distributed trace (any event with a wall-clock ts_us) emits pid
-  // 1+process so Perfetto shows coordinator / worker process groups.
+  // worker pid), and tid i+1 is site i. Legacy single-process traces keep
+  // pid 1 throughout; a merged distributed trace (any event with a
+  // wall-clock ts_us) emits pid 1+process so Perfetto shows coordinator /
+  // worker process groups.
   const std::vector<TraceEvent> events = Events();
   int num_sites;
   {
@@ -175,11 +168,9 @@ std::string TraceRecorder::ToChromeJson() const {
   bool wall_mode = false;
   int64_t wall_base = 0;
   int max_process = 0;
-  int max_shard = -1;
   for (const TraceEvent& e : events) {
     num_sites = std::max(num_sites, e.site + 1);
     max_process = std::max(max_process, e.process);
-    max_shard = std::max(max_shard, e.shard);
     if (e.ts_us != 0) {
       wall_base = wall_mode ? std::min(wall_base, e.ts_us) : e.ts_us;
       wall_mode = true;
@@ -224,9 +215,6 @@ std::string TraceRecorder::ToChromeJson() const {
     process_name(1, "coordinator");
   }
   metadata(1, 0, "coordinator", 0);
-  for (int s = 0; s <= max_shard; ++s) {
-    metadata(1, 1000 + s, "shard " + std::to_string(s), 500 + s);
-  }
   if (wall_mode) {
     // Merged trace: site lanes live in whichever worker pid produced their
     // events; worker pids get their own lane plus process metadata.
@@ -254,8 +242,7 @@ std::string TraceRecorder::ToChromeJson() const {
 
   for (const TraceEvent& e : events) {
     const int64_t pid = wall_mode ? 1 + e.process : 1;
-    const int64_t tid =
-        e.site >= 0 ? e.site + 1 : (e.shard >= 0 ? 1000 + e.shard : 0);
+    const int64_t tid = e.site >= 0 ? e.site + 1 : 0;
     // One epoch = 1 ms = 1000 us in the legacy timebase; wall mode uses
     // microseconds since the earliest stamped event.
     const int64_t ts =

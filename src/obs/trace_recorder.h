@@ -33,9 +33,7 @@ enum class TraceEventKind {
   kDegraded,             ///< Poll resolved with a substituted value.
   kSolverSolve,          ///< Threshold solver run (dur set).
   kViolation,            ///< Ground-truth violation (value = 1 if detected).
-  // Chaos / failure-tolerance lifecycle (runtime only; PR 6 machinery).
-  kShardDeath,           ///< Shard coordinator leg crashed (value = shard).
-  kShardRespawn,         ///< Replacement shard leg started (value = shard).
+  // Socket link recovery and telemetry lifecycle (runtime only).
   kWorkerReconnect,      ///< Worker TCP link resumed (value = worker).
   kFrameReplay,          ///< Frames retransmitted on resume (value = count).
   kTelemetryFlush,       ///< Worker pushed a telemetry frame (value = bytes).
@@ -57,7 +55,6 @@ struct TraceEvent {
   // epoch timebase, so simulator callers are unchanged).
   int64_t ts_us = 0;   ///< Wall-clock µs (coordinator clock); 0 = use epoch.
   int32_t process = 0; ///< Lane: 0 = coordinator process, k+1 = worker k.
-  int32_t shard = -1;  ///< >= 0: coordinator-tree shard lane (site must be -1).
 };
 
 /// Bounded ring buffer of TraceEvents with JSONL and Chrome trace_event
@@ -76,7 +73,7 @@ class TraceRecorder {
               int64_t value = 0, int64_t duration_us = 0);
 
   /// Full-struct overload for the distributed-trace fields (wall-clock
-  /// timestamp, process lane, shard lane).
+  /// timestamp, process lane).
   void Record(const TraceEvent& e);
 
   /// Opt-in wall-clock stamping: every subsequently recorded event whose
@@ -109,8 +106,7 @@ class TraceRecorder {
   /// epoch = 1 ms, so ts = epoch * 1000 us. When any event carries a
   /// wall-clock ts_us (a merged distributed trace), the export switches to
   /// wall time relative to the earliest stamped event, emits one Chrome pid
-  /// per process lane (coordinator = pid 1, worker k = pid 2+k), and gives
-  /// coordinator-tree shards their own threads within the coordinator pid.
+  /// per process lane (coordinator = pid 1, worker k = pid 2+k).
   std::string ToChromeJson() const;
 
   Status WriteJsonl(const std::string& path) const;

@@ -11,19 +11,12 @@
 namespace dcv {
 
 /// What the chaos harness breaks mid-run. Chaos is *runtime* fault
-/// injection — it kills pieces of the coordinator tree or severs transport
-/// links — as opposed to the FaultSpec Channel, which models the paper's
-/// lossy network between sites and coordinator. The two compose: a chaos
-/// run still routes every protocol message through the Channel.
+/// injection — it severs a transport link — as opposed to the FaultSpec
+/// Channel, which models the paper's lossy network between sites and
+/// coordinator. The two compose: a chaos run still routes every protocol
+/// message through the Channel.
 enum class ChaosKind : uint8_t {
   kNone = 0,
-  /// Crash one shard's free-running leg (free-running mode only: a virtual
-  /// run has no shard threads, and rejects it with InvalidArgument). The
-  /// leg dies between inbox batches, at the first boundary after it
-  /// consumed a seeded number of envelopes, and its shard thread starts a
-  /// replacement leg that drains the same inbox (RunShardFree), so no
-  /// queued alarm or site-done message is lost.
-  kKillShard,
   /// Sever the TCP link to one site-worker mid-run (socket transport
   /// only). The worker redials, the handshake fences stale generations,
   /// and unacked envelopes are replayed — detections are unaffected.
@@ -41,10 +34,8 @@ struct ChaosSpec {
 /// Where and when the chaos fires, resolved deterministically from the
 /// spec's seed so every run of the same scenario breaks the same way.
 struct ResolvedChaos {
-  int target = -1;          ///< Shard (kKillShard) or worker (kKillWorker).
-  int64_t fire_epoch = -1;  ///< Virtual mode: epoch the chaos fires at.
-  /// Free mode: envelopes consumed before the shard dies.
-  int64_t fire_after_envelopes = -1;
+  int target = -1;          ///< The worker whose link is severed.
+  int64_t fire_epoch = -1;  ///< The epoch the chaos fires at.
 };
 
 namespace chaos_internal {
@@ -56,9 +47,8 @@ inline uint64_t Splitmix64(uint64_t x) {
 }
 }  // namespace chaos_internal
 
-/// Resolves a spec against the run's shape: `num_targets` is the shard
-/// count (kKillShard) or worker count (kKillWorker), and
-/// `num_epochs` bounds the fire epoch. The fire epoch lands in
+/// Resolves a spec against the run's shape: `num_targets` is the worker
+/// count, and `num_epochs` bounds the fire epoch. The fire epoch lands in
 /// [1, num_epochs - 1] when the run is long enough (never epoch 0, so the
 /// steady state is established first, and never past the end).
 inline ResolvedChaos ResolveChaos(const ChaosSpec& spec, int64_t num_epochs,
@@ -72,27 +62,16 @@ inline ResolvedChaos ResolveChaos(const ChaosSpec& spec, int64_t num_epochs,
   r.target = static_cast<int>(a % static_cast<uint64_t>(num_targets));
   const int64_t span = num_epochs > 2 ? num_epochs - 2 : 1;
   r.fire_epoch = 1 + static_cast<int64_t>(b % static_cast<uint64_t>(span));
-  r.fire_after_envelopes = 1 + static_cast<int64_t>(b % 8);
   return r;
 }
 
 /// Whether `chaos` can fire in a run of this shape. The runtime checks it
 /// before it builds any transport, so a socket run fails before it waits
-/// for its workers. Kill-shard needs a shard tree (num_shards >= 2) and
-/// kills a shard thread, which only free-running time runs; kill-worker
-/// fires at an epoch boundary, which only virtual time has, and severs a
-/// TCP link, which only the socket transport has.
-inline Status CheckChaosFits(const ChaosSpec& chaos, int num_shards,
-                             bool virtual_time, TransportKind transport) {
-  if (chaos.kind == ChaosKind::kKillShard && num_shards < 2) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs a sharded coordinator (num_shards >= 2)");
-  }
-  if (chaos.kind == ChaosKind::kKillShard && virtual_time) {
-    return InvalidArgumentError(
-        "kill-shard chaos needs free-running time: a virtual run has no "
-        "shard thread to kill");
-  }
+/// for its workers. Kill-worker fires at an epoch boundary, which only
+/// virtual time has, and severs a TCP link, which only the socket transport
+/// has.
+inline Status CheckChaosFits(const ChaosSpec& chaos, bool virtual_time,
+                             TransportKind transport) {
   if (chaos.kind == ChaosKind::kKillWorker && !virtual_time) {
     return InvalidArgumentError(
         "kill-worker chaos needs virtual time: a free-running run never "
@@ -112,15 +91,12 @@ inline Result<ChaosKind> ParseChaosKind(std::string_view text) {
   if (text.empty() || text == "none") {
     return ChaosKind::kNone;
   }
-  if (text == "kill-shard") {
-    return ChaosKind::kKillShard;
-  }
   if (text == "kill-worker") {
     return ChaosKind::kKillWorker;
   }
   return InvalidArgumentError(
       "unknown chaos kind '" + std::string(text) +
-      "' (expected kill-shard, kill-worker, or none)");
+      "' (expected kill-worker or none)");
 }
 
 }  // namespace dcv

@@ -63,8 +63,8 @@ Result<ConformanceReport> RunConformance(const Trace& training,
                                          const ConformanceSpec& spec) {
   // Every runtime run here is virtual: a chaos kind none of them can fire
   // fails before the lockstep run, not as a healthy run.
-  DCV_RETURN_IF_ERROR(CheckChaosFits(spec.chaos, spec.num_shards,
-                                     /*virtual_time=*/true, spec.transport));
+  DCV_RETURN_IF_ERROR(
+      CheckChaosFits(spec.chaos, /*virtual_time=*/true, spec.transport));
   ConformanceReport report;
 
   // Lockstep reference run, with the per-epoch detection trail captured.
@@ -107,11 +107,8 @@ Result<ConformanceReport> RunConformance(const Trace& training,
   rt_options.virtual_time = true;
   rt_options.solver = spec.solver;
   rt_options.faults = spec.faults;
-  // kill-worker severs a TCP link, which only exists in the socket run;
-  // the in-process run stays healthy for that chaos kind.
-  if (spec.chaos.kind != ChaosKind::kKillWorker) {
-    rt_options.chaos = spec.chaos;
-  }
+  // Chaos severs a TCP link, which only exists in the socket run; the
+  // in-process run stays healthy.
   DCV_ASSIGN_OR_RETURN(report.runtime,
                        RunMonitorRuntime(training, eval, rt_options));
   report.mismatch = DiffAgainstLockstep(report.lockstep, report.lockstep_epochs,
@@ -131,7 +128,7 @@ Result<ConformanceReport> RunConformance(const Trace& training,
     RuntimeOptions socket_options = rt_options;
     socket_options.transport = TransportKind::kSocket;
     socket_options.listen_port = 0;
-    socket_options.chaos = spec.chaos;  // All kinds apply to the socket run.
+    socket_options.chaos = spec.chaos;
     const bool reconnect = spec.chaos.kind == ChaosKind::kKillWorker;
     socket_options.on_listening = [&](int port) {
       for (int w = 0; w < workers; ++w) {

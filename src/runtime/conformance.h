@@ -43,8 +43,7 @@ struct ConformanceSpec {
   /// virtual-time detections. kill-worker is applied to the socket run
   /// only. A kind no run can fire fails with InvalidArgument before any
   /// run (CheckChaosFits): kill-worker without the socket transport (there
-  /// is no link to sever in-process), and kill-shard (a virtual run has no
-  /// shard thread to kill).
+  /// is no link to sever in-process).
   ChaosSpec chaos;
 };
 

@@ -72,7 +72,8 @@ Status CoordinatorActor::Init() {
         config_.metrics->histogram("runtime/coordinator/poll_round_us",
                                    obs::Histogram::DefaultLatencyBoundsUs());
     // Epoch-scale bounds: lags are small integers (0 = resolved within the
-    // trigger epoch), but a stalled poll under chaos can reach thousands.
+    // trigger epoch), but a round stalled behind a long burst can reach
+    // thousands.
     detection_lag_ = config_.metrics->histogram(
         "runtime/detection_lag_epochs",
         obs::Histogram::ExponentialBounds(1.0, 2.0, 16));
@@ -114,15 +115,13 @@ class CoordinatorActor::VirtualRun {
   /// epoch by epoch.
   int64_t WindowEnd(int64_t t0) const {
     const int64_t t1 = std::min(num_epochs_, t0 + window_epochs_);
-    const bool fires_inside = config_.chaos.kind == ChaosKind::kKillWorker &&
-                              chaos_.fire_epoch > t0 && chaos_.fire_epoch < t1;
+    const bool fires_inside = chaos_.fire_epoch > t0 && chaos_.fire_epoch < t1;
     return fires_inside ? chaos_.fire_epoch : t1;
   }
 
   Status Window(int64_t t0, int64_t t1) {
     const Clock::time_point start = Clock::now();
-    if (config_.chaos.kind == ChaosKind::kKillWorker &&
-        t0 == chaos_.fire_epoch) {
+    if (t0 == chaos_.fire_epoch) {
       // Unimplemented on link-free transports: a chaos run that cannot
       // fire fails instead of running healthy (CheckChaosFits rejects it
       // before any transport is built).
@@ -234,6 +233,11 @@ class CoordinatorActor::VirtualRun {
       channel_.PollFates(std::span<char>(fates_).subspan(polled_.size() * n));
       polled_.push_back(t);
       det.polled = true;
+      ++out_->polled_epochs;
+    }
+    if (det.num_alarms > 0) {
+      ++out_->alarm_epochs;
+      out_->total_alarms += det.num_alarms;
     }
     out_->detections.push_back(det);
   }
@@ -333,7 +337,7 @@ class CoordinatorActor::VirtualRun {
   const bool local_ = config_.protocol == RuntimeProtocol::kLocalThreshold;
   const int64_t window_epochs_ = VirtualWindowEpochs(config_.num_sites);
   const std::vector<int64_t> no_fallbacks_;
-  // Kill-worker is the one chaos kind that fires in virtual time.
+  // The kill-worker chaos; its fire epoch is -1 on a healthy run.
   const ResolvedChaos chaos_ =
       ResolveChaos(config_.chaos, num_epochs_, transport_->num_workers());
   ShardLayout layout_;
@@ -372,20 +376,15 @@ class CoordinatorActor::FreeRun {
     DCV_ASSIGN_OR_RETURN(layout_, TreeLayout(config_, *transport_));
     out_->site_updates.assign(static_cast<size_t>(config_.num_sites), 0);
     if (k_ == 1) {
-      inline_leg_.emplace(MakeContext(0, /*die_after_envelopes=*/-1));
+      inline_leg_.emplace(MakeContext(0));
       inline_leg_->Start(&leg_out_);
       ServeLegOut();
     } else {
       for (int s = 0; s < k_; ++s) {
-        const bool doomed =
-            config_.chaos.kind == ChaosKind::kKillShard && s == chaos_.target;
-        threads_.emplace_back(
-            RunShardFree,
-            MakeContext(s, doomed ? chaos_.fire_after_envelopes : -1));
+        threads_.emplace_back(RunShardFree, MakeContext(s));
       }
     }
-    while ((sites_done_ < config_.num_sites || partials_pending_ > 0) &&
-           run_error_.ok()) {
+    while ((legs_done_ < k_ || partials_pending_ > 0) && run_error_.ok()) {
       if (inline_leg_) {
         StepInline();
       } else {
@@ -397,6 +396,8 @@ class CoordinatorActor::FreeRun {
     Drain();
     SetGaugeMs(drain_ms_gauge_, Clock::now() - drain_start);
     out_->messages = actor_.counter_;
+    // Every leg's exit has crossed the root box (or its inline leg stopped
+    // on this thread), so the legs' writes to their slices are visible.
     for (int64_t u : out_->site_updates) {
       out_->total_updates += u;
     }
@@ -404,10 +405,13 @@ class CoordinatorActor::FreeRun {
   }
 
  private:
-  ShardContext MakeContext(int s, int64_t die_after_envelopes) {
-    return ShardContext{s,          layout_,    &config_,
-                        transport_, &root_box_, actor_.alarms_rx_,
-                        die_after_envelopes};
+  ShardContext MakeContext(int s) {
+    return ShardContext{
+        s,          layout_,    &config_,
+        transport_, &root_box_, actor_.alarms_rx_,
+        std::span<int64_t>(out_->site_updates)
+            .subspan(static_cast<size_t>(layout_.ShardStart(s)),
+                     static_cast<size_t>(layout_.ShardSize(s)))};
   }
 
   void Fail(Status status) {
@@ -439,16 +443,13 @@ class CoordinatorActor::FreeRun {
           FinishRound();
         }
         break;
-      case RootMsg::Kind::kSiteDone:
-        // One clock read per relayed run, never per site or update.
-        last_done_ = Clock::now();
-        if (sites_done_ == 0) {
-          first_done_ = last_done_;
-        }
-        for (const auto& [site, updates] : msg.entries) {
-          out_->site_updates[static_cast<size_t>(site)] = updates;
-          ++sites_done_;
-        }
+      case RootMsg::Kind::kLegDone:
+        // The run's first done is the earliest leg's first, its last the
+        // latest leg's last.
+        first_done_ = legs_done_ == 0 ? msg.first_done
+                                      : std::min(first_done_, msg.first_done);
+        last_done_ = std::max(last_done_, msg.last_done);
+        ++legs_done_;
         break;
       case RootMsg::Kind::kShardExit: {
         ++shard_exits_;
@@ -456,8 +457,6 @@ class CoordinatorActor::FreeRun {
         out_->total_alarms += report.alarms;
         actor_.counter_.Merge(report.messages);
         out_->reliability = out_->reliability + report.reliability;
-        out_->shard_recoveries += report.recoveries;
-        out_->recovery_ms = std::max(out_->recovery_ms, report.recovery_ms);
         if (!report.status.ok()) {
           Fail(report.status);
         }
@@ -506,8 +505,7 @@ class CoordinatorActor::FreeRun {
   /// thread gets it in its inbox from kCoordinatorId (SendToShard never
   /// crosses a wire), so each shard still blocks on one source. The send
   /// may block on a full inbox; every shard thread stays in its receive
-  /// loop — a crashed leg is replaced on the same thread (RunShardFree) —
-  /// so the inbox drains.
+  /// loop until its leg stops, so the inbox drains.
   void SendCommand(int s, ActorMsgKind kind) {
     ActorMessage cmd;
     cmd.kind = kind;
@@ -585,13 +583,11 @@ class CoordinatorActor::FreeRun {
   RuntimeResult* const out_;
   const Config& config_ = actor_.config_;
   const int k_ = config_.num_shards;
-  const ResolvedChaos chaos_ =
-      ResolveChaos(config_.chaos, /*num_epochs=*/0, k_);
   ShardLayout layout_;
   Mailbox<RootMsg> root_box_{static_cast<size_t>(4 * k_ + 16)};
   std::vector<std::thread> threads_;
   std::optional<ShardFreeLeg> inline_leg_;
-  /// Once per run: the first counted site done to the last, and Drain().
+  /// Once per run: the first site done to the last, and Drain().
   obs::Gauge* const completion_ms_gauge_ =
       GaugeOrNull("runtime/coordinator/completion_ms");
   obs::Gauge* const drain_ms_gauge_ =
@@ -603,9 +599,9 @@ class CoordinatorActor::FreeRun {
   int64_t round_trigger_epoch_ = 0;
   int64_t round_sum_ = 0;
   std::optional<obs::ScopedTimer> round_timer_;
-  int sites_done_ = 0;
-  Clock::time_point first_done_;  ///< When the root counted its first done.
-  Clock::time_point last_done_;   ///< ... and its latest.
+  int legs_done_ = 0;  ///< Legs whose every site reported done.
+  Clock::time_point first_done_;  ///< The run's first site done.
+  Clock::time_point last_done_;   ///< ... and its last.
   int shard_exits_ = 0;
   bool draining_ = false;  ///< Post-kShutdown: late messages are expected.
   Status run_error_;

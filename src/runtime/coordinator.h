@@ -66,12 +66,11 @@ class CoordinatorActor {
 
     FaultSpec faults;
 
-    /// Chaos injection (chaos.h) at a seed-resolved point: crash a shard's
-    /// leg (free-running only; its shard thread starts a replacement) or
-    /// sever a worker link (virtual time over a socket only). kNone = a
-    /// healthy run. The coordinator does not check that the chaos fits the
-    /// run: the caller does, with CheckChaosFits, before it builds the
-    /// transport (the runtime's launcher does).
+    /// Chaos injection (chaos.h) at a seed-resolved epoch: sever a worker
+    /// link (virtual time over a socket only). kNone = a healthy run. The
+    /// coordinator does not check that the chaos fits the run: the caller
+    /// does, with CheckChaosFits, before it builds the transport (the
+    /// runtime's launcher does).
     ChaosSpec chaos;
 
     obs::MetricsRegistry* metrics = nullptr;
@@ -89,21 +88,23 @@ class CoordinatorActor {
   /// before the kill-worker chaos fires. Every site observes every epoch;
   /// the channel alone knows which sites are down, and the root drops a
   /// down site's reports before they count or reach the channel, as the
-  /// lockstep scheme skips the site. Fills `out`'s detections, messages,
-  /// reliability, and update counts. Each poll fetch and the shutdown fan
-  /// out one range envelope per worker (FanOutRange) per epoch; poll
-  /// replies stay one per site, since the root replays every site's fate
-  /// through its channel. "runtime/coordinator/epoch_us" gets one sample
-  /// per epoch: its window's wall time over its epoch count.
+  /// lockstep scheme skips the site. Fills `out`'s detections, their
+  /// alarm and poll tallies (total_alarms, alarm_epochs, polled_epochs),
+  /// messages, reliability, and update counts. Each poll fetch and the
+  /// shutdown fan out one range envelope per worker (FanOutRange) per
+  /// epoch; poll replies stay one per site, since the root replays every
+  /// site's fate through its channel. "runtime/coordinator/epoch_us" gets
+  /// one sample per epoch: its window's wall time over its epoch count.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
   /// Free-running mode: serves alarms and poll rounds in arrival order
-  /// until every site reports kSiteDone, whose count is the site's entry
-  /// of `out`'s site_updates, then shuts the sites down (each
-  /// leg's poll rounds and shutdown are range fan-outs, as above; on a
-  /// perfect channel with uniform weights each worker answers a round with
-  /// one sum, so a round costs O(workers) envelopes both ways). Epoch
+  /// until every site reports kSiteDone, whose first count is the site's
+  /// entry of `out`'s site_updates (each leg records its own sites' and
+  /// tells the root once, when its last site is done), then shuts the
+  /// sites down (each leg's poll rounds and shutdown are range fan-outs;
+  /// on a perfect channel with uniform weights each worker answers a round
+  /// with one sum, so a round costs O(workers) envelopes both ways). Epoch
   /// semantics degrade to a watermark (the highest site-local update index
   /// seen), so fault windows still engage, but no per-epoch determinism is
   /// claimed.

@@ -231,9 +231,15 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
                              int64_t updates_per_site,
                              const LaunchPlan& plan,
                              const RuntimeOptions& options) {
-  DCV_RETURN_IF_ERROR(CheckChaosFits(options.chaos, options.num_shards,
-                                     options.virtual_time,
+  DCV_RETURN_IF_ERROR(CheckChaosFits(options.chaos, options.virtual_time,
                                      options.transport));
+  if (options.protocol == RuntimeProtocol::kPolling && !options.virtual_time) {
+    // A free-running root starts a round only on an alarm notice, and
+    // polling sites never alarm: such a run would never poll.
+    return InvalidArgumentError(
+        "polling needs virtual time: a free-running run polls only on "
+        "alarms, and polling sites never alarm");
+  }
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
   }
@@ -326,17 +332,11 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
 }
 
 /// Scores virtual-time detections against ground truth, exactly like the
-/// lockstep runner's per-epoch accounting.
+/// lockstep runner's per-epoch accounting. The run counted its own alarms
+/// and polls.
 void ScoreAgainstTruth(const Trace& eval, const std::vector<int64_t>& weights,
                        const RuntimeOptions& options, RuntimeResult* result) {
   for (const EpochDetection& det : result->detections) {
-    if (det.num_alarms > 0) {
-      ++result->alarm_epochs;
-      result->total_alarms += det.num_alarms;
-    }
-    if (det.polled) {
-      ++result->polled_epochs;
-    }
     const bool violated =
         eval.WeightedSum(det.epoch, weights) > options.global_threshold;
     if (violated) {

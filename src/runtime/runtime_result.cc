@@ -27,10 +27,6 @@ std::string RuntimeResult::ToJson() const {
   w.Key("false_alarm_epochs").Value(false_alarm_epochs);
   w.Key("violations_flagged").Value(violations_flagged);
   w.EndObject();
-  w.Key("recovery").BeginObject();
-  w.Key("shard_recoveries").Value(shard_recoveries);
-  w.Key("recovery_ms").Value(recovery_ms);
-  w.EndObject();
   w.Key("reliability").Raw(reliability.ToJson());
   w.Key("throughput").BeginObject();
   w.Key("total_updates").Value(total_updates);

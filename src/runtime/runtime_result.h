@@ -38,8 +38,10 @@ struct RuntimeResult {
   MessageCounter messages;
   ChannelStats reliability;
 
-  // Virtual-time detection accounting (scored against ground truth by
-  // RunMonitorRuntime, exactly like the lockstep runner).
+  // Detection accounting. Both modes count alarms and polls (free-running:
+  // alarms the legs took in, poll rounds the root resolved); virtual time
+  // also tallies alarm epochs, and a trace run is scored against ground
+  // truth by RunMonitorRuntime, exactly like the lockstep runner.
   int64_t total_alarms = 0;
   int64_t alarm_epochs = 0;
   int64_t polled_epochs = 0;
@@ -61,14 +63,6 @@ struct RuntimeResult {
   int64_t total_updates = 0;
   double elapsed_seconds = 0.0;
   double updates_per_second = 0.0;
-
-  // Failure recovery accounting (chaos runs; all zero on a healthy run).
-  /// Crashed shard legs their shard threads replaced (free mode).
-  int64_t shard_recoveries = 0;
-  /// Free-running kill-shard runs: wall-clock cost of the slowest single
-  /// recovery, from the leg's death to its replacement running on the same
-  /// shard thread, with the root's kick re-delivered if a round was open.
-  double recovery_ms = 0.0;
 
   /// Socket-transport runs only: the coordinator side's wire-level
   /// reliability counters (all zero for in-process transports).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,16 +11,6 @@ namespace dcv {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Records one coordinator-tree lifecycle event (a leg's death or its
-/// replacement) on the shard's trace lane.
-void RecordTreeEvent(obs::TraceRecorder* recorder, obs::TraceEventKind kind,
-                     int64_t epoch, int shard) {
-  if (recorder != nullptr) {
-    recorder->Record(obs::TraceEvent{
-        .kind = kind, .epoch = epoch, .value = shard, .shard = shard});
-  }
-}
 
 /// Pushes everything in `out` to the root, in order, and empties it; false
 /// once the root's box is closed.
@@ -133,7 +122,8 @@ ShardFreeLeg::ShardFreeLeg(ShardContext ctx)
       channel_(SliceFaultSpec(ctx_.config->faults, ctx_.layout, ctx_.shard)),
       // Per-site fates and last-known values need per-site answers, and
       // mixed weights need per-site values; otherwise each worker sums.
-      summed_(channel_.perfect() && Uniform(weights_)) {}
+      summed_(channel_.perfect() && Uniform(weights_)),
+      done_(static_cast<size_t>(size_), 0) {}
 
 void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
   if (Status init = channel_.Init(size_, &counter_); !init.ok()) {
@@ -144,12 +134,10 @@ void ShardFreeLeg::Start(std::vector<RootMsg>* out) {
 }
 
 bool ShardFreeLeg::StartPoll() {
-  // The request epoch carries the round id, not a watermark: the sites
-  // echo it, and only responses echoing the open round's id count. A dead
-  // predecessor's stale responses can share this inbox with the fresh ones
-  // in any order, and must not resolve this round early.
-  poll_id_ = PollRoundId(ctx_.incarnation, ++poll_round_);
-  FanOutRange(ActorMsgKind::kPollRequest, poll_id_, start_, start_ + size_,
+  // The request epoch carries the round number, not a watermark: the sites
+  // echo it, and only responses echoing the open round's number count, so
+  // a late answer to an earlier round cannot resolve this one.
+  FanOutRange(ActorMsgKind::kPollRequest, ++poll_round_, start_, start_ + size_,
               ctx_.transport->num_workers(), &fanout_);
   for (Envelope& e : fanout_) {
     e.msg.flag = summed_;
@@ -173,17 +161,6 @@ size_t ShardFreeLeg::StepBatch(const std::vector<Envelope>& batch,
   const size_t emitted = out->size();
   while (begin < batch.size() && out->size() == emitted) {
     Step(batch[begin++], out);
-  }
-  // A done run is one step: the rest of the run joins the relay its first
-  // done opened, so a completion burst costs one root message per inbox
-  // batch instead of one per site.
-  if (out->size() > emitted && out->back().kind == RootMsg::Kind::kSiteDone) {
-    std::vector<std::pair<int, int64_t>>& entries = out->back().entries;
-    for (; begin < batch.size() &&
-           batch[begin].msg.kind == ActorMsgKind::kSiteDone;
-         ++begin) {
-      entries.emplace_back(batch[begin].from, batch[begin].msg.value);
-    }
   }
   return begin;
 }
@@ -219,10 +196,10 @@ void ShardFreeLeg::Step(const Envelope& e, std::vector<RootMsg>* out) {
       break;
     case ActorMsgKind::kPollResponse: {
       // Only a responder's first answer to the open round counts; a
-      // resolved round's, another incarnation's, a repeat and a site that
-      // is not a responder leave the round as it is.
+      // resolved round's, a repeat and a site that is not a responder leave
+      // the round as it is.
       const size_t i = static_cast<size_t>(int64_t{e.from} - start_);
-      if (!poll_outstanding_ || e.msg.epoch != poll_id_ ||
+      if (!poll_outstanding_ || e.msg.epoch != poll_round_ ||
           i >= answered_.size() || answered_[i] != 0) {
         break;
       }
@@ -257,14 +234,24 @@ void ShardFreeLeg::OnCommand(const ActorMessage& cmd,
 }
 
 void ShardFreeLeg::OnSiteDone(const Envelope& e, std::vector<RootMsg>* out) {
-  // Opens one relay per run of consecutive dones (StepBatch appends the
-  // rest of the run), never one per shard: the root counts the sites in
-  // each run, so its done-tracking survives a leg's death and replacement
-  // mid-drain. A leg dies only at an inbox-batch boundary, so a run is
-  // relayed whole or left queued for the replacement.
-  RootMsg& done = out->emplace_back();
-  done.kind = RootMsg::Kind::kSiteDone;
-  done.entries.emplace_back(e.from, e.msg.value);
+  // A site's first done counts; a repeat (or a site outside the shard)
+  // changes nothing. The root hears once per leg, when its last site is
+  // done, and reads the counts from the slice after the leg's exit.
+  const size_t i = static_cast<size_t>(int64_t{e.from} - start_);
+  if (i >= done_.size() || done_[i] != 0) {
+    return;
+  }
+  done_[i] = 1;
+  ctx_.site_updates[i] = e.msg.value;
+  if (sites_done_++ == 0) {
+    first_done_ = Clock::now();
+  }
+  if (sites_done_ == size_) {
+    RootMsg& done = out->emplace_back();
+    done.kind = RootMsg::Kind::kLegDone;
+    done.first_done = first_done_;
+    done.last_done = Clock::now();
+  }
 }
 
 void ShardFreeLeg::OnUnexpected(ActorMsgKind kind,
@@ -328,69 +315,26 @@ void RunShardFree(ShardContext ctx) {
   Transport* const transport = ctx.transport;
   Mailbox<RootMsg>* const to_root = ctx.to_root;
   const int shard = ctx.shard;
-  obs::TraceRecorder* const recorder = ctx.config->recorder;
-  int64_t die_after_envelopes = std::exchange(ctx.die_after_envelopes, -1);
   // A free-running shard always terminates via kShardExit — even on init
   // failure — so the root can count k exits before joining.
-  std::optional<ShardFreeLeg> leg(std::in_place, ctx);
+  ShardFreeLeg leg(std::move(ctx));
   std::vector<RootMsg> out;
-  leg->Start(&out);
-  int64_t recoveries = 0;
-  double recovery_ms = 0.0;  // The slowest replacement's restart.
+  leg.Start(&out);
   std::vector<Envelope> batch;
-  int64_t consumed = 0;
-  while (leg->running()) {
-    if (die_after_envelopes >= 0 && consumed >= die_after_envelopes) {
-      // Chaos: the leg crashes at a batch boundary — every consumed
-      // message was fully handled (notices pushed, done runs relayed) and
-      // every unconsumed one is still queued in the inbox, which the
-      // replacement drains. Only the dead leg's channel and counter
-      // accounting dies with it.
-      die_after_envelopes = -1;
-      const Clock::time_point died = Clock::now();
-      const bool round_open = leg->poll_outstanding();
-      const int64_t epoch = std::max<int64_t>(0, leg->watermark());
-      RecordTreeEvent(recorder, obs::TraceEventKind::kShardDeath, epoch,
-                      shard);
-      ++ctx.incarnation;
-      leg.emplace(ctx);
-      leg->Start(&out);
-      if (round_open) {
-        // The dead leg consumed the root's kick and never answered it:
-        // re-open the round, or the root waits for its partial forever.
-        // The replacement counts no response to the dead leg's round (its
-        // id differs), so the root still gets one partial per kick.
-        ActorMessage kick;
-        kick.kind = ActorMsgKind::kPollRequest;
-        leg->Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
-      }
-      RecordTreeEvent(recorder, obs::TraceEventKind::kShardRespawn, epoch,
-                      shard);
-      ++recoveries;
-      recovery_ms = std::max(
-          recovery_ms,
-          std::chrono::duration<double, std::milli>(Clock::now() - died)
-              .count());
-      continue;
-    }
+  while (leg.running()) {
     batch.clear();
     if (transport->RecvShardAll(shard, &batch) == 0) {
-      leg->Stop(InternalError("transport closed while sites were live"),
-                &out);
+      leg.Stop(InternalError("transport closed while sites were live"), &out);
       break;
     }
-    consumed += static_cast<int64_t>(batch.size());
-    for (size_t next = 0; next < batch.size() && leg->running();) {
-      next = leg->StepBatch(batch, next, &out);
-      if (leg->running() && !Forward(to_root, &out)) {
-        leg->Stop(OkStatus(), &out);  // The root is gone; so is its box.
+    for (size_t next = 0; next < batch.size() && leg.running();) {
+      next = leg.StepBatch(batch, next, &out);
+      if (leg.running() && !Forward(to_root, &out)) {
+        leg.Stop(OkStatus(), &out);  // The root is gone; so is its box.
       }
     }
   }
   // A stopped leg's last output is its kShardExit.
-  ShardReport& report = *out.back().report;
-  report.recoveries = recoveries;
-  report.recovery_ms = recovery_ms;
   Forward(to_root, &out);
 }
 

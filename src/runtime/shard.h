@@ -1,10 +1,10 @@
 #ifndef DCV_RUNTIME_SHARD_H_
 #define DCV_RUNTIME_SHARD_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -55,10 +55,6 @@ struct ShardReport {
   /// Non-OK when the shard failed: a protocol or transport error, or (free
   /// mode) an abnormal transport close.
   Status status;
-  /// Filled by the shard thread's supervisor (RunShardFree): crashed legs
-  /// it replaced, and the slowest replacement's restart time.
-  int64_t recoveries = 0;
-  double recovery_ms = 0.0;
 };
 
 /// Free-running shard leg -> root message: over the root's internal
@@ -67,20 +63,16 @@ struct RootMsg {
   enum class Kind : uint8_t {
     kPollPartial,   ///< Poll leg done: its weighted sum.
     kAlarmNotice,   ///< A delivered alarm needs a poll round.
-    kSiteDone,      ///< One run of owned sites reported kSiteDone.
-                    ///< Relayed per run of consecutive dones in one inbox
-                    ///< batch (not batched per shard) and counted per site,
-                    ///< so the root's done-tracking survives a leg's death:
-                    ///< whatever the dead leg already relayed stays
-                    ///< counted, and the replacement relays the rest.
+    kLegDone,       ///< Every owned site reported kSiteDone; their counts
+                    ///< are in the leg's slice of the root's site_updates.
     kShardExit,     ///< Shard exiting; `report` holds its final accounting.
   };
   Kind kind = Kind::kPollPartial;
   int64_t epoch = 0;
-  /// kSiteDone: one run's (global site, update count) pairs, in arrival
-  /// order.
-  std::vector<std::pair<int, int64_t>> entries;
   int64_t partial_sum = 0;  ///< kPollPartial: weighted sum over the shard.
+  /// kLegDone: when the leg recorded its first and its last distinct done.
+  std::chrono::steady_clock::time_point first_done;
+  std::chrono::steady_clock::time_point last_done;
   std::unique_ptr<ShardReport> report;  ///< kShardExit only.
 };
 // Two of these cross between the inline leg and the root on every poll
@@ -100,19 +92,11 @@ struct ShardContext {
   Transport* transport = nullptr;
   Mailbox<RootMsg>* to_root = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
-  /// Chaos injection (tests / --chaos runs; RunShardFree only): the leg
-  /// dies at the first inbox batch boundary after consuming this many
-  /// envelopes, simulating a crashed shard coordinator, and the thread
-  /// starts a replacement. Dying at a batch boundary means every consumed
-  /// message was handled and every unconsumed one is still queued for the
-  /// replacement. Envelopes, not batches: how many batches a run takes
-  /// depends on how the transport drains, and a short run may end before
-  /// a batch count is reached.
-  int64_t die_after_envelopes = -1;
-  /// Which leg on this shard id this is: 0 for the first, one more for
-  /// each replacement. Part of every poll-round id the leg stamps, so no
-  /// round of one incarnation shares an id with any round of another.
-  int64_t incarnation = 0;
+  /// The leg's slice of the root's site_updates, one entry per owned site
+  /// from the shard's first. The leg writes each site's first done count
+  /// here; the root reads the slice only after the leg's kShardExit has
+  /// crossed the root mailbox (or, inline, on the leg's own thread).
+  std::span<int64_t> site_updates;
 };
 
 /// One reply the root collected in a virtual exchange: the replying site,
@@ -149,8 +133,8 @@ Status CollectShardReplies(Transport* transport, int shard, int first_site,
 /// 1-shard tree's root steps it inline, handing it commands directly.
 class ShardFreeLeg {
  public:
-  /// Takes the shard, layout, transport, config and observers from `ctx`;
-  /// the caller keeps `to_root` and the chaos field.
+  /// Takes the shard, layout, transport, config, observers and done slice
+  /// from `ctx`; the caller keeps `to_root`.
   explicit ShardFreeLeg(ShardContext ctx);
   ShardFreeLeg(const ShardFreeLeg&) = delete;
   ShardFreeLeg& operator=(const ShardFreeLeg&) = delete;
@@ -161,17 +145,17 @@ class ShardFreeLeg {
 
   /// Serves one inbox envelope: a site's kAlarm, kPollResponse or
   /// kSiteDone, or a root command (from == kCoordinatorId): kPollRequest
-  /// opens a poll leg, kShutdown stops the leg. The step that stops the
-  /// leg appends its final kShardExit; a stopped leg ignores every later
-  /// envelope.
+  /// opens a poll leg, kShutdown stops the leg. A site's first kSiteDone
+  /// records its count in the done slice, a repeat is ignored, and the
+  /// step that records the last owned site appends one kLegDone. The step
+  /// that stops the leg appends its final kShardExit; a stopped leg
+  /// ignores every later envelope.
   void Step(const Envelope& e, std::vector<RootMsg>* out);
 
   /// Steps batch[begin], batch[begin + 1], ... and stops right after the
   /// first step that appends to `out`, so the driver can act on that
-  /// output (and hand the leg a command) before the next envelope. A run
-  /// of consecutive site kSiteDone envelopes is one step: it appends one
-  /// kSiteDone listing every site of the run in arrival order. Returns the
-  /// index of the first envelope not stepped.
+  /// output (and hand the leg a command) before the next envelope. Returns
+  /// the index of the first envelope not stepped.
   size_t StepBatch(const std::vector<Envelope>& batch, size_t begin,
                    std::vector<RootMsg>* out);
 
@@ -181,21 +165,13 @@ class ShardFreeLeg {
   void Stop(Status status, std::vector<RootMsg>* out);
 
   bool running() const { return running_; }
-  /// A poll leg is open: kicked, and its partial not yet appended.
-  bool poll_outstanding() const { return poll_outstanding_; }
-  int64_t watermark() const { return watermark_; }
-
-  /// The id a poll fan-out carries in its request epoch (and the sites echo
-  /// back): incarnation * 2^32 + the leg's round number, 1-based.
-  static int64_t PollRoundId(int64_t incarnation, int64_t round) {
-    return (incarnation << 32) + round;
-  }
 
  private:
   /// Fans one range poll request out to each worker with a site in the
   /// shard (FanOutRange), flagged when the leg sums: then each target
   /// answers once with its worker's sum, else every site answers on its
-  /// own. False = transport closed.
+  /// own. The request epoch is the leg's round number, 1-based, which the
+  /// sites echo. False = transport closed.
   bool StartPoll();
   /// A root command: kPollRequest or kShutdown.
   void OnCommand(const ActorMessage& cmd, std::vector<RootMsg>* out);
@@ -214,8 +190,7 @@ class ShardFreeLeg {
   Channel channel_;
   int64_t watermark_ = -1;
   bool poll_outstanding_ = false;
-  int64_t poll_round_ = 0;  ///< Rounds this leg has fanned out.
-  int64_t poll_id_ = 0;     ///< PollRoundId of the open (or last) round.
+  int64_t poll_round_ = 0;  ///< Rounds fanned out: the open (or last) one.
   int poll_pending_ = 0;
   bool notice_sent_ = false;  ///< Collapse alarms into one notice per round.
   /// Chosen once: a perfect channel slice and equal weights. Then a round
@@ -228,19 +203,19 @@ class ShardFreeLeg {
   std::vector<char> answered_;
   std::vector<int64_t> answers_;
   std::vector<Envelope> fanout_;  ///< The last range fan-out (FanOutRange).
+  /// Which owned sites reported done (indexed from start_), how many, and
+  /// when the first of them did.
+  std::vector<char> done_;
+  int sites_done_ = 0;
+  std::chrono::steady_clock::time_point first_done_;
   int64_t alarms_ = 0;
   bool running_ = true;
 };
 
 /// Body of one shard coordinator thread, free-running mode: receive inbox
 /// batches, step the shard's ShardFreeLeg over them, and push its output
-/// to the root until the leg stops. It also supervises the leg: when
-/// `die_after_envelopes` chaos kills it, the thread records shard_death,
-/// starts a replacement on the same inbox (incarnation + 1, a fresh
-/// channel from the plan's fault slice), re-delivers the root's kick if
-/// the dead leg had a round open, and records shard_respawn. The root
-/// still gets exactly one kPollPartial per kick and one kShardExit, whose
-/// report carries the recovery count and time.
+/// to the root until the leg stops. The thread's last push is the leg's
+/// kShardExit.
 void RunShardFree(ShardContext ctx);
 
 /// Remaps a global fault spec onto one shard's contiguous site range:

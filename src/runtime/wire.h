@@ -88,8 +88,14 @@ namespace dcv {
 // crosses its threshold, and the coordinator's channel drops a down
 // site's reports. A v9 worker would read the unset flag as "down" and
 // never alarm; the version byte makes it fail at the hello instead.
+//
+// Version 11 keeps every layout and renumbers the trace-event kind byte of
+// a kTelemetry frame: the shard-death and shard-respawn kinds are gone, so
+// every later kind moves down by two. A v10 worker's reconnect events
+// would be read as other kinds; the version byte makes it fail at the
+// hello instead.
 
-inline constexpr uint8_t kWireVersion = 10;
+inline constexpr uint8_t kWireVersion = 11;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"
 #include "runtime/coordinator.h"
 #include "runtime/plan.h"
 #include "runtime/shard.h"
@@ -63,15 +62,6 @@ int64_t PickThreshold(const Workload& w, double overflow_fraction,
   auto t = ThresholdForOverflowFraction(w.eval, weights, overflow_fraction);
   EXPECT_TRUE(t.ok());
   return *t;
-}
-
-int64_t CountEvents(const obs::TraceRecorder& recorder,
-                    obs::TraceEventKind kind) {
-  int64_t n = 0;
-  for (const obs::TraceEvent& e : recorder.Events()) {
-    n += e.kind == kind ? 1 : 0;
-  }
-  return n;
 }
 
 void ExpectConformant(const Workload& w, const ConformanceSpec& spec,
@@ -288,7 +278,6 @@ TEST(ShardedConformanceTest, LocalFptasUnderChannelFaultsShards2And4) {
     spec.faults.seed = 0xfeedULL;
     ConformanceReport report;
     ExpectConformant(w, spec, &report);
-    EXPECT_EQ(report.runtime.shard_recoveries, 0) << "shards=" << shards;
   }
 }
 
@@ -354,8 +343,7 @@ TEST(ShardedConformanceTest, SocketTransportUnderFaultsShards3) {
 
 // Free-running mode has no determinism claim, but it must drain the whole
 // workload and account for every update exactly once — with the single
-// leg inline (k = 1) or on shard threads. A healthy run never recovers
-// anything.
+// leg inline (k = 1) or on shard threads.
 TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
   for (int shards : {1, 2, 3}) {
     RuntimeOptions options;
@@ -375,7 +363,6 @@ TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
     }
     EXPECT_GT(result->total_alarms, 0);
     EXPECT_GT(result->polled_epochs, 0);
-    EXPECT_EQ(result->shard_recoveries, 0) << "shards=" << shards;
   }
 }
 
@@ -502,13 +489,81 @@ TEST(ShardedRuntimeFreeTest, SingleShardLegRunsInline) {
   EXPECT_EQ(result.polled_epochs, kRounds);
   EXPECT_EQ(result.total_alarms, kRounds);
   EXPECT_EQ(result.total_updates, kSites * 7);
-  EXPECT_EQ(result.shard_recoveries, 0);
   EXPECT_EQ(script.shutdowns(), kSites);
   // Equal weights on a perfect channel: the leg summed every round, and
   // each round still charged a request and an answer per site.
   EXPECT_EQ(script.summed_rounds(), kRounds);
   EXPECT_EQ(result.messages.of(MessageType::kPollRequest), kSites * kRounds);
   EXPECT_EQ(result.messages.of(MessageType::kPollResponse), kSites * kRounds);
+}
+
+// A scripted fabric for one coordinator inbox that hands out `bursts`, one
+// per receive, and nothing after them. Every send to the sites succeeds;
+// its shard-command path is dead, as in InlinePollScript.
+class BurstScript : public Transport {
+ public:
+  BurstScript(int sites, std::vector<std::vector<Envelope>> bursts)
+      : sites_(sites), bursts_(std::move(bursts)) {}
+  int num_sites() const override { return sites_; }
+  int num_workers() const override { return 1; }
+  int WorkerOf(int) const override { return 0; }
+  int num_shards() const override { return 1; }
+  int ShardOf(int) const override { return 0; }
+  ShardLayout layout() const override { return *MakeShardLayout(sites_, 1); }
+  bool Send(const Envelope&) override { return true; }
+  bool SendBatch(const std::vector<Envelope>&) override { return true; }
+  bool SendToShard(int, const Envelope&) override { return false; }
+  bool TrySendToShard(int, const Envelope&) override { return false; }
+  bool RecvShard(int, Envelope*) override { return false; }
+  bool TryRecvShard(int, Envelope*) override { return false; }
+  size_t RecvShardAll(int, std::vector<Envelope>* out) override {
+    if (next_ == bursts_.size()) {
+      return 0;
+    }
+    const std::vector<Envelope>& burst = bursts_[next_++];
+    out->insert(out->end(), burst.begin(), burst.end());
+    return burst.size();
+  }
+  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out, int64_t,
+                         bool* timed_out) override {
+    *timed_out = false;
+    return RecvShardAll(shard, out);
+  }
+  bool RecvWorker(int, Envelope*) override { return false; }
+  bool TryRecvWorker(int, Envelope*) override { return false; }
+  void Shutdown() override {}
+
+ private:
+  const int sites_;
+  const std::vector<std::vector<Envelope>> bursts_;
+  size_t next_ = 0;
+};
+
+// Site 0 reports done twice before site 1 reports at all. A repeated done
+// counts once, so the run waits for site 1 and keeps each site's first
+// count, instead of ending with site 1's updates uncounted.
+TEST(ShardedRuntimeFreeTest, RepeatedSiteDoneCountsOnce) {
+  constexpr int kSites = 2;
+  CoordinatorActor::Config cfg;
+  cfg.num_sites = kSites;
+  cfg.weights.assign(kSites, 1);
+  cfg.global_threshold = 1'000;
+  cfg.thresholds.assign(kSites, 900);
+  cfg.domain_max.assign(kSites, 1'000);
+  CoordinatorActor coordinator(cfg);
+  ASSERT_TRUE(coordinator.Init().ok());
+  auto done = [](int site, int64_t updates) {
+    ActorMessage m;
+    m.kind = ActorMsgKind::kSiteDone;
+    m.value = updates;
+    return Envelope{site, kCoordinatorId, m};
+  };
+  BurstScript script(kSites, {{done(0, 5), done(0, 6)}, {done(1, 7)}});
+  RuntimeResult result;
+  const Status status = coordinator.RunFree(&script, &result);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(result.site_updates, (std::vector<int64_t>{5, 7}));
+  EXPECT_EQ(result.total_updates, 5 + 7);
 }
 
 // The runtime rejects shard counts outside [1, num_sites] up front.
@@ -731,54 +786,11 @@ TEST(ChaosConformanceTest, KillWorkerSocketReconnectsAndMatches) {
   EXPECT_EQ(s.decode_errors, 0);
 }
 
-// Free-running mode claims no determinism, but chaos must not lose work:
-// a killed leg's replacement, on the same shard thread, drains the same
-// inbox, so every update is still consumed and every site still reports
-// done exactly once. The seeds cover both target shards and several fire
-// points.
-TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
-  for (uint64_t chaos_seed : {1ULL, 3ULL, 5ULL, 9ULL, 11ULL, 17ULL}) {
-    RuntimeOptions options;
-    options.virtual_time = false;
-    options.num_shards = 2;
-    options.seed = 9;
-    options.synthetic_max = 1000;
-    options.global_threshold = 6 * 1000;
-    options.thresholds.assign(6, 900);  // Alarm-heavy: real recovery load.
-    options.domain_max.assign(6, 1000);
-    options.chaos.kind = ChaosKind::kKillShard;
-    options.chaos.seed = chaos_seed;
-    obs::TraceRecorder recorder(/*capacity=*/1 << 18);
-    options.recorder = &recorder;
-    auto result = RunSyntheticRuntime(6, 400, options);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(result->total_updates, 6 * 400) << "seed=" << chaos_seed;
-    ASSERT_EQ(result->site_updates.size(), 6u);
-    for (int64_t u : result->site_updates) {
-      EXPECT_EQ(u, 400);
-    }
-    EXPECT_EQ(result->shard_recoveries, 1) << "seed=" << chaos_seed;
-    EXPECT_GT(result->recovery_ms, 0.0);
-    // The recovery leaves one death and one respawn in the trace.
-    EXPECT_EQ(recorder.dropped(), 0);
-    EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath),
-              result->shard_recoveries)
-        << "seed=" << chaos_seed;
-    EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn),
-              result->shard_recoveries)
-        << "seed=" << chaos_seed;
-  }
-}
-
-// Chaos must be able to fire: kill-shard with a 1-shard tree or in virtual
-// time (no shard thread to kill), and kill-worker in free-running time or
-// over the thread transport, are rejected up front.
+// Chaos must be able to fire: kill-worker in free-running time or over the
+// thread transport is rejected up front.
 TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   RuntimeOptions options;
   options.virtual_time = false;
-  options.chaos.kind = ChaosKind::kKillShard;
-  options.num_shards = 1;  // No shard tree to kill a member of.
-  EXPECT_FALSE(RunSyntheticRuntime(4, 10, options).ok());
   options.num_shards = 2;
   // Kill-worker fires at an epoch boundary, which a free-running run never
   // has: rejected, not silently ignored.
@@ -800,16 +812,6 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
                 "kill-worker chaos needs the socket transport"),
             std::string::npos)
       << thread_run.status().message();
-  // Virtual time runs no shard threads, from the runtime API and from the
-  // conformance harness alike.
-  options.chaos.kind = ChaosKind::kKillShard;
-  auto result = RunSyntheticRuntime(4, 10, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find(
-                "kill-shard chaos needs free-running time"),
-            std::string::npos)
-      << result.status().message();
   Workload w = MakeSyntheticWorkload(21, /*num_sites=*/4,
                                      /*train_epochs=*/100,
                                      /*eval_epochs=*/100);
@@ -818,18 +820,10 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   spec.solver = &solver;
   spec.global_threshold = PickThreshold(w, 0.02);
   spec.num_shards = 2;
-  spec.chaos.kind = ChaosKind::kKillShard;
-  auto report = RunConformance(w.training, w.eval, spec);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.status().message().find(
-                "kill-shard chaos needs free-running time"),
-            std::string::npos)
-      << report.status().message();
   // The harness applies kill-worker to its socket run only, so without one
   // it would run healthy: rejected before the lockstep run.
   spec.chaos.kind = ChaosKind::kKillWorker;
-  report = RunConformance(w.training, w.eval, spec);
+  auto report = RunConformance(w.training, w.eval, spec);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find(
@@ -838,10 +832,8 @@ TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
       << report.status().message();
 }
 
-// The runtime's deployment plan must provision the same thresholds the
-// lockstep scheme computes for itself from the same training data.
 // Virtual time runs in windows of VirtualWindowEpochs(N) epochs, each cut
-// short at a crash edge and at the kill-worker fire epoch. Wherever the
+// short at the kill-worker fire epoch. Wherever the
 // cuts fall, a run stays bit-identical to lockstep over threads and over a
 // socket, at every shard count.
 
@@ -1009,6 +1001,8 @@ TEST(WindowConformanceTest, ResyncIsChargedButSendsNoEnvelope) {
   EXPECT_EQ(result.messages.of(MessageType::kAlarm), 4);
 }
 
+// The runtime's deployment plan must provision the same thresholds the
+// lockstep scheme computes for itself from the same training data.
 TEST(RuntimeConformanceTest, BuildLocalPlanMatchesSchemeThresholds) {
   Workload w = MakeSyntheticWorkload(91);
   FptasSolver solver(0.05);

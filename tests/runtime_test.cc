@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -503,14 +504,51 @@ Envelope PollResponse(int site, int64_t epoch, int64_t value) {
   return Envelope{site, kCoordinatorId, msg};
 }
 
+/// A shard leg over all of `config`'s sites on `t`, started. `site_updates`
+/// is its done slice, one entry per site; a leg that never hears a done
+/// may go without.
+std::unique_ptr<ShardFreeLeg> StartedLeg(const CoordinatorActor::Config& config,
+                                         Transport* t,
+                                         Mailbox<RootMsg>* to_root,
+                                         std::span<int64_t> site_updates = {}) {
+  ShardContext ctx;
+  ctx.layout = *MakeShardLayout(config.num_sites, 1);
+  ctx.config = &config;
+  ctx.transport = t;
+  ctx.to_root = to_root;
+  ctx.site_updates = site_updates;
+  auto leg = std::make_unique<ShardFreeLeg>(std::move(ctx));
+  std::vector<RootMsg> out;
+  leg->Start(&out);
+  EXPECT_TRUE(out.empty());
+  return leg;
+}
+
+/// The root's poll kick, as the root hands it to a leg.
+Envelope Kick() {
+  ActorMessage kick;
+  kick.kind = ActorMsgKind::kPollRequest;
+  return Envelope{kCoordinatorId, kCoordinatorId, kick};
+}
+
+/// Kicks `leg` and returns the fan-out it sent to the workers of `t`.
+std::vector<Envelope> KickAndTakeRequests(ShardFreeLeg* leg, Transport& t,
+                                          std::vector<RootMsg>* out) {
+  leg->Step(Kick(), out);
+  std::vector<Envelope> requests;
+  for (int w = 0; w < t.num_workers(); ++w) {
+    t.TryRecvWorkerAll(w, &requests);
+  }
+  return requests;
+}
+
 TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
-  // A replacement leg (incarnation 1) shares its inbox with the responses
-  // its dead predecessor's round left behind. Lanes deliver those in any
-  // order relative to the fresh ones, so the leg must count only responses
-  // echoing its own round's id — else a stale one resolves the round early
-  // with 0 for a site whose fresh response is still on its way. A site's
-  // repeated fresh response counts once, so it cannot stand in for another
-  // site's either.
+  // Each fan-out carries the leg's round number, and only responses echoing
+  // the open round's number count: a late answer to an earlier round, which
+  // lanes may deliver in any order relative to the fresh ones, must not
+  // resolve the round early with 0 for a site whose fresh response is still
+  // on its way. A site's repeated fresh response counts once, so it cannot
+  // stand in for another site's either.
   constexpr int kSites = 4;
   auto transport = ThreadTransport::Create(kSites, 2);
   ASSERT_TRUE(transport.ok());
@@ -520,23 +558,20 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   config.weights = {1, 2, 3, 4};
   config.protocol = RuntimeProtocol::kPolling;
   Mailbox<RootMsg> to_root(16);
-  ShardContext ctx;
-  ctx.layout = *MakeShardLayout(kSites, 1);
-  ctx.config = &config;
-  ctx.transport = &t;
-  ctx.to_root = &to_root;
-  ctx.incarnation = 1;
-  ShardFreeLeg leg(std::move(ctx));
+  auto leg = StartedLeg(config, &t, &to_root);
   std::vector<RootMsg> out;
-  leg.Start(&out);
-  ASSERT_TRUE(out.empty());
 
-  ActorMessage kick;
-  kick.kind = ActorMsgKind::kPollRequest;
-  leg.Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
-  std::vector<Envelope> requests;
-  t.TryRecvWorkerAll(0, &requests);
-  t.TryRecvWorkerAll(1, &requests);
+  // The first round, answered and resolved.
+  std::vector<Envelope> requests = KickAndTakeRequests(leg.get(), t, &out);
+  ASSERT_FALSE(requests.empty());
+  const int64_t first = requests[0].msg.epoch;
+  for (int site = 0; site < kSites; ++site) {
+    leg->Step(PollResponse(site, first, 1), &out);
+  }
+  ASSERT_EQ(out.size(), 1u);
+  out.clear();
+
+  requests = KickAndTakeRequests(leg.get(), t, &out);
   // One range request per worker, covering exactly the shard's sites.
   ASSERT_EQ(requests.size(), static_cast<size_t>(t.num_workers()));
   EXPECT_EQ(CoveredSites(t, requests), (std::vector<int>{0, 1, 2, 3}));
@@ -545,15 +580,14 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
     EXPECT_EQ(r.msg.epoch, id);
     EXPECT_FALSE(r.msg.flag);  // Mixed weights: every site answers.
   }
-  ASSERT_NE(id, ShardFreeLeg::PollRoundId(0, 1));
+  ASSERT_NE(id, first);
 
-  // The dead leg's first round, answered by site 0.
-  leg.Step(PollResponse(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
+  leg->Step(PollResponse(0, first, 1000), &out);  // Late, to the first round.
   EXPECT_TRUE(out.empty());
   for (int site = 0; site < kSites; ++site) {
-    leg.Step(PollResponse(site, id, 10 * (site + 1)), &out);
+    leg->Step(PollResponse(site, id, 10 * (site + 1)), &out);
     if (site == 0) {
-      leg.Step(PollResponse(0, id, 1000), &out);  // Repeated: ignored.
+      leg->Step(PollResponse(0, id, 1000), &out);  // Repeated: ignored.
     }
     if (site + 1 < kSites) {
       ASSERT_TRUE(out.empty()) << "resolved after " << site + 1 << " of "
@@ -565,30 +599,12 @@ TEST(ShardFreeLegTest, CountsOnlyResponsesToItsOwnRound) {
   EXPECT_EQ(out[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
 }
 
-/// A shard leg over all of `config`'s sites on `t`, started.
-std::unique_ptr<ShardFreeLeg> StartedLeg(const CoordinatorActor::Config& config,
-                                         Transport* t,
-                                         Mailbox<RootMsg>* to_root,
-                                         int64_t incarnation = 0) {
-  ShardContext ctx;
-  ctx.layout = *MakeShardLayout(config.num_sites, 1);
-  ctx.config = &config;
-  ctx.transport = t;
-  ctx.to_root = to_root;
-  ctx.incarnation = incarnation;
-  auto leg = std::make_unique<ShardFreeLeg>(std::move(ctx));
-  std::vector<RootMsg> out;
-  leg->Start(&out);
-  EXPECT_TRUE(out.empty());
-  return leg;
-}
-
 // The summed twin of CountsOnlyResponsesToItsOwnRound: with equal weights
 // on a perfect channel the leg flags its fan-out, and each target (the
 // range's first site on each worker) answers with one sum. Only the first
-// answer of each target to the open round counts: a stale round's sum, a
-// second sum from the same target and an answer from a site that was not
-// a target all leave the round open.
+// answer of each target to the open round counts: an earlier round's sum,
+// a second sum from the same target and an answer from a site that was
+// not a target all leave the round open.
 TEST(ShardFreeLegTest, CountsOnlySumsToItsOwnRound) {
   constexpr int kSites = 4;
   auto transport = ThreadTransport::Create(kSites, 2);
@@ -599,24 +615,27 @@ TEST(ShardFreeLegTest, CountsOnlySumsToItsOwnRound) {
   config.weights = {3, 3, 3, 3};
   config.protocol = RuntimeProtocol::kPolling;
   Mailbox<RootMsg> to_root(16);
-  auto leg = StartedLeg(config, &t, &to_root, /*incarnation=*/1);
-
+  auto leg = StartedLeg(config, &t, &to_root);
   std::vector<RootMsg> out;
-  ActorMessage kick;
-  kick.kind = ActorMsgKind::kPollRequest;
-  leg->Step(Envelope{kCoordinatorId, kCoordinatorId, kick}, &out);
-  std::vector<Envelope> requests;
-  t.TryRecvWorkerAll(0, &requests);
-  t.TryRecvWorkerAll(1, &requests);
+
+  std::vector<Envelope> requests = KickAndTakeRequests(leg.get(), t, &out);
+  ASSERT_EQ(requests.size(), 2u);
+  const int64_t first = requests[0].msg.epoch;
+  leg->Step(PollResponse(0, first, 0), &out);
+  leg->Step(PollResponse(1, first, 0), &out);
+  ASSERT_EQ(out.size(), 1u);
+  out.clear();
+
+  requests = KickAndTakeRequests(leg.get(), t, &out);
   ASSERT_EQ(requests.size(), 2u);
   EXPECT_EQ(CoveredSites(t, requests), (std::vector<int>{0, 1, 2, 3}));
   for (const Envelope& r : requests) {
     EXPECT_TRUE(r.msg.flag) << "request to site " << r.to;
   }
   const int64_t id = requests[0].msg.epoch;
-  ASSERT_EQ(id, ShardFreeLeg::PollRoundId(1, 1));
+  ASSERT_NE(id, first);
 
-  leg->Step(PollResponse(0, ShardFreeLeg::PollRoundId(0, 1), 1000), &out);
+  leg->Step(PollResponse(0, first, 1000), &out);  // The first round's.
   leg->Step(PollResponse(0, id, 10 + 30), &out);  // Sites 0 and 2.
   leg->Step(PollResponse(0, id, 10 + 30), &out);  // Duplicated.
   leg->Step(PollResponse(3, id, 1000), &out);     // Not a target.
@@ -628,12 +647,13 @@ TEST(ShardFreeLegTest, CountsOnlySumsToItsOwnRound) {
   leg->Step(PollResponse(1, id, 20 + 40), &out);  // After the round.
   EXPECT_EQ(out.size(), 1u);
 
-  // The round still charges a request and an answer per site.
+  // Each round still charges a request and an answer per site.
   leg->Stop(OkStatus(), &out);
   ASSERT_EQ(out.size(), 2u);
   ASSERT_EQ(out[1].kind, RootMsg::Kind::kShardExit);
-  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollRequest), kSites);
-  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollResponse), kSites);
+  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollRequest), 2 * kSites);
+  EXPECT_EQ(out[1].report->messages.of(MessageType::kPollResponse),
+            2 * kSites);
 }
 
 // The leg sums only when it can: mixed weights need per-site values, and a
@@ -743,7 +763,7 @@ TEST(ShardFreeLegTest, RangeFanOutReachesOnlyWorkersWithSitesInItsShard) {
   }
 }
 
-// --- Free shard leg: site-done runs -----------------------------------------
+// --- Free shard leg: the done record ----------------------------------------
 
 Envelope SiteDone(int site, int64_t updates) {
   ActorMessage msg;
@@ -752,10 +772,19 @@ Envelope SiteDone(int site, int64_t updates) {
   return Envelope{site, kCoordinatorId, msg};
 }
 
-TEST(ShardFreeLegTest, RelaysEachDoneRunAsOneMessage) {
-  // A run of consecutive dones in one inbox batch is one step and one root
-  // message; any other envelope ends the run, and a stopped leg relays
-  // nothing.
+Envelope Alarm(int site, int64_t epoch) {
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kAlarm;
+  msg.epoch = epoch;
+  msg.value = 50;
+  return Envelope{site, kCoordinatorId, msg};
+}
+
+TEST(ShardFreeLegTest, RecordsEachSiteDoneOnce) {
+  // A site's first done writes its count into the leg's slice; a repeat
+  // changes nothing and tells the root nothing, so dones step through a
+  // batch without output until the last owned site's, which appends the
+  // one kLegDone. A stopped leg records nothing.
   constexpr int kSites = 4;
   auto transport = ThreadTransport::Create(kSites, 1);
   ASSERT_TRUE(transport.ok());
@@ -764,78 +793,67 @@ TEST(ShardFreeLegTest, RelaysEachDoneRunAsOneMessage) {
   config.weights = {1, 1, 1, 1};
   config.protocol = RuntimeProtocol::kPolling;
   Mailbox<RootMsg> to_root(16);
-  ShardContext ctx;
-  ctx.layout = *MakeShardLayout(kSites, 1);
-  ctx.config = &config;
-  ctx.transport = transport->get();
-  ctx.to_root = &to_root;
-  ShardFreeLeg leg(std::move(ctx));
+  std::vector<int64_t> updates(kSites, 0);
+  auto leg = StartedLeg(config, transport->get(), &to_root, updates);
   std::vector<RootMsg> out;
-  leg.Start(&out);
-  ASSERT_TRUE(out.empty());
 
-  ActorMessage alarm;
-  alarm.kind = ActorMsgKind::kAlarm;
-  alarm.epoch = 7;
-  alarm.value = 50;
   const std::vector<Envelope> batch = {SiteDone(0, 100), SiteDone(1, 101),
-                                       SiteDone(2, 102),
-                                       Envelope{3, kCoordinatorId, alarm},
-                                       SiteDone(3, 103)};
-  EXPECT_EQ(leg.StepBatch(batch, 0, &out), 3u);  // The run is one step.
-  for (size_t next = 3; next < batch.size();) {
-    next = leg.StepBatch(batch, next, &out);
-  }
-  using Entries = std::vector<std::pair<int, int64_t>>;
+                                       SiteDone(0, 999), Alarm(3, 7),
+                                       SiteDone(2, 102), SiteDone(2, 998)};
+  EXPECT_EQ(leg->StepBatch(batch, 0, &out), 4u);  // The notice stops it.
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, RootMsg::Kind::kAlarmNotice);
+  EXPECT_EQ(out[0].epoch, 7);
+  EXPECT_EQ(leg->StepBatch(batch, 4, &out), batch.size());
+  EXPECT_EQ(out.size(), 1u);  // Site 3 is not done yet.
+  EXPECT_EQ(updates, (std::vector<int64_t>{100, 101, 102, 0}));
+
+  const std::vector<Envelope> last = {SiteDone(3, 103), SiteDone(3, 997),
+                                      SiteDone(1, 996)};
+  EXPECT_EQ(leg->StepBatch(last, 0, &out), 1u);  // The leg-done stops it.
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].kind, RootMsg::Kind::kLegDone);
+  EXPECT_LE(out[1].first_done, out[1].last_done);
+  EXPECT_EQ(leg->StepBatch(last, 1, &out), last.size());
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(updates, (std::vector<int64_t>{100, 101, 102, 103}));
+  leg->Stop(OkStatus(), &out);
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].kind, RootMsg::Kind::kSiteDone);
-  EXPECT_EQ(out[0].entries, (Entries{{0, 100}, {1, 101}, {2, 102}}));
-  EXPECT_EQ(out[1].kind, RootMsg::Kind::kAlarmNotice);
-  EXPECT_EQ(out[1].epoch, 7);
-  EXPECT_EQ(out[2].kind, RootMsg::Kind::kSiteDone);
-  EXPECT_EQ(out[2].entries, (Entries{{3, 103}}));
+  EXPECT_EQ(out[2].kind, RootMsg::Kind::kShardExit);
 
-  leg.Stop(OkStatus(), &out);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[3].kind, RootMsg::Kind::kShardExit);
+  std::vector<int64_t> stopped_updates(kSites, 0);
+  auto stopped = StartedLeg(config, transport->get(), &to_root,
+                            stopped_updates);
   out.clear();
-  const std::vector<Envelope> late = {SiteDone(0, 1), SiteDone(1, 1)};
-  EXPECT_EQ(leg.StepBatch(late, 0, &out), late.size());
+  stopped->Stop(OkStatus(), &out);
+  out.clear();
+  EXPECT_EQ(stopped->StepBatch(last, 0, &out), last.size());
   EXPECT_TRUE(out.empty());
+  EXPECT_EQ(stopped_updates, (std::vector<int64_t>(kSites, 0)));
 }
 
-/// Trace events of `kind` that `recorder` holds.
-int64_t CountEvents(const obs::TraceRecorder& recorder,
-                    obs::TraceEventKind kind) {
-  int64_t n = 0;
-  for (const obs::TraceEvent& e : recorder.Events()) {
-    n += e.kind == kind ? 1 : 0;
-  }
-  return n;
-}
-
-TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
-  // Chaos kills a shard's leg at the inbox-batch boundary right after its
-  // first completion burst; the shard thread starts a replacement, which
-  // drains the second. The root must hear every site's count exactly
-  // once, the dead leg's run whole and the rest from the replacement, and
-  // one exit that reports the recovery.
+TEST(ShardFreeLegTest, SendsOneLegDoneAfterItsLastDistinctSite) {
+  // A shard thread's leg hears its sites' dones over several inbox batches,
+  // with repeats inside a batch and across batches. The root gets one
+  // kLegDone, and only once the last distinct site is done; the leg's
+  // slice of site_updates holds every owned site's first count, and the
+  // rest of the array, another leg's, stays untouched.
   constexpr int kSites = 40;
   constexpr int kShard = 1;  // Owns sites [20, 40).
-  constexpr int kFirstBurst = 8;
-  auto transport = ThreadTransport::Create(kSites, 2, 0, 0, /*num_shards=*/2);
+  // One worker: every site's envelope shares one inbox lane, in send order.
+  auto transport = ThreadTransport::Create(kSites, 1, 0, 0, /*num_shards=*/2);
   ASSERT_TRUE(transport.ok());
   Transport& t = **transport;
-  obs::TraceRecorder recorder(/*capacity=*/64);
   CoordinatorActor::Config config;
   config.num_sites = kSites;
   config.weights.assign(kSites, 1);
   config.protocol = RuntimeProtocol::kPolling;
-  config.recorder = &recorder;
   const ShardLayout layout = *MakeShardLayout(kSites, 2);
   const int first = layout.ShardStart(kShard);
   const int owned = layout.ShardSize(kShard);
   ASSERT_EQ(owned, 20);
+  const int last = first + owned - 1;
+  std::vector<int64_t> site_updates(kSites, -1);
   Mailbox<RootMsg> to_root(16);
   ShardContext ctx;
   ctx.shard = kShard;
@@ -843,70 +861,71 @@ TEST(ShardFreeLegTest, DeathBetweenDoneBurstsCountsEverySiteOnce) {
   ctx.config = &config;
   ctx.transport = &t;
   ctx.to_root = &to_root;
-  ctx.die_after_envelopes = kFirstBurst;
-
-  auto burst = [&](int from, int to) {
-    std::vector<Envelope> dones;
-    for (int site = from; site < to; ++site) {
-      dones.push_back(SiteDone(site, 1000 + site));
-    }
-    ASSERT_TRUE(t.SendBatch(dones));
-  };
+  ctx.site_updates = std::span<int64_t>(site_updates)
+                         .subspan(static_cast<size_t>(first),
+                                  static_cast<size_t>(owned));
   std::thread shard_thread(RunShardFree, ctx);
-  burst(first, first + kFirstBurst);
-  // The first run's relay: the leg consumed the whole burst (one push, so
-  // one inbox batch) and dies at the next boundary.
+
+  // Every site but the last, twice in one batch, then an alarm: its notice
+  // reaches the root only after the leg stepped every done before it.
+  std::vector<Envelope> batch;
+  for (int round : {0, 1}) {
+    for (int site = first; site < last; ++site) {
+      batch.push_back(SiteDone(site, 1000 * (round + 1) + site));
+    }
+  }
+  batch.push_back(Alarm(first, 3));
+  ASSERT_TRUE(t.SendBatch(batch));
   std::vector<RootMsg> got;
-  ASSERT_GT(to_root.PopAll(&got), 0u);
-  burst(first + kFirstBurst, first + owned);
+  while (got.empty() || got.back().kind != RootMsg::Kind::kAlarmNotice) {
+    ASSERT_GT(to_root.PopAll(&got), 0u);
+  }
+  for (const RootMsg& msg : got) {
+    EXPECT_NE(msg.kind, RootMsg::Kind::kLegDone) << "before the last site";
+  }
+
+  // The last site, between more repeats.
+  batch.clear();
+  batch.push_back(SiteDone(first, 7));
+  batch.push_back(SiteDone(last, 1000 + last));
+  batch.push_back(SiteDone(last, 8));
+  ASSERT_TRUE(t.SendBatch(batch));
   ActorMessage stop;
   stop.kind = ActorMsgKind::kShutdown;
   ASSERT_TRUE(t.SendToShard(kShard, Envelope{kCoordinatorId, kCoordinatorId,
                                              stop}));
   shard_thread.join();
+  got.clear();
   to_root.TryPopAll(&got);
-
-  std::vector<int> heard(static_cast<size_t>(kSites), 0);
-  int done_msgs = 0;
-  int exits = 0;
-  for (const RootMsg& msg : got) {
-    if (msg.kind == RootMsg::Kind::kShardExit) {
-      ++exits;
-      EXPECT_TRUE(msg.report->status.ok());
-      EXPECT_EQ(msg.report->recoveries, 1);
-      continue;
-    }
-    ASSERT_EQ(msg.kind, RootMsg::Kind::kSiteDone);
-    ++done_msgs;
-    for (const auto& [site, updates] : msg.entries) {
-      ++heard[static_cast<size_t>(site)];
-      EXPECT_EQ(updates, 1000 + site);
-    }
-  }
-  EXPECT_EQ(done_msgs, 2);  // One run per burst.
-  EXPECT_EQ(exits, 1);      // The dead leg never reports.
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].kind, RootMsg::Kind::kLegDone);
+  ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
+  EXPECT_TRUE(got[1].report->status.ok());
   for (int site = 0; site < kSites; ++site) {
     const bool mine = site >= first && site < first + owned;
-    EXPECT_EQ(heard[static_cast<size_t>(site)], mine ? 1 : 0)
+    EXPECT_EQ(site_updates[static_cast<size_t>(site)], mine ? 1000 + site : -1)
         << "site " << site;
   }
-  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardDeath), 1);
-  EXPECT_EQ(CountEvents(recorder, obs::TraceEventKind::kShardRespawn), 1);
 }
 
-TEST(ShardFreeLegTest, DeathWithRoundOpenAnswersTheKickOnce) {
-  // The leg consumes the root's kick, fans its round out and dies before
-  // any response arrives. Its replacement must re-open the round, count
-  // only responses to its own round, and send the root exactly one
-  // partial for the one kick; without the re-delivered kick the root
-  // would wait for that partial forever.
+// --- Free shard leg on its shard thread: kicks -------------------------------
+
+/// Runs a leg over four sites with `weights` on a shard thread (one worker,
+/// one shard), kicks it twice and answers each round's fan-out, the second
+/// round's answers led by late ones to the first round. Site i answers the
+/// first round with 1 and the second with 10 * (i + 1); a late answer is
+/// 1000. A flagged request is answered once, by its addressed site, with
+/// the sum over the sites it covers. Returns everything the thread pushed
+/// to the root, and the two rounds' request epochs.
+std::vector<RootMsg> TwoKicksOnAShardThread(std::vector<int64_t> weights,
+                                            std::vector<int64_t>* round_ids) {
   constexpr int kSites = 4;
   auto transport = ThreadTransport::Create(kSites, 1);
-  ASSERT_TRUE(transport.ok());
+  EXPECT_TRUE(transport.ok());
   Transport& t = **transport;
   CoordinatorActor::Config config;
   config.num_sites = kSites;
-  config.weights = {1, 2, 3, 4};
+  config.weights = std::move(weights);
   config.protocol = RuntimeProtocol::kPolling;
   Mailbox<RootMsg> to_root(16);
   ShardContext ctx;
@@ -914,102 +933,95 @@ TEST(ShardFreeLegTest, DeathWithRoundOpenAnswersTheKickOnce) {
   ctx.config = &config;
   ctx.transport = &t;
   ctx.to_root = &to_root;
-  ctx.die_after_envelopes = 1;  // Dies right after the kick.
-
   std::thread shard_thread(RunShardFree, ctx);
-  ActorMessage kick;
-  kick.kind = ActorMsgKind::kPollRequest;
-  ASSERT_TRUE(
-      t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, kick}));
-  // Two fan-outs reach the one worker: the dead leg's and the
-  // replacement's, each a single range request for all four sites.
+
+  // Appends the answers to `request` with site i's value `value(i)`.
+  auto answer = [&](const Envelope& request, auto value,
+                    std::vector<Envelope>* out) {
+    const int end = static_cast<int>(std::min<int64_t>(CoveredEnd(request),
+                                                       kSites));
+    int64_t sum = 0;
+    for (int site = request.to; site < end; ++site) {
+      if (!request.msg.flag) {
+        out->push_back(PollResponse(site, request.msg.epoch, value(site)));
+      }
+      sum += value(site);
+    }
+    if (request.msg.flag) {
+      out->push_back(PollResponse(request.to, request.msg.epoch, sum));
+    }
+  };
+  std::vector<RootMsg> got;
   std::vector<Envelope> requests;
-  while (requests.size() < 2) {
-    ASSERT_GT(t.RecvWorkerAll(0, &requests), 0u);
-  }
-  ASSERT_EQ(requests.size(), 2u);
-  EXPECT_EQ(requests[0].msg.epoch, ShardFreeLeg::PollRoundId(0, 1));
-  EXPECT_EQ(requests[1].msg.epoch, ShardFreeLeg::PollRoundId(1, 1));
-  // Every site answers both rounds, the dead one with values that would
-  // give another sum.
   std::vector<Envelope> responses;
-  for (const Envelope& request : requests) {
-    for (int site = 0; site < kSites; ++site) {
-      ActorMessage msg;
-      msg.kind = ActorMsgKind::kPollResponse;
-      msg.epoch = request.msg.epoch;
-      msg.value = request.msg.epoch == requests[0].msg.epoch ? 1000
-                                                             : 10 * (site + 1);
-      responses.push_back(Envelope{site, kCoordinatorId, msg});
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(t.SendToShard(0, Kick()));
+    requests.clear();
+    while (requests.empty()) {
+      t.RecvWorkerAll(0, &requests);
+    }
+    EXPECT_EQ(requests.size(), 1u);  // One worker: one range request.
+    round_ids->push_back(requests[0].msg.epoch);
+    responses.clear();
+    if (round == 1) {
+      for (int site = 0; site < kSites; ++site) {
+        responses.push_back(PollResponse(site, round_ids->front(), 1000));
+      }
+    }
+    for (const Envelope& request : requests) {
+      answer(request,
+             [round](int site) -> int64_t {
+               return round == 0 ? 1 : 10 * (site + 1);
+             },
+             &responses);
+    }
+    EXPECT_TRUE(t.SendBatch(responses));
+    // The round's partial, before the next kick.
+    const size_t before = got.size();
+    while (got.size() == before) {
+      to_root.PopAll(&got);
     }
   }
-  ASSERT_TRUE(t.SendBatch(responses));
   ActorMessage stop;
   stop.kind = ActorMsgKind::kShutdown;
-  ASSERT_TRUE(t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, stop}));
+  EXPECT_TRUE(
+      t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, stop}));
   shard_thread.join();
-
-  std::vector<RootMsg> got;
   to_root.TryPopAll(&got);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
-  EXPECT_EQ(got[0].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
-  ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
-  EXPECT_TRUE(got[1].report->status.ok());
-  EXPECT_EQ(got[1].report->recoveries, 1);
+  return got;
 }
 
-// The summed twin of DeathWithRoundOpenAnswersTheKickOnce: the one worker's
-// target answers each of the two summed rounds once, the dead round's sum
-// first; only the replacement's round counts.
-TEST(ShardFreeLegTest, DeathWithSummedRoundOpenAnswersTheKickOnce) {
-  constexpr int kSites = 4;
-  auto transport = ThreadTransport::Create(kSites, 1);
-  ASSERT_TRUE(transport.ok());
-  Transport& t = **transport;
-  CoordinatorActor::Config config;
-  config.num_sites = kSites;
-  config.weights.assign(kSites, 2);
-  config.protocol = RuntimeProtocol::kPolling;
-  Mailbox<RootMsg> to_root(16);
-  ShardContext ctx;
-  ctx.layout = *MakeShardLayout(kSites, 1);
-  ctx.config = &config;
-  ctx.transport = &t;
-  ctx.to_root = &to_root;
-  ctx.die_after_envelopes = 1;  // Dies right after the kick.
-
-  std::thread shard_thread(RunShardFree, ctx);
-  ActorMessage kick;
-  kick.kind = ActorMsgKind::kPollRequest;
-  ASSERT_TRUE(
-      t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, kick}));
-  std::vector<Envelope> requests;
-  while (requests.size() < 2) {
-    ASSERT_GT(t.RecvWorkerAll(0, &requests), 0u);
-  }
-  ASSERT_EQ(requests.size(), 2u);
-  EXPECT_EQ(requests[0].msg.epoch, ShardFreeLeg::PollRoundId(0, 1));
-  EXPECT_EQ(requests[1].msg.epoch, ShardFreeLeg::PollRoundId(1, 1));
-  for (const Envelope& r : requests) {
-    EXPECT_TRUE(r.msg.flag);
-    EXPECT_EQ(r.to, 0);
-  }
-  ASSERT_TRUE(t.SendBatch({PollResponse(0, requests[0].msg.epoch, 1000),
-                           PollResponse(0, requests[1].msg.epoch, 100)}));
-  ActorMessage stop;
-  stop.kind = ActorMsgKind::kShutdown;
-  ASSERT_TRUE(t.SendToShard(0, Envelope{kCoordinatorId, kCoordinatorId, stop}));
-  shard_thread.join();
-
-  std::vector<RootMsg> got;
-  to_root.TryPopAll(&got);
-  ASSERT_EQ(got.size(), 2u);
+TEST(ShardFreeLegTest, ShardThreadAnswersEachKickOnce) {
+  // Mixed weights: every site answers. Each kick gets exactly one partial,
+  // over its own round's answers only, and the thread exits once.
+  std::vector<int64_t> ids;
+  const std::vector<RootMsg> got = TwoKicksOnAShardThread({1, 2, 3, 4}, &ids);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_NE(ids[0], ids[1]);
+  ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
-  EXPECT_EQ(got[0].partial_sum, 2 * 100);
-  ASSERT_EQ(got[1].kind, RootMsg::Kind::kShardExit);
-  EXPECT_TRUE(got[1].report->status.ok());
-  EXPECT_EQ(got[1].report->recoveries, 1);
+  EXPECT_EQ(got[0].partial_sum, 1 + 2 + 3 + 4);
+  EXPECT_EQ(got[1].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(got[1].partial_sum, 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
+  ASSERT_EQ(got[2].kind, RootMsg::Kind::kShardExit);
+  EXPECT_TRUE(got[2].report->status.ok());
+}
+
+// The summed twin of ShardThreadAnswersEachKickOnce: the one worker's
+// target answers each round with one sum, and the first round's late sum
+// does not count toward the second.
+TEST(ShardFreeLegTest, ShardThreadAnswersEachSummedKickOnce) {
+  std::vector<int64_t> ids;
+  const std::vector<RootMsg> got = TwoKicksOnAShardThread({2, 2, 2, 2}, &ids);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_NE(ids[0], ids[1]);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(got[0].partial_sum, 2 * 4);
+  EXPECT_EQ(got[1].kind, RootMsg::Kind::kPollPartial);
+  EXPECT_EQ(got[1].partial_sum, 2 * (10 + 20 + 30 + 40));
+  ASSERT_EQ(got[2].kind, RootMsg::Kind::kShardExit);
+  EXPECT_TRUE(got[2].report->status.ok());
 }
 
 // --- Virtual-time runtime on a hand-checked trace --------------------------
@@ -1100,7 +1112,58 @@ TEST(RuntimeVirtualTest, WorkerMultiplexingDoesNotChangeResults) {
   EXPECT_EQ(per_site->messages.total(), packed->messages.total());
 }
 
+TEST(RuntimeVirtualTest, SyntheticRunCountsItsAlarmsAndPolls) {
+  // A synthetic run has no ground truth to be scored against, but its
+  // alarms and polls are its own: the tallies must match its detections.
+  RuntimeOptions options;
+  options.virtual_time = true;
+  options.seed = 5;
+  options.synthetic_max = 1000;
+  options.global_threshold = 8 * 1000;
+  options.thresholds.assign(8, 900);  // About 10% of updates alarm.
+  options.domain_max.assign(8, 1000);
+  auto result = RunSyntheticRuntime(8, 200, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  int64_t alarms = 0;
+  int64_t alarm_epochs = 0;
+  int64_t polled = 0;
+  for (const EpochDetection& det : result->detections) {
+    alarms += det.num_alarms;
+    alarm_epochs += det.num_alarms > 0 ? 1 : 0;
+    polled += det.polled ? 1 : 0;
+  }
+  EXPECT_GT(alarm_epochs, 0);
+  EXPECT_EQ(result->total_alarms, alarms);
+  EXPECT_EQ(result->alarm_epochs, alarm_epochs);
+  EXPECT_EQ(result->polled_epochs, polled);
+  EXPECT_EQ(result->polled_epochs, alarm_epochs);  // A perfect channel.
+  EXPECT_EQ(result->true_violations, 0);
+}
+
 // --- Free-running mode ------------------------------------------------------
+
+TEST(RuntimeFreeTest, RejectsPollingBeforeAnySocketIsAccepted) {
+  // A free-running root starts a round only on an alarm notice, and
+  // polling sites never alarm, so such a run would never poll. It is a
+  // named error instead, over threads and before a socket run listens.
+  for (TransportKind transport : {TransportKind::kThread,
+                                  TransportKind::kSocket}) {
+    RuntimeOptions options;
+    options.virtual_time = false;
+    options.protocol = RuntimeProtocol::kPolling;
+    options.transport = transport;
+    options.listen_port = 0;
+    bool listened = false;
+    options.on_listening = [&listened](int) { listened = true; };
+    auto result = RunSyntheticRuntime(8, 100, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("polling needs virtual time"),
+              std::string::npos)
+        << result.status().message();
+    EXPECT_FALSE(listened);
+  }
+}
 
 TEST(RuntimeFreeTest, ProcessesFullWorkloadAcrossThreads) {
   RuntimeOptions options;

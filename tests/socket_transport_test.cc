@@ -1093,5 +1093,12 @@ TEST(SocketTransportTest, RejectsAWireV9Hello) {
   ExpectHelloVersionRejected(9);
 }
 
+TEST(SocketTransportTest, RejectsAWireV10Hello) {
+  // Wire v11 renumbered the telemetry frame's trace-event kinds; a v10
+  // worker's reconnect events would be read as other kinds, so it must
+  // fail at the hello.
+  ExpectHelloVersionRejected(10);
+}
+
 }  // namespace
 }  // namespace dcv

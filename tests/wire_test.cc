@@ -505,7 +505,7 @@ TEST(WireTest, EnvelopeBatchRoundTrip) {
   }
 }
 
-// The v10 kEnvelopeBatch bytes, pinned: every kind, negative ids, INT64 min
+// The v11 kEnvelopeBatch bytes, pinned: every kind, negative ids, INT64 min
 // and max, both flags. Any change to the encoder must leave them as they
 // are, since a worker of one build talks to a coordinator of another; only
 // a version bump changes the version byte.
@@ -526,10 +526,10 @@ TEST(WireTest, EnvelopeBatchGoldenBytes) {
       MakeEnvelope(kCoordinatorId, 5, ActorMsgKind::kThresholdUpdate, -9,
                    1000000, true),
   };
-  // Length prefix, version 10, type, count; then 26 bytes per envelope
+  // Length prefix, version 11, type, count; then 26 bytes per envelope
   // (from, to, kind, flag, epoch, value); then the sequence number.
   const std::string golden =
-      "de0000000a0608000000"
+      "de0000000b0608000000"
       "ffffffff00000000000100000000000000000000000000000000"
       "03000000ffffffff010101000000000000000000000000000080"
       "ffffffffffffff7f0200ffffffffffffffffffffffffffffff7f"

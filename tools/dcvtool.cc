@@ -52,7 +52,7 @@
 //           [--scheme local|polling] [--solver fptas|...] [--eps 0.05]
 //           [--poll-period 5] [--threads K] [--shards S] [--virtual-time]
 //           [--conformance] [--transport thread|socket] [--listen-port P]
-//           [--chaos none|kill-shard|kill-worker] [--chaos-seed S]
+//           [--chaos none|kill-worker] [--chaos-seed S]
 //           [--allow-reconnect]
 //           [--metrics-json out.json] [--trace-out out.trace]
 //           [--trace-format jsonl|chrome] [--stats-interval-ms T]
@@ -66,7 +66,9 @@
 //       of its updates (in [0, 1]; 0 = none) raise an alarm.
 //       --virtual-time runs the deterministic epoch-barrier mode
 //       (bit-identical to `simulate`); the default is free-running
-//       throughput mode. --conformance (needs --trace) runs
+//       throughput mode, which polls only on alarms, so --scheme polling
+//       (every --poll-period epochs, no alarms) needs --virtual-time.
+//       --conformance (needs --trace) runs
 //       the lockstep simulator AND the virtual-time runtime and verifies
 //       they agree epoch by epoch (with --transport socket a third run
 //       over loopback TCP is verified as well). --threads packs the sites
@@ -83,22 +85,20 @@
 //       on --listen-port (0 = ephemeral; the bound port is printed as
 //       "listening-port: P"), waits for one `dcvtool site-worker` process
 //       per worker slot, and prints the wire stats as "socket: ...".
-//       --chaos injects one seed-resolved failure mid-run: kill-shard
-//       crashes a shard coordinator's leg (free-running only; its shard
-//       thread starts a replacement on the same inbox, and the run prints
-//       "shard-recoveries:" and "recovery-ms:"), kill-worker
-//       severs a worker's TCP link at an epoch boundary (socket transport
-//       and virtual time only; heals via the reconnect protocol).
-//       Detection results must be unchanged — that is the point. --allow-reconnect keeps the coordinator accepting resume
-//       handshakes even without chaos (kill-worker implies it).
+//       --chaos kill-worker severs one seed-resolved worker's TCP link at
+//       an epoch boundary mid-run (socket transport and virtual time only;
+//       it heals via the reconnect protocol). Detection results must be
+//       unchanged — that is the point. --allow-reconnect keeps the
+//       coordinator accepting resume handshakes even without chaos
+//       (kill-worker implies it).
 //       --metrics-json writes the merged telemetry document: the
 //       coordinator registry folded with every worker's final kTelemetry
 //       push (counters summed, histograms merged, worker gauges
 //       namespaced "workerK/..."), so the document shape matches a
 //       thread-transport run. --trace-out writes one merged timeline with
-//       coordinator, shard, and worker lanes (worker events are shifted
-//       by the handshake-estimated clock offset); chaos lifecycle shows
-//       up as instant events. --stats-interval-ms prints a live
+//       coordinator and worker lanes (worker events are shifted by the
+//       handshake-estimated clock offset); a worker's reconnect shows up
+//       as instant events. --stats-interval-ms prints a live
 //       "stats: ..." snapshot line every T ms while the run is going.
 //
 //   dcvtool site-worker --port P --worker W --workers K
@@ -682,12 +682,6 @@ Status PrintRuntimeResult(const RuntimeResult& result, bool show_reliability,
   std::printf("updates: %lld\n", static_cast<long long>(result.total_updates));
   std::printf("elapsed-seconds: %.3f\n", result.elapsed_seconds);
   std::printf("updates-per-second: %.0f\n", result.updates_per_second);
-  if (result.shard_recoveries > 0) {
-    std::printf("shard-recoveries: %lld\n",
-                static_cast<long long>(result.shard_recoveries));
-    // A leg restarts on its own thread in microseconds.
-    std::printf("recovery-ms: %.3f\n", result.recovery_ms);
-  }
   if (show_reliability) {
     std::printf("reliability: %s\n", result.reliability.ToString().c_str());
   }

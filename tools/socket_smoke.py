@@ -19,10 +19,7 @@ schema-validated via validate_metrics.py, and checked for worker-side
 counters (and, under --chaos kill-worker, for a counted
 runtime/socket/reconnects). With --trace-out the merged Chrome trace is
 written and checked for one lane per process (and, under --chaos
-kill-worker, for the worker_reconnect recovery instant event). Under
---chaos kill-shard the socket run must report shard-recoveries >= 1, so a
-chaos run that never fired does not pass; kill-shard needs --free-running,
-the only mode with shard threads.
+kill-worker, for the worker_reconnect recovery instant event).
 
 --crash and --partition go to both the socket run and the thread run: the
 faults live in the coordinator's channel, so the worker processes never see
@@ -79,7 +76,7 @@ def main():
     parser.add_argument("--shards", type=int, default=1,
                         help="coordinator shard count (two-level tree)")
     parser.add_argument("--chaos", default="none",
-                        choices=["none", "kill-shard", "kill-worker"],
+                        choices=["none", "kill-worker"],
                         help="inject one seed-resolved failure into the "
                              "socket run; the healthy thread run is still "
                              "the comparison baseline, so a match proves "
@@ -217,10 +214,6 @@ def main():
             mismatches.append("  %s: socket=%r thread=%r"
                               % (key, socket_values.get(key),
                                  thread_values.get(key)))
-    if (args.chaos == "kill-shard"
-            and int(socket_values.get("shard-recoveries", "0")) < 1):
-        mismatches.append("  shard-recoveries: socket=%r, want >= 1"
-                          % socket_values.get("shard-recoveries"))
     if mismatches:
         sys.exit("socket run diverged from thread run:\n"
                  + "\n".join(mismatches)
