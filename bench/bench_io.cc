@@ -1,7 +1,7 @@
-// Throughput and compression of the binary columnar trace format (src/io):
-// for each workload profile x row codec (x LZ4 when compiled in), write the
-// trace to disk through BlockWriter, scan it back through BlockReader, and
-// report encode/decode throughput plus the on-disk size against the same
+// Throughput and size of the binary columnar trace format (src/io): for
+// each workload profile x row codec (delta, zoh), write the trace to disk
+// through BlockWriter, scan it back through BlockReader, and report
+// encode/decode throughput plus the on-disk size against the same
 // trace as CSV. "MB/s" is logical int64 payload (rows * sites * 8 bytes)
 // per wall second — the replay rate a consumer of the decoded values sees,
 // independent of how well the codec shrank the file.
@@ -19,7 +19,7 @@
 // Usage: bench_io [--epochs 100000] [--sites 8] [--seed 42] [--dir .]
 //                 [--json BENCH_io.json]
 //
-// --json dumps every (profile, codec, compression) cell's file size, ratio
+// --json dumps every (profile, codec) cell's file size, ratio
 // vs CSV, and throughputs as gauges (the BENCH_io.json artifact;
 // EXPERIMENTS.md quotes it).
 
@@ -36,7 +36,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "io/block_reader.h"
-#include "io/compress.h"
 #include "io/format.h"
 #include "obs/obs.h"
 #include "trace/snmp_synth.h"
@@ -173,13 +172,11 @@ Result<int64_t> ScanFile(const std::string& path) {
 }
 
 Status RunOne(const Trace& trace, const std::string& profile,
-              int64_t csv_bytes, io::RowCodec codec,
-              io::BlockCompression compression, const BenchConfig& config,
+              int64_t csv_bytes, io::RowCodec codec, const BenchConfig& config,
               obs::MetricsRegistry* summary) {
   const std::string path = config.dir + "/bench_io_tmp.dcvb";
   io::WriterOptions options;
   options.codec = codec;
-  options.compression = compression;
 
   const double logical_mb = static_cast<double>(trace.num_epochs()) *
                             static_cast<double>(trace.num_sites()) * 8.0 /
@@ -204,10 +201,7 @@ Status RunOne(const Trace& trace, const std::string& profile,
   const double encode_mb_s = logical_mb / encode_s;
   const double decode_mb_s = logical_mb / decode_s;
 
-  std::string label(io::RowCodecName(codec));
-  if (compression == io::BlockCompression::kLz4) {
-    label += "+lz4";
-  }
+  const std::string label(io::RowCodecName(codec));
   std::printf("%12s %12s %12" PRId64 " %12" PRId64 " %10.2f %12.1f %12.1f\n",
               profile.c_str(), label.c_str(), csv_bytes, file_bytes, ratio,
               encode_mb_s, decode_mb_s);
@@ -225,9 +219,8 @@ Status RunOne(const Trace& trace, const std::string& profile,
 Status RunBench(const BenchConfig& config) {
   obs::MetricsRegistry summary;
   std::printf("# binary trace format: %" PRId64 " epochs x %" PRId64
-              " sites per profile, lz4: %s\n",
-              config.epochs, config.sites,
-              io::Lz4Available() ? "available" : "not built in");
+              " sites per profile\n",
+              config.epochs, config.sites);
   std::printf("%12s %12s %12s %12s %10s %12s %12s\n", "profile", "codec",
               "csv-bytes", "file-bytes", "ratio", "enc-MB/s", "dec-MB/s");
 
@@ -249,16 +242,9 @@ Status RunBench(const BenchConfig& config) {
     DCV_RETURN_IF_ERROR(profile.trace.WriteCsv(csv_path));
     DCV_ASSIGN_OR_RETURN(int64_t csv_bytes, FileSize(csv_path));
     std::remove(csv_path.c_str());
-    for (io::RowCodec codec :
-         {io::RowCodec::kFlat, io::RowCodec::kDelta, io::RowCodec::kZoh}) {
+    for (io::RowCodec codec : {io::RowCodec::kDelta, io::RowCodec::kZoh}) {
       DCV_RETURN_IF_ERROR(RunOne(profile.trace, profile.name, csv_bytes,
-                                 codec, io::BlockCompression::kNone, config,
-                                 &summary));
-      if (io::Lz4Available()) {
-        DCV_RETURN_IF_ERROR(RunOne(profile.trace, profile.name, csv_bytes,
-                                   codec, io::BlockCompression::kLz4, config,
-                                   &summary));
-      }
+                                 codec, config, &summary));
     }
   }
   if (!config.json_path.empty() &&

@@ -4,7 +4,6 @@
 
 #include "common/bytes.h"
 #include "common/crc32.h"
-#include "io/compress.h"
 
 namespace dcv::io {
 namespace {
@@ -24,7 +23,7 @@ Result<std::unique_ptr<BlockReader>> BlockReader::Open(
   if (file == nullptr) {
     return NotFoundError("cannot open file: " + path);
   }
-  // Fixed preamble: magic, version, codec, compression, reserved,
+  // Fixed preamble: magic, version, codec, two reserved bytes,
   // num_columns, schema_len.
   uint8_t pre[16];
   if (std::fread(pre, 1, sizeof(pre), file) != sizeof(pre)) {
@@ -43,27 +42,29 @@ Result<std::unique_ptr<BlockReader>> BlockReader::Open(
         " (this build reads version " + std::to_string(kFormatVersion) +
         ")");
   }
+  // Codec byte 0 and byte 6 = 1 are retired values; name them so a file
+  // that carries one reads as unsupported rather than corrupt.
+  if (pre[5] == 0) {
+    std::fclose(file);
+    return InvalidArgumentError(
+        "row codec byte 0 is the retired 'flat' codec (this build reads "
+        "delta and zoh)");
+  }
   if (pre[5] > static_cast<uint8_t>(RowCodec::kZoh)) {
     std::fclose(file);
     return InvalidArgumentError("unknown row codec byte " +
                                 std::to_string(pre[5]));
   }
   const RowCodec codec = static_cast<RowCodec>(pre[5]);
-  if (pre[6] > static_cast<uint8_t>(BlockCompression::kLz4)) {
+  if (pre[6] == 1) {
     std::fclose(file);
-    return InvalidArgumentError("unknown compression byte " +
-                                std::to_string(pre[6]));
+    return InvalidArgumentError(
+        "header byte 6 = 1 is the retired 'lz4' block compression (this "
+        "build reads uncompressed blocks only)");
   }
-  const BlockCompression compression = static_cast<BlockCompression>(pre[6]);
-  if (pre[7] != 0) {
+  if (pre[6] != 0 || pre[7] != 0) {
     std::fclose(file);
     return InvalidArgumentError("reserved header byte is not zero");
-  }
-  if (compression == BlockCompression::kLz4 && !Lz4Available()) {
-    std::fclose(file);
-    return UnimplementedError(
-        "this file uses LZ4 block compression but the build has no LZ4 "
-        "support (liblz4 was not found at configure time)");
   }
   const uint32_t num_columns = ReadLe32(pre + 8);
   const uint32_t schema_len = ReadLe32(pre + 12);
@@ -124,18 +125,16 @@ Result<std::unique_ptr<BlockReader>> BlockReader::Open(
     std::fclose(file);
     return InternalError("ftell failed on binary trace");
   }
-  return std::unique_ptr<BlockReader>(new BlockReader(
-      file, std::move(names), codec, compression, data_start));
+  return std::unique_ptr<BlockReader>(
+      new BlockReader(file, std::move(names), codec, data_start));
 }
 
 BlockReader::BlockReader(std::FILE* file,
                          std::vector<std::string> column_names,
-                         RowCodec codec, BlockCompression compression,
-                         int64_t data_start)
+                         RowCodec codec, int64_t data_start)
     : file_(file),
       column_names_(std::move(column_names)),
       codec_(codec),
-      compression_(compression),
       data_start_(data_start) {}
 
 BlockReader::~BlockReader() { std::fclose(file_); }
@@ -188,9 +187,10 @@ Result<bool> BlockReader::Next(ColumnBlock* out) {
     return InvalidArgumentError("over-length block: row count " +
                                 std::to_string(rows));
   }
-  if (raw_len > kMaxBlockPayload) {
-    return InvalidArgumentError("over-length block: raw length " +
-                                std::to_string(raw_len));
+  if (raw_len != payload_len) {
+    return InvalidArgumentError(
+        "corrupt block: raw length " + std::to_string(raw_len) +
+        " differs from payload length " + std::to_string(payload_len));
   }
   payload_buf_.resize(payload_len);
   DCV_RETURN_IF_ERROR(
@@ -198,19 +198,9 @@ Result<bool> BlockReader::Next(ColumnBlock* out) {
   if (Crc32(payload_buf_) != expect_crc) {
     return InvalidArgumentError("block CRC mismatch (corrupt file)");
   }
-  const uint8_t* raw = reinterpret_cast<const uint8_t*>(payload_buf_.data());
-  size_t raw_size = payload_buf_.size();
-  if (compression_ == BlockCompression::kLz4) {
-    DCV_RETURN_IF_ERROR(Lz4Decompress(raw, raw_size, raw_len, &raw_buf_));
-    raw = reinterpret_cast<const uint8_t*>(raw_buf_.data());
-    raw_size = raw_buf_.size();
-  } else if (raw_len != payload_len) {
-    return InvalidArgumentError(
-        "corrupt block: raw length differs from payload length in an "
-        "uncompressed file");
-  }
   DCV_RETURN_IF_ERROR(DecodeColumns(
-      codec_, raw, raw_size, static_cast<int64_t>(column_names_.size()),
+      codec_, reinterpret_cast<const uint8_t*>(payload_buf_.data()),
+      payload_buf_.size(), static_cast<int64_t>(column_names_.size()),
       static_cast<int64_t>(rows), &out->columns));
   out->first_row = next_row_;
   out->rows = static_cast<int64_t>(rows);

@@ -40,9 +40,9 @@ struct BlockIndexEntry {
 ///                         allocation is sized from it).
 class BlockReader {
  public:
-  /// Opens and validates the header (magic, version, codec, compression,
-  /// schema, header CRC). A file that needs LZ4 in a build without it is
-  /// rejected here with kUnimplemented.
+  /// Opens and validates the header (magic, version, codec, reserved
+  /// bytes, schema, header CRC). A retired codec or compression byte is
+  /// rejected here with kInvalidArgument naming it.
   static Result<std::unique_ptr<BlockReader>> Open(const std::string& path);
 
   ~BlockReader();
@@ -54,9 +54,8 @@ class BlockReader {
     return column_names_;
   }
   RowCodec codec() const { return codec_; }
-  BlockCompression compression() const { return compression_; }
 
-  /// Reads, verifies (CRC), decompresses, and decodes the next block.
+  /// Reads, verifies (CRC), and decodes the next block.
   /// Returns true with `*out` filled; false at the clean end of data
   /// (sentinel reached — the footer is then read and validated too, so a
   /// scan that returns false has proven the whole file intact); an error
@@ -79,8 +78,7 @@ class BlockReader {
 
  private:
   BlockReader(std::FILE* file, std::vector<std::string> column_names,
-              RowCodec codec, BlockCompression compression,
-              int64_t data_start);
+              RowCodec codec, int64_t data_start);
 
   /// Reads exactly n bytes into buf; distinguishes EOF ("truncated file")
   /// from I/O errors.
@@ -93,7 +91,6 @@ class BlockReader {
   std::FILE* file_;
   std::vector<std::string> column_names_;
   RowCodec codec_;
-  BlockCompression compression_;
   int64_t data_start_;   ///< File offset of the first block.
   int64_t next_row_ = 0; ///< Global row index of the next block's row 0.
   bool index_loaded_ = false;
@@ -101,7 +98,6 @@ class BlockReader {
   int64_t total_rows_ = 0;
   std::vector<BlockIndexEntry> index_;
   std::string payload_buf_;  ///< Reused across blocks (O(1) memory scan).
-  std::string raw_buf_;
 };
 
 }  // namespace dcv::io

@@ -6,7 +6,6 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "io/codec.h"
-#include "io/compress.h"
 
 namespace dcv::io {
 namespace {
@@ -17,7 +16,7 @@ std::string EncodeHeader(const std::vector<std::string>& names,
   AppendLe32(kFileMagic, &out);
   out.push_back(static_cast<char>(kFormatVersion));
   out.push_back(static_cast<char>(options.codec));
-  out.push_back(static_cast<char>(options.compression));
+  out.push_back('\0');  // Reserved (no block compression).
   out.push_back('\0');  // Reserved.
   AppendLe32(static_cast<uint32_t>(names.size()), &out);
   std::string schema;
@@ -58,21 +57,14 @@ Result<std::unique_ptr<BlockWriter>> BlockWriter::Open(
         "block_rows must be in [1, " + std::to_string(kMaxBlockRows) +
         "], got " + std::to_string(options.block_rows));
   }
-  if (options.queue_blocks < 1) {
-    return InvalidArgumentError("queue_blocks must be >= 1");
-  }
-  if (options.compression == BlockCompression::kLz4 && !Lz4Available()) {
-    return UnimplementedError(
-        "LZ4 compression requested but this build has no LZ4 support");
-  }
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
     return InternalError("cannot open '" + path + "' for writing");
   }
   auto writer = std::unique_ptr<BlockWriter>(
       new BlockWriter(file, std::move(column_names), options));
-  DCV_RETURN_IF_ERROR(writer->EnqueueWrite(
-      EncodeHeader(writer->column_names_, writer->options_)));
+  DCV_RETURN_IF_ERROR(
+      writer->Write(EncodeHeader(writer->column_names_, writer->options_)));
   return writer;
 }
 
@@ -86,26 +78,12 @@ BlockWriter::BlockWriter(std::FILE* file,
   for (auto& col : pending_) {
     col.reserve(static_cast<size_t>(options_.block_rows));
   }
-  if (options_.async) {
-    writer_thread_ = std::thread([this] { WriterLoop(); });
-  }
 }
 
 BlockWriter::~BlockWriter() {
   if (!finished_) {
-    // Abandoned writer: stop the thread and close the file. The file is
-    // missing its sentinel/footer, which readers report as truncation —
-    // exactly right for an aborted write.
-    if (options_.async) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-      }
-      queue_cv_.notify_all();
-      if (writer_thread_.joinable()) {
-        writer_thread_.join();
-      }
-    }
+    // Abandoned writer: the file is missing its sentinel/footer, which
+    // readers report as truncation — exactly right for an aborted write.
     std::fclose(file_);
   }
 }
@@ -163,36 +141,28 @@ Status BlockWriter::FlushBlock() {
   if (pending_rows_ == 0) {
     return OkStatus();
   }
-  std::string raw;
-  EncodeColumns(options_.codec, pending_, pending_rows_, &raw);
-  const size_t raw_len = raw.size();
-  std::string payload;
-  if (options_.compression == BlockCompression::kLz4) {
-    DCV_RETURN_IF_ERROR(Lz4Compress(raw, &payload));
-  } else {
-    payload = std::move(raw);
-  }
-  if (payload.size() > kMaxBlockPayload || raw_len > kMaxBlockPayload) {
+  payload_.clear();
+  EncodeColumns(options_.codec, pending_, pending_rows_, &payload_);
+  if (payload_.size() > kMaxBlockPayload) {
     return InternalError("encoded block exceeds kMaxBlockPayload");
   }
 
-  std::string block;
-  AppendLe32(static_cast<uint32_t>(payload.size()), &block);
-  AppendLe32(static_cast<uint32_t>(pending_rows_), &block);
-  AppendLe32(static_cast<uint32_t>(raw_len), &block);
-  AppendLe32(Crc32(payload), &block);
-  block += payload;
+  std::string head;
+  AppendLe32(static_cast<uint32_t>(payload_.size()), &head);
+  AppendLe32(static_cast<uint32_t>(pending_rows_), &head);
+  AppendLe32(static_cast<uint32_t>(payload_.size()), &head);  // raw_len.
+  AppendLe32(Crc32(payload_), &head);
 
   index_.push_back({static_cast<uint64_t>(next_offset_),
                     static_cast<uint64_t>(total_rows_),
                     static_cast<uint32_t>(pending_rows_)});
   total_rows_ += pending_rows_;
-  ++blocks_;
   pending_rows_ = 0;
   for (auto& col : pending_) {
     col.clear();
   }
-  return EnqueueWrite(std::move(block));
+  DCV_RETURN_IF_ERROR(Write(head));
+  return Write(payload_);
 }
 
 Status BlockWriter::Finish() {
@@ -217,23 +187,7 @@ Status BlockWriter::Finish() {
     tail += footer;
     AppendLe64(footer_offset, &tail);
     AppendLe32(kEndMagic, &tail);
-    flush = EnqueueWrite(std::move(tail));
-  }
-
-  // Drain and stop the writer thread, then close.
-  if (options_.async) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    queue_cv_.notify_all();
-    if (writer_thread_.joinable()) {
-      writer_thread_.join();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (flush.ok() && !writer_status_.ok()) {
-      flush = writer_status_;
-    }
+    flush = Write(tail);
   }
   finished_ = true;
   const bool flush_ok = std::fflush(file_) == 0;
@@ -244,55 +198,12 @@ Status BlockWriter::Finish() {
   return flush;
 }
 
-Status BlockWriter::EnqueueWrite(std::string bytes) {
+Status BlockWriter::Write(const std::string& bytes) {
   next_offset_ += static_cast<int64_t>(bytes.size());
-  if (!options_.async) {
-    if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      return InternalError("short write to binary trace file");
-    }
-    return OkStatus();
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+    return InternalError("short write to binary trace file");
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!writer_status_.ok()) {
-    return writer_status_;
-  }
-  space_cv_.wait(lock, [this] {
-    return queue_.size() < static_cast<size_t>(options_.queue_blocks) ||
-           !writer_status_.ok();
-  });
-  if (!writer_status_.ok()) {
-    return writer_status_;
-  }
-  queue_.push_back(std::move(bytes));
-  lock.unlock();
-  queue_cv_.notify_one();
   return OkStatus();
-}
-
-void BlockWriter::WriterLoop() {
-  for (;;) {
-    std::string bytes;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stop_ and fully drained.
-      }
-      bytes = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    const bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), file_) == bytes.size();
-    if (!ok) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (writer_status_.ok()) {
-        writer_status_ = InternalError("short write to binary trace file");
-      }
-      // Keep draining (and discarding) so the producer never deadlocks.
-      queue_.clear();
-    }
-    space_cv_.notify_all();
-  }
 }
 
 }  // namespace dcv::io

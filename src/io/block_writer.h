@@ -1,14 +1,10 @@
 #ifndef DCV_IO_BLOCK_WRITER_H_
 #define DCV_IO_BLOCK_WRITER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -18,13 +14,9 @@ namespace dcv::io {
 
 /// Streaming writer of the dcvb container (see format.h). Rows are
 /// buffered into structure-of-arrays column buffers; every
-/// `options.block_rows` rows the block is encoded (codec + optional LZ4)
-/// on the *caller's* thread and handed to a background writer thread over
-/// a bounded queue (`options.queue_blocks` deep, 2 = double buffering), so
-/// encoding and disk I/O overlap and a slow disk back-pressures the caller
-/// instead of growing memory without bound. `options.async = false` keeps
-/// everything on the caller thread (deterministic single-thread path, used
-/// by tests and tools that don't care about overlap).
+/// `options.block_rows` rows the block is encoded with the row codec and
+/// written with fwrite on the caller's thread, so memory stays at one
+/// block whatever the trace length.
 ///
 /// Usage:
 ///   DCV_ASSIGN_OR_RETURN(auto writer,
@@ -33,9 +25,9 @@ namespace dcv::io {
 ///   DCV_RETURN_IF_ERROR(writer->Finish());
 ///
 /// Finish() flushes the partial block, writes the end sentinel and the
-/// block-index footer, and joins the writer thread; a writer destroyed
-/// without Finish() cleans up its thread but leaves the file truncated
-/// (readers will report it as such — a half-written file is never valid).
+/// block-index footer, and closes the file; a writer destroyed without
+/// Finish() closes the file truncated (readers will report it as such — a
+/// half-written file is never valid).
 class BlockWriter {
  public:
   static Result<std::unique_ptr<BlockWriter>> Open(
@@ -47,8 +39,8 @@ class BlockWriter {
   BlockWriter(const BlockWriter&) = delete;
   BlockWriter& operator=(const BlockWriter&) = delete;
 
-  /// Appends one row; `values.size()` must equal the column count. Any
-  /// queued background write error surfaces here (and in Finish).
+  /// Appends one row; `values.size()` must equal the column count. A
+  /// short write of a completed block surfaces here.
   Status AppendRow(const std::vector<int64_t>& values);
 
   /// Column-batch append: `columns[c]` holds `rows` values of column c.
@@ -58,29 +50,18 @@ class BlockWriter {
                        int64_t rows);
 
   /// Flushes, writes sentinel + footer, closes the file. Must be called
-  /// exactly once; returns the first error encountered anywhere in the
-  /// write pipeline.
+  /// exactly once; returns the first write, flush or close error.
   Status Finish();
-
-  int64_t rows_written() const { return total_rows_; }
-  int64_t blocks_written() const { return blocks_; }
-
-  /// Bytes of the file as enqueued so far (header + blocks); final file
-  /// adds the sentinel + footer at Finish.
-  int64_t bytes_enqueued() const { return next_offset_; }
 
  private:
   BlockWriter(std::FILE* file, std::vector<std::string> column_names,
               const WriterOptions& options);
 
-  /// Encodes + enqueues the buffered rows as one block; no-op when empty.
+  /// Encodes + writes the buffered rows as one block; no-op when empty.
   Status FlushBlock();
 
-  /// Hands `bytes` to the writer thread (or writes synchronously).
-  Status EnqueueWrite(std::string bytes);
-
-  /// Background thread main: pop, fwrite, record errors.
-  void WriterLoop();
+  /// Writes `bytes` at the end of the file and advances next_offset_.
+  Status Write(const std::string& bytes);
 
   std::FILE* file_;
   std::vector<std::string> column_names_;
@@ -89,8 +70,7 @@ class BlockWriter {
   std::vector<std::vector<int64_t>> pending_;  ///< SoA buffer being filled.
   int64_t pending_rows_ = 0;
   int64_t total_rows_ = 0;
-  int64_t blocks_ = 0;
-  int64_t next_offset_ = 0;  ///< File offset after everything enqueued.
+  int64_t next_offset_ = 0;  ///< File offset after everything written.
   bool finished_ = false;
 
   /// Footer index: (offset, first_row, rows) per block.
@@ -100,15 +80,7 @@ class BlockWriter {
     uint32_t rows;
   };
   std::vector<IndexEntry> index_;
-
-  // Async machinery (untouched when options_.async is false).
-  std::thread writer_thread_;
-  std::mutex mu_;
-  std::condition_variable queue_cv_;   ///< Signals the writer thread.
-  std::condition_variable space_cv_;   ///< Signals the producer.
-  std::deque<std::string> queue_;
-  bool stop_ = false;
-  Status writer_status_;  ///< First fwrite failure, sticky.
+  std::string payload_;  ///< Encoded block payload, reused across blocks.
 };
 
 }  // namespace dcv::io

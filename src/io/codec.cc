@@ -17,12 +17,6 @@ inline int64_t WrappingAdd(int64_t base, uint64_t diff) {
   return static_cast<int64_t>(static_cast<uint64_t>(base) + diff);
 }
 
-void EncodeFlatColumn(const std::vector<int64_t>& col, std::string* out) {
-  for (int64_t v : col) {
-    AppendLe64(static_cast<uint64_t>(v), out);
-  }
-}
-
 void EncodeDeltaColumn(const std::vector<int64_t>& col, std::string* out) {
   int64_t prev = 0;
   for (int64_t v : col) {
@@ -43,21 +37,6 @@ void EncodeZohColumn(const std::vector<int64_t>& col, std::string* out) {
     AppendVarint64(ZigZagEncode(col[i]), out);
     i += run;
   }
-}
-
-Status DecodeFlatColumn(const uint8_t** p, const uint8_t* end, int64_t rows,
-                        std::vector<int64_t>* col) {
-  const size_t need = static_cast<size_t>(rows) * 8;
-  if (static_cast<size_t>(end - *p) < need) {
-    return InvalidArgumentError("corrupt block: flat column truncated");
-  }
-  col->resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    (*col)[static_cast<size_t>(r)] =
-        static_cast<int64_t>(ReadLe64(*p + 8 * r));
-  }
-  *p += need;
-  return OkStatus();
 }
 
 Status DecodeDeltaColumn(const uint8_t** p, const uint8_t* end, int64_t rows,
@@ -112,9 +91,6 @@ void EncodeColumns(RowCodec codec,
     DCV_CHECK(static_cast<int64_t>(col.size()) == rows)
         << "ragged column block";
     switch (codec) {
-      case RowCodec::kFlat:
-        EncodeFlatColumn(col, out);
-        break;
       case RowCodec::kDelta:
         EncodeDeltaColumn(col, out);
         break;
@@ -135,9 +111,6 @@ Status DecodeColumns(RowCodec codec, const uint8_t* data, size_t len,
     auto* col = &(*columns)[static_cast<size_t>(c)];
     Status status;
     switch (codec) {
-      case RowCodec::kFlat:
-        status = DecodeFlatColumn(&p, end, rows, col);
-        break;
       case RowCodec::kDelta:
         status = DecodeDeltaColumn(&p, end, rows, col);
         break;

@@ -1,13 +1,9 @@
 #include "io/format.h"
 
-#include "io/compress.h"
-
 namespace dcv::io {
 
 std::string_view RowCodecName(RowCodec codec) {
   switch (codec) {
-    case RowCodec::kFlat:
-      return "flat";
     case RowCodec::kDelta:
       return "delta";
     case RowCodec::kZoh:
@@ -16,20 +12,7 @@ std::string_view RowCodecName(RowCodec codec) {
   return "?";
 }
 
-std::string_view BlockCompressionName(BlockCompression compression) {
-  switch (compression) {
-    case BlockCompression::kNone:
-      return "none";
-    case BlockCompression::kLz4:
-      return "lz4";
-  }
-  return "?";
-}
-
 Result<RowCodec> ParseRowCodec(const std::string& name) {
-  if (name == "flat") {
-    return RowCodec::kFlat;
-  }
   if (name == "delta") {
     return RowCodec::kDelta;
   }
@@ -37,26 +20,7 @@ Result<RowCodec> ParseRowCodec(const std::string& name) {
     return RowCodec::kZoh;
   }
   return InvalidArgumentError("unknown row codec '" + name +
-                              "' (expected flat, delta, or zoh)");
-}
-
-Result<BlockCompression> ParseBlockCompression(const std::string& name) {
-  if (name == "none") {
-    return BlockCompression::kNone;
-  }
-  if (name == "lz4") {
-    if (!Lz4Available()) {
-      return UnimplementedError(
-          "this build has no LZ4 support (rebuild with liblz4, or use "
-          "--compress none/auto)");
-    }
-    return BlockCompression::kLz4;
-  }
-  if (name == "auto") {
-    return Lz4Available() ? BlockCompression::kLz4 : BlockCompression::kNone;
-  }
-  return InvalidArgumentError("unknown compression '" + name +
-                              "' (expected none, lz4, or auto)");
+                              "' (expected delta or zoh)");
 }
 
 }  // namespace dcv::io

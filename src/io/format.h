@@ -17,7 +17,7 @@ namespace dcv::io {
 //     u32  magic "DCVB"
 //     u8   format version (kFormatVersion)
 //     u8   row codec (RowCodec)
-//     u8   block compression (BlockCompression)
+//     u8   reserved, must be 0 (blocks are stored uncompressed)
 //     u8   reserved, must be 0
 //     u32  num_columns (>= 1)
 //     u32  schema_len — byte length of the name section that follows
@@ -27,10 +27,9 @@ namespace dcv::io {
 //   Data blocks, repeated 0+ times
 //     u32  payload_len — on-disk payload bytes; 0 is the end sentinel
 //     u32  rows in this block (>= 1)
-//     u32  raw_len — payload bytes after decompression
-//     u32  payload CRC-32 (of the on-disk, possibly compressed, bytes)
-//     payload — RowCodec-encoded structure-of-arrays column buffers,
-//               optionally LZ4 block-compressed
+//     u32  raw_len — must equal payload_len
+//     u32  payload CRC-32
+//     payload — RowCodec-encoded structure-of-arrays column buffers
 //
 //   End sentinel: a u32 payload_len of 0.
 //
@@ -45,8 +44,6 @@ namespace dcv::io {
 //
 // The payload of a block is the concatenation of one encoded buffer per
 // column (column order = schema order):
-//   flat:  rows fixed 8-byte little-endian values — no modeling, the
-//          baseline and the fastest to decode.
 //   delta: zigzag-varint of the first value, then zigzag-varints of
 //          successive differences. Strongly autocorrelated series (AR(1)
 //          site values) produce near-zero deltas that fit 1-2 bytes.
@@ -56,15 +53,17 @@ namespace dcv::io {
 //
 // Every multi-byte integer is little-endian. All corruption is detected,
 // never crashed on: CRC mismatches, truncation (EOF inside any structure),
-// and over-length prefixes each produce a distinct Status error.
+// and over-length prefixes each produce a distinct Status error. Codec
+// byte 0 and header byte 6 = 1 are retired values (a fixed-width codec and
+// a block compression); BlockReader::Open rejects each by name.
 
 inline constexpr uint32_t kFileMagic = 0x42564344;  // "DCVB" little-endian.
 inline constexpr uint32_t kEndMagic = 0x45564344;   // "DCVE".
 inline constexpr uint8_t kFormatVersion = 1;
 
-/// Caps a block's on-disk and decompressed size. Purely a bound on the
-/// damage a corrupt or hostile length prefix can do — a legitimate writer
-/// stays far below it (default blocks are ~4096 rows).
+/// Caps a block's payload size. Purely a bound on the damage a corrupt or
+/// hostile length prefix can do — a legitimate writer stays far below it
+/// (default blocks are ~4096 rows).
 inline constexpr uint32_t kMaxBlockPayload = 64u << 20;
 
 /// Caps rows per block (validated on read so rows * num_columns cannot
@@ -76,42 +75,20 @@ inline constexpr uint32_t kMaxColumns = 1u << 20;
 inline constexpr uint32_t kMaxSchemaLen = 64u << 20;
 
 enum class RowCodec : uint8_t {
-  kFlat = 0,
   kDelta = 1,
   kZoh = 2,
 };
 
-enum class BlockCompression : uint8_t {
-  kNone = 0,
-  kLz4 = 1,
-};
-
 std::string_view RowCodecName(RowCodec codec);
-std::string_view BlockCompressionName(BlockCompression compression);
 
-/// Parse the CLI spellings ("flat" | "delta" | "zoh"); error names the
-/// accepted set.
+/// Parse the CLI spellings ("delta" | "zoh"); error names the accepted set.
 Result<RowCodec> ParseRowCodec(const std::string& name);
 
-/// Parse "none" | "lz4" | "auto" ("auto" = lz4 when compiled in, none
-/// otherwise — the safe default for tools that must work either way).
-Result<BlockCompression> ParseBlockCompression(const std::string& name);
-
-/// Writer-side knobs. The defaults favor the common case: delta rows, no
-/// compression (portable across builds), 4096-row blocks, encode-ahead of
-/// one block while the previous one is on its way to disk.
+/// Writer-side knobs. The defaults favor the common case: delta rows in
+/// 4096-row blocks.
 struct WriterOptions {
   RowCodec codec = RowCodec::kDelta;
-  BlockCompression compression = BlockCompression::kNone;
   int64_t block_rows = 4096;
-
-  /// When true (default) the disk write happens on a dedicated background
-  /// thread behind a bounded queue; encoding stays on the caller thread.
-  bool async = true;
-
-  /// Bounded write queue depth in blocks. 2 = classic double buffering:
-  /// one block in flight to disk, one being filled.
-  int queue_blocks = 2;
 };
 
 }  // namespace dcv::io

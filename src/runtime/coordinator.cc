@@ -246,7 +246,7 @@ class CoordinatorActor::VirtualRun {
   /// of the epoch like the lockstep scheme. A runtime never re-plans, so a
   /// recovered site still holds the threshold it would be sent: the re-sync
   /// is charged and recorded, and no envelope carries it.
-  void Resync(int64_t t) {
+  void Resync([[maybe_unused]] int64_t t) {
     if (!local_ || channel_.newly_recovered().empty()) {
       return;
     }

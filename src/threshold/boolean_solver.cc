@@ -101,7 +101,7 @@ Result<BooleanSolution> BooleanThresholdSolver::Solve(
   obs::ScopedTimer timer(metrics_ != nullptr
                              ? metrics_->histogram("solver/boolean/solve_us")
                              : nullptr);
-  obs::Counter* subproblems =
+  [[maybe_unused]] obs::Counter* subproblems =
       metrics_ != nullptr ? metrics_->counter("solver/boolean/subproblems")
                           : nullptr;
   const size_t n = models.size();
@@ -198,7 +198,7 @@ Result<BooleanSolution> BooleanThresholdSolver::Solve(
   }
 
   // §5.3/5.4 lift: widen bounds while the covering check still passes.
-  obs::Counter* lift_rounds =
+  [[maybe_unused]] obs::Counter* lift_rounds =
       metrics_ != nullptr ? metrics_->counter("solver/boolean/lift_rounds")
                           : nullptr;
   for (int round = 0; round < options_.lift_rounds; ++round) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "common/rng.h"
 #include "io/block_reader.h"
 #include "io/block_writer.h"
-#include "io/compress.h"
 #include "io/format.h"
 
 namespace dcv::io {
@@ -98,23 +98,18 @@ Result<std::vector<std::vector<int64_t>>> ScanFile(const std::string& path) {
   }
 }
 
-TEST(BlockWriterTest, RoundTripsAsyncAndSync) {
+TEST(BlockWriterTest, RoundTripsDeltaAndZoh) {
   const auto columns = MakeColumns(1000, 3, 1);
-  for (bool async : {true, false}) {
-    for (RowCodec codec :
-         {RowCodec::kFlat, RowCodec::kDelta, RowCodec::kZoh}) {
-      const std::string path = TempPath("rt.dcvb");
-      WriterOptions options;
-      options.codec = codec;
-      options.async = async;
-      options.block_rows = 128;  // Forces multiple blocks + a partial tail.
-      ASSERT_TRUE(WriteFile(path, columns, 1000, options).ok());
-      auto back = ScanFile(path);
-      ASSERT_TRUE(back.ok()) << back.status();
-      EXPECT_EQ(*back, columns)
-          << RowCodecName(codec) << " async=" << async;
-      std::remove(path.c_str());
-    }
+  for (RowCodec codec : {RowCodec::kDelta, RowCodec::kZoh}) {
+    const std::string path = TempPath("rt.dcvb");
+    WriterOptions options;
+    options.codec = codec;
+    options.block_rows = 128;  // Forces multiple blocks + a partial tail.
+    ASSERT_TRUE(WriteFile(path, columns, 1000, options).ok());
+    auto back = ScanFile(path);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(*back, columns) << RowCodecName(codec);
+    std::remove(path.c_str());
   }
 }
 
@@ -124,7 +119,6 @@ TEST(BlockWriterTest, RowAndColumnAppendsAgree) {
   const std::string col_path = TempPath("cols.dcvb");
   WriterOptions options;
   options.block_rows = 64;
-  options.async = false;
   ASSERT_TRUE(WriteFile(col_path, columns, 257, options).ok());
   {
     auto writer = BlockWriter::Open(row_path, {"col0", "col1"}, options);
@@ -213,15 +207,31 @@ TEST(BlockReaderTest, IndexAndSeek) {
 class CorruptionTest : public testing::Test {
  protected:
   void SetUp() override {
-    const auto columns = MakeColumns(300, 2, 4);
     path_ = TempPath("corrupt.dcvb");
+    bytes_ = WriteSample(path_, RowCodec::kDelta);
+  }
+
+  /// Writes the 300-row, three-block sample file with `codec` to `path`
+  /// and returns its bytes.
+  static std::string WriteSample(const std::string& path, RowCodec codec) {
     WriterOptions options;
+    options.codec = codec;
     options.block_rows = 100;
-    options.async = false;
-    ASSERT_TRUE(WriteFile(path_, columns, 300, options).ok());
-    auto bytes = ReadFileBytes(path_);
-    ASSERT_TRUE(bytes.ok());
-    bytes_ = *bytes;
+    EXPECT_TRUE(WriteFile(path, MakeColumns(300, 2, 4), 300, options).ok());
+    auto bytes = ReadFileBytes(path);
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? *bytes : std::string();
+  }
+
+  /// The sample file's bytes for each codec.
+  static std::vector<std::pair<RowCodec, std::string>> SamplePerCodec() {
+    std::vector<std::pair<RowCodec, std::string>> samples;
+    const std::string path = TempPath("corrupt_sample.dcvb");
+    for (RowCodec codec : {RowCodec::kDelta, RowCodec::kZoh}) {
+      samples.emplace_back(codec, WriteSample(path, codec));
+    }
+    std::remove(path.c_str());
+    return samples;
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -252,19 +262,24 @@ class CorruptionTest : public testing::Test {
 TEST_F(CorruptionTest, EveryBitFlipIsDetected) {
   // Flip one bit in every byte of the file; CRCs, structural checks, and
   // the footer cross-checks must catch each one.
-  for (size_t i = 0; i < bytes_.size(); ++i) {
-    std::string corrupt = bytes_;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x01);
-    EXPECT_FALSE(Scan(corrupt).ok()) << "bit flip at byte " << i;
+  for (const auto& [codec, bytes] : SamplePerCodec()) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      std::string corrupt = bytes;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ 0x01);
+      EXPECT_FALSE(Scan(corrupt).ok())
+          << RowCodecName(codec) << " bit flip at byte " << i;
+    }
   }
 }
 
 TEST_F(CorruptionTest, EveryPrefixCutIsDetected) {
   // Cut the file after every prefix length (0 included): an interrupted
   // writer or download must read as truncated, not as a shorter trace.
-  for (size_t len = 0; len < bytes_.size(); ++len) {
-    std::string cut = bytes_.substr(0, len);
-    EXPECT_FALSE(Scan(cut).ok()) << "prefix cut to " << len << " bytes";
+  for (const auto& [codec, bytes] : SamplePerCodec()) {
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(Scan(bytes.substr(0, len)).ok())
+          << RowCodecName(codec) << " prefix cut to " << len << " bytes";
+    }
   }
 }
 
@@ -326,43 +341,16 @@ TEST_F(CorruptionTest, NotAFormatFileIsRejected) {
 }
 
 // ---------------------------------------------------------------------
-// LZ4 gating: both build flavors are covered — with LZ4 the compressed
-// path must round-trip; without it, compressed files and compression
-// requests must be rejected with kUnimplemented (not garbage data).
+// Retired header values: codec byte 0 and header byte 6 = 1 each carry a
+// valid CRC in old files, and must be rejected at Open by name.
 
-TEST(Lz4Test, CompressedRoundTripWhenAvailable) {
-  if (!Lz4Available()) {
-    GTEST_SKIP() << "built without LZ4";
-  }
-  const auto columns = MakeColumns(1000, 3, 5);
-  const std::string path = TempPath("lz4.dcvb");
-  WriterOptions options;
-  options.compression = BlockCompression::kLz4;
-  options.block_rows = 128;
-  ASSERT_TRUE(WriteFile(path, columns, 1000, options).ok());
-  auto back = ScanFile(path);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(*back, columns);
-  std::remove(path.c_str());
-}
-
-TEST(Lz4Test, UnavailableBuildRejectsCompression) {
-  if (Lz4Available()) {
-    GTEST_SKIP() << "built with LZ4";
-  }
-  WriterOptions options;
-  options.compression = BlockCompression::kLz4;
-  auto writer = BlockWriter::Open(TempPath("no_lz4.dcvb"), {"a"}, options);
-  ASSERT_FALSE(writer.ok());
-  EXPECT_EQ(writer.status().code(), StatusCode::kUnimplemented);
-
-  // A hand-crafted header claiming LZ4 compression (valid CRC) must be
-  // rejected at Open with kUnimplemented, not read as garbage.
+/// A one-column header with a valid CRC and the given codec and byte 6.
+std::string HeaderWith(uint8_t codec_byte, uint8_t byte6) {
   std::string header;
   AppendLe32(kFileMagic, &header);
   header.push_back(static_cast<char>(kFormatVersion));
-  header.push_back(static_cast<char>(RowCodec::kFlat));
-  header.push_back(static_cast<char>(BlockCompression::kLz4));
+  header.push_back(static_cast<char>(codec_byte));
+  header.push_back(static_cast<char>(byte6));
   header.push_back('\0');
   AppendLe32(1, &header);  // num_columns.
   std::string schema;
@@ -371,11 +359,32 @@ TEST(Lz4Test, UnavailableBuildRejectsCompression) {
   AppendLe32(static_cast<uint32_t>(schema.size()), &header);
   header += schema;
   AppendLe32(Crc32(header), &header);
-  const std::string path = TempPath("lz4_claim.dcvb");
-  ASSERT_TRUE(WriteFileBytes(path, header).ok());
-  auto reader = BlockReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kUnimplemented);
+  return header;
+}
+
+TEST(BlockReaderTest, RejectsRetiredCodecAndCompressionByName) {
+  const struct {
+    uint8_t codec_byte;
+    uint8_t byte6;
+    const char* name;
+  } cases[] = {{0, 0, "flat"}, {static_cast<uint8_t>(RowCodec::kDelta), 1,
+                                "lz4"}};
+  const std::string path = TempPath("retired.dcvb");
+  for (const auto& c : cases) {
+    ASSERT_TRUE(WriteFileBytes(path, HeaderWith(c.codec_byte, c.byte6)).ok());
+    auto reader = BlockReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << c.name;
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument)
+        << reader.status();
+    EXPECT_NE(reader.status().message().find(c.name), std::string::npos)
+        << reader.status();
+  }
+  // The same header with byte 6 = 0 opens: the rejection is the retired
+  // value, not the hand-built header.
+  ASSERT_TRUE(WriteFileBytes(
+                  path, HeaderWith(static_cast<uint8_t>(RowCodec::kZoh), 0))
+                  .ok());
+  EXPECT_TRUE(BlockReader::Open(path).ok());
   std::remove(path.c_str());
 }
 

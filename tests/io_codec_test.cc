@@ -14,8 +14,7 @@
 namespace dcv::io {
 namespace {
 
-constexpr RowCodec kAllCodecs[] = {RowCodec::kFlat, RowCodec::kDelta,
-                                   RowCodec::kZoh};
+constexpr RowCodec kAllCodecs[] = {RowCodec::kDelta, RowCodec::kZoh};
 
 /// Encodes `columns` with every codec and asserts bit-exact recovery.
 void ExpectRoundTrip(const std::vector<std::vector<int64_t>>& columns,

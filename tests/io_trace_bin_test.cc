@@ -54,8 +54,7 @@ void ExpectSameTrace(const Trace& a, const Trace& b) {
 
 TEST(TraceBinTest, RoundTripsAcrossCodecs) {
   const Trace trace = MakeTrace(5, 1000, 11);
-  for (io::RowCodec codec :
-       {io::RowCodec::kFlat, io::RowCodec::kDelta, io::RowCodec::kZoh}) {
+  for (io::RowCodec codec : {io::RowCodec::kDelta, io::RowCodec::kZoh}) {
     const std::string path = TempPath("trace_rt.dcvb");
     io::WriterOptions options;
     options.codec = codec;

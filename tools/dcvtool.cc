@@ -1,16 +1,14 @@
 // dcvtool — command-line front end for the dcv library.
 //
 //   dcvtool generate --out trace.csv [--sites 10] [--weeks 5] [--seed 42]
-//           [--format csv|bin] [--codec flat|delta|zoh]
-//           [--compress none|lz4|auto] [--block-rows N]
+//           [--format csv|bin] [--codec delta|zoh] [--block-rows N]
 //       Write a synthetic SNMP-style multi-site trace. --format bin writes
 //       the dcvb binary columnar container (src/io/format.h) instead of
-//       CSV; the codec/compression flags tune it and are rejected with
+//       CSV; --codec and --block-rows tune it and are rejected with
 //       --format csv.
 //
 //   dcvtool convert --in trace.{csv|bin} --out other.{csv|bin}
-//           [--format csv|bin] [--codec flat|delta|zoh]
-//           [--compress none|lz4|auto] [--block-rows N]
+//           [--format csv|bin] [--codec delta|zoh] [--block-rows N]
 //       Convert a trace between CSV and the binary container (either
 //       direction; the input format is sniffed from its magic bytes).
 //       --format defaults to the opposite of the input. Conversion is
@@ -195,27 +193,24 @@ Result<int64_t> FileSize(const std::string& path) {
 // ----------------------------------------------------------------------
 // Binary-trace output flags shared by `generate` and `convert`.
 void DeclareBinFlags(FlagSet* flags) {
-  flags->Value("format").Value("codec").Value("compress").Value("block-rows");
+  flags->Value("format").Value("codec").Value("block-rows");
 }
 
 Result<io::WriterOptions> ParseBinFlags(const ParsedFlags& flags) {
   io::WriterOptions options;
   DCV_ASSIGN_OR_RETURN(options.codec,
                        io::ParseRowCodec(flags.GetString("codec", "delta")));
-  DCV_ASSIGN_OR_RETURN(
-      options.compression,
-      io::ParseBlockCompression(flags.GetString("compress", "none")));
   DCV_ASSIGN_OR_RETURN(int64_t block_rows,
                        flags.GetInt("block-rows", options.block_rows));
   options.block_rows = block_rows;
   return options;
 }
 
-/// Rejects --codec/--compress/--block-rows when the output is CSV: a
+/// Rejects --codec/--block-rows when the output is CSV: a
 /// silently ignored tuning flag is how a benchmark ends up measuring the
 /// wrong file.
 Status RejectBinFlagsForCsv(const ParsedFlags& flags) {
-  for (const char* flag : {"codec", "compress", "block-rows"}) {
+  for (const char* flag : {"codec", "block-rows"}) {
     if (!flags.GetString(flag, "").empty()) {
       return InvalidArgumentError(std::string("--") + flag +
                                   " only applies to binary output "
